@@ -12,7 +12,7 @@ fn make_partitions(n: usize, m: usize) -> Vec<Vec<usize>> {
 
 fn bench_consensus(c: &mut Criterion) {
     let mut group = c.benchmark_group("consensus");
-    for n in [60usize, 120, 240] {
+    for n in [60usize, 120, 240, 1000] {
         let partitions = make_partitions(n, 5);
         group.bench_with_input(BenchmarkId::new("matrix", n), &n, |b, _| {
             b.iter(|| consensus_matrix(black_box(&partitions)))

@@ -5,10 +5,12 @@
 //! `bench::stages`). The committed `crates/bench/BENCH_pipeline.json` is
 //! the recorded baseline; CI reruns this bench and gates merges with
 //! `bench_compare` on per-stage geomean ratios. Scaling variants (series
-//! count, length, parallel vs serial jobs) all live under the `fit` stage.
+//! count, length, parallel vs serial jobs) and spectral consensus over
+//! 1,002 series all live under the `fit` stage.
 
 use bench::stages::{ScaleFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::{KGraph, KGraphConfig};
 
 fn quick_config(k: usize, parallel: bool) -> KGraphConfig {
@@ -102,6 +104,28 @@ fn bench_fit_scaling(c: &mut Criterion) {
             },
         );
     }
+    // Spectral consensus at the scale of a 1,002-series fit: five noisy
+    // relabelings of a 3-class partition, so the consensus matrix has tens
+    // of distinct rows, as a real k-Graph consensus does.
+    let n = 1002;
+    let partitions: Vec<Vec<usize>> = (0..5usize)
+        .map(|p| {
+            (0..n)
+                .map(|i| {
+                    let class = i / 334;
+                    if (i * 2_654_435_761 + p * 40_503) % 16 == 0 {
+                        (class + 1 + p % 2) % 3
+                    } else {
+                        (class + p) % 3
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mc = consensus_matrix(&partitions);
+    group.bench_function(BenchmarkId::new("fit", "consensus_n1002"), |b| {
+        b.iter(|| consensus_labels(black_box(&mc), 3, 0))
+    });
     group.finish();
 }
 

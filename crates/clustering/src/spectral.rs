@@ -7,6 +7,7 @@
 use crate::kmeans::KMeans;
 use linalg::eigen::symmetric_eigen;
 use linalg::matrix::Matrix;
+use std::collections::HashMap;
 
 /// Options for [`spectral_clustering`].
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +34,24 @@ impl SpectralOptions {
 /// Spectral clustering on a precomputed symmetric affinity matrix.
 ///
 /// Pipeline: symmetric normalised Laplacian `L = I − D^{-1/2} A D^{-1/2}`,
-/// bottom-k eigenvectors (computed exactly via Jacobi), row-normalised
-/// spectral embedding, k-Means.
+/// bottom-k eigenvectors, row-normalised spectral embedding, k-Means.
+///
+/// The eigenproblem is solved over the `s` *distinct* rows of `A` rather
+/// than all `n`. A consensus row depends only on its series' label
+/// signature across the partitions, so `s` is typically tens while `n` is
+/// thousands. The reduction is exact: when rows `i` and `j` of the
+/// symmetric `A` are identical, `e_i − e_j` lies in the null space of
+/// `N = D^{-1/2} A D^{-1/2}`, so every eigenvector of `L` with an
+/// eigenvalue other than 1 is constant on each group of identical rows.
+/// With group multiplicities `w` and `Ñ` the `N` entries between group
+/// representatives, those eigenvectors are `v_i = z_{g(i)} / √w_{g(i)}`
+/// for the eigenvectors `z` of the `s × s` matrix
+/// `L̃ = I − W^{1/2} Ñ W^{1/2}`, with the same eigenvalues. The `n − s`
+/// dropped eigenvectors (eigenvalue exactly 1) only tell identical rows
+/// apart, so identical rows always share a label. A matrix without
+/// duplicate rows has `w = 1` everywhere and its reduced problem is the
+/// full problem bit for bit. When `s < k`, all `s` eigenvectors form the
+/// embedding.
 ///
 /// Panics if the affinity is not square or `k == 0`. Negative affinities are
 /// clamped to zero; isolated rows (zero degree) are tolerated.
@@ -61,25 +78,29 @@ pub fn spectral_clustering(affinity: &Matrix, opts: SpectralOptions) -> Vec<usiz
         .map(|&d| if d > 1e-12 { 1.0 / d.sqrt() } else { 0.0 })
         .collect();
 
-    // L_sym = I − D^{-1/2} A D^{-1/2}
-    let mut lap = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
+    // L̃ = I − W^{1/2} Ñ W^{1/2} over the group representatives.
+    let groups = RowGroups::of(affinity);
+    let s = groups.reps.len();
+    let sqrt_w: Vec<f64> = groups.sizes.iter().map(|&w| (w as f64).sqrt()).collect();
+    let mut lap = Matrix::zeros(s, s);
+    for (g, &i) in groups.reps.iter().enumerate() {
+        for (h, &j) in groups.reps.iter().enumerate() {
             let a = affinity[(i, j)].max(0.0);
-            let v = -inv_sqrt[i] * a * inv_sqrt[j];
-            lap[(i, j)] = if i == j { 1.0 + v } else { v };
+            let v = sqrt_w[g] * (-inv_sqrt[i] * a * inv_sqrt[j]) * sqrt_w[h];
+            lap[(g, h)] = if g == h { 1.0 + v } else { v };
         }
     }
 
-    // Bottom-k eigenvectors = last k columns (Jacobi sorts descending).
+    // Bottom-k eigenvectors = last k columns (Jacobi sorts descending),
+    // lifted back to one entry per row.
     let eig = symmetric_eigen(&lap);
-    let k = opts.k.min(n);
+    let k = opts.k.min(s);
     let mut embedding = vec![vec![0.0f64; k]; n];
-    for (c, col) in (n - k..n).rev().enumerate() {
+    for (c, col) in (s - k..s).rev().enumerate() {
         // col iterates the smallest eigenvalues; order within the embedding
         // does not matter for k-Means.
-        for (i, e_row) in embedding.iter_mut().enumerate() {
-            e_row[c] = eig.vectors[(i, col)];
+        for (e_row, &g) in embedding.iter_mut().zip(&groups.of_row) {
+            e_row[c] = eig.vectors[(g, col)] / sqrt_w[g];
         }
     }
     // Row-normalise (NJW).
@@ -100,6 +121,56 @@ pub fn spectral_clustering(affinity: &Matrix, opts: SpectralOptions) -> Vec<usiz
     }
     .fit(&embedding)
     .labels
+}
+
+/// The rows of a matrix grouped by bit-identical contents; groups are
+/// numbered in order of first occurrence.
+struct RowGroups {
+    /// Group of each row.
+    of_row: Vec<usize>,
+    /// First row of each group.
+    reps: Vec<usize>,
+    /// Rows per group.
+    sizes: Vec<usize>,
+}
+
+impl RowGroups {
+    fn of(m: &Matrix) -> RowGroups {
+        let n = m.rows();
+        let mut groups = RowGroups {
+            of_row: Vec::with_capacity(n),
+            reps: Vec::new(),
+            sizes: Vec::new(),
+        };
+        // Row hash → groups with that hash; a hit is confirmed bit by bit.
+        let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
+        for i in 0..n {
+            let row = m.row(i);
+            let hash = row.iter().fold(0u64, |h, x| {
+                (h.rotate_left(5) ^ x.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
+            });
+            let candidates = by_hash.entry(hash).or_default();
+            let same_bits = |g: &usize| {
+                m.row(groups.reps[*g])
+                    .iter()
+                    .zip(row)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            };
+            let g = match candidates.iter().copied().find(same_bits) {
+                Some(g) => g,
+                None => {
+                    let g = groups.reps.len();
+                    groups.reps.push(i);
+                    groups.sizes.push(0);
+                    candidates.push(g);
+                    g
+                }
+            };
+            groups.sizes[g] += 1;
+            groups.of_row.push(g);
+        }
+        groups
+    }
 }
 
 /// Gaussian (RBF) affinity between rows: `exp(−‖x−y‖² / (2σ²))`.
@@ -228,6 +299,15 @@ mod tests {
             let row_sum: f64 = (0..rows.len()).map(|j| aff[(i, j)]).sum();
             assert!(row_sum >= 3.0);
         }
+    }
+
+    #[test]
+    fn row_groups_number_by_first_occurrence() {
+        let aff = Matrix::from_fn(5, 5, |i, j| if i % 2 == j % 2 { 1.0 } else { 0.0 });
+        let groups = RowGroups::of(&aff);
+        assert_eq!(groups.of_row, vec![0, 1, 0, 1, 0]);
+        assert_eq!(groups.reps, vec![0, 1]);
+        assert_eq!(groups.sizes, vec![3, 2]);
     }
 
     #[test]

@@ -5,13 +5,119 @@
 use clustering::agglo::{Agglomerative, Linkage};
 use clustering::kmeans::KMeans;
 use clustering::metrics;
+use clustering::spectral::{rbf_affinity, spectral_clustering, SpectralOptions};
+use kgraph::consensus::consensus_matrix;
+use linalg::eigen::symmetric_eigen;
+use linalg::Matrix;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Random small point cloud: n points in d dimensions.
 fn cloud(n_range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f64>>> {
     n_range.prop_flat_map(|n| {
         proptest::collection::vec(proptest::collection::vec(-10.0..10.0f64, 3..=3), n..=n)
     })
+}
+
+/// The dense spectral path that the reduced solve replaced: Jacobi on the
+/// full n × n Laplacian, then the same row normalisation and k-Means call.
+/// Returns the labels and the Laplacian's eigenvalues in ascending order.
+fn dense_spectral_oracle(affinity: &Matrix, opts: SpectralOptions) -> (Vec<usize>, Vec<f64>) {
+    let n = affinity.rows();
+    let mut degrees = vec![0.0f64; n];
+    for i in 0..n {
+        for j in 0..n {
+            degrees[i] += affinity[(i, j)].max(0.0);
+        }
+    }
+    let inv_sqrt: Vec<f64> = degrees
+        .iter()
+        .map(|&d| if d > 1e-12 { 1.0 / d.sqrt() } else { 0.0 })
+        .collect();
+    let lap = Matrix::from_fn(n, n, |i, j| {
+        let v = -inv_sqrt[i] * affinity[(i, j)].max(0.0) * inv_sqrt[j];
+        if i == j {
+            1.0 + v
+        } else {
+            v
+        }
+    });
+    let eig = symmetric_eigen(&lap);
+    let k = opts.k.min(n);
+    let mut embedding = vec![vec![0.0f64; k]; n];
+    for (c, col) in (n - k..n).rev().enumerate() {
+        for (i, e_row) in embedding.iter_mut().enumerate() {
+            e_row[c] = eig.vectors[(i, col)];
+        }
+    }
+    for row in &mut embedding {
+        let norm = row.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > 1e-12 {
+            for x in row.iter_mut() {
+                *x /= norm;
+            }
+        }
+    }
+    let labels = KMeans {
+        k: opts.k,
+        max_iter: 200,
+        n_init: opts.n_init,
+        seed: opts.seed,
+    }
+    .fit(&embedding)
+    .labels;
+    (labels, eig.values.into_iter().rev().collect())
+}
+
+/// Group index of every row, rows grouped by bit-identical contents.
+fn identical_row_groups(m: &Matrix) -> Vec<usize> {
+    let mut reps: Vec<usize> = Vec::new();
+    (0..m.rows())
+        .map(|i| {
+            let same = |r: &usize| {
+                m.row(*r)
+                    .iter()
+                    .zip(m.row(i))
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            };
+            reps.iter().position(same).unwrap_or_else(|| {
+                reps.push(i);
+                reps.len() - 1
+            })
+        })
+        .collect()
+}
+
+/// `m` noisy relabelings of one hidden `k`-class partition of `n` series:
+/// the shape of k-Graph's per-length partitions.
+fn noisy_partitions(n: usize, m: usize, k: usize, noise: f64, seed: u64) -> Vec<Vec<usize>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let truth: Vec<usize> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+    (0..m)
+        .map(|_| {
+            let shift = rng.gen_range(0..k);
+            truth
+                .iter()
+                .map(|&t| {
+                    if rng.gen_range(0.0..1.0) < noise {
+                        rng.gen_range(0..k)
+                    } else {
+                        (t + shift) % k
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn kgraph_fit_matches_dense_spectral_oracle() {
+    let ds = datasets::cbf::cbf(100, 256, 7);
+    let model = kgraph::KGraph::new(kgraph::KGraphConfig::new(3).with_seed(7)).fit(&ds);
+    assert_eq!(model.config.n_lengths, 5);
+    let (oracle, _) = dense_spectral_oracle(&model.consensus, SpectralOptions::new(3, 7));
+    assert_eq!(model.labels, oracle);
 }
 
 proptest! {
@@ -115,5 +221,66 @@ proptest! {
         );
         prop_assert_eq!(labels.len(), n);
         prop_assert!(labels.iter().all(|&l| l < k.min(n).max(1)));
+    }
+
+}
+
+// The reduced spectral solve against the dense oracle.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn spectral_on_consensus_matches_dense_oracle(
+        (n, m, k) in (5usize..161, 1usize..7, 2usize..6),
+        noise in 0.0..0.5f64,
+        seed in 0u64..1_000_000,
+    ) {
+        let mc = consensus_matrix(&noisy_partitions(n, m, k, noise, seed));
+        let s = identical_row_groups(&mc).iter().max().map_or(0, |g| g + 1);
+        let opts = SpectralOptions::new(k, seed);
+        let (oracle, ascending) = dense_spectral_oracle(&mc, opts);
+        // Only a separated bottom-k eigenspace has a well-defined answer.
+        prop_assume!(s >= k && (k == n || ascending[k] - ascending[k - 1] > 1e-8));
+        prop_assert_eq!(spectral_clustering(&mc, opts), oracle, "n={} m={} k={} s={}", n, m, k, s);
+    }
+
+    #[test]
+    fn spectral_without_duplicate_rows_matches_dense_oracle(rows in cloud(3..40), k in 2usize..5) {
+        let aff = rbf_affinity(&rows, None);
+        prop_assume!(identical_row_groups(&aff).iter().enumerate().all(|(i, &g)| i == g));
+        let opts = SpectralOptions::new(k, 3);
+        prop_assert_eq!(spectral_clustering(&aff, opts), dense_spectral_oracle(&aff, opts).0);
+    }
+
+    #[test]
+    fn spectral_underdetermined_is_total(
+        (n, m, classes) in (0usize..40, 1usize..4, 1usize..4),
+        k in 1usize..9,
+        isolated in 0usize..4,
+        seed in 0u64..1_000_000,
+    ) {
+        // Few signatures (often fewer than k) plus isolated zero-degree rows.
+        let mut mc = if n == 0 {
+            Matrix::zeros(0, 0)
+        } else {
+            consensus_matrix(&noisy_partitions(n, m, classes, 0.1, seed))
+        };
+        for r in (0..n).step_by(7).take(isolated) {
+            for j in 0..n {
+                mc[(r, j)] = 0.0;
+                mc[(j, r)] = 0.0;
+            }
+        }
+        let labels = spectral_clustering(&mc, SpectralOptions::new(k, seed));
+        prop_assert_eq!(labels.len(), n);
+        prop_assert!(labels.iter().all(|&l| l < k));
+        let groups = identical_row_groups(&mc);
+        for i in 0..n {
+            for j in 0..i {
+                if groups[i] == groups[j] {
+                    prop_assert_eq!(labels[i], labels[j], "identical rows {} and {}", j, i);
+                }
+            }
+        }
     }
 }

@@ -888,7 +888,8 @@ fn stream_status_endpoint(
 }
 
 /// `GET /metrics` — plain-text counters: admission-control totals, queue
-/// depth high-water, per-route request counts, store and session gauges.
+/// depth high-water, handler panics, per-route request counts, store and
+/// session gauges.
 fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
     use std::sync::atomic::Ordering;
     let stats = ctx.stats;
@@ -908,6 +909,10 @@ fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
     out.push_str(&format!(
         "graphserve_queue_depth_high_water {}\n",
         stats.queue_high_water.load(Ordering::Relaxed)
+    ));
+    out.push_str(&format!(
+        "graphserve_handler_panics_total {}\n",
+        stats.handler_panics.load(Ordering::Relaxed)
     ));
     for (label, count) in stats.route_counts() {
         out.push_str(&format!(

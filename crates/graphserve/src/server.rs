@@ -12,7 +12,9 @@
 //! (`Connection: close`), dispatches through [`crate::routes::handle`]
 //! with a per-worker [`StoreReader`] (lock-free model lookup in steady
 //! state) and writes the response. Socket read/write timeouts bound each
-//! request's wall-clock cost.
+//! request's wall-clock cost. A panicking handler is caught: its request
+//! gets a `500`, `handler_panics_total` counts it, and the worker goes on
+//! serving.
 //!
 //! ## Shutdown
 //!
@@ -28,6 +30,7 @@ use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -104,6 +107,8 @@ pub struct ServerStats {
     pub served: AtomicU64,
     /// Highest admission-queue depth observed by the accept thread.
     pub queue_high_water: AtomicU64,
+    /// Requests whose handler panicked (each answered with a 500).
+    pub handler_panics: AtomicU64,
     /// Requests dispatched per route, indexed like [`ROUTE_LABELS`].
     routes: [AtomicU64; ROUTE_LABELS.len()],
 }
@@ -115,6 +120,7 @@ impl Default for ServerStats {
             shed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             queue_high_water: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
             routes: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -319,7 +325,14 @@ fn worker_loop(
         let _ = stream.set_read_timeout(Some(cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(cfg.write_timeout));
         let response = match Request::read_from(&mut stream, cfg.max_body_bytes) {
-            Ok(request) => routes::handle(&request, &mut reader, &ctx),
+            // A handler panic costs its own request a 500, never the worker.
+            Ok(request) => catch_unwind(AssertUnwindSafe(|| {
+                routes::handle(&request, &mut reader, &ctx)
+            }))
+            .unwrap_or_else(|_| {
+                stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+                Response::error(500, "internal error while handling the request")
+            }),
             Err(HttpError::BodyTooLarge { declared, limit }) => Response::error(
                 413,
                 &format!("body of {declared} bytes exceeds limit {limit}"),

@@ -30,13 +30,19 @@ use tscore::{Dataset, DatasetKind, TimeSeries};
 // Harness
 // ---------------------------------------------------------------------------
 
-/// A scratch directory removed on drop.
+/// A scratch directory removed on drop. The name carries a process-wide
+/// sequence number, so parallel tests using the same tag never share (and
+/// never delete) each other's directory.
 struct TempDir(PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> TempDir {
-        let path =
-            std::env::temp_dir().join(format!("graphserve-faults-{}-{tag}", std::process::id()));
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!(
+            "graphserve-faults-{}-{seq}-{tag}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).expect("create temp dir");
         TempDir(path)

@@ -4,6 +4,17 @@
 //! are grouped together across the `M` per-length partitions; spectral
 //! clustering on `MC` produces the final k-Graph labels (paper §II-A,
 //! Figure 1(d)).
+//!
+//! Row `i` of `MC` depends only on series `i`'s label signature (its labels
+//! across the `M` partitions), so series with the same signature have
+//! bit-identical rows. At most `∏ k_ℓ` signatures exist, and in practice
+//! tens cover a thousand series. [`spectral_clustering`] exploits this: it
+//! solves the eigenproblem over the distinct rows only, weighted by their
+//! multiplicities. That is exact, because identical rows put `e_i − e_j` in
+//! the null space of the normalised affinity, so every Laplacian
+//! eigenvector with an eigenvalue other than 1 is constant across identical
+//! rows (see `clustering::spectral`). The full `n × n` matrix is still built: the
+//! degrees are its row sums, and the Under-the-Hood frame draws it.
 
 use clustering::spectral::{spectral_clustering, SpectralOptions};
 use linalg::matrix::Matrix;

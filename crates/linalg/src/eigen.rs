@@ -1,9 +1,11 @@
 //! Eigendecomposition of symmetric matrices.
 //!
-//! The cyclic Jacobi method: numerically robust, simple, and O(n³) — which
-//! is fine for the matrix orders this workspace produces (consensus and
-//! affinity matrices of up to a few thousand series, covariance matrices of
-//! dimension 2–64).
+//! The cyclic Jacobi method: numerically robust and simple, but O(n³) per
+//! sweep over a row-major matrix it walks by column as well as by row. It
+//! suits small orders: covariance matrices of dimension 2–64, and spectral
+//! clustering's reduced Laplacian, whose order is the number of *distinct*
+//! affinity rows (tens for a k-Graph consensus matrix). A dense Laplacian
+//! over a thousand series already takes seconds; do not feed it one.
 
 use crate::matrix::Matrix;
 

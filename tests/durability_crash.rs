@@ -122,11 +122,15 @@ fn crash_child_server_helper() {
 // Parent-side plumbing
 // ---------------------------------------------------------------------------
 
+/// A scratch directory removed on drop, unique per call within the process.
 struct TempDir(PathBuf);
 
 impl TempDir {
     fn new() -> TempDir {
-        let path = std::env::temp_dir().join(format!("graphserve-crash-{}", std::process::id()));
+        static SEQ: AtomicUsize = AtomicUsize::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("graphserve-crash-{}-{seq}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).expect("create temp dir");
         TempDir(path)

@@ -423,3 +423,34 @@ fn fit_score_and_evict_over_the_wire() {
     assert_eq!(status, 404);
     server.shutdown();
 }
+
+#[test]
+fn handler_panic_answers_500_and_the_worker_survives() {
+    // One worker: if the panic killed it, nothing would answer afterwards.
+    let server = Server::start(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        demo_store(),
+    )
+    .expect("start server");
+    let addr = server.addr();
+
+    // An all-NaN series panics inside the model code.
+    let nan_csv = vec!["NaN"; 80].join(",");
+    let (status, body) = request(addr, "POST", "/models/demo/predict", &nan_csv);
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("\"error\""), "{body}");
+
+    let (status, _) = request(addr, "GET", "/health", "");
+    assert_eq!(status, 200);
+    let (status, body) = request(addr, "POST", "/models/demo/predict", &series_json(0));
+    assert_eq!(status, 200, "{body}");
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("graphserve_handler_panics_total 1\n"),
+        "{metrics}"
+    );
+    server.shutdown();
+}
