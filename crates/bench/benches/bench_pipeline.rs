@@ -6,9 +6,10 @@
 //! the recorded baseline; CI reruns this bench and gates merges with
 //! `bench_compare` on per-stage geomean ratios. Scaling variants (series
 //! count, length, parallel vs serial jobs) and spectral consensus over
-//! 1,002 series all live under the `fit` stage.
+//! 1,002 series all live under the `fit` stage; per-request reads of a
+//! model fitted on 1,002 series live under `serve`.
 
-use bench::stages::{ScaleFixture, StageFixture};
+use bench::stages::{ScaleFixture, ServeFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::{KGraph, KGraphConfig};
@@ -129,10 +130,37 @@ fn bench_fit_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_serve(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline");
+    group.sample_size(10);
+    // Fitted once, outside every timed loop: the reads measure what a
+    // request costs against an already-published model.
+    let fx = ServeFixture::explore_1k();
+    let mut i = 0usize;
+    group.bench_function(BenchmarkId::new("serve", "predict_n1002"), |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(&fx).run_predict(i)
+        })
+    });
+    let mut cluster = 0usize;
+    group.bench_function(BenchmarkId::new("serve", "graphoid_n1002"), |b| {
+        b.iter(|| {
+            cluster += 1;
+            black_box(&fx).run_graphoid(cluster)
+        })
+    });
+    group.bench_function(BenchmarkId::new("serve", "render_n1002"), |b| {
+        b.iter(|| black_box(&fx).run_render())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
     bench_fit_scaling,
-    bench_render_at_scale
+    bench_render_at_scale,
+    bench_serve
 );
 criterion_main!(benches);

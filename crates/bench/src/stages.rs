@@ -4,7 +4,9 @@
 //! **build** (subsequence embedding + radial scan + graph construction),
 //! **fit** (the full multi-length model), **features** (path → feature
 //! matrix), **cluster** (k-Means over the features) and **render** (the
-//! Graph frame's node-link view). `bench_pipeline` times each stage under
+//! Graph frame's node-link view) — plus **serve**, the per-request reads
+//! of a fitted model (predict, graphoid, render) that the model's
+//! per-version cache answers. `bench_pipeline` times each stage under
 //! a label of the form `pipeline/<stage>/<variant>`, and
 //! [`crate::baseline`] aggregates ratios per `<stage>` — so a regression
 //! report says *which stage* got slower, not just that the pipeline did.
@@ -17,17 +19,17 @@ use graphint::plot::{DetailLevel, GraphPlot, RenderBudget};
 use kgraph::build::GraphLayer;
 use kgraph::embed::project_subsequences;
 use kgraph::features::{cluster_layer, feature_matrix};
-use kgraph::graphoid::ClusterStats;
+use kgraph::graphoid::{ClusterStats, Graphoid};
 use kgraph::nodes::radial_scan;
 use kgraph::{KGraph, KGraphConfig, KGraphModel, NodePattern, PatternGraph};
 use tscore::Dataset;
 use tsgraph::layout::LayoutEngine;
 use tsgraph::{GraphBuilder, NodeId};
 
-/// The five stage names, in pipeline order. These are the `<stage>` path
+/// The stage names, in pipeline order. These are the `<stage>` path
 /// segments of every `pipeline/<stage>/<variant>` bench label and the keys
 /// the comparison gate aggregates by.
-pub const STAGE_NAMES: [&str; 5] = ["build", "fit", "features", "cluster", "render"];
+pub const STAGE_NAMES: [&str; 6] = ["build", "fit", "features", "cluster", "render", "serve"];
 
 /// Deterministic workload shared by every stage bench.
 pub struct StageFixture {
@@ -187,6 +189,57 @@ impl ScaleFixture {
             .with_detail(DetailLevel::Auto)
             .with_budget(RenderBudget::capped(5_000))
             .render_counted()
+    }
+}
+
+/// Serving fixture for the `pipeline/serve/*_n1002` variants: one model
+/// fitted once on 1,002 CBF series × 256 points (k = 3, five lengths,
+/// seed 7 — the training set of the loopback benchmark's `explore_1k`
+/// workload) plus unseen query series. The timed reads run against the
+/// model's per-version serving cache, filled by the first iteration.
+pub struct ServeFixture {
+    /// The fitted model every read queries.
+    pub model: KGraphModel,
+    /// Unseen CBF series of the training length.
+    pub queries: Vec<Vec<f64>>,
+}
+
+impl ServeFixture {
+    /// Fits the `explore_1k` training set (takes a few seconds).
+    pub fn explore_1k() -> Self {
+        let dataset = datasets::cbf::cbf(334, 256, 7);
+        let config = KGraphConfig {
+            n_lengths: 5,
+            ..KGraphConfig::new(3)
+        }
+        .with_seed(7);
+        let model = KGraph::new(config).fit(&dataset);
+        let queries = datasets::cbf::cbf(4, 256, 11)
+            .series()
+            .iter()
+            .map(|s| s.values().to_vec())
+            .collect();
+        ServeFixture { model, queries }
+    }
+
+    /// `serve/predict_n1002`: out-of-sample prediction of query `i`.
+    pub fn run_predict(&self, i: usize) -> Option<usize> {
+        self.model.predict(&self.queries[i % self.queries.len()])
+    }
+
+    /// `serve/graphoid_n1002`: the γ-graphoid (γ = 0.5) of `cluster`.
+    pub fn run_graphoid(&self, cluster: usize) -> Graphoid {
+        self.model.gamma_graphoid(cluster % self.model.k(), 0.5)
+    }
+
+    /// `serve/render_n1002`: the render route's SVG (auto thresholds,
+    /// auto layout and detail, 20,000-element budget).
+    pub fn run_render(&self) -> (String, usize) {
+        GraphFrame::with_auto_thresholds(&self.model).render_graph_with(
+            LayoutEngine::Auto,
+            DetailLevel::Auto,
+            RenderBudget::capped(20_000),
+        )
     }
 }
 

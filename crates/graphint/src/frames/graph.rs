@@ -32,7 +32,7 @@ pub struct NodeDetail {
 #[derive(Debug)]
 pub struct GraphFrame<'a> {
     model: &'a KGraphModel,
-    stats: ClusterStats,
+    stats: &'a ClusterStats,
     /// Representativity threshold λ.
     pub lambda: f64,
     /// Exclusivity threshold γ.
@@ -51,39 +51,40 @@ impl<'a> GraphFrame<'a> {
     }
 
     /// Creates the frame with automatically searched thresholds
-    /// (Scenario 2's goal: ≥ 1 coloured node per cluster).
+    /// (Scenario 2's goal: ≥ 1 coloured node per cluster), cached per
+    /// model.
     pub fn with_auto_thresholds(model: &'a KGraphModel) -> Self {
-        let stats = model.best_stats();
-        let (lambda, gamma) = kgraph::graphoid::auto_thresholds(&stats, model.best(), 20);
-        GraphFrame {
-            stats,
-            model,
-            lambda,
-            gamma,
-        }
+        let (lambda, gamma) = model.auto_thresholds();
+        GraphFrame::new(model, lambda, gamma)
     }
 
     /// The crossing statistics in use.
     pub fn stats(&self) -> &ClusterStats {
-        &self.stats
+        self.stats
     }
 
     /// Renders the node-link view.
     pub fn render_graph(&self) -> String {
-        GraphPlot::new(self.model.best(), &self.stats, self.lambda, self.gamma).render()
+        self.render_graph_with(
+            LayoutEngine::Auto,
+            DetailLevel::Auto,
+            RenderBudget::unlimited(),
+        )
+        .0
     }
 
     /// Renders the node-link view with explicit layout engine, detail
     /// level and element budget, returning the SVG and the emitted
-    /// element count (what the budget is accounted against).
+    /// element count (what the budget is accounted against). The layout
+    /// comes from the model's per-version cache.
     pub fn render_graph_with(
         &self,
         engine: LayoutEngine,
         detail: DetailLevel,
         budget: RenderBudget,
     ) -> (String, usize) {
-        GraphPlot::new(self.model.best(), &self.stats, self.lambda, self.gamma)
-            .with_engine(engine)
+        GraphPlot::new(self.model.best(), self.stats, self.lambda, self.gamma)
+            .with_layout(self.model.layout(engine))
             .with_detail(detail)
             .with_budget(budget)
             .render_counted()
@@ -178,7 +179,7 @@ impl<'a> GraphFrame<'a> {
     /// Nodes whose owner (per the current λ/γ) is each cluster — used by
     /// tests and the report to check "≥ 1 coloured node per cluster".
     pub fn colored_nodes_per_cluster(&self) -> Vec<usize> {
-        let plot = GraphPlot::new(self.model.best(), &self.stats, self.lambda, self.gamma);
+        let plot = GraphPlot::new(self.model.best(), self.stats, self.lambda, self.gamma);
         let mut counts = vec![0usize; self.model.k()];
         for n in 0..self.model.best().graph.node_count() {
             if let Some(c) = plot.node_owner(n) {

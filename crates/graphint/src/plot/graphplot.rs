@@ -123,6 +123,9 @@ pub struct GraphPlot<'a> {
     pub detail: DetailLevel,
     /// Element budget for `Auto` detail and edge-bundling quotas.
     pub budget: RenderBudget,
+    /// Precomputed node positions; when set, `engine`, `seed` and `theta`
+    /// are not consulted.
+    pub layout: Option<&'a [(f64, f64)]>,
 }
 
 impl<'a> GraphPlot<'a> {
@@ -153,12 +156,20 @@ impl<'a> GraphPlot<'a> {
             theta: 0.8,
             detail: DetailLevel::Auto,
             budget: RenderBudget::unlimited(),
+            layout: None,
         }
     }
 
     /// Sets the layout engine.
     pub fn with_engine(mut self, engine: LayoutEngine) -> Self {
         self.engine = engine;
+        self
+    }
+
+    /// Draws at the given node positions (one per node, in layout
+    /// coordinates) instead of computing a layout.
+    pub fn with_layout(mut self, layout: &'a [(f64, f64)]) -> Self {
+        self.layout = Some(layout);
         self
     }
 
@@ -257,18 +268,25 @@ impl<'a> GraphPlot<'a> {
             let count = doc.element_count();
             return (doc.finish(), count);
         }
-        let layout = layout_graph(
-            g,
-            self.engine,
-            BarnesHutOptions {
-                force: ForceOptions {
-                    seed: self.seed,
-                    ..Default::default()
-                },
-                theta: self.theta,
-            },
-        );
-        let pos = fit_to_viewport(&layout, w, h - 40.0, 30.0);
+        let computed;
+        let layout = match self.layout {
+            Some(layout) => layout,
+            None => {
+                computed = layout_graph(
+                    g,
+                    self.engine,
+                    BarnesHutOptions {
+                        force: ForceOptions {
+                            seed: self.seed,
+                            ..Default::default()
+                        },
+                        theta: self.theta,
+                    },
+                );
+                &computed
+            }
+        };
+        let pos = fit_to_viewport(layout, w, h - 40.0, 30.0);
         let pos: Vec<(f64, f64)> = pos.into_iter().map(|(x, y)| (x, y + 30.0)).collect();
 
         match self.resolve_detail() {
@@ -551,7 +569,7 @@ mod tests {
     fn renders_nodes_and_edges() {
         let m = model();
         let stats = m.best_stats();
-        let plot = GraphPlot::new(m.best(), &stats, 0.5, 0.7);
+        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
         let svg = plot.render();
         assert!(svg.contains("k-Graph graph"));
         assert!(svg.matches("<circle").count() >= m.best().graph.node_count());
@@ -564,7 +582,7 @@ mod tests {
         let m = model();
         let stats = m.best_stats();
         // λ = γ = 1.01 cannot be satisfied → everything muted.
-        let plot = GraphPlot::new(m.best(), &stats, 1.01, 1.01);
+        let plot = GraphPlot::new(m.best(), stats, 1.01, 1.01);
         for n in 0..m.best().graph.node_count() {
             assert!(plot.node_owner(n).is_none());
         }
@@ -576,7 +594,7 @@ mod tests {
     fn zero_thresholds_color_everything_crossed() {
         let m = model();
         let stats = m.best_stats();
-        let plot = GraphPlot::new(m.best(), &stats, 0.0, 0.0);
+        let plot = GraphPlot::new(m.best(), stats, 0.0, 0.0);
         let owned = (0..m.best().graph.node_count())
             .filter(|&n| plot.node_owner(n).is_some())
             .count();
@@ -587,7 +605,7 @@ mod tests {
     fn owner_picks_max_exclusivity() {
         let m = model();
         let stats = m.best_stats();
-        let plot = GraphPlot::new(m.best(), &stats, 0.0, 0.0);
+        let plot = GraphPlot::new(m.best(), stats, 0.0, 0.0);
         for n in 0..m.best().graph.node_count() {
             if let Some(c) = plot.node_owner(n) {
                 let e_owner = stats.node_exclusivity(c, n);
@@ -602,11 +620,11 @@ mod tests {
     fn detail_levels_render_and_shrink() {
         let m = model();
         let stats = m.best_stats();
-        let base = GraphPlot::new(m.best(), &stats, 0.5, 0.7);
+        let base = GraphPlot::new(m.best(), stats, 0.5, 0.7);
         let (full, full_n) = base.render_counted();
-        let plot = GraphPlot::new(m.best(), &stats, 0.5, 0.7);
+        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
         let (agg, agg_n) = plot.with_detail(DetailLevel::Aggregated).render_counted();
-        let plot = GraphPlot::new(m.best(), &stats, 0.5, 0.7);
+        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
         let (glyph, glyph_n) = plot.with_detail(DetailLevel::Glyph).render_counted();
         assert!(full.contains("<line"));
         assert!(agg.contains("<g "), "aggregated uses style groups");
@@ -622,7 +640,7 @@ mod tests {
         let n = m.best().graph.node_count();
         // A budget too small for full detail but enough for nodes.
         let budget = RenderBudget::capped(2 + 2 * stats.k + 1 + n + stats.k + 1 + 4);
-        let plot = GraphPlot::new(m.best(), &stats, 0.5, 0.7).with_budget(budget);
+        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7).with_budget(budget);
         assert_eq!(plot.resolve_detail(), DetailLevel::Aggregated);
         let (_, count) = plot.render_counted();
         assert!(
@@ -632,7 +650,7 @@ mod tests {
         );
         // A budget below the node count forces glyphs.
         let tiny = RenderBudget::capped(n);
-        let plot = GraphPlot::new(m.best(), &stats, 0.5, 0.7).with_budget(tiny);
+        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7).with_budget(tiny);
         assert_eq!(plot.resolve_detail(), DetailLevel::Glyph);
     }
 
@@ -649,7 +667,7 @@ mod tests {
     fn render_reuses_buffer() {
         let m = model();
         let stats = m.best_stats();
-        let plot = GraphPlot::new(m.best(), &stats, 0.5, 0.7);
+        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
         let (first, _) = plot.render_counted();
         let cap = first.capacity();
         let (second, _) = plot.render_with_buffer(first);

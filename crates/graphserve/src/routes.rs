@@ -571,8 +571,8 @@ fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Response {
     let kind = req.query_param("kind").unwrap_or("gamma");
     let stats = model.best_stats();
     let graphoid = match kind {
-        "gamma" => gamma_graphoid(&stats, model.best(), cluster, threshold),
-        "lambda" => lambda_graphoid(&stats, model.best(), cluster, threshold),
+        "gamma" => gamma_graphoid(stats, model.best(), cluster, threshold),
+        "lambda" => lambda_graphoid(stats, model.best(), cluster, threshold),
         other => return Response::error(400, &format!("unknown graphoid kind {other:?}")),
     };
     let graph = &model.best().graph;
@@ -709,9 +709,19 @@ fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
 // Streaming ingest
 // ---------------------------------------------------------------------------
 
+/// Largest point magnitude an ingest accepts. Z-normalisation sums the
+/// squares of a window's points; at 1e100 a square is 1e200, so even
+/// 1e100 points summed stay far below `f64::MAX` (~1.8e308).
+const MAX_INGEST_MAGNITUDE: f64 = 1e100;
+
 /// Ingest body: `{"series": 0, "points": [...]}` selects the series
 /// in-band; a bare JSON array or a CSV row carries points only and the
 /// series index comes from `?series=` (default 0).
+///
+/// Every point must be finite with magnitude at most
+/// [`MAX_INGEST_MAGNITUDE`] (422 otherwise). The check runs before the
+/// WAL sees the record, so a journaled record is always one the session
+/// can apply on replay.
 fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
     let text = body_str(req)?;
     let (index, points) = if is_json_body(req) {
@@ -741,6 +751,18 @@ fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
     };
     if points.is_empty() {
         return Err(Response::error(400, "empty points"));
+    }
+    if let Some(i) = points
+        .iter()
+        .position(|v| !v.is_finite() || v.abs() > MAX_INGEST_MAGNITUDE)
+    {
+        return Err(Response::error(
+            422,
+            &format!(
+                "point {i} is {}: ingested points must be finite with magnitude at most {MAX_INGEST_MAGNITUDE:e}",
+                points[i]
+            ),
+        ));
     }
     Ok((index, points))
 }

@@ -554,6 +554,55 @@ fn wal_bit_flip_on_disk_replays_the_clean_prefix() {
 }
 
 #[test]
+fn non_finite_and_huge_ingests_are_refused_before_the_wal() {
+    let dir = TempDir::new("hostile");
+    let h = Harness::new(Durability::new(durability_config(dir.path(), 1_000)));
+    let records = |h: &Harness| {
+        h.durability
+            .counters()
+            .wal_records_written
+            .load(Ordering::Relaxed)
+    };
+    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(0));
+    assert_eq!(resp.status, 200, "{}", body_text(&resp));
+    assert_eq!(records(&h), 1);
+
+    let all_nan = vec!["NaN"; 32].join(",");
+    let huge = format!(
+        "{{\"series\":0,\"points\":[{}]}}",
+        vec!["1e308"; 32].join(",")
+    );
+    for (target, body) in [
+        ("/models/demo/ingest?series=0", all_nan.as_str()),
+        ("/models/demo/ingest", huge.as_str()),
+        ("/models/demo/ingest?series=0", "0.5,inf,0.25"),
+    ] {
+        let resp = h.handle("POST", target, body);
+        assert_eq!(resp.status, 422, "{body}: {}", body_text(&resp));
+        assert_eq!(records(&h), 1, "{body} reached the WAL");
+    }
+    drop(h);
+
+    // A restart on the same state directory replays only the good record.
+    let h = Harness::empty(Durability::new(durability_config(dir.path(), 1_000)));
+    let report = recover(&h.durability, &h.store, &h.sessions);
+    assert_eq!(report.recovered, vec!["demo".to_string()], "{report:?}");
+    let resp = h.handle("GET", "/healthz", "");
+    assert_eq!(resp.status, 200);
+    assert!(
+        body_text(&resp).contains("\"status\":\"ok\""),
+        "{}",
+        body_text(&resp)
+    );
+    let resp = h.handle("GET", "/models/demo/stream-status", "");
+    assert!(
+        body_text(&resp).contains("\"points_total\":8"),
+        "{}",
+        body_text(&resp)
+    );
+}
+
+#[test]
 fn corrupt_newest_snapshot_with_newer_wal_degrades_read_only() {
     let dir = TempDir::new("snapgap");
     // Snapshot on every refresh: each acknowledged ingest advances the

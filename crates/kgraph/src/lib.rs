@@ -31,6 +31,9 @@
 //! transition triples into a [`tsgraph::GraphBuilder`]; all downstream
 //! stages are pure readers of the CSR view.
 //!
+//! Serving reads derive their per-model state once per model version
+//! ([`serving`]).
+//!
 //! Entry point: [`KGraph::fit`] → [`KGraphModel`].
 
 pub mod anomaly;
@@ -44,6 +47,7 @@ pub mod interpret;
 pub mod nodes;
 pub mod pipeline;
 pub mod serial;
+pub mod serving;
 pub mod stream;
 
 pub use build::{GraphLayer, LayerEmbedding, NodePattern, PatternGraph};

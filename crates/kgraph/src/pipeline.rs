@@ -1,13 +1,23 @@
 //! The end-to-end k-Graph pipeline (paper Figure 1).
+//!
+//! [`KGraph::fit`] produces a [`KGraphModel`]: one immutable model
+//! version. Serving reads that depend on the model alone — the selected
+//! layer's crossing statistics ([`KGraphModel::best_stats`]), the
+//! per-cluster mean histograms behind [`KGraphModel::predict`], the auto
+//! (λ, γ) thresholds and the node layouts — are derived once per version
+//! and cached inside it (see [`crate::serving`]). Every model, whether
+//! fitted, loaded or compacted, is assembled by [`KGraphModel::new`] and
+//! so starts with an empty cache; a changed model is a new model.
 
 use crate::build::GraphLayer;
 use crate::config::KGraphConfig;
 use crate::consensus::{consensus_labels, consensus_matrix};
 use crate::embed::project_subsequences;
 use crate::features::cluster_layer;
-use crate::graphoid::{gamma_graphoid, lambda_graphoid, ClusterStats, Graphoid};
+use crate::graphoid::{gamma_graphoid, lambda_graphoid, Graphoid};
 use crate::interpret::{score_lengths, LengthScore};
 use crate::nodes::radial_scan;
+use crate::serving::ServingCache;
 use linalg::matrix::Matrix;
 use tscore::Dataset;
 
@@ -21,6 +31,10 @@ pub struct KGraph {
 
 /// A fitted k-Graph model: the final partition plus every intermediate
 /// artefact the Graphint frames visualise.
+///
+/// The fields are public for reading. Serving state derived from them is
+/// cached on first use, so build a new model with [`KGraphModel::new`]
+/// rather than editing the fields of one that has already been served.
 #[derive(Debug)]
 pub struct KGraphModel {
     /// The configuration used.
@@ -36,6 +50,8 @@ pub struct KGraphModel {
     pub scores: Vec<LengthScore>,
     /// Index (into [`Self::layers`]) of the selected length ℓ̄.
     pub best_layer: usize,
+    /// Serving state derived from the fields above, filled on first use.
+    pub(crate) serving: ServingCache,
 }
 
 impl KGraph {
@@ -109,28 +125,8 @@ impl KGraph {
         // Keep layers sorted by length for stable reporting.
         debug_assert!(layers.windows(2).all(|w| w[0].length <= w[1].length));
         layers.shrink_to_fit();
-        KGraphModel {
-            config: cfg.clone(),
-            layers,
-            consensus,
-            labels,
-            scores,
-            best_layer,
-        }
+        KGraphModel::new(cfg.clone(), layers, consensus, labels, scores, best_layer)
     }
-}
-
-/// Length-normalised node-crossing histogram of a path.
-fn path_histogram(path: &[tsgraph::NodeId], n_nodes: usize) -> Vec<f64> {
-    let mut h = vec![0.0f64; n_nodes];
-    for node in path {
-        h[node.index()] += 1.0;
-    }
-    let total = path.len().max(1) as f64;
-    for v in h.iter_mut() {
-        *v /= total;
-    }
-    h
 }
 
 /// One per-length job: embed → nodes → graph → features → k-Means.
@@ -150,6 +146,27 @@ fn fit_layer(dataset: &Dataset, cfg: &KGraphConfig, length: usize) -> GraphLayer
 }
 
 impl KGraphModel {
+    /// Assembles a model version from its parts, with an empty serving
+    /// cache. Every model — fitted, loaded or compacted — is built here.
+    pub fn new(
+        config: KGraphConfig,
+        layers: Vec<GraphLayer>,
+        consensus: Matrix,
+        labels: Vec<usize>,
+        scores: Vec<LengthScore>,
+        best_layer: usize,
+    ) -> KGraphModel {
+        KGraphModel {
+            config,
+            layers,
+            consensus,
+            labels,
+            scores,
+            best_layer,
+            serving: ServingCache::default(),
+        }
+    }
+
     /// The selected ("most interpretable") layer `G_ℓ̄`.
     pub fn best(&self) -> &GraphLayer {
         &self.layers[self.best_layer]
@@ -165,78 +182,22 @@ impl KGraphModel {
         self.config.k
     }
 
-    /// Crossing statistics of the selected layer under the final labels.
-    pub fn best_stats(&self) -> ClusterStats {
-        ClusterStats::compute(self.best(), &self.labels, self.config.k)
-    }
-
     /// λ-graphoid of `cluster` on the selected layer.
     pub fn lambda_graphoid(&self, cluster: usize, lambda: f64) -> Graphoid {
-        lambda_graphoid(&self.best_stats(), self.best(), cluster, lambda)
+        lambda_graphoid(self.best_stats(), self.best(), cluster, lambda)
     }
 
     /// γ-graphoid of `cluster` on the selected layer.
     pub fn gamma_graphoid(&self, cluster: usize, gamma: f64) -> Graphoid {
-        gamma_graphoid(&self.best_stats(), self.best(), cluster, gamma)
+        gamma_graphoid(self.best_stats(), self.best(), cluster, gamma)
     }
 
     /// γ-graphoids for every cluster at once (shares one stats pass).
     pub fn all_gamma_graphoids(&self, gamma: f64) -> Vec<Graphoid> {
         let stats = self.best_stats();
         (0..self.config.k)
-            .map(|c| gamma_graphoid(&stats, self.best(), c, gamma))
+            .map(|c| gamma_graphoid(stats, self.best(), c, gamma))
             .collect()
-    }
-
-    /// Predicts the cluster of a **new** series (out-of-sample).
-    ///
-    /// The series is routed through the selected graph `G_ℓ̄` using the
-    /// stored embedding and turned into the same node-crossing feature
-    /// vector the per-length clustering used; the nearest per-cluster mean
-    /// feature vector (under the final labels, length-normalised) wins.
-    ///
-    /// Returns `None` when the series is shorter than the selected
-    /// subsequence length.
-    pub fn predict(&self, values: &[f64]) -> Option<usize> {
-        let layer = self.best();
-        let path = layer.assign_path(values)?;
-        let n_nodes = layer.graph.node_count();
-        // Length-normalised node-crossing histogram of the query.
-        let query = path_histogram(&path, n_nodes);
-        // Per-cluster mean histograms of the training series.
-        let k = self.config.k;
-        let mut centroids = vec![vec![0.0f64; n_nodes]; k];
-        let mut sizes = vec![0usize; k];
-        for (train_path, &label) in layer.paths.iter().zip(&self.labels) {
-            sizes[label] += 1;
-            let h = path_histogram(train_path, n_nodes);
-            for (c, v) in centroids[label].iter_mut().zip(&h) {
-                *c += v;
-            }
-        }
-        for (c, &s) in centroids.iter_mut().zip(&sizes) {
-            if s > 0 {
-                for v in c.iter_mut() {
-                    *v /= s as f64;
-                }
-            }
-        }
-        (0..k)
-            .filter(|&c| sizes[c] > 0)
-            .min_by(|&a, &b| {
-                let da: f64 = centroids[a]
-                    .iter()
-                    .zip(&query)
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum();
-                let db: f64 = centroids[b]
-                    .iter()
-                    .zip(&query)
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum();
-                da.partial_cmp(&db).expect("NaN distance")
-            })
-            .or(Some(0))
     }
 
     /// Predicts every series of a dataset. Series shorter than ℓ̄ fall back

@@ -477,14 +477,9 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
             bytes.len() - c.pos
         )));
     }
-    Ok(KGraphModel {
-        config,
-        layers,
-        consensus,
-        labels,
-        scores,
-        best_layer,
-    })
+    Ok(KGraphModel::new(
+        config, layers, consensus, labels, scores, best_layer,
+    ))
 }
 
 /// Saves a model to `path` (atomically: write to `path.tmp`, then rename).

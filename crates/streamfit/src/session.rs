@@ -301,14 +301,14 @@ impl StreamSession {
                 }
             })
             .collect();
-        let next = Arc::new(KGraphModel {
-            config: old.config.clone(),
+        let next = Arc::new(KGraphModel::new(
+            old.config.clone(),
             layers,
-            consensus: old.consensus.clone(),
-            labels: old.labels.clone(),
-            scores: old.scores.clone(),
-            best_layer: old.best_layer,
-        });
+            old.consensus.clone(),
+            old.labels.clone(),
+            old.scores.clone(),
+            old.best_layer,
+        ));
         self.deltas = next
             .layers
             .iter()
