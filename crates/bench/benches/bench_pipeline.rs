@@ -5,7 +5,7 @@
 //! `bench::stages`). The committed `crates/bench/BENCH_pipeline.json` is
 //! the recorded baseline; CI reruns this bench and gates merges with
 //! `bench_compare` on per-stage geomean ratios. Scaling variants (series
-//! count, length, parallel vs serial jobs) and spectral consensus over
+//! count, length, parallel per-length jobs) and spectral consensus over
 //! 1,002 series all live under the `fit` stage; per-request reads of a
 //! model fitted on 1,002 series live under `serve`.
 
@@ -14,13 +14,12 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::{KGraph, KGraphConfig};
 
-fn quick_config(k: usize, parallel: bool) -> KGraphConfig {
+fn quick_config(k: usize) -> KGraphConfig {
     KGraphConfig {
         n_lengths: 3,
         psi: 16,
         pca_sample: 600,
         n_init: 2,
-        parallel,
         ..KGraphConfig::new(k)
     }
 }
@@ -77,7 +76,7 @@ fn bench_fit_scaling(c: &mut Criterion) {
             BenchmarkId::new("fit", format!("n_series_{}", per_class * 3)),
             &per_class,
             |b, _| {
-                let kg = KGraph::new(quick_config(3, true));
+                let kg = KGraph::new(quick_config(3));
                 b.iter(|| kg.fit(black_box(&dataset)))
             },
         );
@@ -88,23 +87,17 @@ fn bench_fit_scaling(c: &mut Criterion) {
             BenchmarkId::new("fit", format!("length_{length}")),
             &length,
             |b, _| {
-                let kg = KGraph::new(quick_config(3, true));
+                let kg = KGraph::new(quick_config(3));
                 b.iter(|| kg.fit(black_box(&dataset)))
             },
         );
     }
-    // Parallel vs serial jobs.
+    // Per-length jobs fanned out over the hardware threads.
     let dataset = datasets::cbf::cbf(8, 96, 0);
-    for (name, parallel) in [("parallel", true), ("serial", false)] {
-        group.bench_with_input(
-            BenchmarkId::new("fit", format!("jobs_{name}")),
-            &parallel,
-            |b, &p| {
-                let kg = KGraph::new(quick_config(3, p));
-                b.iter(|| kg.fit(black_box(&dataset)))
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::new("fit", "jobs_parallel"), |b| {
+        let kg = KGraph::new(quick_config(3));
+        b.iter(|| kg.fit(black_box(&dataset)))
+    });
     // Spectral consensus at the scale of a 1,002-series fit: five noisy
     // relabelings of a 3-class partition, so the consensus matrix has tens
     // of distinct rows, as a real k-Graph consensus does.

@@ -52,7 +52,6 @@ impl StageFixture {
             psi: 16,
             pca_sample: 600,
             n_init: 2,
-            parallel: true,
             ..KGraphConfig::new(3)
         };
         StageFixture {

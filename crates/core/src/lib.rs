@@ -12,7 +12,8 @@
 //!   warping with a Sakoe–Chiba band ([`dtw`]),
 //! * the SIMD-friendly, allocation-free kernels behind them ([`kernel`]):
 //!   fused lane-chunked loops plus [`kernel::DtwScratch`] /
-//!   [`kernel::ZnormScratch`] so hot callers never allocate per pair.
+//!   [`kernel::ZnormScratch`] so hot callers never allocate per pair,
+//! * the workspace's one scoped fan-out, [`par::par_map`].
 //!
 //! The crate is dependency-free so that every other crate in the workspace
 //! can build on it without pulling anything else in.
@@ -22,6 +23,7 @@ pub mod distance;
 pub mod dtw;
 pub mod error;
 pub mod kernel;
+pub mod par;
 pub mod series;
 pub mod stats;
 pub mod transform;

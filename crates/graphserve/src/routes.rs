@@ -25,6 +25,7 @@ use kgraph::KGraphConfig;
 use std::sync::Arc;
 use streamfit::{SessionRegistry, StreamStatus};
 use tscore::error::TsError;
+use tscore::par::par_map;
 use tscore::{Dataset, DatasetKind, TimeSeries};
 use tsgraph::layout::LayoutEngine;
 
@@ -170,6 +171,32 @@ fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
     Ok(rows)
 }
 
+/// Largest value magnitude a fit body or an ingest accepts.
+/// Z-normalisation sums the squares of a window's points; at 1e100 a
+/// square is 1e200, so even 1e100 points summed stay far below `f64::MAX`
+/// (~1.8e308).
+const MAX_INGEST_MAGNITUDE: f64 = 1e100;
+
+/// 422 unless every value is finite with magnitude at most
+/// [`MAX_INGEST_MAGNITUDE`]; `what` names the values in the message.
+/// Fit bodies and ingests pass through here before any model or journal
+/// sees them.
+fn check_magnitudes(values: &[f64], what: impl std::fmt::Display) -> Result<(), Response> {
+    match values
+        .iter()
+        .position(|v| !v.is_finite() || v.abs() > MAX_INGEST_MAGNITUDE)
+    {
+        None => Ok(()),
+        Some(i) => Err(Response::error(
+            422,
+            &format!(
+                "point {i} is {}: {what} must be finite with magnitude at most {MAX_INGEST_MAGNITUDE:e}",
+                values[i]
+            ),
+        )),
+    }
+}
+
 fn parse_csv_row(line: &str) -> Result<Vec<f64>, String> {
     line.split([',', ' ', '\t', '\n', '\r'])
         .filter(|t| !t.trim().is_empty())
@@ -234,12 +261,23 @@ pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     ctx.stats
         .bump_route(route_label(req.method.as_str(), &segments));
+    dispatch(req, &segments, reader, ctx).unwrap_or_else(|resp| resp)
+}
+
+/// The route table behind [`handle`]. An `Err` is an early answer (a 4xx
+/// or 5xx), sent exactly like an `Ok` one.
+fn dispatch(
+    req: &Request,
+    segments: &[&str],
+    reader: &mut StoreReader<'_>,
+    ctx: &RouteContext<'_>,
+) -> Result<Response, Response> {
     let store = ctx.store;
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["health"]) => health(store),
-        ("GET", ["healthz"]) => healthz(ctx),
-        ("GET", ["metrics"]) => metrics_endpoint(ctx),
-        ("GET", ["models"]) => list_models(store),
+    match (req.method.as_str(), segments) {
+        ("GET", ["health"]) => Ok(health(store)),
+        ("GET", ["healthz"]) => Ok(healthz(ctx)),
+        ("GET", ["metrics"]) => Ok(metrics_endpoint(ctx)),
+        ("GET", ["models"]) => Ok(list_models(store)),
         ("PUT", ["models", name]) => fit_model(req, ctx, name),
         ("DELETE", ["models", name]) => {
             if store.remove(name) {
@@ -248,45 +286,36 @@ pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_
                 // state.
                 ctx.sessions.remove(name);
                 ctx.durability.remove_model(name);
-                Response::json(200, format!("{{\"deleted\":\"{name}\"}}"))
+                Ok(Response::json(200, format!("{{\"deleted\":\"{name}\"}}")))
             } else {
-                Response::error(404, &format!("no model named {name:?}"))
+                Err(Response::error(404, &format!("no model named {name:?}")))
             }
         }
-        ("POST", ["models", name, "score"]) => with_model(reader, name, |m| score_endpoint(req, m)),
-        ("POST", ["models", name, "features"]) => {
-            with_model(reader, name, |m| features_endpoint(req, m))
-        }
-        ("POST", ["models", name, "predict"]) => {
-            with_model(reader, name, |m| predict_endpoint(req, m))
-        }
-        ("POST", ["models", name, "batch"]) => with_model(reader, name, |m| batch_endpoint(req, m)),
+        ("POST", ["models", name, "score"]) => score_endpoint(req, &*lookup(reader, name)?),
+        ("POST", ["models", name, "features"]) => features_endpoint(req, &*lookup(reader, name)?),
+        ("POST", ["models", name, "predict"]) => predict_endpoint(req, &*lookup(reader, name)?),
+        ("POST", ["models", name, "batch"]) => batch_endpoint(req, &*lookup(reader, name)?),
         ("POST", ["models", name, "ingest"]) => ingest_endpoint(req, reader, ctx, name),
-        ("GET", ["models", name, "graphoid"]) => {
-            with_model(reader, name, |m| graphoid_endpoint(req, m))
-        }
-        ("GET", ["models", name, "render"]) => {
-            with_model(reader, name, |m| render_endpoint(req, m))
-        }
+        ("GET", ["models", name, "graphoid"]) => graphoid_endpoint(req, &*lookup(reader, name)?),
+        ("GET", ["models", name, "render"]) => render_endpoint(req, &*lookup(reader, name)?),
         ("GET", ["models", name, "stream-status"]) => stream_status_endpoint(reader, ctx, name),
-        ("GET", ["models", name]) => with_model(reader, name, model_info),
+        ("GET", ["models", name]) => Ok(model_info(&*lookup(reader, name)?)),
         ("GET", ["debug", "sleep"]) => debug_sleep(req),
-        (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => {
-            Response::error(405, &format!("method {method} not supported"))
-        }
-        _ => Response::error(404, &format!("no route for {} {}", req.method, req.path)),
+        (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => Err(
+            Response::error(405, &format!("method {method} not supported")),
+        ),
+        _ => Err(Response::error(
+            404,
+            &format!("no route for {} {}", req.method, req.path),
+        )),
     }
 }
 
-fn with_model(
-    reader: &mut StoreReader<'_>,
-    name: &str,
-    f: impl FnOnce(&KGraphModel) -> Response,
-) -> Response {
-    match reader.get(name) {
-        Some(model) => f(&model),
-        None => Response::error(404, &format!("no model named {name:?}")),
-    }
+/// The named model, or the 404 every model route answers without one.
+fn lookup(reader: &mut StoreReader<'_>, name: &str) -> Result<Arc<KGraphModel>, Response> {
+    reader
+        .get(name)
+        .ok_or_else(|| Response::error(404, &format!("no model named {name:?}")))
 }
 
 fn health(store: &ModelStore) -> Response {
@@ -374,36 +403,27 @@ fn model_info(model: &KGraphModel) -> Response {
 /// `PUT /models/{name}` — fit on demand from a posted dataset (CSV rows or
 /// JSON array-of-arrays), `?k=` clusters (default 2), `?seed=`,
 /// `?n_lengths=`.
-fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Response {
+fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Result<Response, Response> {
     let store = ctx.store;
-    let rows = match parse_series_batch(req) {
-        Ok(rows) => rows,
-        Err(resp) => return resp,
-    };
-    let k = match query_usize(req, "k", 2) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let seed = match query_usize(req, "seed", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let n_lengths = match query_usize(req, "n_lengths", 3) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let rows = parse_series_batch(req)?;
+    let k = query_usize(req, "k", 2)?;
+    let seed = query_usize(req, "seed", 0)?;
+    let n_lengths = query_usize(req, "n_lengths", 3)?;
     if k < 1 || rows.len() < k {
-        return Response::error(
+        return Err(Response::error(
             422,
             &format!("need at least k={k} series, got {}", rows.len()),
-        );
+        ));
     }
     let min_len = rows.iter().map(Vec::len).min().unwrap_or(0);
     if min_len < 8 {
-        return Response::error(
+        return Err(Response::error(
             422,
             &format!("series too short to fit (min length {min_len}, need >= 8)"),
-        );
+        ));
+    }
+    for (i, row) in rows.iter().enumerate() {
+        check_magnitudes(row, format_args!("points of series {i}"))?;
     }
     let series: Vec<TimeSeries> = rows.into_iter().map(TimeSeries::new).collect();
     let dataset = Dataset::new(name, DatasetKind::Other, series);
@@ -421,124 +441,80 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Response {
     let mut body = String::from("{\"fitted\":");
     write_json_string(&mut body, name);
     body.push_str(&format!(",\"bytes\":{bytes}}}"));
-    Response::json(201, body)
+    Ok(Response::json(201, body))
 }
 
 /// `POST /models/{name}/score?context=` — anomaly scores for one series.
-fn score_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let values = match parse_series(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let context = match query_usize(req, "context", 5) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    match score_series(model, &values, context) {
-        Ok(scores) if req.wants_csv() => {
-            let mut csv = String::from("score\n");
-            for s in &scores {
-                csv.push_str(&format!("{s}\n"));
-            }
-            Response::csv(200, csv)
+fn score_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+    let values = parse_series(req)?;
+    let context = query_usize(req, "context", 5)?;
+    let scores = score_series(model, &values, context).map_err(|e| error_response(&e))?;
+    if req.wants_csv() {
+        let mut csv = String::from("score\n");
+        for s in &scores {
+            csv.push_str(&format!("{s}\n"));
         }
-        Ok(scores) => Response::json(200, format!("{{\"scores\":{}}}", f64s_to_json(&scores))),
-        Err(e) => error_response(&e),
+        return Ok(Response::csv(200, csv));
     }
+    Ok(Response::json(
+        200,
+        format!("{{\"scores\":{}}}", f64s_to_json(&scores)),
+    ))
 }
 
 /// `POST /models/{name}/features` — crossing-feature vector of one series.
-fn features_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let values = match parse_series(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    match features_series(model, &values) {
-        Ok(features) if req.wants_csv() => {
-            let mut csv = String::from("feature\n");
-            for f in &features {
-                csv.push_str(&format!("{f}\n"));
-            }
-            Response::csv(200, csv)
+fn features_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+    let values = parse_series(req)?;
+    let features = features_series(model, &values).map_err(|e| error_response(&e))?;
+    if req.wants_csv() {
+        let mut csv = String::from("feature\n");
+        for f in &features {
+            csv.push_str(&format!("{f}\n"));
         }
-        Ok(features) => {
-            Response::json(200, format!("{{\"features\":{}}}", f64s_to_json(&features)))
-        }
-        Err(e) => error_response(&e),
+        return Ok(Response::csv(200, csv));
     }
+    Ok(Response::json(
+        200,
+        format!("{{\"features\":{}}}", f64s_to_json(&features)),
+    ))
 }
 
 /// `POST /models/{name}/predict` — cluster assignment of one series.
-fn predict_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let values = match parse_series(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    match predict_series(model, &values) {
-        Ok(cluster) => Response::json(200, format!("{{\"cluster\":{cluster}}}")),
-        Err(e) => error_response(&e),
-    }
+fn predict_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+    let values = parse_series(req)?;
+    let cluster = predict_series(model, &values).map_err(|e| error_response(&e))?;
+    Ok(Response::json(200, format!("{{\"cluster\":{cluster}}}")))
 }
 
 /// `POST /models/{name}/batch?op=score|features|predict&context=` — many
-/// series in one request, fanned over a bounded worker pool. Per-row
+/// series in one request, fanned out through [`par_map`]. Per-row
 /// failures do not fail the batch: each result slot is either the row's
 /// payload or an `{"error": …}` object.
-fn batch_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let rows = match parse_series_batch(req) {
-        Ok(rows) => rows,
-        Err(resp) => return resp,
-    };
+fn batch_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+    let rows = parse_series_batch(req)?;
     let op = req.query_param("op").unwrap_or("score");
-    let context = match query_usize(req, "context", 5) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let context = query_usize(req, "context", 5)?;
     if !matches!(op, "score" | "features" | "predict") {
-        return Response::error(400, &format!("unknown batch op {op:?}"));
+        return Err(Response::error(400, &format!("unknown batch op {op:?}")));
     }
 
-    // Fan rows over a bounded pool: one worker per hardware thread at
-    // most, each writing results into its disjoint slot chunk — the same
-    // discipline as `KGraph::fit` and `feature_rows_for_paths`. Row order
-    // is preserved, so the response is bit-identical to issuing the rows
-    // as individual requests in order.
-    let run_row = |values: &[f64]| -> Result<String, TsError> {
-        match op {
-            "score" => score_series(model, values, context)
-                .map(|s| format!("{{\"scores\":{}}}", f64s_to_json(&s))),
-            "features" => features_series(model, values)
-                .map(|f| format!("{{\"features\":{}}}", f64s_to_json(&f))),
-            _ => predict_series(model, values).map(|c| format!("{{\"cluster\":{c}}}")),
+    // `par_map` keeps row order, so the response is bit-identical to
+    // issuing the rows as individual requests in order.
+    let results = par_map(&rows, |values| match op {
+        "score" => score_series(model, values, context)
+            .map(|s| format!("{{\"scores\":{}}}", f64s_to_json(&s))),
+        "features" => {
+            features_series(model, values).map(|f| format!("{{\"features\":{}}}", f64s_to_json(&f)))
         }
-    };
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let workers = hw.min(rows.len());
-    let mut slots: Vec<Option<Result<String, TsError>>> = vec![None; rows.len()];
-    if workers > 1 {
-        let chunk = rows.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            for (slot_chunk, row_chunk) in slots.chunks_mut(chunk).zip(rows.chunks(chunk)) {
-                scope.spawn(move |_| {
-                    for (slot, row) in slot_chunk.iter_mut().zip(row_chunk) {
-                        *slot = Some(run_row(row));
-                    }
-                });
-            }
-        })
-        .expect("batch row job panicked");
-    } else {
-        for (slot, row) in slots.iter_mut().zip(&rows) {
-            *slot = Some(run_row(row));
-        }
-    }
+        _ => predict_series(model, values).map(|c| format!("{{\"cluster\":{c}}}")),
+    });
 
     let mut body = String::from("{\"results\":[");
-    for (i, slot) in slots.into_iter().enumerate() {
+    for (i, result) in results.into_iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        match slot.expect("every slot filled") {
+        match result {
             Ok(payload) => body.push_str(&payload),
             Err(e) => {
                 body.push_str("{\"error\":");
@@ -548,32 +524,31 @@ fn batch_endpoint(req: &Request, model: &KGraphModel) -> Response {
         }
     }
     body.push_str("]}");
-    Response::json(200, body)
+    Ok(Response::json(200, body))
 }
 
 /// `GET /models/{name}/graphoid?cluster=&kind=gamma|lambda&threshold=` —
 /// the interpretable subgraph of one cluster.
-fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Response {
-    let cluster = match query_usize(req, "cluster", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+    let cluster = query_usize(req, "cluster", 0)?;
     if cluster >= model.k() {
-        return Response::error(
+        return Err(Response::error(
             422,
             &format!("cluster {cluster} out of range 0..{}", model.k()),
-        );
+        ));
     }
-    let threshold = match query_f64(req, "threshold", 0.7) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+    let threshold = query_f64(req, "threshold", 0.7)?;
     let kind = req.query_param("kind").unwrap_or("gamma");
     let stats = model.best_stats();
     let graphoid = match kind {
         "gamma" => gamma_graphoid(stats, model.best(), cluster, threshold),
         "lambda" => lambda_graphoid(stats, model.best(), cluster, threshold),
-        other => return Response::error(400, &format!("unknown graphoid kind {other:?}")),
+        other => {
+            return Err(Response::error(
+                400,
+                &format!("unknown graphoid kind {other:?}"),
+            ))
+        }
     };
     let graph = &model.best().graph;
     let mut body = String::from("{");
@@ -603,7 +578,7 @@ fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Response {
         body.push('}');
     }
     body.push_str("]}");
-    Response::json(200, body)
+    Ok(Response::json(200, body))
 }
 
 /// Hard ceiling on the SVG element count any single render may cost the
@@ -630,27 +605,21 @@ const DEFAULT_RENDER_BUDGET: usize = 20_000;
 ///
 /// The response carries `x-render-elements` with the emitted element
 /// count so smoke tests (and clients) can verify the budget held.
-fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
+fn render_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
     match req.query_param("format").unwrap_or("svg") {
         "svg" => {
             let detail = match req.query_param("detail") {
                 None => DetailLevel::Auto,
-                Some(s) => match DetailLevel::parse(s) {
-                    Some(d) => d,
-                    None => return Response::error(400, &format!("unknown detail level {s:?}")),
-                },
+                Some(s) => DetailLevel::parse(s)
+                    .ok_or_else(|| Response::error(400, &format!("unknown detail level {s:?}")))?,
             };
             let engine = match req.query_param("layout") {
                 None => LayoutEngine::Auto,
-                Some(s) => match LayoutEngine::parse(s) {
-                    Some(e) => e,
-                    None => return Response::error(400, &format!("unknown layout engine {s:?}")),
-                },
+                Some(s) => LayoutEngine::parse(s)
+                    .ok_or_else(|| Response::error(400, &format!("unknown layout engine {s:?}")))?,
             };
-            let budget = match query_usize(req, "budget", DEFAULT_RENDER_BUDGET) {
-                Ok(v) => v.clamp(1, MAX_RENDER_ELEMENTS),
-                Err(resp) => return resp,
-            };
+            let budget =
+                query_usize(req, "budget", DEFAULT_RENDER_BUDGET)?.clamp(1, MAX_RENDER_ELEMENTS);
             // Admission control: an explicit detail level states its cost
             // up front; refuse before spending any layout time on it.
             let g = &model.best().graph;
@@ -665,19 +634,19 @@ fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
                 DetailLevel::Auto | DetailLevel::Glyph => 0,
             };
             if estimate > MAX_RENDER_ELEMENTS {
-                return Response::error(
+                return Err(Response::error(
                     413,
                     &format!(
                         "detail level would emit ~{estimate} elements (limit {MAX_RENDER_ELEMENTS}); use detail=auto"
                     ),
-                );
+                ));
             }
             let (svg, elements) = GraphFrame::with_auto_thresholds(model).render_graph_with(
                 engine,
                 detail,
                 RenderBudget::capped(budget),
             );
-            Response::svg(svg).with_header("x-render-elements", elements.to_string())
+            Ok(Response::svg(svg).with_header("x-render-elements", elements.to_string()))
         }
         "ascii" => {
             let layer = model.best();
@@ -699,9 +668,12 @@ fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
                     graphint::ascii::sparkline(pattern)
                 ));
             }
-            Response::text(200, text)
+            Ok(Response::text(200, text))
         }
-        other => Response::error(400, &format!("unknown render format {other:?}")),
+        other => Err(Response::error(
+            400,
+            &format!("unknown render format {other:?}"),
+        )),
     }
 }
 
@@ -709,19 +681,13 @@ fn render_endpoint(req: &Request, model: &KGraphModel) -> Response {
 // Streaming ingest
 // ---------------------------------------------------------------------------
 
-/// Largest point magnitude an ingest accepts. Z-normalisation sums the
-/// squares of a window's points; at 1e100 a square is 1e200, so even
-/// 1e100 points summed stay far below `f64::MAX` (~1.8e308).
-const MAX_INGEST_MAGNITUDE: f64 = 1e100;
-
 /// Ingest body: `{"series": 0, "points": [...]}` selects the series
 /// in-band; a bare JSON array or a CSV row carries points only and the
 /// series index comes from `?series=` (default 0).
 ///
-/// Every point must be finite with magnitude at most
-/// [`MAX_INGEST_MAGNITUDE`] (422 otherwise). The check runs before the
-/// WAL sees the record, so a journaled record is always one the session
-/// can apply on replay.
+/// Every point must pass [`check_magnitudes`] (422 otherwise). The check
+/// runs before the WAL sees the record, so a journaled record is always
+/// one the session can apply on replay.
 fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
     let text = body_str(req)?;
     let (index, points) = if is_json_body(req) {
@@ -752,18 +718,7 @@ fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
     if points.is_empty() {
         return Err(Response::error(400, "empty points"));
     }
-    if let Some(i) = points
-        .iter()
-        .position(|v| !v.is_finite() || v.abs() > MAX_INGEST_MAGNITUDE)
-    {
-        return Err(Response::error(
-            422,
-            &format!(
-                "point {i} is {}: ingested points must be finite with magnitude at most {MAX_INGEST_MAGNITUDE:e}",
-                points[i]
-            ),
-        ));
-    }
+    check_magnitudes(&points, "ingested points")?;
     Ok((index, points))
 }
 
@@ -779,32 +734,23 @@ fn ingest_endpoint(
     reader: &mut StoreReader<'_>,
     ctx: &RouteContext<'_>,
     name: &str,
-) -> Response {
-    let model = match reader.get(name) {
-        Some(model) => model,
-        None => return Response::error(404, &format!("no model named {name:?}")),
-    };
-    let (body_index, points) = match parse_ingest(req) {
-        Ok(parsed) => parsed,
-        Err(resp) => return resp,
-    };
+) -> Result<Response, Response> {
+    let model = lookup(reader, name)?;
+    let (body_index, points) = parse_ingest(req)?;
     let index = match body_index {
         Some(i) => i,
-        None => match query_usize(req, "series", 0) {
-            Ok(i) => i,
-            Err(resp) => return resp,
-        },
+        None => query_usize(req, "series", 0)?,
     };
     let session = ctx.sessions.session_for(name, &model);
     let mut guard = session.lock().unwrap_or_else(|e| e.into_inner());
     // Definitely-invalid appends are refused *before* the WAL sees them:
     // a journaled record must be replayable.
     if index > guard.open_series() {
-        return error_response(&TsError::InvalidParameter(format!(
+        return Err(error_response(&TsError::InvalidParameter(format!(
             "series index {index} out of range (session has {}; the next new index is {})",
             guard.open_series(),
             guard.open_series()
-        )));
+        ))));
     }
     // Journal first, apply second, both under the session lock — the WAL
     // order is the apply order. A WAL failure refuses the ingest without
@@ -812,14 +758,16 @@ fn ingest_endpoint(
     let wal_seq = match ctx.durability.log_ingest(name, index as u32, &points) {
         IngestLog::Logged { seq } => seq,
         IngestLog::Unavailable { reason } => {
-            return Response::error(503, &format!("ingest journal unavailable: {reason}"))
-                .with_header("retry-after", "1".to_string());
+            return Err(
+                Response::error(503, &format!("ingest journal unavailable: {reason}"))
+                    .with_header("retry-after", "1".to_string()),
+            );
         }
         IngestLog::Degraded { reason } => {
-            return Response::error(
+            return Err(Response::error(
                 503,
                 &format!("model {name:?} is degraded read-only: {reason}"),
-            );
+            ));
         }
     };
     match guard.append(index, &points) {
@@ -832,7 +780,7 @@ fn ingest_endpoint(
             // Snapshot on the refresh cadence (still under the session
             // lock, so the pair is a consistent point-in-time image).
             ctx.durability.after_append(name, &guard, outcome.refreshed);
-            Response::json(
+            Ok(Response::json(
                 200,
                 format!(
                     "{{\"series\":{index},\"appended\":{},\"new_windows\":{},\
@@ -842,14 +790,14 @@ fn ingest_endpoint(
                     outcome.refreshed,
                     outcome.compacted.is_some()
                 ),
-            )
+            ))
         }
         Err(e) => {
             // The journal holds a record the session refused: revoke it
             // (still under the session lock) so replay can never apply
             // what the live session did not.
             ctx.durability.revoke_ingest(name, wal_seq);
-            error_response(&e)
+            Err(error_response(&e))
         }
     }
 }
@@ -896,17 +844,15 @@ fn stream_status_endpoint(
     reader: &mut StoreReader<'_>,
     ctx: &RouteContext<'_>,
     name: &str,
-) -> Response {
-    if reader.get(name).is_none() {
-        return Response::error(404, &format!("no model named {name:?}"));
-    }
-    match ctx.sessions.get(name) {
+) -> Result<Response, Response> {
+    lookup(reader, name)?;
+    Ok(match ctx.sessions.get(name) {
         None => Response::json(200, "{\"active\":false,\"series\":[]}".to_string()),
         Some(session) => {
             let status = session.lock().unwrap_or_else(|e| e.into_inner()).status();
             Response::json(200, stream_status_json(&status))
         }
-    }
+    })
 }
 
 /// `GET /metrics` — plain-text counters: admission-control totals, queue
@@ -978,14 +924,11 @@ fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
 
 /// `GET /debug/sleep?ms=` — parks the worker briefly; exists so operators
 /// (and the integration tests) can exercise admission control on demand.
-fn debug_sleep(req: &Request) -> Response {
-    let ms = match query_usize(req, "ms", 50) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+fn debug_sleep(req: &Request) -> Result<Response, Response> {
+    let ms = query_usize(req, "ms", 50)?;
     let ms = (ms as u64).min(MAX_SLEEP_MS);
     std::thread::sleep(std::time::Duration::from_millis(ms));
-    Response::json(200, format!("{{\"slept_ms\":{ms}}}"))
+    Ok(Response::json(200, format!("{{\"slept_ms\":{ms}}}")))
 }
 
 #[cfg(test)]
@@ -1288,6 +1231,31 @@ mod tests {
             &store,
         );
         assert_eq!(resp.status, 422);
+    }
+
+    #[test]
+    fn fit_bodies_with_non_finite_or_huge_values_are_422() {
+        let store = demo_store();
+        let mut reader = store.reader();
+        let row = |p: usize| -> String {
+            (0..40)
+                .map(|i| ((i + p) as f64 * 0.4).sin().to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        for hostile in ["NaN", "1e308", "-inf"] {
+            let mut rows: Vec<String> = (0..6).map(row).collect();
+            rows[3] = vec![hostile; 40].join(",");
+            let resp = handle(
+                &request("PUT", "/models/x?k=2", rows.join("\n").as_bytes()),
+                &mut reader,
+                &store,
+            );
+            assert_eq!(resp.status, 422, "{hostile}: {}", body_text(&resp));
+            assert!(body_text(&resp).contains("points of series 3"));
+            let resp = handle(&request("GET", "/models/x", b""), &mut reader, &store);
+            assert_eq!(resp.status, 404, "{hostile}: no model may be stored");
+        }
     }
 
     #[test]

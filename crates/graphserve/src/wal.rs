@@ -24,7 +24,7 @@
 //! poisoned and the caller must stop accepting writes for this model.
 
 use crate::fsio::{Fs, WalFile};
-use kgraph::serial::{put_f64, put_u64, Cursor};
+use kgraph::serial::{put_f64, put_u32, put_u64, Cursor};
 use std::io;
 use std::path::Path;
 use tscore::error::TsError;
@@ -56,16 +56,15 @@ pub struct WalRecord {
 pub fn encode_record(seq: u64, series: u32, points: &[f64]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(16 + points.len() * 8);
     put_u64(&mut payload, seq);
-    payload.extend_from_slice(&series.to_le_bytes());
-    payload.extend_from_slice(&(points.len() as u32).to_le_bytes());
+    put_u32(&mut payload, series);
+    put_u32(&mut payload, points.len() as u32);
     for &p in points {
         put_f64(&mut payload, p);
     }
     let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc32(&payload);
+    put_u32(&mut out, payload.len() as u32);
     out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_u32(&mut out, crc32(&payload));
     out
 }
 
@@ -109,88 +108,69 @@ pub fn replay(bytes: &[u8]) -> Result<WalReplay, TsError> {
             &bytes[..4]
         )));
     }
-    if (bytes.len() as u64) < WAL_HEADER_LEN {
+    let mut c = Cursor::new(bytes);
+    let Ok(base_seq) = c.take(4).and_then(|_| c.u64()) else {
         return Ok(WalReplay {
             base_seq: 0,
             records: Vec::new(),
             valid_bytes: bytes.len() as u64,
             torn: !bytes.is_empty(),
         });
-    }
-    let mut c = Cursor::new(bytes);
-    let _ = c.take(4);
-    let base_seq = c.u64().expect("header length checked");
+    };
     let mut records = Vec::new();
     let mut valid_bytes = WAL_HEADER_LEN;
     let mut next_seq = base_seq + 1;
-    loop {
-        let record_start = c.pos();
-        if c.remaining() == 0 {
-            return Ok(WalReplay {
-                base_seq,
-                records,
-                valid_bytes,
-                torn: false,
-            });
+    while c.remaining() > 0 {
+        match next_record(&mut c) {
+            Some(record) if record.seq == next_seq => {
+                records.push(record);
+                next_seq += 1;
+                valid_bytes = c.pos() as u64;
+            }
+            _ => {
+                return Ok(WalReplay {
+                    base_seq,
+                    records,
+                    valid_bytes,
+                    torn: true,
+                })
+            }
         }
-        let torn = |records: Vec<WalRecord>| {
-            Ok(WalReplay {
-                base_seq,
-                records,
-                valid_bytes,
-                torn: true,
-            })
-        };
-        if c.remaining() < 4 {
-            return torn(records);
-        }
-        let len_bytes = c.take(4).expect("checked remaining");
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes"));
-        if !(16..=MAX_RECORD_LEN).contains(&len) || c.remaining() < len as usize + 4 {
-            return torn(records);
-        }
-        let payload = c.take(len as usize).expect("checked remaining");
-        let crc_bytes = c.take(4).expect("checked remaining");
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(payload) != stored {
-            return torn(records);
-        }
-        let mut p = Cursor::new(payload);
-        let (seq, series, n_points) = match (|| {
-            let seq = p.u64()?;
-            let series = u32::from_le_bytes(
-                p.take(4)?
-                    .try_into()
-                    .map_err(|_| TsError::Parse("short".into()))?,
-            );
-            let n = u32::from_le_bytes(
-                p.take(4)?
-                    .try_into()
-                    .map_err(|_| TsError::Parse("short".into()))?,
-            );
-            Ok::<_, TsError>((seq, series, n))
-        })() {
-            Ok(t) => t,
-            Err(_) => return torn(records),
-        };
-        if seq != next_seq || p.remaining() != n_points as usize * 8 {
-            return torn(records);
-        }
-        let points = match (0..n_points)
-            .map(|_| p.f64())
-            .collect::<Result<Vec<_>, _>>()
-        {
-            Ok(points) => points,
-            Err(_) => return torn(records),
-        };
-        records.push(WalRecord {
-            seq,
-            series: series as usize,
-            points,
-        });
-        next_seq += 1;
-        valid_bytes = record_start as u64 + 4 + len as u64 + 4;
     }
+    Ok(WalReplay {
+        base_seq,
+        records,
+        valid_bytes,
+        torn: false,
+    })
+}
+
+/// Decodes the record at the cursor; `None` when it is torn, fails its
+/// CRC or is malformed.
+fn next_record(c: &mut Cursor) -> Option<WalRecord> {
+    let len = c.u32().ok()?;
+    if !(16..=MAX_RECORD_LEN).contains(&len) {
+        return None;
+    }
+    let payload = c.take(len as usize).ok()?;
+    if crc32(payload) != c.u32().ok()? {
+        return None;
+    }
+    let mut p = Cursor::new(payload);
+    let seq = p.u64().ok()?;
+    let series = p.u32().ok()?;
+    let n_points = p.u32().ok()?;
+    if p.remaining() != n_points as usize * 8 {
+        return None;
+    }
+    let points = (0..n_points)
+        .map(|_| p.f64().ok())
+        .collect::<Option<Vec<_>>>()?;
+    Some(WalRecord {
+        seq,
+        series: series as usize,
+        points,
+    })
 }
 
 /// Why creating a replacement log failed, and how far it got.

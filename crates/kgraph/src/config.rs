@@ -36,8 +36,6 @@ pub struct KGraphConfig {
     pub edge_features: bool,
     /// Use node-crossing features (disable to ablate edges-only).
     pub node_features: bool,
-    /// Run per-length jobs on threads.
-    pub parallel: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -58,7 +56,6 @@ impl KGraphConfig {
             n_init: 5,
             edge_features: true,
             node_features: true,
-            parallel: true,
             seed: 0,
         }
     }

@@ -7,6 +7,7 @@
 
 use crate::build::GraphLayer;
 use clustering::kmeans::KMeans;
+use tscore::par::par_map;
 use tsgraph::NodeId;
 
 /// Rows below this count are featurised serially — spawning threads costs
@@ -58,11 +59,8 @@ pub fn feature_row(
 
 /// Featurises an arbitrary set of node paths against `layer`'s graph.
 ///
-/// Rows are per-path independent, so large inputs fan out over a bounded
-/// worker pool (at most one worker per hardware thread) with each worker
-/// writing lock-free into its disjoint chunk of output slots — the same
-/// scheme as `KGraph::fit`'s per-length jobs. Output order and values are
-/// identical to the serial loop.
+/// Rows are per-path independent, so large inputs fan out through
+/// [`par_map`]. Output order and values are identical to the serial loop.
 pub fn feature_rows_for_paths(
     layer: &GraphLayer,
     paths: &[Vec<NodeId>],
@@ -73,27 +71,11 @@ pub fn feature_rows_for_paths(
         node_features || edge_features,
         "at least one feature family must be enabled"
     );
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if paths.len() < PARALLEL_ROW_THRESHOLD || hw < 2 {
-        return paths
-            .iter()
-            .map(|p| feature_row(layer, p, node_features, edge_features))
-            .collect();
+    let row = |path: &Vec<NodeId>| feature_row(layer, path, node_features, edge_features);
+    if paths.len() < PARALLEL_ROW_THRESHOLD {
+        return paths.iter().map(row).collect();
     }
-    let workers = hw.min(paths.len());
-    let chunk = paths.len().div_ceil(workers);
-    let mut slots: Vec<Vec<f64>> = vec![Vec::new(); paths.len()];
-    crossbeam::thread::scope(|scope| {
-        for (slot_chunk, path_chunk) in slots.chunks_mut(chunk).zip(paths.chunks(chunk)) {
-            scope.spawn(move |_| {
-                for (slot, path) in slot_chunk.iter_mut().zip(path_chunk) {
-                    *slot = feature_row(layer, path, node_features, edge_features);
-                }
-            });
-        }
-    })
-    .expect("feature row job panicked");
-    slots
+    par_map(paths, row)
 }
 
 /// Builds the feature matrix of a layer: row `i` is

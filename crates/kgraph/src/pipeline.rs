@@ -19,6 +19,7 @@ use crate::interpret::{score_lengths, LengthScore};
 use crate::nodes::radial_scan;
 use crate::serving::ServingCache;
 use linalg::matrix::Matrix;
+use tscore::par::par_map;
 use tscore::Dataset;
 
 /// The k-Graph estimator. Construct with a [`KGraphConfig`], call
@@ -81,38 +82,10 @@ impl KGraph {
             dataset.min_len()
         );
 
-        // Stages 1–2, one job per length (Figure 1's Job 0 … Job M),
-        // executed by a bounded worker pool: the lengths and their output
-        // slots are chunked, each worker owns one disjoint slot chunk and
-        // writes results lock-free through its exclusive borrow. Short
-        // lengths are the cheap ones and lengths ascend, so interleaving
-        // is unnecessary — chunks cost within ~2x of each other.
-        let mut layers: Vec<GraphLayer> = if cfg.parallel && lengths.len() > 1 {
-            let workers = std::thread::available_parallelism()
-                .map_or(1, |p| p.get())
-                .min(lengths.len());
-            let chunk = lengths.len().div_ceil(workers);
-            let mut slots: Vec<Option<GraphLayer>> = (0..lengths.len()).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for (slot_chunk, len_chunk) in slots.chunks_mut(chunk).zip(lengths.chunks(chunk)) {
-                    scope.spawn(move |_| {
-                        for (slot, &length) in slot_chunk.iter_mut().zip(len_chunk) {
-                            *slot = Some(fit_layer(dataset, cfg, length));
-                        }
-                    });
-                }
-            })
-            .expect("layer job panicked");
-            slots
-                .into_iter()
-                .map(|s| s.expect("every slot filled"))
-                .collect()
-        } else {
-            lengths
-                .iter()
-                .map(|&length| fit_layer(dataset, cfg, length))
-                .collect()
-        };
+        // Stages 1–2, one job per length (Figure 1's Job 0 … Job M). Short
+        // lengths are the cheap ones and lengths ascend, so `par_map`'s
+        // contiguous chunks cost within ~2x of each other.
+        let mut layers = par_map(&lengths, |&length| fit_layer(dataset, cfg, length));
 
         // Stage 3: consensus across the per-length partitions.
         let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();
@@ -269,19 +242,45 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
+    fn fit_matches_a_staged_serial_oracle() {
+        // `fit` runs the per-length jobs through `par_map`; the same stages
+        // called one after another on this thread must reproduce its
+        // per-layer partitions, consensus and selected length.
         let ds = toy_dataset();
-        let mut cfg = quick_config(2);
-        cfg.parallel = true;
-        let par = KGraph::new(cfg.clone()).fit(&ds);
-        cfg.parallel = false;
-        let ser = KGraph::new(cfg).fit(&ds);
-        assert_eq!(par.labels, ser.labels);
-        assert_eq!(par.best_layer, ser.best_layer);
-        for (a, b) in par.layers.iter().zip(&ser.layers) {
-            assert_eq!(a.labels, b.labels);
-            assert_eq!(a.graph.node_count(), b.graph.node_count());
+        let cfg = quick_config(2);
+        let model = KGraph::new(cfg.clone()).fit(&ds);
+        let lengths = cfg.resolve_lengths(ds.min_len());
+        assert!(lengths.len() > 1, "the oracle must span several jobs");
+        let layers: Vec<GraphLayer> = lengths
+            .iter()
+            .map(|&length| {
+                let proj = project_subsequences(&ds, length, cfg.stride, cfg.pca_sample);
+                let assign = radial_scan(&proj, cfg.psi, cfg.kde_grid, cfg.min_density_ratio);
+                let mut layer =
+                    crate::build::build_graph_with_stride(&ds, &proj, &assign, cfg.stride);
+                layer.labels = cluster_layer(
+                    &layer,
+                    cfg.k,
+                    cfg.n_init,
+                    cfg.seed_for_length(length),
+                    cfg.node_features,
+                    cfg.edge_features,
+                );
+                layer
+            })
+            .collect();
+        let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();
+        let labels = consensus_labels(&consensus_matrix(&partitions), cfg.k, cfg.seed);
+        let (_, best_layer) = score_lengths(&layers, &labels, cfg.k);
+
+        assert_eq!(model.layers.len(), layers.len());
+        for (fitted, oracle) in model.layers.iter().zip(&layers) {
+            assert_eq!(fitted.length, oracle.length);
+            assert_eq!(fitted.labels, oracle.labels);
+            assert_eq!(fitted.paths, oracle.paths);
         }
+        assert_eq!(model.labels, labels);
+        assert_eq!(model.best_layer, best_layer);
     }
 
     #[test]
@@ -333,11 +332,7 @@ mod tests {
     #[test]
     fn single_length_configuration() {
         let ds = toy_dataset();
-        let cfg = KGraphConfig {
-            parallel: true,
-            ..quick_config(2)
-        }
-        .with_lengths(vec![16]);
+        let cfg = quick_config(2).with_lengths(vec![16]);
         let model = KGraph::new(cfg).fit(&ds);
         assert_eq!(model.layers.len(), 1);
         assert_eq!(model.best_layer, 0);

@@ -5,7 +5,7 @@
 //! milliseconds. This module writes everything a fitted model holds — the
 //! per-length graph layers (node patterns + CSR edge triples), the stored
 //! embeddings (PCA, radial nodes), paths, partitions, consensus matrix and
-//! scores — into a little-endian, length-prefixed binary format (`KGM1`).
+//! scores — into a little-endian, length-prefixed binary format (`KGM2`).
 //!
 //! Graphs are stored as node payloads plus `(src, dst, weight)` edge
 //! triples and rebuilt through [`tsgraph::GraphBuilder`] at load time; the
@@ -22,8 +22,7 @@
 //! `KGM2` files end in a CRC-32 trailer ([`tsgraph::checksum`]) over every
 //! preceding byte, verified *before* parsing so truncation and bit rot are
 //! reported as corruption rather than as a confusing structural error deep
-//! inside the file. Checksum-less `KGM1` files (written before the trailer
-//! existed) still load. Delta state ([`write_delta_state`]) uses the same
+//! inside the file. Delta state ([`write_delta_state`]) uses the same
 //! trailer under its own magic, `KGD1`.
 
 use crate::build::{GraphLayer, LayerEmbedding, NodePattern};
@@ -42,9 +41,6 @@ use tsgraph::{GraphBuilder, NodeId};
 /// File magic of the current (checksummed) format version.
 const MAGIC: &[u8; 4] = b"KGM2";
 
-/// Legacy magic: identical body, no CRC trailer. Still readable.
-const MAGIC_V1: &[u8; 4] = b"KGM1";
-
 /// Magic of the streaming delta-state blob.
 const DELTA_MAGIC: &[u8; 4] = b"KGD1";
 
@@ -55,6 +51,11 @@ const DELTA_MAGIC: &[u8; 4] = b"KGD1";
 // Public: the streaming persistence layers (streamfit's `KGS1` session
 // state, graphserve's `KGW1` write-ahead log) reuse the same primitives so
 // every on-disk format in the system shares one bounds-checked decoder.
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -134,6 +135,12 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// Next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, TsError> {
+        let pos = self.pos;
+        Ok(u32::from_le_bytes(array(self.take(4)?, pos)?))
+    }
+
     /// Next little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, TsError> {
         let pos = self.pos;
@@ -206,7 +213,8 @@ fn put_config(out: &mut Vec<u8>, cfg: &KGraphConfig) {
     put_u64(out, cfg.n_init as u64);
     out.push(cfg.edge_features as u8);
     out.push(cfg.node_features as u8);
-    out.push(cfg.parallel as u8);
+    // Retired `parallel` flag, kept at its old default so KGM2 bytes do not change.
+    out.push(1);
     put_u64(out, cfg.seed);
 }
 
@@ -224,8 +232,8 @@ fn read_config(c: &mut Cursor) -> Result<KGraphConfig, TsError> {
         n_init: c.usize()?,
         edge_features: c.u8()? != 0,
         node_features: c.u8()? != 0,
-        parallel: c.u8()? != 0,
-        seed: c.u64()?,
+        // The retired `parallel` flag byte is read and ignored.
+        seed: c.u8().and_then(|_| c.u64())?,
     })
 }
 
@@ -424,27 +432,23 @@ pub fn verify_trailer<'a>(bytes: &'a [u8], kind: &str) -> Result<&'a [u8], TsErr
     Ok(payload)
 }
 
-/// Decodes a model from `KGM2` (checksummed) or legacy `KGM1` bytes.
+/// Decodes a model from `KGM2` bytes.
 ///
 /// # Errors
 ///
-/// [`TsError::Parse`] on a wrong magic, a CRC-32 mismatch (v2), truncation,
+/// [`TsError::Parse`] on a wrong magic, a CRC-32 mismatch, truncation,
 /// or any internal inconsistency (edge/path references outside the node
 /// range, PCA shape mismatches, out-of-range layer index).
 pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
     let magic: &[u8] = bytes
         .get(..4)
         .ok_or_else(|| TsError::Parse(format!("model file truncated ({} bytes)", bytes.len())))?;
-    let body = if magic == MAGIC {
-        verify_trailer(bytes, "KGM2 model")?
-    } else if magic == MAGIC_V1 {
-        bytes
-    } else {
+    if magic != MAGIC {
         return Err(TsError::Parse(format!(
-            "not a KGM1/KGM2 model file (magic {magic:?})"
+            "not a KGM2 model file (magic {magic:?})"
         )));
-    };
-    let bytes = body;
+    }
+    let bytes = verify_trailer(bytes, "KGM2 model")?;
     let mut c = Cursor::new(bytes);
     c.take(4)?; // magic, validated above
     let config = read_config(&mut c)?;
@@ -677,6 +681,11 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(matches!(read_model(&bad), Err(TsError::Parse(_))));
+        // The retired checksum-less `KGM1` layout: the body without its
+        // trailer, under the old magic.
+        let mut v1 = bytes[..bytes.len() - 4].to_vec();
+        v1[..4].copy_from_slice(b"KGM1");
+        assert!(matches!(read_model(&v1), Err(TsError::Parse(_))));
         // Truncations at every prefix must error, never panic.
         for cut in [0, 3, 4, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(
@@ -708,20 +717,6 @@ mod tests {
                 other => panic!("flip at {pos} must fail, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn legacy_v1_files_still_load() {
-        let model = fitted();
-        let bytes = write_model(&model);
-        // A v1 file is exactly the v2 body (no trailer) under the old
-        // magic.
-        let mut v1 = bytes[..bytes.len() - 4].to_vec();
-        v1[..4].copy_from_slice(b"KGM1");
-        let loaded = read_model(&v1).expect("legacy file must load");
-        assert_eq!(loaded.labels, model.labels);
-        // But a corrupt v1 file is still caught by the structural checks.
-        assert!(read_model(&v1[..v1.len() / 2]).is_err());
     }
 
     #[test]

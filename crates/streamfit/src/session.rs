@@ -6,6 +6,7 @@ use kgraph::stream::{anomaly_scores_delta, extend_path, n_windows};
 use kgraph::GraphLayer;
 use std::sync::Arc;
 use tscore::error::TsError;
+use tscore::par::par_map;
 use tsgraph::delta::{DeltaGraph, DeltaView};
 use tsgraph::NodeId;
 
@@ -245,37 +246,17 @@ impl StreamSession {
     }
 
     /// Rescores every open series against the best layer's merged
-    /// base+delta view, in parallel over a bounded worker pool (chunked
-    /// disjoint slots — the same pattern as `KGraph::fit`).
+    /// base+delta view, fanned out through [`par_map`].
     fn rescore_all(&mut self) {
-        let n = self.series.len();
-        if n == 0 {
-            return;
-        }
         let layer = &self.model.layers[self.model.best_layer];
         let delta = &self.deltas[self.model.best_layer];
         let context = self.cfg.context;
-        let series = &mut self.series;
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |p| p.get())
-            .min(n);
-        let chunk = n.div_ceil(workers);
-        if workers < 2 {
-            for s in series.iter_mut() {
-                s.scores = anomaly_scores_delta(layer, delta, &s.values, context).ok();
-            }
-            return;
+        let scores = par_map(&self.series, |s| {
+            anomaly_scores_delta(layer, delta, &s.values, context).ok()
+        });
+        for (s, scores) in self.series.iter_mut().zip(scores) {
+            s.scores = scores;
         }
-        crossbeam::thread::scope(|scope| {
-            for series_chunk in series.chunks_mut(chunk) {
-                scope.spawn(move |_| {
-                    for s in series_chunk.iter_mut() {
-                        s.scores = anomaly_scores_delta(layer, delta, &s.values, context).ok();
-                    }
-                });
-            }
-        })
-        .expect("rescore worker panicked");
     }
 
     /// Merges every layer's delta into a fresh base CSR, switches the
