@@ -5,13 +5,15 @@
 //! `bench::stages`). The committed `crates/bench/BENCH_pipeline.json` is
 //! the recorded baseline; CI reruns this bench and gates merges with
 //! `bench_compare` on per-stage geomean ratios. Scaling variants (series
-//! count, length, parallel per-length jobs) and spectral consensus over
-//! 1,002 series all live under the `fit` stage; per-request reads of a
-//! model fitted on 1,002 series live under `serve`.
+//! count, length, parallel per-length jobs), spectral consensus over
+//! 1,002 series and the embedding of 1,002 series all live under the
+//! `fit` stage; per-request reads of a model fitted on 1,002 series live
+//! under `serve`.
 
 use bench::stages::{ScaleFixture, ServeFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::consensus::{consensus_labels, consensus_matrix};
+use kgraph::embed::project_subsequences;
 use kgraph::{KGraph, KGraphConfig};
 
 fn quick_config(k: usize) -> KGraphConfig {
@@ -29,9 +31,14 @@ fn bench_stages(c: &mut Criterion) {
     group.sample_size(10);
     let fx = StageFixture::standard();
 
+    // One build takes about as long as a calibrated sample (~2 ms), so a
+    // single scheduler hiccup moves a 10-sample median; 40 samples keep
+    // the gated median steady.
+    group.sample_size(40);
     group.bench_function(BenchmarkId::new("build", format!("l{}", fx.length)), |b| {
         b.iter(|| fx.run_build())
     });
+    group.sample_size(10);
     group.bench_function(BenchmarkId::new("fit", "full"), |b| b.iter(|| fx.run_fit()));
 
     // The downstream stages reuse one built layer / fitted model so their
@@ -119,6 +126,20 @@ fn bench_fit_scaling(c: &mut Criterion) {
     let mc = consensus_matrix(&partitions);
     group.bench_function(BenchmarkId::new("fit", "consensus_n1002"), |b| {
         b.iter(|| consensus_labels(black_box(&mc), 3, 0))
+    });
+    // The embedding of `explore_1k`'s longest length: 1,002 CBF series ×
+    // 256 at ℓ = 128 with the default stride and PCA sample.
+    let explore = datasets::cbf::cbf(334, 256, 7);
+    let defaults = KGraphConfig::new(3);
+    group.bench_function(BenchmarkId::new("fit", "embed_n1002"), |b| {
+        b.iter(|| {
+            project_subsequences(
+                black_box(&explore),
+                128,
+                defaults.stride,
+                defaults.pca_sample,
+            )
+        })
     });
     group.finish();
 }

@@ -118,7 +118,8 @@ fn is_json_body(req: &Request) -> bool {
 }
 
 /// One series: a JSON array, a JSON object with a `series` member, or CSV
-/// (all numbers, commas and/or newlines).
+/// (all numbers, commas and/or newlines). Every value must pass
+/// [`check_magnitudes`] (422 otherwise).
 fn parse_series(req: &Request) -> Result<Vec<f64>, Response> {
     let text = body_str(req)?;
     let values = if is_json_body(req) {
@@ -131,11 +132,13 @@ fn parse_series(req: &Request) -> Result<Vec<f64>, Response> {
     if values.is_empty() {
         return Err(Response::error(400, "empty series"));
     }
+    check_magnitudes(&values, "series points")?;
     Ok(values)
 }
 
 /// Many series: a JSON array of arrays (optionally under `series`), or CSV
-/// with one series per line.
+/// with one series per line. Every value of every row must pass
+/// [`check_magnitudes`] (422 otherwise).
 fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
     let text = body_str(req)?;
     let rows: Vec<Vec<f64>> = if is_json_body(req) {
@@ -168,10 +171,13 @@ fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
             ),
         ));
     }
+    for (i, row) in rows.iter().enumerate() {
+        check_magnitudes(row, format_args!("points of series {i}"))?;
+    }
     Ok(rows)
 }
 
-/// Largest value magnitude a fit body or an ingest accepts.
+/// Largest value magnitude any request body may carry.
 /// Z-normalisation sums the squares of a window's points; at 1e100 a
 /// square is 1e200, so even 1e100 points summed stay far below `f64::MAX`
 /// (~1.8e308).
@@ -179,8 +185,8 @@ const MAX_INGEST_MAGNITUDE: f64 = 1e100;
 
 /// 422 unless every value is finite with magnitude at most
 /// [`MAX_INGEST_MAGNITUDE`]; `what` names the values in the message.
-/// Fit bodies and ingests pass through here before any model or journal
-/// sees them.
+/// Every series, batch, fit and ingest body passes through here before any
+/// model or journal sees it.
 fn check_magnitudes(values: &[f64], what: impl std::fmt::Display) -> Result<(), Response> {
     match values
         .iter()
@@ -250,6 +256,7 @@ fn route_label(method: &str, segments: &[&str]) -> &'static str {
         ("GET", ["models", _, "stream-status"]) => "stream_status",
         ("GET", ["models", _]) => "model_info",
         ("GET", ["debug", "sleep"]) => "debug_sleep",
+        ("GET", ["debug", "panic"]) => "debug_panic",
         _ => "other",
     }
 }
@@ -301,6 +308,7 @@ fn dispatch(
         ("GET", ["models", name, "stream-status"]) => stream_status_endpoint(reader, ctx, name),
         ("GET", ["models", name]) => Ok(model_info(&*lookup(reader, name)?)),
         ("GET", ["debug", "sleep"]) => debug_sleep(req),
+        ("GET", ["debug", "panic"]) => debug_panic(),
         (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => Err(
             Response::error(405, &format!("method {method} not supported")),
         ),
@@ -409,7 +417,10 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Result<Respon
     let k = query_usize(req, "k", 2)?;
     let seed = query_usize(req, "seed", 0)?;
     let n_lengths = query_usize(req, "n_lengths", 3)?;
-    if k < 1 || rows.len() < k {
+    if k < 1 {
+        return Err(Response::error(422, "k must be >= 1"));
+    }
+    if rows.len() < k {
         return Err(Response::error(
             422,
             &format!("need at least k={k} series, got {}", rows.len()),
@@ -421,9 +432,6 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Result<Respon
             422,
             &format!("series too short to fit (min length {min_len}, need >= 8)"),
         ));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        check_magnitudes(row, format_args!("points of series {i}"))?;
     }
     let series: Vec<TimeSeries> = rows.into_iter().map(TimeSeries::new).collect();
     let dataset = Dataset::new(name, DatasetKind::Other, series);
@@ -931,6 +939,13 @@ fn debug_sleep(req: &Request) -> Result<Response, Response> {
     Ok(Response::json(200, format!("{{\"slept_ms\":{ms}}}")))
 }
 
+/// `GET /debug/panic` — panics inside the handler; exists so operators
+/// (and the integration tests) can check on demand that a panicking
+/// request answers 500, is counted and leaves its worker alive.
+fn debug_panic() -> Result<Response, Response> {
+    panic!("deliberate panic from GET /debug/panic")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1391,5 +1406,27 @@ mod tests {
             text.contains("graphserve_queue_depth_high_water 0"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn fit_with_k_zero_names_the_bad_parameter() {
+        let ctx = demo_store();
+        let mut reader = ctx.reader();
+        let rows = (0..3)
+            .map(|p| {
+                (0..40)
+                    .map(|i| ((i + p) as f64 * 0.3).sin().to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        let resp = handle(
+            &request("PUT", "/models/x?k=0", rows.as_bytes()),
+            &mut reader,
+            &ctx,
+        );
+        assert_eq!(resp.status, 422);
+        assert_eq!(body_text(&resp), "{\"error\":\"k must be >= 1\"}");
     }
 }

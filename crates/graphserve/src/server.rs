@@ -76,7 +76,7 @@ impl Default for ServerConfig {
 
 /// Route labels tracked by the per-route request counters, in counter
 /// order. `routes::handle` classifies every request into exactly one.
-pub const ROUTE_LABELS: [&str; 17] = [
+pub const ROUTE_LABELS: [&str; 18] = [
     "health",
     "healthz",
     "models",
@@ -93,6 +93,7 @@ pub const ROUTE_LABELS: [&str; 17] = [
     "stream_status",
     "metrics",
     "debug_sleep",
+    "debug_panic",
     "other",
 ];
 

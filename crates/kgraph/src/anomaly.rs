@@ -74,34 +74,29 @@ pub fn transition_scores_with(
 /// project into empty regions of the embedding and score high, regardless
 /// of which node they fall back to.
 pub fn embedding_gap_scores(layer: &GraphLayer, values: &[f64]) -> Option<Vec<f64>> {
+    routed_gaps(layer, values).map(|(_, gaps)| gaps)
+}
+
+/// Routes every window of `values` once, returning its node path and its
+/// embedding-gap scores (see [`embedding_gap_scores`]). `None` when the
+/// series is shorter than one window or the graph has no nodes.
+pub(crate) fn routed_gaps(layer: &GraphLayer, values: &[f64]) -> Option<(Vec<NodeId>, Vec<f64>)> {
     if values.len() < layer.length || layer.graph.node_count() == 0 {
         return None;
     }
     let emb = &layer.embedding;
-    let mut radii: Vec<f64> = emb.nodes.iter().map(|n| n.radius).collect();
-    radii.sort_by(|a, b| a.partial_cmp(b).expect("NaN radius"));
-    let scale = radii[radii.len() / 2].max(1e-9);
-    let assignment = crate::nodes::NodeAssignment {
-        nodes: emb.nodes.clone(),
-        point_node: Vec::new(),
-        center: emb.center,
-        psi: emb.psi,
-    };
-    let mut scratch = tscore::kernel::ZnormScratch::new();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start + layer.length <= values.len() {
-        let z = scratch.znormed(&values[start..start + layer.length]);
-        let point = emb.pca.project2(z);
-        let node = crate::nodes::assign_point(&assignment, point);
-        let dx = point.0 - emb.center.0;
-        let dy = point.1 - emb.center.1;
-        let r = (dx * dx + dy * dy).sqrt();
-        let gap = (emb.nodes[node].radius - r).abs();
-        out.push((gap / scale).min(1.0));
-        start += emb.stride;
-    }
-    Some(out)
+    let scale = emb.radial_scale();
+    Some(
+        emb.route(values, 0)
+            .map(|(point, node)| {
+                let dx = point.0 - emb.center.0;
+                let dy = point.1 - emb.center.1;
+                let r = (dx * dx + dy * dy).sqrt();
+                let gap = (emb.nodes[node].radius - r).abs();
+                (NodeId(node as u32), (gap / scale).min(1.0))
+            })
+            .unzip(),
+    )
 }
 
 /// Anomaly score per window position of an arbitrary series.
@@ -139,11 +134,8 @@ pub fn anomaly_scores(
             actual: values.len(),
         });
     }
-    let path = layer
-        .assign_path(values)
-        .expect("preconditions checked above");
+    let (path, gaps) = routed_gaps(layer, values).expect("preconditions checked above");
     let trans = transition_scores(layer, &path);
-    let gaps = embedding_gap_scores(layer, values).expect("preconditions checked above");
     Ok(blend_and_smooth(&trans, &gaps, context))
 }
 
@@ -178,7 +170,7 @@ pub(crate) fn blend_and_smooth(trans: &[f64], gaps: &[f64], context: usize) -> V
 /// discord-discovery post-processing).
 pub fn top_anomalies(scores: &[f64], k: usize, exclusion: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("NaN score"));
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
     let mut picked: Vec<usize> = Vec::new();
     for i in order {
         if picked.len() == k {

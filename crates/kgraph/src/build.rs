@@ -10,8 +10,8 @@
 //! triple into a [`GraphBuilder`], and a single sort + aggregate pass
 //! produces the CSR graph — no per-edge adjacency probing anywhere.
 
-use crate::embed::Projection;
-use crate::nodes::{assign_point, NodeAssignment, RadialNode};
+use crate::embed::{project_windows, Projection};
+use crate::nodes::{sector_of, to_polar, NodeAssignment, RadialNode, SectorIndex};
 use linalg::pca::Pca;
 use tscore::kernel::ZnormScratch;
 use tscore::Dataset;
@@ -38,6 +38,9 @@ pub type PatternGraph = CsrGraph<NodePattern, f64>;
 
 /// The stored embedding of one layer: everything needed to map *new*
 /// series into the layer's graph (out-of-sample assignment).
+///
+/// [`LayerEmbedding::new`] derives the routing lookups from `nodes` and
+/// `psi`; build a new embedding rather than editing those fields.
 #[derive(Debug, Clone)]
 pub struct LayerEmbedding {
     /// The PCA fitted on this layer's subsequences.
@@ -50,6 +53,66 @@ pub struct LayerEmbedding {
     pub psi: usize,
     /// Subsequence stride used at fit time.
     pub stride: usize,
+    /// `nodes` grouped by sector. Derived on fit and on load, never
+    /// serialised.
+    sectors: SectorIndex,
+    /// The median node radius (at least 1e-9): the scale of embedding-gap
+    /// scores. Derived like `sectors`.
+    radial_scale: f64,
+}
+
+impl LayerEmbedding {
+    /// Assembles an embedding and derives its per-sector node index and
+    /// radial scale.
+    pub fn new(
+        pca: Pca,
+        nodes: Vec<RadialNode>,
+        center: (f64, f64),
+        psi: usize,
+        stride: usize,
+    ) -> LayerEmbedding {
+        let sectors = SectorIndex::new(&nodes, psi);
+        let mut radii: Vec<f64> = nodes.iter().map(|n| n.radius).collect();
+        radii.sort_by(f64::total_cmp);
+        let radial_scale = radii.get(radii.len() / 2).map_or(1e-9, |r| r.max(1e-9));
+        LayerEmbedding {
+            pca,
+            nodes,
+            center,
+            psi,
+            stride,
+            sectors,
+            radial_scale,
+        }
+    }
+
+    /// The node a projected point maps to, by the radial scan's rule:
+    /// sector by angle, then nearest node radius within the sector (every
+    /// node when the sector has none). Panics when there are no nodes.
+    pub fn assign_point(&self, p: (f64, f64)) -> usize {
+        let (theta, r) = to_polar(p, self.center);
+        self.sectors
+            .nearest(&self.nodes, sector_of(theta, self.psi), r)
+    }
+
+    /// The median node radius (at least 1e-9), which normalises
+    /// embedding-gap scores.
+    pub fn radial_scale(&self) -> f64 {
+        self.radial_scale
+    }
+
+    /// The window router shared by every serve path: projects the windows
+    /// of `values` from window index `first_window` on, exactly as the fit
+    /// did ([`project_windows`]), and yields each window's `(point, node)`.
+    /// Panics on the first window when there are no nodes.
+    pub fn route<'a>(
+        &'a self,
+        values: &'a [f64],
+        first_window: usize,
+    ) -> impl ExactSizeIterator<Item = ((f64, f64), usize)> + 'a {
+        project_windows(&self.pca, values, self.stride, first_window)
+            .map(move |p| (p, self.assign_point(p)))
+    }
 }
 
 /// Everything the pipeline derives for one subsequence length ℓ.
@@ -87,28 +150,12 @@ impl GraphLayer {
         if values.len() < self.length || self.graph.node_count() == 0 {
             return None;
         }
-        let emb = &self.embedding;
-        let assignment = NodeAssignment {
-            nodes: emb.nodes.clone(),
-            point_node: Vec::new(),
-            center: emb.center,
-            psi: emb.psi,
-        };
-        // One scratch buffer for every window: z-normalisation writes into
-        // it and the 2-D projection reads from it, so the serve-time loop
-        // allocates nothing per window. `znorm_into` + `project2` use the
-        // exact arithmetic of the fit-time path, keeping routed paths
-        // bit-identical to training paths.
-        let mut scratch = ZnormScratch::new();
-        let mut path = Vec::new();
-        let mut start = first_window * emb.stride;
-        while start + self.length <= values.len() {
-            let z = scratch.znormed(&values[start..start + self.length]);
-            let point = emb.pca.project2(z);
-            path.push(NodeId(assign_point(&assignment, point) as u32));
-            start += emb.stride;
-        }
-        Some(path)
+        Some(
+            self.embedding
+                .route(values, first_window)
+                .map(|(_, node)| NodeId(node as u32))
+                .collect(),
+        )
     }
 }
 
@@ -178,13 +225,13 @@ pub fn build_graph_with_stride(
     }
     let graph: PatternGraph = builder.build(payloads, |acc, w| *acc += w);
 
-    let embedding = LayerEmbedding {
-        pca: proj.pca.clone(),
-        nodes: assign.nodes.clone(),
-        center: assign.center,
-        psi: assign.psi,
+    let embedding = LayerEmbedding::new(
+        proj.pca.clone(),
+        assign.nodes.clone(),
+        assign.center,
+        assign.psi,
         stride,
-    };
+    );
     GraphLayer {
         length: proj.length,
         graph,

@@ -4,10 +4,18 @@
 //! series and project it into 2-D with PCA, "retaining the essential
 //! shapes" (paper §II-A). The PCA is fitted on a bounded deterministic
 //! sample so the cost stays linear in the number of subsequences.
+//!
+//! Windows are never materialised as a `total × ℓ` matrix. Only the PCA
+//! fit set (at most `pca_sample` windows) is copied out; every window is
+//! then z-normalised into one reused buffer and projected at once by
+//! [`project_windows`], so window memory is O(total + `pca_sample`·ℓ).
+//! [`project_windows`] is also the first half of serve-time routing
+//! ([`crate::build::LayerEmbedding::route`]): fit and serve share one
+//! window loop, which keeps routed paths bit-identical to training paths.
 
 use linalg::matrix::Matrix;
 use linalg::pca::Pca;
-use tscore::kernel::znorm_into;
+use tscore::kernel::{znorm_into, ZnormScratch};
 use tscore::windows::{window_count, SubseqRef};
 use tscore::Dataset;
 
@@ -48,55 +56,28 @@ pub fn project_subsequences(
 ) -> Projection {
     assert!(length >= 2, "subsequence length must be >= 2");
     assert!(stride >= 1, "stride must be >= 1");
-    let total: usize = dataset
-        .series()
-        .iter()
-        .map(|s| window_count(s.len(), length, stride))
-        .sum();
+    let mut starts: Vec<usize> = Vec::with_capacity(dataset.len() + 1);
+    let mut total = 0usize;
+    for series in dataset.series() {
+        starts.push(total);
+        total += window_count(series.len(), length, stride);
+    }
+    starts.push(total);
     assert!(total > 0, "no series admits a window of length {length}");
 
-    // Collect z-normalised subsequences into one flat row-major buffer —
-    // a single allocation instead of one Vec per window. Each row is
-    // written in place by the fused kernel.
-    let mut flat: Vec<f64> = vec![0.0; total * length];
+    let pca = fit_pca(dataset, &starts, length, stride, pca_sample);
+
+    let mut points: Vec<(f64, f64)> = Vec::with_capacity(total);
     let mut refs: Vec<SubseqRef> = Vec::with_capacity(total);
-    let mut starts: Vec<usize> = Vec::with_capacity(dataset.len() + 1);
-    let mut n_rows = 0usize;
     for (si, series) in dataset.series().iter().enumerate() {
-        starts.push(n_rows);
-        let vals = series.values();
-        let mut start = 0usize;
-        while start + length <= vals.len() {
-            znorm_into(
-                &vals[start..start + length],
-                &mut flat[n_rows * length..(n_rows + 1) * length],
-            );
-            refs.push(SubseqRef {
-                series: si,
-                start,
-                len: length,
-            });
-            n_rows += 1;
-            start += stride;
-        }
+        points.extend(project_windows(&pca, series.values(), stride, 0));
+        refs.extend((0..starts[si + 1] - starts[si]).map(|w| SubseqRef {
+            series: si,
+            start: w * stride,
+            len: length,
+        }));
     }
-    starts.push(n_rows);
-    debug_assert_eq!(n_rows, total);
-
-    // Fit PCA on an even deterministic sample.
-    let pca = if total <= pca_sample.max(8) {
-        Pca::fit(&Matrix::from_vec(total, length, flat.clone()), 2)
-    } else {
-        let step = total as f64 / pca_sample as f64;
-        let mut sample = Vec::with_capacity(pca_sample * length);
-        for i in 0..pca_sample {
-            let r = (i as f64 * step) as usize;
-            sample.extend_from_slice(&flat[r * length..(r + 1) * length]);
-        }
-        Pca::fit(&Matrix::from_vec(pca_sample, length, sample), 2)
-    };
-
-    let points: Vec<(f64, f64)> = flat.chunks_exact(length).map(|r| pca.project2(r)).collect();
+    debug_assert_eq!(points.len(), total);
     Projection {
         length,
         points,
@@ -105,6 +86,99 @@ pub fn project_subsequences(
         pca,
     }
 }
+
+/// Fits the 2-D PCA on an even deterministic sample of `pca_sample`
+/// windows, or on every window when there are at most
+/// `pca_sample.max(8)`. Only these windows are z-normalised into a
+/// matrix. `starts` holds each series' first window index plus the total.
+fn fit_pca(
+    dataset: &Dataset,
+    starts: &[usize],
+    length: usize,
+    stride: usize,
+    pca_sample: usize,
+) -> Pca {
+    let total = starts[starts.len() - 1];
+    let rows: Vec<usize> = if total <= pca_sample.max(8) {
+        (0..total).collect()
+    } else {
+        let step = total as f64 / pca_sample as f64;
+        (0..pca_sample)
+            .map(|i| (i as f64 * step) as usize)
+            .collect()
+    };
+    let mut sample = vec![0.0; rows.len() * length];
+    for (&row, dst) in rows.iter().zip(sample.chunks_exact_mut(length)) {
+        // The series holding global window `row`: the last one starting at
+        // or before it (series without windows share their successor's
+        // start and are skipped).
+        let s = starts.partition_point(|&first| first <= row) - 1;
+        let start = (row - starts[s]) * stride;
+        znorm_into(&dataset.series()[s].values()[start..start + length], dst);
+    }
+    Pca::fit(&Matrix::from_vec(rows.len(), length, sample), 2)
+}
+
+/// Projects the windows of one series, from window index `first_window`
+/// on (window `i` covers `values[i·stride .. i·stride + ℓ]`, where ℓ is
+/// the PCA's input dimension). Each window is z-normalised into one
+/// reused buffer and projected with [`Pca::project2`] as it is yielded;
+/// nothing is allocated per window.
+pub fn project_windows<'a>(
+    pca: &'a Pca,
+    values: &'a [f64],
+    stride: usize,
+    first_window: usize,
+) -> WindowProjector<'a> {
+    let length = pca.mean().len();
+    let next_start = first_window.saturating_mul(stride);
+    let remaining = window_count(values.len().saturating_sub(next_start), length, stride);
+    WindowProjector {
+        pca,
+        values,
+        length,
+        stride,
+        next_start,
+        remaining,
+        scratch: ZnormScratch::new(),
+    }
+}
+
+/// Iterator returned by [`project_windows`]: one `(x, y)` point per
+/// window, in temporal order.
+#[derive(Debug)]
+pub struct WindowProjector<'a> {
+    pca: &'a Pca,
+    values: &'a [f64],
+    length: usize,
+    stride: usize,
+    next_start: usize,
+    remaining: usize,
+    scratch: ZnormScratch,
+}
+
+impl Iterator for WindowProjector<'_> {
+    type Item = (f64, f64);
+
+    fn next(&mut self) -> Option<(f64, f64)> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let start = self.next_start;
+        self.next_start = self.next_start.saturating_add(self.stride);
+        let z = self
+            .scratch
+            .znormed(&self.values[start..start + self.length]);
+        Some(self.pca.project2(z))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for WindowProjector<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -191,6 +265,161 @@ mod tests {
             .points
             .iter()
             .all(|p| p.0.is_finite() && p.1.is_finite()));
+    }
+
+    /// The materialising projection this module used to ship: every
+    /// z-normalised window in one `total × ℓ` buffer, the PCA fitted on an
+    /// even sample of its rows, then every row projected. Kept only as the
+    /// oracle the streamed projection must match bit for bit.
+    fn materialising_oracle(
+        dataset: &Dataset,
+        length: usize,
+        stride: usize,
+        pca_sample: usize,
+    ) -> Projection {
+        let total: usize = dataset
+            .series()
+            .iter()
+            .map(|s| window_count(s.len(), length, stride))
+            .sum();
+        let mut flat: Vec<f64> = vec![0.0; total * length];
+        let mut refs: Vec<SubseqRef> = Vec::with_capacity(total);
+        let mut starts: Vec<usize> = Vec::with_capacity(dataset.len() + 1);
+        let mut n_rows = 0usize;
+        for (si, series) in dataset.series().iter().enumerate() {
+            starts.push(n_rows);
+            let vals = series.values();
+            let mut start = 0usize;
+            while start + length <= vals.len() {
+                znorm_into(
+                    &vals[start..start + length],
+                    &mut flat[n_rows * length..(n_rows + 1) * length],
+                );
+                refs.push(SubseqRef {
+                    series: si,
+                    start,
+                    len: length,
+                });
+                n_rows += 1;
+                start += stride;
+            }
+        }
+        starts.push(n_rows);
+        let pca = if total <= pca_sample.max(8) {
+            Pca::fit(&Matrix::from_vec(total, length, flat.clone()), 2)
+        } else {
+            let step = total as f64 / pca_sample as f64;
+            let mut sample = Vec::with_capacity(pca_sample * length);
+            for i in 0..pca_sample {
+                let r = (i as f64 * step) as usize;
+                sample.extend_from_slice(&flat[r * length..(r + 1) * length]);
+            }
+            Pca::fit(&Matrix::from_vec(pca_sample, length, sample), 2)
+        };
+        let points = flat.chunks_exact(length).map(|r| pca.project2(r)).collect();
+        Projection {
+            length,
+            points,
+            refs,
+            starts,
+            pca,
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_bit_identical(got: &Projection, want: &Projection, case: &str) {
+        assert_eq!(got.length, want.length, "{case}: length");
+        assert_eq!(got.refs, want.refs, "{case}: refs");
+        assert_eq!(got.starts, want.starts, "{case}: starts");
+        let point_bits = |p: &Projection| -> Vec<(u64, u64)> {
+            p.points
+                .iter()
+                .map(|q| (q.0.to_bits(), q.1.to_bits()))
+                .collect()
+        };
+        assert_eq!(point_bits(got), point_bits(want), "{case}: points");
+        assert_eq!(
+            bits(got.pca.mean()),
+            bits(want.pca.mean()),
+            "{case}: PCA mean"
+        );
+        assert_eq!(
+            bits(got.pca.components().as_slice()),
+            bits(want.pca.components().as_slice()),
+            "{case}: PCA components"
+        );
+        assert_eq!(
+            bits(got.pca.explained_variance()),
+            bits(want.pca.explained_variance()),
+            "{case}: PCA variances"
+        );
+        assert_eq!(
+            got.pca.total_variance().to_bits(),
+            want.pca.total_variance().to_bits(),
+            "{case}: PCA total variance"
+        );
+    }
+
+    /// Series of varied lengths with flat stretches, so some windows are
+    /// constant (z-normalisation only centres them), plus one series too
+    /// short for the longer windows.
+    fn mixed_dataset() -> Dataset {
+        let mut series = Vec::new();
+        for (k, f) in [0.17f64, 0.6, 1.3].into_iter().enumerate() {
+            for p in 0..3 {
+                let n = 70 + 9 * p + 4 * k;
+                series.push(TimeSeries::new(
+                    (0..n)
+                        .map(|i| {
+                            if (20..45).contains(&i) && p != 1 {
+                                k as f64 - 0.5
+                            } else {
+                                ((i + 3 * p) as f64 * f).sin() + 0.1 * (i % 7) as f64
+                            }
+                        })
+                        .collect(),
+                ));
+            }
+        }
+        series.push(TimeSeries::new(vec![2.0; 12]));
+        series.push(TimeSeries::new((0..20).map(|i| i as f64).collect()));
+        Dataset::new("mixed", DatasetKind::Simulated, series)
+    }
+
+    #[test]
+    fn streamed_projection_is_bit_identical_to_the_materialising_oracle() {
+        let ds = mixed_dataset();
+        for length in [3usize, 8, 16, 30] {
+            for stride in 1..=4 {
+                // 40 samples take the sampled branch; 100 000 fits on every
+                // window.
+                for pca_sample in [40usize, 100_000] {
+                    let case = format!("ℓ={length} stride={stride} pca_sample={pca_sample}");
+                    let got = project_subsequences(&ds, length, stride, pca_sample);
+                    let want = materialising_oracle(&ds, length, stride, pca_sample);
+                    assert_bit_identical(&got, &want, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn project_windows_resumes_at_any_window() {
+        let ds = mixed_dataset();
+        let proj = project_subsequences(&ds, 16, 3, 40);
+        for s in 0..ds.len() {
+            let values = ds.series()[s].values();
+            let full = proj.series_points(s);
+            for first in [0usize, 1, full.len(), full.len() + 5] {
+                let tail = project_windows(&proj.pca, values, 3, first);
+                assert_eq!(tail.len(), full.len().saturating_sub(first));
+                let tail: Vec<(f64, f64)> = tail.collect();
+                assert_eq!(tail.as_slice(), &full[first.min(full.len())..]);
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,15 @@
 //! transition triples into a [`tsgraph::GraphBuilder`]; all downstream
 //! stages are pure readers of the CSR view.
 //!
+//! The embedding never materialises the windows of a length: only the
+//! PCA fit set (at most `pca_sample` windows) is copied out, and every
+//! window is z-normalised into one reused buffer and projected as it
+//! goes, so window memory is O(total + `pca_sample`·ℓ). Fit and serve
+//! share that window loop ([`embed::project_windows`]); serving routes
+//! each window through [`build::LayerEmbedding::route`], whose per-sector
+//! node index and radial scale are derived once per layer on fit and on
+//! load.
+//!
 //! Serving reads derive their per-model state once per model version
 //! ([`serving`]).
 //!

@@ -35,7 +35,7 @@ pub struct NodeAssignment {
 }
 
 /// Polar coordinates of a point relative to `center`.
-fn to_polar(p: (f64, f64), center: (f64, f64)) -> (f64, f64) {
+pub(crate) fn to_polar(p: (f64, f64), center: (f64, f64)) -> (f64, f64) {
     let dx = p.0 - center.0;
     let dy = p.1 - center.1;
     let r = (dx * dx + dy * dy).sqrt();
@@ -44,6 +44,54 @@ fn to_polar(p: (f64, f64), center: (f64, f64)) -> (f64, f64) {
         theta += std::f64::consts::TAU;
     }
     (theta, r)
+}
+
+/// The sector of angle `theta` among `psi` equal angular sectors.
+pub(crate) fn sector_of(theta: f64, psi: usize) -> usize {
+    ((theta / std::f64::consts::TAU * psi as f64) as usize).min(psi - 1)
+}
+
+/// Node ids grouped by sector: the lookup behind both the fit-time scan's
+/// assignment and serve-time routing, so the two pick the same node for
+/// the same point by construction.
+#[derive(Debug, Clone)]
+pub(crate) struct SectorIndex {
+    /// `ids[starts[s]..starts[s + 1]]` are sector `s`'s node ids, ascending.
+    starts: Vec<usize>,
+    ids: Vec<usize>,
+}
+
+impl SectorIndex {
+    /// Groups `nodes` by sector. Nodes whose sector is `psi` or more are
+    /// left out of every sector (they stay reachable through the fallback
+    /// of [`Self::nearest`]).
+    pub(crate) fn new(nodes: &[RadialNode], psi: usize) -> SectorIndex {
+        let mut ids: Vec<usize> = (0..nodes.len()).collect();
+        // Stable: ids stay ascending within a sector.
+        ids.sort_by_key(|&i| nodes[i].sector);
+        let starts = (0..=psi)
+            .map(|s| ids.partition_point(|&i| nodes[i].sector < s))
+            .collect();
+        SectorIndex { starts, ids }
+    }
+
+    /// The node of `sector` whose radius is nearest `r` (the lowest id
+    /// among equals). A sector without nodes — possible for an
+    /// out-of-sample point — falls back to the nearest-radius node of the
+    /// whole set. Panics when `nodes` is empty.
+    pub(crate) fn nearest(&self, nodes: &[RadialNode], sector: usize, r: f64) -> usize {
+        let gap = |i: &usize| (nodes[*i].radius - r).abs();
+        let in_sector = &self.ids[self.starts[sector]..self.starts[sector + 1]];
+        let nearest = if in_sector.is_empty() {
+            (0..nodes.len()).min_by(|a, b| gap(a).total_cmp(&gap(b)))
+        } else {
+            in_sector
+                .iter()
+                .copied()
+                .min_by(|a, b| gap(a).total_cmp(&gap(b)))
+        };
+        nearest.expect("non-empty node set")
+    }
 }
 
 /// Runs the radial scan on a projection.
@@ -71,20 +119,15 @@ pub fn radial_scan(
         proj.points.iter().map(|p| p.1).sum::<f64>() / n as f64,
     );
     let polar: Vec<(f64, f64)> = proj.points.iter().map(|&p| to_polar(p, center)).collect();
-    let sector_of = |theta: f64| -> usize {
-        let s = (theta / std::f64::consts::TAU * psi as f64) as usize;
-        s.min(psi - 1)
-    };
 
     // Bucket radii per sector.
     let mut sector_radii: Vec<Vec<f64>> = vec![Vec::new(); psi];
     for &(theta, r) in &polar {
-        sector_radii[sector_of(theta)].push(r);
+        sector_radii[sector_of(theta, psi)].push(r);
     }
 
     // Extract modes per sector.
     let mut nodes: Vec<RadialNode> = Vec::new();
-    let mut sector_nodes: Vec<Vec<usize>> = vec![Vec::new(); psi];
     for (sector, radii) in sector_radii.iter().enumerate() {
         if radii.is_empty() {
             continue;
@@ -98,31 +141,22 @@ pub fn radial_scan(
         if modes.is_empty() {
             // Fallback: one node at the median radius.
             let mut sorted = radii.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN radius"));
+            sorted.sort_by(f64::total_cmp);
             modes.push(sorted[sorted.len() / 2]);
         }
-        for radius in modes {
-            sector_nodes[sector].push(nodes.len());
-            nodes.push(RadialNode { sector, radius });
-        }
+        nodes.extend(
+            modes
+                .into_iter()
+                .map(|radius| RadialNode { sector, radius }),
+        );
     }
 
-    // Assign each point to the nearest node (by radius) of its sector.
+    // Assign each point to the nearest node (by radius) of its sector;
+    // every sector with points has nodes.
+    let index = SectorIndex::new(&nodes, psi);
     let point_node: Vec<usize> = polar
         .iter()
-        .map(|&(theta, r)| {
-            let sector = sector_of(theta);
-            let candidates = &sector_nodes[sector];
-            debug_assert!(!candidates.is_empty(), "sector with points must have nodes");
-            *candidates
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let da = (nodes[a].radius - r).abs();
-                    let db = (nodes[b].radius - r).abs();
-                    da.partial_cmp(&db).expect("NaN radius distance")
-                })
-                .expect("non-empty candidates")
-        })
+        .map(|&(theta, r)| index.nearest(&nodes, sector_of(theta, psi), r))
         .collect();
 
     NodeAssignment {
@@ -130,42 +164,6 @@ pub fn radial_scan(
         point_node,
         center,
         psi,
-    }
-}
-
-/// Assigns a single projected point to a node, using the same rule as the
-/// scan: sector by angle, then nearest node radius within the sector.
-/// Falls back to the globally nearest-radius node when the point's sector
-/// produced no nodes (possible for out-of-sample points).
-pub fn assign_point(assign: &NodeAssignment, p: (f64, f64)) -> usize {
-    let (theta, r) = to_polar(p, assign.center);
-    let sector = ((theta / std::f64::consts::TAU * assign.psi as f64) as usize).min(assign.psi - 1);
-    let in_sector: Vec<usize> = assign
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| n.sector == sector)
-        .map(|(i, _)| i)
-        .collect();
-    let candidates: &[usize] = if in_sector.is_empty() {
-        // Out-of-sample point in an empty sector: consider every node.
-        &[]
-    } else {
-        &in_sector
-    };
-    let pick = |ids: Box<dyn Iterator<Item = usize> + '_>| -> usize {
-        ids.min_by(|&a, &b| {
-            (assign.nodes[a].radius - r)
-                .abs()
-                .partial_cmp(&(assign.nodes[b].radius - r).abs())
-                .expect("NaN radius")
-        })
-        .expect("non-empty node set")
-    };
-    if candidates.is_empty() {
-        pick(Box::new(0..assign.nodes.len()))
-    } else {
-        pick(Box::new(candidates.iter().copied()))
     }
 }
 
@@ -224,8 +222,8 @@ mod tests {
             proj.points.iter().map(|p| p.1).sum::<f64>() / n,
         );
         for (i, &pt) in proj.points.iter().enumerate() {
-            let (theta, _) = super::to_polar(pt, center);
-            let sector = ((theta / std::f64::consts::TAU * psi as f64) as usize).min(psi - 1);
+            let (theta, _) = to_polar(pt, center);
+            let sector = sector_of(theta, psi);
             assert_eq!(assign.nodes[assign.point_node[i]].sector, sector);
         }
     }
@@ -258,7 +256,7 @@ mod tests {
             proj.points.iter().map(|p| p.1).sum::<f64>() / n,
         );
         for (i, &pt) in proj.points.iter().enumerate() {
-            let (_, r) = super::to_polar(pt, center);
+            let (_, r) = to_polar(pt, center);
             let assigned = &assign.nodes[assign.point_node[i]];
             let my_gap = (assigned.radius - r).abs();
             for node in assign.nodes.iter().filter(|m| m.sector == assigned.sector) {

@@ -294,13 +294,21 @@ fn read_embedding(c: &mut Cursor) -> Result<LayerEmbedding, TsError> {
             })
         })
         .collect::<Result<Vec<_>, TsError>>()?;
-    Ok(LayerEmbedding {
-        pca,
-        nodes,
-        center: (c.f64()?, c.f64()?),
-        psi: c.usize()?,
-        stride: c.usize()?,
-    })
+    let center = (c.f64()?, c.f64()?);
+    let psi = c.usize()?;
+    let stride = c.usize()?;
+    if psi == 0 || stride == 0 {
+        return Err(TsError::Parse(format!(
+            "embedding needs psi and stride >= 1, got psi {psi}, stride {stride}"
+        )));
+    }
+    if let Some(n) = nodes.iter().find(|n| n.sector >= psi) {
+        return Err(TsError::Parse(format!(
+            "node sector {} out of range for psi {psi}",
+            n.sector
+        )));
+    }
+    Ok(LayerEmbedding::new(pca, nodes, center, psi, stride))
 }
 
 fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
@@ -374,6 +382,13 @@ fn read_layer(c: &mut Cursor) -> Result<GraphLayer, TsError> {
         .collect::<Result<Vec<_>, TsError>>()?;
     let labels = c.usizes()?;
     let embedding = read_embedding(c)?;
+    if embedding.nodes.len() != n_nodes || embedding.pca.mean().len() != length {
+        return Err(TsError::Parse(format!(
+            "embedding of {} nodes and dimension {} does not match a layer of {n_nodes} nodes and length {length}",
+            embedding.nodes.len(),
+            embedding.pca.mean().len()
+        )));
+    }
     Ok(GraphLayer {
         length,
         graph,

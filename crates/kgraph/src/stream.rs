@@ -21,7 +21,7 @@
 //!
 //! [`anomaly_scores`]: crate::anomaly::anomaly_scores
 
-use crate::anomaly::{blend_and_smooth, embedding_gap_scores, transition_scores_with};
+use crate::anomaly::{blend_and_smooth, routed_gaps, transition_scores_with};
 use crate::build::GraphLayer;
 use tscore::error::TsError;
 use tsgraph::delta::{DeltaGraph, DeltaView};
@@ -117,9 +117,7 @@ pub fn anomaly_scores_delta(
     }
     let sum = |acc: &mut f64, w: f64| *acc += w;
     let view = DeltaView::new(&layer.graph, delta);
-    let path = layer
-        .assign_path(values)
-        .expect("preconditions checked above");
+    let (path, gaps) = routed_gaps(layer, values).expect("preconditions checked above");
     let trans = transition_scores_with(
         &path,
         |a, b| view.weight_between(a, b, sum),
@@ -129,7 +127,6 @@ pub fn anomaly_scores_delta(
             modal
         },
     );
-    let gaps = embedding_gap_scores(layer, values).expect("preconditions checked above");
     Ok(blend_and_smooth(&trans, &gaps, context))
 }
 

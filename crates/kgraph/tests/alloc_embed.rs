@@ -1,0 +1,133 @@
+//! Memory bounds of the window loop that fit and serve share.
+//!
+//! A counting wrapper around the system allocator keeps, per thread, the
+//! number of allocations and the live heap bytes with their high-water
+//! mark. The tests check that the fit's projection never holds the
+//! `total × ℓ` window matrix, and that routing a series costs a fixed
+//! number of allocations however many windows it has.
+//!
+//! Lives in its own integration-test binary because `#[global_allocator]`
+//! is process-wide. The tallies are per thread, so allocations made by the
+//! other tests the harness runs in parallel never land in a measured
+//! window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    // `const`-initialised and drop-free: reading them never allocates, so
+    // the allocator may touch them.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+/// Records one allocation of `grow` bytes that releases `shrink` bytes.
+fn record(grow: usize, shrink: usize) {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + grow as isize - shrink as isize;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size(), 0);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size, layout.size());
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with the largest number of bytes it
+/// held live at once on this thread, above what was live when it started.
+fn peak_bytes_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - base).max(0) as usize)
+}
+
+use kgraph::embed::project_subsequences;
+use kgraph::{KGraph, KGraphConfig};
+use tscore::{Dataset, DatasetKind, TimeSeries};
+
+fn wave(n: usize, freq: f64, phase: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i + phase) as f64 * freq).sin() + 0.2 * ((i * 7 + phase) % 5) as f64)
+        .collect()
+}
+
+#[test]
+fn projection_never_holds_the_window_matrix() {
+    let series: Vec<TimeSeries> = (0..200)
+        .map(|s| TimeSeries::new(wave(256, 0.05 + 0.01 * (s % 5) as f64, s)))
+        .collect();
+    let ds = Dataset::new("fixture", DatasetKind::Simulated, series);
+    let (length, stride) = (128, 1);
+    let cfg = KGraphConfig::new(3);
+    let total = 200 * (256 - length + 1);
+    let matrix_bytes = total * length * std::mem::size_of::<f64>();
+
+    let (proj, peak) = peak_bytes_of(|| project_subsequences(&ds, length, stride, cfg.pca_sample));
+    assert_eq!(proj.points.len(), total);
+    assert!(
+        peak < matrix_bytes / 4,
+        "projection peaked at {peak} B; the window matrix alone is {matrix_bytes} B"
+    );
+}
+
+#[test]
+fn routing_makes_a_fixed_number_of_allocations() {
+    let series: Vec<TimeSeries> = (0..6)
+        .map(|s| TimeSeries::new(wave(120, if s < 3 { 0.2 } else { 0.9 }, s)))
+        .collect();
+    let ds = Dataset::new("toy", DatasetKind::Simulated, series);
+    let cfg = KGraphConfig {
+        psi: 12,
+        pca_sample: 300,
+        n_init: 2,
+        ..KGraphConfig::new(2)
+    }
+    .with_lengths(vec![16]);
+    let model = KGraph::new(cfg).fit(&ds);
+    let layer = model.best();
+
+    let mut counts = Vec::new();
+    for n in [40usize, 400, 4_000] {
+        let values = wave(n, 0.37, n);
+        // Warm-up: let any lazy state settle outside the measured call.
+        let _ = layer.assign_path_from(&values, 0);
+        let before = allocations();
+        let path = layer.assign_path_from(&values, 0).expect("long enough");
+        counts.push(allocations() - before);
+        assert_eq!(path.len(), n - 16 + 1);
+    }
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "allocations per route grow with the window count: {counts:?}"
+    );
+    // The z-normalisation scratch and the path itself.
+    assert!(counts[0] <= 2, "{counts:?}");
+}

@@ -115,7 +115,7 @@ impl Kde {
         // Interior-free edge case: single-mode density can peak at an
         // endpoint of the padded grid only if the pad is too small; with a
         // 1-bandwidth pad the Gaussian tails guarantee interior maxima.
-        maxima.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN density"));
+        maxima.sort_by(|a, b| b.1.total_cmp(&a.1));
         maxima.into_iter().map(|(x, _)| x).collect()
     }
 }
@@ -130,7 +130,7 @@ pub fn silverman_bandwidth(points: &[f64]) -> f64 {
     let var = points.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / n as f64;
     let sd = var.sqrt();
     let mut sorted = points.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in KDE sample"));
+    sorted.sort_by(f64::total_cmp);
     let q = |f: f64| {
         let h = f * (n - 1) as f64;
         let lo = h.floor() as usize;

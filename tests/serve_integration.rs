@@ -437,9 +437,8 @@ fn handler_panic_answers_500_and_the_worker_survives() {
     .expect("start server");
     let addr = server.addr();
 
-    // An all-NaN series panics inside the model code.
-    let nan_csv = vec!["NaN"; 80].join(",");
-    let (status, body) = request(addr, "POST", "/models/demo/predict", &nan_csv);
+    // A route that panics inside its handler on purpose.
+    let (status, body) = request(addr, "GET", "/debug/panic", "");
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("\"error\""), "{body}");
 
@@ -450,6 +449,38 @@ fn handler_panic_answers_500_and_the_worker_survives() {
     let (_, metrics) = request(addr, "GET", "/metrics", "");
     assert!(
         metrics.contains("graphserve_handler_panics_total 1\n"),
+        "{metrics}"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn hostile_numbers_are_refused_at_the_boundary() {
+    let server = Server::start(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        demo_store(),
+    )
+    .expect("start server");
+    let addr = server.addr();
+
+    let nans = vec!["NaN"; 128].join(",");
+    let huge = (0..128)
+        .map(|i| ["-1e308", "0", "1e308"][i % 3])
+        .collect::<Vec<_>>()
+        .join(",");
+    for body in [&nans, &huge] {
+        for route in ["score", "features", "predict", "batch"] {
+            let (status, answer) = request(addr, "POST", &format!("/models/demo/{route}"), body);
+            assert_eq!(status, 422, "{route}: {answer}");
+            assert!(answer.contains("must be finite"), "{route}: {answer}");
+        }
+    }
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("graphserve_handler_panics_total 0\n"),
         "{metrics}"
     );
     server.shutdown();
