@@ -7,13 +7,15 @@
 //! `bench_compare` on per-stage geomean ratios. Scaling variants (series
 //! count, length, parallel per-length jobs), spectral consensus over
 //! 1,002 series and the embedding of 1,002 series all live under the
-//! `fit` stage; per-request reads of a model fitted on 1,002 series live
+//! `fit` stage, as does the radial scan of 1,002 series' shortest
+//! length; per-request reads of a model fitted on 1,002 series live
 //! under `serve`.
 
 use bench::stages::{ScaleFixture, ServeFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::embed::project_subsequences;
+use kgraph::nodes::radial_scan;
 use kgraph::{KGraph, KGraphConfig};
 
 fn quick_config(k: usize) -> KGraphConfig {
@@ -138,6 +140,20 @@ fn bench_fit_scaling(c: &mut Criterion) {
                 128,
                 defaults.stride,
                 defaults.pca_sample,
+            )
+        })
+    });
+    // The radial scan of `explore_1k`'s shortest length: ℓ = 26, 231,462
+    // projected windows, default ψ, KDE grid and density ratio. The
+    // projection is built once, outside the timed loop.
+    let proj = project_subsequences(&explore, 26, defaults.stride, defaults.pca_sample);
+    group.bench_function(BenchmarkId::new("fit", "radial_scan_n1002"), |b| {
+        b.iter(|| {
+            radial_scan(
+                black_box(&proj),
+                defaults.psi,
+                defaults.kde_grid,
+                defaults.min_density_ratio,
             )
         })
     });

@@ -7,6 +7,11 @@
 //! and kernel density estimation", paper §II-A). Every subsequence then
 //! maps to the nearest node of its sector, turning each series into a node
 //! path.
+//!
+//! Each sector's radii are sorted once: that copy gives the Silverman
+//! bandwidth's quartiles and the median fallback, and the radii themselves
+//! move into the sector's [`Kde`], whose grid walk (see `linalg::kde`)
+//! costs a few `exp`s per radius rather than one per grid point.
 
 use crate::embed::Projection;
 use linalg::kde::Kde;
@@ -128,20 +133,20 @@ pub fn radial_scan(
 
     // Extract modes per sector.
     let mut nodes: Vec<RadialNode> = Vec::new();
-    for (sector, radii) in sector_radii.iter().enumerate() {
+    for (sector, radii) in sector_radii.into_iter().enumerate() {
         if radii.is_empty() {
             continue;
         }
+        let mut sorted = radii.clone();
+        sorted.sort_by(f64::total_cmp);
         let mut modes = if radii.len() >= 3 {
-            let kde = Kde::silverman(radii.clone());
+            let kde = Kde::silverman_presorted(radii, &sorted);
             kde.local_maxima_on_grid(kde_grid.max(16), min_density_ratio)
         } else {
             Vec::new()
         };
         if modes.is_empty() {
             // Fallback: one node at the median radius.
-            let mut sorted = radii.clone();
-            sorted.sort_by(f64::total_cmp);
             modes.push(sorted[sorted.len() / 2]);
         }
         nodes.extend(

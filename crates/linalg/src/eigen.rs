@@ -108,7 +108,7 @@ pub fn symmetric_eigen(m: &Matrix) -> EigenDecomposition {
     // Sort eigenpairs by descending eigenvalue.
     let mut order: Vec<usize> = (0..n).collect();
     let diag: Vec<f64> = (0..n).map(|i| a[(i, i)]).collect();
-    order.sort_by(|&i, &j| diag[j].partial_cmp(&diag[i]).expect("NaN eigenvalue"));
+    order.sort_by(|&i, &j| diag[j].total_cmp(&diag[i]));
 
     let values: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
     let mut vectors = Matrix::zeros(n, n);
@@ -258,6 +258,20 @@ mod tests {
         let e = symmetric_eigen(&m);
         assert_close(e.values[0], 1.0, 1e-10);
         assert_close(e.values[1], -1.0, 1e-10);
+    }
+
+    #[test]
+    fn nan_entries_do_not_panic() {
+        // A NaN off-diagonal pair never converges; the sweep cap ends the
+        // loop and the eigenvalues still sort.
+        let m = Matrix::from_rows(&[
+            vec![2.0, f64::NAN, 0.5],
+            vec![f64::NAN, 1.0, 0.0],
+            vec![0.5, 0.0, 3.0],
+        ]);
+        let e = symmetric_eigen(&m);
+        assert_eq!(e.values.len(), 3);
+        assert_eq!(e.vectors.shape(), (3, 3));
     }
 
     #[test]
