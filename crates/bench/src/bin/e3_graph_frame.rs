@@ -64,8 +64,7 @@ fn main() {
             .max_by(|&a, &b| {
                 stats
                     .node_exclusivity(c, a)
-                    .partial_cmp(&stats.node_exclusivity(c, b))
-                    .expect("NaN exclusivity")
+                    .total_cmp(&stats.node_exclusivity(c, b))
             })
             .expect("graph has nodes");
         let detail = frame.node_detail(best_node);

@@ -106,7 +106,7 @@ pub fn extract_spectral_features(xs: &[f64]) -> Vec<f64> {
     let (dom_idx, dom_power) = power
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN power"))
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, &p)| (i, p))
         .unwrap_or((0, 0.0));
     let low: f64 = power.iter().take(power.len() / 4).sum();
@@ -162,11 +162,7 @@ pub fn select_features(features: &[Vec<f64>], keep: usize, max_corr: f64) -> Vec
             (s * s + 1.0) / k.max(1e-9)
         })
         .collect();
-    order.sort_by(|&a, &b| {
-        bimodality[b]
-            .partial_cmp(&bimodality[a])
-            .expect("NaN score")
-    });
+    order.sort_by(|&a, &b| bimodality[b].total_cmp(&bimodality[a]));
     // b ≥ 0.555… is the uniform-distribution baseline: anything below it is
     // effectively unimodal noise and would only blur the cluster structure.
     const BIMODALITY_FLOOR: f64 = 5.0 / 9.0;

@@ -127,7 +127,7 @@ impl Gmm {
             .map(|r| {
                 r.iter()
                     .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN responsibility"))
+                    .max_by(|a, b| a.1.total_cmp(b.1))
                     .map(|(c, _)| c)
                     .unwrap_or(0)
             })

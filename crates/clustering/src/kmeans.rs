@@ -86,8 +86,7 @@ impl KMeans {
                         .enumerate()
                         .max_by(|(_, a), (_, b)| {
                             sq_dist(a, &centroids[labels[0]])
-                                .partial_cmp(&sq_dist(b, &centroids[labels[0]]))
-                                .unwrap()
+                                .total_cmp(&sq_dist(b, &centroids[labels[0]]))
                         })
                         .map(|(i, _)| i)
                         .unwrap_or(0);

@@ -218,7 +218,7 @@ fn dbscan_eps(rows: &[Vec<f64>]) -> f64 {
     if dists.is_empty() {
         return 1.0;
     }
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
+    dists.sort_by(f64::total_cmp);
     dists[dists.len() / 4].max(1e-6)
 }
 

@@ -299,7 +299,7 @@ impl DtcLike {
                     .min_by(|(_, a), (_, b)| {
                         let da: f64 = z.iter().zip(*a).map(|(x, y)| (x - y) * (x - y)).sum();
                         let db: f64 = z.iter().zip(*b).map(|(x, y)| (x - y) * (x - y)).sum();
-                        da.partial_cmp(&db).expect("NaN distance")
+                        da.total_cmp(&db)
                     })
                     .map(|(j, _)| j)
                     .unwrap_or(0)

@@ -196,7 +196,7 @@ pub fn rbf_affinity(rows: &[Vec<f64>], sigma: Option<f64>) -> Matrix {
         if all.is_empty() {
             1.0
         } else {
-            all.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
+            all.sort_by(f64::total_cmp);
             let med = all[all.len() / 2];
             if med > 1e-12 {
                 med
@@ -232,7 +232,7 @@ pub fn knn_affinity(rows: &[Vec<f64>], k: usize) -> Matrix {
                 (j, d)
             })
             .collect();
-        dists.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"));
+        dists.sort_by(|a, b| a.1.total_cmp(&b.1));
         for &(j, _) in dists.iter().take(k) {
             aff[(i, j)] = 1.0;
             aff[(j, i)] = 1.0;

@@ -155,25 +155,17 @@ pub fn select_k(
     assert!(!candidates.is_empty(), "empty k range after clamping");
     let best_ch = candidates
         .iter()
-        .max_by(|a, b| {
-            a.calinski_harabasz
-                .partial_cmp(&b.calinski_harabasz)
-                .expect("NaN")
-        })
+        .max_by(|a, b| a.calinski_harabasz.total_cmp(&b.calinski_harabasz))
         .expect("non-empty")
         .k;
     let best_db = candidates
         .iter()
-        .min_by(|a, b| {
-            a.davies_bouldin
-                .partial_cmp(&b.davies_bouldin)
-                .expect("NaN")
-        })
+        .min_by(|a, b| a.davies_bouldin.total_cmp(&b.davies_bouldin))
         .expect("non-empty")
         .k;
     let best_sil = candidates
         .iter()
-        .max_by(|a, b| a.silhouette.partial_cmp(&b.silhouette).expect("NaN"))
+        .max_by(|a, b| a.silhouette.total_cmp(&b.silhouette))
         .expect("non-empty")
         .k;
     // Majority vote over the three indices; ties toward the smallest k.

@@ -83,7 +83,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
         return f64::NAN;
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    sorted.sort_by(f64::total_cmp);
     quantile_sorted(&sorted, q)
 }
 
@@ -114,7 +114,7 @@ pub fn five_number_summary(xs: &[f64]) -> (f64, f64, f64, f64, f64) {
         return (f64::NAN, f64::NAN, f64::NAN, f64::NAN, f64::NAN);
     }
     let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
+    sorted.sort_by(f64::total_cmp);
     (
         sorted[0],
         quantile_sorted(&sorted, 0.25),
@@ -271,6 +271,17 @@ mod tests {
         assert!(quantile(&[], 0.5).is_nan());
         assert_eq!(mean_crossings(&[]), 0);
         assert_eq!(histogram_entropy(&[], 4), 0.0);
+    }
+
+    #[test]
+    fn nan_inputs_do_not_panic() {
+        // `total_cmp` sorts a positive NaN above every number.
+        let xs = [3.0, f64::NAN, 1.0];
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 0.5), 3.0);
+        let (lo, _, median, _, hi) = five_number_summary(&xs);
+        assert_eq!((lo, median), (1.0, 3.0));
+        assert!(hi.is_nan());
     }
 
     #[test]

@@ -127,18 +127,32 @@ mod tests {
         assert!(parse_ucr_tsv("1\n", "bad", DatasetKind::Other).is_err());
     }
 
+    /// A scratch directory named by the process id, so concurrent
+    /// `cargo test` runs never share it; removed on drop, also when the
+    /// test fails.
+    struct TempDir(std::path::PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("graphint-ucr-test");
+        let tmp = TempDir(std::env::temp_dir().join(format!(
+            "graphint-ucr-file-roundtrip-{}",
+            std::process::id()
+        )));
+        let dir = &tmp.0;
         std::fs::create_dir_all(dir.join("Toy")).unwrap();
         std::fs::write(dir.join("Toy/Toy_TRAIN.tsv"), "1\t0.1\t0.2\n2\t0.9\t1.0\n").unwrap();
         std::fs::write(dir.join("Toy/Toy_TEST.tsv"), "2\t0.8\t0.9\n").unwrap();
-        let d = load_ucr_dataset(&dir, "Toy").unwrap();
+        let d = load_ucr_dataset(dir, "Toy").unwrap();
         assert_eq!(d.len(), 3);
         assert_eq!(d.n_classes(), 2);
         let single = load_ucr_file(&dir.join("Toy/Toy_TRAIN.tsv"), DatasetKind::Other).unwrap();
         assert_eq!(single.len(), 2);
-        assert!(load_ucr_dataset(&dir, "Missing").is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(load_ucr_dataset(dir, "Missing").is_err());
     }
 }

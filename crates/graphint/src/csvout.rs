@@ -60,10 +60,10 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let path = std::env::temp_dir().join("graphint-csv-test/out.csv");
+        let dir = crate::testdir::TempDir::new("csv-file-roundtrip");
+        let path = dir.path().join("out.csv");
         write_csv(&path, &[vec!["x".into()], vec!["1".into()]]).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "x\n1\n");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

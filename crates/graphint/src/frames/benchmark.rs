@@ -192,7 +192,7 @@ impl BenchmarkFrame {
                 (m, mean, median, s.len())
             })
             .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN mean"));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
         let table: Vec<Vec<String>> = rows
             .into_iter()
             .map(|(m, mean, median, n)| {

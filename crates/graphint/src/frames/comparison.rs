@@ -62,7 +62,7 @@ impl ComparisonFrame {
     /// Text summary: methods ranked by ARI.
     pub fn summary(&self) -> String {
         let mut rows: Vec<(String, f64)> = self.aris.clone();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("NaN ARI"));
+        rows.sort_by(|a, b| b.1.total_cmp(&a.1));
         let table: Vec<Vec<String>> = rows
             .into_iter()
             .map(|(name, ari)| vec![name, format!("{ari:.3}")])

@@ -197,7 +197,7 @@ impl<'a> GraphFrame<'a> {
         let g = &self.model.best().graph;
         let pr = tsgraph::algo::pagerank(g, 0.85, 60, |&w: &f64| w);
         let mut order: Vec<usize> = (0..g.node_count()).collect();
-        order.sort_by(|&a, &b| pr[b].partial_cmp(&pr[a]).expect("NaN pagerank"));
+        order.sort_by(|&a, &b| pr[b].total_cmp(&pr[a]));
         order
     }
 }

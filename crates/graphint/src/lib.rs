@@ -30,5 +30,7 @@ pub mod plot;
 pub mod quiz;
 pub mod report;
 pub mod svg;
+#[cfg(test)]
+mod testdir;
 
 pub use report::Report;

@@ -380,12 +380,7 @@ impl<'a> GraphPlot<'a> {
         // Heaviest edges first, ties broken by edge id for determinism.
         let mut by_weight: Vec<usize> = (0..g.edge_count()).collect();
         let weights: Vec<f64> = g.edges_iter().map(|(_, _, _, &w)| w).collect();
-        by_weight.sort_by(|&a, &b| {
-            weights[b]
-                .partial_cmp(&weights[a])
-                .expect("NaN edge weight")
-                .then(a.cmp(&b))
-        });
+        by_weight.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]).then(a.cmp(&b)));
         let mut direct = vec![false; g.edge_count()];
         for &e in by_weight.iter().take(quota) {
             direct[e] = true;

@@ -177,7 +177,7 @@ impl GraphUser {
         tally
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN vote"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(c, _)| c)
             .unwrap_or(0)
     }

@@ -125,12 +125,12 @@ mod tests {
 
     #[test]
     fn writes_to_disk() {
-        let path = std::env::temp_dir().join("graphint-report-test/report.html");
+        let dir = crate::testdir::TempDir::new("report-writes-to-disk");
+        let path = dir.path().join("report.html");
         let mut r = Report::new("t");
         r.add_text("content");
         r.write(&path).unwrap();
         let html = std::fs::read_to_string(&path).unwrap();
         assert!(html.starts_with("<!DOCTYPE html>"));
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

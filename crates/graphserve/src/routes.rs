@@ -1,10 +1,18 @@
 //! Request routing and endpoint handlers.
 //!
+//! `ROUTES` is the one list of routes: a method, a path pattern, a
+//! `/metrics` label and a handler per entry. [`handle`] matches a request
+//! against it once, and that match picks the handler, the label and the
+//! request counter. Entries are tried in order and the first match wins,
+//! so order matters where two patterns match the same path. A request no
+//! entry matches counts as `other` and answers 405 when no entry uses its
+//! method, 404 when one does.
+//!
 //! Every data endpoint resolves its model to an `Arc<KGraphModel>` through
 //! the worker's [`StoreReader`] (lock-free in steady state) and then reads
-//! only immutable state. Single-series and batch endpoints share the same
-//! per-series core functions, so a batch response is bit-identical to the
-//! equivalent sequence of single requests.
+//! only immutable state. Single-series and batch endpoints share one
+//! per-series op dispatch (`Op::run`), so a batch response is
+//! bit-identical to the equivalent sequence of single requests.
 //!
 //! Error mapping follows the [`TsError`] contract: caller-side problems
 //! (short series, bad parameters) are 4xx, model-side degeneracy is 5xx,
@@ -22,6 +30,7 @@ use kgraph::features::feature_row;
 use kgraph::graphoid::{gamma_graphoid, lambda_graphoid};
 use kgraph::pipeline::{KGraph, KGraphModel};
 use kgraph::KGraphConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use streamfit::{SessionRegistry, StreamStatus};
 use tscore::error::TsError;
@@ -66,11 +75,162 @@ fn error_response(e: &TsError) -> Response {
 }
 
 // ---------------------------------------------------------------------------
-// Per-series cores (shared by single and batch endpoints)
+// The route table
 // ---------------------------------------------------------------------------
 
-fn score_series(model: &KGraphModel, values: &[f64], context: usize) -> Result<Vec<f64>, TsError> {
-    anomaly_scores(model.best(), values, context)
+/// The routes, in match order: (method, path pattern, `/metrics` label,
+/// handler). A pattern is `/`-separated literal segments; the segment
+/// `{name}` matches any one path segment and reaches the handler as
+/// [`Call::name`]. Counters and `/metrics` lines follow this order.
+#[rustfmt::skip]
+const ROUTES: &[(&str, &str, &str, Handler)] = &[
+    ("GET",    "/health",                      "health",        health),
+    ("GET",    "/healthz",                     "healthz",       healthz),
+    ("GET",    "/models",                      "models",        list_models),
+    ("GET",    "/models/{name}",               "model_info",    model_info),
+    ("PUT",    "/models/{name}",               "fit",           fit_model),
+    ("DELETE", "/models/{name}",               "delete",        delete_model),
+    ("POST",   "/models/{name}/score",         "score",         |c| series_endpoint(c, Op::Score)),
+    ("POST",   "/models/{name}/features",      "features",      |c| series_endpoint(c, Op::Features)),
+    ("POST",   "/models/{name}/predict",       "predict",       |c| series_endpoint(c, Op::Predict)),
+    ("POST",   "/models/{name}/batch",         "batch",         batch_endpoint),
+    ("GET",    "/models/{name}/graphoid",      "graphoid",      graphoid_endpoint),
+    ("GET",    "/models/{name}/render",        "render",        render_endpoint),
+    ("POST",   "/models/{name}/ingest",        "ingest",        ingest_endpoint),
+    ("GET",    "/models/{name}/stream-status", "stream_status", stream_status_endpoint),
+    ("GET",    "/metrics",                     "metrics",       metrics_endpoint),
+    ("GET",    "/debug/sleep",                 "debug_sleep",   debug_sleep),
+    ("GET",    "/debug/panic",                 "debug_panic",   debug_panic),
+];
+
+/// [`ServerStats`] keeps one request counter per route plus one (`other`)
+/// for requests that match none.
+pub(crate) const ROUTE_COUNT: usize = ROUTES.len();
+
+/// Every handler's signature. An `Err` is an early answer (a 4xx or 5xx),
+/// sent exactly like an `Ok` one.
+type Handler = fn(&mut Call<'_, '_>) -> Result<Response, Response>;
+
+/// The path's `{name}` segment ("" when the pattern has none), if `path`
+/// matches `pattern`.
+fn capture<'p>(pattern: &str, path: &'p str) -> Option<&'p str> {
+    let mut pattern = pattern.split('/').filter(|s| !s.is_empty());
+    let mut segments = path.split('/').filter(|s| !s.is_empty());
+    let mut name = "";
+    loop {
+        match (pattern.next(), segments.next()) {
+            (None, None) => return Some(name),
+            (Some("{name}"), Some(segment)) => name = segment,
+            (Some(literal), Some(segment)) if literal == segment => {}
+            _ => return None,
+        }
+    }
+}
+
+/// What a handler gets: the request, the `{name}` segment of its path, the
+/// calling worker's registry view and the server context.
+struct Call<'a, 'r> {
+    req: &'a Request,
+    name: &'a str,
+    reader: &'a mut StoreReader<'r>,
+    ctx: &'a RouteContext<'a>,
+}
+
+impl Call<'_, '_> {
+    /// The model the path names, or the 404 every model route answers
+    /// without one.
+    fn model(&mut self) -> Result<Arc<KGraphModel>, Response> {
+        self.reader
+            .get(self.name)
+            .ok_or_else(|| Response::error(404, &format!("no model named {:?}", self.name)))
+    }
+}
+
+/// Answers one parsed request: the first `ROUTES` entry that matches it
+/// is counted and runs. `reader` is the calling worker's cached registry
+/// view; `ctx` carries the store (admin routes), the streaming sessions
+/// (ingest routes) and the shared counters (metrics).
+pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_>) -> Response {
+    let method = req.method.as_str();
+    let (index, name) = ROUTES
+        .iter()
+        .enumerate()
+        .filter(|(_, &(m, ..))| m == method)
+        .find_map(|(i, &(_, pattern, ..))| Some((i, capture(pattern, &req.path)?)))
+        .unwrap_or((ROUTE_COUNT, ""));
+    ctx.stats.routes[index].fetch_add(1, Ordering::Relaxed);
+    let Some(&(_, _, _, handler)) = ROUTES.get(index) else {
+        return if ROUTES.iter().any(|&(m, ..)| m == method) {
+            Response::error(404, &format!("no route for {method} {}", req.path))
+        } else {
+            Response::error(405, &format!("method {method} not supported"))
+        };
+    };
+    let mut call = Call {
+        req,
+        name,
+        reader,
+        ctx,
+    };
+    handler(&mut call).unwrap_or_else(|resp| resp)
+}
+
+// ---------------------------------------------------------------------------
+// Per-series ops (shared by single and batch endpoints)
+// ---------------------------------------------------------------------------
+
+/// What a single-series endpoint or one batch row computes.
+#[derive(Clone, Copy)]
+enum Op {
+    Score,
+    Features,
+    Predict,
+}
+
+/// One series' answer to an [`Op`].
+enum Answer {
+    /// Scores or features: the JSON key, the CSV header and the values.
+    Values(&'static str, &'static str, Vec<f64>),
+    /// The predicted cluster.
+    Cluster(usize),
+}
+
+impl Op {
+    /// The op a batch's `?op=` names.
+    fn parse(name: &str) -> Option<Op> {
+        match name {
+            "score" => Some(Op::Score),
+            "features" => Some(Op::Features),
+            "predict" => Some(Op::Predict),
+            _ => None,
+        }
+    }
+
+    /// Runs the op on one series; only [`Op::Score`] reads `context`.
+    fn run(self, model: &KGraphModel, values: &[f64], context: usize) -> Result<Answer, TsError> {
+        Ok(match self {
+            Op::Score => Answer::Values(
+                "scores",
+                "score",
+                anomaly_scores(model.best(), values, context)?,
+            ),
+            Op::Features => Answer::Values("features", "feature", features_series(model, values)?),
+            Op::Predict => Answer::Cluster(model.predict(values).ok_or(TsError::TooShort {
+                required: model.best_length(),
+                actual: values.len(),
+            })?),
+        })
+    }
+}
+
+impl Answer {
+    /// The JSON object a single request answers, and a batch row holds.
+    fn json(&self) -> String {
+        match self {
+            Answer::Values(key, _, values) => format!("{{\"{key}\":{}}}", f64s_to_json(values)),
+            Answer::Cluster(c) => format!("{{\"cluster\":{c}}}"),
+        }
+    }
 }
 
 fn features_series(model: &KGraphModel, values: &[f64]) -> Result<Vec<f64>, TsError> {
@@ -93,13 +253,6 @@ fn features_series(model: &KGraphModel, values: &[f64]) -> Result<Vec<f64>, TsEr
         model.config.node_features,
         model.config.edge_features,
     ))
-}
-
-fn predict_series(model: &KGraphModel, values: &[f64]) -> Result<usize, TsError> {
-    model.predict(values).ok_or(TsError::TooShort {
-        required: model.best_length(),
-        actual: values.len(),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -233,114 +386,25 @@ fn query_f64(req: &Request, name: &str, default: f64) -> Result<f64, Response> {
 }
 
 // ---------------------------------------------------------------------------
-// Routing
+// Handlers
 // ---------------------------------------------------------------------------
 
-/// The metrics label of one parsed request; must return a member of
-/// [`crate::server::ROUTE_LABELS`].
-fn route_label(method: &str, segments: &[&str]) -> &'static str {
-    match (method, segments) {
-        ("GET", ["health"]) => "health",
-        ("GET", ["healthz"]) => "healthz",
-        ("GET", ["metrics"]) => "metrics",
-        ("GET", ["models"]) => "models",
-        ("PUT", ["models", _]) => "fit",
-        ("DELETE", ["models", _]) => "delete",
-        ("POST", ["models", _, "score"]) => "score",
-        ("POST", ["models", _, "features"]) => "features",
-        ("POST", ["models", _, "predict"]) => "predict",
-        ("POST", ["models", _, "batch"]) => "batch",
-        ("POST", ["models", _, "ingest"]) => "ingest",
-        ("GET", ["models", _, "graphoid"]) => "graphoid",
-        ("GET", ["models", _, "render"]) => "render",
-        ("GET", ["models", _, "stream-status"]) => "stream_status",
-        ("GET", ["models", _]) => "model_info",
-        ("GET", ["debug", "sleep"]) => "debug_sleep",
-        ("GET", ["debug", "panic"]) => "debug_panic",
-        _ => "other",
-    }
-}
-
-/// Dispatches one parsed request. `reader` is the calling worker's cached
-/// registry view; `ctx` carries the store (admin routes), the streaming
-/// sessions (ingest routes) and the shared counters (metrics).
-pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_>) -> Response {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    ctx.stats
-        .bump_route(route_label(req.method.as_str(), &segments));
-    dispatch(req, &segments, reader, ctx).unwrap_or_else(|resp| resp)
-}
-
-/// The route table behind [`handle`]. An `Err` is an early answer (a 4xx
-/// or 5xx), sent exactly like an `Ok` one.
-fn dispatch(
-    req: &Request,
-    segments: &[&str],
-    reader: &mut StoreReader<'_>,
-    ctx: &RouteContext<'_>,
-) -> Result<Response, Response> {
-    let store = ctx.store;
-    match (req.method.as_str(), segments) {
-        ("GET", ["health"]) => Ok(health(store)),
-        ("GET", ["healthz"]) => Ok(healthz(ctx)),
-        ("GET", ["metrics"]) => Ok(metrics_endpoint(ctx)),
-        ("GET", ["models"]) => Ok(list_models(store)),
-        ("PUT", ["models", name]) => fit_model(req, ctx, name),
-        ("DELETE", ["models", name]) => {
-            if store.remove(name) {
-                // The streaming session buffers node ids of the deleted
-                // graph; drop it with the model, along with its durable
-                // state.
-                ctx.sessions.remove(name);
-                ctx.durability.remove_model(name);
-                Ok(Response::json(200, format!("{{\"deleted\":\"{name}\"}}")))
-            } else {
-                Err(Response::error(404, &format!("no model named {name:?}")))
-            }
-        }
-        ("POST", ["models", name, "score"]) => score_endpoint(req, &*lookup(reader, name)?),
-        ("POST", ["models", name, "features"]) => features_endpoint(req, &*lookup(reader, name)?),
-        ("POST", ["models", name, "predict"]) => predict_endpoint(req, &*lookup(reader, name)?),
-        ("POST", ["models", name, "batch"]) => batch_endpoint(req, &*lookup(reader, name)?),
-        ("POST", ["models", name, "ingest"]) => ingest_endpoint(req, reader, ctx, name),
-        ("GET", ["models", name, "graphoid"]) => graphoid_endpoint(req, &*lookup(reader, name)?),
-        ("GET", ["models", name, "render"]) => render_endpoint(req, &*lookup(reader, name)?),
-        ("GET", ["models", name, "stream-status"]) => stream_status_endpoint(reader, ctx, name),
-        ("GET", ["models", name]) => Ok(model_info(&*lookup(reader, name)?)),
-        ("GET", ["debug", "sleep"]) => debug_sleep(req),
-        ("GET", ["debug", "panic"]) => debug_panic(),
-        (method, _) if !matches!(method, "GET" | "POST" | "PUT" | "DELETE") => Err(
-            Response::error(405, &format!("method {method} not supported")),
-        ),
-        _ => Err(Response::error(
-            404,
-            &format!("no route for {} {}", req.method, req.path),
-        )),
-    }
-}
-
-/// The named model, or the 404 every model route answers without one.
-fn lookup(reader: &mut StoreReader<'_>, name: &str) -> Result<Arc<KGraphModel>, Response> {
-    reader
-        .get(name)
-        .ok_or_else(|| Response::error(404, &format!("no model named {name:?}")))
-}
-
-fn health(store: &ModelStore) -> Response {
-    Response::json(
+fn health(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    Ok(Response::json(
         200,
         format!(
             "{{\"status\":\"ok\",\"models\":{},\"bytes\":{}}}",
-            store.len(),
-            store.total_bytes()
+            c.ctx.store.len(),
+            c.ctx.store.total_bytes()
         ),
-    )
+    ))
 }
 
 /// `GET /healthz` — readiness + recovery state. `"recovering"` (503) while
 /// startup recovery runs, `"degraded"` (200 — reads still serve) when any
 /// model is read-only, `"ok"` otherwise.
-fn healthz(ctx: &RouteContext<'_>) -> Response {
+fn healthz(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let ctx = c.ctx;
     let degraded = ctx.durability.degraded_models();
     let (status, code) = if ctx.durability.is_recovering() {
         ("recovering", 503)
@@ -365,12 +429,12 @@ fn healthz(ctx: &RouteContext<'_>) -> Response {
         body.push('}');
     }
     body.push_str("]}");
-    Response::json(code, body)
+    Ok(Response::json(code, body))
 }
 
-fn list_models(store: &ModelStore) -> Response {
+fn list_models(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let mut body = String::from("[");
-    for (i, (name, bytes, k, best_len)) in store.list().into_iter().enumerate() {
+    for (i, (name, bytes, k, best_len)) in c.ctx.store.list().into_iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
@@ -381,10 +445,11 @@ fn list_models(store: &ModelStore) -> Response {
         ));
     }
     body.push(']');
-    Response::json(200, body)
+    Ok(Response::json(200, body))
 }
 
-fn model_info(model: &KGraphModel) -> Response {
+fn model_info(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let model = c.model()?;
     let layer = model.best();
     let score = &model.scores[model.best_layer];
     let mut body = String::from("{");
@@ -405,14 +470,14 @@ fn model_info(model: &KGraphModel) -> Response {
     let lengths: Vec<f64> = model.layers.iter().map(|l| l.length as f64).collect();
     body.push_str(&f64s_to_json(&lengths));
     body.push('}');
-    Response::json(200, body)
+    Ok(Response::json(200, body))
 }
 
 /// `PUT /models/{name}` — fit on demand from a posted dataset (CSV rows or
 /// JSON array-of-arrays), `?k=` clusters (default 2), `?seed=`,
 /// `?n_lengths=`.
-fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Result<Response, Response> {
-    let store = ctx.store;
+fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let (req, ctx, name) = (c.req, c.ctx, c.name);
     let rows = parse_series_batch(req)?;
     let k = query_usize(req, "k", 2)?;
     let seed = query_usize(req, "seed", 0)?;
@@ -441,7 +506,7 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Result<Respon
     }
     .with_seed(seed as u64);
     let model = Arc::new(KGraph::new(cfg).fit(&dataset));
-    let bytes = store.insert(name, Arc::clone(&model));
+    let bytes = ctx.store.insert(name, Arc::clone(&model));
     // Make the fresh model durable (initial snapshot + empty WAL) so a
     // restart recovers it even before the first ingest.
     ctx.durability
@@ -452,70 +517,58 @@ fn fit_model(req: &Request, ctx: &RouteContext<'_>, name: &str) -> Result<Respon
     Ok(Response::json(201, body))
 }
 
-/// `POST /models/{name}/score?context=` — anomaly scores for one series.
-fn score_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
-    let values = parse_series(req)?;
-    let context = query_usize(req, "context", 5)?;
-    let scores = score_series(model, &values, context).map_err(|e| error_response(&e))?;
-    if req.wants_csv() {
-        let mut csv = String::from("score\n");
-        for s in &scores {
-            csv.push_str(&format!("{s}\n"));
-        }
-        return Ok(Response::csv(200, csv));
+/// `DELETE /models/{name}` — unregisters the model.
+fn delete_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let (ctx, name) = (c.ctx, c.name);
+    if !ctx.store.remove(name) {
+        return Err(Response::error(404, &format!("no model named {name:?}")));
     }
-    Ok(Response::json(
-        200,
-        format!("{{\"scores\":{}}}", f64s_to_json(&scores)),
-    ))
+    // The streaming session buffers node ids of the deleted graph; drop it
+    // with the model, along with its durable state.
+    ctx.sessions.remove(name);
+    ctx.durability.remove_model(name);
+    Ok(Response::json(200, format!("{{\"deleted\":\"{name}\"}}")))
 }
 
-/// `POST /models/{name}/features` — crossing-feature vector of one series.
-fn features_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
-    let values = parse_series(req)?;
-    let features = features_series(model, &values).map_err(|e| error_response(&e))?;
-    if req.wants_csv() {
-        let mut csv = String::from("feature\n");
-        for f in &features {
-            csv.push_str(&format!("{f}\n"));
+/// `POST /models/{name}/score?context=`, `…/features` and `…/predict` —
+/// one [`Op`] on one series. Score and features also answer CSV.
+fn series_endpoint(c: &mut Call<'_, '_>, op: Op) -> Result<Response, Response> {
+    let model = c.model()?;
+    let values = parse_series(c.req)?;
+    let context = match op {
+        Op::Score => query_usize(c.req, "context", 5)?,
+        Op::Features | Op::Predict => 0,
+    };
+    let answer = op
+        .run(&model, &values, context)
+        .map_err(|e| error_response(&e))?;
+    Ok(match answer {
+        Answer::Values(_, header, values) if c.req.wants_csv() => {
+            let mut csv = format!("{header}\n");
+            for v in &values {
+                csv.push_str(&format!("{v}\n"));
+            }
+            Response::csv(200, csv)
         }
-        return Ok(Response::csv(200, csv));
-    }
-    Ok(Response::json(
-        200,
-        format!("{{\"features\":{}}}", f64s_to_json(&features)),
-    ))
-}
-
-/// `POST /models/{name}/predict` — cluster assignment of one series.
-fn predict_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
-    let values = parse_series(req)?;
-    let cluster = predict_series(model, &values).map_err(|e| error_response(&e))?;
-    Ok(Response::json(200, format!("{{\"cluster\":{cluster}}}")))
+        answer => Response::json(200, answer.json()),
+    })
 }
 
 /// `POST /models/{name}/batch?op=score|features|predict&context=` — many
 /// series in one request, fanned out through [`par_map`]. Per-row
 /// failures do not fail the batch: each result slot is either the row's
 /// payload or an `{"error": …}` object.
-fn batch_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
-    let rows = parse_series_batch(req)?;
-    let op = req.query_param("op").unwrap_or("score");
-    let context = query_usize(req, "context", 5)?;
-    if !matches!(op, "score" | "features" | "predict") {
-        return Err(Response::error(400, &format!("unknown batch op {op:?}")));
-    }
+fn batch_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let model = c.model()?;
+    let rows = parse_series_batch(c.req)?;
+    let op = c.req.query_param("op").unwrap_or("score");
+    let context = query_usize(c.req, "context", 5)?;
+    let op =
+        Op::parse(op).ok_or_else(|| Response::error(400, &format!("unknown batch op {op:?}")))?;
 
     // `par_map` keeps row order, so the response is bit-identical to
     // issuing the rows as individual requests in order.
-    let results = par_map(&rows, |values| match op {
-        "score" => score_series(model, values, context)
-            .map(|s| format!("{{\"scores\":{}}}", f64s_to_json(&s))),
-        "features" => {
-            features_series(model, values).map(|f| format!("{{\"features\":{}}}", f64s_to_json(&f)))
-        }
-        _ => predict_series(model, values).map(|c| format!("{{\"cluster\":{c}}}")),
-    });
+    let results = par_map(&rows, |values| op.run(&model, values, context));
 
     let mut body = String::from("{\"results\":[");
     for (i, result) in results.into_iter().enumerate() {
@@ -523,7 +576,7 @@ fn batch_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Respon
             body.push(',');
         }
         match result {
-            Ok(payload) => body.push_str(&payload),
+            Ok(answer) => body.push_str(&answer.json()),
             Err(e) => {
                 body.push_str("{\"error\":");
                 write_json_string(&mut body, &e.to_string());
@@ -537,7 +590,8 @@ fn batch_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Respon
 
 /// `GET /models/{name}/graphoid?cluster=&kind=gamma|lambda&threshold=` —
 /// the interpretable subgraph of one cluster.
-fn graphoid_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+fn graphoid_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let (req, model) = (c.req, c.model()?);
     let cluster = query_usize(req, "cluster", 0)?;
     if cluster >= model.k() {
         return Err(Response::error(
@@ -613,7 +667,9 @@ const DEFAULT_RENDER_BUDGET: usize = 20_000;
 ///
 /// The response carries `x-render-elements` with the emitted element
 /// count so smoke tests (and clients) can verify the budget held.
-fn render_endpoint(req: &Request, model: &KGraphModel) -> Result<Response, Response> {
+fn render_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let model = c.model()?;
+    let (req, model) = (c.req, &*model);
     match req.query_param("format").unwrap_or("svg") {
         "svg" => {
             let detail = match req.query_param("detail") {
@@ -737,13 +793,9 @@ fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
 /// base+delta view, and its compaction cadence publishes a fresh base CSR
 /// back into the store. Readers are never blocked: they keep scoring
 /// whatever `Arc` snapshot they hold.
-fn ingest_endpoint(
-    req: &Request,
-    reader: &mut StoreReader<'_>,
-    ctx: &RouteContext<'_>,
-    name: &str,
-) -> Result<Response, Response> {
-    let model = lookup(reader, name)?;
+fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let model = c.model()?;
+    let (req, ctx, name) = (c.req, c.ctx, c.name);
     let (body_index, points) = parse_ingest(req)?;
     let index = match body_index {
         Some(i) => i,
@@ -848,13 +900,9 @@ fn stream_status_json(status: &StreamStatus) -> String {
 
 /// `GET /models/{name}/stream-status` — the model's streaming-session
 /// summary, or `{"active":false}` when nothing has been ingested yet.
-fn stream_status_endpoint(
-    reader: &mut StoreReader<'_>,
-    ctx: &RouteContext<'_>,
-    name: &str,
-) -> Result<Response, Response> {
-    lookup(reader, name)?;
-    Ok(match ctx.sessions.get(name) {
+fn stream_status_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    c.model()?;
+    Ok(match c.ctx.sessions.get(c.name) {
         None => Response::json(200, "{\"active\":false,\"series\":[]}".to_string()),
         Some(session) => {
             let status = session.lock().unwrap_or_else(|e| e.into_inner()).status();
@@ -863,77 +911,61 @@ fn stream_status_endpoint(
     })
 }
 
-/// `GET /metrics` — plain-text counters: admission-control totals, queue
-/// depth high-water, handler panics, per-route request counts, store and
-/// session gauges.
-fn metrics_endpoint(ctx: &RouteContext<'_>) -> Response {
-    use std::sync::atomic::Ordering;
-    let stats = ctx.stats;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "graphserve_requests_admitted_total {}\n",
-        stats.admitted.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_requests_shed_total {}\n",
-        stats.shed.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_responses_served_total {}\n",
-        stats.served.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_queue_depth_high_water {}\n",
-        stats.queue_high_water.load(Ordering::Relaxed)
-    ));
-    out.push_str(&format!(
-        "graphserve_handler_panics_total {}\n",
-        stats.handler_panics.load(Ordering::Relaxed)
-    ));
-    for (label, count) in stats.route_counts() {
-        out.push_str(&format!(
-            "graphserve_route_requests_total{{route=\"{label}\"}} {count}\n"
-        ));
-    }
-    out.push_str(&format!("graphserve_models {}\n", ctx.store.len()));
-    out.push_str(&format!(
-        "graphserve_model_bytes {}\n",
-        ctx.store.total_bytes()
-    ));
-    out.push_str(&format!(
-        "graphserve_stream_sessions {}\n",
-        ctx.sessions.len()
-    ));
-    out.push_str(&format!(
-        "graphserve_durability_enabled {}\n",
-        u8::from(ctx.durability.enabled())
-    ));
+/// `GET /metrics` — one `graphserve_<name> <value>` line per counter:
+/// admission-control totals, queue depth high-water, handler panics,
+/// per-route request counts (one line per [`ROUTES`] label plus `other`),
+/// store and session gauges and the durability counters.
+fn metrics_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let (ctx, stats) = (c.ctx, c.ctx.stats);
     let d = ctx.durability.counters();
-    for (name, value) in [
-        ("wal_records_written_total", &d.wal_records_written),
-        ("wal_records_replayed_total", &d.wal_records_replayed),
-        ("wal_records_truncated_total", &d.wal_records_truncated),
-        ("wal_syncs_total", &d.wal_syncs),
-        ("snapshots_written_total", &d.snapshots_written),
-        ("snapshot_failures_total", &d.snapshot_failures),
-        ("io_retries_total", &d.io_retries),
-        ("records_since_snapshot", &d.records_since_snapshot),
-        ("recovery_duration_ms", &d.recovery_duration_ms),
-        ("models_recovered", &d.models_recovered),
-        ("models_degraded", &d.models_degraded),
+    let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    let mut out = String::new();
+    let mut put = |name: &str, value: u64| out.push_str(&format!("graphserve_{name} {value}\n"));
+    for (name, counter) in [
+        ("requests_admitted_total", &stats.admitted),
+        ("requests_shed_total", &stats.shed),
+        ("responses_served_total", &stats.served),
+        ("queue_depth_high_water", &stats.queue_high_water),
+        ("handler_panics_total", &stats.handler_panics),
     ] {
-        out.push_str(&format!(
-            "graphserve_{name} {}\n",
-            value.load(Ordering::Relaxed)
-        ));
+        put(name, load(counter));
     }
-    Response::text(200, out)
+    let labels = ROUTES.iter().map(|&(_, _, label, _)| label);
+    for (label, counter) in labels.chain(["other"]).zip(&stats.routes) {
+        put(
+            &format!("route_requests_total{{route=\"{label}\"}}"),
+            load(counter),
+        );
+    }
+    for (name, value) in [
+        ("models", ctx.store.len() as u64),
+        ("model_bytes", ctx.store.total_bytes() as u64),
+        ("stream_sessions", ctx.sessions.len() as u64),
+        ("durability_enabled", u64::from(ctx.durability.enabled())),
+        ("wal_records_written_total", load(&d.wal_records_written)),
+        ("wal_records_replayed_total", load(&d.wal_records_replayed)),
+        (
+            "wal_records_truncated_total",
+            load(&d.wal_records_truncated),
+        ),
+        ("wal_syncs_total", load(&d.wal_syncs)),
+        ("snapshots_written_total", load(&d.snapshots_written)),
+        ("snapshot_failures_total", load(&d.snapshot_failures)),
+        ("io_retries_total", load(&d.io_retries)),
+        ("records_since_snapshot", load(&d.records_since_snapshot)),
+        ("recovery_duration_ms", load(&d.recovery_duration_ms)),
+        ("models_recovered", load(&d.models_recovered)),
+        ("models_degraded", load(&d.models_degraded)),
+    ] {
+        put(name, value);
+    }
+    Ok(Response::text(200, out))
 }
 
 /// `GET /debug/sleep?ms=` — parks the worker briefly; exists so operators
 /// (and the integration tests) can exercise admission control on demand.
-fn debug_sleep(req: &Request) -> Result<Response, Response> {
-    let ms = query_usize(req, "ms", 50)?;
+fn debug_sleep(c: &mut Call<'_, '_>) -> Result<Response, Response> {
+    let ms = query_usize(c.req, "ms", 50)?;
     let ms = (ms as u64).min(MAX_SLEEP_MS);
     std::thread::sleep(std::time::Duration::from_millis(ms));
     Ok(Response::json(200, format!("{{\"slept_ms\":{ms}}}")))
@@ -942,8 +974,8 @@ fn debug_sleep(req: &Request) -> Result<Response, Response> {
 /// `GET /debug/panic` — panics inside the handler; exists so operators
 /// (and the integration tests) can check on demand that a panicking
 /// request answers 500, is counted and leaves its worker alive.
-fn debug_panic() -> Result<Response, Response> {
-    panic!("deliberate panic from GET /debug/panic")
+fn debug_panic(_: &mut Call<'_, '_>) -> Result<Response, Response> {
+    panic!("deliberate panic from the debug panic route")
 }
 
 #[cfg(test)]
@@ -1281,6 +1313,69 @@ mod tests {
         assert_eq!(resp.status, 404);
         let resp = handle(&request("PATCH", "/models/demo", b""), &mut reader, &store);
         assert_eq!(resp.status, 405);
+        let resp = handle(&request("POST", "/health", b""), &mut reader, &store);
+        assert_eq!(resp.status, 404);
+        let resp = handle(&request("PATCH", "/nope", b""), &mut reader, &store);
+        assert_eq!(resp.status, 405);
+    }
+
+    /// Sends one request per table entry, the `/metrics` entry last so its
+    /// answer is the scrape, then parses every metrics line: each entry's
+    /// label must read exactly 1 and `other` 0, so every entry is reachable
+    /// and none is shadowed by an earlier one.
+    #[test]
+    fn every_route_is_reached_once_and_counted_under_its_own_label() {
+        let store = demo_store();
+        let mut reader = store.reader();
+        let series: Vec<f64> = (0..80).map(|i| (i as f64 * 0.3).sin()).collect();
+        let body = f64s_to_json(&series);
+        let mut entries: Vec<_> = ROUTES.iter().collect();
+        entries.sort_by_key(|(_, _, label, _)| *label == "metrics");
+        let mut scrape = None;
+        for (method, pattern, label, _) in entries {
+            let req = request(method, &pattern.replace("{name}", "demo"), body.as_bytes());
+            let resp = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle(&req, &mut reader, &store)
+            }));
+            assert_eq!(resp.is_err(), *label == "debug_panic", "{method} {pattern}");
+            scrape = resp.ok();
+        }
+        let scrape = scrape.expect("the metrics entry runs last");
+        assert_eq!(scrape.status, 200);
+
+        let mut counts: Vec<(&str, u64)> = Vec::new();
+        for line in body_text(&scrape).lines() {
+            let (key, value) = line.rsplit_once(' ').expect(line);
+            let value: u64 = value.parse().expect(line);
+            let (name, label) = match key.split_once('{') {
+                None => (key, None),
+                Some((name, rest)) => {
+                    let label = rest
+                        .strip_prefix("route=\"")
+                        .and_then(|r| r.strip_suffix("\"}"))
+                        .expect(line);
+                    (name, Some(label))
+                }
+            };
+            let is_name =
+                |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
+            assert!(is_name(name), "{line}");
+            if let Some(label) = label {
+                assert_eq!(name, "graphserve_route_requests_total", "{line}");
+                assert!(is_name(label), "{line}");
+                assert!(
+                    counts.iter().all(|(l, _)| *l != label),
+                    "label {label} twice"
+                );
+                counts.push((label, value));
+            }
+        }
+        let expected: Vec<(&str, u64)> = ROUTES
+            .iter()
+            .map(|(_, _, label, _)| (*label, 1))
+            .chain([("other", 0)])
+            .collect();
+        assert_eq!(counts, expected);
     }
 
     #[test]

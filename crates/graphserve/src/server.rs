@@ -74,29 +74,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Route labels tracked by the per-route request counters, in counter
-/// order. `routes::handle` classifies every request into exactly one.
-pub const ROUTE_LABELS: [&str; 18] = [
-    "health",
-    "healthz",
-    "models",
-    "model_info",
-    "fit",
-    "delete",
-    "score",
-    "features",
-    "predict",
-    "batch",
-    "graphoid",
-    "render",
-    "ingest",
-    "stream_status",
-    "metrics",
-    "debug_sleep",
-    "debug_panic",
-    "other",
-];
-
 /// Monotonic counters, shared by all server threads.
 #[derive(Debug)]
 pub struct ServerStats {
@@ -110,8 +87,9 @@ pub struct ServerStats {
     pub queue_high_water: AtomicU64,
     /// Requests whose handler panicked (each answered with a 500).
     pub handler_panics: AtomicU64,
-    /// Requests dispatched per route, indexed like [`ROUTE_LABELS`].
-    routes: [AtomicU64; ROUTE_LABELS.len()],
+    /// Requests per entry of the route table, in table order; the last
+    /// slot counts requests that matched no entry (`other`).
+    pub(crate) routes: [AtomicU64; routes::ROUTE_COUNT + 1],
 }
 
 impl Default for ServerStats {
@@ -124,25 +102,6 @@ impl Default for ServerStats {
             handler_panics: AtomicU64::new(0),
             routes: std::array::from_fn(|_| AtomicU64::new(0)),
         }
-    }
-}
-
-impl ServerStats {
-    /// Bumps the counter of `label`; unknown labels count as `"other"`.
-    pub fn bump_route(&self, label: &str) {
-        let idx = ROUTE_LABELS
-            .iter()
-            .position(|l| *l == label)
-            .unwrap_or(ROUTE_LABELS.len() - 1);
-        self.routes[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the per-route counters, in [`ROUTE_LABELS`] order.
-    pub fn route_counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        ROUTE_LABELS
-            .iter()
-            .zip(&self.routes)
-            .map(|(label, n)| (*label, n.load(Ordering::Relaxed)))
     }
 }
 

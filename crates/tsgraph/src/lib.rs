@@ -3,7 +3,7 @@
 //! Graph substrate of the Graphint / k-Graph reproduction. Two storage
 //! layers with one clear division of labour:
 //!
-//! ## Architecture: `DiGraph` builds, `CsrGraph` queries
+//! ## Architecture: `GraphBuilder` builds, `CsrGraph` queries
 //!
 //! * [`CsrGraph`] (module [`csr`]) — the **query-time** representation
 //!   every consumer reads from. Compressed sparse row: per-direction
@@ -19,12 +19,14 @@
 //!   sort followed by a run-length aggregation of duplicate edges. This
 //!   replaces the old per-edge `edge_between` probing, which made graph
 //!   construction O(E·deg).
-//! * [`DiGraph`] (module [`digraph`]) — the mutable escape hatch for
-//!   callers that genuinely need incremental node/edge insertion with
-//!   stable ids (tests, ad-hoc graph assembly). Convert losslessly with
+//! * [`DiGraph`] (module [`digraph`]) — not a construction path: the
+//!   incremental escape hatch for callers that need node/edge insertion
+//!   with stable ids (tests, ad-hoc graph assembly), and the test oracle
+//!   that parity tests (`algo::reference`, `CsrGraph::from_digraph`)
+//!   compare the CSR path against. Convert losslessly with
 //!   [`CsrGraph::from_digraph`] (parallel edges aggregate through the
-//!   supplied merge) before querying; nothing on the hot path should scan
-//!   `DiGraph` adjacency lists.
+//!   supplied merge) before querying; nothing on the hot path builds or
+//!   scans a `DiGraph`.
 //!
 //! ## Streaming construction and maintenance
 //!

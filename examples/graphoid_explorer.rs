@@ -41,8 +41,7 @@ fn main() {
             .max_by(|&a, &b| {
                 stats
                     .node_exclusivity(c, a)
-                    .partial_cmp(&stats.node_exclusivity(c, b))
-                    .expect("NaN")
+                    .total_cmp(&stats.node_exclusivity(c, b))
             })
             .expect("nodes exist");
         let detail = frame.node_detail(node);
