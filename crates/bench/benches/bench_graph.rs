@@ -1,16 +1,17 @@
-//! Graph-core benches: CSR builder vs. the old DiGraph probing path.
+//! Graph-core benches over the CSR layer.
 //!
 //! The workload mirrors what `build_graph_with_stride` produces at scale —
 //! a transition stream over a ≥10k-node vocabulary with a skewed (hub-
-//! heavy) degree distribution, the regime where the old per-edge
-//! `edge_between` probe (O(deg) scan per transition) collapses and the
-//! sort+aggregate builder stays linear. Three comparisons:
+//! heavy) degree distribution, where hubs reach out-degrees in the
+//! hundreds. Groups:
 //!
-//! * `build/*` — constructing the weighted graph from the raw stream,
-//! * `lookup/*` — point edge lookups (linear scan vs. binary search),
-//! * `pagerank/*` — traversal (arena indirection vs. contiguous slices),
-//! * `stream/*` — the streaming-maintenance path: bounded-memory spill
-//!   build, batched delta ingest, and base+delta compaction.
+//! * `build/*` — constructing the weighted graph from the raw stream
+//!   (sort + aggregate builder),
+//! * `lookup/*` — point edge lookups (binary search over the out-slice),
+//! * `pagerank/*` — weighted PageRank over contiguous slices,
+//! * `stream/*` — the streaming-maintenance path: batched delta ingest
+//!   and base+delta compaction,
+//! * `layout/*` — the exact force-directed layout vs. Barnes–Hut.
 //!
 //! Timings are persisted as `BENCH_graph.json` (see the criterion shim's
 //! `write_baseline`), so the perf trajectory has a committed baseline.
@@ -18,7 +19,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsgraph::algo;
 use tsgraph::layout::{self, BarnesHutOptions, ForceOptions};
-use tsgraph::{CsrGraph, DeltaGraph, DeltaView, DiGraph, GraphBuilder, NodeId, SpillBuilder};
+use tsgraph::{CsrGraph, DeltaGraph, DeltaView, GraphBuilder, NodeId};
 
 const NODES: usize = 12_000;
 const TRANSITIONS: usize = 400_000;
@@ -53,26 +54,7 @@ fn transition_stream(nodes: usize, transitions: usize) -> Vec<(u32, u32)> {
     out
 }
 
-/// The pre-refactor construction path: probe `edge_between` per
-/// transition, bump the weight or insert a fresh edge.
-fn build_digraph_probing(nodes: usize, stream: &[(u32, u32)]) -> DiGraph<(), f64> {
-    let mut g: DiGraph<(), f64> = DiGraph::with_capacity(nodes, stream.len() / 8);
-    for _ in 0..nodes {
-        g.add_node(());
-    }
-    for &(s, t) in stream {
-        let (a, b) = (NodeId(s), NodeId(t));
-        match g.edge_between(a, b) {
-            Some(e) => *g.edge_mut(e) += 1.0,
-            None => {
-                g.add_edge(a, b, 1.0);
-            }
-        }
-    }
-    g
-}
-
-/// The post-refactor path: emit triples, sort + aggregate.
+/// Emit triples, sort + aggregate.
 fn build_csr(nodes: usize, stream: &[(u32, u32)]) -> CsrGraph<(), f64> {
     let mut b = GraphBuilder::with_capacity(stream.len());
     for &(s, t) in stream {
@@ -86,11 +68,6 @@ fn bench_build(c: &mut Criterion) {
     group.sample_size(10);
     let stream = transition_stream(NODES, TRANSITIONS);
     group.bench_with_input(
-        BenchmarkId::new("digraph_probing", TRANSITIONS),
-        &stream,
-        |b, stream| b.iter(|| build_digraph_probing(NODES, black_box(stream))),
-    );
-    group.bench_with_input(
         BenchmarkId::new("csr_builder", TRANSITIONS),
         &stream,
         |b, stream| b.iter(|| build_csr(NODES, black_box(stream))),
@@ -102,7 +79,6 @@ fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("lookup");
     group.sample_size(20);
     let stream = transition_stream(NODES, TRANSITIONS);
-    let di = build_digraph_probing(NODES, &stream);
     let csr = build_csr(NODES, &stream);
     // Query the observed transitions (mostly hits) — the feature-matrix
     // and graphoid access pattern.
@@ -111,19 +87,6 @@ fn bench_lookup(c: &mut Criterion) {
         .step_by(16)
         .map(|&(s, t)| (NodeId(s), NodeId(t)))
         .collect();
-    group.bench_with_input(
-        BenchmarkId::new("digraph_edge_between", queries.len()),
-        &queries,
-        |b, queries| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &(s, t) in queries.iter() {
-                    hits += di.edge_between(s, t).is_some() as usize;
-                }
-                black_box(hits)
-            })
-        },
-    );
     group.bench_with_input(
         BenchmarkId::new("csr_edge_id", queries.len()),
         &queries,
@@ -144,13 +107,7 @@ fn bench_pagerank(c: &mut Criterion) {
     let mut group = c.benchmark_group("pagerank");
     group.sample_size(10);
     let stream = transition_stream(NODES, TRANSITIONS);
-    let di = build_digraph_probing(NODES, &stream);
     let csr = build_csr(NODES, &stream);
-    group.bench_with_input(
-        BenchmarkId::new("digraph_reference", NODES),
-        &di,
-        |b, di| b.iter(|| algo::reference::pagerank(black_box(di), 0.85, 20, |&w| w)),
-    );
     group.bench_with_input(BenchmarkId::new("csr_native", NODES), &csr, |b, csr| {
         b.iter(|| algo::pagerank(black_box(csr), 0.85, 20, |&w| w))
     });
@@ -165,23 +122,6 @@ fn bench_stream(c: &mut Criterion) {
     // "live" as delta batches.
     let (head, tail) = stream.split_at(stream.len() / 2);
     let base = build_csr(NODES, head);
-
-    // Bounded-memory build: the whole stream through the spill/merge path
-    // with a budget far below the stream length (forces several runs).
-    group.bench_with_input(
-        BenchmarkId::new("spill_build", TRANSITIONS),
-        &stream,
-        |b, stream| {
-            b.iter(|| {
-                let mut sb = SpillBuilder::new(64 * 1024).expect("spill dir");
-                for &(s, t) in stream.iter() {
-                    sb.add_edge(NodeId(s), NodeId(t), 1.0).expect("add_edge");
-                }
-                sb.build(vec![(); NODES], |acc, w| *acc += w)
-                    .expect("spill build")
-            })
-        },
-    );
 
     // Incremental maintenance: fold the live half into a DeltaGraph in
     // refresh-sized batches (sort + 2-way merge per batch).

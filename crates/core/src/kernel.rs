@@ -21,8 +21,9 @@
 //!   sentinels instead of an O(m) row fill.
 //!
 //! The original scalar implementations are kept as reference
-//! implementations in [`reference`]; property tests pin every kernel to
-//! its reference (bit-identical for DTW, ≤ 1e-12 relative elsewhere).
+//! implementations in [`reference`](mod@reference); property tests pin
+//! every kernel to its reference (bit-identical for DTW, ≤ 1e-12 relative
+//! elsewhere).
 
 use crate::error::{Result, TsError};
 

@@ -22,9 +22,10 @@ pub fn escape(text: &str) -> String {
 /// is the fixed cost that dominates large renders, and reallocation is a
 /// measurable slice of it.
 ///
-/// Every visual element written bumps [`element_count`]
-/// (SvgDoc::element_count); structural wrappers (`<g>`, the root) do not
-/// count. Level-of-detail renderers budget against this counter.
+/// Every visual element written bumps
+/// [`element_count`](SvgDoc::element_count); structural wrappers (`<g>`,
+/// the root) do not count. Level-of-detail renderers budget against this
+/// counter.
 #[derive(Debug, Clone)]
 pub struct SvgDoc {
     width: f64,
@@ -75,9 +76,10 @@ impl SvgDoc {
     }
 
     /// Opens a `<g>` style group; attributes written here are inherited
-    /// by every bare element inside (e.g. [`plain_circle`]
-    /// (SvgDoc::plain_circle)), which is what keeps per-element markup
-    /// small in aggregated renders. `attrs` is raw attribute markup.
+    /// by every bare element inside (e.g.
+    /// [`plain_circle`](SvgDoc::plain_circle)), which is what keeps
+    /// per-element markup small in aggregated renders. `attrs` is raw
+    /// attribute markup.
     pub fn begin_group(&mut self, attrs: &str) {
         let _ = write!(self.body, "<g {attrs}>");
         self.groups_open += 1;

@@ -8,10 +8,9 @@
 //!    session state that restores over it; corrupt or half-renamed pairs
 //!    fall back to the previous generation;
 //! 2. **replays the WAL tail**: records with sequence numbers above the
-//!    snapshot's are re-applied through the restored
-//!    [`StreamSession`](streamfit::StreamSession) in log order. A torn or
-//!    corrupt tail stops the replay cleanly at the last valid record —
-//!    normal crash semantics, not an error;
+//!    snapshot's are re-applied through the restored [`StreamSession`] in
+//!    log order. A torn or corrupt tail stops the replay cleanly at the
+//!    last valid record — normal crash semantics, not an error;
 //! 3. **heals**: takes a fresh snapshot of the recovered state and starts
 //!    an empty WAL, so torn tails and stale generations are retired;
 //! 4. **degrades instead of dying** when the state is contradictory (the

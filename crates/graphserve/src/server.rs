@@ -10,11 +10,11 @@
 //! in O(µs) instead of queueing unboundedly. A fixed pool of worker
 //! threads pops admitted connections, parses one request each
 //! (`Connection: close`), dispatches through [`crate::routes::handle`]
-//! with a per-worker [`StoreReader`] (lock-free model lookup in steady
-//! state) and writes the response. Socket read/write timeouts bound each
-//! request's wall-clock cost. A panicking handler is caught: its request
-//! gets a `500`, `handler_panics_total` counts it, and the worker goes on
-//! serving.
+//! with a per-worker [`StoreReader`](crate::StoreReader) (lock-free model
+//! lookup in steady state) and writes the response. Socket read/write
+//! timeouts bound each request's wall-clock cost. A panicking handler is
+//! caught: its request gets a `500`, `handler_panics_total` counts it, and
+//! the worker goes on serving.
 //!
 //! ## Shutdown
 //!

@@ -24,11 +24,11 @@
 //! poisoned and the caller must stop accepting writes for this model.
 
 use crate::fsio::{Fs, WalFile};
+use kgraph::checksum::crc32;
 use kgraph::serial::{put_f64, put_u32, put_u64, Cursor};
 use std::io;
 use std::path::Path;
 use tscore::error::TsError;
-use tsgraph::checksum::crc32;
 
 /// Magic prefix of a WAL file.
 pub const WAL_MAGIC: &[u8; 4] = b"KGW1";
@@ -95,8 +95,9 @@ pub struct WalReplay {
 ///
 /// # Errors
 ///
-/// [`TsError::Parse`] only when the file cannot be a `KGW1` log at all
-/// (wrong magic with at least 4 bytes present). A header shorter than 12
+/// [`TsError::Parse`] only when the file cannot be a `KGW1` log at all:
+/// wrong magic with at least 4 bytes present, or a `base_seq` of
+/// `u64::MAX`, after which no record number exists. A header shorter than 12
 /// bytes whose bytes are a prefix of a valid header is treated as a torn
 /// creation — no records, nothing lost — because the header is the first
 /// thing written to a brand-new log and rewrites go through atomic
@@ -117,14 +118,20 @@ pub fn replay(bytes: &[u8]) -> Result<WalReplay, TsError> {
             torn: !bytes.is_empty(),
         });
     };
+    // No record can follow a header at `u64::MAX`: such a header is
+    // corruption, not an empty log.
+    let mut next_seq = Some(base_seq.checked_add(1).ok_or_else(|| {
+        TsError::Parse(format!(
+            "KGW1 base sequence {base_seq} leaves no room for records"
+        ))
+    })?);
     let mut records = Vec::new();
     let mut valid_bytes = WAL_HEADER_LEN;
-    let mut next_seq = base_seq + 1;
     while c.remaining() > 0 {
         match next_record(&mut c) {
-            Some(record) if record.seq == next_seq => {
+            Some(record) if Some(record.seq) == next_seq => {
+                next_seq = record.seq.checked_add(1);
                 records.push(record);
-                next_seq += 1;
                 valid_bytes = c.pos() as u64;
             }
             _ => {
@@ -359,5 +366,34 @@ impl Wal {
         self.file.sync()?;
         self.appends_since_sync = 0;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replay_rejects_a_header_with_no_room_for_records() {
+        // `base_seq + 1` overflows: a parse error (the model degrades to
+        // read-only), not a panic and not a wrapped counter that would
+        // accept a record numbered 0.
+        let mut bytes = encode_header(u64::MAX);
+        bytes.extend(encode_record(0, 0, &[1.0]));
+        match replay(&bytes) {
+            Err(TsError::Parse(msg)) => assert!(msg.contains("base sequence"), "{msg}"),
+            other => panic!("overflowing header must be a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replay_stops_after_the_record_numbered_u64_max() {
+        let mut bytes = encode_header(u64::MAX - 1);
+        bytes.extend(encode_record(u64::MAX, 0, &[1.0]));
+        bytes.extend(encode_record(0, 0, &[2.0]));
+        let rep = replay(&bytes).expect("valid header");
+        assert_eq!(rep.records.len(), 1);
+        assert_eq!(rep.records[0].seq, u64::MAX);
+        assert!(rep.torn, "nothing can follow the last sequence number");
     }
 }

@@ -1,11 +1,12 @@
 //! CRC-32 (IEEE 802.3) — bit-rot detection for on-disk graph artefacts.
 //!
-//! Spilled triple runs ([`crate::spill`]) and persisted k-Graph models
-//! carry a CRC-32 trailer so that truncation or flipped bits are caught at
-//! load time instead of silently producing a wrong graph. The polynomial
-//! is the reflected IEEE one (`0xEDB88320`), matching zlib/`crc32fast`, so
-//! files can be cross-checked with standard tooling (`python3 -c "import
-//! zlib, sys; print(zlib.crc32(open(sys.argv[1],'rb').read()))"`).
+//! Persisted k-Graph models, delta and session state ([`crate::serial`])
+//! and write-ahead-log records carry a CRC-32 so that truncation or
+//! flipped bits are caught at load time instead of silently producing a
+//! wrong graph. The polynomial is the reflected IEEE one (`0xEDB88320`),
+//! matching zlib/`crc32fast`, so files can be cross-checked with standard
+//! tooling (`python3 -c "import zlib, sys;
+//! print(zlib.crc32(open(sys.argv[1],'rb').read()))"`).
 //!
 //! The table is built in a `const` context — no lazy statics, no deps.
 

@@ -47,6 +47,7 @@
 
 pub mod anomaly;
 pub mod build;
+pub mod checksum;
 pub mod config;
 pub mod consensus;
 pub mod embed;

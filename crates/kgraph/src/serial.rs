@@ -19,13 +19,15 @@
 //!
 //! ## Integrity
 //!
-//! `KGM2` files end in a CRC-32 trailer ([`tsgraph::checksum`]) over every
+//! `KGM2` files end in a CRC-32 trailer ([`crate::checksum`]) over every
 //! preceding byte, verified *before* parsing so truncation and bit rot are
 //! reported as corruption rather than as a confusing structural error deep
 //! inside the file. Delta state ([`write_delta_state`]) uses the same
-//! trailer under its own magic, `KGD1`.
+//! trailer under its own magic, `KGD1`. Every checksummed blob is framed
+//! by [`seal`] on write and [`open`] / [`Cursor::finish`] on read.
 
 use crate::build::{GraphLayer, LayerEmbedding, NodePattern};
+use crate::checksum::crc32;
 use crate::config::KGraphConfig;
 use crate::interpret::LengthScore;
 use crate::nodes::RadialNode;
@@ -34,7 +36,6 @@ use linalg::matrix::Matrix;
 use linalg::pca::Pca;
 use std::path::Path;
 use tscore::error::TsError;
-use tsgraph::checksum::crc32;
 use tsgraph::delta::DeltaGraph;
 use tsgraph::{GraphBuilder, NodeId};
 
@@ -182,6 +183,15 @@ impl<'a> Cursor<'a> {
     pub fn u64s(&mut self) -> Result<Vec<u64>, TsError> {
         let n = self.len(8)?;
         (0..n).map(|_| self.u64()).collect()
+    }
+
+    /// Succeeds when every byte was consumed; `what` names the blob in
+    /// the trailing-bytes error.
+    pub fn finish(&self, what: &str) -> Result<(), TsError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(TsError::Parse(format!("{n} trailing bytes after {what}"))),
+        }
     }
 
     /// Next length-prefixed `usize` vector.
@@ -417,21 +427,34 @@ pub fn write_model(model: &KGraphModel) -> Vec<u8> {
     for layer in &model.layers {
         put_layer(&mut out, layer);
     }
+    seal(out)
+}
+
+/// Appends the CRC-32 trailer over every byte of `out` (magic included).
+pub fn seal(mut out: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
 
-/// Strips and verifies the CRC-32 trailer of a checksummed blob, returning
-/// the payload (magic included). `kind` names the format in errors.
-///
-/// Public: every checksummed format in the system (`KGM2`, `KGD1`,
-/// streamfit's `KGS1`, graphserve's snapshots) funnels through this one
-/// verifier.
-pub fn verify_trailer<'a>(bytes: &'a [u8], kind: &str) -> Result<&'a [u8], TsError> {
+/// Opens a blob written by [`seal`]: checks the 4-byte `magic`, verifies
+/// the CRC-32 trailer *before* anything is parsed and returns a cursor
+/// over the payload just past the magic. `kind` names the blob in errors
+/// (`"model"` reports e.g. "not a KGM2 model file" and "KGM2 model
+/// checksum mismatch").
+pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'a>, TsError> {
+    let found: &[u8] = bytes
+        .get(..4)
+        .ok_or_else(|| TsError::Parse(format!("{kind} file truncated ({} bytes)", bytes.len())))?;
+    let format = String::from_utf8_lossy(magic);
+    if found != magic {
+        return Err(TsError::Parse(format!(
+            "not a {format} {kind} file (magic {found:?})"
+        )));
+    }
     if bytes.len() < 8 {
         return Err(TsError::Parse(format!(
-            "{kind} file truncated ({} bytes)",
+            "{format} {kind} file truncated ({} bytes)",
             bytes.len()
         )));
     }
@@ -440,11 +463,14 @@ pub fn verify_trailer<'a>(bytes: &'a [u8], kind: &str) -> Result<&'a [u8], TsErr
     let actual = crc32(payload);
     if actual != expected {
         return Err(TsError::Parse(format!(
-            "{kind} checksum mismatch (stored {expected:#010x}, computed {actual:#010x}): \
+            "{format} {kind} checksum mismatch (stored {expected:#010x}, computed {actual:#010x}): \
              file is corrupt or truncated"
         )));
     }
-    Ok(payload)
+    Ok(Cursor {
+        bytes: payload,
+        pos: 4,
+    })
 }
 
 /// Decodes a model from `KGM2` bytes.
@@ -455,17 +481,7 @@ pub fn verify_trailer<'a>(bytes: &'a [u8], kind: &str) -> Result<&'a [u8], TsErr
 /// or any internal inconsistency (edge/path references outside the node
 /// range, PCA shape mismatches, out-of-range layer index).
 pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
-    let magic: &[u8] = bytes
-        .get(..4)
-        .ok_or_else(|| TsError::Parse(format!("model file truncated ({} bytes)", bytes.len())))?;
-    if magic != MAGIC {
-        return Err(TsError::Parse(format!(
-            "not a KGM2 model file (magic {magic:?})"
-        )));
-    }
-    let bytes = verify_trailer(bytes, "KGM2 model")?;
-    let mut c = Cursor::new(bytes);
-    c.take(4)?; // magic, validated above
+    let mut c = open(bytes, MAGIC, "model")?;
     let config = read_config(&mut c)?;
     let labels = c.usizes()?;
     let consensus = read_matrix(&mut c)?;
@@ -490,12 +506,7 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
             layers.len()
         )));
     }
-    if c.pos != bytes.len() {
-        return Err(TsError::Parse(format!(
-            "{} trailing bytes after model",
-            bytes.len() - c.pos
-        )));
-    }
+    c.finish("model")?;
     Ok(KGraphModel::new(
         config, layers, consensus, labels, scores, best_layer,
     ))
@@ -534,26 +545,14 @@ pub fn write_delta_state(deltas: &[DeltaGraph<f64>]) -> Vec<u8> {
             put_f64(&mut out, w);
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    seal(out)
 }
 
 /// Decodes `KGD1` delta state. The aggregated edges round-trip exactly;
 /// the raw (pre-aggregation) ingest counter is diagnostic-only and resets
 /// to the number of distinct edges.
 pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
-    let magic: &[u8] = bytes
-        .get(..4)
-        .ok_or_else(|| TsError::Parse(format!("delta file truncated ({} bytes)", bytes.len())))?;
-    if magic != DELTA_MAGIC {
-        return Err(TsError::Parse(format!(
-            "not a KGD1 delta file (magic {magic:?})"
-        )));
-    }
-    let payload = verify_trailer(bytes, "KGD1 delta")?;
-    let mut c = Cursor::new(payload);
-    c.take(4)?; // magic, validated above
+    let mut c = open(bytes, DELTA_MAGIC, "delta")?;
     let n_layers = c.len(16)?;
     let mut deltas = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
@@ -575,12 +574,7 @@ pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
         delta.ingest(triples, |acc, w| *acc += w);
         deltas.push(delta);
     }
-    if c.pos != payload.len() {
-        return Err(TsError::Parse(format!(
-            "{} trailing bytes after delta state",
-            payload.len() - c.pos
-        )));
-    }
+    c.finish("delta state")?;
     Ok(deltas)
 }
 

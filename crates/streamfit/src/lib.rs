@@ -22,10 +22,9 @@
 //!    caller to publish (e.g. `graphserve`'s `ModelStore::insert`).
 //!    Readers holding the old snapshot are untouched.
 //!
-//! The bounded-memory *initial* build lives one layer down, in
-//! [`tsgraph::SpillBuilder`]; this crate owns the live-session state:
-//! open series, cadences, per-layer deltas and the [`SessionRegistry`]
-//! that `graphserve`'s ingest endpoints lock per model.
+//! This crate owns the live-session state: open series, cadences,
+//! per-layer deltas and the [`SessionRegistry`] that `graphserve`'s
+//! ingest endpoints lock per model.
 
 pub mod persist;
 pub mod registry;
@@ -40,6 +39,7 @@ mod tests {
     use super::*;
     use kgraph::{KGraph, KGraphConfig};
     use std::sync::Arc;
+    use tscore::error::TsError;
     use tscore::{Dataset, DatasetKind, TimeSeries};
 
     fn fitted() -> Arc<kgraph::KGraphModel> {
@@ -281,18 +281,28 @@ mod tests {
         session.append(0, &wave(0, 40)).unwrap();
         let bytes = persist::write_session_state(&session, 7);
 
-        // Every prefix truncation and a spread of bit flips must be clean
-        // parse errors, never a panic.
+        // Every prefix truncation and every single-bit flip must be a clean
+        // parse error, never a panic; a flip is caught by the magic check
+        // or the checksum before any field is decoded.
         for cut in 0..bytes.len() {
             assert!(
                 persist::read_session_state(&bytes[..cut]).is_err(),
                 "cut at {cut}"
             );
         }
-        for pos in [0usize, 5, bytes.len() / 3, bytes.len() / 2, bytes.len() - 2] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x10;
-            assert!(persist::read_session_state(&bad).is_err(), "flip at {pos}");
+        assert_eq!(&bytes[..4], b"KGS1");
+        for pos in 0..bytes.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut bad = bytes.clone();
+                bad[pos] ^= bit;
+                match persist::read_session_state(&bad) {
+                    Err(TsError::Parse(msg)) => assert!(
+                        msg.contains("checksum") || msg.contains("magic"),
+                        "flip at {pos}: unexpected message {msg}"
+                    ),
+                    other => panic!("flip bit {bit:#x} at {pos} must fail, got {other:?}"),
+                }
+            }
         }
 
         // A state decoded fine but restored over the wrong model is

@@ -1,12 +1,12 @@
 //! `KGS1` session-state persistence.
 //!
-//! A [`StreamSession`](crate::StreamSession) is more than its un-compacted
-//! deltas: bit-identical recovery also needs the buffered (pre-refresh)
-//! transition triples, every open series' raw values *and* its
-//! last-refreshed scores, and the cadence counters. The `KGS1` blob
-//! captures all of that — embedding the existing `KGD1` delta-state blob
-//! verbatim — so a snapshot taken at *any* instant (mid-cadence included)
-//! restores to exactly the state a never-stopped session would hold.
+//! A [`StreamSession`] is more than its un-compacted deltas: bit-identical
+//! recovery also needs the buffered (pre-refresh) transition triples,
+//! every open series' raw values *and* its last-refreshed scores, and the
+//! cadence counters. The `KGS1` blob captures all of that — embedding the
+//! existing `KGD1` delta-state blob verbatim — so a snapshot taken at
+//! *any* instant (mid-cadence included) restores to exactly the state a
+//! never-stopped session would hold.
 //!
 //! Scores are persisted rather than recomputed at restore: when a snapshot
 //! lands between refreshes, the live session still serves the scores of its
@@ -14,7 +14,8 @@
 //! that. Node paths, by contrast, are a pure function of the values and the
 //! (immutable) layer embeddings, so they are rebuilt instead of stored.
 //!
-//! Layout (little-endian, shared primitives from [`kgraph::serial`]):
+//! Layout (little-endian, shared primitives and checksum framing from
+//! [`kgraph::serial`]):
 //!
 //! ```text
 //! b"KGS1"
@@ -30,11 +31,10 @@
 
 use crate::session::{StreamConfig, StreamSession};
 use kgraph::pipeline::KGraphModel;
-use kgraph::serial::{put_f64, put_f64s, put_u64, verify_trailer, Cursor};
+use kgraph::serial::{open, put_f64, put_f64s, put_u64, seal};
 use kgraph::stream::extend_path;
 use std::sync::Arc;
 use tscore::error::TsError;
-use tsgraph::checksum::crc32;
 use tsgraph::delta::DeltaGraph;
 use tsgraph::NodeId;
 
@@ -106,9 +106,7 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
             None => out.push(0),
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    seal(out)
 }
 
 /// Decodes a `KGS1` blob.
@@ -118,17 +116,7 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
 /// [`TsError::Parse`] on wrong magic, checksum mismatch, truncation, a
 /// corrupt embedded `KGD1` blob, or trailing bytes.
 pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
-    let magic: &[u8] = bytes
-        .get(..4)
-        .ok_or_else(|| TsError::Parse(format!("session file truncated ({} bytes)", bytes.len())))?;
-    if magic != SESSION_MAGIC {
-        return Err(TsError::Parse(format!(
-            "not a KGS1 session file (magic {magic:?})"
-        )));
-    }
-    let payload = verify_trailer(bytes, "KGS1 session")?;
-    let mut c = Cursor::new(payload);
-    c.take(4)?; // magic, validated above
+    let mut c = open(bytes, SESSION_MAGIC, "session")?;
     let seq = c.u64()?;
     let points_total = c.u64()?;
     let points_since_refresh = c.u64()?;
@@ -169,12 +157,7 @@ pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
         };
         series.push(SeriesState { values, scores });
     }
-    if c.remaining() != 0 {
-        return Err(TsError::Parse(format!(
-            "{} trailing bytes after session state",
-            c.remaining()
-        )));
-    }
+    c.finish("session state")?;
     Ok(SessionState {
         seq,
         points_total,

@@ -1,94 +1,7 @@
-//! Graph algorithms: traversal, components, reachability, PageRank.
-//!
-//! All functions take the CSR representation ([`CsrGraph`]) so the inner
-//! loops walk contiguous neighbour slices — BFS and PageRank touch memory
-//! linearly per node instead of chasing per-edge indirections. Reference
-//! implementations over [`DiGraph`] live in [`reference`] and exist to
-//! pin behavioural parity in the property tests.
+//! Graph algorithms over [`CsrGraph`]: weighted PageRank, the ranking
+//! behind the Graph frame's node-exploration order.
 
 use crate::csr::CsrGraph;
-use crate::digraph::NodeId;
-use std::collections::VecDeque;
-
-/// Breadth-first order of nodes reachable from `start`, treating edges as
-/// **undirected** (used for weak reachability of graphoid neighbourhoods).
-///
-/// Neighbours are visited in sorted order (successors first, then
-/// predecessors), so the order is deterministic for a given graph.
-pub fn bfs_undirected<N, E>(g: &CsrGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    if start.index() >= g.node_count() {
-        return order;
-    }
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Breadth-first order of nodes reachable from `start` along edge
-/// directions.
-pub fn bfs_directed<N, E>(g: &CsrGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    if start.index() >= g.node_count() {
-        return order;
-    }
-    visited[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for &v in g.out_neighbors(u) {
-            if !visited[v.index()] {
-                visited[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Weakly connected components; returns `components[node.index()] = label`
-/// with labels in `0..count`, plus the count.
-pub fn weakly_connected_components<N, E>(g: &CsrGraph<N, E>) -> (Vec<usize>, usize) {
-    let n = g.node_count();
-    let mut label = vec![usize::MAX; n];
-    let mut next = 0usize;
-    for start in g.node_ids() {
-        if label[start.index()] != usize::MAX {
-            continue;
-        }
-        for u in bfs_undirected(g, start) {
-            label[u.index()] = next;
-        }
-        next += 1;
-    }
-    (label, next)
-}
-
-/// Whether `target` is reachable from `source` along edge directions.
-pub fn is_reachable<N, E>(g: &CsrGraph<N, E>, source: NodeId, target: NodeId) -> bool {
-    bfs_directed(g, source).contains(&target)
-}
-
-/// Node ids sorted by total degree, densest first (used by the Graph frame
-/// to pick label anchors). Degrees are O(1) offset subtractions on CSR.
-pub fn nodes_by_degree<N, E>(g: &CsrGraph<N, E>) -> Vec<NodeId> {
-    let mut ids: Vec<NodeId> = g.node_ids().collect();
-    ids.sort_by_key(|&id| std::cmp::Reverse(g.degree(id)));
-    ids
-}
 
 /// Weighted PageRank with damping `d` (classically 0.85).
 ///
@@ -147,131 +60,11 @@ pub fn pagerank<N, E>(
     rank
 }
 
-/// Reference implementations over [`DiGraph`](crate::DiGraph), kept to
-/// pin CSR/DiGraph behavioural parity in `tests/proptest_csr.rs`. Not for
-/// hot paths: adjacency here is per-node `Vec<EdgeId>` indirection.
-pub mod reference {
-    use crate::digraph::{DiGraph, NodeId};
-    use std::collections::VecDeque;
-
-    /// BFS over undirected edges; neighbour order follows insertion order,
-    /// so only the visited *set* (not the order) is comparable with the
-    /// CSR implementation.
-    pub fn bfs_undirected<N, E>(g: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-        let mut visited = vec![false; g.node_count()];
-        let mut order = Vec::new();
-        let mut queue = VecDeque::new();
-        if start.index() >= g.node_count() {
-            return order;
-        }
-        visited[start.index()] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for v in g.neighbors_undirected(u) {
-                if !visited[v.index()] {
-                    visited[v.index()] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        order
-    }
-
-    /// BFS along edge directions.
-    pub fn bfs_directed<N, E>(g: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-        let mut visited = vec![false; g.node_count()];
-        let mut order = Vec::new();
-        let mut queue = VecDeque::new();
-        if start.index() >= g.node_count() {
-            return order;
-        }
-        visited[start.index()] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for v in g.successors(u) {
-                if !visited[v.index()] {
-                    visited[v.index()] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        order
-    }
-
-    /// Weakly connected components (see the CSR version for semantics).
-    pub fn weakly_connected_components<N, E>(g: &DiGraph<N, E>) -> (Vec<usize>, usize) {
-        let n = g.node_count();
-        let mut label = vec![usize::MAX; n];
-        let mut next = 0usize;
-        for start in g.node_ids() {
-            if label[start.index()] != usize::MAX {
-                continue;
-            }
-            for u in bfs_undirected(g, start) {
-                label[u.index()] = next;
-            }
-            next += 1;
-        }
-        (label, next)
-    }
-
-    /// Weighted PageRank (see the CSR version for semantics). Walks the
-    /// edge arena directly so parallel edges contribute separately —
-    /// numerically this matches the CSR run on the aggregated graph.
-    pub fn pagerank<N, E>(
-        g: &DiGraph<N, E>,
-        damping: f64,
-        iterations: usize,
-        edge_weight: impl Fn(&E) -> f64,
-    ) -> Vec<f64> {
-        let n = g.node_count();
-        if n == 0 {
-            return Vec::new();
-        }
-        let d = damping.clamp(0.0, 1.0);
-        let uniform = 1.0 / n as f64;
-        let mut rank = vec![uniform; n];
-        let out_sum: Vec<f64> = g
-            .node_ids()
-            .map(|u| {
-                g.out_edges(u)
-                    .iter()
-                    .map(|&e| edge_weight(g.edge(e)).max(0.0))
-                    .sum()
-            })
-            .collect();
-        let mut next = vec![0.0f64; n];
-        for _ in 0..iterations {
-            next.fill(0.0);
-            let mut dangling_mass = 0.0;
-            for u in g.node_ids() {
-                let ui = u.index();
-                if out_sum[ui] <= 1e-15 {
-                    dangling_mass += rank[ui];
-                    continue;
-                }
-                for &e in g.out_edges(u) {
-                    let w = edge_weight(g.edge(e)).max(0.0);
-                    let (_, t) = g.endpoints(e);
-                    next[t.index()] += rank[ui] * w / out_sum[ui];
-                }
-            }
-            let base = (1.0 - d) * uniform + d * dangling_mass * uniform;
-            for r in next.iter_mut() {
-                *r = base + d * *r;
-            }
-            std::mem::swap(&mut rank, &mut next);
-        }
-        rank
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::NodeId;
 
     fn csr_from_edges(n: usize, edges: &[(u32, u32)]) -> CsrGraph<(), f64> {
         let mut b = GraphBuilder::new();
@@ -279,83 +72,6 @@ mod tests {
             b.add_edge(NodeId(s), NodeId(t), 1.0);
         }
         b.build(vec![(); n], |acc, w| *acc += w)
-    }
-
-    /// Two weakly connected components: 0→1→2 and 3→4.
-    fn two_components() -> CsrGraph<(), f64> {
-        csr_from_edges(5, &[(0, 1), (1, 2), (3, 4)])
-    }
-
-    #[test]
-    fn bfs_undirected_covers_component() {
-        let g = two_components();
-        let order = bfs_undirected(&g, NodeId(2));
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[0], NodeId(2));
-        assert!(order.contains(&NodeId(0)));
-    }
-
-    #[test]
-    fn bfs_directed_respects_direction() {
-        let g = two_components();
-        assert_eq!(bfs_directed(&g, NodeId(2)), vec![NodeId(2)]);
-        assert_eq!(bfs_directed(&g, NodeId(0)).len(), 3);
-    }
-
-    #[test]
-    fn bfs_order_deterministic_and_sorted_per_layer() {
-        // Star with spokes inserted out of order: BFS from the hub must
-        // visit spokes ascending (CSR slices are sorted).
-        let g = csr_from_edges(5, &[(0, 4), (0, 2), (0, 1), (0, 3)]);
-        assert_eq!(
-            bfs_directed(&g, NodeId(0)),
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
-        );
-    }
-
-    #[test]
-    fn components_labelled() {
-        let g = two_components();
-        let (labels, count) = weakly_connected_components(&g);
-        assert_eq!(count, 2);
-        assert_eq!(labels[0], labels[2]);
-        assert_eq!(labels[3], labels[4]);
-        assert_ne!(labels[0], labels[3]);
-    }
-
-    #[test]
-    fn reachability() {
-        let g = two_components();
-        assert!(is_reachable(&g, NodeId(0), NodeId(2)));
-        assert!(!is_reachable(&g, NodeId(2), NodeId(0)));
-        assert!(!is_reachable(&g, NodeId(0), NodeId(4)));
-        assert!(is_reachable(&g, NodeId(0), NodeId(0)));
-    }
-
-    #[test]
-    fn degree_ordering() {
-        let g = csr_from_edges(3, &[(0, 1), (2, 1)]);
-        let order = nodes_by_degree(&g);
-        assert_eq!(order[0], NodeId(1));
-    }
-
-    #[test]
-    fn empty_graph() {
-        let g: CsrGraph<(), f64> = CsrGraph::vertices_only(Vec::new());
-        let (labels, count) = weakly_connected_components(&g);
-        assert!(labels.is_empty());
-        assert_eq!(count, 0);
-        assert!(bfs_undirected(&g, NodeId(0)).is_empty());
-        assert!(bfs_directed(&g, NodeId(3)).is_empty());
-    }
-
-    #[test]
-    fn single_node_self_loop() {
-        let g = csr_from_edges(1, &[(0, 0)]);
-        let (labels, count) = weakly_connected_components(&g);
-        assert_eq!(count, 1);
-        assert_eq!(labels, vec![0]);
-        assert!(is_reachable(&g, NodeId(0), NodeId(0)));
     }
 
     #[test]

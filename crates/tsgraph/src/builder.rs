@@ -1,10 +1,9 @@
 //! Deduplicating graph builder: `(src, dst, weight)` triples in, CSR out.
 //!
 //! The k-Graph pipeline emits one triple per observed node transition —
-//! millions for long series — and the old construction path probed
-//! `DiGraph::edge_between` for every one of them, an O(E·deg) loop of
-//! pointer-chasing scans. The builder replaces that with the sort-based
-//! scheme of CSR graph frameworks:
+//! millions for long series. Instead of probing for an existing edge on
+//! every triple (an O(E·deg) loop of pointer-chasing scans), the builder
+//! uses the sort-based scheme of CSR graph frameworks:
 //!
 //! 1. collect raw triples (append-only, no lookups),
 //! 2. sort them by `(src, dst)` — **parallel chunked sort**: the triple
@@ -19,15 +18,14 @@
 //! the *order* in which duplicates reach the merge is unspecified, while
 //! the resulting graph is identical either way.
 
-use crate::csr::CsrGraph;
-use crate::digraph::NodeId;
+use crate::csr::{CsrGraph, EdgeId, NodeId};
 
 /// Triples below this count are sorted on the calling thread; the scoped
 /// thread fan-out only pays for itself on bulk loads.
 const PARALLEL_SORT_THRESHOLD: usize = 1 << 15;
 
-/// Packs `(src, dst)` into the sort key used throughout the builder,
-/// spill and delta layers: `src << 32 | dst`, so key order is exactly
+/// Packs `(src, dst)` into the sort key used throughout the builder and
+/// delta layers: `src << 32 | dst`, so key order is exactly
 /// `(src, dst)` lexicographic order.
 #[inline]
 pub(crate) fn pack_key(src: NodeId, dst: NodeId) -> u64 {
@@ -122,9 +120,8 @@ impl<E: Send> GraphBuilder<E> {
 
 /// Run-length aggregation + CSR assembly in one pass over a *key-sorted*
 /// `(key, weight)` stream. Duplicate keys must be adjacent (guaranteed by
-/// sorting) and are combined with `merge`. Shared by [`GraphBuilder`],
-/// the disk-backed [`SpillBuilder`](crate::spill::SpillBuilder) and delta
-/// compaction ([`crate::delta`]), so all three construction paths produce
+/// sorting) and are combined with `merge`. Shared by [`GraphBuilder`] and
+/// delta compaction ([`crate::delta`]), so both construction paths produce
 /// bit-identical CSR layouts from the same logical edge set.
 ///
 /// Panics if any endpoint is out of `0..nodes.len()`.
@@ -192,12 +189,12 @@ pub(crate) fn assemble_csr<N, E>(
     }
     let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
     let mut in_sources = vec![NodeId(0); m];
-    let mut in_edge_ids = vec![crate::EdgeId(0); m];
+    let mut in_edge_ids = vec![EdgeId(0); m];
     for (e, &t) in out_targets.iter().enumerate() {
         let slot = cursor[t.index()] as usize;
         cursor[t.index()] += 1;
         in_sources[slot] = edge_sources[e];
-        in_edge_ids[slot] = crate::EdgeId(e as u32);
+        in_edge_ids[slot] = EdgeId(e as u32);
     }
 
     CsrGraph {

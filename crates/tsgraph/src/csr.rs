@@ -11,23 +11,42 @@
 //!   cache-linear instead of chasing per-node `Vec<EdgeId>` allocations,
 //! * neighbours sorted by id within each node's slice, so iteration order
 //!   is deterministic and `edge_id(u, v)` is a binary search over the
-//!   out-slice (O(log deg) instead of the O(deg) scan of
-//!   [`DiGraph::edge_between`](crate::DiGraph::edge_between)),
+//!   out-slice (O(log deg)),
 //! * edge ids are positions in the out-adjacency, so per-edge payloads of
 //!   one node are a contiguous `&[E]` slice too ([`CsrGraph::out_weights`]).
 //!
 //! Parallel edges do not exist at this layer: construction (via
-//! [`GraphBuilder`](crate::builder::GraphBuilder) or
-//! [`CsrGraph::from_digraph`]) aggregates duplicate `(src, dst)` pairs
-//! with a caller-supplied merge. [`DiGraph`](crate::DiGraph) remains the
-//! mutable construction-time escape hatch.
+//! [`GraphBuilder`]) aggregates duplicate `(src, dst)` pairs with a
+//! caller-supplied merge.
 
 use crate::builder::GraphBuilder;
-use crate::digraph::{DiGraph, EdgeId, NodeId};
+
+/// Opaque node identifier (index into the node arrays).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub u32);
+
+/// Opaque edge identifier (position in the out-adjacency).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct EdgeId(pub u32);
+
+impl NodeId {
+    /// The id as a usize index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl EdgeId {
+    /// The id as a usize index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Immutable CSR-backed directed graph with node payloads `N` and edge
-/// payloads `E`. Build one with [`GraphBuilder`](crate::builder::GraphBuilder)
-/// or [`CsrGraph::from_digraph`].
+/// payloads `E`. Build one with [`GraphBuilder`].
 #[derive(Debug, Clone)]
 pub struct CsrGraph<N, E> {
     pub(crate) nodes: Vec<N>,
@@ -235,27 +254,9 @@ impl<N, E> CsrGraph<N, E> {
 }
 
 impl<N: Clone, E: Clone> CsrGraph<N, E> {
-    /// Converts a [`DiGraph`], aggregating parallel edges with `merge`
-    /// (`merge` must be commutative and associative for the result to be
-    /// independent of insertion order). The conversion is lossless for
-    /// simple graphs; for multigraphs it is exactly the aggregation the
-    /// k-Graph pipeline wants (summed transition weights).
-    pub fn from_digraph(g: &DiGraph<N, E>, merge: impl Fn(&mut E, E)) -> Self
-    where
-        E: Send,
-    {
-        let mut builder = GraphBuilder::with_capacity(g.edge_count());
-        for (_, s, t, w) in g.edges_iter() {
-            builder.add_edge(s, t, w.clone());
-        }
-        let nodes: Vec<N> = g.nodes_iter().map(|(_, n)| n.clone()).collect();
-        builder.build(nodes, merge)
-    }
-
     /// Sub-graph induced by the nodes satisfying `keep`; returns the new
     /// graph plus the old-id → new-id mapping (`None` for dropped nodes).
-    /// Edges survive iff both endpoints do. Mirrors
-    /// [`DiGraph::filter_nodes`].
+    /// Edges survive iff both endpoints do.
     pub fn filter_nodes(
         &self,
         mut keep: impl FnMut(NodeId, &N) -> bool,
@@ -290,17 +291,14 @@ mod tests {
     /// a → b → d, a → c → d with distinct weights, plus a duplicate a → b
     /// to exercise aggregation.
     fn diamond_csr() -> CsrGraph<&'static str, f64> {
-        let mut g: DiGraph<&'static str, f64> = DiGraph::new();
-        let a = g.add_node("a");
-        let b = g.add_node("b");
-        let c = g.add_node("c");
-        let d = g.add_node("d");
+        let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let mut g = GraphBuilder::new();
         g.add_edge(a, b, 1.0);
         g.add_edge(a, c, 2.0);
         g.add_edge(b, d, 3.0);
         g.add_edge(c, d, 4.0);
         g.add_edge(a, b, 10.0); // parallel: aggregates to 11.0
-        CsrGraph::from_digraph(&g, |acc, w| *acc += w)
+        g.build(vec!["a", "b", "c", "d"], |acc, w| *acc += w)
     }
 
     #[test]
@@ -411,10 +409,10 @@ mod tests {
 
     #[test]
     fn self_loops_preserved() {
-        let mut g: DiGraph<(), f64> = DiGraph::new();
-        let a = g.add_node(());
+        let a = NodeId(0);
+        let mut g = GraphBuilder::new();
         g.add_edge(a, a, 2.0);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
+        let csr = g.build(vec![()], |acc, w| *acc += w);
         assert_eq!(csr.edge_count(), 1);
         assert_eq!(csr.out_degree(a), 1);
         assert_eq!(csr.in_degree(a), 1);

@@ -1,7 +1,7 @@
 //! Incremental CSR maintenance: a sorted, run-length-deduped edge delta
 //! alongside a frozen base [`CsrGraph`].
 //!
-//! The serving story ([`graphserve`]) publishes models as immutable `Arc`
+//! The serving story (`graphserve`) publishes models as immutable `Arc`
 //! snapshots — mutating a CSR in place would put a lock on the read path.
 //! Instead, newly observed transitions accumulate in a [`DeltaGraph`]: a
 //! compact (offsets, targets, weights) mini-CSR holding *only* the new
@@ -15,13 +15,9 @@
 //! weight aggregation such as integer-valued `f64` counts), and the result
 //! is published as a new `Arc` snapshot while readers of the old one are
 //! untouched.
-//!
-//! `graphserve`: ../../graphserve (serving crate; not a code link to keep
-//! tsgraph dependency-free).
 
 use crate::builder::{assemble_csr, pack_key};
-use crate::csr::CsrGraph;
-use crate::digraph::NodeId;
+use crate::csr::{CsrGraph, NodeId};
 
 /// A sorted, deduplicated buffer of edges observed *after* a base CSR was
 /// built. Node ids refer to the base's node set.

@@ -351,7 +351,7 @@ pub fn fit_to_viewport(layout: &[(f64, f64)], width: f64, height: f64, margin: f
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::digraph::NodeId;
+    use crate::csr::NodeId;
 
     fn path_graph(n: usize) -> CsrGraph<(), ()> {
         let mut b = GraphBuilder::new();

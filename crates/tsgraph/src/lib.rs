@@ -1,9 +1,12 @@
 //! # tsgraph — directed weighted graphs for k-Graph
 //!
-//! Graph substrate of the Graphint / k-Graph reproduction. Two storage
-//! layers with one clear division of labour:
+//! Graph substrate of the Graphint / k-Graph reproduction. It covers
+//! exactly what the pipeline and the Graph frame run: build one
+//! transition graph per subsequence length, query it, extract graphoid
+//! sub-graphs, rank nodes, lay the graph out and maintain it as new
+//! transitions stream in.
 //!
-//! ## Architecture: `GraphBuilder` builds, `CsrGraph` queries
+//! ## Architecture: `GraphBuilder` builds, `CsrGraph` queries, `DeltaGraph`/`DeltaView` maintain
 //!
 //! * [`CsrGraph`] (module [`csr`]) — the **query-time** representation
 //!   every consumer reads from. Compressed sparse row: per-direction
@@ -11,41 +14,20 @@
 //!   edge payloads as contiguous sorted slices, O(log deg) edge lookup
 //!   ([`CsrGraph::edge_id`]) and deterministic iteration order. The
 //!   k-Graph pipeline stores every `G_ℓ` in this form; features, graphoid
-//!   statistics, anomaly scoring, the algorithms below and the Graphint
-//!   Graph frame all run against it.
+//!   statistics ([`CsrGraph::filter_nodes`]), anomaly scoring, PageRank
+//!   and the Graphint Graph frame all run against it.
 //! * [`builder::GraphBuilder`] — the **construction** path. Consumers emit
 //!   raw `(src, dst, weight)` triples (one per observed transition, no
 //!   lookups), and `build` produces the CSR graph via a parallel chunked
-//!   sort followed by a run-length aggregation of duplicate edges. This
-//!   replaces the old per-edge `edge_between` probing, which made graph
-//!   construction O(E·deg).
-//! * [`DiGraph`] (module [`digraph`]) — not a construction path: the
-//!   incremental escape hatch for callers that need node/edge insertion
-//!   with stable ids (tests, ad-hoc graph assembly), and the test oracle
-//!   that parity tests (`algo::reference`, `CsrGraph::from_digraph`)
-//!   compare the CSR path against. Convert losslessly with
-//!   [`CsrGraph::from_digraph`] (parallel edges aggregate through the
-//!   supplied merge) before querying; nothing on the hot path builds or
-//!   scans a `DiGraph`.
-//!
-//! ## Streaming construction and maintenance
-//!
-//! * [`spill`] — [`spill::SpillBuilder`], the bounded-memory construction
-//!   path: triples accumulate in fixed-size sorted runs that spill to disk
-//!   (CRC-checked `TSR1` files) and k-way merge into the same CSR assembly
-//!   pass the in-RAM builder uses, bit-identical for exact weights.
-//! * [`delta`] — [`delta::DeltaGraph`] buffers transitions observed after
-//!   a base CSR froze; [`delta::DeltaView`] serves merged base+delta reads
-//!   (2-way merge per node, lock-free) and compacts into a fresh CSR.
-//! * [`checksum`] — dependency-free CRC-32 (IEEE) used by spilled runs and
-//!   the persisted model format.
+//!   sort followed by a run-length aggregation of duplicate edges.
+//! * [`delta`] — the **maintenance** path. [`DeltaGraph`] buffers
+//!   transitions observed after a base CSR froze; [`DeltaView`] serves
+//!   merged base+delta reads (2-way merge per node, lock-free) and
+//!   compacts into a fresh CSR, bit-identical to a from-scratch build.
 //!
 //! Supporting modules:
 //!
-//! * [`algo`] — CSR-native breadth-first traversal, weakly connected
-//!   components, reachability, degree ordering and weighted PageRank
-//!   (plus `algo::reference` DiGraph implementations kept for parity
-//!   testing),
+//! * [`algo`] — CSR-native weighted PageRank,
 //! * [`layout`] — 2-D layouts over CSR graphs for the Graph frame:
 //!   circular, the exact Fruchterman–Reingold reference
 //!   (`layout::reference`) and the Barnes–Hut approximation
@@ -60,16 +42,11 @@
 
 pub mod algo;
 pub mod builder;
-pub mod checksum;
 pub mod csr;
 pub mod delta;
-pub mod digraph;
 pub mod layout;
 pub mod quadtree;
-pub mod spill;
 
 pub use builder::GraphBuilder;
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, EdgeId, NodeId};
 pub use delta::{DeltaGraph, DeltaView};
-pub use digraph::{DiGraph, EdgeId, NodeId};
-pub use spill::SpillBuilder;

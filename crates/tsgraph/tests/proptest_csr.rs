@@ -1,11 +1,12 @@
-//! Property tests for the CSR layer: DiGraph → CSR round-trip invariants
-//! and behavioural parity between the CSR-native algorithms and the
-//! DiGraph reference implementations in `algo::reference`.
+//! Property tests for the CSR layer: builder invariants against a
+//! `BTreeMap` aggregation of the raw `(src, dst, w)` list, PageRank and
+//! `filter_nodes` parity with short oracles over that list, and delta
+//! compaction against a from-scratch build.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use tsgraph::algo;
-use tsgraph::{CsrGraph, DeltaGraph, DeltaView, DiGraph, GraphBuilder, NodeId, SpillBuilder};
+use tsgraph::{CsrGraph, DeltaGraph, DeltaView, GraphBuilder, NodeId};
 
 /// Random multigraph: node count plus an edge list with integer-valued
 /// weights (exact float arithmetic keeps aggregation checks exact).
@@ -49,15 +50,33 @@ fn build_in_ram(n: usize, edges: &[(usize, usize, u32)]) -> CsrGraph<usize, f64>
     b.build((0..n).collect::<Vec<usize>>(), |acc, w| *acc += w)
 }
 
-fn digraph_of(n: usize, edges: &[(usize, usize, u32)]) -> DiGraph<usize, f64> {
-    let mut g = DiGraph::new();
-    for i in 0..n {
-        g.add_node(i);
-    }
+/// Test oracle: per-`(src, dst)` weight sums over the raw edge list.
+fn aggregate(edges: &[(usize, usize, u32)]) -> BTreeMap<(u32, u32), f64> {
+    let mut agg = BTreeMap::new();
     for &(s, t, w) in edges {
-        g.add_edge(NodeId(s as u32), NodeId(t as u32), w as f64);
+        *agg.entry((s as u32, t as u32)).or_insert(0.0) += w as f64;
     }
-    g
+    agg
+}
+
+/// Test oracle: weighted PageRank straight off the raw edge list (parallel
+/// edges contribute separately, which is linear in the weight and so
+/// equals the run on the aggregated graph).
+fn pagerank_oracle(n: usize, edges: &[(usize, usize, u32)], d: f64, iters: usize) -> Vec<f64> {
+    let mut out_sum = vec![0.0; n];
+    for &(s, _, w) in edges {
+        out_sum[s] += w as f64;
+    }
+    let mut rank = vec![1.0 / n as f64; n];
+    for _ in 0..iters {
+        let dangling: f64 = (0..n).filter(|&u| out_sum[u] == 0.0).map(|u| rank[u]).sum();
+        let mut next = vec![(1.0 - d + d * dangling) / n as f64; n];
+        for &(s, t, w) in edges {
+            next[t] += d * rank[s] * w as f64 / out_sum[s];
+        }
+        rank = next;
+    }
+    rank
 }
 
 proptest! {
@@ -65,19 +84,15 @@ proptest! {
 
     #[test]
     fn aggregation_preserves_weight_sums((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
+        let csr = build_in_ram(n, &edges);
 
         // Total weight is conserved through aggregation.
-        let total_di: f64 = g.edges_iter().map(|(_, _, _, &w)| w).sum();
+        let total_raw: f64 = edges.iter().map(|&(_, _, w)| w as f64).sum();
         let total_csr: f64 = csr.edges_iter().map(|(_, _, _, &w)| w).sum();
-        prop_assert!((total_di - total_csr).abs() < 1e-9, "{total_di} vs {total_csr}");
+        prop_assert!((total_raw - total_csr).abs() < 1e-9, "{total_raw} vs {total_csr}");
 
-        // Per-pair weights equal the sum over parallel DiGraph edges.
-        let mut expected: BTreeMap<(u32, u32), f64> = BTreeMap::new();
-        for (_, s, t, &w) in g.edges_iter() {
-            *expected.entry((s.0, t.0)).or_insert(0.0) += w;
-        }
+        // Per-pair weights equal the sum over parallel raw edges.
+        let expected = aggregate(&edges);
         prop_assert_eq!(csr.edge_count(), expected.len());
         for ((s, t), w) in &expected {
             let got = csr.weight_between(NodeId(*s), NodeId(*t));
@@ -88,13 +103,14 @@ proptest! {
 
     #[test]
     fn degrees_conserved_modulo_dedup((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
-        prop_assert_eq!(csr.node_count(), g.node_count());
-        for u in g.node_ids() {
+        let csr = build_in_ram(n, &edges);
+        prop_assert_eq!(csr.node_count(), n);
+        for u in csr.node_ids() {
             // CSR degree counts *distinct* neighbours.
-            let distinct_out: BTreeSet<u32> = g.successors(u).map(|v| v.0).collect();
-            let distinct_in: BTreeSet<u32> = g.predecessors(u).map(|v| v.0).collect();
+            let distinct_out: BTreeSet<usize> =
+                edges.iter().filter(|e| e.0 == u.index()).map(|e| e.1).collect();
+            let distinct_in: BTreeSet<usize> =
+                edges.iter().filter(|e| e.1 == u.index()).map(|e| e.0).collect();
             prop_assert_eq!(csr.out_degree(u), distinct_out.len());
             prop_assert_eq!(csr.in_degree(u), distinct_in.len());
             prop_assert_eq!(csr.degree(u), distinct_out.len() + distinct_in.len());
@@ -103,8 +119,7 @@ proptest! {
 
     #[test]
     fn adjacency_sorted_and_deterministic((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
+        let csr = build_in_ram(n, &edges);
         for u in csr.node_ids() {
             let nb = csr.out_neighbors(u);
             prop_assert!(nb.windows(2).all(|w| w[0] < w[1]), "out-slice sorted, no dups");
@@ -131,91 +146,24 @@ proptest! {
 
     #[test]
     fn node_payloads_survive_round_trip((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
+        let csr = build_in_ram(n, &edges);
         for (id, &payload) in csr.nodes_iter() {
             prop_assert_eq!(payload, id.index());
         }
     }
 
     #[test]
-    fn bfs_parity_with_reference((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
-        for start in g.node_ids() {
-            // Visit *sets* must agree (orders differ: the reference walks
-            // insertion order, CSR walks sorted slices); the CSR order
-            // itself must be deterministic.
-            let di: BTreeSet<u32> =
-                algo::reference::bfs_directed(&g, start).into_iter().map(|v| v.0).collect();
-            let cs: BTreeSet<u32> =
-                algo::bfs_directed(&csr, start).into_iter().map(|v| v.0).collect();
-            prop_assert_eq!(&di, &cs, "directed reach from {:?}", start);
-            let diu: BTreeSet<u32> =
-                algo::reference::bfs_undirected(&g, start).into_iter().map(|v| v.0).collect();
-            let csu: BTreeSet<u32> =
-                algo::bfs_undirected(&csr, start).into_iter().map(|v| v.0).collect();
-            prop_assert_eq!(&diu, &csu, "undirected reach from {:?}", start);
-            prop_assert_eq!(
-                algo::bfs_directed(&csr, start),
-                algo::bfs_directed(&csr, start)
-            );
-        }
-    }
-
-    #[test]
-    fn component_parity_with_reference((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
-        let (di_labels, di_count) = algo::reference::weakly_connected_components(&g);
-        let (cs_labels, cs_count) = algo::weakly_connected_components(&csr);
-        prop_assert_eq!(di_count, cs_count);
-        // Same partition up to label permutation.
-        for i in 0..n {
-            for j in 0..n {
-                prop_assert_eq!(
-                    di_labels[i] == di_labels[j],
-                    cs_labels[i] == cs_labels[j],
-                    "{i} vs {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn pagerank_parity_within_1e9((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
-        // The reference runs on the multigraph, CSR on the aggregated
-        // graph — per-node out-weight sums are identical, so the scores
-        // must match to numerical noise.
-        let pr_di = algo::reference::pagerank(&g, 0.85, 60, |&w: &f64| w);
+        let csr = build_in_ram(n, &edges);
+        // The oracle runs on the raw multigraph list, CSR on the
+        // aggregated graph — per-node out-weight sums are identical, so
+        // the scores must match to numerical noise.
+        let pr_oracle = pagerank_oracle(n, &edges, 0.85, 60);
         let pr_cs = algo::pagerank(&csr, 0.85, 60, |&w: &f64| w);
-        prop_assert_eq!(pr_di.len(), pr_cs.len());
-        for (a, b) in pr_di.iter().zip(&pr_cs) {
+        prop_assert_eq!(pr_oracle.len(), pr_cs.len());
+        for (a, b) in pr_oracle.iter().zip(&pr_cs) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn spill_build_bit_identical_to_in_ram(
-        (n, edges) in multigraph(),
-        budget in 1usize..48,
-    ) {
-        // The bounded-memory path — sorted runs spilled to disk, k-way
-        // merged back — must produce the *same bytes* as the in-RAM
-        // builder for any edge stream and any triple budget.
-        let in_ram = build_in_ram(n, &edges);
-        let mut spill = SpillBuilder::new(budget).expect("spill dir");
-        for &(s, t, w) in &edges {
-            spill
-                .add_edge(NodeId(s as u32), NodeId(t as u32), w as f64)
-                .expect("spill add_edge");
-        }
-        let spilled = spill
-            .build((0..n).collect::<Vec<usize>>(), |acc, w| *acc += w)
-            .expect("spill build");
-        assert_bit_identical(&in_ram, &spilled)?;
     }
 
     #[test]
@@ -242,19 +190,27 @@ proptest! {
 
     #[test]
     fn filter_nodes_parity((n, edges) in multigraph()) {
-        let g = digraph_of(n, &edges);
-        let csr = CsrGraph::from_digraph(&g, |acc, w| *acc += w);
-        // Keep even-indexed nodes on both representations.
-        let (di_sub, di_map) = g.filter_nodes(|id, _| id.index() % 2 == 0);
-        let (cs_sub, cs_map) = csr.filter_nodes(|id, _| id.index() % 2 == 0);
-        prop_assert_eq!(di_sub.node_count(), cs_sub.node_count());
-        prop_assert_eq!(&di_map, &cs_map);
-        // The filtered DiGraph aggregates to exactly the filtered CSR.
-        let di_sub_csr = CsrGraph::from_digraph(&di_sub, |acc, w| *acc += w);
-        prop_assert_eq!(di_sub_csr.edge_count(), cs_sub.edge_count());
-        for (e, s, t, w) in di_sub_csr.edges_iter() {
-            prop_assert_eq!(cs_sub.endpoints(e), (s, t));
-            prop_assert!((cs_sub.edge(e) - w).abs() < 1e-9);
+        let csr = build_in_ram(n, &edges);
+        // Keep even-indexed nodes: old id i maps to i / 2.
+        let (sub, map) = csr.filter_nodes(|id, _| id.index() % 2 == 0);
+        let expected_map: Vec<Option<NodeId>> = (0..n)
+            .map(|i| (i % 2 == 0).then_some(NodeId(i as u32 / 2)))
+            .collect();
+        prop_assert_eq!(&map, &expected_map);
+        prop_assert_eq!(sub.node_count(), n.div_ceil(2));
+        // The induced edges are exactly the oracle aggregation of the raw
+        // edges whose endpoints both survive, renumbered.
+        let kept: Vec<(usize, usize, u32)> = edges
+            .iter()
+            .filter(|&&(s, t, _)| s % 2 == 0 && t % 2 == 0)
+            .map(|&(s, t, w)| (s / 2, t / 2, w))
+            .collect();
+        let expected = aggregate(&kept);
+        let got: Vec<((u32, u32), f64)> =
+            sub.edges_iter().map(|(_, s, t, &w)| ((s.0, t.0), w)).collect();
+        prop_assert_eq!(got, expected.into_iter().collect::<Vec<_>>());
+        for (id, &payload) in sub.nodes_iter() {
+            prop_assert_eq!(payload, 2 * id.index());
         }
     }
 }
