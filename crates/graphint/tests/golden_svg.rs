@@ -1,9 +1,15 @@
-//! Golden-snapshot and budget tests for the Graph frame renderer.
+//! Golden-snapshot and budget tests for the SVG renderers.
 //!
 //! * Byte-exact committed renders of a small synthetic fixture at each
 //!   detail level (`tests/golden/*.svg`). Regenerate deliberately with
 //!   `BLESS_GOLDEN=1 cargo test -p graphint --test golden_svg` after an
 //!   intentional rendering change, and review the diff.
+//! * Byte-exact renders of the other charts (line, heatmap, histogram,
+//!   box plot, scatter) and of the Graph frame's node-detail panel. Their
+//!   fixtures are chosen so the output holds the number shapes a
+//!   fixed-point writer can get wrong: negative zero (`-0.00`), exact
+//!   half-way ties (`0.125` → `0.12`), coordinates of 10⁴ and more, and
+//!   text that needs escaping.
 //! * A determinism regression: the same model rendered twice — on both
 //!   sides of the `LayoutEngine::Auto` exact/Barnes–Hut boundary — must
 //!   produce byte-identical SVG.
@@ -11,9 +17,17 @@
 //!   element count never exceeds the budget, whichever detail level
 //!   `Auto` degrades to.
 
+use graphint::frames::graph::GraphFrame;
+use graphint::plot::boxplot::{Box, BoxPlot};
+use graphint::plot::heatmap::Heatmap;
+use graphint::plot::histogram::Histogram;
+use graphint::plot::line::{LineChart, Series};
+use graphint::plot::scatter::ScatterPlot;
 use graphint::plot::{DetailLevel, GraphPlot, RenderBudget};
 use kgraph::graphoid::ClusterStats;
-use kgraph::{NodePattern, PatternGraph};
+use kgraph::{KGraph, KGraphConfig, NodePattern, PatternGraph};
+use linalg::matrix::Matrix;
+use tscore::{Dataset, DatasetKind, TimeSeries};
 use tsgraph::layout::LayoutEngine;
 use tsgraph::{GraphBuilder, NodeId};
 
@@ -198,4 +212,137 @@ fn budget_cap_holds_on_10k_node_layer() {
             assert_eq!(resolved, DetailLevel::Aggregated, "budget {budget}");
         }
     }
+}
+
+/// Whether `svg` holds an attribute or text value of 10⁴ or more.
+fn has_large_coordinate(svg: &str) -> bool {
+    svg.split('"')
+        .filter_map(|v| v.parse::<f64>().ok())
+        .any(|v| v.abs() >= 1e4)
+}
+
+#[test]
+fn golden_line_chart() {
+    // 20000.5 px wide: the `{:.0}` root header meets a half-way tie and
+    // the x coordinates run past 10⁴. The marker at x = −0.0209 lands a
+    // hair left of the origin and prints as `-0.00`; width 0.125 is an
+    // exact tie at two decimals.
+    let mut chart = LineChart::new("Wc & We <per length> \"ℓ\"")
+        .add(Series::from_values(
+            "Wc",
+            &[0.1, -0.5, 0.9, 0.125, -2.0, 3.5, 0.0, 1.0, -0.001],
+        ))
+        .add(Series {
+            width: 0.125,
+            ..Series::from_values(
+                "We <&>",
+                &[1.0, 0.75, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0],
+            )
+        });
+    chart.size = (20000.5, 280.0);
+    chart.x_label = "length & offset".into();
+    chart.y_label = "score <a&b>".into();
+    chart.vlines.push((-0.0208685, "ℓ̄ < 0".into()));
+    chart.vlines.push((4.0, String::new()));
+    let svg = chart.render();
+    assert!(svg.contains(r#""-0.00""#), "fixture prints negative zero");
+    assert!(
+        svg.contains(r#"stroke-width="0.12""#),
+        "fixture holds a tie"
+    );
+    assert!(svg.contains("&lt;&amp;&gt;"), "fixture escapes text");
+    assert!(has_large_coordinate(&svg));
+    assert_golden("line.svg", &svg);
+}
+
+#[test]
+fn golden_heatmap() {
+    let m = Matrix::from_rows(&[
+        vec![0.0, 0.125, 0.25, -0.001],
+        vec![0.5, 1.0, -0.0, 0.375],
+        vec![0.875, 0.625, 0.0625, 0.9999],
+    ]);
+    let mut hm = Heatmap::new("consensus <k=3> & co", m);
+    hm.size = (12345.25, 380.0);
+    hm.row_groups = vec![1, 2];
+    let svg = hm.render();
+    assert!(has_large_coordinate(&svg));
+    assert_golden("heatmap.svg", &svg);
+}
+
+#[test]
+fn golden_histogram() {
+    let samples: Vec<f64> = (0..40)
+        .map(|i| ((i * 37) % 23) as f64 * 0.125 - 1.0)
+        .collect();
+    let mut hist = Histogram::new("scores <ARI> & RI", samples);
+    hist.x_label = "ARI \"adjusted\"".into();
+    hist.size = (10422.0, 260.0);
+    let svg = hist.render();
+    assert!(has_large_coordinate(&svg));
+    assert_golden("histogram.svg", &svg);
+}
+
+#[test]
+fn golden_boxplot() {
+    let mut plot = BoxPlot::new("ARI per method", "ARI <higher & better>")
+        .add(Box::from_samples(
+            "k-Graph",
+            &[0.125, 0.5, 0.625, 0.75, 1.0],
+        ))
+        .add(Box::from_samples(
+            "k-Means <raw>",
+            &[-0.001, 0.0, 0.25, 0.375, 0.5],
+        ))
+        .add(Box::from_samples(
+            "k-Shape & co",
+            &[-0.5, -0.25, 0.0, 0.25, 0.875],
+        ));
+    plot.highlight = Some("k-Graph".into());
+    plot.size = (10240.0, 320.0);
+    let svg = plot.render();
+    assert!(svg.contains("stroke-dasharray"), "fixture draws grid lines");
+    assert!(has_large_coordinate(&svg));
+    assert_golden("boxplot.svg", &svg);
+}
+
+#[test]
+fn golden_scatter() {
+    let points: Vec<(f64, f64)> = (0..24)
+        .map(|i| {
+            let t = i as f64 * 0.375;
+            (t.sin() * 1e4, (t * 0.5).cos() - 0.001)
+        })
+        .collect();
+    let classes = (0..24).map(|i| i % 3).collect();
+    let mut plot = ScatterPlot::new("projection <PC1 & PC2>", points).with_classes(classes);
+    plot.radius = 0.125;
+    plot.size = (16000.0, 360.0);
+    let svg = plot.render();
+    assert!(svg.contains(r#"r="0.12""#), "fixture holds a tie");
+    assert!(has_large_coordinate(&svg));
+    assert_golden("scatter.svg", &svg);
+}
+
+#[test]
+fn golden_node_detail_panel() {
+    let mut series = Vec::new();
+    for f in [0.2f64, 0.9] {
+        for p in 0..5 {
+            series.push(TimeSeries::new(
+                (0..80).map(|i| ((i + p) as f64 * f).sin()).collect(),
+            ));
+        }
+    }
+    let ds = Dataset::new("toy", DatasetKind::Simulated, series);
+    let cfg = KGraphConfig {
+        n_lengths: 2,
+        psi: 10,
+        pca_sample: 400,
+        n_init: 2,
+        ..KGraphConfig::new(2)
+    };
+    let model = KGraph::new(cfg).fit(&ds);
+    let svg = GraphFrame::new(&model, 0.5, 0.5).render_node_detail(0);
+    assert_golden("node_detail.svg", &svg);
 }
