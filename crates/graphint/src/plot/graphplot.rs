@@ -32,10 +32,9 @@
 //! that).
 
 use crate::color::{category_color, MUTED};
-use crate::svg::SvgDoc;
+use crate::svg::{fixed, SvgDoc};
 use kgraph::graphoid::ClusterStats;
 use kgraph::{GraphLayer, PatternGraph};
-use std::fmt::Write as _;
 use tsgraph::layout::{
     fit_to_viewport, layout_graph, BarnesHutOptions, ForceOptions, LayoutEngine,
 };
@@ -246,20 +245,14 @@ impl<'a> GraphPlot<'a> {
 
     /// Renders to SVG.
     pub fn render(&self) -> String {
-        self.render_with_buffer(String::new()).0
+        self.render_counted().0
     }
 
     /// Renders to SVG and also reports the emitted element count (what
     /// the budget is accounted against).
     pub fn render_counted(&self) -> (String, usize) {
-        self.render_with_buffer(String::new())
-    }
-
-    /// Renders into a recycled buffer (see [`SvgDoc::with_buffer`]),
-    /// returning the finished document and its element count.
-    pub fn render_with_buffer(&self, buf: String) -> (String, usize) {
         let (w, h) = self.size;
-        let mut doc = SvgDoc::with_buffer(w, h, buf);
+        let mut doc = SvgDoc::new(w, h);
         doc.rect(0.0, 0.0, w, h, "#ffffff", "none");
         doc.text(w / 2.0, 18.0, &self.title, 12.0, "middle", "#111111");
         let g = self.graph;
@@ -319,10 +312,7 @@ impl<'a> GraphPlot<'a> {
         // Edges first (under nodes).
         let max_weight = g.edges_iter().map(|(_, _, _, &w)| w).fold(1.0f64, f64::max);
         for (e, s, t, &weight) in g.edges_iter() {
-            let color = match self.edge_owner(e.index()) {
-                Some(c) => category_color(c).to_string(),
-                None => MUTED.to_string(),
-            };
+            let color = self.edge_owner(e.index()).map_or(MUTED, category_color);
             let (x1, y1) = pos[s.index()];
             let (x2, y2) = pos[t.index()];
             // Shorten toward the target so the arrow tip meets the circle.
@@ -332,16 +322,13 @@ impl<'a> GraphPlot<'a> {
             let len = (dx * dx + dy * dy).sqrt().max(1e-9);
             let (ex, ey) = (x2 - dx / len * rt, y2 - dy / len * rt);
             let width = 0.5 + 2.0 * (weight / max_weight);
-            doc.arrow(x1, y1, ex, ey, &color, width);
+            doc.arrow(x1, y1, ex, ey, color, width);
         }
         // Nodes.
         for (id, node) in g.nodes_iter() {
-            let color = match self.node_owner(id.index()) {
-                Some(c) => category_color(c).to_string(),
-                None => MUTED.to_string(),
-            };
+            let color = self.node_owner(id.index()).map_or(MUTED, category_color);
             let (x, y) = pos[id.index()];
-            doc.circle(x, y, radius(node.count), &color, "#555555");
+            doc.circle(x, y, radius(node.count), color, "#555555");
         }
     }
 
@@ -396,7 +383,14 @@ impl<'a> GraphPlot<'a> {
             let (x1, y1) = pos[s.index()];
             let (x2, y2) = pos[t.index()];
             let d = &mut bundle_d[owners[e.index()]];
-            let _ = write!(d, "M{x1:.1} {y1:.1}L{x2:.1} {y2:.1}");
+            d.push('M');
+            fixed(d, x1, 1);
+            d.push(' ');
+            fixed(d, y1, 1);
+            d.push('L');
+            fixed(d, x2, 1);
+            d.push(' ');
+            fixed(d, y2, 1);
         }
         for (c, d) in bundle_d.iter().enumerate() {
             if d.is_empty() {
@@ -656,18 +650,5 @@ mod tests {
         assert_eq!(DetailLevel::parse("agg"), Some(DetailLevel::Aggregated));
         assert_eq!(DetailLevel::parse("glyph"), Some(DetailLevel::Glyph));
         assert_eq!(DetailLevel::parse("bogus"), None);
-    }
-
-    #[test]
-    fn render_reuses_buffer() {
-        let m = model();
-        let stats = m.best_stats();
-        let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
-        let (first, _) = plot.render_counted();
-        let cap = first.capacity();
-        let (second, _) = plot.render_with_buffer(first);
-        assert_eq!(second.capacity(), cap, "buffer allocation was reused");
-        let (third, _) = plot.render_counted();
-        assert_eq!(second, third, "recycled render is byte-identical");
     }
 }

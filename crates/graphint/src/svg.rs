@@ -2,25 +2,111 @@
 //!
 //! Every chart in this crate is assembled from these primitives; keeping
 //! the writer tiny (strings in, string out) avoids an XML dependency.
+//!
+//! ## Numbers
+//!
+//! Every number an [`SvgDoc`] primitive emits goes through [`fixed`],
+//! which appends exactly the bytes `format!("{x:.N}")` would: the exact
+//! decimal value of the `f64` rounded to `N` places, ties to even, with a
+//! leading `-` on every negative value (so `-0.001` and `-0.0` print as
+//! `-0.00`). It writes the digits itself and hands the value to
+//! `write!` only where that shortcut cannot be shown exact: non-finite
+//! values, `N > 9`, `|x|·10^N ≥ 2^26`, and fractions within `1e-7` of a
+//! half-way point (every exact tie such as `0.125` at two places among
+//! them).
 
 use std::fmt::Write as _;
 
+/// Largest scaled magnitude [`fixed`] rounds by hand. Below it the
+/// product `|x|·10^d` is within 2^-27 of the exact one, so it rounds to
+/// the same integer unless it lies within `HALF_BAND` of a half-way point.
+const FAST_LIMIT: f64 = (1u32 << 26) as f64;
+
+/// Distance from a half-way point inside which [`fixed`] defers to
+/// `write!`.
+const HALF_BAND: f64 = 1e-7;
+
+/// Appends `x` with `decimals` digits after the point, byte-identical to
+/// `format!("{x:.decimals$}")`.
+pub fn fixed(out: &mut String, x: f64, decimals: usize) {
+    // 10^d is exact as a `u32`, and so as an `f64`, for d ≤ 9.
+    let pow = u32::try_from(decimals)
+        .ok()
+        .and_then(|d| 10u32.checked_pow(d));
+    if let Some(pow) = pow {
+        let y = x.abs() * f64::from(pow);
+        // NaN and infinities fail this comparison too.
+        if y < FAST_LIMIT {
+            // Truncation is the floor here: 0 ≤ y < 2^26.
+            let whole = y as u32;
+            let frac = y - f64::from(whole);
+            if (frac - 0.5).abs() >= HALF_BAND {
+                let mut n = whole + u32::from(frac > 0.5);
+                // Digits right to left: `decimals` fraction digits, the
+                // point, the integer digits (at least one), the sign.
+                let mut buf = [0u8; 24];
+                let mut i = buf.len();
+                for _ in 0..decimals {
+                    i -= 1;
+                    buf[i] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                }
+                if decimals > 0 {
+                    i -= 1;
+                    buf[i] = b'.';
+                }
+                loop {
+                    i -= 1;
+                    buf[i] = b'0' + (n % 10) as u8;
+                    n /= 10;
+                    if n == 0 {
+                        break;
+                    }
+                }
+                if x.is_sign_negative() {
+                    i -= 1;
+                    buf[i] = b'-';
+                }
+                out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+                return;
+            }
+        }
+    }
+    let _ = write!(out, "{x:.decimals$}");
+}
+
+/// Appends `text` to `out`, escaped for XML text and attribute values.
+fn escape_into(out: &mut String, text: &str) {
+    let mut start = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        // The four bytes are ASCII, so `i` is a char boundary.
+        out.push_str(&text[start..i]);
+        out.push_str(entity);
+        start = i + 1;
+    }
+    out.push_str(&text[start..]);
+}
+
 /// Escapes text content for XML.
 pub fn escape(text: &str) -> String {
-    text.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+    let mut out = String::with_capacity(text.len());
+    escape_into(&mut out, text);
+    out
 }
 
 /// An SVG document being built.
 ///
 /// The opening `<svg …>` tag is written at construction and
 /// [`finish`](SvgDoc::finish) only appends the closing tag, so the
-/// document accumulates into one flat buffer that callers can recycle
-/// across renders via [`with_buffer`](SvgDoc::with_buffer) — SVG emission
-/// is the fixed cost that dominates large renders, and reallocation is a
-/// measurable slice of it.
+/// document accumulates into one flat buffer. Numbers are written by
+/// [`fixed`] straight into that buffer, with no temporary strings.
 ///
 /// Every visual element written bumps
 /// [`element_count`](SvgDoc::element_count); structural wrappers (`<g>`,
@@ -38,25 +124,35 @@ pub struct SvgDoc {
 impl SvgDoc {
     /// Creates a document of the given pixel size.
     pub fn new(width: f64, height: f64) -> Self {
-        SvgDoc::with_buffer(width, height, String::new())
-    }
-
-    /// Creates a document reusing `buf`'s allocation (cleared first).
-    /// Feed the string returned by [`finish`](SvgDoc::finish) back in to
-    /// render repeatedly without reallocating.
-    pub fn with_buffer(width: f64, height: f64, mut buf: String) -> Self {
-        buf.clear();
-        let _ = write!(
-            buf,
-            r#"<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0}" height="{height:.0}" viewBox="0 0 {width:.0} {height:.0}">"#
-        );
-        SvgDoc {
+        let mut doc = SvgDoc {
             width,
             height,
-            body: buf,
+            body: String::new(),
             elements: 0,
             groups_open: 0,
-        }
+        };
+        doc.put(r#"<svg xmlns="http://www.w3.org/2000/svg" width=""#)
+            .num(width, 0)
+            .put(r#"" height=""#)
+            .num(height, 0)
+            .put(r#"" viewBox="0 0 "#)
+            .num(width, 0)
+            .put(" ")
+            .num(height, 0)
+            .put(r#"">"#);
+        doc
+    }
+
+    /// Appends raw markup.
+    fn put(&mut self, s: &str) -> &mut Self {
+        self.body.push_str(s);
+        self
+    }
+
+    /// Appends `x` with `decimals` places (see [`fixed`]).
+    fn num(&mut self, x: f64, decimals: usize) -> &mut Self {
+        fixed(&mut self.body, x, decimals);
+        self
     }
 
     /// Document width.
@@ -81,7 +177,7 @@ impl SvgDoc {
     /// per-element markup small in aggregated renders. `attrs` is raw
     /// attribute markup.
     pub fn begin_group(&mut self, attrs: &str) {
-        let _ = write!(self.body, "<g {attrs}>");
+        self.put("<g ").put(attrs).put(">");
         self.groups_open += 1;
     }
 
@@ -95,57 +191,97 @@ impl SvgDoc {
     /// Filled/stroked rectangle.
     pub fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, stroke: &str) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<rect x="{x:.2}" y="{y:.2}" width="{w:.2}" height="{h:.2}" fill="{fill}" stroke="{stroke}"/>"#
-        );
+        self.put(r#"<rect x=""#)
+            .num(x, 2)
+            .put(r#"" y=""#)
+            .num(y, 2)
+            .put(r#"" width=""#)
+            .num(w, 2)
+            .put(r#"" height=""#)
+            .num(h, 2)
+            .put(r#"" fill=""#)
+            .put(fill)
+            .put(r#"" stroke=""#)
+            .put(stroke)
+            .put(r#""/>"#);
     }
 
     /// Circle.
     pub fn circle(&mut self, cx: f64, cy: f64, r: f64, fill: &str, stroke: &str) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<circle cx="{cx:.2}" cy="{cy:.2}" r="{r:.2}" fill="{fill}" stroke="{stroke}"/>"#
-        );
+        self.circle_centre(cx, cy, r)
+            .put(r#"" fill=""#)
+            .put(fill)
+            .put(r#"" stroke=""#)
+            .put(stroke)
+            .put(r#""/>"#);
     }
 
     /// Circle with no style attributes of its own — it inherits fill and
     /// stroke from the enclosing [`begin_group`](SvgDoc::begin_group).
     pub fn plain_circle(&mut self, cx: f64, cy: f64, r: f64) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<circle cx="{cx:.2}" cy="{cy:.2}" r="{r:.2}"/>"#
-        );
+        self.circle_centre(cx, cy, r).put(r#""/>"#);
+    }
+
+    /// `<circle cx=… cy=… r="…` up to the closing quote of `r`.
+    fn circle_centre(&mut self, cx: f64, cy: f64, r: f64) -> &mut Self {
+        self.put(r#"<circle cx=""#)
+            .num(cx, 2)
+            .put(r#"" cy=""#)
+            .num(cy, 2)
+            .put(r#"" r=""#)
+            .num(r, 2)
     }
 
     /// Straight line segment.
     pub fn line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<line x1="{x1:.2}" y1="{y1:.2}" x2="{x2:.2}" y2="{y2:.2}" stroke="{stroke}" stroke-width="{width:.2}"/>"#
-        );
+        self.line_open(x1, y1, x2, y2, stroke, width).put(r#""/>"#);
     }
 
     /// Dashed line segment.
     pub fn dashed_line(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<line x1="{x1:.2}" y1="{y1:.2}" x2="{x2:.2}" y2="{y2:.2}" stroke="{stroke}" stroke-width="{width:.2}" stroke-dasharray="4 3"/>"#
-        );
+        self.line_open(x1, y1, x2, y2, stroke, width)
+            .put(r#"" stroke-dasharray="4 3"/>"#);
+    }
+
+    /// `<line …` up to the closing quote of `stroke-width`.
+    fn line_open(
+        &mut self,
+        x1: f64,
+        y1: f64,
+        x2: f64,
+        y2: f64,
+        stroke: &str,
+        width: f64,
+    ) -> &mut Self {
+        self.put(r#"<line x1=""#)
+            .num(x1, 2)
+            .put(r#"" y1=""#)
+            .num(y1, 2)
+            .put(r#"" x2=""#)
+            .num(x2, 2)
+            .put(r#"" y2=""#)
+            .num(y2, 2)
+            .put(r#"" stroke=""#)
+            .put(stroke)
+            .put(r#"" stroke-width=""#)
+            .num(width, 2)
     }
 
     /// Unfilled path with raw `d` data — one element no matter how many
     /// segments it bundles, which is what makes edge aggregation pay.
     pub fn path(&mut self, d: &str, stroke: &str, width: f64) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<path d="{d}" fill="none" stroke="{stroke}" stroke-width="{width:.2}"/>"#
-        );
+        self.put(r#"<path d=""#)
+            .put(d)
+            .put(r#"" fill="none" stroke=""#)
+            .put(stroke)
+            .put(r#"" stroke-width=""#)
+            .num(width, 2)
+            .put(r#""/>"#);
     }
 
     /// Open polyline through the given points.
@@ -154,25 +290,36 @@ impl SvgDoc {
             return;
         }
         self.elements += 1;
-        let pts: String = points
-            .iter()
-            .map(|(x, y)| format!("{x:.2},{y:.2}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = write!(
-            self.body,
-            r#"<polyline points="{pts}" fill="none" stroke="{stroke}" stroke-width="{width:.2}"/>"#
-        );
+        self.put(r#"<polyline points=""#);
+        for (i, &(x, y)) in points.iter().enumerate() {
+            if i > 0 {
+                self.put(" ");
+            }
+            self.num(x, 2).put(",").num(y, 2);
+        }
+        self.put(r#"" fill="none" stroke=""#)
+            .put(stroke)
+            .put(r#"" stroke-width=""#)
+            .num(width, 2)
+            .put(r#""/>"#);
     }
 
     /// Text anchored at `(x, y)`; `anchor` is `start`, `middle` or `end`.
     pub fn text(&mut self, x: f64, y: f64, content: &str, size: f64, anchor: &str, fill: &str) {
         self.elements += 1;
-        let _ = write!(
-            self.body,
-            r#"<text x="{x:.2}" y="{y:.2}" font-size="{size:.1}" text-anchor="{anchor}" fill="{fill}" font-family="sans-serif">{}</text>"#,
-            escape(content)
-        );
+        self.put(r#"<text x=""#)
+            .num(x, 2)
+            .put(r#"" y=""#)
+            .num(y, 2)
+            .put(r#"" font-size=""#)
+            .num(size, 1)
+            .put(r#"" text-anchor=""#)
+            .put(anchor)
+            .put(r#"" fill=""#)
+            .put(fill)
+            .put(r#"" font-family="sans-serif">"#);
+        escape_into(&mut self.body, content);
+        self.body.push_str("</text>");
     }
 
     /// Arrow head + shaft from `(x1, y1)` to `(x2, y2)` (directed edges).
@@ -215,9 +362,8 @@ impl SvgDoc {
         self.body.push_str(markup);
     }
 
-    /// Finalises the document, returning the buffer (reusable through
-    /// [`with_buffer`](SvgDoc::with_buffer)). Any `<g>` groups left open
-    /// are closed.
+    /// Finalises the document, returning the markup. Any `<g>` groups
+    /// left open are closed.
     pub fn finish(mut self) -> String {
         for _ in 0..self.groups_open {
             self.body.push_str("</g>");
@@ -272,12 +418,19 @@ impl LinearScale {
         } else {
             10.0 * mag
         };
-        let first = (self.domain.0 / step).ceil() * step;
         let mut out = Vec::new();
-        let mut v = first;
+        if !(step.is_finite() && step > 0.0) {
+            return out;
+        }
+        let mut v = (self.domain.0 / step).ceil() * step;
         while v <= self.domain.1 + 1e-9 {
             out.push(v);
-            v += step;
+            // Far from zero a step can fall below half an ulp of `v`.
+            let next = v + step;
+            if next <= v {
+                break;
+            }
+            v = next;
         }
         out
     }
@@ -441,6 +594,14 @@ mod tests {
         for t in &ticks {
             assert!(*t >= -1e-9 && *t <= 9.7 + 1e-9);
         }
+    }
+
+    #[test]
+    fn ticks_stop_when_the_step_vanishes_against_the_domain() {
+        // At 1e20 one ulp is 16384, so adding the 5000 step leaves the
+        // tick where it is.
+        let s = LinearScale::new((1e20, 1e20 + 32768.0), (0.0, 100.0));
+        assert_eq!(s.ticks(6), vec![1e20]);
     }
 
     #[test]

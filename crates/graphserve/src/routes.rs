@@ -146,16 +146,33 @@ impl Call<'_, '_> {
     }
 }
 
+/// Answers one parsed request with the `/debug/*` routes switched off:
+/// [`dispatch`] with `debug_routes = false`.
+pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_>) -> Response {
+    dispatch(req, reader, ctx, false)
+}
+
 /// Answers one parsed request: the first `ROUTES` entry that matches it
 /// is counted and runs. `reader` is the calling worker's cached registry
 /// view; `ctx` carries the store (admin routes), the streaming sessions
-/// (ingest routes) and the shared counters (metrics).
-pub fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &RouteContext<'_>) -> Response {
+/// (ingest routes) and the shared counters (metrics). The `/debug/*`
+/// entries match only when `debug_routes` is set
+/// ([`ServerConfig::debug_routes`](crate::ServerConfig::debug_routes));
+/// otherwise their paths answer 404 and count as `other`, like any
+/// unknown path.
+pub fn dispatch(
+    req: &Request,
+    reader: &mut StoreReader<'_>,
+    ctx: &RouteContext<'_>,
+    debug_routes: bool,
+) -> Response {
     let method = req.method.as_str();
     let (index, name) = ROUTES
         .iter()
         .enumerate()
-        .filter(|(_, &(m, ..))| m == method)
+        .filter(|(_, &(m, pattern, ..))| {
+            m == method && (debug_routes || !pattern.starts_with("/debug/"))
+        })
         .find_map(|(i, &(_, pattern, ..))| Some((i, capture(pattern, &req.path)?)))
         .unwrap_or((ROUTE_COUNT, ""));
     ctx.stats.routes[index].fetch_add(1, Ordering::Relaxed);
@@ -962,8 +979,9 @@ fn metrics_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     Ok(Response::text(200, out))
 }
 
-/// `GET /debug/sleep?ms=` — parks the worker briefly; exists so operators
-/// (and the integration tests) can exercise admission control on demand.
+/// `GET /debug/sleep?ms=` — parks the worker briefly; exists so the
+/// integration tests can exercise admission control on demand. Served
+/// only with [`ServerConfig::debug_routes`](crate::ServerConfig::debug_routes).
 fn debug_sleep(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let ms = query_usize(c.req, "ms", 50)?;
     let ms = (ms as u64).min(MAX_SLEEP_MS);
@@ -971,9 +989,10 @@ fn debug_sleep(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     Ok(Response::json(200, format!("{{\"slept_ms\":{ms}}}")))
 }
 
-/// `GET /debug/panic` — panics inside the handler; exists so operators
-/// (and the integration tests) can check on demand that a panicking
-/// request answers 500, is counted and leaves its worker alive.
+/// `GET /debug/panic` — panics inside the handler; exists so the
+/// integration tests can check on demand that a panicking request answers
+/// 500, is counted and leaves its worker alive. Served only with
+/// [`ServerConfig::debug_routes`](crate::ServerConfig::debug_routes).
 fn debug_panic(_: &mut Call<'_, '_>) -> Result<Response, Response> {
     panic!("deliberate panic from the debug panic route")
 }
@@ -1000,6 +1019,7 @@ mod tests {
         sessions: SessionRegistry,
         stats: ServerStats,
         durability: Durability,
+        debug_routes: bool,
     }
 
     impl TestCtx {
@@ -1011,7 +1031,7 @@ mod tests {
     /// Shadows `super::handle`: adapts a [`TestCtx`] into a
     /// [`RouteContext`].
     fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &TestCtx) -> Response {
-        super::handle(
+        super::dispatch(
             req,
             reader,
             &RouteContext {
@@ -1020,6 +1040,7 @@ mod tests {
                 stats: &ctx.stats,
                 durability: &ctx.durability,
             },
+            ctx.debug_routes,
         )
     }
 
@@ -1043,6 +1064,7 @@ mod tests {
             sessions: SessionRegistry::new(streamfit::StreamConfig::default()),
             stats: ServerStats::default(),
             durability: Durability::disabled(),
+            debug_routes: false,
         }
     }
 
@@ -1319,13 +1341,33 @@ mod tests {
         assert_eq!(resp.status, 405);
     }
 
+    #[test]
+    fn debug_routes_answer_404_unless_switched_on() {
+        let store = demo_store();
+        let mut reader = store.reader();
+        for path in ["/debug/sleep?ms=1", "/debug/panic"] {
+            let resp = handle(&request("GET", path, b""), &mut reader, &store);
+            assert_eq!(resp.status, 404, "{path}");
+        }
+        let scrape = handle(&request("GET", "/metrics", b""), &mut reader, &store);
+        let scrape = body_text(&scrape);
+        for line in [
+            "graphserve_route_requests_total{route=\"debug_sleep\"} 0",
+            "graphserve_route_requests_total{route=\"debug_panic\"} 0",
+            "graphserve_route_requests_total{route=\"other\"} 2",
+        ] {
+            assert!(scrape.contains(line), "{line} in {scrape}");
+        }
+    }
+
     /// Sends one request per table entry, the `/metrics` entry last so its
     /// answer is the scrape, then parses every metrics line: each entry's
     /// label must read exactly 1 and `other` 0, so every entry is reachable
     /// and none is shadowed by an earlier one.
     #[test]
     fn every_route_is_reached_once_and_counted_under_its_own_label() {
-        let store = demo_store();
+        let mut store = demo_store();
+        store.debug_routes = true;
         let mut reader = store.reader();
         let series: Vec<f64> = (0..80).map(|i| (i as f64 * 0.3).sin()).collect();
         let body = f64s_to_json(&series);

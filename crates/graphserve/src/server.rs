@@ -57,6 +57,10 @@ pub struct ServerConfig {
     /// Cadences of the streaming ingest sessions opened by
     /// `POST /models/{name}/ingest`.
     pub stream: StreamConfig,
+    /// Serve `GET /debug/sleep` and `GET /debug/panic`, which park a
+    /// worker or panic on purpose (for tests of admission control and
+    /// panic isolation). Off by default: both paths then answer 404.
+    pub debug_routes: bool,
 }
 
 impl Default for ServerConfig {
@@ -70,6 +74,7 @@ impl Default for ServerConfig {
             retry_after_secs: 1,
             max_body_bytes: 8 * 1024 * 1024,
             stream: StreamConfig::default(),
+            debug_routes: false,
         }
     }
 }
@@ -287,7 +292,7 @@ fn worker_loop(
         let response = match Request::read_from(&mut stream, cfg.max_body_bytes) {
             // A handler panic costs its own request a 500, never the worker.
             Ok(request) => catch_unwind(AssertUnwindSafe(|| {
-                routes::handle(&request, &mut reader, &ctx)
+                routes::dispatch(&request, &mut reader, &ctx, cfg.debug_routes)
             }))
             .unwrap_or_else(|_| {
                 stats.handler_panics.fetch_add(1, Ordering::Relaxed);

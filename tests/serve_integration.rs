@@ -190,6 +190,7 @@ fn overload_sheds_with_503_and_retry_after() {
         ServerConfig {
             workers: 1,
             queue_capacity: 1,
+            debug_routes: true,
             ..ServerConfig::default()
         },
         demo_store(),
@@ -249,6 +250,7 @@ fn shutdown_drains_in_flight_requests() {
     let server = Server::start(
         ServerConfig {
             workers: 2,
+            debug_routes: true,
             ..ServerConfig::default()
         },
         demo_store(),
@@ -430,6 +432,7 @@ fn handler_panic_answers_500_and_the_worker_survives() {
     let server = Server::start(
         ServerConfig {
             workers: 1,
+            debug_routes: true,
             ..ServerConfig::default()
         },
         demo_store(),
