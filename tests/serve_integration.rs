@@ -458,6 +458,22 @@ fn handler_panic_answers_500_and_the_worker_survives() {
 }
 
 #[test]
+fn debug_routes_answer_404_on_a_default_server() {
+    let server = Server::start(ServerConfig::default(), demo_store()).expect("start server");
+    let addr = server.addr();
+    for path in ["/debug/sleep?ms=1", "/debug/panic"] {
+        let (status, body) = request(addr, "GET", path, "");
+        assert_eq!(status, 404, "{path}: {body}");
+    }
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("graphserve_handler_panics_total 0\n"),
+        "{metrics}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn hostile_numbers_are_refused_at_the_boundary() {
     let server = Server::start(
         ServerConfig {
