@@ -6,8 +6,10 @@
 //! session.
 //!
 //! The tests drive the real route handlers through [`routes::handle`]
-//! with a [`Durability`] built over [`FailFs`], so the code path is
-//! byte-for-byte the production one; only the filesystem lies.
+//! (the workers' `routes::dispatch` with the debug routes off, as on a
+//! default server) with a [`Durability`] built over [`FailFs`], so the
+//! code path is byte-for-byte the production one; only the filesystem
+//! lies.
 
 use graphserve::durability::{Durability, DurabilityConfig, IngestLog};
 use graphserve::fsio::{FailFs, FaultPlan, Fs, StdFs, WalFile};
@@ -95,7 +97,8 @@ fn durability_config(dir: &Path, snapshot_every: u64) -> DurabilityConfig {
 }
 
 /// The server's request-handling state, minus the sockets: the tests call
-/// the same `routes::handle` the worker threads do.
+/// `routes::handle`, which is the workers' `routes::dispatch` with the
+/// debug routes off.
 struct Harness {
     store: ModelStore,
     sessions: SessionRegistry,
