@@ -72,7 +72,7 @@ fn main() {
     );
 
     // (d) Consensus.
-    let mc = &model.consensus;
+    let mc = model.consensus();
     let n = mc.rows();
     let mut off_diag = Vec::new();
     for i in 0..n {

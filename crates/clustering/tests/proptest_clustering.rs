@@ -116,7 +116,7 @@ fn kgraph_fit_matches_dense_spectral_oracle() {
     let ds = datasets::cbf::cbf(100, 256, 7);
     let model = kgraph::KGraph::new(kgraph::KGraphConfig::new(3).with_seed(7)).fit(&ds);
     assert_eq!(model.config.n_lengths, 5);
-    let (oracle, _) = dense_spectral_oracle(&model.consensus, SpectralOptions::new(3, 7));
+    let (oracle, _) = dense_spectral_oracle(&model.consensus(), SpectralOptions::new(3, 7));
     assert_eq!(model.labels, oracle);
 }
 

@@ -118,7 +118,7 @@ impl<'a> UnderTheHoodFrame<'a> {
     pub fn render_consensus_matrix(&self) -> String {
         let (order, boundaries) = self.cluster_order();
         let n = order.len();
-        let mc = &self.model.consensus;
+        let mc = self.model.consensus();
         let reordered = Matrix::from_fn(n, n, |i, j| mc[(order[i], order[j])]);
         let mut hm = Heatmap::new("4.3 Consensus matrix", reordered);
         hm.domain = Some((0.0, 1.0));

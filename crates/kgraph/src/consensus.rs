@@ -13,8 +13,11 @@
 //! multiplicities. That is exact, because identical rows put `e_i − e_j` in
 //! the null space of the normalised affinity, so every Laplacian
 //! eigenvector with an eigenvalue other than 1 is constant across identical
-//! rows (see `clustering::spectral`). The full `n × n` matrix is still built: the
-//! degrees are its row sums, and the Under-the-Hood frame draws it.
+//! rows (see `clustering::spectral`). The fit still builds the full `n × n`
+//! matrix, because the degrees are its row sums, but only as a temporary:
+//! the model keeps the per-length partitions, and
+//! [`KGraphModel::consensus`](crate::KGraphModel::consensus) rebuilds the
+//! matrix from them when the Under-the-Hood frame draws it.
 
 use clustering::spectral::{spectral_clustering, SpectralOptions};
 use linalg::matrix::Matrix;

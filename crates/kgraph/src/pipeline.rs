@@ -42,9 +42,9 @@ pub struct KGraphModel {
     pub config: KGraphConfig,
     /// One graph layer per subsequence length, ascending by length; each
     /// holds `G_ℓ`, the node paths and the per-length partition `L_ℓ`.
+    /// The consensus matrix `MC` is not stored: it is a function of these
+    /// partitions, rebuilt on demand by [`KGraphModel::consensus`].
     pub layers: Vec<GraphLayer>,
-    /// The consensus matrix `MC`.
-    pub consensus: Matrix,
     /// Final labels `L`.
     pub labels: Vec<usize>,
     /// Per-length `(Wc, We)` scores.
@@ -89,8 +89,7 @@ impl KGraph {
 
         // Stage 3: consensus across the per-length partitions.
         let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();
-        let consensus = consensus_matrix(&partitions);
-        let labels = consensus_labels(&consensus, cfg.k, cfg.seed);
+        let labels = consensus_labels(&consensus_matrix(&partitions), cfg.k, cfg.seed);
 
         // Stage 4: score lengths and select ℓ̄.
         let (scores, best_layer) = score_lengths(&layers, &labels, cfg.k);
@@ -98,7 +97,7 @@ impl KGraph {
         // Keep layers sorted by length for stable reporting.
         debug_assert!(layers.windows(2).all(|w| w[0].length <= w[1].length));
         layers.shrink_to_fit();
-        KGraphModel::new(cfg.clone(), layers, consensus, labels, scores, best_layer)
+        KGraphModel::new(cfg.clone(), layers, labels, scores, best_layer)
     }
 }
 
@@ -124,7 +123,6 @@ impl KGraphModel {
     pub fn new(
         config: KGraphConfig,
         layers: Vec<GraphLayer>,
-        consensus: Matrix,
         labels: Vec<usize>,
         scores: Vec<LengthScore>,
         best_layer: usize,
@@ -132,12 +130,19 @@ impl KGraphModel {
         KGraphModel {
             config,
             layers,
-            consensus,
             labels,
             scores,
             best_layer,
             serving: ServingCache::default(),
         }
+    }
+
+    /// The consensus matrix `MC` (paper §II-A), rebuilt from the layers'
+    /// partitions: `MC[i][j]` is the share of layers that put series `i`
+    /// and `j` together. Each call costs `O(M · n²)` time and `8 n²` bytes.
+    pub fn consensus(&self) -> Matrix {
+        let partitions: Vec<Vec<usize>> = self.layers.iter().map(|l| l.labels.clone()).collect();
+        consensus_matrix(&partitions)
     }
 
     /// The selected ("most interpretable") layer `G_ℓ̄`.
@@ -228,8 +233,9 @@ mod tests {
         let ds = toy_dataset();
         let model = KGraph::new(quick_config(2)).fit(&ds);
         assert_eq!(model.labels.len(), ds.len());
-        assert_eq!(model.consensus.shape(), (ds.len(), ds.len()));
-        assert!(model.consensus.is_symmetric(1e-12));
+        let mc = model.consensus();
+        assert_eq!(mc.shape(), (ds.len(), ds.len()));
+        assert!(mc.is_symmetric(1e-12));
         assert_eq!(model.scores.len(), model.layers.len());
         assert!(model.best_layer < model.layers.len());
         assert_eq!(model.best_length(), model.layers[model.best_layer].length);

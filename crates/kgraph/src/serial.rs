@@ -4,14 +4,26 @@
 //! minutes, while a server restart should reload its registry in
 //! milliseconds. This module writes everything a fitted model holds — the
 //! per-length graph layers (node patterns + CSR edge triples), the stored
-//! embeddings (PCA, radial nodes), paths, partitions, consensus matrix and
-//! scores — into a little-endian, length-prefixed binary format (`KGM2`).
+//! embeddings (PCA, radial nodes), paths, partitions and scores — into a
+//! little-endian, length-prefixed binary format (`KGM2`).
 //!
 //! Graphs are stored as node payloads plus `(src, dst, weight)` edge
 //! triples and rebuilt through [`tsgraph::GraphBuilder`] at load time; the
 //! builder sorts and deduplicates, so the reloaded CSR is bit-identical to
 //! the fitted one and every downstream consumer (scores, features,
-//! graphoids, rendering) produces identical results.
+//! graphoids, rendering) produces identical results. Every edge-triple list
+//! in the system — model edges, `KGD1` delta edges and streamfit's `KGS1`
+//! pending triples — goes through one codec, [`put_triples`] and
+//! [`Cursor::triples`].
+//!
+//! ## The retired consensus slot
+//!
+//! Between the labels and the scores, `KGM2` keeps a matrix slot (`u64
+//! rows, u64 cols, rows·cols × f64`) that once held the n × n consensus
+//! matrix, which the model now derives ([`KGraphModel::consensus`]).
+//! [`write_model`] writes a 0 × 0 matrix there and [`read_model`] skips
+//! whatever matrix it finds, bounds-checked and without allocating, so
+//! files that still carry the matrix load unchanged.
 //!
 //! The format is deliberately dependency-free (no serde in the image) and
 //! versioned by magic: readers reject unknown magics with
@@ -82,6 +94,21 @@ pub fn put_u64s(out: &mut Vec<u8>, vs: impl ExactSizeIterator<Item = u64>) {
     for v in vs {
         put_u64(out, v);
     }
+}
+
+/// Appends a count-prefixed list of `(u64 src, u64 dst, f64 w)` edge
+/// triples, the layout [`Cursor::triples`] reads back.
+pub fn put_triples(out: &mut Vec<u8>, triples: impl IntoIterator<Item = (NodeId, NodeId, f64)>) {
+    let at = out.len();
+    put_u64(out, 0);
+    let mut n = 0u64;
+    for (s, t, w) in triples {
+        put_u64(out, u64::from(s.0));
+        put_u64(out, u64::from(t.0));
+        put_f64(out, w);
+        n += 1;
+    }
+    out[at..at + 8].copy_from_slice(&n.to_le_bytes());
 }
 
 /// Fallible fixed-width conversion: corrupt inputs become [`TsError`]
@@ -179,10 +206,24 @@ impl<'a> Cursor<'a> {
         (0..n).map(|_| self.f64()).collect()
     }
 
-    /// Next length-prefixed `u64` vector.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, TsError> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
+    /// Next list written by [`put_triples`]; every endpoint must be below
+    /// `node_bound`.
+    pub fn triples(&mut self, node_bound: usize) -> Result<Vec<(NodeId, NodeId, f64)>, TsError> {
+        let n = self.len(24)?;
+        (0..n)
+            .map(|_| Ok((self.node(node_bound)?, self.node(node_bound)?, self.f64()?)))
+            .collect()
+    }
+
+    /// Next `u64` as a node id below `bound`.
+    fn node(&mut self, bound: usize) -> Result<NodeId, TsError> {
+        let v = self.u64()?;
+        match u32::try_from(v) {
+            Ok(id) if (id as usize) < bound => Ok(NodeId(id)),
+            _ => Err(TsError::Parse(format!(
+                "node {v} out of range (graph has {bound} nodes)"
+            ))),
+        }
     }
 
     /// Succeeds when every byte was consumed; `what` names the blob in
@@ -196,12 +237,8 @@ impl<'a> Cursor<'a> {
 
     /// Next length-prefixed `usize` vector.
     pub fn usizes(&mut self) -> Result<Vec<usize>, TsError> {
-        self.u64s()?
-            .into_iter()
-            .map(|v| {
-                usize::try_from(v).map_err(|_| TsError::Parse(format!("value {v} overflows usize")))
-            })
-            .collect()
+        let n = self.len(8)?;
+        (0..n).map(|_| self.usize()).collect()
     }
 }
 
@@ -255,18 +292,22 @@ fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
     }
 }
 
-fn read_matrix(c: &mut Cursor) -> Result<Matrix, TsError> {
-    let rows = c.usize()?;
-    let cols = c.usize()?;
-    let n = rows
+/// Next matrix shape and its bounds-checked payload bytes, not yet decoded.
+fn matrix_bytes<'a>(c: &mut Cursor<'a>) -> Result<(usize, usize, &'a [u8]), TsError> {
+    let (rows, cols) = (c.usize()?, c.usize()?);
+    let bytes = rows
         .checked_mul(cols)
-        .ok_or_else(|| TsError::Parse("matrix shape overflow".into()))?;
-    if n.saturating_mul(8) > c.bytes.len() - c.pos {
-        return Err(TsError::Parse(format!(
-            "matrix {rows}x{cols} exceeds remaining bytes"
-        )));
-    }
-    let data = (0..n).map(|_| c.f64()).collect::<Result<Vec<_>, _>>()?;
+        .and_then(|n| n.checked_mul(8))
+        .ok_or_else(|| TsError::Parse(format!("matrix shape {rows}x{cols} overflows")))?;
+    Ok((rows, cols, c.take(bytes)?))
+}
+
+fn read_matrix(c: &mut Cursor) -> Result<Matrix, TsError> {
+    let (rows, cols, bytes) = matrix_bytes(c)?;
+    let mut m = Cursor::new(bytes);
+    let data = (0..rows * cols)
+        .map(|_| m.f64())
+        .collect::<Result<_, _>>()?;
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
@@ -332,12 +373,7 @@ fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
         put_f64s(out, &p.pattern);
     }
     // Edge triples in edge-id order (already (src, dst)-sorted).
-    put_u64(out, layer.graph.edge_count() as u64);
-    for (_, s, t, &w) in layer.graph.edges_iter() {
-        put_u64(out, s.0 as u64);
-        put_u64(out, t.0 as u64);
-        put_f64(out, w);
-    }
+    put_triples(out, layer.graph.edges_iter().map(|(_, s, t, &w)| (s, t, w)));
     put_u64(out, layer.paths.len() as u64);
     for path in &layer.paths {
         put_u64s(out, path.iter().map(|n| n.0 as u64));
@@ -359,18 +395,10 @@ fn read_layer(c: &mut Cursor) -> Result<GraphLayer, TsError> {
             })
         })
         .collect::<Result<Vec<_>, TsError>>()?;
-    let n_edges = c.len(24)?;
-    let mut builder = GraphBuilder::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let s = c.u64()?;
-        let t = c.u64()?;
-        let w = c.f64()?;
-        if s >= n_nodes as u64 || t >= n_nodes as u64 {
-            return Err(TsError::Parse(format!(
-                "edge ({s}, {t}) references missing node (graph has {n_nodes})"
-            )));
-        }
-        builder.add_edge(NodeId(s as u32), NodeId(t as u32), w);
+    let edges = c.triples(n_nodes)?;
+    let mut builder = GraphBuilder::with_capacity(edges.len());
+    for (s, t, w) in edges {
+        builder.add_edge(s, t, w);
     }
     // Stored edges are unique per (src, dst): the merge closure never
     // fires, and the builder's sort reproduces the fitted CSR exactly.
@@ -378,16 +406,8 @@ fn read_layer(c: &mut Cursor) -> Result<GraphLayer, TsError> {
     let n_paths = c.len(8)?;
     let paths = (0..n_paths)
         .map(|_| {
-            let raw = c.u64s()?;
-            raw.into_iter()
-                .map(|v| {
-                    if v >= n_nodes as u64 {
-                        Err(TsError::Parse(format!("path node {v} out of range")))
-                    } else {
-                        Ok(NodeId(v as u32))
-                    }
-                })
-                .collect::<Result<Vec<_>, TsError>>()
+            let len = c.len(8)?;
+            (0..len).map(|_| c.node(n_nodes)).collect()
         })
         .collect::<Result<Vec<_>, TsError>>()?;
     let labels = c.usizes()?;
@@ -415,7 +435,9 @@ pub fn write_model(model: &KGraphModel) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     put_config(&mut out, &model.config);
     put_u64s(&mut out, model.labels.iter().map(|&l| l as u64));
-    put_matrix(&mut out, &model.consensus);
+    // The retired consensus slot: an empty 0 × 0 matrix.
+    put_u64(&mut out, 0);
+    put_u64(&mut out, 0);
     put_u64(&mut out, model.scores.len() as u64);
     for s in &model.scores {
         put_u64(&mut out, s.length as u64);
@@ -484,7 +506,8 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
     let mut c = open(bytes, MAGIC, "model")?;
     let config = read_config(&mut c)?;
     let labels = c.usizes()?;
-    let consensus = read_matrix(&mut c)?;
+    // The retired consensus slot, skipped without decoding.
+    matrix_bytes(&mut c)?;
     let n_scores = c.len(24)?;
     let scores = (0..n_scores)
         .map(|_| {
@@ -507,9 +530,7 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
         )));
     }
     c.finish("model")?;
-    Ok(KGraphModel::new(
-        config, layers, consensus, labels, scores, best_layer,
-    ))
+    Ok(KGraphModel::new(config, layers, labels, scores, best_layer))
 }
 
 /// Saves a model to `path` (atomically: write to `path.tmp`, then rename).
@@ -538,12 +559,7 @@ pub fn write_delta_state(deltas: &[DeltaGraph<f64>]) -> Vec<u8> {
     put_u64(&mut out, deltas.len() as u64);
     for d in deltas {
         put_u64(&mut out, d.node_count() as u64);
-        put_u64(&mut out, d.edge_count() as u64);
-        for (s, t, &w) in d.iter() {
-            put_u64(&mut out, s.0 as u64);
-            put_u64(&mut out, t.0 as u64);
-            put_f64(&mut out, w);
-        }
+        put_triples(&mut out, d.iter().map(|(s, t, &w)| (s, t, w)));
     }
     seal(out)
 }
@@ -557,19 +573,7 @@ pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
     let mut deltas = Vec::with_capacity(n_layers);
     for _ in 0..n_layers {
         let nodes = c.usize()?;
-        let n_edges = c.len(24)?;
-        let mut triples = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            let s = c.u64()?;
-            let t = c.u64()?;
-            let w = c.f64()?;
-            if s >= nodes as u64 || t >= nodes as u64 {
-                return Err(TsError::Parse(format!(
-                    "delta edge ({s}, {t}) references missing node (delta has {nodes})"
-                )));
-            }
-            triples.push((NodeId(s as u32), NodeId(t as u32), w));
-        }
+        let triples = c.triples(nodes)?;
         let mut delta = DeltaGraph::new(nodes);
         delta.ingest(triples, |acc, w| *acc += w);
         deltas.push(delta);
@@ -580,11 +584,9 @@ pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
 
 /// Approximate heap footprint of a fitted model in bytes — the currency of
 /// the serving layer's eviction budget. Counts the dominant flat arrays
-/// (CSR adjacency, patterns, paths, consensus); small fixed overheads are
-/// ignored.
+/// (CSR adjacency, patterns, paths); small fixed overheads are ignored.
 pub fn model_approx_bytes(model: &KGraphModel) -> usize {
     let mut bytes = std::mem::size_of::<KGraphModel>();
-    bytes += model.consensus.as_slice().len() * 8;
     bytes += model.labels.len() * 8;
     bytes += model.scores.len() * std::mem::size_of::<LengthScore>();
     for layer in &model.layers {
@@ -646,7 +648,7 @@ mod tests {
 
         assert_eq!(loaded.labels, model.labels);
         assert_eq!(loaded.best_layer, model.best_layer);
-        assert_eq!(loaded.consensus.as_slice(), model.consensus.as_slice());
+        assert_eq!(loaded.consensus().as_slice(), model.consensus().as_slice());
         assert_eq!(loaded.layers.len(), model.layers.len());
         for (a, b) in loaded.layers.iter().zip(&model.layers) {
             assert_eq!(a.length, b.length);
@@ -695,37 +697,8 @@ mod tests {
         let mut v1 = bytes[..bytes.len() - 4].to_vec();
         v1[..4].copy_from_slice(b"KGM1");
         assert!(matches!(read_model(&v1), Err(TsError::Parse(_))));
-        // Truncations at every prefix must error, never panic.
-        for cut in [0, 3, 4, 10, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                matches!(read_model(&bytes[..cut]), Err(TsError::Parse(_))),
-                "cut at {cut} must be a parse error"
-            );
-        }
-        // Trailing garbage.
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(matches!(read_model(&long), Err(TsError::Parse(_))));
-    }
-
-    #[test]
-    fn bit_flips_are_caught_by_the_checksum() {
-        let model = fitted();
-        let bytes = write_model(&model);
-        assert_eq!(&bytes[..4], b"KGM2");
-        // Flip one bit at a spread of positions: every flip must be
-        // reported as corruption (checksum mismatch), never panic and
-        // never load.
-        for pos in [4usize, 100, bytes.len() / 2, bytes.len() - 5] {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x01;
-            match read_model(&bad) {
-                Err(TsError::Parse(msg)) => {
-                    assert!(msg.contains("checksum"), "flip at {pos}: {msg}")
-                }
-                other => panic!("flip at {pos} must fail, got {other:?}"),
-            }
-        }
+        // Every cut and bit flip of all three checksummed formats is swept
+        // in `streamfit/tests/corruption_sweep.rs`.
     }
 
     #[test]
@@ -750,61 +723,6 @@ mod tests {
         assert_eq!(loaded[0].weight_between(NodeId(0), NodeId(1)), Some(&2.0));
         assert_eq!(loaded[1].node_count(), 3);
         assert!(loaded[1].is_empty());
-
-        // Corruption and truncation are parse errors.
-        let mut bad = bytes.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x08;
-        assert!(matches!(read_delta_state(&bad), Err(TsError::Parse(_))));
-        for cut in [0, 3, bytes.len() - 1] {
-            assert!(read_delta_state(&bytes[..cut]).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn delta_state_truncated_at_every_prefix_is_an_error() {
-        use tsgraph::delta::DeltaGraph;
-        use tsgraph::NodeId;
-        let mut a: DeltaGraph<f64> = DeltaGraph::new(7);
-        a.ingest(
-            (0..6).map(|i| (NodeId(i % 7), NodeId((i * 3) % 7), i as f64)),
-            |acc, w| *acc += w,
-        );
-        let bytes = write_delta_state(&[a, DeltaGraph::new(2)]);
-        // Every proper prefix must be rejected cleanly — a torn write can
-        // leave the file cut at any byte.
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(read_delta_state(&bytes[..cut]), Err(TsError::Parse(_))),
-                "cut at {cut} must be a parse error"
-            );
-        }
-    }
-
-    #[test]
-    fn delta_state_bit_flips_are_caught_by_the_checksum() {
-        use tsgraph::delta::DeltaGraph;
-        use tsgraph::NodeId;
-        let mut a: DeltaGraph<f64> = DeltaGraph::new(4);
-        a.ingest(
-            [(NodeId(0), NodeId(3), 1.5), (NodeId(2), NodeId(1), -0.5)],
-            |acc, w| *acc += w,
-        );
-        let bytes = write_delta_state(&[a]);
-        assert_eq!(&bytes[..4], b"KGD1");
-        for pos in 0..bytes.len() {
-            for bit in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[pos] ^= bit;
-                match read_delta_state(&bad) {
-                    Err(TsError::Parse(msg)) => assert!(
-                        msg.contains("checksum") || msg.contains("magic") || pos < 4,
-                        "flip at {pos}: unexpected message {msg}"
-                    ),
-                    other => panic!("flip bit {bit:#x} at {pos} must fail, got {other:?}"),
-                }
-            }
-        }
     }
 
     #[test]

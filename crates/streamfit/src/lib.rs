@@ -39,7 +39,6 @@ mod tests {
     use super::*;
     use kgraph::{KGraph, KGraphConfig};
     use std::sync::Arc;
-    use tscore::error::TsError;
     use tscore::{Dataset, DatasetKind, TimeSeries};
 
     fn fitted() -> Arc<kgraph::KGraphModel> {
@@ -275,38 +274,15 @@ mod tests {
     }
 
     #[test]
-    fn session_state_rejects_corruption_and_wrong_model() {
+    fn session_state_rejects_a_wrong_model() {
         let model = fitted();
         let mut session = StreamSession::new(Arc::clone(&model), StreamConfig::default());
         session.append(0, &wave(0, 40)).unwrap();
         let bytes = persist::write_session_state(&session, 7);
 
-        // Every prefix truncation and every single-bit flip must be a clean
-        // parse error, never a panic; a flip is caught by the magic check
-        // or the checksum before any field is decoded.
-        for cut in 0..bytes.len() {
-            assert!(
-                persist::read_session_state(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
-        }
-        assert_eq!(&bytes[..4], b"KGS1");
-        for pos in 0..bytes.len() {
-            for bit in [0x01u8, 0x80] {
-                let mut bad = bytes.clone();
-                bad[pos] ^= bit;
-                match persist::read_session_state(&bad) {
-                    Err(TsError::Parse(msg)) => assert!(
-                        msg.contains("checksum") || msg.contains("magic"),
-                        "flip at {pos}: unexpected message {msg}"
-                    ),
-                    other => panic!("flip bit {bit:#x} at {pos} must fail, got {other:?}"),
-                }
-            }
-        }
-
-        // A state decoded fine but restored over the wrong model is
-        // rejected by the shape checks.
+        // Every cut and bit flip is swept in `tests/corruption_sweep.rs`. A
+        // state decoded fine but restored over the wrong model is rejected
+        // by the shape checks.
         let other = fitted();
         let state = persist::read_session_state(&bytes).unwrap();
         let compatible = other.layers.len() == model.layers.len()

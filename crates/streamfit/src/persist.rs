@@ -22,8 +22,8 @@
 //! u64 seq                  highest WAL sequence covered by this state
 //! u64 points_total | u64 points_since_refresh | u64 refreshes | u64 compactions
 //! u64 len | KGD1 bytes     embedded delta-state blob (own magic + checksum)
-//! u64 n_layers             buffered pending triples, per layer:
-//!   u64 n | n × (u64 src, u64 dst, f64 w)
+//! u64 n_layers             buffered pending triples, one list per delta
+//!   layer, written by `put_triples`: u64 n | n × (u64 src, u64 dst, f64 w)
 //! u64 n_series             per open series:
 //!   f64s values | u8 has_scores | [f64s scores]
 //! u32 crc32                trailer over everything above
@@ -31,7 +31,7 @@
 
 use crate::session::{StreamConfig, StreamSession};
 use kgraph::pipeline::KGraphModel;
-use kgraph::serial::{open, put_f64, put_f64s, put_u64, seal};
+use kgraph::serial::{open, put_f64s, put_triples, put_u64, seal};
 use kgraph::stream::extend_path;
 use std::sync::Arc;
 use tscore::error::TsError;
@@ -88,12 +88,7 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
     out.extend_from_slice(&delta);
     put_u64(&mut out, session.pending.len() as u64);
     for layer in &session.pending {
-        put_u64(&mut out, layer.len() as u64);
-        for &(s, t, w) in layer {
-            put_u64(&mut out, u64::from(s.0));
-            put_u64(&mut out, u64::from(t.0));
-            put_f64(&mut out, w);
-        }
+        put_triples(&mut out, layer.iter().copied());
     }
     put_u64(&mut out, session.series.len() as u64);
     for s in &session.series {
@@ -114,7 +109,9 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// [`TsError::Parse`] on wrong magic, checksum mismatch, truncation, a
-/// corrupt embedded `KGD1` blob, or trailing bytes.
+/// corrupt embedded `KGD1` blob, a pending list per layer that does not
+/// match the deltas (layer count, or a node past the delta's node count),
+/// or trailing bytes.
 pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
     let mut c = open(bytes, SESSION_MAGIC, "session")?;
     let seq = c.u64()?;
@@ -124,24 +121,17 @@ pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
     let compactions = c.u64()?;
     let delta_len = c.len(1)?;
     let deltas = kgraph::serial::read_delta_state(c.take(delta_len)?)?;
-    let n_layers = c.len(8)?;
-    let mut pending = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
-        let n = c.len(24)?;
-        let mut triples = Vec::with_capacity(n);
-        for _ in 0..n {
-            let s = c.u64()?;
-            let t = c.u64()?;
-            let w = c.f64()?;
-            let narrow = |v: u64| {
-                u32::try_from(v).map_err(|_| {
-                    TsError::Parse(format!("pending triple node id {v} overflows u32"))
-                })
-            };
-            triples.push((NodeId(narrow(s)?), NodeId(narrow(t)?), w));
-        }
-        pending.push(triples);
+    let n_layers = c.usize()?;
+    if n_layers != deltas.len() {
+        return Err(TsError::Parse(format!(
+            "session state has {n_layers} pending layers but {} deltas",
+            deltas.len()
+        )));
     }
+    let pending = deltas
+        .iter()
+        .map(|d| c.triples(d.node_count()))
+        .collect::<Result<Vec<_>, TsError>>()?;
     let n_series = c.len(9)?;
     let mut series = Vec::with_capacity(n_series);
     for _ in 0..n_series {
@@ -174,17 +164,18 @@ impl StreamSession {
     /// Reconstructs a session over `model` from a decoded [`SessionState`].
     ///
     /// The deltas and pending triples are adopted as-is after validating
-    /// their shape against `model`; per-layer node paths are rebuilt
-    /// deterministically from the persisted values (a pure function of the
-    /// immutable layer embeddings), and the persisted scores are installed
-    /// *without* rescoring so the restored session serves exactly what the
-    /// original served.
+    /// the deltas' shape against `model` ([`read_session_state`] already
+    /// bounds each pending triple by its delta's node count); per-layer
+    /// node paths are rebuilt deterministically from the persisted values
+    /// (a pure function of the immutable layer embeddings), and the
+    /// persisted scores are installed *without* rescoring so the restored
+    /// session serves exactly what the original served.
     ///
     /// # Errors
     ///
     /// [`TsError::Parse`] when the state does not fit `model` (layer count
-    /// or per-layer node count mismatch, out-of-range pending triple);
-    /// any [`TsError`] from path reconstruction.
+    /// or per-layer node count mismatch); any [`TsError`] from path
+    /// reconstruction.
     pub fn restore(
         model: Arc<KGraphModel>,
         cfg: StreamConfig,
@@ -205,15 +196,6 @@ impl StreamSession {
                     "layer {l} delta covers {} nodes, model layer has {nodes}",
                     delta.node_count()
                 )));
-            }
-            for &(s, t, _) in &state.pending[l] {
-                if s.0 as usize >= nodes || t.0 as usize >= nodes {
-                    return Err(TsError::Parse(format!(
-                        "layer {l} pending triple ({}, {}) references missing node \
-                         (layer has {nodes})",
-                        s.0, t.0
-                    )));
-                }
             }
         }
         let mut series = Vec::with_capacity(state.series.len());

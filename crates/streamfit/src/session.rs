@@ -285,7 +285,6 @@ impl StreamSession {
         let next = Arc::new(KGraphModel::new(
             old.config.clone(),
             layers,
-            old.consensus.clone(),
             old.labels.clone(),
             old.scores.clone(),
             old.best_layer,

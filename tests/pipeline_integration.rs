@@ -67,7 +67,7 @@ fn model_invariants_hold_across_datasets() {
         assert_eq!(model.labels.len(), ds.len());
         assert!(model.labels.iter().all(|&l| l < k));
         // Consensus matrix: symmetric, unit diagonal, entries in [0, 1].
-        let mc = &model.consensus;
+        let mc = model.consensus();
         assert!(mc.is_symmetric(1e-12));
         for i in 0..mc.rows() {
             assert!((mc[(i, i)] - 1.0).abs() < 1e-12);
