@@ -1,8 +1,9 @@
 //! Filesystem seam for the durability layer.
 //!
 //! Every byte the durability layer puts on (or reads off) disk goes
-//! through the [`Fs`] trait, so tests can interpose [`FailFs`] and inject
-//! the faults a real disk produces — torn writes, silent short writes,
+//! through the [`Fs`] trait, so tests can interpose a fault-injecting
+//! filesystem (`FailFs` in `tests/durability_faults.rs`) and produce the
+//! faults a real disk produces — torn writes, silent short writes,
 //! `ENOSPC`, failing fsyncs, bit rot on read — without conditional
 //! compilation or test-only hooks in the production code path. Production
 //! uses [`StdFs`], a thin veneer over `std::fs` that adds the fsync calls
@@ -11,8 +12,6 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An append-only log file handle.
 #[allow(clippy::len_without_is_empty)] // len needs &mut (it seeks); is_empty can't match the trait shape
@@ -146,209 +145,5 @@ impl Fs for StdFs {
             .append(true)
             .open(path)?;
         Ok(Box::new(StdWalFile { file }))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FailFs — fault injection
-// ---------------------------------------------------------------------------
-
-/// Which faults [`FailFs`] injects. All byte thresholds count *cumulative
-/// bytes written through the wrapper* (WAL appends and snapshot writes
-/// alike), so a test dials "the disk dies after N bytes" and the failure
-/// lands wherever the durability layer happens to be at that point.
-#[derive(Debug, Default, Clone)]
-pub struct FaultPlan {
-    /// After this many bytes: write a partial prefix of the current
-    /// buffer, then return an I/O error — a torn write, as a crash or
-    /// kernel error mid-`write(2)` produces.
-    pub torn_write_after: Option<u64>,
-    /// After this many bytes: silently drop everything past the
-    /// threshold and report success — a lying disk.
-    pub short_write_after: Option<u64>,
-    /// After this many bytes: partial write, then `ErrorKind::StorageFull`
-    /// (`ENOSPC`).
-    pub enospc_after: Option<u64>,
-    /// Let this many `sync` calls succeed, then fail every later one.
-    pub fail_syncs_after: Option<u64>,
-    /// Fail every `set_len` — defeats the WAL's rollback and forces the
-    /// degraded path.
-    pub fail_set_len: bool,
-    /// XOR this mask into the byte at this offset of every `read` —
-    /// bit rot.
-    pub flip_on_read: Option<(usize, u8)>,
-}
-
-#[derive(Default)]
-struct FaultState {
-    written: AtomicU64,
-    syncs: AtomicU64,
-}
-
-/// An [`Fs`] decorator injecting the faults of a [`FaultPlan`] on top of
-/// an inner filesystem. Clone-cheap: clones share the fault counters, so
-/// one plan governs every handle a test hands out.
-#[derive(Clone)]
-pub struct FailFs {
-    inner: Arc<dyn Fs>,
-    plan: FaultPlan,
-    state: Arc<FaultState>,
-}
-
-impl FailFs {
-    /// Wraps `inner` with `plan`.
-    pub fn new(inner: Arc<dyn Fs>, plan: FaultPlan) -> Self {
-        FailFs {
-            inner,
-            plan,
-            state: Arc::new(FaultState::default()),
-        }
-    }
-
-    /// Total bytes the wrapper has admitted to the inner filesystem.
-    pub fn bytes_written(&self) -> u64 {
-        self.state.written.load(Ordering::Relaxed)
-    }
-
-    /// Total fsync-class calls (file and directory) seen by the wrapper.
-    pub fn syncs(&self) -> u64 {
-        self.state.syncs.load(Ordering::Relaxed)
-    }
-
-    /// Applies the write-fault plan to a buffer about to be written.
-    /// Returns the prefix to actually write and the error (if any) to
-    /// report after writing it.
-    fn plan_write(&self, len: u64) -> (usize, Option<io::Error>, bool) {
-        let before = self.state.written.fetch_add(len, Ordering::Relaxed);
-        let crosses = |t: Option<u64>| {
-            t.filter(|&t| before + len > t)
-                .map(|t| t.saturating_sub(before) as usize)
-        };
-        if let Some(keep) = crosses(self.plan.torn_write_after) {
-            return (keep, Some(io::Error::other("injected torn write")), false);
-        }
-        if let Some(keep) = crosses(self.plan.enospc_after) {
-            return (
-                keep,
-                Some(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "injected ENOSPC",
-                )),
-                false,
-            );
-        }
-        if let Some(keep) = crosses(self.plan.short_write_after) {
-            // Silent: partial data, successful return.
-            return (keep, None, true);
-        }
-        (len as usize, None, false)
-    }
-
-    fn sync_fault(&self) -> Option<io::Error> {
-        let n = self.state.syncs.fetch_add(1, Ordering::Relaxed);
-        match self.plan.fail_syncs_after {
-            Some(limit) if n >= limit => Some(io::Error::other("injected fsync failure")),
-            _ => None,
-        }
-    }
-
-    fn corrupt(&self, mut bytes: Vec<u8>) -> Vec<u8> {
-        if let Some((pos, mask)) = self.plan.flip_on_read {
-            if pos < bytes.len() {
-                bytes[pos] ^= mask;
-            }
-        }
-        bytes
-    }
-}
-
-struct FailWalFile {
-    inner: Box<dyn WalFile>,
-    fs: FailFs,
-}
-
-impl WalFile for FailWalFile {
-    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let (keep, err, _silent) = self.fs.plan_write(bytes.len() as u64);
-        self.inner.append(&bytes[..keep.min(bytes.len())])?;
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if let Some(e) = self.fs.sync_fault() {
-            return Err(e);
-        }
-        self.inner.sync()
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        if self.fs.plan.fail_set_len {
-            return Err(io::Error::other("injected set_len failure"));
-        }
-        self.inner.set_len(len)
-    }
-
-    fn len(&mut self) -> io::Result<u64> {
-        self.inner.len()
-    }
-}
-
-impl Fs for FailFs {
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(path)
-    }
-
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        Ok(self.corrupt(self.inner.read(path)?))
-    }
-
-    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let (keep, err, _silent) = self.plan_write(bytes.len() as u64);
-        self.inner.write(path, &bytes[..keep.min(bytes.len())])?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        if let Some(e) = self.sync_fault() {
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove_file(path)
-    }
-
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove_dir_all(path)
-    }
-
-    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
-        self.inner.read_dir(path)
-    }
-
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        if let Some(e) = self.sync_fault() {
-            return Err(e);
-        }
-        self.inner.sync_dir(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn open_wal(&self, path: &Path) -> io::Result<Box<dyn WalFile>> {
-        let inner = self.inner.open_wal(path)?;
-        Ok(Box::new(FailWalFile {
-            inner,
-            fs: self.clone(),
-        }))
     }
 }

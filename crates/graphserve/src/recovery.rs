@@ -15,9 +15,12 @@
 //!    an empty WAL, so torn tails and stale generations are retired;
 //! 4. **degrades instead of dying** when the state is contradictory (the
 //!    WAL demonstrably starts *after* the newest readable snapshot, or is
-//!    not a WAL at all) or the heal cannot be made durable: the last-good
-//!    snapshot is served read-only and the condition is surfaced through
-//!    `/healthz`, `/metrics` and the log.
+//!    not a WAL at all), when a record that passed its checksum is refused
+//!    by the model, or when the heal cannot be made durable: the state
+//!    replayed so far is served read-only and the condition is surfaced
+//!    through `/healthz`, `/metrics` and the log. A degraded model is not
+//!    healed, so its snapshot and WAL files stay exactly as they were for
+//!    a later binary to replay.
 //!
 //! Models present in the store (e.g. loaded from `--models`) but absent
 //! from the state directory are *adopted*: an initial snapshot and empty
@@ -220,16 +223,14 @@ fn recover_model(
                             match session.append(record.series, &record.points) {
                                 Ok(_) => applied += 1,
                                 Err(e) => {
-                                    // A record that does not fit the model
-                                    // is corruption the CRC cannot see:
-                                    // stop cleanly at the last good one.
-                                    eprintln!(
-                                        "[recovery] {name}: replay stopped at seq {}: {e}",
+                                    // The record passed its CRC and was
+                                    // acknowledged: healing over it would
+                                    // drop it and every record after it.
+                                    degraded_reason = Some(format!(
+                                        "WAL record {} could not be replayed: {e}; \
+                                         refusing writes and keeping the journal",
                                         record.seq
-                                    );
-                                    counters
-                                        .wal_records_truncated
-                                        .fetch_add(1, Ordering::Relaxed);
+                                    ));
                                     break;
                                 }
                             }

@@ -12,7 +12,7 @@
 //! lies.
 
 use graphserve::durability::{Durability, DurabilityConfig, IngestLog};
-use graphserve::fsio::{FailFs, FaultPlan, Fs, StdFs, WalFile};
+use graphserve::fsio::{Fs, StdFs, WalFile};
 use graphserve::http::{Request, Response};
 use graphserve::recovery::recover;
 use graphserve::routes::{self, RouteContext};
@@ -177,6 +177,210 @@ fn probe_series() -> String {
         .map(|i| ((i as f64) * 0.3).sin().to_string())
         .collect();
     format!("[{}]", values.join(","))
+}
+
+// ---------------------------------------------------------------------------
+// FailFs — fault injection
+// ---------------------------------------------------------------------------
+
+/// Which faults [`FailFs`] injects. All byte thresholds count *cumulative
+/// bytes written through the wrapper* (WAL appends and snapshot writes
+/// alike), so a test dials "the disk dies after N bytes" and the failure
+/// lands wherever the durability layer happens to be at that point.
+#[derive(Debug, Default, Clone)]
+struct FaultPlan {
+    /// After this many bytes: write a partial prefix of the current
+    /// buffer, then return an I/O error — a torn write, as a crash or
+    /// kernel error mid-`write(2)` produces.
+    torn_write_after: Option<u64>,
+    /// After this many bytes: silently drop everything past the
+    /// threshold and report success — a lying disk.
+    short_write_after: Option<u64>,
+    /// After this many bytes: partial write, then `ErrorKind::StorageFull`
+    /// (`ENOSPC`).
+    enospc_after: Option<u64>,
+    /// Let this many `sync` calls succeed, then fail every later one.
+    fail_syncs_after: Option<u64>,
+    /// Fail every `set_len` — defeats the WAL's rollback and forces the
+    /// degraded path.
+    fail_set_len: bool,
+    /// XOR this mask into the byte at this offset of every `read` —
+    /// bit rot.
+    flip_on_read: Option<(usize, u8)>,
+}
+
+#[derive(Default)]
+struct FaultState {
+    written: AtomicU64,
+    syncs: AtomicU64,
+}
+
+/// An [`Fs`] decorator injecting the faults of a [`FaultPlan`] on top of
+/// an inner filesystem. Clone-cheap: clones share the fault counters, so
+/// one plan governs every handle a test hands out.
+#[derive(Clone)]
+struct FailFs {
+    inner: Arc<dyn Fs>,
+    plan: FaultPlan,
+    state: Arc<FaultState>,
+}
+
+impl FailFs {
+    /// Wraps `inner` with `plan`.
+    fn new(inner: Arc<dyn Fs>, plan: FaultPlan) -> Self {
+        FailFs {
+            inner,
+            plan,
+            state: Arc::new(FaultState::default()),
+        }
+    }
+
+    /// Total bytes the wrapper has admitted to the inner filesystem.
+    fn bytes_written(&self) -> u64 {
+        self.state.written.load(Ordering::Relaxed)
+    }
+
+    /// Total fsync-class calls (file and directory) seen by the wrapper.
+    fn syncs(&self) -> u64 {
+        self.state.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Applies the write-fault plan to a buffer about to be written.
+    /// Returns the prefix to actually write and the error (if any) to
+    /// report after writing it.
+    fn plan_write(&self, len: u64) -> (usize, Option<io::Error>, bool) {
+        let before = self.state.written.fetch_add(len, Ordering::Relaxed);
+        let crosses = |t: Option<u64>| {
+            t.filter(|&t| before + len > t)
+                .map(|t| t.saturating_sub(before) as usize)
+        };
+        if let Some(keep) = crosses(self.plan.torn_write_after) {
+            return (keep, Some(io::Error::other("injected torn write")), false);
+        }
+        if let Some(keep) = crosses(self.plan.enospc_after) {
+            return (
+                keep,
+                Some(io::Error::new(
+                    io::ErrorKind::StorageFull,
+                    "injected ENOSPC",
+                )),
+                false,
+            );
+        }
+        if let Some(keep) = crosses(self.plan.short_write_after) {
+            // Silent: partial data, successful return.
+            return (keep, None, true);
+        }
+        (len as usize, None, false)
+    }
+
+    fn sync_fault(&self) -> Option<io::Error> {
+        let n = self.state.syncs.fetch_add(1, Ordering::Relaxed);
+        match self.plan.fail_syncs_after {
+            Some(limit) if n >= limit => Some(io::Error::other("injected fsync failure")),
+            _ => None,
+        }
+    }
+
+    fn corrupt(&self, mut bytes: Vec<u8>) -> Vec<u8> {
+        if let Some((pos, mask)) = self.plan.flip_on_read {
+            if pos < bytes.len() {
+                bytes[pos] ^= mask;
+            }
+        }
+        bytes
+    }
+}
+
+struct FailWalFile {
+    inner: Box<dyn WalFile>,
+    fs: FailFs,
+}
+
+impl WalFile for FailWalFile {
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let (keep, err, _silent) = self.fs.plan_write(bytes.len() as u64);
+        self.inner.append(&bytes[..keep.min(bytes.len())])?;
+        match err {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        if let Some(e) = self.fs.sync_fault() {
+            return Err(e);
+        }
+        self.inner.sync()
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        if self.fs.plan.fail_set_len {
+            return Err(io::Error::other("injected set_len failure"));
+        }
+        self.inner.set_len(len)
+    }
+
+    fn len(&mut self) -> io::Result<u64> {
+        self.inner.len()
+    }
+}
+
+impl Fs for FailFs {
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        Ok(self.corrupt(self.inner.read(path)?))
+    }
+
+    fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let (keep, err, _silent) = self.plan_write(bytes.len() as u64);
+        self.inner.write(path, &bytes[..keep.min(bytes.len())])?;
+        if let Some(e) = err {
+            return Err(e);
+        }
+        if let Some(e) = self.sync_fault() {
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+
+    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_dir_all(path)
+    }
+
+    fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+        self.inner.read_dir(path)
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
+        if let Some(e) = self.sync_fault() {
+            return Err(e);
+        }
+        self.inner.sync_dir(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+
+    fn open_wal(&self, path: &Path) -> io::Result<Box<dyn WalFile>> {
+        let inner = self.inner.open_wal(path)?;
+        Ok(Box::new(FailWalFile {
+            inner,
+            fs: self.clone(),
+        }))
+    }
 }
 
 /// Rotation-targeted faults [`FaultPlan`] cannot express: fail the nth
@@ -554,6 +758,61 @@ fn wal_bit_flip_on_disk_replays_the_clean_prefix() {
     // Writable again: the healing snapshot retired the torn tail.
     let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(4));
     assert_eq!(resp.status, 200, "{}", body_text(&resp));
+}
+
+/// Every file under `dir` with its bytes, sorted by path.
+fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("list state dir")
+        .map(|e| e.expect("dir entry").path())
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("read state file");
+            (p, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn refused_wal_record_degrades_and_keeps_the_files() {
+    let dir = TempDir::new("refused");
+    let config = || durability_config(dir.path(), 1_000);
+    drop(Harness::new(Durability::new(config())));
+
+    // A journal whose first record passes its CRC but names series 5 of a
+    // session with no series yet, followed by a valid record. Both were
+    // acknowledged; neither may be healed away.
+    let model_dir = dir.path().join("demo");
+    let points: Vec<f64> = (0..8).map(|i| (i as f64 * 0.3).sin()).collect();
+    let mut log = wal::encode_header(0);
+    log.extend(wal::encode_record(1, 5, &points));
+    log.extend(wal::encode_record(2, 0, &points));
+    std::fs::write(model_dir.join("wal.log"), &log).expect("write wal");
+    let before = dir_bytes(&model_dir);
+
+    for restart in 0..2 {
+        let h = Harness::empty(Durability::new(config()));
+        let report = recover(&h.durability, &h.store, &h.sessions);
+        assert!(report.recovered.is_empty(), "restart {restart}: {report:?}");
+        assert_eq!(report.degraded.len(), 1, "restart {restart}: {report:?}");
+        let (name, reason) = &report.degraded[0];
+        assert_eq!(name, "demo");
+        assert!(reason.contains("WAL record 1 "), "{reason}");
+        assert_eq!(points_total(&h), 0, "nothing past the refused record");
+        let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(0));
+        assert_eq!(resp.status, 503, "{}", body_text(&resp));
+        assert!(
+            body_text(&resp).contains("degraded"),
+            "{}",
+            body_text(&resp)
+        );
+        drop(h);
+        assert!(
+            dir_bytes(&model_dir) == before,
+            "restart {restart} rewrote the snapshot or the journal"
+        );
+    }
 }
 
 #[test]
