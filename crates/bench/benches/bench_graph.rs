@@ -174,7 +174,7 @@ fn bench_layout(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("reference_50k", LAYOUT_NODES),
         &g,
-        |b, g| b.iter(|| layout::reference::force_directed(black_box(g), force)),
+        |b, g| b.iter(|| layout::exact::force_directed(black_box(g), force)),
     );
     group.bench_with_input(
         BenchmarkId::new("barnes_hut_theta08_50k", LAYOUT_NODES),

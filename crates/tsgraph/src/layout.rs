@@ -7,14 +7,14 @@
 //!
 //! * [`circular`] — nodes evenly on a circle; O(n), the stable fallback
 //!   and the safety valve for graphs too large even for Barnes–Hut.
-//! * [`reference::force_directed`] — the exact Fruchterman–Reingold
-//!   layout: repulsion between *every* node pair, O(iterations · n²).
-//!   Readable at the 20–200-node sizes the paper's demos produce, and
-//!   kept verbatim as the parity oracle for the approximate layout.
+//! * [`exact::force_directed`] — the exact Fruchterman–Reingold layout
+//!   ([`LayoutEngine::Exact`]): repulsion between *every* node pair,
+//!   O(iterations · n²). Readable at the 20–200-node sizes the paper's
+//!   demos produce, and the parity oracle for the approximate layout.
 //! * [`barnes_hut`] — the same force model with quadtree-aggregated
 //!   repulsion (opening angle θ): O(iterations · n log n), the layout
 //!   for full 10k–100k-node graphoid layers. θ = 0 means "no
-//!   approximation" and delegates to the exact reference, so the two
+//!   approximation" and delegates to the exact layout, so the two
 //!   paths can never drift at that setting.
 //!
 //! [`LayoutEngine`] selects between them — explicitly, or by node count
@@ -81,7 +81,7 @@ pub struct BarnesHutOptions {
     pub force: ForceOptions,
     /// Opening angle θ: a cell of side `s` at distance `d` aggregates when
     /// `s / d < θ`. Larger is faster and coarser; `0` disables the
-    /// approximation entirely (exact reference layout).
+    /// approximation entirely (the exact layout).
     pub theta: f64,
 }
 
@@ -94,9 +94,9 @@ impl Default for BarnesHutOptions {
     }
 }
 
-/// Exact reference layouts, kept verbatim for parity testing against the
-/// approximate implementations.
-pub mod reference {
+/// The exact layout behind [`LayoutEngine::Exact`], also the parity
+/// oracle for the approximate one.
+pub mod exact {
     use super::*;
 
     /// Fruchterman–Reingold force-directed layout (exact).
@@ -202,25 +202,17 @@ fn attract_and_apply(
     }
 }
 
-/// Fruchterman–Reingold force-directed layout (exact O(n²) reference).
-///
-/// Alias for [`reference::force_directed`], kept under the historical name
-/// for existing callers.
-pub fn force_directed<N, E>(g: &CsrGraph<N, E>, opts: ForceOptions) -> Layout {
-    reference::force_directed(g, opts)
-}
-
 /// Barnes–Hut force-directed layout: the Fruchterman–Reingold force model
 /// with quadtree-aggregated repulsion, O(iterations · n log n).
 ///
 /// Deterministic given the seed. With `theta == 0` the approximation is
-/// disabled and the call delegates to [`reference::force_directed`] — the
+/// disabled and the call delegates to [`exact::force_directed`] — the
 /// two layouts are bit-identical at that setting. The attraction and
-/// displacement steps are shared with the reference implementation, so θ
+/// displacement steps are shared with the exact implementation, so θ
 /// is the *only* source of divergence.
 pub fn barnes_hut<N, E>(g: &CsrGraph<N, E>, opts: BarnesHutOptions) -> Layout {
     if opts.theta <= 0.0 {
-        return reference::force_directed(g, opts.force);
+        return exact::force_directed(g, opts.force);
     }
     let n = g.node_count();
     if n == 0 {
@@ -303,7 +295,7 @@ pub fn layout_graph<N, E>(
 ) -> Layout {
     match engine.resolve(g.node_count()) {
         LayoutEngine::Circular => circular(g, opts.force.area / 2.0),
-        LayoutEngine::Exact => reference::force_directed(g, opts.force),
+        LayoutEngine::Exact => exact::force_directed(g, opts.force),
         LayoutEngine::BarnesHut => barnes_hut(g, opts),
         LayoutEngine::Auto => unreachable!("resolve() never returns Auto"),
     }
@@ -349,6 +341,7 @@ pub fn fit_to_viewport(layout: &[(f64, f64)], width: f64, height: f64, margin: f
 
 #[cfg(test)]
 mod tests {
+    use super::exact::force_directed;
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::csr::NodeId;
@@ -428,7 +421,7 @@ mod tests {
     #[test]
     fn barnes_hut_theta_zero_is_the_reference() {
         let g = path_graph(40);
-        let exact = reference::force_directed(&g, ForceOptions::default());
+        let exact = force_directed(&g, ForceOptions::default());
         let bh = barnes_hut(
             &g,
             BarnesHutOptions {
@@ -495,7 +488,7 @@ mod tests {
     fn layout_graph_small_matches_exact() {
         let g = path_graph(12);
         let via_engine = layout_graph(&g, LayoutEngine::Auto, BarnesHutOptions::default());
-        let direct = reference::force_directed(&g, ForceOptions::default());
+        let direct = force_directed(&g, ForceOptions::default());
         assert_eq!(via_engine, direct);
     }
 

@@ -29,8 +29,8 @@
 //!
 //! * [`algo`] — CSR-native weighted PageRank,
 //! * [`layout`] — 2-D layouts over CSR graphs for the Graph frame:
-//!   circular, the exact Fruchterman–Reingold reference
-//!   (`layout::reference`) and the Barnes–Hut approximation
+//!   circular, the exact Fruchterman–Reingold layout
+//!   ([`layout::exact`]) and the Barnes–Hut approximation
 //!   ([`layout::barnes_hut`]) for 10k+-node layers, selected by
 //!   [`layout::LayoutEngine`],
 //! * [`quadtree`] — the reusable Barnes–Hut quadtree backing the

@@ -1,5 +1,5 @@
 //! Property tests pinning `layout::barnes_hut` to the exact
-//! `layout::reference` implementation.
+//! `layout::exact` implementation.
 //!
 //! Two contracts:
 //!
@@ -15,7 +15,7 @@
 //!   n ∈ {0, 1, 2} and the just-past-`Auto`-boundary size 257.
 
 use proptest::prelude::*;
-use tsgraph::layout::{barnes_hut, reference, BarnesHutOptions, ForceOptions};
+use tsgraph::layout::{barnes_hut, exact, BarnesHutOptions, ForceOptions};
 use tsgraph::{CsrGraph, GraphBuilder, NodeId};
 
 fn build(n: usize, edges: &[(usize, usize)]) -> CsrGraph<(), f64> {
@@ -132,7 +132,7 @@ fn theta_zero_matches_reference_exactly() {
                     seed,
                     ..Default::default()
                 };
-                let exact = reference::force_directed(&g, force);
+                let exact = exact::force_directed(&g, force);
                 let bh = barnes_hut(&g, BarnesHutOptions { force, theta: 0.0 });
                 assert_eq!(exact.len(), bh.len(), "{name} n={n}");
                 for (i, (e, b)) in exact.iter().zip(&bh).enumerate() {
