@@ -2,15 +2,13 @@
 //! (direct and FFT) vs DTW (banded and full). Supports the E6 narrative:
 //! why k-Graph avoids pairwise elastic distances entirely.
 //!
-//! The `kernels` group pits every fused lane-chunked kernel
-//! (`tscore::kernel`) against its scalar reference implementation
-//! (`tscore::kernel::reference`) at ℓ = 256 and 1024 — the acceptance
-//! numbers for the SIMD-friendly rewrite (≥1.5x on z-normalised Euclidean,
-//! ≥1.3x on banded DTW) come from these labels.
+//! The `distances` group allocates one DTW scratch per call, as a caller
+//! without a scratch of its own would; the `kernels` group times the
+//! fused `tscore::kernel` entry points with warm scratch at ℓ = 256 and
+//! 1024.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tscore::dtw::{DtwOptions, DtwScratch};
-use tscore::kernel;
+use tscore::kernel::{self, DtwOptions, DtwScratch};
 
 fn make_pair(len: usize) -> (Vec<f64>, Vec<f64>) {
     let a: Vec<f64> = (0..len).map(|i| (i as f64 * 0.13).sin()).collect();
@@ -23,10 +21,10 @@ fn bench_distances(c: &mut Criterion) {
     for len in [64usize, 256] {
         let (a, b) = make_pair(len);
         group.bench_with_input(BenchmarkId::new("euclidean", len), &len, |bencher, _| {
-            bencher.iter(|| tscore::distance::euclidean(black_box(&a), black_box(&b)).unwrap())
+            bencher.iter(|| kernel::euclidean(black_box(&a), black_box(&b)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("sbd_direct", len), &len, |bencher, _| {
-            bencher.iter(|| tscore::distance::sbd(black_box(&a), black_box(&b)).unwrap())
+            bencher.iter(|| kernel::sbd(black_box(&a), black_box(&b)).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("sbd_fft", len), &len, |bencher, _| {
             bencher.iter(|| clustering::kshape::sbd_fft(black_box(&a), black_box(&b)))
@@ -35,30 +33,27 @@ fn bench_distances(c: &mut Criterion) {
             let opts = DtwOptions {
                 window: Some(len / 10),
             };
-            bencher.iter(|| tscore::dtw::dtw(black_box(&a), black_box(&b), opts).unwrap())
+            bencher.iter(|| {
+                kernel::dtw(black_box(&a), black_box(&b), opts, &mut DtwScratch::new()).unwrap()
+            })
         });
         group.bench_with_input(BenchmarkId::new("dtw_full", len), &len, |bencher, _| {
             let opts = DtwOptions::default();
-            bencher.iter(|| tscore::dtw::dtw(black_box(&a), black_box(&b), opts).unwrap())
+            bencher.iter(|| {
+                kernel::dtw(black_box(&a), black_box(&b), opts, &mut DtwScratch::new()).unwrap()
+            })
         });
     }
     group.finish();
 }
 
-/// Fused kernels vs their scalar references, at the acceptance lengths.
+/// Fused kernels at ℓ = 256 and 1024.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(30);
     for len in [256usize, 1024] {
         let (a, b) = make_pair(len);
 
-        group.bench_with_input(
-            BenchmarkId::new("znorm_ed_scalar", len),
-            &len,
-            |bencher, _| {
-                bencher.iter(|| kernel::reference::znorm_euclidean(black_box(&a), black_box(&b)))
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("znorm_ed_kernel", len),
             &len,
@@ -71,13 +66,6 @@ fn bench_kernels(c: &mut Criterion) {
             window: Some(len / 10),
         };
         group.bench_with_input(
-            BenchmarkId::new("dtw_banded_scalar", len),
-            &len,
-            |bencher, _| {
-                bencher.iter(|| kernel::reference::dtw(black_box(&a), black_box(&b), opts))
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("dtw_banded_kernel", len),
             &len,
             |bencher, _| {
@@ -87,9 +75,6 @@ fn bench_kernels(c: &mut Criterion) {
             },
         );
 
-        group.bench_with_input(BenchmarkId::new("sbd_scalar", len), &len, |bencher, _| {
-            bencher.iter(|| kernel::reference::sbd(black_box(&a), black_box(&b)))
-        });
         group.bench_with_input(BenchmarkId::new("sbd_kernel", len), &len, |bencher, _| {
             bencher.iter(|| kernel::sbd(black_box(&a), black_box(&b)).unwrap())
         });

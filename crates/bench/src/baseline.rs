@@ -97,9 +97,20 @@ pub struct StageComparison {
     pub geomean_ratio: f64,
 }
 
+/// Names of the baseline entries that have no entry of the same name in
+/// the fresh run, in baseline order. A renamed or deleted bench shows up
+/// here; the gate refuses to pass over it.
+pub fn missing<'a>(base: &'a [BenchEntry], fresh: &[BenchEntry]) -> Vec<&'a str> {
+    base.iter()
+        .filter(|b| !fresh.iter().any(|f| f.name == b.name))
+        .map(|b| b.name.as_str())
+        .collect()
+}
+
 /// Matches entries by full name and aggregates median ratios per stage.
-/// Entries present in only one file are ignored (they have no ratio);
-/// stages appear in first-seen (baseline) order.
+/// Entries present in only one file have no ratio and are skipped here
+/// (see [`missing`] for the baseline side); stages appear in first-seen
+/// (baseline) order.
 pub fn compare(base: &[BenchEntry], fresh: &[BenchEntry]) -> Vec<StageComparison> {
     let mut stages: Vec<StageComparison> = Vec::new();
     let mut log_sums: Vec<f64> = Vec::new();
@@ -211,6 +222,20 @@ mod tests {
         let fit = cmp.iter().find(|c| c.stage == "fit").unwrap();
         assert_eq!(fit.matched, 1);
         assert!((fit.geomean_ratio - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn missing_names_baseline_entries_the_fresh_run_lacks() {
+        let entry = |name: &str| BenchEntry {
+            name: name.into(),
+            median_ns: 1.0,
+        };
+        let base = vec![entry("g/a/1"), entry("g/b/1"), entry("g/c/1")];
+        // Fresh-only entries are informational, never "missing".
+        let fresh = vec![entry("g/b/1"), entry("g/new/1")];
+        assert_eq!(missing(&base, &fresh), ["g/a/1", "g/c/1"]);
+        assert!(missing(&base, &base).is_empty());
+        assert!(missing(&[], &fresh).is_empty());
     }
 
     #[test]

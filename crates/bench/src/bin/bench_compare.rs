@@ -11,8 +11,11 @@
 //! `pipeline/<stage>/<variant>` labels). This is the CI bench smoke gate:
 //! deliberately coarse (1.5x by default) so shared-runner noise does not
 //! flap, while a real stage-wide regression still fails the build.
+//!
+//! Every baseline entry must have a fresh match: a missing one (a renamed
+//! or deleted bench) exits 2 and is named. Fresh-only entries are ignored.
 
-use bench::baseline::{compare, parse_baseline};
+use bench::baseline::{compare, missing, parse_baseline};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -60,6 +63,18 @@ fn main() -> ExitCode {
             "no parsable entries (base: {}, fresh: {})",
             base.len(),
             fresh.len()
+        );
+        return ExitCode::from(2);
+    }
+
+    let absent = missing(&base, &fresh);
+    if !absent.is_empty() {
+        for name in &absent {
+            eprintln!("baseline entry missing from the fresh run: {name}");
+        }
+        eprintln!(
+            "{} baseline entries have no fresh match; edit the baseline file if a bench was renamed or removed",
+            absent.len()
         );
         return ExitCode::from(2);
     }

@@ -7,7 +7,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tscore::dtw::{dba_with, dtw_with, DtwOptions, DtwScratch};
+use tscore::kernel::{dtw, dtw_path, DtwOptions, DtwScratch};
+use tscore::{Result, TsError};
 
 /// k-DBA configuration.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +82,7 @@ impl Kdba {
                 let mut best = labels[i];
                 let mut best_d = f64::INFINITY;
                 for (c, centroid) in centroids.iter().enumerate() {
-                    let d = dtw_with(centroid, row, opts, &mut scratch).unwrap_or(f64::INFINITY);
+                    let d = dtw(centroid, row, opts, &mut scratch).unwrap_or(f64::INFINITY);
                     if d < best_d {
                         best_d = d;
                         best = c;
@@ -115,7 +116,7 @@ impl Kdba {
         let total_distance = rows
             .iter()
             .zip(&labels)
-            .map(|(row, &l)| dtw_with(&centroids[l], row, opts, &mut scratch).unwrap_or(0.0))
+            .map(|(row, &l)| dtw(&centroids[l], row, opts, &mut scratch).unwrap_or(0.0))
             .sum();
         KdbaResult {
             labels,
@@ -125,10 +126,71 @@ impl Kdba {
     }
 }
 
+/// One DBA (DTW Barycenter Averaging) refinement step.
+///
+/// Aligns every series in `members` to `center` and replaces each centre
+/// point by the mean of all points warped onto it. Series may have varying
+/// lengths; the centre length is preserved.
+fn dba_step_with(
+    center: &[f64],
+    members: &[&[f64]],
+    opts: DtwOptions,
+    scratch: &mut DtwScratch,
+) -> Result<Vec<f64>> {
+    if center.is_empty() {
+        return Err(TsError::TooShort {
+            required: 1,
+            actual: 0,
+        });
+    }
+    let mut sums = vec![0.0; center.len()];
+    let mut counts = vec![0usize; center.len()];
+    for series in members {
+        let (_, path) = dtw_path(center, series, opts, scratch)?;
+        for (ci, sj) in path {
+            sums[ci] += series[sj];
+            counts[ci] += 1;
+        }
+    }
+    Ok(sums
+        .iter()
+        .zip(&counts)
+        .zip(center)
+        .map(|((&s, &c), &old)| if c > 0 { s / c as f64 } else { old })
+        .collect())
+}
+
+/// Full DBA: iterates [`dba_step_with`] from `init` until the centre moves
+/// less than 1e-8 or `max_iter` steps have run.
+fn dba_with(
+    init: &[f64],
+    members: &[&[f64]],
+    opts: DtwOptions,
+    max_iter: usize,
+    scratch: &mut DtwScratch,
+) -> Result<Vec<f64>> {
+    let mut center = init.to_vec();
+    for _ in 0..max_iter {
+        let next = dba_step_with(&center, members, opts, scratch)?;
+        let delta: f64 = next
+            .iter()
+            .zip(&center)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt();
+        center = next;
+        if delta < 1e-8 {
+            break;
+        }
+    }
+    Ok(center)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::adjusted_rand_index;
+    use proptest::prelude::*;
 
     /// Two bump shapes whose members are time-shifted — Euclidean k-Means
     /// struggles, DTW absorbs the warp.
@@ -206,5 +268,65 @@ mod tests {
     #[should_panic(expected = "at least one series")]
     fn empty_panics() {
         Kdba::new(1, 0).fit(&[]);
+    }
+
+    fn dba(init: &[f64], members: &[&[f64]], max_iter: usize) -> Vec<f64> {
+        dba_with(
+            init,
+            members,
+            DtwOptions::default(),
+            max_iter,
+            &mut DtwScratch::new(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn dba_of_identical_members_is_member() {
+        let a = [1.0, 2.0, 3.0, 2.0, 1.0];
+        let members: Vec<&[f64]> = vec![&a, &a, &a];
+        let c = dba(&a, &members, 10);
+        for (x, y) in c.iter().zip(&a) {
+            assert!((x - y).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn dba_averages_offsets() {
+        let a = [0.0, 0.0, 0.0, 0.0];
+        let b = [2.0, 2.0, 2.0, 2.0];
+        let init = [1.0, 1.0, 1.0, 1.0];
+        let members: Vec<&[f64]> = vec![&a, &b];
+        let c = dba(&init, &members, 20);
+        for x in &c {
+            assert!((x - 1.0).abs() < 1e-9, "expected 1.0, got {x}");
+        }
+    }
+
+    #[test]
+    fn dba_step_empty_center_errors() {
+        let members: Vec<&[f64]> = vec![];
+        let opts = DtwOptions::default();
+        assert!(dba_step_with(&[], &members, opts, &mut DtwScratch::new()).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn dba_stays_in_member_envelope(
+            members in proptest::collection::vec(
+                proptest::collection::vec(-5.0..5.0f64, 8..=8),
+                2..5,
+            ),
+        ) {
+            let refs: Vec<&[f64]> = members.iter().map(Vec::as_slice).collect();
+            let c = dba(&members[0], &refs, 5);
+            // Every centre point is a mean of member points, so it must
+            // stay inside the global min/max envelope.
+            let lo = members.iter().flatten().cloned().fold(f64::INFINITY, f64::min) - 1e-9;
+            let hi = members.iter().flatten().cloned().fold(f64::NEG_INFINITY, f64::max) + 1e-9;
+            prop_assert!(c.iter().all(|&v| v >= lo && v <= hi));
+        }
     }
 }

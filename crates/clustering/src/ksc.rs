@@ -11,7 +11,7 @@ use linalg::matrix::Matrix;
 use linalg::power_iteration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tscore::distance::apply_shift;
+use tscore::kernel::apply_shift;
 
 /// Scale/shift-invariant k-SC distance between `x` and `y`.
 ///

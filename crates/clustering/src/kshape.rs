@@ -12,8 +12,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tscore::transform::znorm;
 
-/// FFT-backed normalised cross-correlation (same layout as
-/// `tscore::distance::ncc`: length `2m−1`, index `s` = shift `s−(m−1)`).
+/// FFT-backed normalised cross-correlation: length `2m−1`, index `s` =
+/// shift `s−(m−1)` of `b` relative to `a`, normalised by `‖a‖·‖b‖` (the
+/// shift scan of `tscore::kernel::ncc_max_with_shift`, materialised).
 pub fn ncc_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
     let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
     let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -176,7 +177,7 @@ pub fn shape_extraction(members: &[&[f64]], previous: &[f64]) -> Vec<f64> {
         .map(|&s| {
             let mut row = if use_alignment {
                 let (_, shift) = sbd_fft_with_shift(previous, s);
-                tscore::distance::apply_shift(s, shift)
+                tscore::kernel::apply_shift(s, shift)
             } else {
                 s.to_vec()
             };
@@ -241,17 +242,21 @@ pub fn shape_extraction(members: &[&[f64]], previous: &[f64]) -> Vec<f64> {
 }
 
 #[cfg(test)]
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::adjusted_rand_index;
-    use tscore::distance as tsd;
+    use tscore::kernel as tsd;
 
     #[test]
     fn ncc_fft_matches_direct() {
         let a = [1.0, 2.0, -1.0, 0.5, 3.0, -2.0];
         let b = [0.5, -1.0, 2.0, 1.0, -0.5, 1.5];
         let fast = ncc_fft(&a, &b);
-        let slow = tsd::ncc(&a, &b).unwrap();
+        let slow = oracle::ncc(&a, &b).unwrap();
         assert_eq!(fast.len(), slow.len());
         for (f, s) in fast.iter().zip(&slow) {
             assert!((f - s).abs() < 1e-9, "{f} vs {s}");

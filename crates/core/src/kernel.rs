@@ -1,29 +1,31 @@
-//! SIMD-friendly, allocation-free distance kernels.
+//! SIMD-friendly, allocation-free distance kernels — the workspace's one
+//! distance API.
 //!
-//! Every kernel here is a fused, zero-allocation rewrite of a scalar
-//! function elsewhere in this crate, structured as fixed-width lane loops
-//! over [`chunks_exact`](slice::chunks_exact) so the autovectoriser turns
-//! them into SIMD (the workspace has no external SIMD crates). The lane
+//! Every kernel is structured as fixed-width lane loops over
+//! [`chunks_exact`](slice::chunks_exact) so the autovectoriser turns them
+//! into SIMD (the workspace has no external SIMD crates). The lane
 //! accumulators also break the floating-point dependency chain, so even
 //! without vector units the reductions run several adds per cycle instead
 //! of one.
 //!
 //! * [`sum`] / [`sum_sq_dev`] / [`mean_std`] — lane-parallel reductions,
-//! * [`dot`] / [`sq_euclidean`] — lane-parallel pairwise reductions,
+//! * [`dot`] / [`sq_euclidean`] / [`euclidean`] — lane-parallel pairwise
+//!   reductions,
 //! * [`znorm_euclidean`] — mean/std/distance fused into two passes per
 //!   input, no intermediate z-normalised copies,
 //! * [`znorm_into`] + [`ZnormScratch`] — z-normalisation into caller-owned
 //!   storage (the per-window hot path of embedding and serving),
-//! * [`sbd`] / [`ncc_max_with_shift`] — shape-based distance as sliding
-//!   lane dots over contiguous slices, no `2m−1` output buffer,
-//! * [`dtw`] + [`DtwScratch`] — banded DTW with reusable DP rows, a
-//!   hoisted `a[i−1]`, vectorisable cost/min passes and O(1) band-edge
-//!   sentinels instead of an O(m) row fill.
+//! * [`sbd`] / [`sbd_with_shift`] / [`ncc_max_with_shift`] — the
+//!   Shape-Based Distance of k-Shape (Paparrizos & Gravano, SIGMOD 2015)
+//!   as sliding lane dots over contiguous slices, no `2m−1` output buffer,
+//!   and [`apply_shift`] to align a series by the shift found,
+//! * [`dtw`] / [`dtw_path`] + [`DtwScratch`] — DTW with an optional
+//!   Sakoe–Chiba band ([`DtwOptions`]), reusable DP rows, a hoisted
+//!   `a[i−1]`, vectorisable cost/min passes and O(1) band-edge sentinels
+//!   instead of an O(m) row fill.
 //!
-//! The original scalar implementations are kept as reference
-//! implementations in [`reference`](mod@reference); property tests pin
-//! every kernel to its reference (bit-identical for DTW, ≤ 1e-12 relative
-//! elsewhere).
+//! The crate's property tests pin every kernel to a scalar test oracle
+//! (bit-identical for DTW, ≤ 1e-12 relative elsewhere).
 
 use crate::error::{Result, TsError};
 
@@ -219,9 +221,10 @@ impl ZnormScratch {
 /// maximising shift of `b` relative to `a` — without materialising the
 /// `2m − 1` correlation sequence.
 ///
-/// Shift order and tie-breaking match [`crate::distance::sbd_with_shift`]
-/// (first maximum wins, shifts scanned ascending from `−(m−1)`). Each
-/// shift's correlation is a lane dot over two contiguous slices.
+/// The first maximum wins, with shifts scanned ascending from `−(m−1)`.
+/// Each shift's correlation is a lane dot over two contiguous slices,
+/// normalised by `‖a‖·‖b‖` (by 1 when that product is ≤ ε), so a perfect
+/// alignment of identical (up to scale) signals yields 1.
 ///
 /// Errors when the inputs are empty or differ in length.
 pub fn ncc_max_with_shift(a: &[f64], b: &[f64]) -> Result<(f64, isize)> {
@@ -275,6 +278,28 @@ pub fn sbd_with_shift(a: &[f64], b: &[f64]) -> Result<(f64, isize)> {
     ncc_max_with_shift(a, b).map(|(ncc, shift)| (1.0 - ncc, shift))
 }
 
+/// Shifts `b` by `shift` positions (zero padded), as used by k-Shape's
+/// refinement step after SBD alignment.
+pub fn apply_shift(b: &[f64], shift: isize) -> Vec<f64> {
+    let m = b.len() as isize;
+    let mut out = vec![0.0; b.len()];
+    for i in 0..m {
+        let j = i - shift;
+        if j >= 0 && j < m {
+            out[i as usize] = b[j as usize];
+        }
+    }
+    out
+}
+
+/// Configuration for DTW.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DtwOptions {
+    /// Sakoe–Chiba band half-width; `None` means unconstrained. A band
+    /// narrower than the length difference is widened to it.
+    pub window: Option<usize>,
+}
+
 /// Reusable DTW working storage: two DP rows plus the per-row cost and
 /// min buffers of the banded kernel, and the full DP matrix used by the
 /// path variant. Hold one per thread/fit and feed it to every call; the
@@ -296,9 +321,12 @@ impl DtwScratch {
     }
 }
 
-/// Banded DTW distance into caller-owned scratch. Signature and results
-/// are identical to [`crate::dtw::dtw`] (bit-for-bit: the DP recurrence
-/// performs the same operations in the same per-cell order), but:
+/// DTW distance between two series (which may differ in length), into
+/// caller-owned scratch.
+///
+/// Returns the square root of the accumulated squared point costs, the
+/// "DTW with squared local distance" convention of tslearn. Time is
+/// O(n·m), or O(n·w) with a band of half-width `w`, and:
 ///
 /// * the two DP rows live in `scratch` — zero allocations per call once
 ///   the scratch is warm,
@@ -308,12 +336,7 @@ impl DtwScratch {
 ///   carried `curr[j−1]` recurrence scalar,
 /// * band-edge cells are invalidated with two O(1) sentinel writes per
 ///   row instead of an O(m) `fill`.
-pub fn dtw(
-    a: &[f64],
-    b: &[f64],
-    opts: crate::dtw::DtwOptions,
-    scratch: &mut DtwScratch,
-) -> Result<f64> {
+pub fn dtw(a: &[f64], b: &[f64], opts: DtwOptions, scratch: &mut DtwScratch) -> Result<f64> {
     if a.is_empty() || b.is_empty() {
         return Err(TsError::TooShort {
             required: 1,
@@ -389,12 +412,16 @@ pub fn dtw(
     Ok(scratch.prev[m].sqrt())
 }
 
-/// DTW distance plus the optimal warping path, with the full DP matrix
-/// living in `scratch`. Semantics match [`crate::dtw::dtw_path`].
+/// DTW distance plus the optimal warping path, with the full DP matrix —
+/// O(n·m) memory — living in `scratch`.
+///
+/// The path is a list of `(i, j)` index pairs from `(0, 0)` to
+/// `(n−1, m−1)`, monotone in both indices; it is the building block of
+/// DBA averaging. The distance equals [`dtw`]'s.
 pub fn dtw_path(
     a: &[f64],
     b: &[f64],
-    opts: crate::dtw::DtwOptions,
+    opts: DtwOptions,
     scratch: &mut DtwScratch,
 ) -> Result<(f64, Vec<(usize, usize)>)> {
     if a.is_empty() || b.is_empty() {
@@ -454,141 +481,9 @@ pub fn dtw_path(
     Ok((total.sqrt(), path))
 }
 
-/// The original scalar implementations, kept verbatim as references the
-/// kernels are pinned against (property tests, micro-benches).
-pub mod reference {
-    use crate::error::{Result, TsError};
-    use crate::stats;
-
-    /// Scalar z-normalised copy (one allocation, sequential reductions).
-    pub fn znorm(xs: &[f64]) -> Vec<f64> {
-        let mut out = xs.to_vec();
-        let m = stats::mean(&out);
-        let s = stats::std(&out);
-        if s <= f64::EPSILON {
-            for x in out.iter_mut() {
-                *x -= m;
-            }
-        } else {
-            for x in out.iter_mut() {
-                *x = (*x - m) / s;
-            }
-        }
-        out
-    }
-
-    /// Scalar Euclidean distance.
-    pub fn euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-        if a.len() != b.len() {
-            return Err(TsError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        Ok(a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt())
-    }
-
-    /// Scalar z-normalised Euclidean: two z-normalised copies then the
-    /// plain distance (two allocations per call).
-    pub fn znorm_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-        if a.len() != b.len() {
-            return Err(TsError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        euclidean(&znorm(a), &znorm(b))
-    }
-
-    /// Scalar direct NCC (branchy O(m²) inner loop, `2m−1` output buffer).
-    pub fn ncc(a: &[f64], b: &[f64]) -> Result<Vec<f64>> {
-        if a.len() != b.len() {
-            return Err(TsError::LengthMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        let m = a.len();
-        if m == 0 {
-            return Err(TsError::TooShort {
-                required: 1,
-                actual: 0,
-            });
-        }
-        let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-        let denom = if na * nb <= f64::EPSILON {
-            1.0
-        } else {
-            na * nb
-        };
-        let mut out = vec![0.0; 2 * m - 1];
-        for (s, slot) in out.iter_mut().enumerate() {
-            let k = s as isize - (m as isize - 1);
-            let mut acc = 0.0;
-            for i in 0..m as isize {
-                let j = i - k;
-                if j >= 0 && j < m as isize {
-                    acc += a[i as usize] * b[j as usize];
-                }
-            }
-            *slot = acc / denom;
-        }
-        Ok(out)
-    }
-
-    /// Scalar SBD via the full correlation sequence.
-    pub fn sbd(a: &[f64], b: &[f64]) -> Result<f64> {
-        Ok(1.0 - ncc(a, b)?.into_iter().fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    /// Scalar banded DTW: two fresh DP rows per call, `a[i−1]` re-read in
-    /// the band loop, full O(m) row fill per row.
-    pub fn dtw(a: &[f64], b: &[f64], opts: crate::dtw::DtwOptions) -> Result<f64> {
-        if a.is_empty() || b.is_empty() {
-            return Err(TsError::TooShort {
-                required: 1,
-                actual: a.len().min(b.len()),
-            });
-        }
-        let n = a.len();
-        let m = b.len();
-        let w = match opts.window {
-            Some(w) => w.max(n.abs_diff(m)),
-            None => n.max(m),
-        };
-        let inf = f64::INFINITY;
-        let mut prev = vec![inf; m + 1];
-        let mut curr = vec![inf; m + 1];
-        prev[0] = 0.0;
-        for i in 1..=n {
-            curr.fill(inf);
-            let lo = i.saturating_sub(w).max(1);
-            let hi = (i + w).min(m);
-            if lo > hi {
-                return Err(TsError::InvalidParameter(format!(
-                    "DTW band too narrow: window {w} for lengths {n} x {m}"
-                )));
-            }
-            for j in lo..=hi {
-                let cost = (a[i - 1] - b[j - 1]) * (a[i - 1] - b[j - 1]);
-                let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
-                curr[j] = cost + best;
-            }
-            std::mem::swap(&mut prev, &mut curr);
-        }
-        Ok(prev[m].sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtw::DtwOptions;
 
     fn wave(n: usize, phase: f64) -> Vec<f64> {
         (0..n)
@@ -609,40 +504,18 @@ mod tests {
     }
 
     #[test]
-    fn znorm_euclidean_matches_reference_all_remainders() {
-        for n in 1..=33 {
-            let a = wave(n, 0.0);
-            let b = wave(n, 0.9);
-            let fast = znorm_euclidean(&a, &b).unwrap();
-            let slow = reference::znorm_euclidean(&a, &b).unwrap();
-            assert!(
-                (fast - slow).abs() <= 1e-12 * slow.abs().max(1.0),
-                "n={n}: {fast} vs {slow}"
-            );
-        }
+    fn euclidean_basics() {
+        assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]).unwrap(), 5.0);
+        assert_eq!(sq_euclidean(&[1.0], &[4.0]).unwrap(), 9.0);
+        assert!(euclidean(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
-    fn znorm_euclidean_constant_inputs() {
-        let a = [3.0; 16];
-        let b = wave(16, 0.5);
-        let fast = znorm_euclidean(&a, &b).unwrap();
-        let slow = reference::znorm_euclidean(&a, &b).unwrap();
-        assert!((fast - slow).abs() < 1e-12);
+    fn znorm_euclidean_scale_invariant() {
+        let a = [1.0, 2.0, 3.0, 2.0, 1.0];
+        let b: Vec<f64> = a.iter().map(|x| 10.0 * x + 5.0).collect();
+        assert!(znorm_euclidean(&a, &b).unwrap() < 1e-9);
         assert!(znorm_euclidean(&a, &[1.0]).is_err());
-    }
-
-    #[test]
-    fn znorm_into_matches_reference() {
-        for n in 1..=17 {
-            let xs = wave(n, 0.2);
-            let mut out = vec![0.0; n];
-            znorm_into(&xs, &mut out);
-            let slow = reference::znorm(&xs);
-            for (f, s) in out.iter().zip(&slow) {
-                assert!((f - s).abs() < 1e-12, "n={n}");
-            }
-        }
     }
 
     #[test]
@@ -659,66 +532,116 @@ mod tests {
     }
 
     #[test]
-    fn sbd_matches_reference() {
-        for n in 1..=20 {
-            let a = wave(n, 0.0);
-            let b = wave(n, 1.1);
-            let fast = sbd(&a, &b).unwrap();
-            let slow = reference::sbd(&a, &b).unwrap();
-            assert!(
-                (fast - slow).abs() <= 1e-9 * slow.abs().max(1.0),
-                "n={n}: {fast} vs {slow}"
-            );
-        }
-        assert!(sbd(&[], &[]).is_err());
-        assert!(sbd(&[1.0], &[1.0, 2.0]).is_err());
+    fn ncc_max_of_self_is_one_at_zero_shift() {
+        let a = [1.0, 2.0, 3.0, 2.0, 1.0];
+        let (peak, shift) = ncc_max_with_shift(&a, &a).unwrap();
+        assert!((peak - 1.0).abs() < 1e-9);
+        assert_eq!(shift, 0);
     }
 
     #[test]
-    fn sbd_shift_matches_reference() {
+    fn sbd_range_and_antiphase() {
+        let a = [1.0, -1.0, 1.0, -1.0];
+        let b: Vec<f64> = a.iter().map(|x| -x).collect();
+        let d = sbd(&a, &b).unwrap();
+        // Anti-correlated at zero shift, but shifting by one aligns them:
+        // SBD uses the best shift, so it is small here.
+        assert!((0.0..=2.0).contains(&d));
+        let d_self = sbd(&a, &a).unwrap();
+        assert!(d_self.abs() < 1e-9);
+    }
+
+    #[test]
+    fn sbd_detects_shifted_copy() {
         let mut a = vec![0.0; 32];
-        a[5] = 1.0;
-        a[6] = 2.0;
+        a[8] = 1.0;
+        a[9] = 2.0;
+        a[10] = 1.0;
         let mut b = vec![0.0; 32];
-        b[11] = 1.0;
-        b[12] = 2.0;
-        let (d, s) = sbd_with_shift(&a, &b).unwrap();
-        let (dr, sr) = crate::distance::sbd_with_shift(&a, &b).unwrap();
-        assert!((d - dr).abs() < 1e-12);
-        assert_eq!(s, sr);
+        b[20] = 1.0;
+        b[21] = 2.0;
+        b[22] = 1.0;
+        let (d, shift) = sbd_with_shift(&a, &b).unwrap();
+        assert!(d < 1e-9, "shifted copy should have SBD 0, got {d}");
+        assert_eq!(shift, -12);
+        // Applying the shift aligns b onto a.
+        let aligned = apply_shift(&b, shift);
+        assert!(euclidean(&a, &aligned).unwrap() < 1e-9);
+    }
+
+    #[test]
+    fn apply_shift_pads_with_zeros() {
+        let b = [1.0, 2.0, 3.0];
+        assert_eq!(apply_shift(&b, 1), vec![0.0, 1.0, 2.0]);
+        assert_eq!(apply_shift(&b, -1), vec![2.0, 3.0, 0.0]);
+        assert_eq!(apply_shift(&b, 0), vec![1.0, 2.0, 3.0]);
+        assert_eq!(apply_shift(&b, 5), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn sbd_zero_energy_no_divide_by_zero() {
         let z = [0.0; 8];
+        assert!(ncc_max_with_shift(&z, &z).unwrap().0.is_finite());
         assert!(sbd(&z, &z).unwrap().is_finite());
     }
 
     #[test]
-    fn dtw_bit_identical_to_reference() {
-        let mut scratch = DtwScratch::new();
-        for n in 1..=24 {
-            let a = wave(n, 0.0);
-            let b = wave(n, 0.8);
-            for window in [None, Some(0), Some(2), Some(n / 3)] {
-                let opts = DtwOptions { window };
-                let fast = dtw(&a, &b, opts, &mut scratch).unwrap();
-                let slow = reference::dtw(&a, &b, opts).unwrap();
-                assert!(fast == slow, "n={n} window={window:?}: {fast} vs {slow}");
-            }
-        }
+    fn sbd_empty_and_mismatched_inputs_error() {
+        assert!(ncc_max_with_shift(&[], &[]).is_err());
+        assert!(sbd(&[], &[]).is_err());
+        assert!(sbd(&[1.0], &[1.0, 2.0]).is_err());
     }
 
     #[test]
-    fn dtw_different_lengths_and_errors() {
+    fn dtw_identical_is_zero() {
+        let a = [1.0, 2.0, 3.0, 2.0, 1.0];
+        let d = dtw(&a, &a, DtwOptions::default(), &mut DtwScratch::new()).unwrap();
+        assert!(d < 1e-12);
+    }
+
+    #[test]
+    fn dtw_absorbs_time_shift() {
+        // A peak shifted by 2 positions: Euclidean sees a big distance,
+        // DTW warps it away almost entirely.
+        let mut a = vec![0.0; 20];
+        a[5] = 1.0;
+        let mut b = vec![0.0; 20];
+        b[7] = 1.0;
+        let d_dtw = dtw(&a, &b, DtwOptions::default(), &mut DtwScratch::new()).unwrap();
+        let d_eu = euclidean(&a, &b).unwrap();
+        assert!(d_dtw < d_eu);
+        assert!(d_dtw < 1e-9);
+    }
+
+    #[test]
+    fn dtw_band_widens_to_length_difference() {
+        let a = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
+        let b = [0.0, 5.0];
+        // window 0 would be infeasible; it must be widened internally.
+        let opts = DtwOptions { window: Some(0) };
         let mut scratch = DtwScratch::new();
-        let a = wave(13, 0.0);
-        let b = wave(29, 0.4);
-        let opts = DtwOptions { window: Some(3) };
-        let fast = dtw(&a, &b, opts, &mut scratch).unwrap();
-        let slow = reference::dtw(&a, &b, opts).unwrap();
-        assert_eq!(fast, slow);
+        assert!(dtw(&a, &b, opts, &mut scratch).unwrap().is_finite());
+        assert!(dtw_path(&a, &b, opts, &mut scratch).unwrap().0.is_finite());
+    }
+
+    #[test]
+    fn dtw_empty_errors() {
+        let mut scratch = DtwScratch::new();
         assert!(dtw(&[], &[1.0], DtwOptions::default(), &mut scratch).is_err());
+        assert!(dtw_path(&[1.0], &[], DtwOptions::default(), &mut scratch).is_err());
+    }
+
+    #[test]
+    fn banded_dtw_upper_bounds_unbanded() {
+        let mut scratch = DtwScratch::new();
+        let a: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
+        let b: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3 + 0.8).sin()).collect();
+        let unb = dtw(&a, &b, DtwOptions::default(), &mut scratch).unwrap();
+        let band = dtw(&a, &b, DtwOptions { window: Some(3) }, &mut scratch).unwrap();
+        assert!(
+            band >= unb - 1e-12,
+            "banded {band} must be >= unbanded {unb}"
+        );
     }
 
     #[test]
@@ -732,8 +655,8 @@ mod tests {
         dtw(&long_a, &long_b, opts, &mut scratch).unwrap();
         let a = wave(9, 0.1);
         let b = wave(9, 0.7);
-        let fast = dtw(&a, &b, opts, &mut scratch).unwrap();
-        assert_eq!(fast, reference::dtw(&a, &b, opts).unwrap());
+        let reused = dtw(&a, &b, opts, &mut scratch).unwrap();
+        assert_eq!(reused, dtw(&a, &b, opts, &mut DtwScratch::new()).unwrap());
     }
 
     #[test]
@@ -746,6 +669,21 @@ mod tests {
         assert_eq!(d, dtw(&a, &b, opts, &mut scratch).unwrap());
         assert_eq!(path.first(), Some(&(0, 0)));
         assert_eq!(path.last(), Some(&(19, 19)));
+    }
+
+    #[test]
+    fn dtw_path_endpoints_of_unequal_lengths() {
+        let a = [0.0, 1.0, 2.0];
+        let b = [0.0, 2.0];
+        let (d, path) = dtw_path(&a, &b, DtwOptions::default(), &mut DtwScratch::new()).unwrap();
+        assert!(d.is_finite());
+        assert_eq!(path.first(), Some(&(0, 0)));
+        assert_eq!(path.last(), Some(&(2, 1)));
+        // Monotone non-decreasing in both indices.
+        for w in path.windows(2) {
+            assert!(w[1].0 >= w[0].0);
+            assert!(w[1].1 >= w[0].1);
+        }
     }
 
     #[test]

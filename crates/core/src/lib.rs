@@ -7,11 +7,10 @@
 //! * transformations: z-normalisation, detrending, smoothing, resampling,
 //!   piecewise aggregate approximation ([`transform`]),
 //! * sliding-window subsequence extraction ([`windows`]),
-//! * distance measures: Euclidean, z-normalised Euclidean, shape-based
-//!   distance (SBD, the k-Shape distance) ([`distance`]) and dynamic time
-//!   warping with a Sakoe–Chiba band ([`dtw`]),
-//! * the SIMD-friendly, allocation-free kernels behind them ([`kernel`]):
-//!   fused lane-chunked loops plus [`kernel::DtwScratch`] /
+//! * distance measures as SIMD-friendly, allocation-free kernels
+//!   ([`kernel`]): Euclidean, z-normalised Euclidean, shape-based distance
+//!   (SBD, the k-Shape distance) and dynamic time warping with a
+//!   Sakoe–Chiba band, with [`kernel::DtwScratch`] /
 //!   [`kernel::ZnormScratch`] so hot callers never allocate per pair,
 //! * the workspace's one scoped fan-out, [`par::par_map`].
 //!
@@ -19,8 +18,6 @@
 //! can build on it without pulling anything else in.
 
 pub mod dataset;
-pub mod distance;
-pub mod dtw;
 pub mod error;
 pub mod kernel;
 pub mod par;

@@ -52,8 +52,7 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
-use tscore::dtw::{DtwOptions, DtwScratch};
-use tscore::kernel::{self, ZnormScratch};
+use tscore::kernel::{self, DtwOptions, DtwScratch, ZnormScratch};
 
 fn wave(n: usize, phase: f64) -> Vec<f64> {
     (0..n).map(|i| (i as f64 * 0.21 + phase).sin()).collect()

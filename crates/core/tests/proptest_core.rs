@@ -2,7 +2,8 @@
 //! workspace-level suite in `/tests` covers cross-crate properties).
 
 use proptest::prelude::*;
-use tscore::{distance, dtw, stats, transform, windows};
+use tscore::kernel::{self, DtwOptions, DtwScratch};
+use tscore::{stats, transform, windows};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -71,15 +72,15 @@ proptest! {
         // signal.
         let mut padded = vec![0.0; 32];
         padded[8..24].copy_from_slice(&base);
-        let shifted = distance::apply_shift(&padded, shift);
+        let shifted = kernel::apply_shift(&padded, shift);
         let energy: f64 = base.iter().map(|v| v * v).sum();
         prop_assume!(energy > 1e-6);
-        let (d, found) = distance::sbd_with_shift(&padded, &shifted).unwrap();
+        let (d, found) = kernel::sbd_with_shift(&padded, &shifted).unwrap();
         prop_assert!(d < 1e-6, "SBD {d} for pure shift");
         // The detected shift must realign the signals (it need not equal the
         // applied one: periodic signals tie at several shifts).
-        let aligned = distance::apply_shift(&shifted, found);
-        let gap = distance::euclidean(&padded, &aligned).unwrap();
+        let aligned = kernel::apply_shift(&shifted, found);
+        let gap = kernel::euclidean(&padded, &aligned).unwrap();
         let norm = padded.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(gap < 1e-5 * (1.0 + norm), "gap {gap} after realignment");
     }
@@ -89,28 +90,12 @@ proptest! {
         a in proptest::collection::vec(-5.0..5.0f64, 4..16),
         b in proptest::collection::vec(-5.0..5.0f64, 4..16),
     ) {
-        let opts = dtw::DtwOptions::default();
-        let d1 = dtw::dtw(&a, &b, opts).unwrap();
-        let d2 = dtw::dtw(&b, &a, opts).unwrap();
+        let opts = DtwOptions::default();
+        let mut scratch = DtwScratch::new();
+        let d1 = kernel::dtw(&a, &b, opts, &mut scratch).unwrap();
+        let d2 = kernel::dtw(&b, &a, opts, &mut scratch).unwrap();
         prop_assert!((d1 - d2).abs() < 1e-9);
         prop_assert!(d1 >= 0.0);
-    }
-
-    #[test]
-    fn dba_stays_in_member_envelope(
-        members in proptest::collection::vec(
-            proptest::collection::vec(-5.0..5.0f64, 8..=8),
-            2..5,
-        ),
-    ) {
-        let refs: Vec<&[f64]> = members.iter().map(Vec::as_slice).collect();
-        let init = members[0].clone();
-        let c = dtw::dba(&init, &refs, dtw::DtwOptions::default(), 5).unwrap();
-        // Every centre point is a mean of member points, so it must stay
-        // inside the global min/max envelope.
-        let lo = members.iter().flatten().cloned().fold(f64::INFINITY, f64::min) - 1e-9;
-        let hi = members.iter().flatten().cloned().fold(f64::NEG_INFINITY, f64::max) + 1e-9;
-        prop_assert!(c.iter().all(|&v| v >= lo && v <= hi));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property tests pinning every fused kernel to its scalar reference.
+//! Property tests pinning every fused kernel to its scalar test oracle
+//! (`oracle/mod.rs`).
 //!
 //! Lengths are drawn so that every lane remainder `n mod 8 ∈ 0..8` is
 //! exercised, and dedicated cases cover the degenerate inputs (empty,
@@ -6,9 +7,10 @@
 //! reference (same min/add operations per cell); the reassociated
 //! reductions (znorm/ED/SBD) are allowed ≤ 1e-12 relative drift.
 
+mod oracle;
+
 use proptest::prelude::*;
-use tscore::dtw::{DtwOptions, DtwScratch};
-use tscore::kernel::{self, reference};
+use tscore::kernel::{self, DtwOptions, DtwScratch};
 
 fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
@@ -24,7 +26,7 @@ proptest! {
     ) {
         prop_assume!(a.len() == b.len());
         let fast = kernel::znorm_euclidean(&a, &b).unwrap();
-        let slow = reference::znorm_euclidean(&a, &b).unwrap();
+        let slow = oracle::znorm_euclidean(&a, &b).unwrap();
         prop_assert!(rel_close(fast, slow, 1e-12), "{fast} vs {slow}");
     }
 
@@ -34,7 +36,7 @@ proptest! {
     ) {
         let mut fast = vec![0.0; xs.len()];
         kernel::znorm_into(&xs, &mut fast);
-        let slow = reference::znorm(&xs);
+        let slow = oracle::znorm(&xs);
         for (f, s) in fast.iter().zip(&slow) {
             prop_assert!(rel_close(*f, *s, 1e-12), "{f} vs {s}");
         }
@@ -47,7 +49,7 @@ proptest! {
     ) {
         prop_assume!(a.len() == b.len());
         let fast = kernel::euclidean(&a, &b).unwrap();
-        let slow = reference::euclidean(&a, &b).unwrap();
+        let slow = oracle::euclidean(&a, &b).unwrap();
         prop_assert!(rel_close(fast, slow, 1e-12), "{fast} vs {slow}");
     }
 
@@ -58,7 +60,7 @@ proptest! {
     ) {
         prop_assume!(a.len() == b.len());
         let fast = kernel::sbd(&a, &b).unwrap();
-        let slow = reference::sbd(&a, &b).unwrap();
+        let slow = oracle::sbd(&a, &b).unwrap();
         prop_assert!(rel_close(fast, slow, 1e-9), "{fast} vs {slow}");
     }
 
@@ -73,7 +75,7 @@ proptest! {
         let opts = DtwOptions { window };
         let mut scratch = DtwScratch::new();
         let fast = kernel::dtw(&a, &b, opts, &mut scratch).unwrap();
-        let slow = reference::dtw(&a, &b, opts).unwrap();
+        let slow = oracle::dtw(&a, &b, opts).unwrap();
         // Bit-identical: the fused version performs the same FP ops.
         prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{} vs {}", fast, slow);
     }
@@ -118,21 +120,21 @@ fn all_lane_remainders_and_degenerate_inputs() {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37 + 1.3).cos()).collect();
 
         let fast_e = kernel::euclidean(&a, &b).unwrap();
-        let slow_e = reference::euclidean(&a, &b).unwrap();
+        let slow_e = oracle::euclidean(&a, &b).unwrap();
         assert!(rel_close(fast_e, slow_e, 1e-12), "euclidean n={n}");
 
         if n > 0 {
             let fast_z = kernel::znorm_euclidean(&a, &b).unwrap();
-            let slow_z = reference::znorm_euclidean(&a, &b).unwrap();
+            let slow_z = oracle::znorm_euclidean(&a, &b).unwrap();
             assert!(rel_close(fast_z, slow_z, 1e-12), "znorm_ed n={n}");
 
             let fast_s = kernel::sbd(&a, &b).unwrap();
-            let slow_s = reference::sbd(&a, &b).unwrap();
+            let slow_s = oracle::sbd(&a, &b).unwrap();
             assert!(rel_close(fast_s, slow_s, 1e-9), "sbd n={n}");
 
             let opts = DtwOptions { window: Some(3) };
             let fast_d = kernel::dtw(&a, &b, opts, &mut DtwScratch::new()).unwrap();
-            let slow_d = reference::dtw(&a, &b, opts).unwrap();
+            let slow_d = oracle::dtw(&a, &b, opts).unwrap();
             assert_eq!(fast_d.to_bits(), slow_d.to_bits(), "dtw n={n}");
         }
 
@@ -140,12 +142,12 @@ fn all_lane_remainders_and_degenerate_inputs() {
         let c = vec![3.25; n];
         if n > 0 {
             let fast = kernel::znorm_euclidean(&c, &a).unwrap();
-            let slow = reference::znorm_euclidean(&c, &a).unwrap();
+            let slow = oracle::znorm_euclidean(&c, &a).unwrap();
             assert!(rel_close(fast, slow, 1e-12), "const znorm_ed n={n}");
             assert!(kernel::sbd(&c, &c).unwrap().is_finite());
         }
         let mut out = vec![f64::NAN; n];
         kernel::znorm_into(&c, &mut out);
-        assert_eq!(out, reference::znorm(&c), "const znorm n={n}");
+        assert_eq!(out, oracle::znorm(&c), "const znorm n={n}");
     }
 }

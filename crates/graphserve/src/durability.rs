@@ -17,7 +17,7 @@
 //! snapshot, so a crash between the two renames simply falls back to the
 //! previous generation — whose WAL coverage is intact, because the WAL is
 //! only rewritten (fresh, with the new `base_seq`) *after* both files are
-//! in place. [`DurabilityConfig::keep_snapshots`] generations are retained.
+//! in place. The two newest generations are retained.
 //!
 //! ## Write path
 //!
@@ -68,13 +68,16 @@ pub struct DurabilityConfig {
     /// Take a snapshot every N session refreshes (compactions always
     /// snapshot). 0 snapshots on every refresh.
     pub snapshot_every: u64,
-    /// Bounded retries for transient I/O errors.
-    pub io_retries: u32,
-    /// Backoff between retries (doubled per attempt).
+    /// Backoff before the first retry of a transient I/O error (doubled
+    /// per attempt).
     pub retry_backoff: Duration,
-    /// Snapshot generations retained per model.
-    pub keep_snapshots: usize,
 }
+
+/// Retries of a transient I/O error before it is surfaced.
+const IO_RETRIES: u32 = 2;
+
+/// Snapshot generations retained per model.
+const KEEP_SNAPSHOTS: usize = 2;
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
@@ -82,9 +85,7 @@ impl Default for DurabilityConfig {
             state_dir: PathBuf::from("state"),
             wal_sync_every: 1,
             snapshot_every: 4,
-            io_retries: 2,
             retry_backoff: Duration::from_millis(20),
-            keep_snapshots: 2,
         }
     }
 }
@@ -309,21 +310,25 @@ impl Durability {
         self.model_dir(name).join("wal.log")
     }
 
-    /// Runs `op` with bounded retry + doubling backoff on transient
-    /// errors. Non-transient errors (`ENOSPC` and friends) fail fast.
-    fn with_retries<T>(&self, mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    /// Runs `op` with bounded retry + doubling backoff while
+    /// `transient(&err)` holds; any other error (`ENOSPC` and friends, a
+    /// poisoned WAL) is returned at once.
+    fn with_retries<T, E>(
+        &self,
+        mut op: impl FnMut() -> Result<T, E>,
+        transient: impl Fn(&E) -> bool,
+    ) -> Result<T, E> {
         let mut backoff = self.cfg.retry_backoff;
         let mut attempt = 0u32;
         loop {
             match op() {
-                Ok(v) => return Ok(v),
-                Err(e) if attempt < self.cfg.io_retries && is_transient(&e) => {
+                Err(e) if attempt < IO_RETRIES && transient(&e) => {
                     attempt += 1;
                     self.counters.io_retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(backoff);
                     backoff = backoff.saturating_mul(2);
                 }
-                Err(e) => return Err(e),
+                result => return result,
             }
         }
     }
@@ -360,7 +365,7 @@ impl Durability {
         refreshes: u64,
     ) -> io::Result<()> {
         let dir = self.model_dir(name);
-        self.with_retries(|| self.fs.create_dir_all(&dir))?;
+        self.with_retries(|| self.fs.create_dir_all(&dir), is_transient)?;
         // Model first, session state second: recovery requires the pair,
         // so a crash between the two renames falls back to the previous
         // generation.
@@ -369,10 +374,10 @@ impl Durability {
         for (ext, bytes) in [("kgm", &model_bytes), ("kgs", &state_bytes)] {
             let target = self.snapshot_path(name, seq, ext);
             let tmp = dir.join(format!("snap-{seq:016}.{ext}.tmp"));
-            self.with_retries(|| self.fs.write(&tmp, bytes))?;
-            self.with_retries(|| self.fs.rename(&tmp, &target))?;
+            self.with_retries(|| self.fs.write(&tmp, bytes), is_transient)?;
+            self.with_retries(|| self.fs.rename(&tmp, &target), is_transient)?;
         }
-        self.with_retries(|| self.fs.sync_dir(&dir))?;
+        self.with_retries(|| self.fs.sync_dir(&dir), is_transient)?;
         // The pair is durable: rotate the journal. Records actually logged
         // since the previous snapshot — not a seq difference, which goes
         // to zero when a re-fit resets the sequence — drive the counters.
@@ -449,10 +454,10 @@ impl Durability {
             .collect();
         seqs.sort_unstable();
         seqs.dedup();
-        if seqs.len() <= self.cfg.keep_snapshots.max(1) {
+        if seqs.len() <= KEEP_SNAPSHOTS {
             return;
         }
-        let cut = seqs.len() - self.cfg.keep_snapshots.max(1);
+        let cut = seqs.len() - KEEP_SNAPSHOTS;
         for &seq in &seqs[..cut] {
             if seq == keep_seq {
                 continue;
@@ -570,31 +575,14 @@ impl Durability {
                 reason: format!("model {name} has no open WAL"),
             };
         };
-        enum Attempt {
-            Logged(u64, bool),
-            Poisoned(String),
-            Failed(String),
-        }
-        let mut backoff = self.cfg.retry_backoff;
-        let mut attempt = 0u32;
-        let outcome = loop {
-            match wal.append(series, points) {
-                Ok((seq, synced)) => {
-                    entry.seq = seq;
-                    break Attempt::Logged(seq, synced);
-                }
-                Err(e) if e.poisoned => break Attempt::Poisoned(format!("{e}")),
-                Err(e) if attempt < self.cfg.io_retries && is_transient(&e.io) => {
-                    attempt += 1;
-                    self.counters.io_retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(e) => break Attempt::Failed(format!("{e}")),
-            }
-        };
+        // A poisoned WAL is never retried: its on-disk tail is unknown.
+        let outcome = self.with_retries(
+            || wal.append(series, points),
+            |e| !e.poisoned && is_transient(&e.io),
+        );
         match outcome {
-            Attempt::Logged(seq, synced) => {
+            Ok((seq, synced)) => {
+                entry.seq = seq;
                 self.counters
                     .wal_records_written
                     .fetch_add(1, Ordering::Relaxed);
@@ -606,11 +594,14 @@ impl Durability {
                     .fetch_add(1, Ordering::Relaxed);
                 IngestLog::Logged { seq }
             }
-            Attempt::Poisoned(reason) => {
+            Err(e) if e.poisoned => {
+                let reason = format!("{e}");
                 self.degrade_locked(name, entry, reason.clone());
                 IngestLog::Degraded { reason }
             }
-            Attempt::Failed(reason) => IngestLog::Unavailable { reason },
+            Err(e) => IngestLog::Unavailable {
+                reason: format!("{e}"),
+            },
         }
     }
 

@@ -12,6 +12,10 @@ use std::io::{Read, Write};
 /// Hard cap on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
+/// `Retry-After` value, in seconds, of every retryable `503`: a request
+/// shed at admission and an ingest whose journal write failed.
+pub(crate) const RETRY_AFTER_SECS: &str = "1";
+
 /// A parse-level failure, mapped by the caller onto a 4xx response.
 #[derive(Debug)]
 pub enum HttpError {

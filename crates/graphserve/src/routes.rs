@@ -19,7 +19,7 @@
 //! unparseable bodies are 400.
 
 use crate::durability::{Durability, IngestLog};
-use crate::http::{Request, Response};
+use crate::http::{Request, Response, RETRY_AFTER_SECS};
 use crate::json::{f64s_to_json, write_json_string, Json};
 use crate::server::ServerStats;
 use crate::store::{ModelStore, StoreReader};
@@ -837,7 +837,7 @@ fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         IngestLog::Unavailable { reason } => {
             return Err(
                 Response::error(503, &format!("ingest journal unavailable: {reason}"))
-                    .with_header("retry-after", "1".to_string()),
+                    .with_header("retry-after", RETRY_AFTER_SECS.to_string()),
             );
         }
         IngestLog::Degraded { reason } => {

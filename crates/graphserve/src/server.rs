@@ -25,7 +25,7 @@
 //! requests complete, new ones are refused.
 
 use crate::durability::Durability;
-use crate::http::{HttpError, Request, Response};
+use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
 use crate::queue::{BoundedQueue, PushError};
 use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
@@ -51,8 +51,6 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Socket write timeout per response.
     pub write_timeout: Duration,
-    /// `Retry-After` seconds advertised when shedding.
-    pub retry_after_secs: u32,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
     /// Cadences of the streaming ingest sessions opened by
@@ -72,7 +70,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            retry_after_secs: 1,
             max_body_bytes: 8 * 1024 * 1024,
             stream: StreamConfig::default(),
             debug_routes: false,
@@ -151,10 +148,9 @@ impl Server {
             let queue = Arc::clone(&queue);
             let stats = Arc::clone(&stats);
             let shutting_down = Arc::clone(&shutting_down);
-            let retry_after = config.retry_after_secs;
             std::thread::Builder::new()
                 .name("graphserve-accept".into())
-                .spawn(move || accept_loop(listener, &queue, &stats, &shutting_down, retry_after))?
+                .spawn(move || accept_loop(listener, &queue, &stats, &shutting_down))?
         };
 
         let n_workers = if config.workers == 0 {
@@ -228,7 +224,6 @@ fn accept_loop(
     queue: &BoundedQueue<TcpStream>,
     stats: &ServerStats,
     shutting_down: &AtomicBool,
-    retry_after_secs: u32,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -257,7 +252,7 @@ fn accept_loop(
                 let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
                 let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
                 let resp = Response::error(503, "server is at capacity, try again")
-                    .with_header("retry-after", retry_after_secs.to_string());
+                    .with_header("retry-after", RETRY_AFTER_SECS.to_string());
                 let _ = resp.write_to(&mut stream);
                 // Closing with the request still unread would RST the
                 // connection and can discard the 503 before the client

@@ -92,7 +92,6 @@ fn durability_config(dir: &Path, snapshot_every: u64) -> DurabilityConfig {
         wal_sync_every: 1,
         snapshot_every,
         retry_backoff: std::time::Duration::from_millis(1),
-        ..DurabilityConfig::default()
     }
 }
 

@@ -135,8 +135,9 @@ pub fn rfft(signal: &[f64], size: usize) -> Vec<Complex> {
 /// Full (linear) cross-correlation of `a` and `b` via FFT.
 ///
 /// Output has length `2m − 1` where `m = a.len() = b.len()`; index `s`
-/// corresponds to shift `s − (m−1)`, matching
-/// `tscore::distance::ncc`'s layout (but *unnormalised*: raw dot products).
+/// corresponds to shift `s − (m−1)` of `b` relative to `a` — the shift
+/// order of `tscore::kernel::ncc_max_with_shift`, but *unnormalised*: raw
+/// dot products.
 pub fn cross_correlation_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "cross-correlation requires equal lengths");
     let m = a.len();

@@ -6,23 +6,18 @@
 //! uses the sort-based scheme of CSR graph frameworks:
 //!
 //! 1. collect raw triples (append-only, no lookups),
-//! 2. sort them by `(src, dst)` — **parallel chunked sort**: the triple
-//!    array is split into per-thread chunks, each chunk sorted on its own
-//!    scoped thread, then the sorted runs are merged,
+//! 2. sort them by their packed `(src, dst)` key on the calling thread
+//!    (one unstable sort of `u64` keys),
 //! 3. one linear **run-length aggregation** pass combines duplicate
 //!    `(src, dst)` pairs with the caller's merge function and writes the
 //!    offset/target/weight arrays directly.
 //!
 //! The merge function must be commutative and associative (e.g. `+` on
-//! counts); the sort is unstable and chunking varies with thread count, so
-//! the *order* in which duplicates reach the merge is unspecified, while
-//! the resulting graph is identical either way.
+//! counts); the sort is unstable, so the *order* in which duplicates reach
+//! the merge is unspecified, while the resulting graph is identical either
+//! way.
 
 use crate::csr::{CsrGraph, EdgeId, NodeId};
-
-/// Triples below this count are sorted on the calling thread; the scoped
-/// thread fan-out only pays for itself on bulk loads.
-const PARALLEL_SORT_THRESHOLD: usize = 1 << 15;
 
 /// Packs `(src, dst)` into the sort key used throughout the builder and
 /// delta layers: `src << 32 | dst`, so key order is exactly
@@ -88,9 +83,7 @@ impl<E> GraphBuilder<E> {
     pub fn is_empty(&self) -> bool {
         self.triples.is_empty()
     }
-}
 
-impl<E: Send> GraphBuilder<E> {
     /// Builds the CSR graph over `node_count = nodes.len()` vertices,
     /// aggregating duplicate `(src, dst)` pairs with `merge` (called as
     /// `merge(&mut acc, next)`; must be commutative + associative).
@@ -113,7 +106,7 @@ impl<E: Send> GraphBuilder<E> {
             );
         }
 
-        parallel_sort_by_key(&mut triples);
+        triples.sort_unstable_by_key(|(k, _)| *k);
         assemble_csr(nodes, triples.into_iter(), merge)
     }
 }
@@ -233,82 +226,6 @@ fn push_edge<E>(
     edge_sources.push(NodeId(src));
 }
 
-/// A key-sorted run of triples awaiting merge.
-type Run<E> = Vec<(u64, E)>;
-
-/// Unstable sort by the u64 key; large inputs are split into owned runs
-/// sorted on scoped threads, then the runs are merged pairwise (also in
-/// parallel) until one remains.
-fn parallel_sort_by_key<E: Send>(triples: &mut Vec<(u64, E)>) {
-    let len = triples.len();
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    if len < PARALLEL_SORT_THRESHOLD || threads < 2 {
-        triples.sort_unstable_by_key(|(k, _)| *k);
-        return;
-    }
-    let n_chunks = threads.min(8).min(len);
-    let chunk_len = len.div_ceil(n_chunks);
-
-    // Split into owned runs so merged rounds can move elements freely.
-    let mut rest = std::mem::take(triples);
-    let mut runs: Vec<Run<E>> = Vec::with_capacity(n_chunks);
-    while rest.len() > chunk_len {
-        let tail = rest.split_off(chunk_len);
-        runs.push(rest);
-        rest = tail;
-    }
-    runs.push(rest);
-
-    std::thread::scope(|scope| {
-        for run in runs.iter_mut() {
-            scope.spawn(move || run.sort_unstable_by_key(|(k, _)| *k));
-        }
-    });
-
-    while runs.len() > 1 {
-        let mut pairs: Vec<(Run<E>, Run<E>)> = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            pairs.push((a, it.next().unwrap_or_default()));
-        }
-        runs = std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .into_iter()
-                .map(|(a, b)| scope.spawn(move || merge_two(a, b)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("merge thread"))
-                .collect()
-        });
-    }
-    *triples = runs.pop().unwrap_or_default();
-}
-
-/// Two-pointer merge of two key-sorted runs.
-fn merge_two<E>(a: Vec<(u64, E)>, b: Vec<(u64, E)>) -> Vec<(u64, E)> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
-    loop {
-        let take_a = match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => x.0 <= y.0,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let next = if take_a { ia.next() } else { ib.next() };
-        out.push(next.expect("peeked element present"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,23 +243,40 @@ mod tests {
         assert_eq!(g.weight_between(NodeId(0), NodeId(2)), Some(&1.0));
     }
 
+    /// Deterministic LCG stream of `total` edges over `n` nodes.
+    fn lcg_edges(total: usize, n: u32) -> Vec<(u32, u32)> {
+        let mut s = 1u64;
+        (0..total)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (((s >> 33) % n as u64) as u32, ((s >> 13) % n as u64) as u32)
+            })
+            .collect()
+    }
+
     #[test]
     fn insertion_order_irrelevant() {
-        let edges = [(0u32, 1u32), (3, 2), (1, 1), (0, 1), (2, 3), (3, 2), (0, 3)];
-        let mut fwd = GraphBuilder::new();
-        for &(s, t) in &edges {
-            fwd.add_edge(NodeId(s), NodeId(t), 1.0f64);
-        }
-        let mut rev = GraphBuilder::new();
-        for &(s, t) in edges.iter().rev() {
-            rev.add_edge(NodeId(s), NodeId(t), 1.0f64);
-        }
-        let a = fwd.build(vec![(); 4], |acc, w| *acc += w);
-        let b = rev.build(vec![(); 4], |acc, w| *acc += w);
-        assert_eq!(a.edge_count(), b.edge_count());
-        for (e, s, t, w) in a.edges_iter() {
-            assert_eq!(b.endpoints(e), (s, t));
-            assert_eq!(b.edge(e), w);
+        let small = vec![(0u32, 1u32), (3, 2), (1, 1), (0, 1), (2, 3), (3, 2), (0, 3)];
+        // A bulk load of the size a fit's short-length layers emit.
+        let large = lcg_edges(40_000, 300);
+        for (edges, n) in [(small, 4usize), (large, 300)] {
+            let mut fwd = GraphBuilder::new();
+            for &(s, t) in &edges {
+                fwd.add_edge(NodeId(s), NodeId(t), 1.0f64);
+            }
+            let mut rev = GraphBuilder::new();
+            for &(s, t) in edges.iter().rev() {
+                rev.add_edge(NodeId(s), NodeId(t), 1.0f64);
+            }
+            let a = fwd.build(vec![(); n], |acc, w| *acc += w);
+            let b = rev.build(vec![(); n], |acc, w| *acc += w);
+            assert_eq!(a.edge_count(), b.edge_count());
+            for (e, s, t, w) in a.edges_iter() {
+                assert_eq!(b.endpoints(e), (s, t));
+                assert_eq!(b.edge(e), w);
+            }
         }
     }
 
@@ -356,20 +290,13 @@ mod tests {
     }
 
     #[test]
-    fn large_input_takes_parallel_path() {
-        // Above PARALLEL_SORT_THRESHOLD triples over a small node set →
-        // heavy duplication; totals must be exact.
+    fn large_duplicated_input_aggregates_exactly() {
+        // Many triples over a small node set → heavy duplication; totals
+        // must be exact.
         let n = 64u32;
-        let total = super::PARALLEL_SORT_THRESHOLD + 12_345;
+        let total = (1 << 15) + 12_345;
         let mut b = GraphBuilder::with_capacity(total);
-        let mut s = 1u64;
-        for _ in 0..total {
-            // LCG-ish stream, deterministic.
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let src = ((s >> 33) % n as u64) as u32;
-            let dst = ((s >> 13) % n as u64) as u32;
+        for (src, dst) in lcg_edges(total, n) {
             b.add_edge(NodeId(src), NodeId(dst), 1.0f64);
         }
         assert_eq!(b.len(), total);

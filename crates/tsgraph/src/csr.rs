@@ -260,10 +260,7 @@ impl<N: Clone, E: Clone> CsrGraph<N, E> {
     pub fn filter_nodes(
         &self,
         mut keep: impl FnMut(NodeId, &N) -> bool,
-    ) -> (Self, Vec<Option<NodeId>>)
-    where
-        E: Send,
-    {
+    ) -> (Self, Vec<Option<NodeId>>) {
         let mut mapping: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
         let mut kept_nodes = Vec::new();
         for (id, payload) in self.nodes_iter() {

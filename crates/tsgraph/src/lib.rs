@@ -18,8 +18,9 @@
 //!   and the Graphint Graph frame all run against it.
 //! * [`builder::GraphBuilder`] — the **construction** path. Consumers emit
 //!   raw `(src, dst, weight)` triples (one per observed transition, no
-//!   lookups), and `build` produces the CSR graph via a parallel chunked
-//!   sort followed by a run-length aggregation of duplicate edges.
+//!   lookups), and `build` produces the CSR graph via one sort of packed
+//!   `(src, dst)` keys followed by a run-length aggregation of duplicate
+//!   edges.
 //! * [`delta`] — the **maintenance** path. [`DeltaGraph`] buffers
 //!   transitions observed after a base CSR froze; [`DeltaView`] serves
 //!   merged base+delta reads (2-way merge per node, lock-free) and

@@ -6,6 +6,10 @@ use clustering::metrics::{
     rand_index,
 };
 use proptest::prelude::*;
+use tscore::kernel::{self, DtwOptions, DtwScratch};
+
+#[path = "../crates/core/tests/oracle/mod.rs"]
+mod oracle;
 
 fn labelings(n: usize, k: usize) -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
     (
@@ -74,7 +78,7 @@ proptest! {
         b in proptest::collection::vec(-10.0..10.0f64, 8..=8),
         c in proptest::collection::vec(-10.0..10.0f64, 8..=8),
     ) {
-        let d = |x: &[f64], y: &[f64]| tscore::distance::euclidean(x, y).unwrap();
+        let d = |x: &[f64], y: &[f64]| kernel::euclidean(x, y).unwrap();
         prop_assert!(d(&a, &b) >= 0.0);
         prop_assert!((d(&a, &b) - d(&b, &a)).abs() < 1e-9);
         prop_assert!(d(&a, &a) < 1e-12);
@@ -86,10 +90,10 @@ proptest! {
         a in proptest::collection::vec(-10.0..10.0f64, 8..=8),
         b in proptest::collection::vec(-10.0..10.0f64, 8..=8),
     ) {
-        let d = tscore::distance::sbd(&a, &b).unwrap();
+        let d = kernel::sbd(&a, &b).unwrap();
         prop_assert!((-1e-9..=2.0 + 1e-9).contains(&d));
         // SBD is symmetric (NCC of (a,b) mirrors (b,a)).
-        let d2 = tscore::distance::sbd(&b, &a).unwrap();
+        let d2 = kernel::sbd(&b, &a).unwrap();
         prop_assert!((d - d2).abs() < 1e-9);
     }
 
@@ -98,7 +102,7 @@ proptest! {
         a in proptest::collection::vec(-5.0..5.0f64, 4..32),
     ) {
         let b: Vec<f64> = a.iter().rev().copied().collect();
-        let direct = tscore::distance::ncc(&a, &b).unwrap();
+        let direct = oracle::ncc(&a, &b).unwrap();
         let fast = clustering::kshape::ncc_fft(&a, &b);
         prop_assert_eq!(direct.len(), fast.len());
         for (x, y) in direct.iter().zip(&fast) {
@@ -113,8 +117,8 @@ proptest! {
     ) {
         // The identity warping path is admissible, so unconstrained DTW is
         // bounded above by the Euclidean distance.
-        let dtw = tscore::dtw::dtw(&a, &b, tscore::dtw::DtwOptions::default()).unwrap();
-        let eu = tscore::distance::euclidean(&a, &b).unwrap();
+        let dtw = kernel::dtw(&a, &b, DtwOptions::default(), &mut DtwScratch::new()).unwrap();
+        let eu = kernel::euclidean(&a, &b).unwrap();
         prop_assert!(dtw <= eu + 1e-9, "dtw {} > euclid {}", dtw, eu);
         prop_assert!(dtw >= 0.0);
     }
