@@ -19,7 +19,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tsgraph::algo;
 use tsgraph::layout::{self, BarnesHutOptions, ForceOptions};
-use tsgraph::{CsrGraph, DeltaGraph, DeltaView, GraphBuilder, NodeId};
+use tsgraph::{CsrGraph, DeltaGraph, GraphBuilder, NodeId};
 
 const NODES: usize = 12_000;
 const TRANSITIONS: usize = 400_000;
@@ -155,7 +155,7 @@ fn bench_stream(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("compact", delta.edge_count()),
         &(&base, &delta),
-        |b, (base, delta)| b.iter(|| DeltaView::new(base, delta).compact(|acc, w| *acc += w)),
+        |b, (base, delta)| b.iter(|| delta.compact(base, |acc, w| *acc += w)),
     );
     group.finish();
 }

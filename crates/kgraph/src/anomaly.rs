@@ -9,8 +9,13 @@
 //!
 //! Scores are in `[0, 1]`: 0 = the most common transitions in the graph,
 //! 1 = transitions never seen at fit time.
+//!
+//! There is one scorer. [`anomaly_scores`] reads the layer's own graph;
+//! [`anomaly_scores_against`] reads any graph over the layer's node set,
+//! which is how a streaming session scores against the layer's graph
+//! compacted with the transitions it has buffered since the fit.
 
-use crate::build::GraphLayer;
+use crate::build::{GraphLayer, PatternGraph};
 use tscore::error::TsError;
 use tsgraph::NodeId;
 
@@ -23,45 +28,19 @@ use tsgraph::NodeId;
 /// self-transitions score 0 (dwelling inside a pattern is handled by the
 /// embedding-gap term of [`anomaly_scores`]). Output length is
 /// `path.len() − 1` (empty for trivial paths).
-pub fn transition_scores(layer: &GraphLayer, path: &[NodeId]) -> Vec<f64> {
-    // The modal outgoing weight is a max over the node's contiguous CSR
-    // weight slice; the transition itself is an O(log deg) lookup.
-    transition_scores_with(
-        path,
-        |a, b| layer.graph.weight_between(a, b).copied(),
-        |a| {
-            layer
-                .graph
-                .out_weights(a)
-                .iter()
-                .copied()
-                .fold(1.0f64, f64::max)
-        },
-    )
-}
-
-/// [`transition_scores`] generalised over the weight source: `weight`
-/// returns the observed count of a transition (or `None` if never seen)
-/// and `modal_out` the node's heaviest outgoing count (≥ 1). This is how
-/// the streaming layer scores against a merged base+delta view without
-/// materialising a compacted graph — with an empty delta both closures
-/// reduce to the base graph's and the output is bit-identical to
-/// [`transition_scores`].
-pub fn transition_scores_with(
-    path: &[NodeId],
-    weight: impl Fn(NodeId, NodeId) -> Option<f64>,
-    modal_out: impl Fn(NodeId) -> f64,
-) -> Vec<f64> {
-    if path.len() < 2 {
-        return Vec::new();
-    }
+pub fn transition_scores(graph: &PatternGraph, path: &[NodeId]) -> Vec<f64> {
+    // The transition is an O(log deg) lookup; the modal outgoing weight is
+    // a max over the node's contiguous CSR weight slice (at least 1).
     path.windows(2)
         .map(|w| {
             if w[0] == w[1] {
                 return 0.0;
             }
-            match weight(w[0], w[1]) {
-                Some(count) => 1.0 - count / modal_out(w[0]),
+            match graph.weight_between(w[0], w[1]) {
+                Some(count) => {
+                    let modal = graph.out_weights(w[0]).iter().copied().fold(1.0, f64::max);
+                    1.0 - count / modal
+                }
                 None => 1.0,
             }
         })
@@ -104,7 +83,7 @@ pub(crate) fn routed_gaps(layer: &GraphLayer, values: &[f64]) -> Option<(Vec<Nod
 /// Combines two kinds of evidence, each in `[0, 1]`:
 ///
 /// * **transition rarity** — the trajectory crosses edges that were rare
-///   (or absent) at fit time ([`transition_scores`]),
+///   (or absent) in the layer's graph ([`transition_scores`]),
 /// * **embedding gap** — the window's shape projects far from every known
 ///   pattern node ([`embedding_gap_scores`]); this is what catches
 ///   "frozen"/dwelling anomalies that produce no transitions at all.
@@ -123,6 +102,31 @@ pub fn anomaly_scores(
     values: &[f64],
     context: usize,
 ) -> Result<Vec<f64>, TsError> {
+    anomaly_scores_against(layer, &layer.graph, values, context)
+}
+
+/// [`anomaly_scores`] with transition rarity read from `graph` instead of
+/// `layer.graph`; windows are still routed through `layer`'s embedding.
+/// `graph` must have the layer's node set, for example the layer's graph
+/// compacted with a stream delta ([`tsgraph::DeltaGraph::compact`]).
+///
+/// # Errors
+///
+/// Those of [`anomaly_scores`], plus [`TsError::InvalidParameter`] when
+/// `graph` and the layer's graph differ in node count.
+pub fn anomaly_scores_against(
+    layer: &GraphLayer,
+    graph: &PatternGraph,
+    values: &[f64],
+    context: usize,
+) -> Result<Vec<f64>, TsError> {
+    if graph.node_count() != layer.graph.node_count() {
+        return Err(TsError::InvalidParameter(format!(
+            "graph has {} nodes, the layer {}",
+            graph.node_count(),
+            layer.graph.node_count()
+        )));
+    }
     if layer.graph.node_count() == 0 {
         return Err(TsError::Degenerate(
             "graph layer has no nodes; cannot route series".into(),
@@ -135,16 +139,15 @@ pub fn anomaly_scores(
         });
     }
     let (path, gaps) = routed_gaps(layer, values).expect("preconditions checked above");
-    let trans = transition_scores(layer, &path);
+    let trans = transition_scores(graph, &path);
     Ok(blend_and_smooth(&trans, &gaps, context))
 }
 
-/// The scoring tail shared with the streaming path: blend transition and
-/// gap evidence (equal weights) and smooth with a centred moving average
-/// of width `context`. Transition `i` sits between windows `i` and `i+1`
-/// and is attributed to window `i` (the last window keeps only its gap
-/// evidence).
-pub(crate) fn blend_and_smooth(trans: &[f64], gaps: &[f64], context: usize) -> Vec<f64> {
+/// The scoring tail: blend transition and gap evidence (equal weights) and
+/// smooth with a centred moving average of width `context`. Transition `i`
+/// sits between windows `i` and `i+1` and is attributed to window `i` (the
+/// last window keeps only its gap evidence).
+fn blend_and_smooth(trans: &[f64], gaps: &[f64], context: usize) -> Vec<f64> {
     if gaps.is_empty() {
         return Vec::new();
     }
@@ -250,12 +253,12 @@ mod tests {
         let model = fitted();
         let layer = model.best();
         let path = &layer.paths[0];
-        let scores = transition_scores(layer, path);
+        let scores = transition_scores(&layer.graph, path);
         assert_eq!(scores.len(), path.len() - 1);
         assert!(scores.iter().all(|&s| (0.0..=1.0).contains(&s)));
         // Trivial paths.
-        assert!(transition_scores(layer, &[]).is_empty());
-        assert!(transition_scores(layer, &path[..1]).is_empty());
+        assert!(transition_scores(&layer.graph, &[]).is_empty());
+        assert!(transition_scores(&layer.graph, &path[..1]).is_empty());
     }
 
     #[test]
@@ -263,7 +266,7 @@ mod tests {
         let model = fitted();
         let layer = model.best();
         let n = layer.paths[0][0];
-        let scores = transition_scores(layer, &[n, n, n]);
+        let scores = transition_scores(&layer.graph, &[n, n, n]);
         assert_eq!(scores, vec![0.0, 0.0]);
     }
 
@@ -277,6 +280,43 @@ mod tests {
             }
             other => panic!("expected TooShort, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn observed_transitions_lower_rarity() {
+        let model = fitted();
+        let layer = model.best();
+        // A burst the model never saw: its transitions are absent from the
+        // layer's graph, so they score 1.0. Scoring against a graph that has
+        // seen those very transitions many times must lower the score.
+        let mut values: Vec<f64> = (0..160).map(|i| (i as f64 * 0.4).sin()).collect();
+        for v in values.iter_mut().skip(80).take(14) {
+            *v = 2.5;
+        }
+        let before = anomaly_scores(layer, &values, 1).unwrap();
+        let path = layer.assign_path(&values).unwrap();
+        let mut delta = tsgraph::DeltaGraph::new(layer.graph.node_count());
+        let triples: Vec<_> = path
+            .windows(2)
+            .filter(|w| w[0] != w[1])
+            .flat_map(|w| (0..50).map(move |_| (w[0], w[1], 1.0)))
+            .collect();
+        delta.ingest(triples, |a, w| *a += w);
+        let seen = delta.compact(&layer.graph, |a, w| *a += w);
+        let after = anomaly_scores_against(layer, &seen, &values, 1).unwrap();
+        let mean_before = tscore::stats::mean(&before);
+        let mean_after = tscore::stats::mean(&after);
+        assert!(
+            mean_after < mean_before,
+            "observed transitions must lower rarity: {mean_after} vs {mean_before}"
+        );
+        // A graph over another node set is refused, not indexed out of
+        // bounds.
+        let (small, _) = layer.graph.filter_nodes(|id, _| id.index() == 0);
+        assert!(matches!(
+            anomaly_scores_against(layer, &small, &values, 1),
+            Err(TsError::InvalidParameter(_))
+        ));
     }
 
     #[test]

@@ -564,9 +564,7 @@ pub fn write_delta_state(deltas: &[DeltaGraph<f64>]) -> Vec<u8> {
     seal(out)
 }
 
-/// Decodes `KGD1` delta state. The aggregated edges round-trip exactly;
-/// the raw (pre-aggregation) ingest counter is diagnostic-only and resets
-/// to the number of distinct edges.
+/// Decodes `KGD1` delta state. The aggregated edges round-trip exactly.
 pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
     let mut c = open(bytes, DELTA_MAGIC, "delta")?;
     let n_layers = c.len(16)?;
@@ -583,17 +581,19 @@ pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
 }
 
 /// Approximate heap footprint of a fitted model in bytes — the currency of
-/// the serving layer's eviction budget. Counts the dominant flat arrays
-/// (CSR adjacency, patterns, paths); small fixed overheads are ignored.
+/// the serving layer's eviction budget (and the `bytes` that `graphserve`
+/// reports per model). Counts the dominant flat arrays (CSR adjacency,
+/// patterns, paths); small fixed overheads are ignored.
 pub fn model_approx_bytes(model: &KGraphModel) -> usize {
     let mut bytes = std::mem::size_of::<KGraphModel>();
     bytes += model.labels.len() * 8;
     bytes += model.scores.len() * std::mem::size_of::<LengthScore>();
     for layer in &model.layers {
-        // CSR: out/in offsets, targets, sources, weights, in-edge ids.
+        // CSR: out offsets (u32), then per edge its target (u32), weight
+        // (f64) and source (u32).
         let e = layer.graph.edge_count();
         let n = layer.graph.node_count();
-        bytes += 2 * (n + 1) * 4 + e * (4 + 4 + 8 + 4 + 4);
+        bytes += (n + 1) * 4 + e * (4 + 8 + 4);
         for (_, p) in layer.graph.nodes_iter() {
             bytes += std::mem::size_of::<NodePattern>() + p.pattern.len() * 8;
         }
@@ -719,8 +719,11 @@ mod tests {
         let loaded = read_delta_state(&bytes).expect("round trip");
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded[0].node_count(), 5);
-        assert_eq!(loaded[0].edge_count(), 2);
-        assert_eq!(loaded[0].weight_between(NodeId(0), NodeId(1)), Some(&2.0));
+        let edges: Vec<_> = loaded[0].iter().map(|(s, t, &w)| (s, t, w)).collect();
+        assert_eq!(
+            edges,
+            vec![(NodeId(0), NodeId(1), 2.0), (NodeId(4), NodeId(2), 1.0)]
+        );
         assert_eq!(loaded[1].node_count(), 3);
         assert!(loaded[1].is_empty());
     }

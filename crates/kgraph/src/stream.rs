@@ -1,30 +1,23 @@
-//! Streaming entry points: windowed re-extraction and delta-aware scoring.
+//! Streaming entry point: windowed re-extraction.
 //!
 //! A fitted [`GraphLayer`] is frozen — its CSR graph, paths and embedding
 //! never change. When a monitored series receives new points, refitting
-//! from scratch would cost seconds; instead the streaming layer
+//! from scratch would cost seconds; instead the streaming layer routes
+//! **only the windows the append created** through the stored embedding
+//! ([`extend_path`], built on [`GraphLayer::assign_path_from`]) and turns
+//! the fresh sub-path into transition triples (including the *bridge*
+//! transition from the last previously-known node into the first new one)
+//! destined for a [`DeltaGraph`](tsgraph::DeltaGraph) kept next to the
+//! frozen base.
 //!
-//! 1. routes **only the windows the append created** through the stored
-//!    embedding ([`extend_path`], built on
-//!    [`GraphLayer::assign_path_from`]),
-//! 2. turns the fresh sub-path into transition triples (including the
-//!    *bridge* transition from the last previously-known node into the
-//!    first new one) destined for a [`DeltaGraph`] kept next to the frozen
-//!    base,
-//! 3. scores series against the **merged base+delta view**
-//!    ([`anomaly_scores_delta`]) without compacting — a 2-way merge per
-//!    lookup, no locks, bit-identical to [`anomaly_scores`] when the delta
-//!    is empty.
-//!
+//! Scoring has no streaming variant: a session compacts the base and its
+//! delta into a temporary graph and scores against it with the batch
+//! scorer, [`anomaly_scores_against`](crate::anomaly::anomaly_scores_against).
 //! The owning session type lives in the `streamfit` crate; this module is
 //! the model-side arithmetic it builds on.
-//!
-//! [`anomaly_scores`]: crate::anomaly::anomaly_scores
 
-use crate::anomaly::{blend_and_smooth, routed_gaps, transition_scores_with};
 use crate::build::GraphLayer;
 use tscore::error::TsError;
-use tsgraph::delta::{DeltaGraph, DeltaView};
 use tsgraph::NodeId;
 
 /// Number of windows of length `window` at stride `stride` that fit in a
@@ -87,53 +80,9 @@ pub fn extend_path(
     Ok(WindowDelta { new_nodes, triples })
 }
 
-/// [`anomaly_scores`](crate::anomaly::anomaly_scores) against the merged
-/// base+delta transition view: transition rarity reads counts and modal
-/// weights through a [`DeltaView`] (2-way merge per node), the embedding
-/// gap term is unchanged (the embedding is frozen). With an empty delta
-/// the output is bit-identical to the batch scorer.
-///
-/// # Errors
-///
-/// Same contract as the batch scorer: [`TsError::TooShort`] when the
-/// series is shorter than one window, [`TsError::Degenerate`] when the
-/// layer's graph has no nodes.
-pub fn anomaly_scores_delta(
-    layer: &GraphLayer,
-    delta: &DeltaGraph<f64>,
-    values: &[f64],
-    context: usize,
-) -> Result<Vec<f64>, TsError> {
-    if layer.graph.node_count() == 0 {
-        return Err(TsError::Degenerate(
-            "graph layer has no nodes; cannot route series".into(),
-        ));
-    }
-    if values.len() < layer.length {
-        return Err(TsError::TooShort {
-            required: layer.length,
-            actual: values.len(),
-        });
-    }
-    let sum = |acc: &mut f64, w: f64| *acc += w;
-    let view = DeltaView::new(&layer.graph, delta);
-    let (path, gaps) = routed_gaps(layer, values).expect("preconditions checked above");
-    let trans = transition_scores_with(
-        &path,
-        |a, b| view.weight_between(a, b, sum),
-        |a| {
-            let mut modal = 1.0f64;
-            view.for_each_out(a, sum, |_, w| modal = modal.max(w));
-            modal
-        },
-    );
-    Ok(blend_and_smooth(&trans, &gaps, context))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::anomaly::anomaly_scores;
     use crate::config::KGraphConfig;
     use crate::pipeline::KGraph;
     use tscore::{Dataset, DatasetKind, TimeSeries};
@@ -201,55 +150,5 @@ mod tests {
         let d = extend_path(layer, &short, 0, None).unwrap();
         assert!(d.new_nodes.is_empty());
         assert!(d.triples.is_empty());
-    }
-
-    #[test]
-    fn empty_delta_scores_bit_identical_to_batch() {
-        let model = fitted();
-        let layer = model.best();
-        let delta = DeltaGraph::new(layer.graph.node_count());
-        let fresh: Vec<f64> = (0..160).map(|i| ((i + 3) as f64 * 0.4).sin()).collect();
-        let batch = anomaly_scores(layer, &fresh, 5).unwrap();
-        let streamed = anomaly_scores_delta(layer, &delta, &fresh, 5).unwrap();
-        assert_eq!(batch, streamed, "empty delta must change nothing");
-    }
-
-    #[test]
-    fn delta_transitions_lower_unseen_transition_scores() {
-        let model = fitted();
-        let layer = model.best();
-        // A burst the model never saw: its transitions are absent from the
-        // base graph, so the batch scorer rates them 1.0. Ingesting those
-        // very transitions into the delta must lower the score.
-        let mut values: Vec<f64> = (0..160).map(|i| (i as f64 * 0.4).sin()).collect();
-        for v in values.iter_mut().skip(80).take(14) {
-            *v = 2.5;
-        }
-        let before = anomaly_scores_delta(
-            layer,
-            &DeltaGraph::new(layer.graph.node_count()),
-            &values,
-            1,
-        )
-        .unwrap();
-        let path = layer.assign_path(&values).unwrap();
-        let mut delta = DeltaGraph::new(layer.graph.node_count());
-        let triples: Vec<_> = path
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            // Heavy repetition: make these transitions *common*.
-            .flat_map(|w| {
-                let (a, b) = (w[0], w[1]);
-                (0..50).map(move |_| (a, b, 1.0))
-            })
-            .collect();
-        delta.ingest(triples, |a, w| *a += w);
-        let after = anomaly_scores_delta(layer, &delta, &values, 1).unwrap();
-        let mean_before = tscore::stats::mean(&before);
-        let mean_after = tscore::stats::mean(&after);
-        assert!(
-            mean_after < mean_before,
-            "ingesting observed transitions must lower rarity: {mean_after} vs {mean_before}"
-        );
     }
 }

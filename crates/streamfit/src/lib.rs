@@ -11,13 +11,14 @@
 //!    induced transition triples.
 //! 2. **Refresh** — on a configurable point cadence
 //!    ([`StreamConfig::refresh_every`]) the buffered triples are folded
-//!    into per-layer [`DeltaGraph`](tsgraph::DeltaGraph)s and every open
-//!    series is rescored against the merged base+delta view
-//!    ([`kgraph::stream::anomaly_scores_delta`]) over a bounded worker
+//!    into per-layer [`DeltaGraph`](tsgraph::DeltaGraph)s, the best
+//!    layer's base and delta are compacted into a temporary graph, and
+//!    every open series is rescored against it by the batch scorer
+//!    ([`kgraph::anomaly::anomaly_scores_against`]) over a bounded worker
 //!    pool. No refit, no locks on the read path.
 //! 3. **Compact** — every [`StreamConfig::compact_every`] refreshes the
 //!    deltas merge into a fresh base CSR
-//!    ([`tsgraph::DeltaView::compact`], bit-identical to a from-scratch
+//!    ([`tsgraph::DeltaGraph::compact`], bit-identical to a from-scratch
 //!    build) and the session hands back a new `Arc<KGraphModel>` for the
 //!    caller to publish (e.g. `graphserve`'s `ModelStore::insert`).
 //!    Readers holding the old snapshot are untouched.
@@ -124,7 +125,7 @@ mod tests {
         assert_eq!(status.compactions, 1);
         assert_eq!(status.delta_edges, 0, "delta absorbed into the base");
         // The compacted base carries the streamed transitions: scoring
-        // with an empty delta equals the pre-compaction merged view.
+        // with an empty delta equals scoring base + delta before it.
         let after = compacting.scores(0).unwrap();
         assert_eq!(before, after, "compaction must not change scores");
         // And the base graph grew (or at least gained weight): the old
@@ -140,6 +141,108 @@ mod tests {
             .map(|(_, _, _, &w)| w)
             .sum();
         assert!(new_edges > old_edges, "{new_edges} vs {old_edges}");
+    }
+
+    /// After every refresh, each series' scores equal the batch scorer's
+    /// over a layer whose graph is built from scratch: the base edges as of
+    /// the last compaction plus every transition streamed since, routed
+    /// from each series' full values.
+    #[test]
+    fn refresh_scores_equal_the_batch_scorer_over_a_rebuilt_graph() {
+        use kgraph::anomaly::anomaly_scores;
+        use kgraph::GraphLayer;
+        use tsgraph::{GraphBuilder, NodeId};
+
+        let cfg = StreamConfig {
+            refresh_every: 48,
+            compact_every: 2,
+            context: 3,
+        };
+        let mut session = StreamSession::new(fitted(), cfg.clone());
+        // Windows per series on the best layer as of the last compaction.
+        let mut windows_at_compaction = vec![0usize; 3];
+        let mut values: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        let mut refreshes_checked = 0;
+        for step in 0..30 {
+            let s = step % 3;
+            // Frequencies off the fitted 0.4 put unseen edges in the delta.
+            let chunk: Vec<f64> = (0..12)
+                .map(|i| ((values[s].len() + i) as f64 * (0.25 + 0.15 * s as f64)).sin())
+                .collect();
+            values[s].extend_from_slice(&chunk);
+            let base_edges: Vec<(NodeId, NodeId, f64)> = session
+                .model()
+                .best()
+                .graph
+                .edges_iter()
+                .map(|(_, a, b, &w)| (a, b, w))
+                .collect();
+            let out = session.append(s, &chunk).unwrap();
+            if !out.refreshed {
+                continue;
+            }
+            let model = Arc::clone(session.model());
+            let layer = model.best();
+            let paths: Vec<Vec<NodeId>> = values
+                .iter()
+                .map(|v| layer.assign_path(v).unwrap_or_default())
+                .collect();
+            let mut builder = GraphBuilder::new();
+            for &(a, b, w) in &base_edges {
+                builder.add_edge(a, b, w);
+            }
+            for (path, &from) in paths.iter().zip(&windows_at_compaction) {
+                for w in path[from.saturating_sub(1).min(path.len())..].windows(2) {
+                    if w[0] != w[1] {
+                        builder.add_edge(w[0], w[1], 1.0);
+                    }
+                }
+            }
+            let nodes = layer.graph.nodes_iter().map(|(_, p)| p.clone()).collect();
+            let rebuilt = GraphLayer {
+                length: layer.length,
+                graph: builder.build(nodes, |acc, w| *acc += w),
+                paths: Vec::new(),
+                labels: Vec::new(),
+                embedding: layer.embedding.clone(),
+            };
+            if let Some(next) = &out.compacted {
+                // The published base is that same graph.
+                let got: Vec<_> = next
+                    .best()
+                    .graph
+                    .edges_iter()
+                    .map(|(_, a, b, &w)| (a, b, w.to_bits()))
+                    .collect();
+                let want: Vec<_> = rebuilt
+                    .graph
+                    .edges_iter()
+                    .map(|(_, a, b, &w)| (a, b, w.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "compacted base");
+                windows_at_compaction = paths.iter().map(Vec::len).collect();
+            }
+            for (i, v) in values.iter().enumerate().take(session.open_series()) {
+                let want = anomaly_scores(&rebuilt, v, cfg.context).ok();
+                let got = session.scores(i).map(<[f64]>::to_vec);
+                let bits = |x: Option<Vec<f64>>| {
+                    x.map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
+                };
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "refresh {}, series {i}",
+                    session.refreshes()
+                );
+            }
+            refreshes_checked += 1;
+        }
+        assert!(
+            session.compactions() >= 2,
+            "{} compactions",
+            session.compactions()
+        );
+        assert!(refreshes_checked >= 5);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub const SESSION_MAGIC: &[u8; 4] = b"KGS1";
 pub struct SeriesState {
     /// All points observed so far.
     pub values: Vec<f64>,
-    /// Last-refreshed merged-view scores, if any.
+    /// Last-refreshed base+delta scores, if any.
     pub scores: Option<Vec<f64>>,
 }
 

@@ -1,13 +1,14 @@
 //! The streaming session: open series, per-layer deltas, cadenced refresh
 //! and compaction.
 
+use kgraph::anomaly::anomaly_scores_against;
 use kgraph::pipeline::KGraphModel;
-use kgraph::stream::{anomaly_scores_delta, extend_path, n_windows};
+use kgraph::stream::{extend_path, n_windows};
 use kgraph::GraphLayer;
 use std::sync::Arc;
 use tscore::error::TsError;
 use tscore::par::par_map;
-use tsgraph::delta::{DeltaGraph, DeltaView};
+use tsgraph::delta::DeltaGraph;
 use tsgraph::NodeId;
 
 /// Knobs of a [`StreamSession`]. All cadences count *appended points*
@@ -41,7 +42,7 @@ pub(crate) struct OpenSeries {
     pub(crate) values: Vec<f64>,
     /// Node path per model layer, grown window-by-window on append.
     pub(crate) paths: Vec<Vec<NodeId>>,
-    /// Latest merged-view anomaly scores (best layer), set at refresh.
+    /// Latest base+delta anomaly scores (best layer), set at refresh.
     pub(crate) scores: Option<Vec<f64>>,
 }
 
@@ -96,9 +97,9 @@ pub struct SeriesStatus {
 
 /// A continuously-updatable view over one fitted model: appends buffer
 /// transition triples per layer, the refresh cadence folds them into
-/// [`DeltaGraph`]s and rescores every open series against the merged
-/// base+delta view, and the compaction cadence merges the deltas into a
-/// fresh base CSR published as a new `Arc` snapshot.
+/// [`DeltaGraph`]s and rescores every open series against the best layer's
+/// base compacted with its delta, and the compaction cadence merges the
+/// deltas into a fresh base CSR published as a new `Arc` snapshot.
 ///
 /// The session itself is single-writer (wrap it in a `Mutex`; see
 /// [`SessionRegistry`](crate::SessionRegistry)) — concurrent *readers* of
@@ -149,7 +150,7 @@ impl StreamSession {
         &self.model
     }
 
-    /// Latest refreshed scores of series `index` (merged base+delta view).
+    /// Latest refreshed scores of series `index` (base + delta).
     pub fn scores(&self, index: usize) -> Option<&[f64]> {
         self.series.get(index)?.scores.as_deref()
     }
@@ -225,8 +226,8 @@ impl StreamSession {
     }
 
     /// Forces a refresh now: drains the pending triples into the deltas,
-    /// rescores every open series against the merged view, and compacts
-    /// when the cadence is due. Returns the new model on compaction.
+    /// rescores every open series against base + delta, and compacts when
+    /// the cadence is due. Returns the new model on compaction.
     pub fn refresh(&mut self) -> Option<Arc<KGraphModel>> {
         for (l, pending) in self.pending.iter_mut().enumerate() {
             if !pending.is_empty() {
@@ -245,14 +246,24 @@ impl StreamSession {
         None
     }
 
-    /// Rescores every open series against the best layer's merged
-    /// base+delta view, fanned out through [`par_map`].
+    /// Rescores every open series with the batch scorer, fanned out
+    /// through [`par_map`], against the best layer's base compacted with
+    /// its delta into a temporary graph (the base itself when the delta is
+    /// empty). Compaction folds `b + d` per edge, so the scores are those
+    /// of a graph built from the whole stream.
     fn rescore_all(&mut self) {
         let layer = &self.model.layers[self.model.best_layer];
         let delta = &self.deltas[self.model.best_layer];
+        let merged;
+        let graph = if delta.is_empty() {
+            &layer.graph
+        } else {
+            merged = delta.compact(&layer.graph, sum);
+            &merged
+        };
         let context = self.cfg.context;
         let scores = par_map(&self.series, |s| {
-            anomaly_scores_delta(layer, delta, &s.values, context).ok()
+            anomaly_scores_against(layer, graph, &s.values, context).ok()
         });
         for (s, scores) in self.series.iter_mut().zip(scores) {
             s.scores = scores;
@@ -272,7 +283,7 @@ impl StreamSession {
                 if delta.is_empty() {
                     return layer.clone();
                 }
-                let graph = DeltaView::new(&layer.graph, delta).compact(sum);
+                let graph = delta.compact(&layer.graph, sum);
                 GraphLayer {
                     length: layer.length,
                     graph,

@@ -115,10 +115,10 @@ mod tests {
 
     #[test]
     fn pagerank_degenerate() {
-        let empty: CsrGraph<(), f64> = CsrGraph::vertices_only(Vec::new());
+        let empty = csr_from_edges(0, &[]);
         assert!(pagerank(&empty, 0.85, 10, |&w| w).is_empty());
         // All-dangling graph stays uniform.
-        let g: CsrGraph<(), f64> = CsrGraph::vertices_only(vec![(), ()]);
+        let g = csr_from_edges(2, &[]);
         let pr = pagerank(&g, 0.85, 10, |&w| w);
         assert!((pr[0] - 0.5).abs() < 1e-9);
         assert!((pr[1] - 0.5).abs() < 1e-9);

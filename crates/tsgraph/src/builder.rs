@@ -17,7 +17,7 @@
 //! the merge is unspecified, while the resulting graph is identical either
 //! way.
 
-use crate::csr::{CsrGraph, EdgeId, NodeId};
+use crate::csr::{CsrGraph, NodeId};
 
 /// Packs `(src, dst)` into the sort key used throughout the builder and
 /// delta layers: `src << 32 | dst`, so key order is exactly
@@ -169,36 +169,12 @@ pub(crate) fn assemble_csr<N, E>(
     }
     // Counts were accumulated at index u+1, so after the prefix sum
     // out_offsets[u]..out_offsets[u+1] is exactly u's edge range.
-
-    // In-adjacency: counting sort over targets keeps each in-slice
-    // sorted by source for free (edge ids are (src, dst)-sorted).
-    let m = out_targets.len();
-    let mut in_offsets = vec![0u32; n + 1];
-    for t in &out_targets {
-        in_offsets[t.index() + 1] += 1;
-    }
-    for i in 1..=n {
-        in_offsets[i] += in_offsets[i - 1];
-    }
-    let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
-    let mut in_sources = vec![NodeId(0); m];
-    let mut in_edge_ids = vec![EdgeId(0); m];
-    for (e, &t) in out_targets.iter().enumerate() {
-        let slot = cursor[t.index()] as usize;
-        cursor[t.index()] += 1;
-        in_sources[slot] = edge_sources[e];
-        in_edge_ids[slot] = EdgeId(e as u32);
-    }
-
     CsrGraph {
         nodes,
         out_offsets,
         out_targets,
         edge_weights,
         edge_sources,
-        in_offsets,
-        in_sources,
-        in_edge_ids,
     }
 }
 

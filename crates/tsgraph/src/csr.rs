@@ -1,12 +1,13 @@
 //! Compressed-sparse-row graph storage — the workspace's *query-time*
 //! graph representation.
 //!
-//! A [`CsrGraph`] is an immutable directed graph whose adjacency lives in
-//! three flat arrays per direction (`offsets`, `targets`/`sources`,
-//! weights), the layout popularised by high-performance graph frameworks
-//! (and the neo4j-labs `graph_builder` lineage):
+//! A [`CsrGraph`] is an immutable directed graph whose out-adjacency lives
+//! in flat arrays (`offsets`, `targets`, weights, plus each edge's source),
+//! the layout popularised by high-performance graph frameworks (and the
+//! neo4j-labs `graph_builder` lineage). Every reader in the workspace
+//! follows outgoing edges only, so there is no in-edge index:
 //!
-//! * O(1) in/out degree (offset subtraction),
+//! * O(1) out-degree (offset subtraction),
 //! * neighbour access as a contiguous `&[NodeId]` **slice** — traversal is
 //!   cache-linear instead of chasing per-node `Vec<EdgeId>` allocations,
 //! * neighbours sorted by id within each node's slice, so iteration order
@@ -59,31 +60,9 @@ pub struct CsrGraph<N, E> {
     pub(crate) edge_weights: Vec<E>,
     /// Source of each edge, aligned with `out_targets` (edge-id order).
     pub(crate) edge_sources: Vec<NodeId>,
-    /// In-adjacency: `in_offsets[v]..in_offsets[v+1]` indexes `v`'s
-    /// in-slice; length `n + 1`.
-    pub(crate) in_offsets: Vec<u32>,
-    /// Sources of incoming edges, grouped by target, sorted within groups.
-    pub(crate) in_sources: Vec<NodeId>,
-    /// Edge id of each in-adjacency entry (position into the out arrays).
-    pub(crate) in_edge_ids: Vec<EdgeId>,
 }
 
 impl<N, E> CsrGraph<N, E> {
-    /// Graph with `nodes` payloads and no edges.
-    pub fn vertices_only(nodes: Vec<N>) -> Self {
-        let n = nodes.len();
-        CsrGraph {
-            nodes,
-            out_offsets: vec![0; n + 1],
-            out_targets: Vec::new(),
-            edge_weights: Vec::new(),
-            edge_sources: Vec::new(),
-            in_offsets: vec![0; n + 1],
-            in_sources: Vec::new(),
-            in_edge_ids: Vec::new(),
-        }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -102,23 +81,10 @@ impl<N, E> CsrGraph<N, E> {
         &self.nodes[id.index()]
     }
 
-    /// Mutable node payload by id (payloads stay mutable; topology does
-    /// not).
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id.index()]
-    }
-
     /// Edge payload by id.
     #[inline]
     pub fn edge(&self, id: EdgeId) -> &E {
         &self.edge_weights[id.index()]
-    }
-
-    /// Mutable edge payload by id.
-    #[inline]
-    pub fn edge_mut(&mut self, id: EdgeId) -> &mut E {
-        &mut self.edge_weights[id.index()]
     }
 
     /// Endpoints `(source, target)` of an edge.
@@ -140,23 +106,6 @@ impl<N, E> CsrGraph<N, E> {
         &self.edge_weights[self.out_range(u)]
     }
 
-    /// In-neighbours of `v` as a sorted contiguous slice.
-    #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        &self.in_sources[lo..hi]
-    }
-
-    /// Edge ids of `v`'s incoming edges, aligned with
-    /// [`in_neighbors`](Self::in_neighbors).
-    #[inline]
-    pub fn in_edge_ids(&self, v: NodeId) -> &[EdgeId] {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        &self.in_edge_ids[lo..hi]
-    }
-
     /// The contiguous edge-id range of `u`'s outgoing edges.
     #[inline]
     pub fn out_range(&self, u: NodeId) -> std::ops::Range<usize> {
@@ -167,18 +116,6 @@ impl<N, E> CsrGraph<N, E> {
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
         (self.out_offsets[u.index() + 1] - self.out_offsets[u.index()]) as usize
-    }
-
-    /// In-degree, O(1).
-    #[inline]
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        (self.in_offsets[v.index() + 1] - self.in_offsets[v.index()]) as usize
-    }
-
-    /// Total degree (in + out), O(1).
-    #[inline]
-    pub fn degree(&self, id: NodeId) -> usize {
-        self.in_degree(id) + self.out_degree(id)
     }
 
     /// Edge id of `u → v`, if present — binary search over `u`'s sorted
@@ -199,20 +136,9 @@ impl<N, E> CsrGraph<N, E> {
         self.edge_id(u, v).map(|e| &self.edge_weights[e.index()])
     }
 
-    /// Whether the edge `u → v` exists.
-    #[inline]
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_id(u, v).is_some()
-    }
-
     /// Ids of all nodes.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
-    }
-
-    /// Ids of all edges.
-    pub fn edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.out_targets.len() as u32).map(EdgeId)
     }
 
     /// Iterator over `(id, payload)` for all nodes.
@@ -234,22 +160,6 @@ impl<N, E> CsrGraph<N, E> {
                 w,
             )
         })
-    }
-
-    /// Successor nodes of `u` (each once; sorted).
-    pub fn successors(&self, u: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.out_neighbors(u).iter().copied()
-    }
-
-    /// Predecessor nodes of `v` (each once; sorted).
-    pub fn predecessors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_neighbors(v).iter().copied()
-    }
-
-    /// Undirected neighbours (successors ∪ predecessors; a mutual pair
-    /// appears in both halves).
-    pub fn neighbors_undirected(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.successors(id).chain(self.predecessors(id))
     }
 }
 
@@ -310,19 +220,17 @@ mod tests {
     }
 
     #[test]
-    fn degrees_o1() {
+    fn out_degrees_o1() {
         let g = diamond_csr();
         assert_eq!(g.out_degree(NodeId(0)), 2);
-        assert_eq!(g.in_degree(NodeId(0)), 0);
-        assert_eq!(g.in_degree(NodeId(3)), 2);
-        assert_eq!(g.degree(NodeId(1)), 2);
+        assert_eq!(g.out_degree(NodeId(1)), 1);
+        assert_eq!(g.out_degree(NodeId(3)), 0);
     }
 
     #[test]
     fn neighbor_slices_sorted() {
         let g = diamond_csr();
         assert_eq!(g.out_neighbors(NodeId(0)), &[NodeId(1), NodeId(2)]);
-        assert_eq!(g.in_neighbors(NodeId(3)), &[NodeId(1), NodeId(2)]);
         assert_eq!(g.out_weights(NodeId(0)), &[11.0, 2.0]);
         assert!(g.out_neighbors(NodeId(3)).is_empty());
     }
@@ -332,8 +240,8 @@ mod tests {
         let g = diamond_csr();
         assert_eq!(g.weight_between(NodeId(0), NodeId(2)), Some(&2.0));
         assert_eq!(g.weight_between(NodeId(2), NodeId(0)), None);
-        assert!(g.has_edge(NodeId(1), NodeId(3)));
-        assert!(!g.has_edge(NodeId(0), NodeId(3)));
+        assert!(g.edge_id(NodeId(1), NodeId(3)).is_some());
+        assert!(g.edge_id(NodeId(0), NodeId(3)).is_none());
     }
 
     #[test]
@@ -349,35 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn in_edge_ids_point_back() {
-        let g = diamond_csr();
-        for v in g.node_ids() {
-            for (&s, &e) in g.in_neighbors(v).iter().zip(g.in_edge_ids(v)) {
-                assert_eq!(g.endpoints(e), (s, v));
-            }
-        }
-    }
-
-    #[test]
-    fn successors_predecessors_undirected() {
-        let g = diamond_csr();
-        assert_eq!(g.successors(NodeId(0)).count(), 2);
-        assert_eq!(g.predecessors(NodeId(3)).count(), 2);
-        let und: Vec<NodeId> = g.neighbors_undirected(NodeId(1)).collect();
-        assert_eq!(und, vec![NodeId(3), NodeId(0)]);
-    }
-
-    #[test]
-    fn payload_mutation() {
-        let mut g = diamond_csr();
-        *g.node_mut(NodeId(0)) = "alpha";
-        assert_eq!(*g.node(NodeId(0)), "alpha");
-        let e = g.edge_id(NodeId(1), NodeId(3)).unwrap();
-        *g.edge_mut(e) += 1.0;
-        assert_eq!(*g.edge(e), 4.0);
-    }
-
-    #[test]
     fn filter_nodes_keeps_induced_edges() {
         let g = diamond_csr();
         let (sub, mapping) = g.filter_nodes(|id, _| id != NodeId(1));
@@ -388,20 +267,8 @@ mod tests {
         assert_eq!(*sub.node(new_a), "a");
         let new_c = mapping[2].unwrap();
         let new_d = mapping[3].unwrap();
-        assert!(sub.has_edge(new_a, new_c));
-        assert!(sub.has_edge(new_c, new_d));
-    }
-
-    #[test]
-    fn vertices_only_and_empty() {
-        let g: CsrGraph<u8, f64> = CsrGraph::vertices_only(vec![7, 8]);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 0);
-        assert_eq!(g.out_degree(NodeId(0)), 0);
-        assert!(g.edge_id(NodeId(0), NodeId(1)).is_none());
-        let empty: CsrGraph<u8, f64> = CsrGraph::vertices_only(Vec::new());
-        assert_eq!(empty.node_count(), 0);
-        assert_eq!(empty.node_ids().count(), 0);
+        assert!(sub.edge_id(new_a, new_c).is_some());
+        assert!(sub.edge_id(new_c, new_d).is_some());
     }
 
     #[test]
@@ -412,7 +279,6 @@ mod tests {
         let csr = g.build(vec![()], |acc, w| *acc += w);
         assert_eq!(csr.edge_count(), 1);
         assert_eq!(csr.out_degree(a), 1);
-        assert_eq!(csr.in_degree(a), 1);
         assert_eq!(csr.weight_between(a, a), Some(&2.0));
     }
 }

@@ -494,12 +494,12 @@ mod tests {
 
     #[test]
     fn degenerate_graphs() {
-        let empty: CsrGraph<(), ()> = CsrGraph::vertices_only(Vec::new());
+        let empty = path_graph(0);
         assert!(force_directed(&empty, ForceOptions::default()).is_empty());
         assert!(barnes_hut(&empty, BarnesHutOptions::default()).is_empty());
         assert!(circular(&empty, 1.0).is_empty());
 
-        let single: CsrGraph<(), ()> = CsrGraph::vertices_only(vec![()]);
+        let single = path_graph(1);
         assert_eq!(
             force_directed(&single, ForceOptions::default()),
             vec![(0.0, 0.0)]

@@ -6,12 +6,13 @@
 //! sub-graphs, rank nodes, lay the graph out and maintain it as new
 //! transitions stream in.
 //!
-//! ## Architecture: `GraphBuilder` builds, `CsrGraph` queries, `DeltaGraph`/`DeltaView` maintain
+//! ## Architecture: `GraphBuilder` builds, `CsrGraph` queries, `DeltaGraph` buffers
 //!
 //! * [`CsrGraph`] (module [`csr`]) — the **query-time** representation
-//!   every consumer reads from. Compressed sparse row: per-direction
-//!   offset/target/weight arrays, O(1) degrees, neighbours and per-node
-//!   edge payloads as contiguous sorted slices, O(log deg) edge lookup
+//!   every consumer reads from. Compressed sparse row over outgoing edges
+//!   only (no consumer follows an edge backwards): offset/target/weight
+//!   arrays, O(1) out-degree, successors and per-node edge payloads as
+//!   contiguous sorted slices, O(log deg) edge lookup
 //!   ([`CsrGraph::edge_id`]) and deterministic iteration order. The
 //!   k-Graph pipeline stores every `G_ℓ` in this form; features, graphoid
 //!   statistics ([`CsrGraph::filter_nodes`]), anomaly scoring, PageRank
@@ -22,9 +23,10 @@
 //!   `(src, dst)` keys followed by a run-length aggregation of duplicate
 //!   edges.
 //! * [`delta`] — the **maintenance** path. [`DeltaGraph`] buffers
-//!   transitions observed after a base CSR froze; [`DeltaView`] serves
-//!   merged base+delta reads (2-way merge per node, lock-free) and
-//!   compacts into a fresh CSR, bit-identical to a from-scratch build.
+//!   transitions observed after a base CSR froze, as one key-sorted edge
+//!   list, and [compacts](DeltaGraph::compact) base + delta into a fresh
+//!   CSR, bit-identical to a from-scratch build. There is no merged read
+//!   path: readers of fresh transitions read a compacted graph.
 //!
 //! Supporting modules:
 //!
@@ -50,4 +52,4 @@ pub mod quadtree;
 
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, EdgeId, NodeId};
-pub use delta::{DeltaGraph, DeltaView};
+pub use delta::DeltaGraph;

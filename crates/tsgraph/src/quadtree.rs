@@ -249,11 +249,6 @@ impl QuadTree {
             }
         }
     }
-
-    /// Number of cells in the current tree (diagnostics / tests).
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
 }
 
 #[cfg(test)]
@@ -336,9 +331,9 @@ mod tests {
     fn empty_and_single() {
         let mut tree = QuadTree::new();
         tree.build(&[]);
-        assert_eq!(tree.cell_count(), 0);
+        assert_eq!(tree.cells.len(), 0);
         tree.build(&[(3.0, 4.0)]);
-        assert_eq!(tree.cell_count(), 1);
+        assert_eq!(tree.cells.len(), 1);
         assert_eq!(tree.repulsion(&[(3.0, 4.0)], 0, 0.8, 100.0), (0.0, 0.0));
     }
 

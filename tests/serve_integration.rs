@@ -347,7 +347,7 @@ fn streaming_ingest_updates_scores_without_refit() {
         h.join().expect("reader thread");
     }
 
-    // The session rescored the series against the merged view: same
+    // The session rescored the series against base + delta: same
     // session, more points, different mean.
     let (status, body) = request(addr, "GET", "/models/demo/stream-status", "");
     assert_eq!(status, 200);
