@@ -544,7 +544,10 @@ fn delete_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     // with the model, along with its durable state.
     ctx.sessions.remove(name);
     ctx.durability.remove_model(name);
-    Ok(Response::json(200, format!("{{\"deleted\":\"{name}\"}}")))
+    let mut body = String::from("{\"deleted\":");
+    write_json_string(&mut body, name);
+    body.push('}');
+    Ok(Response::json(200, body))
 }
 
 /// `POST /models/{name}/score?context=`, `…/features` and `…/predict` —
@@ -1254,6 +1257,35 @@ mod tests {
         );
         assert_eq!(resp.status, 200);
         assert!(body_text(&resp).contains("k-Graph model"));
+    }
+
+    #[test]
+    fn fit_and_delete_answer_valid_json_for_names_that_need_escaping() {
+        let store = demo_store();
+        let mut reader = store.reader();
+        let rows: Vec<String> = (0..6)
+            .map(|p| {
+                (0..40)
+                    .map(|i| ((i + p) as f64 * 0.4).sin().to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .collect();
+        let body = rows.join("\n");
+        for name in ["a\"b", "a\\b"] {
+            for (method, key, status) in [("PUT", "fitted", 201), ("DELETE", "deleted", 200)] {
+                let target = format!("/models/{name}?k=2");
+                let resp = handle(
+                    &request(method, &target, body.as_bytes()),
+                    &mut reader,
+                    &store,
+                );
+                assert_eq!(resp.status, status, "{method} {name}: {}", body_text(&resp));
+                let json = Json::parse(body_text(&resp))
+                    .unwrap_or_else(|e| panic!("{method} {name}: {e}: {}", body_text(&resp)));
+                assert_eq!(json.get(key), Some(&Json::Str(name.to_string())));
+            }
+        }
     }
 
     #[test]
