@@ -54,26 +54,10 @@ impl Agglomerative {
                 dist[j][i] = d;
             }
         }
-        self.fit_precomputed_internal(dist, n)
+        self.fit_distances(dist, n)
     }
 
-    /// Clusters from a precomputed symmetric distance matrix.
-    ///
-    /// For Ward linkage the matrix must contain *squared* distances.
-    pub fn fit_precomputed(&self, dist: &[Vec<f64>]) -> Vec<usize> {
-        assert!(self.k > 0, "k must be > 0");
-        let n = dist.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        assert!(
-            dist.iter().all(|r| r.len() == n),
-            "distance matrix must be square"
-        );
-        self.fit_precomputed_internal(dist.to_vec(), n)
-    }
-
-    fn fit_precomputed_internal(&self, mut dist: Vec<Vec<f64>>, n: usize) -> Vec<usize> {
+    fn fit_distances(&self, mut dist: Vec<Vec<f64>>, n: usize) -> Vec<usize> {
         // active[i]: cluster i still exists; size[i]: #points inside.
         let mut active: Vec<bool> = vec![true; n];
         let mut size: Vec<f64> = vec![1.0; n];
@@ -202,26 +186,6 @@ mod tests {
         let (rows, _) = blobs();
         let labels = Agglomerative::new(1, Linkage::Ward).fit(&rows);
         assert!(labels.iter().all(|&l| l == 0));
-    }
-
-    #[test]
-    fn precomputed_matches_euclidean() {
-        let (rows, _) = blobs();
-        let n = rows.len();
-        let mut dist = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                dist[i][j] = rows[i]
-                    .iter()
-                    .zip(&rows[j])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-            }
-        }
-        let direct = Agglomerative::new(2, Linkage::Complete).fit(&rows);
-        let precomp = Agglomerative::new(2, Linkage::Complete).fit_precomputed(&dist);
-        assert_eq!(direct, precomp);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! External metrics compare a predicted partition against ground truth via
 //! the contingency table: Rand Index, Adjusted Rand Index (the measure
 //! Graphint reports per frame), Normalised/Adjusted Mutual Information,
-//! purity and the homogeneity/completeness/V-measure family. Internal
+//! purity, homogeneity and completeness. Internal
 //! metrics (silhouette, inertia) require only the data.
 
 /// Dense contingency table between two labelings.
@@ -253,16 +253,6 @@ pub fn completeness(truth: &[usize], pred: &[usize]) -> f64 {
     homogeneity(pred, truth)
 }
 
-/// V-measure: harmonic mean of homogeneity and completeness.
-pub fn v_measure(truth: &[usize], pred: &[usize]) -> f64 {
-    let h = homogeneity(truth, pred);
-    let c = completeness(truth, pred);
-    if h + c <= 1e-12 {
-        return 0.0;
-    }
-    2.0 * h * c / (h + c)
-}
-
 /// Sum of squared distances from each point to its cluster centroid.
 pub fn inertia(rows: &[Vec<f64>], labels: &[usize], centroids: &[Vec<f64>]) -> f64 {
     rows.iter()
@@ -367,7 +357,6 @@ mod tests {
         assert!((normalized_mutual_information(&t, &t) - 1.0).abs() < 1e-9);
         assert!((adjusted_mutual_information(&t, &t) - 1.0).abs() < 1e-9);
         assert!((purity(&t, &t) - 1.0).abs() < 1e-12);
-        assert!((v_measure(&t, &t) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -463,8 +452,6 @@ mod tests {
         let c = completeness(&t, &p);
         assert!((h - 1.0).abs() < 1e-9, "h = {h}");
         assert!(c < 1.0, "c = {c}");
-        let v = v_measure(&t, &p);
-        assert!(v > 0.0 && v < 1.0);
     }
 
     #[test]

@@ -182,22 +182,6 @@ impl TrainedAe {
             .map(|(row, b)| row.iter().zip(h).map(|(w, v)| w * v).sum::<f64>() + b)
             .collect()
     }
-
-    /// Mean squared reconstruction error over rows (z-scored internally).
-    pub fn reconstruction_error(&self, rows: &[Vec<f64>]) -> f64 {
-        let mut total = 0.0;
-        for r in rows {
-            let z = znorm(r);
-            let xhat = self.decode(&self.encode(&z));
-            total += xhat
-                .iter()
-                .zip(&z)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                / z.len() as f64;
-        }
-        total / rows.len() as f64
-    }
 }
 
 /// DTC-like: auto-encoder + DEC-style centroid refinement in latent space.
@@ -335,28 +319,6 @@ mod tests {
             truth.push(1);
         }
         (rows, truth)
-    }
-
-    #[test]
-    fn autoencoder_learns_to_reconstruct() {
-        let (rows, _) = two_waveforms();
-        let short = DenseAe {
-            epochs: 1,
-            ..DenseAe::new(6, 0)
-        }
-        .train(&rows);
-        let long = DenseAe {
-            epochs: 200,
-            ..DenseAe::new(6, 0)
-        }
-        .train(&rows);
-        let e_short = short.reconstruction_error(&rows);
-        let e_long = long.reconstruction_error(&rows);
-        assert!(
-            e_long < e_short,
-            "training should reduce error: {e_long} vs {e_short}"
-        );
-        assert!(e_long < 0.5, "final error too high: {e_long}");
     }
 
     #[test]

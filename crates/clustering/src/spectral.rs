@@ -215,32 +215,6 @@ pub fn rbf_affinity(rows: &[Vec<f64>], sigma: Option<f64>) -> Matrix {
     })
 }
 
-/// k-nearest-neighbour affinity (symmetrised: edge if either side lists the
-/// other among its `k` nearest).
-pub fn knn_affinity(rows: &[Vec<f64>], k: usize) -> Matrix {
-    let n = rows.len();
-    let mut aff = Matrix::zeros(n, n);
-    for i in 0..n {
-        let mut dists: Vec<(usize, f64)> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| {
-                let d: f64 = rows[i]
-                    .iter()
-                    .zip(&rows[j])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
-                (j, d)
-            })
-            .collect();
-        dists.sort_by(|a, b| a.1.total_cmp(&b.1));
-        for &(j, _) in dists.iter().take(k) {
-            aff[(i, j)] = 1.0;
-            aff[(j, i)] = 1.0;
-        }
-    }
-    aff
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,18 +261,6 @@ mod tests {
         let aff = rbf_affinity(&rows, None);
         let labels = spectral_clustering(&aff, SpectralOptions::new(2, 0));
         assert!((adjusted_rand_index(&truth, &labels) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn knn_affinity_symmetric() {
-        let (rows, _) = two_blobs();
-        let aff = knn_affinity(&rows, 3);
-        assert!(aff.is_symmetric(1e-12));
-        // Every node has at least k neighbours marked.
-        for i in 0..rows.len() {
-            let row_sum: f64 = (0..rows.len()).map(|j| aff[(i, j)]).sum();
-            assert!(row_sum >= 3.0);
-        }
     }
 
     #[test]

@@ -189,17 +189,6 @@ impl Dataset {
             .collect()
     }
 
-    /// Streams the z-normalised view of every series through `f` using one
-    /// reused scratch buffer — zero allocations per row. The alternative to
-    /// [`Self::znormed_rows`] for consumers that fold rows instead of
-    /// keeping them.
-    pub fn for_each_znormed_row(&self, mut f: impl FnMut(usize, &[f64])) {
-        let mut scratch = crate::kernel::ZnormScratch::new();
-        for (i, s) in self.series.iter().enumerate() {
-            f(i, scratch.znormed(s.values()));
-        }
-    }
-
     /// Resamples every series to a common length (the minimum by default),
     /// returning a new dataset. Needed before raw-based methods when series
     /// lengths differ.
@@ -243,18 +232,6 @@ impl Dataset {
             series,
             labels,
         })
-    }
-
-    /// Indices of the series belonging to class `c` (empty when unlabelled).
-    pub fn class_indices(&self, c: usize) -> Vec<usize> {
-        match &self.labels {
-            None => Vec::new(),
-            Some(l) => l
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &li)| (li == c).then_some(i))
-                .collect(),
-        }
     }
 
     /// Per-class series counts, indexed by class id.
@@ -322,15 +299,12 @@ mod tests {
         );
         assert_eq!(d.labels(), None);
         assert_eq!(d.n_classes(), 0);
-        assert!(d.class_indices(0).is_empty());
         assert!(d.class_counts().is_empty());
     }
 
     #[test]
     fn class_queries() {
         let d = toy();
-        assert_eq!(d.class_indices(0), vec![0, 2]);
-        assert_eq!(d.class_indices(1), vec![1]);
         assert_eq!(d.class_counts(), vec![2, 1]);
     }
 

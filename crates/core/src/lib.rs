@@ -4,8 +4,8 @@
 //!
 //! * [`TimeSeries`] and [`Dataset`] containers with class labels,
 //! * descriptive statistics ([`stats`]),
-//! * transformations: z-normalisation, detrending, smoothing, resampling,
-//!   piecewise aggregate approximation ([`transform`]),
+//! * transformations: z-normalisation, differencing, resampling
+//!   ([`transform`]),
 //! * sliding-window subsequence extraction ([`windows`]),
 //! * distance measures as SIMD-friendly, allocation-free kernels
 //!   ([`kernel`]): Euclidean, z-normalised Euclidean, shape-based distance

@@ -53,12 +53,6 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable access to the underlying values.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Consumes the series and returns its values.
     pub fn into_values(self) -> Vec<f64> {
         self.values

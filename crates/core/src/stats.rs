@@ -21,15 +21,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Sample variance (n − 1 denominator); `0.0` for slices shorter than 2.
-pub fn sample_variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
 /// Population standard deviation.
 pub fn std(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
@@ -53,20 +44,6 @@ pub fn argmax(xs: &[f64]) -> Option<usize> {
     let mut best = 0;
     for (i, &x) in xs.iter().enumerate().skip(1) {
         if x > xs[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Index of the smallest element (first occurrence); `None` when empty.
-pub fn argmin(xs: &[f64]) -> Option<usize> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate().skip(1) {
-        if x < xs[best] {
             best = i;
         }
     }
@@ -257,7 +234,6 @@ mod tests {
         assert!((mean(&xs) - 5.0).abs() < EPS);
         assert!((variance(&xs) - 4.0).abs() < EPS);
         assert!((std(&xs) - 2.0).abs() < EPS);
-        assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < EPS);
     }
 
     #[test]
@@ -267,7 +243,6 @@ mod tests {
         assert_eq!(min(&[]), f64::INFINITY);
         assert_eq!(max(&[]), f64::NEG_INFINITY);
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
         assert!(quantile(&[], 0.5).is_nan());
         assert_eq!(mean_crossings(&[]), 0);
         assert_eq!(histogram_entropy(&[], 4), 0.0);
@@ -285,10 +260,9 @@ mod tests {
     }
 
     #[test]
-    fn arg_extrema_first_occurrence() {
+    fn argmax_first_occurrence() {
         let xs = [1.0, 3.0, 3.0, 0.0, 0.0];
         assert_eq!(argmax(&xs), Some(1));
-        assert_eq!(argmin(&xs), Some(3));
     }
 
     #[test]

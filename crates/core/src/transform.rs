@@ -1,4 +1,4 @@
-//! Series transformations: normalisation, detrending, smoothing, resampling.
+//! Series transformations: normalisation, differencing, resampling.
 
 use crate::error::{Result, TsError};
 use crate::kernel;
@@ -32,72 +32,12 @@ pub fn znorm(xs: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Min-max normalisation into `[0, 1]`; constant slices map to all-zeros.
-pub fn minmax_norm(xs: &[f64]) -> Vec<f64> {
-    let lo = stats::min(xs);
-    let hi = stats::max(xs);
-    if !lo.is_finite() || !hi.is_finite() || (hi - lo).abs() <= f64::EPSILON {
-        return vec![0.0; xs.len()];
-    }
-    xs.iter().map(|x| (x - lo) / (hi - lo)).collect()
-}
-
-/// Removes the least-squares linear trend.
-pub fn detrend(xs: &[f64]) -> Vec<f64> {
-    let slope = stats::trend_slope(xs);
-    let m = stats::mean(xs);
-    let t_mean = (xs.len().saturating_sub(1)) as f64 / 2.0;
-    xs.iter()
-        .enumerate()
-        .map(|(i, x)| x - (m + slope * (i as f64 - t_mean)))
-        .collect()
-}
-
 /// First differences: `y[i] = x[i+1] − x[i]` (length shrinks by one).
 pub fn diff(xs: &[f64]) -> Vec<f64> {
     if xs.len() < 2 {
         return Vec::new();
     }
     xs.windows(2).map(|w| w[1] - w[0]).collect()
-}
-
-/// Centred moving average with window `w` (odd windows recommended).
-/// Edges use a shrunken window so the output has the same length.
-pub fn moving_average(xs: &[f64], w: usize) -> Result<Vec<f64>> {
-    if w == 0 {
-        return Err(TsError::InvalidParameter(
-            "moving average window must be > 0".into(),
-        ));
-    }
-    let n = xs.len();
-    let half = w / 2;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(n);
-        out.push(stats::mean(&xs[lo..hi]));
-    }
-    Ok(out)
-}
-
-/// Exponential smoothing with factor `alpha ∈ (0, 1]`.
-pub fn exp_smooth(xs: &[f64], alpha: f64) -> Result<Vec<f64>> {
-    if !(0.0..=1.0).contains(&alpha) || alpha == 0.0 {
-        return Err(TsError::InvalidParameter(format!(
-            "alpha must be in (0, 1], got {alpha}"
-        )));
-    }
-    let mut out = Vec::with_capacity(xs.len());
-    let mut prev = match xs.first() {
-        Some(&x) => x,
-        None => return Ok(out),
-    };
-    out.push(prev);
-    for &x in &xs[1..] {
-        prev = alpha * x + (1.0 - alpha) * prev;
-        out.push(prev);
-    }
-    Ok(out)
 }
 
 /// Linear-interpolation resampling to exactly `target_len` points.
@@ -138,36 +78,6 @@ pub fn resample(xs: &[f64], target_len: usize) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// Piecewise Aggregate Approximation: mean over `segments` equal chunks.
-pub fn paa(xs: &[f64], segments: usize) -> Result<Vec<f64>> {
-    if segments == 0 {
-        return Err(TsError::InvalidParameter("PAA segments must be > 0".into()));
-    }
-    if xs.len() < segments {
-        return Err(TsError::TooShort {
-            required: segments,
-            actual: xs.len(),
-        });
-    }
-    let n = xs.len() as f64;
-    let mut out = Vec::with_capacity(segments);
-    for s in 0..segments {
-        let lo = (s as f64 * n / segments as f64).round() as usize;
-        let hi = (((s + 1) as f64) * n / segments as f64).round() as usize;
-        let hi = hi.max(lo + 1).min(xs.len());
-        out.push(stats::mean(&xs[lo..hi]));
-    }
-    Ok(out)
-}
-
-/// Adds a linear ramp `slope · i` to a copy of the slice (test/demo helper).
-pub fn add_trend(xs: &[f64], slope: f64) -> Vec<f64> {
-    xs.iter()
-        .enumerate()
-        .map(|(i, x)| x + slope * i as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,55 +97,9 @@ mod tests {
     }
 
     #[test]
-    fn minmax_bounds() {
-        let z = minmax_norm(&[2.0, 6.0, 4.0]);
-        assert_eq!(z, vec![0.0, 1.0, 0.5]);
-        assert_eq!(minmax_norm(&[3.0, 3.0]), vec![0.0, 0.0]);
-        assert!(minmax_norm(&[]).is_empty());
-    }
-
-    #[test]
-    fn detrend_removes_line() {
-        let xs: Vec<f64> = (0..50).map(|i| 2.0 * i as f64 + 5.0).collect();
-        let d = detrend(&xs);
-        assert!(d.iter().all(|x| x.abs() < 1e-9));
-    }
-
-    #[test]
-    fn detrend_preserves_residual_shape() {
-        let n = 100;
-        let xs: Vec<f64> = (0..n)
-            .map(|i| 0.5 * i as f64 + (i as f64 * 0.3).sin())
-            .collect();
-        let d = detrend(&xs);
-        assert!(stats::trend_slope(&d).abs() < 1e-6);
-        // The sine component must survive.
-        assert!(stats::std(&d) > 0.5);
-    }
-
-    #[test]
     fn diff_shrinks() {
         assert_eq!(diff(&[1.0, 4.0, 9.0]), vec![3.0, 5.0]);
         assert!(diff(&[1.0]).is_empty());
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let xs = [0.0, 10.0, 0.0, 10.0, 0.0];
-        let s = moving_average(&xs, 3).unwrap();
-        assert_eq!(s.len(), xs.len());
-        assert!((s[2] - 20.0 / 3.0).abs() < 1e-12);
-        assert!(moving_average(&xs, 0).is_err());
-    }
-
-    #[test]
-    fn exp_smooth_endpoints() {
-        let xs = [1.0, 2.0, 3.0];
-        let s = exp_smooth(&xs, 1.0).unwrap();
-        assert_eq!(s, vec![1.0, 2.0, 3.0]);
-        assert!(exp_smooth(&xs, 0.0).is_err());
-        assert!(exp_smooth(&xs, 1.5).is_err());
-        assert!(exp_smooth(&[], 0.5).unwrap().is_empty());
     }
 
     #[test]
@@ -258,23 +122,5 @@ mod tests {
         assert_eq!(resample(&[1.0, 3.0], 1).unwrap(), vec![2.0]);
         assert!(resample(&[], 3).is_err());
         assert!(resample(&[1.0], 0).is_err());
-    }
-
-    #[test]
-    fn paa_means() {
-        let xs = [1.0, 1.0, 5.0, 5.0];
-        assert_eq!(paa(&xs, 2).unwrap(), vec![1.0, 5.0]);
-        assert!(paa(&xs, 0).is_err());
-        assert!(paa(&xs, 5).is_err());
-        // Uneven split still covers all points.
-        let xs6 = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let p = paa(&xs6, 4).unwrap();
-        assert_eq!(p.len(), 4);
-    }
-
-    #[test]
-    fn add_trend_is_linear() {
-        let xs = [0.0, 0.0, 0.0];
-        assert_eq!(add_trend(&xs, 2.0), vec![0.0, 2.0, 4.0]);
     }
 }

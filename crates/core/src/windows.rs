@@ -64,15 +64,6 @@ impl<'a> Windows<'a> {
             pos: 0,
         })
     }
-
-    /// Number of windows this iterator will yield.
-    pub fn count_windows(&self) -> usize {
-        if self.data.len() < self.len {
-            0
-        } else {
-            (self.data.len() - self.len) / self.stride + 1
-        }
-    }
 }
 
 impl<'a> Iterator for Windows<'a> {
@@ -108,23 +99,6 @@ pub fn window_count(n: usize, len: usize, stride: usize) -> usize {
     } else {
         (n - len) / stride + 1
     }
-}
-
-/// Enumerates subsequence references for every series of a dataset slice.
-///
-/// Returns a flat list in dataset order — the same order the embedding code
-/// projects them — so row `r` of a projection matrix corresponds to
-/// `refs[r]`.
-pub fn enumerate_subsequences(lens: &[usize], len: usize, stride: usize) -> Vec<SubseqRef> {
-    let mut refs = Vec::new();
-    for (series, &n) in lens.iter().enumerate() {
-        let mut start = 0;
-        while start + len <= n {
-            refs.push(SubseqRef { series, start, len });
-            start += stride;
-        }
-    }
-    refs
 }
 
 #[cfg(test)]
@@ -169,43 +143,11 @@ mod tests {
     fn exact_size_and_count() {
         let data = [0.0; 10];
         let w = Windows::new(&data, 3, 2).unwrap();
-        assert_eq!(w.count_windows(), 4);
         assert_eq!(w.len(), 4);
         assert_eq!(w.count(), 4);
         assert_eq!(window_count(10, 3, 2), 4);
         assert_eq!(window_count(2, 3, 1), 0);
         assert_eq!(window_count(5, 0, 1), 0);
-    }
-
-    #[test]
-    fn enumerate_across_series() {
-        let refs = enumerate_subsequences(&[4, 3], 2, 1);
-        // series 0: starts 0,1,2 — series 1: starts 0,1
-        assert_eq!(refs.len(), 5);
-        assert_eq!(
-            refs[0],
-            SubseqRef {
-                series: 0,
-                start: 0,
-                len: 2
-            }
-        );
-        assert_eq!(
-            refs[3],
-            SubseqRef {
-                series: 1,
-                start: 0,
-                len: 2
-            }
-        );
-        assert_eq!(
-            refs[4],
-            SubseqRef {
-                series: 1,
-                start: 1,
-                len: 2
-            }
-        );
     }
 
     #[test]

@@ -3,47 +3,10 @@
 
 use proptest::prelude::*;
 use tscore::kernel::{self, DtwOptions, DtwScratch};
-use tscore::{stats, transform, windows};
+use tscore::{stats, windows};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn paa_mean_preservation(xs in proptest::collection::vec(-50.0..50.0f64, 8..64)) {
-        // PAA over segments that divide the length keeps the global mean.
-        let segments = 4;
-        if xs.len() % segments == 0 {
-            let p = transform::paa(&xs, segments).unwrap();
-            let mean_p = stats::mean(&p);
-            let mean_x = stats::mean(&xs);
-            prop_assert!((mean_p - mean_x).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn moving_average_bounded_by_input(
-        xs in proptest::collection::vec(-50.0..50.0f64, 1..40),
-        w in 1usize..9,
-    ) {
-        let s = transform::moving_average(&xs, w).unwrap();
-        prop_assert_eq!(s.len(), xs.len());
-        let lo = stats::min(&xs) - 1e-9;
-        let hi = stats::max(&xs) + 1e-9;
-        prop_assert!(s.iter().all(|&v| v >= lo && v <= hi));
-    }
-
-    #[test]
-    fn detrend_kills_slope(xs in proptest::collection::vec(-10.0..10.0f64, 3..50)) {
-        let d = transform::detrend(&xs);
-        prop_assert!(stats::trend_slope(&d).abs() < 1e-6);
-        prop_assert!(stats::mean(&d).abs() < 1e-6);
-    }
-
-    #[test]
-    fn minmax_into_unit_interval(xs in proptest::collection::vec(-100.0..100.0f64, 1..50)) {
-        let m = transform::minmax_norm(&xs);
-        prop_assert!(m.iter().all(|&v| (-1e-12..=1.0 + 1e-12).contains(&v)));
-    }
 
     #[test]
     fn window_count_formula(

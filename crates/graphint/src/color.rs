@@ -49,11 +49,6 @@ pub fn viridis(t: f64) -> Rgb {
     lerp(VIRIDIS[lo], VIRIDIS[hi], scaled - lo as f64)
 }
 
-/// Diverging white→red map for correlation-like values.
-pub fn white_red(t: f64) -> Rgb {
-    lerp(Rgb(255, 255, 255), Rgb(202, 32, 38), t)
-}
-
 /// Grey for "unselected" graph elements.
 pub const MUTED: &str = "#cccccc";
 
@@ -92,11 +87,5 @@ mod tests {
         assert_eq!(viridis(1.0), VIRIDIS[4]);
         // Monotone brightness-ish: green channel increases.
         assert!(viridis(0.8).1 > viridis(0.2).1);
-    }
-
-    #[test]
-    fn white_red_range() {
-        assert_eq!(white_red(0.0), Rgb(255, 255, 255));
-        assert_eq!(white_red(1.0), Rgb(202, 32, 38));
     }
 }

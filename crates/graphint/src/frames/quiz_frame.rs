@@ -134,14 +134,6 @@ impl QuizFrame {
         }
     }
 
-    /// Mean score of a method by (partial) name match.
-    pub fn mean_of(&self, needle: &str) -> Option<f64> {
-        self.scores
-            .iter()
-            .find(|s| s.method.contains(needle))
-            .map(MethodQuizScores::mean)
-    }
-
     /// Text summary: table + bar chart.
     pub fn summary(&self) -> String {
         let rows: Vec<Vec<String>> = self
@@ -249,8 +241,6 @@ mod tests {
         assert!(s.contains("k-Shape"));
         assert!(s.contains("k-Graph"));
         assert!(s.contains('█'));
-        assert!(frame.mean_of("k-Graph").is_some());
-        assert!(frame.mean_of("nope").is_none());
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Report {
         self.sections.last_mut().expect("non-empty").1.push(block);
     }
 
-    /// Number of sections so far.
-    pub fn section_count(&self) -> usize {
-        self.sections.len()
-    }
-
     /// Renders the full HTML document.
     pub fn to_html(&self) -> String {
         let mut body = String::new();
@@ -112,14 +107,14 @@ mod tests {
         assert!(html.contains("hello &amp; &lt;world&gt;"));
         assert!(html.contains("<svg></svg>"));
         assert!(html.contains("<pre>| a | b |</pre>"));
-        assert_eq!(r.section_count(), 2);
+        assert_eq!(r.sections.len(), 2);
     }
 
     #[test]
     fn blocks_without_section_get_default() {
         let mut r = Report::new("t");
         r.add_text("orphan");
-        assert_eq!(r.section_count(), 1);
+        assert_eq!(r.sections.len(), 1);
         assert!(r.to_html().contains("orphan"));
     }
 
