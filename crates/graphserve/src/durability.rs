@@ -2,6 +2,14 @@
 //! snapshots, degraded-mode bookkeeping and the counters `/metrics` and
 //! `/healthz` expose.
 //!
+//! Every model the server holds gets a slot here when it is fitted,
+//! recovered or adopted, and the slot alone decides whether its ingest is
+//! journaled or refused. A slot is degraded — ingest answers `503`, reads
+//! keep serving, `/healthz` names the model with its reason — when a write
+//! could not be made durable, when recovery found contradictory state, or
+//! when the model's name is not a safe directory name ([`durable_name`]);
+//! such a name never touches disk. Deleting the model drops its slot.
+//!
 //! ## On-disk layout
 //!
 //! ```text
@@ -11,9 +19,10 @@
 //!     wal.log              KGW1 journal, base_seq == newest snapshot seq
 //! ```
 //!
-//! A snapshot is the *pair* of files for one zero-padded sequence number;
-//! each file lands via `tmp → fsync → rename → dir fsync`, model first,
-//! then session state. Recovery treats a lone `.kgm` or `.kgs` as no
+//! A snapshot is the *pair* of files for one zero-padded sequence number
+//! (`snapshot_file` names them, `snapshot_pairs` lists the complete
+//! pairs); each file lands via `tmp → fsync → rename → dir fsync`, model
+//! first, then session state. Recovery treats a lone `.kgm` or `.kgs` as no
 //! snapshot, so a crash between the two renames simply falls back to the
 //! previous generation — whose WAL coverage is intact, because the WAL is
 //! only rewritten (fresh, with the new `base_seq`) *after* both files are
@@ -49,8 +58,8 @@ use kgraph::pipeline::KGraphModel;
 use kgraph::serial;
 use std::collections::HashMap;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use streamfit::{StreamConfig, StreamSession};
@@ -119,13 +128,7 @@ pub struct DurabilityCounters {
     pub models_degraded: AtomicU64,
 }
 
-/// Why a model's ingest path is closed.
-#[derive(Debug, Clone)]
-pub struct Degraded {
-    /// Human-readable cause, also logged and exported.
-    pub reason: String,
-}
-
+#[derive(Default)]
 struct ModelDur {
     /// `None` while degraded (or before registration completes).
     wal: Option<Wal>,
@@ -135,7 +138,8 @@ struct ModelDur {
     snapshot_seq: u64,
     /// Session refresh count at the last snapshot (cadence anchor).
     refreshes_at_snapshot: u64,
-    degraded: Option<Degraded>,
+    /// Why the model's ingest path is closed, if it is.
+    degraded: Option<String>,
 }
 
 /// Outcome of [`Durability::log_ingest`].
@@ -167,7 +171,6 @@ pub struct Durability {
     fs: Arc<dyn Fs>,
     cfg: DurabilityConfig,
     counters: Arc<DurabilityCounters>,
-    recovering: AtomicBool,
     /// Name → per-model slot. The registry lock covers only the lookup;
     /// every I/O runs under the slot's own lock.
     models: Mutex<HashMap<String, Arc<Mutex<ModelDur>>>>,
@@ -199,7 +202,6 @@ impl Durability {
             fs,
             cfg,
             counters: Arc::new(DurabilityCounters::default()),
-            recovering: AtomicBool::new(false),
             models: Mutex::new(HashMap::new()),
         }
     }
@@ -209,11 +211,7 @@ impl Durability {
     pub fn disabled() -> Self {
         Durability {
             enabled: false,
-            fs: Arc::new(StdFs),
-            cfg: DurabilityConfig::default(),
-            counters: Arc::new(DurabilityCounters::default()),
-            recovering: AtomicBool::new(false),
-            models: Mutex::new(HashMap::new()),
+            ..Self::new(DurabilityConfig::default())
         }
     }
 
@@ -237,29 +235,11 @@ impl Durability {
         &self.fs
     }
 
-    /// Flags the startup-recovery phase for `/healthz`.
-    pub fn set_recovering(&self, on: bool) {
-        self.recovering.store(on, Ordering::Release);
-    }
-
-    /// Whether startup recovery is still running.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.load(Ordering::Acquire)
-    }
-
     /// The slot for `name`, created empty if absent. Holds the registry
     /// lock only for the lookup.
     fn slot(&self, name: &str) -> Arc<Mutex<ModelDur>> {
         let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(models.entry(name.to_string()).or_insert_with(|| {
-            Arc::new(Mutex::new(ModelDur {
-                wal: None,
-                seq: 0,
-                snapshot_seq: 0,
-                refreshes_at_snapshot: 0,
-                degraded: None,
-            }))
-        }))
+        Arc::clone(models.entry(name.to_string()).or_default())
     }
 
     /// The slot for `name`, or `None` when it was never registered.
@@ -269,13 +249,6 @@ impl Durability {
             .unwrap_or_else(|e| e.into_inner())
             .get(name)
             .cloned()
-    }
-
-    /// Why `name` is degraded, if it is.
-    pub fn degraded_reason(&self, name: &str) -> Option<String> {
-        let slot = self.lookup(name)?;
-        let entry = slot.lock().unwrap_or_else(|e| e.into_inner());
-        entry.degraded.as_ref().map(|d| d.reason.clone())
     }
 
     /// Every degraded model with its reason, sorted by name.
@@ -291,7 +264,7 @@ impl Durability {
             .into_iter()
             .filter_map(|(n, s)| {
                 let entry = s.lock().unwrap_or_else(|e| e.into_inner());
-                entry.degraded.as_ref().map(|d| (n, d.reason.clone()))
+                entry.degraded.clone().map(|reason| (n, reason))
             })
             .collect();
         out.sort();
@@ -300,10 +273,6 @@ impl Durability {
 
     fn model_dir(&self, name: &str) -> PathBuf {
         self.cfg.state_dir.join(name)
-    }
-
-    fn snapshot_path(&self, name: &str, seq: u64, ext: &str) -> PathBuf {
-        self.model_dir(name).join(format!("snap-{seq:016}.{ext}"))
     }
 
     fn wal_path(&self, name: &str) -> PathBuf {
@@ -333,12 +302,6 @@ impl Durability {
         }
     }
 
-    fn mark_degraded(&self, name: &str, reason: String) {
-        let slot = self.slot(name);
-        let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
-        self.degrade_locked(name, &mut entry, reason);
-    }
-
     /// Degrades an already-locked slot. The first cause wins: a model
     /// that is already degraded keeps its original reason.
     fn degrade_locked(&self, name: &str, entry: &mut ModelDur, reason: String) {
@@ -350,7 +313,7 @@ impl Durability {
             .models_degraded
             .fetch_add(1, Ordering::Relaxed);
         eprintln!("[durability] model {name} degraded read-only: {reason}");
-        entry.degraded = Some(Degraded { reason });
+        entry.degraded = Some(reason);
     }
 
     /// Writes the snapshot pair for `session` at `seq` and installs a
@@ -372,8 +335,8 @@ impl Durability {
         let model_bytes = serial::write_model(session.model());
         let state_bytes = streamfit::write_session_state(session, seq);
         for (ext, bytes) in [("kgm", &model_bytes), ("kgs", &state_bytes)] {
-            let target = self.snapshot_path(name, seq, ext);
-            let tmp = dir.join(format!("snap-{seq:016}.{ext}.tmp"));
+            let target = snapshot_file(&dir, seq, ext);
+            let tmp = target.with_extension(format!("{ext}.tmp"));
             self.with_retries(|| self.fs.write(&tmp, bytes), is_transient)?;
             self.with_retries(|| self.fs.rename(&tmp, &target), is_transient)?;
         }
@@ -448,12 +411,7 @@ impl Durability {
         let Ok(entries) = self.fs.read_dir(&dir) else {
             return;
         };
-        let mut seqs: Vec<u64> = entries
-            .iter()
-            .filter_map(|p| snapshot_seq_of(p, "kgs"))
-            .collect();
-        seqs.sort_unstable();
-        seqs.dedup();
+        let seqs = snapshot_pairs(&entries);
         if seqs.len() <= KEEP_SNAPSHOTS {
             return;
         }
@@ -463,7 +421,7 @@ impl Durability {
                 continue;
             }
             for ext in ["kgm", "kgs"] {
-                let path = self.snapshot_path(name, seq, ext);
+                let path = snapshot_file(&dir, seq, ext);
                 if let Err(e) = self.fs.remove_file(&path) {
                     eprintln!("[durability] pruning {}: {e}", path.display());
                 }
@@ -472,14 +430,15 @@ impl Durability {
     }
 
     /// Registers a freshly fitted (or adopted) model: initial snapshot at
-    /// sequence 0 plus an empty WAL. On failure the model serves
-    /// non-durably degraded — reads work, ingest is refused.
+    /// sequence 0 plus an empty WAL. On failure, or when `name` is not a
+    /// [`durable_name`], the model serves degraded — reads work, ingest is
+    /// refused.
     pub fn persist_initial(&self, name: &str, model: &Arc<KGraphModel>, cfg: &StreamConfig) {
         if !self.enabled {
             return;
         }
         if !durable_name(name) {
-            self.mark_degraded(
+            self.degrade(
                 name,
                 format!("model name {name:?} is not a safe directory name"),
             );
@@ -539,18 +498,21 @@ impl Durability {
         }
     }
 
-    /// Marks `name` degraded read-only with `reason` (recovery uses this
-    /// when it can serve a snapshot but not guarantee new writes).
+    /// Marks `name` degraded read-only with `reason`: recovery can serve a
+    /// snapshot but not guarantee new writes, or the name is not a
+    /// [`durable_name`].
     pub fn degrade(&self, name: &str, reason: String) {
         if self.enabled {
-            self.mark_degraded(name, reason);
+            let slot = self.slot(name);
+            let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
+            self.degrade_locked(name, &mut entry, reason);
         }
     }
 
     /// Journals one ingest. Must be called with the per-model session
     /// lock held, *before* the corresponding `StreamSession::append`.
     pub fn log_ingest(&self, name: &str, series: u32, points: &[f64]) -> IngestLog {
-        if !self.enabled || !durable_name(name) {
+        if !self.enabled {
             return IngestLog::Logged { seq: 0 };
         }
         let Some(slot) = self.lookup(name) else {
@@ -565,9 +527,9 @@ impl Durability {
         // another model's ingest.
         let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
         let entry = &mut *guard;
-        if let Some(d) = &entry.degraded {
+        if let Some(reason) = &entry.degraded {
             return IngestLog::Degraded {
-                reason: d.reason.clone(),
+                reason: reason.clone(),
             };
         }
         let Some(wal) = entry.wal.as_mut() else {
@@ -613,7 +575,7 @@ impl Durability {
     /// the session never applied would stop replay there on recovery and
     /// discard every later acknowledged record.
     pub fn revoke_ingest(&self, name: &str, seq: u64) {
-        if !self.enabled || !durable_name(name) || seq == 0 {
+        if !self.enabled || seq == 0 {
             return;
         }
         let Some(slot) = self.lookup(name) else {
@@ -658,7 +620,7 @@ impl Durability {
     /// Called after a successful append with the session still locked:
     /// snapshots on the refresh cadence (or on compaction).
     pub fn after_append(&self, name: &str, session: &StreamSession, outcome_refreshed: bool) {
-        if !self.enabled || !outcome_refreshed || !durable_name(name) {
+        if !self.enabled || !outcome_refreshed {
             return;
         }
         let Some(slot) = self.lookup(name) else {
@@ -689,14 +651,17 @@ impl Durability {
     }
 
     /// Forgets `name` and deletes its state directory (model deletion).
-    pub fn remove_model(&self, name: &str) {
-        if !self.enabled || !durable_name(name) {
-            return;
+    /// Reports whether the layer knew the name: a slot or a state
+    /// directory existed.
+    pub fn remove_model(&self, name: &str) -> bool {
+        if !self.enabled {
+            return false;
         }
         let removed = {
             let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
             models.remove(name)
         };
+        let known = removed.is_some();
         if let Some(slot) = removed {
             let m = slot.lock().unwrap_or_else(|e| e.into_inner());
             if m.degraded.is_some() {
@@ -706,21 +671,40 @@ impl Durability {
             }
         }
         let dir = self.model_dir(name);
-        if self.fs.exists(&dir) {
-            if let Err(e) = self.fs.remove_dir_all(&dir) {
-                eprintln!("[durability] removing {}: {e}", dir.display());
-            }
+        if !durable_name(name) || !self.fs.exists(&dir) {
+            return known;
         }
+        if let Err(e) = self.fs.remove_dir_all(&dir) {
+            eprintln!("[durability] removing {}: {e}", dir.display());
+        }
+        true
     }
 }
 
-/// Extracts the sequence number of `snap-<seq>.ext` paths.
-pub(crate) fn snapshot_seq_of(path: &std::path::Path, ext: &str) -> Option<u64> {
-    if path.extension().and_then(|e| e.to_str()) != Some(ext) {
-        return None;
-    }
-    let stem = path.file_stem()?.to_str()?;
-    stem.strip_prefix("snap-")?.parse().ok()
+/// `dir/snap-<seq:016>.<ext>`: one file of the snapshot pair at `seq`.
+pub(crate) fn snapshot_file(dir: &Path, seq: u64, ext: &str) -> PathBuf {
+    dir.join(format!("snap-{seq:016}.{ext}"))
+}
+
+/// The sequence numbers, ascending, of the complete snapshot pairs among
+/// `entries`: both files present under their [`snapshot_file`] names.
+pub(crate) fn snapshot_pairs(entries: &[PathBuf]) -> Vec<u64> {
+    let mut seqs: Vec<u64> = entries
+        .iter()
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?;
+            let seq = name
+                .strip_prefix("snap-")?
+                .strip_suffix(".kgs")?
+                .parse()
+                .ok()?;
+            let dir = path.parent()?;
+            let canonical = snapshot_file(dir, seq, "kgs") == *path;
+            (canonical && entries.contains(&snapshot_file(dir, seq, "kgm"))).then_some(seq)
+        })
+        .collect();
+    seqs.sort_unstable();
+    seqs
 }
 
 /// Whether an I/O error is worth a bounded retry.

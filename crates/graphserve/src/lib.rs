@@ -12,9 +12,10 @@
 //!   ([`kgraph::serial`]) or are fitted on demand.
 //! - [`server::Server`] — a hand-rolled threaded HTTP/1.1 server (the
 //!   image carries no async runtime): one accept thread, a bounded
-//!   admission queue that sheds overload with a fast `503` +
-//!   `Retry-After`, a worker pool, per-request socket timeouts and a
-//!   drain-then-exit graceful shutdown.
+//!   `std::sync::mpsc::sync_channel` for admission that sheds overload
+//!   with a fast `503` + `Retry-After`, a worker pool sharing its
+//!   receiver, per-request socket timeouts and a drain-then-exit graceful
+//!   shutdown.
 //! - [`routes`] — `score` / `features` / `predict` / `graphoid` /
 //!   `render` / `batch` endpoints speaking JSON (and CSV on request);
 //!   the batch endpoint fans rows over a bounded in-process pool using
@@ -24,6 +25,12 @@
 //!   [`streamfit::StreamSession`] and publishes compacted models back
 //!   into the store; `GET /metrics` exposes the shared counters as
 //!   plain text.
+//! - [`durability`] and [`recovery`] — with a state directory, a per-model
+//!   write-ahead ingest journal and snapshot pairs, restored at startup
+//!   before the server binds. A model whose writes cannot be made durable
+//!   (a failed write, a contradictory state directory, a name that is not
+//!   a safe directory name) is degraded read-only: reads serve, ingest
+//!   answers `503`, and `GET /healthz` names it.
 //!
 //! See `crates/graphserve/README.md` for the wire format and
 //! `examples/serve_quickstart.rs` for an end-to-end walkthrough.
@@ -34,7 +41,6 @@ pub mod durability;
 pub mod fsio;
 pub mod http;
 pub mod json;
-pub mod queue;
 pub mod recovery;
 pub mod routes;
 pub mod server;

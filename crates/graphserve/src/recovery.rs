@@ -22,11 +22,20 @@
 //!    healed, so its snapshot and WAL files stay exactly as they were for
 //!    a later binary to replay.
 //!
-//! Models present in the store (e.g. loaded from `--models`) but absent
-//! from the state directory are *adopted*: an initial snapshot and empty
-//! WAL are created so their future ingests are durable too.
+//! Models present in the store (e.g. loaded from `--models-dir`) but
+//! absent from the state directory are *adopted* through
+//! [`Durability::persist_initial`], so every served model has a
+//! durability slot. A model with a safe name gets an initial snapshot and
+//! an empty WAL, so its future ingests are durable too. A model whose
+//! name is not a safe directory name gets a degraded slot and never
+//! touches disk: it serves reads, its ingest answers `503`, and
+//! `/healthz` names it.
+//!
+//! Recovery runs to completion before the server binds its socket, so no
+//! request ever sees a half-recovered state.
 
-use crate::durability::{durable_name, snapshot_seq_of, Durability};
+use crate::durability::{durable_name, snapshot_file, snapshot_pairs, Durability};
+use crate::routes::publish;
 use crate::store::ModelStore;
 use crate::wal;
 use std::path::Path;
@@ -40,7 +49,7 @@ pub struct RecoveryReport {
     /// Models fully recovered (snapshot + WAL tail) and writable.
     pub recovered: Vec<String>,
     /// Models from the store that had no state directory and were given
-    /// one.
+    /// a durability slot (degraded for a name unsafe as a directory).
     pub adopted: Vec<String>,
     /// Models served read-only from their last good snapshot, with the
     /// reason.
@@ -66,19 +75,16 @@ pub fn recover(
         return report;
     }
     let started = std::time::Instant::now();
-    durability.set_recovering(true);
     let fs = Arc::clone(durability.fs());
     let root = durability.config().state_dir.clone();
     if let Err(e) = fs.create_dir_all(&root) {
         eprintln!("[recovery] cannot create state dir {}: {e}", root.display());
-        durability.set_recovering(false);
         return report;
     }
     let dirs = match fs.read_dir(&root) {
         Ok(dirs) => dirs,
         Err(e) => {
             eprintln!("[recovery] cannot list state dir {}: {e}", root.display());
-            durability.set_recovering(false);
             return report;
         }
     };
@@ -96,11 +102,12 @@ pub fn recover(
         recover_model(durability, store, sessions, &name, &dir, &mut report);
     }
 
-    // Adopt store models (e.g. from --models) that have no durable state
-    // yet, so their future ingests are journaled too.
+    // Adopt store models (e.g. from --models-dir) that have no durable
+    // state yet, so their future ingests are journaled too — or, for an
+    // unsafe name, refused by a degraded slot.
     let mut reader = store.reader();
     for (name, ..) in store.list() {
-        if fs.exists(&root.join(&name)) || !durable_name(&name) {
+        if durable_name(&name) && fs.exists(&root.join(&name)) {
             continue;
         }
         if let Some(model) = reader.get(&name) {
@@ -116,7 +123,6 @@ pub fn recover(
     counters
         .models_recovered
         .store(report.recovered.len() as u64, Ordering::Relaxed);
-    durability.set_recovering(false);
     if !report.recovered.is_empty() || !report.degraded.is_empty() || !report.failed.is_empty() {
         eprintln!(
             "[recovery] {} recovered, {} adopted, {} degraded, {} failed, {} records replayed \
@@ -153,13 +159,7 @@ fn recover_model(
     };
 
     // Newest-first candidate sequence numbers with both files present.
-    let mut seqs: Vec<u64> = entries
-        .iter()
-        .filter_map(|p| snapshot_seq_of(p, "kgs"))
-        .filter(|&s| entries.iter().any(|p| snapshot_seq_of(p, "kgm") == Some(s)))
-        .collect();
-    seqs.sort_unstable();
-    seqs.dedup();
+    let mut seqs = snapshot_pairs(&entries);
     seqs.reverse();
     if seqs.is_empty() {
         report.failed.push((
@@ -173,7 +173,7 @@ fn recover_model(
     let mut chosen = None;
     let mut skipped = Vec::new();
     for seq in seqs {
-        match load_snapshot(durability, dir, name, seq, sessions) {
+        match load_snapshot(durability, dir, seq, sessions) {
             Ok(session) => {
                 chosen = Some((seq, session));
                 break;
@@ -198,51 +198,43 @@ fn recover_model(
     let mut applied = 0u64;
     let mut degraded_reason: Option<String> = None;
     if fs.exists(&wal_path) {
-        match fs.read(&wal_path) {
-            Ok(bytes) => match wal::replay(&bytes) {
-                Ok(rep) => {
-                    if rep.base_seq > snap_seq {
-                        // The WAL belongs to a newer snapshot we could not
-                        // read: records between snap_seq and base_seq are
-                        // lost to corruption. Serve what we have, read-only.
+        let replay = fs
+            .read(&wal_path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| wal::replay(&bytes).map_err(|e| e.to_string()));
+        match replay {
+            Err(e) => degraded_reason = Some(format!("WAL unreadable: {e}")),
+            Ok(rep) if rep.base_seq > snap_seq => {
+                // The WAL belongs to a newer snapshot we could not read:
+                // records between snap_seq and base_seq are lost to
+                // corruption. Serve what we have, read-only.
+                degraded_reason = Some(format!(
+                    "WAL starts at sequence {} but newest readable snapshot is {}; \
+                     refusing writes to avoid silent divergence",
+                    rep.base_seq, snap_seq
+                ));
+            }
+            Ok(rep) => {
+                if rep.torn {
+                    counters
+                        .wal_records_truncated
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                // Records at or below snap_seq are already in the snapshot.
+                for record in rep.records.iter().filter(|r| r.seq > snap_seq) {
+                    if let Err(e) = session.append(record.series, &record.points) {
+                        // The record passed its CRC and was acknowledged:
+                        // healing over it would drop it and every record
+                        // after it.
                         degraded_reason = Some(format!(
-                            "WAL starts at sequence {} but newest readable snapshot is {}; \
-                             refusing writes to avoid silent divergence",
-                            rep.base_seq, snap_seq
+                            "WAL record {} could not be replayed: {e}; \
+                             refusing writes and keeping the journal",
+                            record.seq
                         ));
-                    } else {
-                        if rep.torn {
-                            counters
-                                .wal_records_truncated
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        for record in &rep.records {
-                            if record.seq <= snap_seq {
-                                continue; // already inside the snapshot
-                            }
-                            match session.append(record.series, &record.points) {
-                                Ok(_) => applied += 1,
-                                Err(e) => {
-                                    // The record passed its CRC and was
-                                    // acknowledged: healing over it would
-                                    // drop it and every record after it.
-                                    degraded_reason = Some(format!(
-                                        "WAL record {} could not be replayed: {e}; \
-                                         refusing writes and keeping the journal",
-                                        record.seq
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
+                        break;
                     }
+                    applied += 1;
                 }
-                Err(e) => {
-                    degraded_reason = Some(format!("WAL unreadable: {e}"));
-                }
-            },
-            Err(e) => {
-                degraded_reason = Some(format!("WAL unreadable: {e}"));
             }
         }
     } else if fell_back {
@@ -260,31 +252,22 @@ fn recover_model(
     // Publish: the store entry and the session must share one Arc so the
     // registry keeps the recovered session alive.
     let model = Arc::clone(session.model());
-    let final_seq = snap_seq + applied;
-    match degraded_reason {
+    let degraded = match degraded_reason {
         Some(reason) => {
-            store.insert(name, model);
-            sessions.install(name, session);
             durability.degrade(name, reason.clone());
-            report.degraded.push((name.to_string(), reason));
+            Some(reason)
         }
-        None => {
-            // Heal: fresh snapshot + empty WAL at the recovered sequence.
-            match durability.install_recovered(name, &session, final_seq) {
-                Ok(()) => {
-                    store.insert(name, model);
-                    sessions.install(name, session);
-                    report.recovered.push(name.to_string());
-                }
-                Err(reason) => {
-                    // Serve, but read-only: new writes could not be made
-                    // durable.
-                    store.insert(name, model);
-                    sessions.install(name, session);
-                    report.degraded.push((name.to_string(), reason));
-                }
-            }
-        }
+        // Heal: fresh snapshot + empty WAL at the recovered sequence. If
+        // that cannot be made durable the model serves read-only.
+        None => durability
+            .install_recovered(name, &session, snap_seq + applied)
+            .err(),
+    };
+    publish(store, sessions, name, model);
+    sessions.install(name, session);
+    match degraded {
+        Some(reason) => report.degraded.push((name.to_string(), reason)),
+        None => report.recovered.push(name.to_string()),
     }
 }
 
@@ -293,21 +276,21 @@ fn recover_model(
 fn load_snapshot(
     durability: &Durability,
     dir: &Path,
-    name: &str,
     seq: u64,
     sessions: &SessionRegistry,
 ) -> Result<StreamSession, String> {
     let fs = durability.fs();
-    let kgm = dir.join(format!("snap-{seq:016}.kgm"));
-    let kgs = dir.join(format!("snap-{seq:016}.kgs"));
+    let kgm = snapshot_file(dir, seq, "kgm");
+    let kgs = snapshot_file(dir, seq, "kgs");
     let model_bytes = fs.read(&kgm).map_err(|e| format!("reading model: {e}"))?;
     let state_bytes = fs.read(&kgs).map_err(|e| format!("reading session: {e}"))?;
     let model = kgraph::serial::read_model(&model_bytes).map_err(|e| format!("model: {e}"))?;
     let state = streamfit::read_session_state(&state_bytes).map_err(|e| format!("session: {e}"))?;
     if state.seq != seq {
         return Err(format!(
-            "session state claims sequence {} but file is snap-{seq:016} ({name})",
-            state.seq
+            "session state claims sequence {} but file is {}",
+            state.seq,
+            kgs.display()
         ));
     }
     StreamSession::restore(Arc::new(model), sessions.config().clone(), state)

@@ -417,18 +417,16 @@ fn health(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     ))
 }
 
-/// `GET /healthz` — readiness + recovery state. `"recovering"` (503) while
-/// startup recovery runs, `"degraded"` (200 — reads still serve) when any
-/// model is read-only, `"ok"` otherwise.
+/// `GET /healthz` — durability health: `"degraded"` when any model is
+/// read-only (still `200`: reads serve), `"ok"` otherwise. Startup
+/// recovery finishes before the server binds, so no request sees it run.
 fn healthz(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let ctx = c.ctx;
     let degraded = ctx.durability.degraded_models();
-    let (status, code) = if ctx.durability.is_recovering() {
-        ("recovering", 503)
-    } else if !degraded.is_empty() {
-        ("degraded", 200)
+    let status = if degraded.is_empty() {
+        "ok"
     } else {
-        ("ok", 200)
+        "degraded"
     };
     let mut body = format!(
         "{{\"status\":\"{status}\",\"durability\":{},\"models\":{},\"degraded\":[",
@@ -446,7 +444,7 @@ fn healthz(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         body.push('}');
     }
     body.push_str("]}");
-    Ok(Response::json(code, body))
+    Ok(Response::json(200, body))
 }
 
 fn list_models(c: &mut Call<'_, '_>) -> Result<Response, Response> {
@@ -523,7 +521,7 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     }
     .with_seed(seed as u64);
     let model = Arc::new(KGraph::new(cfg).fit(&dataset));
-    let bytes = ctx.store.insert(name, Arc::clone(&model));
+    let bytes = publish(ctx.store, ctx.sessions, name, Arc::clone(&model));
     // Make the fresh model durable (initial snapshot + empty WAL) so a
     // restart recovers it even before the first ingest.
     ctx.durability
@@ -534,16 +532,35 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     Ok(Response::json(201, body))
 }
 
-/// `DELETE /models/{name}` — unregisters the model.
+/// Inserts `model` under `name` and drops the stream sessions of the
+/// models the store evicted for it, so their `Arc`s are freed. Never call
+/// it holding a session lock: [`SessionRegistry::session_for`] locks a
+/// session under the registry lock.
+pub(crate) fn publish(
+    store: &ModelStore,
+    sessions: &SessionRegistry,
+    name: &str,
+    model: Arc<KGraphModel>,
+) -> usize {
+    let (bytes, evicted) = store.insert_evicting(name, model);
+    for victim in &evicted {
+        sessions.remove(victim);
+    }
+    bytes
+}
+
+/// `DELETE /models/{name}` — unregisters the model, its streaming session
+/// (which buffers node ids of the deleted graph) and its durable state.
+/// Each goes even when another is already gone (the store evicts under
+/// `--budget-mb`); `404` only when none of the three knew the name.
 fn delete_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let (ctx, name) = (c.ctx, c.name);
-    if !ctx.store.remove(name) {
+    let in_store = ctx.store.remove(name);
+    let had_session = ctx.sessions.remove(name);
+    let had_state = ctx.durability.remove_model(name);
+    if !(in_store || had_session || had_state) {
         return Err(Response::error(404, &format!("no model named {name:?}")));
     }
-    // The streaming session buffers node ids of the deleted graph; drop it
-    // with the model, along with its durable state.
-    ctx.sessions.remove(name);
-    ctx.durability.remove_model(name);
     let mut body = String::from("{\"deleted\":");
     write_json_string(&mut body, name);
     body.push('}');
@@ -850,12 +867,13 @@ fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
             ));
         }
     };
-    match guard.append(index, &points) {
+    let mut evicted = Vec::new();
+    let answer = match guard.append(index, &points) {
         Ok(outcome) => {
             if let Some(next) = &outcome.compacted {
                 // Publish the compacted base: a new snapshot version for
                 // future readers; in-flight readers keep the old Arc.
-                ctx.store.insert(name, Arc::clone(next));
+                evicted = ctx.store.insert_evicting(name, Arc::clone(next)).1;
             }
             // Snapshot on the refresh cadence (still under the session
             // lock, so the pair is a consistent point-in-time image).
@@ -879,7 +897,14 @@ fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
             ctx.durability.revoke_ingest(name, wal_seq);
             Err(error_response(&e))
         }
+    };
+    // The publish above ran under this session's lock, so the evicted
+    // models' sessions are dropped only after it is released.
+    drop(guard);
+    for victim in &evicted {
+        ctx.sessions.remove(victim);
     }
+    answer
 }
 
 fn stream_status_json(status: &StreamStatus) -> String {
@@ -1583,5 +1608,130 @@ mod tests {
         );
         assert_eq!(resp.status, 422);
         assert_eq!(body_text(&resp), "{\"error\":\"k must be >= 1\"}");
+    }
+
+    /// A state directory removed on drop, unique per test and process.
+    struct StateDir(std::path::PathBuf);
+
+    impl StateDir {
+        fn new(tag: &str) -> StateDir {
+            let path = std::env::temp_dir()
+                .join(format!("graphserve-routes-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            std::fs::create_dir_all(&path).unwrap();
+            StateDir(path)
+        }
+    }
+
+    impl Drop for StateDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// An empty store budgeted at `budget_bytes`, durable under `dir`.
+    fn durable_ctx(budget_bytes: usize, dir: &StateDir) -> TestCtx {
+        TestCtx {
+            store: ModelStore::new(budget_bytes),
+            sessions: SessionRegistry::new(streamfit::StreamConfig::default()),
+            stats: ServerStats::default(),
+            durability: Durability::new(crate::DurabilityConfig {
+                state_dir: dir.0.clone(),
+                ..crate::DurabilityConfig::default()
+            }),
+            debug_routes: false,
+        }
+    }
+
+    /// Six 40-point rows, the body of a `PUT /models/{name}?k=2`.
+    fn fit_body() -> String {
+        (0..6)
+            .map(|p| {
+                (0..40)
+                    .map(|i| ((i + p) as f64 * 0.4).sin().to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    fn ingest_body() -> String {
+        let points: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
+        f64s_to_json(&points)
+    }
+
+    #[test]
+    fn a_model_healthz_reports_as_degraded_refuses_ingest() {
+        let dir = StateDir::new("unsafe-name");
+        let ctx = durable_ctx(0, &dir);
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            let resp = handle(&request(method, target, body.as_bytes()), &mut reader, &ctx);
+            (resp.status, body_text(&resp).to_string())
+        };
+        assert_eq!(call("PUT", "/models/a:b?k=2", &fit_body()).0, 201);
+        let (status, health) = call("GET", "/healthz", "");
+        assert_eq!(status, 200);
+        assert!(health.contains("\"status\":\"degraded\""), "{health}");
+        assert!(health.contains("\"model\":\"a:b\""), "{health}");
+        assert!(health.contains("not a safe directory name"), "{health}");
+
+        let (status, body) = call("POST", "/models/a:b/ingest", &ingest_body());
+        assert_eq!(status, 503, "{body}");
+        let points = ctx
+            .sessions
+            .get("a:b")
+            .map_or(0, |s| s.lock().unwrap().points_total());
+        assert_eq!(points, 0, "a refused ingest reaches no session");
+        let wal_written = ctx
+            .durability
+            .counters()
+            .wal_records_written
+            .load(Ordering::Relaxed);
+        assert_eq!(wal_written, 0);
+
+        assert_eq!(call("DELETE", "/models/a:b", "").0, 200);
+        let (_, health) = call("GET", "/healthz", "");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        assert!(health.contains("\"degraded\":[]"), "{health}");
+        let written = std::fs::read_dir(&dir.0).unwrap().count();
+        assert_eq!(written, 0, "an unsafe name never touches disk");
+    }
+
+    #[test]
+    fn eviction_drops_the_session_and_delete_still_clears_the_state_dir() {
+        let body = fit_body();
+        // The fit is deterministic: measure one model, then budget 1.5.
+        let bytes = {
+            let dir = StateDir::new("evict-probe");
+            let probe = durable_ctx(0, &dir);
+            let resp = handle(
+                &request("PUT", "/models/probe?k=2", body.as_bytes()),
+                &mut probe.reader(),
+                &probe,
+            );
+            let json = Json::parse(body_text(&resp)).unwrap();
+            json.get("bytes").and_then(Json::as_f64).unwrap() as usize
+        };
+        let dir = StateDir::new("evict");
+        let ctx = durable_ctx(bytes * 3 / 2, &dir);
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            handle(&request(method, target, body.as_bytes()), &mut reader, &ctx).status
+        };
+        assert_eq!(call("PUT", "/models/a?k=2", &body), 201);
+        assert_eq!(call("POST", "/models/a/ingest", &ingest_body()), 200);
+        assert_eq!(ctx.sessions.len(), 1);
+        assert_eq!(call("PUT", "/models/b?k=2", &body), 201);
+        let names: Vec<String> = ctx.store.list().into_iter().map(|e| e.0).collect();
+        assert_eq!(names, ["b"], "the budget evicted a");
+        assert_eq!(ctx.sessions.len(), 0, "a's session went with it");
+
+        assert!(dir.0.join("a").is_dir());
+        assert_eq!(call("DELETE", "/models/a", ""), 200);
+        assert!(!dir.0.join("a").exists(), "DELETE removed a's state dir");
+        assert_eq!(call("DELETE", "/models/a", ""), 404);
+        assert!(dir.0.join("b").is_dir());
     }
 }

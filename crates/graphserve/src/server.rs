@@ -1,39 +1,42 @@
-//! The threaded server: accept loop, bounded admission queue, worker pool,
-//! graceful shutdown.
+//! The threaded server: accept loop, bounded admission channel, worker
+//! pool, graceful shutdown.
 //!
 //! ## Threading model
 //!
 //! One accept thread pulls connections off the listener and *tries* to
-//! admit them into a [`BoundedQueue`]. When the queue is full, the accept
-//! thread itself writes a tiny `503 Service Unavailable` with a
+//! send them into a `std::sync::mpsc::sync_channel` of
+//! [`ServerConfig::queue_capacity`] slots. When the channel is full, the
+//! accept thread itself writes a tiny `503 Service Unavailable` with a
 //! `Retry-After` hint and drops the connection — load is shed at the door
 //! in O(µs) instead of queueing unboundedly. A fixed pool of worker
-//! threads pops admitted connections, parses one request each
-//! (`Connection: close`), dispatches through [`crate::routes::dispatch`]
-//! (with [`ServerConfig::debug_routes`]) and a per-worker
-//! [`StoreReader`](crate::StoreReader) (lock-free model
-//! lookup in steady state) and writes the response. Socket read/write
-//! timeouts bound each request's wall-clock cost. A panicking handler is
-//! caught: its request gets a `500`, `handler_panics_total` counts it, and
-//! the worker goes on serving.
+//! threads takes admitted connections from the one receiver (held behind
+//! a mutex, locked only while waiting for the next connection), parses
+//! one request each (`Connection: close`), dispatches through
+//! [`crate::routes::dispatch`] (with [`ServerConfig::debug_routes`]) and a
+//! per-worker [`StoreReader`](crate::StoreReader) (lock-free model lookup
+//! in steady state) and writes the response. Socket read/write timeouts
+//! bound each request's wall-clock cost. A panicking handler is caught:
+//! its request gets a `500`, `handler_panics_total` counts it, and the
+//! worker goes on serving.
 //!
 //! ## Shutdown
 //!
-//! [`Server::shutdown`] flips a flag, closes the queue and pokes the
-//! listener with a loopback connection so `accept` returns. Workers drain
-//! every connection that was already admitted before exiting — in-flight
-//! requests complete, new ones are refused.
+//! [`Server::shutdown`] flips a flag and pokes the listener with a
+//! loopback connection so `accept` returns. The accept thread owns the
+//! only sender, so joining it closes the channel: workers still receive
+//! every connection that was already admitted, then `recv` fails and they
+//! exit — in-flight requests complete, new ones are refused.
 
 use crate::durability::Durability;
 use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
-use crate::queue::{BoundedQueue, PushError};
 use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streamfit::{SessionRegistry, StreamConfig};
@@ -45,7 +48,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads (0 = one per hardware thread).
     pub workers: usize,
-    /// Admission-queue capacity; connections beyond it get a fast 503.
+    /// Admission-channel capacity (min 1); connections beyond it get a
+    /// fast 503.
     pub queue_capacity: usize,
     /// Socket read timeout per request.
     pub read_timeout: Duration,
@@ -78,16 +82,19 @@ impl Default for ServerConfig {
 }
 
 /// Monotonic counters, shared by all server threads.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Requests admitted to the queue.
+    /// Requests admitted to the channel.
     pub admitted: AtomicU64,
     /// Connections shed with a 503.
     pub shed: AtomicU64,
     /// Responses written by workers.
     pub served: AtomicU64,
-    /// Highest admission-queue depth observed by the accept thread.
+    /// Highest admission-channel depth observed by the accept thread.
     pub queue_high_water: AtomicU64,
+    /// Connections in the admission channel (counted from just before
+    /// the send until a worker takes them).
+    depth: AtomicU64,
     /// Requests whose handler panicked (each answered with a 500).
     pub handler_panics: AtomicU64,
     /// Requests per entry of the route table, in table order; the last
@@ -95,24 +102,10 @@ pub struct ServerStats {
     pub(crate) routes: [AtomicU64; routes::ROUTE_COUNT + 1],
 }
 
-impl Default for ServerStats {
-    fn default() -> Self {
-        ServerStats {
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            queue_high_water: AtomicU64::new(0),
-            handler_panics: AtomicU64::new(0),
-            routes: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
 /// A running server. Dropping it without [`Server::shutdown`] detaches the
 /// threads (they keep serving until the process exits).
 pub struct Server {
     addr: SocketAddr,
-    queue: Arc<BoundedQueue<TcpStream>>,
     stats: Arc<ServerStats>,
     sessions: Arc<SessionRegistry>,
     shutting_down: Arc<AtomicBool>,
@@ -140,17 +133,17 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
+        let (sender, receiver) = sync_channel(config.queue_capacity.max(1));
+        let receiver = Arc::new(Mutex::new(receiver));
         let stats = Arc::new(ServerStats::default());
         let shutting_down = Arc::new(AtomicBool::new(false));
 
         let accept_handle = {
-            let queue = Arc::clone(&queue);
             let stats = Arc::clone(&stats);
             let shutting_down = Arc::clone(&shutting_down);
             std::thread::Builder::new()
                 .name("graphserve-accept".into())
-                .spawn(move || accept_loop(listener, &queue, &stats, &shutting_down))?
+                .spawn(move || accept_loop(listener, sender, &stats, &shutting_down))?
         };
 
         let n_workers = if config.workers == 0 {
@@ -160,7 +153,7 @@ impl Server {
         };
         let mut worker_handles = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
-            let queue = Arc::clone(&queue);
+            let receiver = Arc::clone(&receiver);
             let stats = Arc::clone(&stats);
             let store = Arc::clone(&store);
             let sessions = Arc::clone(&sessions);
@@ -170,14 +163,13 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("graphserve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(&queue, &stats, &store, &sessions, &durability, &cfg)
+                        worker_loop(&receiver, &stats, &store, &sessions, &durability, &cfg)
                     })?,
             );
         }
 
         Ok(Server {
             addr,
-            queue,
             stats,
             sessions,
             shutting_down,
@@ -207,12 +199,12 @@ impl Server {
         // Poke the blocking accept() so it observes the flag. The woken
         // connection is dropped unanswered, which is fine: it is ours.
         let _ = TcpStream::connect(self.addr);
+        // The accept thread owns the only sender: once it has returned the
+        // channel is closed, and workers drain what was already admitted
+        // before `recv` fails and they exit.
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
-        // No new admissions past this point; close the queue so workers
-        // drain what was already admitted and then exit.
-        self.queue.close();
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
@@ -221,31 +213,25 @@ impl Server {
 
 fn accept_loop(
     listener: TcpListener,
-    queue: &BoundedQueue<TcpStream>,
+    sender: SyncSender<TcpStream>,
     stats: &ServerStats,
     shutting_down: &AtomicBool,
 ) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-        };
+    for stream in listener.incoming() {
         if shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        match queue.try_push(stream) {
+        let Ok(stream) = stream else { continue };
+        // Counted before the send, so a worker's decrement after `recv`
+        // never runs ahead of it.
+        let depth = stats.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        match sender.try_send(stream) {
             Ok(()) => {
                 stats.admitted.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .queue_high_water
-                    .fetch_max(queue.len() as u64, Ordering::Relaxed);
+                stats.queue_high_water.fetch_max(depth, Ordering::Relaxed);
             }
-            Err(PushError::Full(mut stream)) => {
+            Err(TrySendError::Full(mut stream)) => {
+                stats.depth.fetch_sub(1, Ordering::Relaxed);
                 stats.shed.fetch_add(1, Ordering::Relaxed);
                 // Shed at the door: cheap fixed response, then drop. Short
                 // timeouts keep a slow peer from stalling the accept loop.
@@ -262,13 +248,28 @@ fn accept_loop(
                 let mut sink = [0u8; 1024];
                 while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
             }
-            Err(PushError::Closed(_)) => return,
+            Err(TrySendError::Disconnected(_)) => return,
         }
     }
 }
 
+/// The next admitted connection, or `None` once the channel is closed and
+/// drained. The receiver's lock is released before the request is served.
+fn next_connection(
+    receiver: &Mutex<Receiver<TcpStream>>,
+    stats: &ServerStats,
+) -> Option<TcpStream> {
+    let stream = receiver
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .recv()
+        .ok()?;
+    stats.depth.fetch_sub(1, Ordering::Relaxed);
+    Some(stream)
+}
+
 fn worker_loop(
-    queue: &BoundedQueue<TcpStream>,
+    receiver: &Mutex<Receiver<TcpStream>>,
     stats: &ServerStats,
     store: &ModelStore,
     sessions: &SessionRegistry,
@@ -282,7 +283,7 @@ fn worker_loop(
         stats,
         durability,
     };
-    while let Some(mut stream) = queue.pop() {
+    while let Some(mut stream) = next_connection(receiver, stats) {
         let _ = stream.set_read_timeout(Some(cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(cfg.write_timeout));
         let response = match Request::read_from(&mut stream, cfg.max_body_bytes) {

@@ -81,6 +81,12 @@ impl ModelStore {
     /// registry exceeds its budget. Returns the approximate byte size of
     /// the inserted model.
     pub fn insert(&self, name: &str, model: Arc<KGraphModel>) -> usize {
+        self.insert_evicting(name, model).0
+    }
+
+    /// [`insert`](Self::insert), also returning the names it evicted, so
+    /// the caller can drop what it keeps per model (stream sessions).
+    pub fn insert_evicting(&self, name: &str, model: Arc<KGraphModel>) -> (usize, Vec<String>) {
         let bytes = serial::model_approx_bytes(&model);
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
@@ -91,6 +97,7 @@ impl ModelStore {
         let mut guard = self.snapshot.lock().unwrap_or_else(|e| e.into_inner());
         let mut next: Snapshot = (**guard).clone();
         next.insert(name.to_string(), entry);
+        let mut evicted = Vec::new();
         if self.budget_bytes > 0 {
             let mut total: usize = next.values().map(|e| e.bytes).sum();
             while total > self.budget_bytes && next.len() > 1 {
@@ -104,6 +111,7 @@ impl ModelStore {
                         if let Some(dropped) = next.remove(&victim) {
                             total -= dropped.bytes;
                         }
+                        evicted.push(victim);
                     }
                     None => break,
                 }
@@ -111,7 +119,7 @@ impl ModelStore {
         }
         *guard = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
-        bytes
+        (bytes, evicted)
     }
 
     /// Unregisters `name`; reports whether it existed.

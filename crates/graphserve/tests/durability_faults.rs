@@ -82,7 +82,6 @@ fn stream_config() -> StreamConfig {
     StreamConfig {
         refresh_every: 0,
         compact_every: 2,
-        context: 3,
     }
 }
 

@@ -190,7 +190,6 @@ fn compaction_publishes_a_model_with_a_fresh_cache() {
         StreamConfig {
             refresh_every: 0,
             compact_every: 1,
-            context: 3,
         },
     );
     // Out-of-distribution points add transitions the fit never saw.

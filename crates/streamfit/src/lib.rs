@@ -70,7 +70,6 @@ mod tests {
             StreamConfig {
                 refresh_every: 40,
                 compact_every: 0,
-                context: 3,
             },
         );
         // First chunk: below one window, nothing to score yet.
@@ -98,7 +97,6 @@ mod tests {
             StreamConfig {
                 refresh_every: 0, // refresh on every append
                 compact_every: 0, // manual compaction via cadence below
-                context: 3,
             },
         );
         session.append(0, &wave(0, 80)).unwrap();
@@ -114,7 +112,6 @@ mod tests {
             StreamConfig {
                 refresh_every: 0,
                 compact_every: 1,
-                context: 3,
             },
         );
         let out = compacting.append(0, &wave(0, 80)).unwrap();
@@ -156,7 +153,6 @@ mod tests {
         let cfg = StreamConfig {
             refresh_every: 48,
             compact_every: 2,
-            context: 3,
         };
         let mut session = StreamSession::new(fitted(), cfg.clone());
         // Windows per series on the best layer as of the last compaction.
@@ -223,7 +219,7 @@ mod tests {
                 windows_at_compaction = paths.iter().map(Vec::len).collect();
             }
             for (i, v) in values.iter().enumerate().take(session.open_series()) {
-                let want = anomaly_scores(&rebuilt, v, cfg.context).ok();
+                let want = anomaly_scores(&rebuilt, v, session::CONTEXT).ok();
                 let got = session.scores(i).map(<[f64]>::to_vec);
                 let bits = |x: Option<Vec<f64>>| {
                     x.map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>())
@@ -290,7 +286,6 @@ mod tests {
             StreamConfig {
                 refresh_every: 1_000_000, // manual refresh only
                 compact_every: 0,
-                context: 3,
             },
         );
         for i in 0..6 {
@@ -322,7 +317,6 @@ mod tests {
         let cfg = StreamConfig {
             refresh_every: 30,
             compact_every: 2,
-            context: 3,
         };
         let mut live = StreamSession::new(Arc::clone(&model), cfg.clone());
         // Drive through refreshes and a compaction, then stop mid-cadence
@@ -407,7 +401,6 @@ mod tests {
             StreamConfig {
                 refresh_every: 0,
                 compact_every: 0,
-                context: 3,
             },
         );
         session.append(0, &wave(0, 80)).unwrap();

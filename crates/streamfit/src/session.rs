@@ -22,8 +22,6 @@ pub struct StreamConfig {
     /// Compact the deltas into a fresh base CSR every this many refreshes.
     /// 0 disables compaction.
     pub compact_every: usize,
-    /// Smoothing context passed to the anomaly scorer.
-    pub context: usize,
 }
 
 impl Default for StreamConfig {
@@ -31,10 +29,12 @@ impl Default for StreamConfig {
         StreamConfig {
             refresh_every: 64,
             compact_every: 8,
-            context: 3,
         }
     }
 }
+
+/// Smoothing context the anomaly scorer uses for streamed series.
+pub(crate) const CONTEXT: usize = 3;
 
 /// One live series the session is tracking.
 pub(crate) struct OpenSeries {
@@ -226,8 +226,10 @@ impl StreamSession {
     }
 
     /// Forces a refresh now: drains the pending triples into the deltas,
-    /// rescores every open series against base + delta, and compacts when
-    /// the cadence is due. Returns the new model on compaction.
+    /// compacts when the cadence is due, and rescores every open series
+    /// against base + delta (after a compaction, the new base and its
+    /// empty delta, so each layer is compacted once). Returns the new
+    /// model on compaction.
     pub fn refresh(&mut self) -> Option<Arc<KGraphModel>> {
         for (l, pending) in self.pending.iter_mut().enumerate() {
             if !pending.is_empty() {
@@ -235,15 +237,13 @@ impl StreamSession {
             }
         }
         self.points_since_refresh = 0;
-        self.rescore_all();
         self.refreshes += 1;
-        if self.cfg.compact_every > 0
+        let compacted = (self.cfg.compact_every > 0
             && self.refreshes.is_multiple_of(self.cfg.compact_every as u64)
-            && self.deltas.iter().any(|d| !d.is_empty())
-        {
-            return Some(self.compact());
-        }
-        None
+            && self.deltas.iter().any(|d| !d.is_empty()))
+        .then(|| self.compact());
+        self.rescore_all();
+        compacted
     }
 
     /// Rescores every open series with the batch scorer, fanned out
@@ -261,9 +261,8 @@ impl StreamSession {
             merged = delta.compact(&layer.graph, sum);
             &merged
         };
-        let context = self.cfg.context;
         let scores = par_map(&self.series, |s| {
-            anomaly_scores_against(layer, graph, &s.values, context).ok()
+            anomaly_scores_against(layer, graph, &s.values, CONTEXT).ok()
         });
         for (s, scores) in self.series.iter_mut().zip(scores) {
             s.scores = scores;

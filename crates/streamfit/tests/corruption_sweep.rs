@@ -77,7 +77,6 @@ fn busy_session(model: KGraphModel) -> StreamSession {
     let cfg = StreamConfig {
         refresh_every: 20,
         compact_every: 0,
-        context: 3,
     };
     let mut session = StreamSession::new(Arc::new(model), cfg);
     let wave =

@@ -70,7 +70,6 @@ fn persisted_bytes_are_pinned_mid_cadence_and_after_compaction() {
     let cfg = StreamConfig {
         refresh_every: 40,
         compact_every: 3,
-        context: 3,
     };
     let mut session = StreamSession::new(Arc::new(fitted()), cfg);
     let mut seq = 0u64;

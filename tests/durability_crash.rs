@@ -33,7 +33,6 @@ fn stream_config() -> StreamConfig {
     StreamConfig {
         refresh_every: 16,
         compact_every: 2,
-        context: 3,
     }
 }
 

@@ -282,7 +282,6 @@ fn streaming_ingest_updates_scores_without_refit() {
             stream: streamfit::StreamConfig {
                 refresh_every: 0,
                 compact_every: 2,
-                context: 3,
             },
             ..ServerConfig::default()
         },
