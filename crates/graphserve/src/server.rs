@@ -10,8 +10,9 @@
 //! `Retry-After` hint and drops the connection — load is shed at the door
 //! in O(µs) instead of queueing unboundedly. A fixed pool of worker
 //! threads takes admitted connections from the one receiver (held behind
-//! a mutex, locked only while waiting for the next connection), parses
-//! one request each (`Connection: close`), dispatches through
+//! a mutex; idle workers wait on a condition variable, so each admission
+//! wakes one of them), parses one request each (`Connection: close`),
+//! dispatches through
 //! [`crate::routes::dispatch`] (with [`ServerConfig::debug_routes`]) and a
 //! per-worker [`StoreReader`](crate::StoreReader) (lock-free model lookup
 //! in steady state) and writes the response. Socket read/write timeouts
@@ -23,9 +24,10 @@
 //!
 //! [`Server::shutdown`] flips a flag and pokes the listener with a
 //! loopback connection so `accept` returns. The accept thread owns the
-//! only sender, so joining it closes the channel: workers still receive
-//! every connection that was already admitted, then `recv` fails and they
-//! exit — in-flight requests complete, new ones are refused.
+//! only sender, so its return closes the channel and it wakes every idle
+//! worker: workers still receive every connection that was already
+//! admitted, then find the channel disconnected and exit — in-flight
+//! requests complete, new ones are refused.
 
 use crate::durability::Durability;
 use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
@@ -35,8 +37,8 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use streamfit::{SessionRegistry, StreamConfig};
@@ -134,16 +136,22 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let (sender, receiver) = sync_channel(config.queue_capacity.max(1));
-        let receiver = Arc::new(Mutex::new(receiver));
+        let admission: Arc<Admission> = Arc::new((Mutex::new(receiver), Condvar::new()));
         let stats = Arc::new(ServerStats::default());
         let shutting_down = Arc::new(AtomicBool::new(false));
 
         let accept_handle = {
+            let admission = Arc::clone(&admission);
             let stats = Arc::clone(&stats);
             let shutting_down = Arc::clone(&shutting_down);
             std::thread::Builder::new()
                 .name("graphserve-accept".into())
-                .spawn(move || accept_loop(listener, sender, &stats, &shutting_down))?
+                .spawn(move || {
+                    accept_loop(listener, sender, &admission, &stats, &shutting_down);
+                    // The sender is gone: wake every idle worker to drain and exit.
+                    drop(lock(&admission.0));
+                    admission.1.notify_all();
+                })?
         };
 
         let n_workers = if config.workers == 0 {
@@ -153,7 +161,7 @@ impl Server {
         };
         let mut worker_handles = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
-            let receiver = Arc::clone(&receiver);
+            let admission = Arc::clone(&admission);
             let stats = Arc::clone(&stats);
             let store = Arc::clone(&store);
             let sessions = Arc::clone(&sessions);
@@ -163,7 +171,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("graphserve-worker-{i}"))
                     .spawn(move || {
-                        worker_loop(&receiver, &stats, &store, &sessions, &durability, &cfg)
+                        worker_loop(&admission, &stats, &store, &sessions, &durability, &cfg)
                     })?,
             );
         }
@@ -201,7 +209,7 @@ impl Server {
         let _ = TcpStream::connect(self.addr);
         // The accept thread owns the only sender: once it has returned the
         // channel is closed, and workers drain what was already admitted
-        // before `recv` fails and they exit.
+        // before they find it disconnected and exit.
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -211,9 +219,21 @@ impl Server {
     }
 }
 
+/// The admission channel's receiver, shared by the workers, and the
+/// condition variable idle workers wait on. Waiting in `recv` instead
+/// would hold the mutex, so an admission would wake that worker and, as
+/// it let go of the lock, the next idle one: two wake-ups and a spinning
+/// lock hand-off per request where this costs one wake-up.
+type Admission = (Mutex<Receiver<TcpStream>>, Condvar);
+
+fn lock(receiver: &Mutex<Receiver<TcpStream>>) -> MutexGuard<'_, Receiver<TcpStream>> {
+    receiver.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn accept_loop(
     listener: TcpListener,
     sender: SyncSender<TcpStream>,
+    admission: &Admission,
     stats: &ServerStats,
     shutting_down: &AtomicBool,
 ) {
@@ -222,11 +242,18 @@ fn accept_loop(
             return;
         }
         let Ok(stream) = stream else { continue };
-        // Counted before the send, so a worker's decrement after `recv`
-        // never runs ahead of it.
+        // Counted before the send, so a worker's decrement after taking
+        // the connection never runs ahead of it.
         let depth = stats.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match sender.try_send(stream) {
+        // Sent under the receiver's lock, so a worker that has just found
+        // the channel empty is already waiting when it is notified.
+        let sent = {
+            let _receiver = lock(&admission.0);
+            sender.try_send(stream)
+        };
+        match sent {
             Ok(()) => {
+                admission.1.notify_one();
                 stats.admitted.fetch_add(1, Ordering::Relaxed);
                 stats.queue_high_water.fetch_max(depth, Ordering::Relaxed);
             }
@@ -254,22 +281,24 @@ fn accept_loop(
 }
 
 /// The next admitted connection, or `None` once the channel is closed and
-/// drained. The receiver's lock is released before the request is served.
-fn next_connection(
-    receiver: &Mutex<Receiver<TcpStream>>,
-    stats: &ServerStats,
-) -> Option<TcpStream> {
-    let stream = receiver
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .recv()
-        .ok()?;
+/// drained. The lock is released before the request is served.
+fn next_connection((receiver, ready): &Admission, stats: &ServerStats) -> Option<TcpStream> {
+    let mut receiver = lock(receiver);
+    let stream = loop {
+        match receiver.try_recv() {
+            Ok(stream) => break stream,
+            Err(TryRecvError::Empty) => {
+                receiver = ready.wait(receiver).unwrap_or_else(|e| e.into_inner());
+            }
+            Err(TryRecvError::Disconnected) => return None,
+        }
+    };
     stats.depth.fetch_sub(1, Ordering::Relaxed);
     Some(stream)
 }
 
 fn worker_loop(
-    receiver: &Mutex<Receiver<TcpStream>>,
+    admission: &Admission,
     stats: &ServerStats,
     store: &ModelStore,
     sessions: &SessionRegistry,
@@ -283,7 +312,7 @@ fn worker_loop(
         stats,
         durability,
     };
-    while let Some(mut stream) = next_connection(receiver, stats) {
+    while let Some(mut stream) = next_connection(admission, stats) {
         let _ = stream.set_read_timeout(Some(cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(cfg.write_timeout));
         let response = match Request::read_from(&mut stream, cfg.max_body_bytes) {
