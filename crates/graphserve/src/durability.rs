@@ -30,16 +30,17 @@
 //!
 //! ## Write path
 //!
-//! The ingest route calls [`Durability::log_ingest`] *before*
-//! `StreamSession::append`, holding the per-model session lock, so the WAL
-//! order is exactly the apply order. Transient I/O errors are retried with
-//! bounded backoff; a failed append is rolled back to the previous record
-//! boundary and surfaced as retryable (`503` upstream). When even the
-//! rollback fails the model flips to degraded read-only — reads keep
-//! serving, writes are refused — rather than risking silent divergence
-//! between the log and the in-memory state. If the apply itself fails
-//! after journaling, [`Durability::revoke_ingest`] removes the record
-//! again: the WAL never holds a record the session did not apply.
+//! The ingest route checks the record with `StreamSession::check_append`,
+//! then calls [`Durability::log_ingest`] *before* `StreamSession::append`,
+//! holding the per-model session lock, so the WAL order is exactly the
+//! apply order. Transient I/O errors are retried with bounded backoff; a
+//! failed append is rolled back to the previous record boundary and
+//! surfaced as retryable (`503` upstream). When even the rollback fails
+//! the model flips to degraded read-only — reads keep serving, writes are
+//! refused — rather than risking silent divergence between the log and
+//! the in-memory state. A journaled record the session nevertheless
+//! refuses degrades the model and stays in the journal, as it does when
+//! recovery replays it.
 //!
 //! ## Locking
 //!
@@ -60,7 +61,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use streamfit::{StreamConfig, StreamSession};
 
@@ -238,34 +239,23 @@ impl Durability {
     /// The slot for `name`, created empty if absent. Holds the registry
     /// lock only for the lookup.
     fn slot(&self, name: &str) -> Arc<Mutex<ModelDur>> {
-        let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(models.entry(name.to_string()).or_default())
+        Arc::clone(lock(&self.models).entry(name.to_string()).or_default())
     }
 
     /// The slot for `name`, or `None` when it was never registered.
     fn lookup(&self, name: &str) -> Option<Arc<Mutex<ModelDur>>> {
-        self.models
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .cloned()
+        lock(&self.models).get(name).cloned()
     }
 
     /// Every degraded model with its reason, sorted by name.
     pub fn degraded_models(&self) -> Vec<(String, String)> {
-        let slots: Vec<(String, Arc<Mutex<ModelDur>>)> = self
-            .models
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let slots: Vec<(String, Arc<Mutex<ModelDur>>)> = lock(&self.models)
             .iter()
             .map(|(n, s)| (n.clone(), Arc::clone(s)))
             .collect();
         let mut out: Vec<_> = slots
             .into_iter()
-            .filter_map(|(n, s)| {
-                let entry = s.lock().unwrap_or_else(|e| e.into_inner());
-                entry.degraded.clone().map(|reason| (n, reason))
-            })
+            .filter_map(|(n, s)| lock(&s).degraded.clone().map(|reason| (n, reason)))
             .collect();
         out.sort();
         out
@@ -448,7 +438,7 @@ impl Durability {
         // state is exactly "no series, no deltas, counters at zero".
         let session = StreamSession::new(Arc::clone(model), cfg.clone());
         let slot = self.slot(name);
-        let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entry = lock(&slot);
         if entry.degraded.take().is_some() {
             // Re-registering (re-fit) clears a previous degradation.
             self.counters
@@ -477,7 +467,7 @@ impl Durability {
             return Ok(());
         }
         let slot = self.slot(name);
-        let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entry = lock(&slot);
         // A fresh slot starts zeroed; anchor it at the recovered sequence
         // so the retirement arithmetic sees "nothing pending".
         if entry.wal.is_none() && entry.degraded.is_none() {
@@ -504,7 +494,7 @@ impl Durability {
     pub fn degrade(&self, name: &str, reason: String) {
         if self.enabled {
             let slot = self.slot(name);
-            let mut entry = slot.lock().unwrap_or_else(|e| e.into_inner());
+            let mut entry = lock(&slot);
             self.degrade_locked(name, &mut entry, reason);
         }
     }
@@ -525,7 +515,7 @@ impl Durability {
         // Only this model's slot is held across the append, its fsync and
         // any retry backoff — a stalled disk on one model never blocks
         // another model's ingest.
-        let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock(&slot);
         let entry = &mut *guard;
         if let Some(reason) = &entry.degraded {
             return IngestLog::Degraded {
@@ -567,56 +557,6 @@ impl Durability {
         }
     }
 
-    /// Revokes the WAL record `seq` that [`log_ingest`](Self::log_ingest)
-    /// just wrote, because the in-memory apply that follows it failed.
-    /// Must be called with the per-model session lock still held, so no
-    /// later record can have landed in between. If the record cannot be
-    /// removed the model degrades read-only: a journal holding a record
-    /// the session never applied would stop replay there on recovery and
-    /// discard every later acknowledged record.
-    pub fn revoke_ingest(&self, name: &str, seq: u64) {
-        if !self.enabled || seq == 0 {
-            return;
-        }
-        let Some(slot) = self.lookup(name) else {
-            return;
-        };
-        let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = &mut *guard;
-        if entry.degraded.is_some() {
-            return;
-        }
-        let Some(wal) = entry.wal.as_mut() else {
-            return;
-        };
-        if wal.next_seq() != seq + 1 {
-            // Not the most recent record — cannot happen while the
-            // session lock is held, but never truncate blindly.
-            self.degrade_locked(
-                name,
-                entry,
-                format!("cannot revoke unapplied WAL record {seq}: log already advanced past it"),
-            );
-            return;
-        }
-        match wal.revoke_last() {
-            Ok(()) => {
-                entry.seq = seq - 1;
-                self.counters
-                    .wal_records_written
-                    .fetch_sub(1, Ordering::Relaxed);
-                self.counters
-                    .records_since_snapshot
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
-            Err(e) => self.degrade_locked(
-                name,
-                entry,
-                format!("could not revoke unapplied WAL record {seq}: {e}"),
-            ),
-        }
-    }
-
     /// Called after a successful append with the session still locked:
     /// snapshots on the refresh cadence (or on compaction).
     pub fn after_append(&self, name: &str, session: &StreamSession, outcome_refreshed: bool) {
@@ -626,7 +566,7 @@ impl Durability {
         let Some(slot) = self.lookup(name) else {
             return;
         };
-        let mut guard = slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock(&slot);
         let entry = &mut *guard;
         if entry.degraded.is_some() {
             return;
@@ -657,18 +597,19 @@ impl Durability {
         if !self.enabled {
             return false;
         }
-        let removed = {
-            let mut models = self.models.lock().unwrap_or_else(|e| e.into_inner());
-            models.remove(name)
-        };
+        let removed = lock(&self.models).remove(name);
         let known = removed.is_some();
         if let Some(slot) = removed {
-            let m = slot.lock().unwrap_or_else(|e| e.into_inner());
+            let m = lock(&slot);
             if m.degraded.is_some() {
                 self.counters
                     .models_degraded
                     .fetch_sub(1, Ordering::Relaxed);
             }
+            // The records a snapshot would have retired go with the model.
+            self.counters
+                .records_since_snapshot
+                .fetch_sub(m.seq.saturating_sub(m.snapshot_seq), Ordering::Relaxed);
         }
         let dir = self.model_dir(name);
         if !durable_name(name) || !self.fs.exists(&dir) {
@@ -705,6 +646,10 @@ pub(crate) fn snapshot_pairs(entries: &[PathBuf]) -> Vec<u64> {
         .collect();
     seqs.sort_unstable();
     seqs
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Whether an I/O error is worth a bounded retry.

@@ -12,10 +12,9 @@
 //!   ([`kgraph::serial`]) or are fitted on demand.
 //! - [`server::Server`] — a hand-rolled threaded HTTP/1.1 server (the
 //!   image carries no async runtime): one accept thread, a bounded
-//!   `std::sync::mpsc::sync_channel` for admission that sheds overload
-//!   with a fast `503` + `Retry-After`, a worker pool sharing its
-//!   receiver, per-request socket timeouts and a drain-then-exit graceful
-//!   shutdown.
+//!   admission queue that sheds overload with a fast `503` +
+//!   `Retry-After`, a worker pool taking from it, per-request socket
+//!   timeouts and a drain-then-exit graceful shutdown.
 //! - [`routes`] — `score` / `features` / `predict` / `graphoid` /
 //!   `render` / `batch` endpoints speaking JSON (and CSV on request);
 //!   the batch endpoint fans rows over a bounded in-process pool using

@@ -32,7 +32,7 @@ use kgraph::pipeline::{KGraph, KGraphModel};
 use kgraph::KGraphConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use streamfit::{SessionRegistry, StreamStatus};
+use streamfit::{SessionRegistry, StreamSession, StreamStatus};
 use tscore::error::TsError;
 use tscore::par::par_map;
 use tscore::{Dataset, DatasetKind, TimeSeries};
@@ -839,20 +839,45 @@ fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         None => query_usize(req, "series", 0)?,
     };
     let session = ctx.sessions.session_for(name, &model);
-    let mut guard = session.lock().unwrap_or_else(|e| e.into_inner());
-    // Definitely-invalid appends are refused *before* the WAL sees them:
-    // a journaled record must be replayable.
-    if index > guard.open_series() {
-        return Err(error_response(&TsError::InvalidParameter(format!(
-            "series index {index} out of range (session has {}; the next new index is {})",
-            guard.open_series(),
-            guard.open_series()
-        ))));
+    let answer = {
+        let mut guard = session.lock().unwrap_or_else(|e| e.into_inner());
+        append_journaled(ctx, name, &mut guard, index, &points)
+    };
+    // Both the lock and the `Arc` are gone before the registry is touched
+    // again: `session_for` takes the registry lock first, and
+    // `remove_if_empty` keeps a session anyone else still holds.
+    drop(session);
+    match answer {
+        Ok((response, evicted)) => {
+            for victim in &evicted {
+                ctx.sessions.remove(victim);
+            }
+            Ok(response)
+        }
+        Err(refusal) => {
+            // A refused first ingest leaves no empty session behind.
+            ctx.sessions.remove_if_empty(name);
+            Err(refusal)
+        }
     }
-    // Journal first, apply second, both under the session lock — the WAL
-    // order is the apply order. A WAL failure refuses the ingest without
-    // touching the session, so the two can never silently diverge.
-    let wal_seq = match ctx.durability.log_ingest(name, index as u32, &points) {
+}
+
+/// Checks, journals and applies one ingest under the session lock, so the
+/// WAL order is the apply order. Returns the answer and the models that
+/// publishing a compaction evicted.
+fn append_journaled(
+    ctx: &RouteContext<'_>,
+    name: &str,
+    session: &mut StreamSession,
+    index: usize,
+    points: &[f64],
+) -> Result<(Response, Vec<String>), Response> {
+    // Refused before the WAL sees it: a journaled record is one the
+    // session applies, live and on replay.
+    session
+        .check_append(index)
+        .map_err(|e| error_response(&e))?;
+    let seq = match ctx.durability.log_ingest(name, index as u32, points) {
         IngestLog::Logged { seq } => seq,
         IngestLog::Unavailable { reason } => {
             return Err(
@@ -867,44 +892,37 @@ fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
             ));
         }
     };
+    let outcome = session.append(index, points).map_err(|e| {
+        // Recovery's policy for a journaled record the session refuses:
+        // degrade, keep the journal.
+        ctx.durability.degrade(
+            name,
+            format!(
+                "WAL record {seq} could not be applied: {e}; \
+                 refusing writes and keeping the journal"
+            ),
+        );
+        error_response(&e)
+    })?;
     let mut evicted = Vec::new();
-    let answer = match guard.append(index, &points) {
-        Ok(outcome) => {
-            if let Some(next) = &outcome.compacted {
-                // Publish the compacted base: a new snapshot version for
-                // future readers; in-flight readers keep the old Arc.
-                evicted = ctx.store.insert_evicting(name, Arc::clone(next)).1;
-            }
-            // Snapshot on the refresh cadence (still under the session
-            // lock, so the pair is a consistent point-in-time image).
-            ctx.durability.after_append(name, &guard, outcome.refreshed);
-            Ok(Response::json(
-                200,
-                format!(
-                    "{{\"series\":{index},\"appended\":{},\"new_windows\":{},\
-                     \"refreshed\":{},\"compacted\":{}}}",
-                    points.len(),
-                    outcome.new_windows,
-                    outcome.refreshed,
-                    outcome.compacted.is_some()
-                ),
-            ))
-        }
-        Err(e) => {
-            // The journal holds a record the session refused: revoke it
-            // (still under the session lock) so replay can never apply
-            // what the live session did not.
-            ctx.durability.revoke_ingest(name, wal_seq);
-            Err(error_response(&e))
-        }
-    };
-    // The publish above ran under this session's lock, so the evicted
-    // models' sessions are dropped only after it is released.
-    drop(guard);
-    for victim in &evicted {
-        ctx.sessions.remove(victim);
+    if let Some(next) = &outcome.compacted {
+        // Publish the compacted base: a new snapshot version for future
+        // readers; in-flight readers keep the old Arc.
+        evicted = ctx.store.insert_evicting(name, Arc::clone(next)).1;
     }
-    answer
+    // Snapshot on the refresh cadence (still under the session lock, so
+    // the pair is a consistent point-in-time image).
+    ctx.durability
+        .after_append(name, session, outcome.refreshed);
+    let body = format!(
+        "{{\"series\":{index},\"appended\":{},\"new_windows\":{},\
+         \"refreshed\":{},\"compacted\":{}}}",
+        points.len(),
+        outcome.new_windows,
+        outcome.refreshed,
+        outcome.compacted.is_some()
+    );
+    Ok((Response::json(200, body), evicted))
 }
 
 fn stream_status_json(status: &StreamStatus) -> String {
@@ -1733,5 +1751,111 @@ mod tests {
         assert!(!dir.0.join("a").exists(), "DELETE removed a's state dir");
         assert_eq!(call("DELETE", "/models/a", ""), 404);
         assert!(dir.0.join("b").is_dir());
+    }
+
+    /// The value of the `graphserve_{name}` line of `/metrics`.
+    fn metric(ctx: &TestCtx, name: &str) -> u64 {
+        let resp = handle(&request("GET", "/metrics", b""), &mut ctx.reader(), ctx);
+        let line = format!("graphserve_{name} ");
+        body_text(&resp)
+            .lines()
+            .find_map(|l| l.strip_prefix(line.as_str()))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in /metrics"))
+    }
+
+    #[test]
+    fn delete_retires_the_records_since_snapshot_gauge() {
+        let dir = StateDir::new("delete-gauge");
+        let ctx = durable_ctx(0, &dir);
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            handle(&request(method, target, body.as_bytes()), &mut reader, &ctx).status
+        };
+        assert_eq!(call("PUT", "/models/x?k=2", &fit_body()), 201);
+        // 40 points, below the default refresh cadence: no snapshot.
+        assert_eq!(call("POST", "/models/x/ingest", &ingest_body()), 200);
+        assert_eq!(metric(&ctx, "records_since_snapshot"), 1);
+        assert_eq!(call("DELETE", "/models/x", ""), 200);
+        assert_eq!(metric(&ctx, "records_since_snapshot"), 0);
+    }
+
+    #[test]
+    fn a_refused_ingest_leaves_no_session_behind() {
+        let dir = StateDir::new("refused-session");
+        let ctx = durable_ctx(0, &dir);
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            let resp = handle(&request(method, target, body.as_bytes()), &mut reader, &ctx);
+            (resp.status, body_text(&resp).to_string())
+        };
+        assert_eq!(call("PUT", "/models/x?k=2", &fit_body()).0, 201);
+        // Degraded: the name is not a safe directory name.
+        assert_eq!(call("PUT", "/models/a:b?k=2", &fit_body()).0, 201);
+        // Journal unavailable: served, but never registered for durability.
+        let model = ctx.store.reader().get("x").unwrap();
+        ctx.store.insert("raw", model);
+        let sessions = metric(&ctx, "stream_sessions");
+        for (name, query, status) in [("x", "?series=3", 422), ("a:b", "", 503), ("raw", "", 503)] {
+            let (got, body) = call(
+                "POST",
+                &format!("/models/{name}/ingest{query}"),
+                &ingest_body(),
+            );
+            assert_eq!(got, status, "{name}: {body}");
+            assert_eq!(
+                call("GET", &format!("/models/{name}/stream-status"), ""),
+                (200, "{\"active\":false,\"series\":[]}".to_string()),
+                "{name}"
+            );
+            assert_eq!(metric(&ctx, "stream_sessions"), sessions, "{name}");
+        }
+    }
+
+    #[test]
+    fn an_empty_layer_is_refused_before_the_journal() {
+        let dir = StateDir::new("empty-layer");
+        let ctx = durable_ctx(0, &dir);
+        let fitted = demo_store().store.reader().get("demo").unwrap();
+        let mut hollow = fitted.layers[0].clone();
+        hollow.graph = tsgraph::GraphBuilder::new().build(Vec::new(), |w: &mut f64, x| *w += x);
+        let model = Arc::new(KGraphModel::new(
+            fitted.config.clone(),
+            vec![fitted.layers[0].clone(), hollow],
+            fitted.labels.clone(),
+            fitted.scores.clone(),
+            0,
+        ));
+        ctx.store.insert("hollow", Arc::clone(&model));
+        ctx.durability
+            .persist_initial("hollow", &model, ctx.sessions.config());
+        let written = || {
+            ctx.durability
+                .counters()
+                .wal_records_written
+                .load(Ordering::Relaxed)
+        };
+
+        let resp = handle(
+            &request("POST", "/models/hollow/ingest", ingest_body().as_bytes()),
+            &mut ctx.reader(),
+            &ctx,
+        );
+        assert_eq!(resp.status, 500);
+        assert_eq!(
+            body_text(&resp),
+            format!(
+                "{{\"error\":\"{}\"}}",
+                TsError::Degenerate("graph layer has no nodes; cannot route series".into())
+            )
+        );
+        assert_eq!(written(), 0, "nothing journaled");
+        // Still writable: not degraded, and its journal takes records.
+        assert_eq!(metric(&ctx, "models_degraded"), 0);
+        assert!(matches!(
+            ctx.durability.log_ingest("hollow", 0, &[0.5]),
+            IngestLog::Logged { seq: 1 }
+        ));
+        assert_eq!(written(), 1);
     }
 }

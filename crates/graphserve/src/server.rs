@@ -1,18 +1,17 @@
-//! The threaded server: accept loop, bounded admission channel, worker
+//! The threaded server: accept loop, bounded admission queue, worker
 //! pool, graceful shutdown.
 //!
 //! ## Threading model
 //!
-//! One accept thread pulls connections off the listener and *tries* to
-//! send them into a `std::sync::mpsc::sync_channel` of
-//! [`ServerConfig::queue_capacity`] slots. When the channel is full, the
-//! accept thread itself writes a tiny `503 Service Unavailable` with a
-//! `Retry-After` hint and drops the connection — load is shed at the door
-//! in O(µs) instead of queueing unboundedly. A fixed pool of worker
-//! threads takes admitted connections from the one receiver (held behind
-//! a mutex; idle workers wait on a condition variable, so each admission
-//! wakes one of them), parses one request each (`Connection: close`),
-//! dispatches through
+//! One accept thread pulls connections off the listener and pushes them
+//! onto a queue of [`ServerConfig::queue_capacity`] slots, a `VecDeque`
+//! behind a mutex. When the queue is full, the accept thread itself
+//! writes a tiny `503 Service Unavailable` with a `Retry-After` hint and
+//! drops the connection — load is shed at the door in O(µs) instead of
+//! queueing unboundedly. A fixed pool of worker threads takes admitted
+//! connections from the queue (idle workers wait on a condition variable,
+//! so each admission wakes one of them), parses one request each
+//! (`Connection: close`), dispatches through
 //! [`crate::routes::dispatch`] (with [`ServerConfig::debug_routes`]) and a
 //! per-worker [`StoreReader`](crate::StoreReader) (lock-free model lookup
 //! in steady state) and writes the response. Socket read/write timeouts
@@ -23,21 +22,21 @@
 //! ## Shutdown
 //!
 //! [`Server::shutdown`] flips a flag and pokes the listener with a
-//! loopback connection so `accept` returns. The accept thread owns the
-//! only sender, so its return closes the channel and it wakes every idle
-//! worker: workers still receive every connection that was already
-//! admitted, then find the channel disconnected and exit — in-flight
-//! requests complete, new ones are refused.
+//! loopback connection so `accept` returns. On its way out the accept
+//! thread marks the queue closed and wakes every idle worker: workers
+//! still take every connection that was already admitted, then find the
+//! queue closed and empty and exit — in-flight requests complete, new
+//! ones are refused.
 
 use crate::durability::Durability;
 use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
 use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
+use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -50,7 +49,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads (0 = one per hardware thread).
     pub workers: usize,
-    /// Admission-channel capacity (min 1); connections beyond it get a
+    /// Admission-queue capacity (min 1); connections beyond it get a
     /// fast 503.
     pub queue_capacity: usize,
     /// Socket read timeout per request.
@@ -86,17 +85,14 @@ impl Default for ServerConfig {
 /// Monotonic counters, shared by all server threads.
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// Requests admitted to the channel.
+    /// Requests admitted to the queue.
     pub admitted: AtomicU64,
     /// Connections shed with a 503.
     pub shed: AtomicU64,
     /// Responses written by workers.
     pub served: AtomicU64,
-    /// Highest admission-channel depth observed by the accept thread.
+    /// Highest admission-queue length observed by the accept thread.
     pub queue_high_water: AtomicU64,
-    /// Connections in the admission channel (counted from just before
-    /// the send until a worker takes them).
-    depth: AtomicU64,
     /// Requests whose handler panicked (each answered with a 500).
     pub handler_panics: AtomicU64,
     /// Requests per entry of the route table, in table order; the last
@@ -135,8 +131,8 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let (sender, receiver) = sync_channel(config.queue_capacity.max(1));
-        let admission: Arc<Admission> = Arc::new((Mutex::new(receiver), Condvar::new()));
+        let admission = Arc::new(Admission::default());
+        let capacity = config.queue_capacity.max(1);
         let stats = Arc::new(ServerStats::default());
         let shutting_down = Arc::new(AtomicBool::new(false));
 
@@ -147,10 +143,10 @@ impl Server {
             std::thread::Builder::new()
                 .name("graphserve-accept".into())
                 .spawn(move || {
-                    accept_loop(listener, sender, &admission, &stats, &shutting_down);
-                    // The sender is gone: wake every idle worker to drain and exit.
-                    drop(lock(&admission.0));
-                    admission.1.notify_all();
+                    accept_loop(listener, capacity, &admission, &stats, &shutting_down);
+                    // Wake every idle worker to drain and exit.
+                    admission.lock().closed = true;
+                    admission.ready.notify_all();
                 })?
         };
 
@@ -207,9 +203,8 @@ impl Server {
         // Poke the blocking accept() so it observes the flag. The woken
         // connection is dropped unanswered, which is fine: it is ours.
         let _ = TcpStream::connect(self.addr);
-        // The accept thread owns the only sender: once it has returned the
-        // channel is closed, and workers drain what was already admitted
-        // before they find it disconnected and exit.
+        // Once the accept thread has returned the queue is closed, and
+        // workers drain what was already admitted before they exit.
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -219,20 +214,46 @@ impl Server {
     }
 }
 
-/// The admission channel's receiver, shared by the workers, and the
-/// condition variable idle workers wait on. Waiting in `recv` instead
-/// would hold the mutex, so an admission would wake that worker and, as
-/// it let go of the lock, the next idle one: two wake-ups and a spinning
-/// lock hand-off per request where this costs one wake-up.
-type Admission = (Mutex<Receiver<TcpStream>>, Condvar);
+/// The admission queue the accept thread pushes to and the workers take
+/// from, and the condition variable idle workers wait on, so each
+/// admission wakes one of them.
+#[derive(Default)]
+struct Admission {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+}
 
-fn lock(receiver: &Mutex<Receiver<TcpStream>>) -> MutexGuard<'_, Receiver<TcpStream>> {
-    receiver.lock().unwrap_or_else(|e| e.into_inner())
+#[derive(Default)]
+struct Queue {
+    streams: VecDeque<TcpStream>,
+    /// Set when the accept thread returns: nothing more will be pushed.
+    closed: bool,
+}
+
+impl Admission {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The next admitted connection, or `None` once the queue is closed
+    /// and drained. The lock is released before the request is served.
+    fn next(&self) -> Option<TcpStream> {
+        let mut queue = self.lock();
+        loop {
+            if let Some(stream) = queue.streams.pop_front() {
+                return Some(stream);
+            }
+            if queue.closed {
+                return None;
+            }
+            queue = self.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
+        }
+    }
 }
 
 fn accept_loop(
     listener: TcpListener,
-    sender: SyncSender<TcpStream>,
+    capacity: usize,
     admission: &Admission,
     stats: &ServerStats,
     shutting_down: &AtomicBool,
@@ -241,60 +262,35 @@ fn accept_loop(
         if shutting_down.load(Ordering::SeqCst) {
             return;
         }
-        let Ok(stream) = stream else { continue };
-        // Counted before the send, so a worker's decrement after taking
-        // the connection never runs ahead of it.
-        let depth = stats.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        // Sent under the receiver's lock, so a worker that has just found
-        // the channel empty is already waiting when it is notified.
-        let sent = {
-            let _receiver = lock(&admission.0);
-            sender.try_send(stream)
-        };
-        match sent {
-            Ok(()) => {
-                admission.1.notify_one();
-                stats.admitted.fetch_add(1, Ordering::Relaxed);
-                stats.queue_high_water.fetch_max(depth, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(mut stream)) => {
-                stats.depth.fetch_sub(1, Ordering::Relaxed);
-                stats.shed.fetch_add(1, Ordering::Relaxed);
-                // Shed at the door: cheap fixed response, then drop. Short
-                // timeouts keep a slow peer from stalling the accept loop.
-                let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-                let resp = Response::error(503, "server is at capacity, try again")
-                    .with_header("retry-after", RETRY_AFTER_SECS.to_string());
-                let _ = resp.write_to(&mut stream);
-                // Closing with the request still unread would RST the
-                // connection and can discard the 503 before the client
-                // reads it. Signal end-of-response, then drain until the
-                // peer closes (or the short timeout fires).
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let mut sink = [0u8; 1024];
-                while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
-            }
-            Err(TrySendError::Disconnected(_)) => return,
+        let Ok(mut stream) = stream else { continue };
+        let mut queue = admission.lock();
+        if queue.streams.len() < capacity {
+            queue.streams.push_back(stream);
+            stats
+                .queue_high_water
+                .fetch_max(queue.streams.len() as u64, Ordering::Relaxed);
+            drop(queue);
+            admission.ready.notify_one();
+            stats.admitted.fetch_add(1, Ordering::Relaxed);
+            continue;
         }
+        drop(queue);
+        stats.shed.fetch_add(1, Ordering::Relaxed);
+        // Shed at the door: cheap fixed response, then drop. Short timeouts
+        // keep a slow peer from stalling the accept loop.
+        let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+        let resp = Response::error(503, "server is at capacity, try again")
+            .with_header("retry-after", RETRY_AFTER_SECS.to_string());
+        let _ = resp.write_to(&mut stream);
+        // Closing with the request still unread would RST the connection
+        // and can discard the 503 before the client reads it. Signal
+        // end-of-response, then drain until the peer closes (or the short
+        // timeout fires).
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut sink = [0u8; 1024];
+        while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
     }
-}
-
-/// The next admitted connection, or `None` once the channel is closed and
-/// drained. The lock is released before the request is served.
-fn next_connection((receiver, ready): &Admission, stats: &ServerStats) -> Option<TcpStream> {
-    let mut receiver = lock(receiver);
-    let stream = loop {
-        match receiver.try_recv() {
-            Ok(stream) => break stream,
-            Err(TryRecvError::Empty) => {
-                receiver = ready.wait(receiver).unwrap_or_else(|e| e.into_inner());
-            }
-            Err(TryRecvError::Disconnected) => return None,
-        }
-    };
-    stats.depth.fetch_sub(1, Ordering::Relaxed);
-    Some(stream)
 }
 
 fn worker_loop(
@@ -312,7 +308,7 @@ fn worker_loop(
         stats,
         durability,
     };
-    while let Some(mut stream) = next_connection(admission, stats) {
+    while let Some(mut stream) = admission.next() {
         let _ = stream.set_read_timeout(Some(cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(cfg.write_timeout));
         let response = match Request::read_from(&mut stream, cfg.max_body_bytes) {

@@ -21,7 +21,10 @@
 //! written and — on the group-commit cadence — fsync'd. On a failed append
 //! it rolls the file back to the previous record boundary so a retry
 //! cannot produce a duplicate; when even the rollback fails the WAL is
-//! poisoned and the caller must stop accepting writes for this model.
+//! poisoned and the caller must stop accepting writes for this model. An
+//! acknowledged record is never taken back: the ingest route checks a
+//! record before journaling it, and one the session refuses anyway
+//! degrades the model with the journal left as it is.
 
 use crate::fsio::{Fs, WalFile};
 use kgraph::checksum::crc32;
@@ -221,9 +224,6 @@ pub struct Wal {
     next_seq: u64,
     sync_every: u64,
     appends_since_sync: u64,
-    /// Length before the most recent successful append, while that
-    /// record is still revocable (nothing appended after it).
-    last_boundary: Option<u64>,
 }
 
 impl Wal {
@@ -263,7 +263,6 @@ impl Wal {
             next_seq: base_seq + 1,
             sync_every: sync_every.max(1),
             appends_since_sync: 0,
-            last_boundary: None,
         })
     }
 
@@ -280,13 +279,7 @@ impl Wal {
             next_seq,
             sync_every: sync_every.max(1),
             appends_since_sync: 0,
-            last_boundary: None,
         })
-    }
-
-    /// The sequence number the next append will get.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
     }
 
     /// Appends one ingest record and group-commits on the configured
@@ -317,7 +310,6 @@ impl Wal {
                 } else {
                     self.appends_since_sync + 1
                 };
-                self.last_boundary = Some(self.len);
                 self.len += record.len() as u64;
                 self.next_seq += 1;
                 Ok((seq, synced))
@@ -331,41 +323,6 @@ impl Wal {
                 })
             }
         }
-    }
-
-    /// Revokes the most recent append: truncates the file back to the
-    /// boundary before it and rewinds the sequence counter. Used when
-    /// the in-memory apply that follows journaling fails — the log must
-    /// never retain a record the session did not apply, or replay would
-    /// stop at it and discard every later acknowledged record.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidInput`] when there is no revocable record
-    /// (nothing appended through this handle, or the last record was
-    /// already revoked); otherwise the truncation error. On error the
-    /// on-disk tail may still hold the record and the caller must stop
-    /// accepting writes for this model.
-    pub fn revoke_last(&mut self) -> io::Result<()> {
-        let Some(boundary) = self.last_boundary else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "no revocable record",
-            ));
-        };
-        self.file.set_len(boundary)?;
-        self.last_boundary = None;
-        self.len = boundary;
-        self.next_seq -= 1;
-        self.appends_since_sync = self.appends_since_sync.saturating_sub(1);
-        Ok(())
-    }
-
-    /// Forces an fsync now, resetting the group-commit countdown.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync()?;
-        self.appends_since_sync = 0;
-        Ok(())
     }
 }
 

@@ -11,7 +11,7 @@
 //! code path is byte-for-byte the production one; only the filesystem
 //! lies.
 
-use graphserve::durability::{Durability, DurabilityConfig, IngestLog};
+use graphserve::durability::{Durability, DurabilityConfig};
 use graphserve::fsio::{Fs, StdFs, WalFile};
 use graphserve::http::{Request, Response};
 use graphserve::recovery::recover;
@@ -1069,57 +1069,6 @@ fn dir_fsync_failure_after_rename_degrades_instead_of_losing_acks() {
             ..FlakyPlan::default()
         },
     );
-}
-
-// ---------------------------------------------------------------------------
-// Revocation: the journal never holds a record the session did not apply
-// ---------------------------------------------------------------------------
-
-#[test]
-fn revoked_wal_record_is_gone_from_journal_and_replay() {
-    let dir = TempDir::new("revoke");
-    let durability = Durability::new(durability_config(dir.path(), 1_000));
-    let h = Harness::new(durability);
-    for i in 0..2 {
-        let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
-        assert_eq!(resp.status, 200, "{}", body_text(&resp));
-    }
-    // Journal a record and revoke it, as the ingest route does when the
-    // in-memory apply fails after journaling.
-    let seq = match h.durability.log_ingest("demo", 0, &[0.25; 8]) {
-        IngestLog::Logged { seq } => seq,
-        other => panic!("journaling failed: {other:?}"),
-    };
-    assert_eq!(seq, 3);
-    h.durability.revoke_ingest("demo", seq);
-    // The next ingest reuses the sequence — no gap, no orphaned record.
-    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(2));
-    assert_eq!(resp.status, 200, "{}", body_text(&resp));
-    assert_eq!(
-        h.durability
-            .counters()
-            .wal_records_written
-            .load(Ordering::Relaxed),
-        3,
-        "the revoked record is not counted as written"
-    );
-    drop(h);
-
-    let wal_bytes = std::fs::read(dir.path().join("demo").join("wal.log")).expect("wal exists");
-    let rep = wal::replay(&wal_bytes).expect("valid journal");
-    assert_eq!(rep.records.len(), 3, "exactly the applied records remain");
-    assert!(!rep.torn, "revocation leaves a clean tail");
-    assert!(
-        rep.records.iter().all(|r| r.points != vec![0.25; 8]),
-        "the revoked record is gone from the journal"
-    );
-
-    let durability = Durability::new(durability_config(dir.path(), 1_000));
-    let h = Harness::empty(durability);
-    let report = recover(&h.durability, &h.store, &h.sessions);
-    assert_eq!(report.recovered, vec!["demo".to_string()], "{report:?}");
-    assert_eq!(report.replayed_records, 3);
-    assert_eq!(points_total(&h), 24, "exactly the applied records replay");
 }
 
 // ---------------------------------------------------------------------------

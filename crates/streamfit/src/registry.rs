@@ -3,7 +3,7 @@
 use crate::session::{StreamConfig, StreamSession};
 use kgraph::pipeline::KGraphModel;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sessions keyed by model name. Writes (ingest, refresh) serialise on the
 /// per-session mutex; model *readers* never touch this registry at all —
@@ -20,6 +20,10 @@ pub struct SessionRegistry {
     sessions: Mutex<HashMap<String, Arc<Mutex<StreamSession>>>>,
 }
 
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl SessionRegistry {
     /// Registry opening sessions with `cfg`.
     pub fn new(cfg: StreamConfig) -> Self {
@@ -32,13 +36,9 @@ impl SessionRegistry {
     /// The session for `name` over `model`, opened (or re-opened, if the
     /// served model changed) on demand.
     pub fn session_for(&self, name: &str, model: &Arc<KGraphModel>) -> Arc<Mutex<StreamSession>> {
-        let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
+        let mut sessions = lock(&self.sessions);
         if let Some(existing) = sessions.get(name) {
-            let current = {
-                let guard = existing.lock().unwrap_or_else(|e| e.into_inner());
-                Arc::ptr_eq(guard.model(), model)
-            };
-            if current {
+            if Arc::ptr_eq(lock(existing).model(), model) {
                 return Arc::clone(existing);
             }
         }
@@ -59,10 +59,7 @@ impl SessionRegistry {
     /// [`session_for`]: SessionRegistry::session_for
     pub fn install(&self, name: &str, session: StreamSession) -> Arc<Mutex<StreamSession>> {
         let session = Arc::new(Mutex::new(session));
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(name.to_string(), Arc::clone(&session));
+        lock(&self.sessions).insert(name.to_string(), Arc::clone(&session));
         session
     }
 
@@ -74,28 +71,30 @@ impl SessionRegistry {
     /// The session for `name` if one is open, without creating or
     /// validating it.
     pub fn get(&self, name: &str) -> Option<Arc<Mutex<StreamSession>>> {
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .cloned()
+        lock(&self.sessions).get(name).cloned()
     }
 
     /// Drops the session of `name` (e.g. when its model is deleted).
     pub fn remove(&self, name: &str) -> bool {
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(name)
-            .is_some()
+        lock(&self.sessions).remove(name).is_some()
+    }
+
+    /// Drops the session of `name` when nothing but the registry holds it
+    /// and it has no open series: what a refused first ingest leaves.
+    /// Takes the registry lock before the session lock, as
+    /// [`session_for`](Self::session_for) does.
+    pub fn remove_if_empty(&self, name: &str) {
+        let mut sessions = lock(&self.sessions);
+        let unused =
+            |s: &Arc<Mutex<StreamSession>>| Arc::strong_count(s) == 1 && lock(s).open_series() == 0;
+        if sessions.get(name).is_some_and(unused) {
+            sessions.remove(name);
+        }
     }
 
     /// Number of open sessions.
     pub fn len(&self) -> usize {
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        lock(&self.sessions).len()
     }
 
     /// Whether no sessions are open.

@@ -175,12 +175,12 @@ impl StreamSession {
         self.compactions
     }
 
-    /// Appends `points` to series `index`. `index == open_series()` opens
-    /// a new series; larger indices error. New complete windows are routed
-    /// through every layer's stored embedding and their transitions
-    /// buffered; the refresh/compaction cadences fire inside this call
-    /// when due.
-    pub fn append(&mut self, index: usize, points: &[f64]) -> Result<AppendOutcome, TsError> {
+    /// Whether [`append`](Self::append) to series `index` would be
+    /// applied: `index` is at most `open_series()`, and every model layer
+    /// has nodes to route windows through. `append` refuses exactly when
+    /// this does, before it changes anything, so a caller can check before
+    /// it journals.
+    pub fn check_append(&self, index: usize) -> Result<(), TsError> {
         if index > self.series.len() {
             return Err(TsError::InvalidParameter(format!(
                 "series index {index} out of range (session has {}; the next new index is {})",
@@ -188,6 +188,21 @@ impl StreamSession {
                 self.series.len()
             )));
         }
+        if self.model.layers.iter().any(|l| l.graph.node_count() == 0) {
+            return Err(TsError::Degenerate(
+                "graph layer has no nodes; cannot route series".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Appends `points` to series `index`. `index == open_series()` opens
+    /// a new series; the refusals are [`check_append`](Self::check_append)'s.
+    /// New complete windows are routed through every layer's stored
+    /// embedding and their transitions buffered; the refresh/compaction
+    /// cadences fire inside this call when due.
+    pub fn append(&mut self, index: usize, points: &[f64]) -> Result<AppendOutcome, TsError> {
+        self.check_append(index)?;
         if index == self.series.len() {
             let n_layers = self.model.layers.len();
             self.series.push(OpenSeries {
