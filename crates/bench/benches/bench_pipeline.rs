@@ -9,13 +9,15 @@
 //! 1,002 series and the embedding of 1,002 series all live under the
 //! `fit` stage, as does the radial scan of 1,002 series' shortest
 //! length; per-request reads of a model fitted on 1,002 series live
-//! under `serve`.
+//! under `serve`; encoding and decoding the sealed snapshot of the
+//! `ingest_durable` model live under `persist`.
 
 use bench::stages::{ScaleFixture, ServeFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::embed::project_subsequences;
 use kgraph::nodes::radial_scan;
+use kgraph::serial::{read_model, write_model};
 use kgraph::{KGraph, KGraphConfig};
 
 fn quick_config(k: usize) -> KGraphConfig {
@@ -186,11 +188,34 @@ fn bench_serve(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_persist(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline");
+    group.sample_size(20);
+    // The `ingest_durable` model (300 CBF series × 256, k = 3, five
+    // lengths, seed 7), fitted once: each write is one snapshot's KGM2
+    // blob with its CRC-32 trailer, each read one checked load of it.
+    let config = KGraphConfig {
+        n_lengths: 5,
+        ..KGraphConfig::new(3)
+    }
+    .with_seed(7);
+    let model = KGraph::new(config).fit(&datasets::cbf::cbf(100, 256, 7));
+    let bytes = write_model(&model);
+    group.bench_function(BenchmarkId::new("persist", "write_model_n300"), |b| {
+        b.iter(|| write_model(black_box(&model)))
+    });
+    group.bench_function(BenchmarkId::new("persist", "read_model_n300"), |b| {
+        b.iter(|| read_model(black_box(&bytes)).expect("a freshly written model loads"))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
     bench_fit_scaling,
     bench_render_at_scale,
-    bench_serve
+    bench_serve,
+    bench_persist
 );
 criterion_main!(benches);

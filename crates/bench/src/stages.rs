@@ -6,7 +6,8 @@
 //! matrix), **cluster** (k-Means over the features) and **render** (the
 //! Graph frame's node-link view) — plus **serve**, the per-request reads
 //! of a fitted model (predict, graphoid, render) that the model's
-//! per-version cache answers. `bench_pipeline` times each stage under
+//! per-version cache answers, and **persist**, writing and loading a
+//! model's sealed snapshot. `bench_pipeline` times each stage under
 //! a label of the form `pipeline/<stage>/<variant>`, and
 //! [`crate::baseline`] aggregates ratios per `<stage>` — so a regression
 //! report says *which stage* got slower, not just that the pipeline did.
@@ -29,7 +30,9 @@ use tsgraph::{GraphBuilder, NodeId};
 /// The stage names, in pipeline order. These are the `<stage>` path
 /// segments of every `pipeline/<stage>/<variant>` bench label and the keys
 /// the comparison gate aggregates by.
-pub const STAGE_NAMES: [&str; 6] = ["build", "fit", "features", "cluster", "render", "serve"];
+pub const STAGE_NAMES: [&str; 7] = [
+    "build", "fit", "features", "cluster", "render", "serve", "persist",
+];
 
 /// Deterministic workload shared by every stage bench.
 pub struct StageFixture {

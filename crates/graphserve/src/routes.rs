@@ -532,10 +532,12 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     Ok(Response::json(201, body))
 }
 
-/// Inserts `model` under `name` and drops the stream sessions of the
-/// models the store evicted for it, so their `Arc`s are freed. Never call
-/// it holding a session lock: [`SessionRegistry::session_for`] locks a
-/// session under the registry lock.
+/// Inserts `model` under `name` and drops the stream sessions of `name`
+/// (it streamed into the model being replaced) and of the models the
+/// store evicted for it, so their `Arc`s are freed. Recovery installs its
+/// restored session after this. Never call it holding a session lock:
+/// [`SessionRegistry::session_for`] locks a session under the registry
+/// lock.
 pub(crate) fn publish(
     store: &ModelStore,
     sessions: &SessionRegistry,
@@ -543,6 +545,7 @@ pub(crate) fn publish(
     model: Arc<KGraphModel>,
 ) -> usize {
     let (bytes, evicted) = store.insert_evicting(name, model);
+    sessions.remove(name);
     for victim in &evicted {
         sessions.remove(victim);
     }
@@ -1810,6 +1813,30 @@ mod tests {
             );
             assert_eq!(metric(&ctx, "stream_sessions"), sessions, "{name}");
         }
+    }
+
+    #[test]
+    fn a_refit_drops_the_old_stream_session() {
+        let dir = StateDir::new("refit-session");
+        let ctx = durable_ctx(0, &dir);
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            let resp = handle(&request(method, target, body.as_bytes()), &mut reader, &ctx);
+            (resp.status, body_text(&resp).to_string())
+        };
+        let points: Vec<f64> = (0..30).map(|i| (i as f64 * 0.3).sin()).collect();
+        assert_eq!(call("PUT", "/models/x?k=2", &fit_body()).0, 201);
+        assert_eq!(
+            call("POST", "/models/x/ingest", &f64s_to_json(&points)).0,
+            200
+        );
+        assert_eq!(metric(&ctx, "stream_sessions"), 1);
+        assert_eq!(call("PUT", "/models/x?k=3", &fit_body()).0, 201);
+        assert_eq!(
+            call("GET", "/models/x/stream-status", ""),
+            (200, "{\"active\":false,\"series\":[]}".to_string())
+        );
+        assert_eq!(metric(&ctx, "stream_sessions"), 0);
     }
 
     #[test]

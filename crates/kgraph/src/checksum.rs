@@ -8,14 +8,18 @@
 //! tooling (`python3 -c "import zlib, sys;
 //! print(zlib.crc32(open(sys.argv[1],'rb').read()))"`).
 //!
-//! The table is built in a `const` context — no lazy statics, no deps.
+//! The kernel is slicing-by-16: each step folds 16 input bytes through
+//! 16 independent table lookups, and the last `len % 16` bytes go
+//! through the one-byte table. The 16 KiB of tables are built in a
+//! `const` context — no lazy statics, no deps.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, one byte of input per step.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[k][i]` is the CRC register contribution of byte `i` followed
+/// by `k` zero bytes. `TABLES[0]` is the classic one-byte table.
+const TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -28,52 +32,68 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Incremental CRC-32 state. Feed bytes with [`Crc32::update`], finish
-/// with [`Crc32::finish`]. `Default` starts a fresh checksum.
-#[derive(Debug, Clone, Default)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Fresh checksum state.
-    pub fn new() -> Self {
-        Crc32::default()
-    }
-
-    /// Absorbs `bytes` into the running checksum.
-    #[inline]
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = !self.state;
-        for &b in bytes {
-            crc = TABLE[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
-        }
-        self.state = !crc;
-    }
-
-    /// The checksum of everything absorbed so far.
-    #[inline]
-    pub fn finish(&self) -> u32 {
-        self.state
-    }
-}
-
-/// One-shot CRC-32 of a byte slice.
+/// CRC-32 of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
+    let mut crc = !0u32;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut buf = [0u8; 16];
+        buf.copy_from_slice(block);
+        for (b, c) in buf.iter_mut().zip(crc.to_le_bytes()) {
+            *b ^= c;
+        }
+        // Byte `j` of the block is followed by `15 - j` more bytes.
+        crc = buf
+            .iter()
+            .zip(TABLES.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[b as usize]);
+    }
+    for &b in blocks.remainder() {
+        crc = TABLES[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    }
+    !crc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time definition the sliced kernel must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = TABLES[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
+    /// Seeded xorshift64 bytes, so the oracle sweep needs no dependency.
+    fn pseudo_random(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
 
     #[test]
     fn known_vectors() {
@@ -84,14 +104,16 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_one_shot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let whole = crc32(&data);
-        let mut inc = Crc32::new();
-        for chunk in data.chunks(37) {
-            inc.update(chunk);
+    fn sliced_kernel_matches_bytewise_oracle() {
+        let data = pseudo_random(16 + 300, 0x9E37_79B9_7F4A_7C15);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
         }
-        assert_eq!(inc.finish(), whole);
+        let big = pseudo_random(2_400_000, 7);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]

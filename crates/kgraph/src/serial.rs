@@ -36,7 +36,9 @@
 //! reported as corruption rather than as a confusing structural error deep
 //! inside the file. Delta state ([`write_delta_state`]) uses the same
 //! trailer under its own magic, `KGD1`. Every checksummed blob is framed
-//! by [`seal`] on write and [`open`] / [`Cursor::finish`] on read.
+//! by [`seal`] on write and [`open`] / [`Cursor::finish`] on read. The
+//! trailer is zlib's CRC-32 from the slicing-by-16 kernel of
+//! [`crate::checksum`]: a checksum pass costs about what encoding does.
 
 use crate::build::{GraphLayer, LayerEmbedding, NodePattern};
 use crate::checksum::crc32;
