@@ -1,18 +1,20 @@
 //! Stage-attributed criterion benches for the end-to-end pipeline.
 //!
 //! Every label is `pipeline/<stage>/<variant>` with `<stage>` one of
-//! `build` / `fit` / `features` / `cluster` / `render` (see
-//! `bench::stages`). The committed `crates/bench/BENCH_pipeline.json` is
-//! the recorded baseline; CI reruns this bench and gates merges with
-//! `bench_compare` on per-stage geomean ratios. Scaling variants (series
-//! count, length, parallel per-length jobs), spectral consensus over
-//! 1,002 series and the embedding of 1,002 series all live under the
-//! `fit` stage, as does the radial scan of 1,002 series' shortest
-//! length; per-request reads of a model fitted on 1,002 series live
-//! under `serve`; encoding and decoding the sealed snapshot of the
-//! `ingest_durable` model live under `persist`.
+//! `build` / `fit` / `features` / `cluster` / `render` / `serve` /
+//! `persist` / `http` (see `bench::stages`). The committed
+//! `crates/bench/BENCH_pipeline.json` is the recorded baseline; CI
+//! reruns this bench and gates merges with `bench_compare` on per-stage
+//! geomean ratios. Scaling variants (series count, length, parallel
+//! per-length jobs), spectral consensus over 1,002 series and the
+//! embedding of 1,002 series all live under the `fit` stage, as does
+//! the radial scan of 1,002 series' shortest length; per-request reads
+//! of a model fitted on 1,002 series live under `serve`; encoding and
+//! decoding the sealed snapshot of the `ingest_durable` model live
+//! under `persist`; reading the loopback benchmark's score request off
+//! a socket and writing its answer back live under `http`.
 
-use bench::stages::{ScaleFixture, ServeFixture, StageFixture};
+use bench::stages::{HttpFixture, ScaleFixture, ServeFixture, StageFixture};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::embed::project_subsequences;
@@ -210,12 +212,28 @@ fn bench_persist(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_http(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline");
+    // One request or answer is a few microseconds of syscalls, so a
+    // sample holds hundreds; 40 samples keep the median steady.
+    group.sample_size(40);
+    let mut fx = HttpFixture::score().expect("a loopback socket pair");
+    group.bench_function(BenchmarkId::new("http", "read_request_score"), |b| {
+        b.iter(|| fx.run_read())
+    });
+    group.bench_function(BenchmarkId::new("http", "write_response_score"), |b| {
+        b.iter(|| fx.run_write())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
     bench_fit_scaling,
     bench_render_at_scale,
     bench_serve,
-    bench_persist
+    bench_persist,
+    bench_http
 );
 criterion_main!(benches);

@@ -6,8 +6,9 @@
 //! matrix), **cluster** (k-Means over the features) and **render** (the
 //! Graph frame's node-link view) — plus **serve**, the per-request reads
 //! of a fitted model (predict, graphoid, render) that the model's
-//! per-version cache answers, and **persist**, writing and loading a
-//! model's sealed snapshot. `bench_pipeline` times each stage under
+//! per-version cache answers, **persist**, writing and loading a model's
+//! sealed snapshot, and **http**, reading a request off and writing an
+//! answer onto a loopback socket. `bench_pipeline` times each stage under
 //! a label of the form `pipeline/<stage>/<variant>`, and
 //! [`crate::baseline`] aggregates ratios per `<stage>` — so a regression
 //! report says *which stage* got slower, not just that the pipeline did.
@@ -17,12 +18,16 @@
 
 use graphint::frames::graph::GraphFrame;
 use graphint::plot::{DetailLevel, GraphPlot, RenderBudget};
+use graphserve::http::{Request, Response};
+use graphserve::json::f64s_to_json;
 use kgraph::build::GraphLayer;
 use kgraph::embed::project_subsequences;
 use kgraph::features::{cluster_layer, feature_matrix};
 use kgraph::graphoid::{ClusterStats, Graphoid};
 use kgraph::nodes::radial_scan;
 use kgraph::{KGraph, KGraphConfig, KGraphModel, NodePattern, PatternGraph};
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use tscore::Dataset;
 use tsgraph::layout::LayoutEngine;
 use tsgraph::{GraphBuilder, NodeId};
@@ -30,8 +35,8 @@ use tsgraph::{GraphBuilder, NodeId};
 /// The stage names, in pipeline order. These are the `<stage>` path
 /// segments of every `pipeline/<stage>/<variant>` bench label and the keys
 /// the comparison gate aggregates by.
-pub const STAGE_NAMES: [&str; 7] = [
-    "build", "fit", "features", "cluster", "render", "serve", "persist",
+pub const STAGE_NAMES: [&str; 8] = [
+    "build", "fit", "features", "cluster", "render", "serve", "persist", "http",
 ];
 
 /// Deterministic workload shared by every stage bench.
@@ -245,6 +250,67 @@ impl ServeFixture {
     }
 }
 
+/// Wire fixture for the `pipeline/http/*_score` variants: a connected
+/// loopback `TcpStream` pair, the loopback benchmark's score request
+/// (256 shortest-form f64s, about 5 KB of body) and an answer of the
+/// score route's shape.
+pub struct HttpFixture {
+    client: TcpStream,
+    server: TcpStream,
+    request: Vec<u8>,
+    response: Response,
+    sink: Vec<u8>,
+}
+
+impl HttpFixture {
+    /// Connects the socket pair and renders the request and the answer.
+    pub fn score() -> io::Result<Self> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let client = TcpStream::connect(listener.local_addr()?)?;
+        let (server, _) = listener.accept()?;
+        let series = datasets::cbf::cbf(1, 256, 11);
+        let values = series.series()[0].values();
+        let body = f64s_to_json(values);
+        let mut request = format!(
+            "POST /models/bench/score?context=5 HTTP/1.1\r\nhost: bench\r\n\
+             content-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body.as_bytes());
+        let response = Response::json(200, format!("{{\"scores\":{body}}}"));
+        let mut sink = Vec::new();
+        response.write_to(&mut sink)?;
+        Ok(HttpFixture {
+            client,
+            server,
+            request,
+            response,
+            sink,
+        })
+    }
+
+    /// `http/read_request_score`: the client end sends the request and
+    /// the server end reads and parses it.
+    pub fn run_read(&mut self) -> Request {
+        self.client
+            .write_all(&self.request)
+            .expect("loopback write");
+        Request::read_from(&mut self.server, 8 << 20).expect("the score request parses")
+    }
+
+    /// `http/write_response_score`: the server end writes the answer and
+    /// the client end reads all of it.
+    pub fn run_write(&mut self) {
+        self.response
+            .write_to(&mut self.server)
+            .expect("loopback write");
+        self.client
+            .read_exact(&mut self.sink)
+            .expect("loopback read");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +343,23 @@ mod tests {
         let (svg, elements) = fx.run_render_lod();
         assert!(elements <= 5_000, "lod render emitted {elements} elements");
         assert!(svg.ends_with("</svg>"));
+    }
+
+    #[test]
+    fn http_fixture_round_trips_the_score_request() {
+        let mut fx = HttpFixture::score().unwrap();
+        for _ in 0..3 {
+            let req = fx.run_read();
+            assert_eq!(req.path, "/models/bench/score");
+            assert_eq!(
+                req.header("content-length"),
+                Some(&*req.body.len().to_string())
+            );
+            assert!(req.body.len() > 4_000, "a {}-byte body", req.body.len());
+            fx.run_write();
+        }
+        assert!(fx.sink.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(fx.sink.ends_with(b"]}"));
     }
 
     #[test]

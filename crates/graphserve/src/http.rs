@@ -6,10 +6,17 @@
 //! request-line + headers + `Content-Length` body, and length-delimited
 //! responses. Limits are enforced while reading so a malformed or hostile
 //! peer cannot balloon memory.
+//!
+//! The wire path costs few syscalls. [`Request::read_from`] reads the head
+//! in chunks of up to `MAX_HEAD_BYTES` and keeps whatever body bytes
+//! came with it, so a request of up to 16 KiB that has already arrived
+//! takes one `read`, and a larger one a second `read_exact` for the rest
+//! of its body. [`Response::write_to`] sends head and body in one write.
 
 use std::io::{Read, Write};
 
-/// Hard cap on the request head (request line + headers).
+/// Hard cap on the request head (request line + headers + blank line),
+/// and the size of the buffer the head is read into.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// `Retry-After` value, in seconds, of every retryable `503`: a request
@@ -45,11 +52,12 @@ impl std::fmt::Display for HttpError {
 }
 
 /// A parsed request.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, …).
     pub method: String,
-    /// Decoded path without the query string (e.g. `/models/cbf/score`).
+    /// Path without the query string, as sent: nothing is percent-decoded
+    /// (e.g. `/models/cbf/score`).
     pub path: String,
     /// Query parameters in order of appearance.
     pub query: Vec<(String, String)>,
@@ -63,24 +71,30 @@ impl Request {
     /// Reads and parses one request from `stream`, refusing bodies larger
     /// than `max_body`.
     pub fn read_from(stream: &mut impl Read, max_body: usize) -> Result<Request, HttpError> {
-        // Read byte-wise until the blank line; the head is tiny and the
-        // stream is buffered by the kernel, so this stays simple and never
-        // over-reads into the body.
-        let mut head = Vec::with_capacity(256);
-        let mut byte = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            if head.len() >= MAX_HEAD_BYTES {
+        // Read in chunks of up to the head cap until the blank line: one
+        // read usually holds the whole head, and often the body as well.
+        // Bytes past the blank line are the start of the body. A client
+        // sends one request and waits for its answer, so a read never
+        // holds bytes of a later request.
+        let mut buf = vec![0u8; MAX_HEAD_BYTES];
+        let mut filled = 0;
+        let head_end = loop {
+            let n = stream.read(&mut buf[filled..]).map_err(HttpError::Io)?;
+            if n == 0 {
+                return Err(HttpError::Malformed("connection closed mid-head".into()));
+            }
+            // Earlier bytes held no terminator, so one starts at most
+            // three bytes before the new ones.
+            let from = filled.saturating_sub(3);
+            filled += n;
+            if let Some(i) = buf[from..filled].windows(4).position(|w| w == b"\r\n\r\n") {
+                break from + i + 4;
+            }
+            if filled == MAX_HEAD_BYTES {
                 return Err(HttpError::Malformed("request head too large".into()));
             }
-            match stream.read(&mut byte) {
-                Ok(0) => {
-                    return Err(HttpError::Malformed("connection closed mid-head".into()));
-                }
-                Ok(_) => head.push(byte[0]),
-                Err(e) => return Err(HttpError::Io(e)),
-            }
-        }
-        let head = String::from_utf8(head)
+        };
+        let head = std::str::from_utf8(&buf[..head_end])
             .map_err(|_| HttpError::Malformed("head is not UTF-8".into()))?;
         let mut lines = head.split("\r\n");
         let request_line = lines
@@ -143,8 +157,12 @@ impl Request {
                 limit: max_body,
             });
         }
-        let mut body = vec![0u8; declared];
-        stream.read_exact(&mut body).map_err(HttpError::Io)?;
+        let mut body = buf[head_end..filled.min(head_end + declared)].to_vec();
+        let early = body.len();
+        body.resize(declared, 0);
+        stream
+            .read_exact(&mut body[early..])
+            .map_err(HttpError::Io)?;
         req.body = body;
         Ok(req)
     }
@@ -273,8 +291,11 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        // One write: a body sent apart from its head would wait behind
+        // Nagle until the peer acknowledged the head.
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }
@@ -282,6 +303,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(raw: &[u8]) -> Result<Request, HttpError> {
         Request::read_from(&mut std::io::Cursor::new(raw.to_vec()), 1024)
@@ -349,5 +371,242 @@ mod tests {
         let resp = Response::error(400, "bad \"series\"");
         let body = String::from_utf8(resp.body).unwrap();
         assert_eq!(body, "{\"error\":\"bad \\\"series\\\"\"}");
+    }
+
+    /// Hands out `data` in reads of at most the next size of `sizes`
+    /// (cycled), as a socket does when a request arrives in pieces.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        sizes: &'a [usize],
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Reads `raw` as if it had all arrived, counting `read` calls.
+    fn read_counted(raw: &[u8], max_body: usize) -> (Result<Request, HttpError>, usize) {
+        let mut stream = Chunked {
+            data: raw,
+            sizes: &[usize::MAX],
+            reads: 0,
+        };
+        let req = Request::read_from(&mut stream, max_body);
+        (req, stream.reads)
+    }
+
+    /// A `GET` whose head is exactly `len` bytes, padded by one header.
+    fn head_of_len(len: usize) -> Vec<u8> {
+        let bare = b"GET /health HTTP/1.1\r\nx-pad: \r\n\r\n".len();
+        let pad = "p".repeat(len - bare);
+        format!("GET /health HTTP/1.1\r\nx-pad: {pad}\r\n\r\n").into_bytes()
+    }
+
+    fn letters(codes: &[u8]) -> String {
+        codes.iter().map(|&c| (b'a' + c % 26) as char).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn every_split_reads_the_same_request(
+            ((method, path), query, headers, pad, body, sizes) in (
+                (0usize..4, proptest::collection::vec(0u8..26, 1..12)),
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u8..26, 1..6), proptest::collection::vec(0u8..26, 0..6)),
+                    0..4,
+                ),
+                proptest::collection::vec(
+                    (proptest::collection::vec(0u8..26, 1..8), proptest::collection::vec(0u8..26, 0..12)),
+                    0..5,
+                ),
+                0usize..14_000,
+                proptest::collection::vec(0u8..=255, 0..20_000),
+                proptest::collection::vec((1usize..40, 0u8..4), 1..8),
+            )
+        ) {
+            let method = ["get", "POST", "Put", "DELETE"][method];
+            let path = format!("/models/{}", letters(&path));
+            let query: Vec<(String, String)> =
+                query.iter().map(|(k, v)| (letters(k), letters(v))).collect();
+            let mut expected_headers: Vec<(String, String)> = headers
+                .iter()
+                .map(|(n, v)| (format!("x-{}", letters(n)), letters(v)))
+                .collect();
+            expected_headers.push(("x-pad".into(), "p".repeat(pad)));
+            expected_headers.push(("content-length".into(), body.len().to_string()));
+
+            let mut raw = format!("{method} {path}");
+            for (i, (k, v)) in query.iter().enumerate() {
+                raw.push(if i == 0 { '?' } else { '&' });
+                raw.push_str(&format!("{k}={v}"));
+            }
+            raw.push_str(" HTTP/1.1\r\n");
+            for (name, value) in &expected_headers {
+                // Names go out in upper case and come back lower-cased.
+                raw.push_str(&format!("{}: {value}\r\n", name.to_ascii_uppercase()));
+            }
+            raw.push_str("\r\n");
+            let mut raw = raw.into_bytes();
+            raw.extend_from_slice(&body);
+
+            let expected = Request {
+                method: method.to_ascii_uppercase(),
+                path,
+                query,
+                headers: expected_headers,
+                body,
+            };
+            // One size in four is large, so reads range from single bytes
+            // to whole requests.
+            let sizes: Vec<usize> = sizes
+                .iter()
+                .map(|&(size, big)| if big == 0 { size * 700 } else { size })
+                .collect();
+            let mut stream = Chunked { data: &raw, sizes: &sizes, reads: 0 };
+            let got = Request::read_from(&mut stream, 1 << 20);
+            prop_assert!(got.is_ok(), "split {sizes:?}: {:?}", got.err());
+            prop_assert_eq!(&got.unwrap(), &expected);
+            let (whole, _) = read_counted(&raw, 1 << 20);
+            prop_assert_eq!(whole.unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn a_request_that_has_arrived_costs_one_read_or_two() {
+        // A `POST` of exactly `total` bytes, head and body.
+        let score = |total: usize| {
+            let head = |body_len: usize| {
+                format!("POST /models/m/score HTTP/1.1\r\ncontent-length: {body_len}\r\n\r\n")
+            };
+            let mut body_len = total - head(0).len();
+            while head(body_len).len() + body_len > total {
+                body_len -= 1;
+            }
+            let mut raw = head(body_len).into_bytes();
+            raw.resize(total, b'1');
+            raw
+        };
+        for total in [52, 5_000, MAX_HEAD_BYTES] {
+            let (req, reads) = read_counted(&score(total), 1 << 20);
+            assert!(req.is_ok(), "a {total}-byte request");
+            assert_eq!(reads, 1, "a {total}-byte request");
+        }
+        for total in [MAX_HEAD_BYTES + 1, 100_000, 1 << 20] {
+            let (req, reads) = read_counted(&score(total), 1 << 20);
+            assert!(req.is_ok(), "a {total}-byte request");
+            assert!(reads <= 2, "a {total}-byte request took {reads} reads");
+        }
+        // 413 is decided before any body is read.
+        let (req, reads) = read_counted(
+            b"PUT /models/m HTTP/1.1\r\ncontent-length: 99999\r\n\r\n",
+            1024,
+        );
+        assert!(matches!(
+            req,
+            Err(HttpError::BodyTooLarge {
+                declared: 99999,
+                limit: 1024
+            })
+        ));
+        assert_eq!(reads, 1);
+    }
+
+    fn malformed(result: Result<Request, HttpError>) -> String {
+        match result {
+            Err(HttpError::Malformed(m)) => m,
+            other => panic!("expected a malformed request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn head_cap_is_exact() {
+        for sizes in [&[usize::MAX][..], &[1], &[4096, 3]] {
+            let read = |raw: &[u8]| {
+                Request::read_from(
+                    &mut Chunked {
+                        data: raw,
+                        sizes,
+                        reads: 0,
+                    },
+                    1024,
+                )
+            };
+            let at_cap = head_of_len(MAX_HEAD_BYTES);
+            assert_eq!(at_cap.len(), 16_384);
+            assert_eq!(read(&at_cap).unwrap().path, "/health");
+            // The body of a request whose head fills the buffer comes from
+            // a read of its own.
+            let mut over = head_of_len(MAX_HEAD_BYTES - 19);
+            over.truncate(over.len() - 2);
+            over.extend_from_slice(b"content-length: 3\r\n\r\nabc");
+            assert_eq!(over.len(), MAX_HEAD_BYTES + 3);
+            assert_eq!(read(&over).unwrap().body, b"abc");
+            assert_eq!(
+                malformed(read(&head_of_len(MAX_HEAD_BYTES + 1))),
+                "request head too large"
+            );
+            assert_eq!(
+                malformed(read(b"GET / HTTP/1.1\r\nhost: x\r\n")),
+                "connection closed mid-head"
+            );
+            assert_eq!(
+                malformed(read(b"GET /\xff HTTP/1.1\r\n\r\n")),
+                "head is not UTF-8"
+            );
+        }
+    }
+
+    #[test]
+    fn read_errors_pass_through() {
+        // A socket read timeout surfaces as `Io`, which the server answers
+        // with 408.
+        struct TimesOut(bool);
+        impl Read for TimesOut {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                if std::mem::replace(&mut self.0, true) {
+                    return Err(std::io::ErrorKind::WouldBlock.into());
+                }
+                let part = b"GET / HTTP/1.1\r\n";
+                out[..part.len()].copy_from_slice(part);
+                Ok(part.len())
+            }
+        }
+        match Request::read_from(&mut TimesOut(false), 1024) {
+            Err(HttpError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            other => panic!("expected an io error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        struct Counting(Vec<u8>, usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.1 += 1;
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::error(503, "busy").with_header("retry-after", "1".into());
+        let mut out = Counting(Vec::new(), 0);
+        resp.write_to(&mut out).unwrap();
+        assert_eq!(out.1, 1);
+        let expected = "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+                        content-length: 16\r\nconnection: close\r\nretry-after: 1\r\n\r\n\
+                        {\"error\":\"busy\"}";
+        assert_eq!(String::from_utf8(out.0).unwrap(), expected);
     }
 }

@@ -281,12 +281,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err("control byte in string".into()),
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of plain bytes at once. Its delimiters
+                // are ASCII, so the run starts and ends on char boundaries
+                // of the `&str` the bytes came from.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid UTF-8")?;
+                out.push_str(run);
             }
         }
     }
@@ -356,6 +362,29 @@ mod tests {
         let text = r#"{"a":[1,2],"b":"x\"y","c":null,"d":false}"#;
         let v = Json::parse(text).unwrap();
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn a_mebibyte_string_decodes_exactly() {
+        // Each piece as sent and as decoded: plain ASCII, two-, three- and
+        // four-byte characters, and every escape.
+        let pieces = [
+            ("plain ascii, ", "plain ascii, "),
+            ("é中🦀", "é中🦀"),
+            (r#"\"\\\/"#, "\"\\/"),
+            (r"\n\r\t\b\f", "\n\r\t\u{8}\u{c}"),
+            (r"\u00e9\u4e2D\u0001", "é中\u{1}"),
+        ];
+        let (mut sent, mut decoded) = (String::from("{\""), String::new());
+        while decoded.len() < 1 << 20 {
+            for (wire, text) in pieces {
+                sent.push_str(wire);
+                decoded.push_str(text);
+            }
+        }
+        sent.push_str("\":1}");
+        let v = Json::parse(&sent).unwrap();
+        assert_eq!(v, Json::Obj(vec![(decoded, Json::Num(1.0))]));
     }
 
     #[test]

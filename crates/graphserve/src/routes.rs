@@ -1406,6 +1406,25 @@ mod tests {
     }
 
     #[test]
+    fn a_fit_body_with_a_mebibyte_key_is_400() {
+        let store = demo_store();
+        let mut reader = store.reader();
+        let req = Request {
+            method: "PUT".into(),
+            path: "/models/x".into(),
+            query: vec![("k".into(), "2".into())],
+            headers: Vec::new(),
+            body: format!("{{\"{}\":1}}", "a".repeat(1 << 20)).into_bytes(),
+        };
+        let resp = handle(&req, &mut reader, &store);
+        assert_eq!(resp.status, 400);
+        assert_eq!(
+            body_text(&resp),
+            "{\"error\":\"expected an array of series\"}"
+        );
+    }
+
+    #[test]
     fn unknown_routes_and_methods() {
         let store = demo_store();
         let mut reader = store.reader();
