@@ -16,17 +16,22 @@
 //! <state_dir>/<model>/
 //!     snap-<seq:016>.kgm   KGM2 model at sequence <seq>
 //!     snap-<seq:016>.kgs   KGS1 session state at sequence <seq>
-//!     wal.log              KGW1 journal, base_seq == newest snapshot seq
+//!     wal-<seq:016>.log    KGW1 journal of the records after <seq>
 //! ```
 //!
-//! A snapshot is the *pair* of files for one zero-padded sequence number
-//! (`snapshot_file` names them, `snapshot_pairs` lists the complete
-//! pairs); each file lands via `tmp → fsync → rename → dir fsync`, model
-//! first, then session state. Recovery treats a lone `.kgm` or `.kgs` as no
-//! snapshot, so a crash between the two renames simply falls back to the
-//! previous generation — whose WAL coverage is intact, because the WAL is
-//! only rewritten (fresh, with the new `base_seq`) *after* both files are
-//! in place. The two newest generations are retained.
+//! A generation is the snapshot *pair* for one zero-padded sequence
+//! number (`snapshot_file`, `snapshot_pairs`); each file lands via `tmp →
+//! fsync → rename → dir fsync`, model first. Recovery treats a lone file
+//! as no snapshot, so a crash between the two renames falls back to the
+//! previous generation, whose records are still in the live journal. Once
+//! the pair is durable the generation's journal is created (header, then
+//! directory fsync'd) and appends move to it; if that fails they stay on
+//! the live journal, where the records after `<seq>` run on in sequence.
+//! No journal is renamed over, and none that holds a record is rewritten.
+//! The two newest generations are kept, and a journal is deleted with the
+//! generations it covers, never while appends go to it. A re-fit numbers
+//! its first generation one past the name's last sequence number, so it
+//! outranks the old fit.
 //!
 //! ## Write path
 //!
@@ -75,8 +80,8 @@ pub struct DurabilityConfig {
     /// larger values trade a bounded window of acknowledged-but-unsynced
     /// records for fewer fsyncs.
     pub wal_sync_every: u64,
-    /// Take a snapshot every N session refreshes (compactions always
-    /// snapshot). 0 snapshots on every refresh.
+    /// Take a snapshot every N session refreshes, counting a refresh that
+    /// compacts like any other. 0 snapshots on every refresh.
     pub snapshot_every: u64,
     /// Backoff before the first retry of a transient I/O error (doubled
     /// per attempt).
@@ -108,13 +113,14 @@ pub struct DurabilityCounters {
     /// WAL records replayed during recovery.
     pub wal_records_replayed: AtomicU64,
     /// WAL records truncated: torn/corrupt tails discarded at recovery
-    /// plus records retired by snapshot-time log rewrites.
+    /// plus records a snapshot or a re-fit retired from the live journal.
     pub wal_records_truncated: AtomicU64,
     /// WAL fsync calls issued.
     pub wal_syncs: AtomicU64,
     /// Snapshot pairs written successfully.
     pub snapshots_written: AtomicU64,
-    /// Snapshot attempts that failed (data stays WAL-covered).
+    /// Snapshot attempts that failed, or whose journal could not be
+    /// started (data stays WAL-covered).
     pub snapshot_failures: AtomicU64,
     /// Transient I/O retries performed.
     pub io_retries: AtomicU64,
@@ -137,6 +143,9 @@ struct ModelDur {
     seq: u64,
     /// Sequence covered by the newest on-disk snapshot.
     snapshot_seq: u64,
+    /// Sequence number of the journal that takes the appends; 0 on a
+    /// fresh slot, whose first snapshot prunes no journal.
+    journal: u64,
     /// Session refresh count at the last snapshot (cadence anchor).
     refreshes_at_snapshot: u64,
     /// Why the model's ingest path is closed, if it is.
@@ -265,10 +274,6 @@ impl Durability {
         self.cfg.state_dir.join(name)
     }
 
-    fn wal_path(&self, name: &str) -> PathBuf {
-        self.model_dir(name).join("wal.log")
-    }
-
     /// Runs `op` with bounded retry + doubling backoff while
     /// `transient(&err)` holds; any other error (`ENOSPC` and friends, a
     /// poisoned WAL) is returned at once.
@@ -306,9 +311,15 @@ impl Durability {
         entry.degraded = Some(reason);
     }
 
-    /// Writes the snapshot pair for `session` at `seq` and installs a
-    /// fresh WAL. Called with the per-model session lock held (the only
-    /// writer), so the pair is a consistent point-in-time image.
+    /// Writes the snapshot pair for `session` at `seq`, then creates the
+    /// generation's journal and moves appends to it. Called with the
+    /// per-model session lock held (the only writer), so the pair is a
+    /// consistent point-in-time image.
+    ///
+    /// A failure before the pair is durable changes nothing. After it, the
+    /// generation counts as written; if its journal cannot be created,
+    /// appends stay on the live journal, if there is one, and the error is
+    /// returned.
     fn write_snapshot_locked(
         &self,
         entry: &mut ModelDur,
@@ -331,98 +342,65 @@ impl Durability {
             self.with_retries(|| self.fs.rename(&tmp, &target), is_transient)?;
         }
         self.with_retries(|| self.fs.sync_dir(&dir), is_transient)?;
-        // The pair is durable: rotate the journal. Records actually logged
-        // since the previous snapshot — not a seq difference, which goes
-        // to zero when a re-fit resets the sequence — drive the counters.
+        // The pair is durable and holds every record logged since the
+        // previous snapshot.
         let retired = entry.seq.saturating_sub(entry.snapshot_seq);
-        // Drop the old handle before the replacement log is created:
-        // renaming over an open file fails on Windows, and a dropped
-        // handle cannot keep appending to an unlinked inode if the
-        // rotation stalls midway.
-        entry.wal = None;
-        let wal_path = self.wal_path(name);
-        match Wal::create(&*self.fs, &wal_path, seq, self.cfg.wal_sync_every) {
-            Ok(wal) => entry.wal = Some(wal),
-            Err(e) if !e.renamed => {
-                // The live wal.log is still the previous journal: reopen
-                // it so acknowledged records stay covered and later
-                // appends keep landing where recovery will read them
-                // (replay skips records the new snapshot already holds).
-                match Wal::reopen(&*self.fs, &wal_path, entry.seq + 1, self.cfg.wal_sync_every) {
-                    Ok(wal) => entry.wal = Some(wal),
-                    Err(re) => self.degrade_locked(
-                        name,
-                        entry,
-                        format!(
-                            "WAL rotation failed ({}) and the previous journal could not be \
-                             reopened: {re}",
-                            e.io
-                        ),
-                    ),
-                }
-                return Err(e.io);
-            }
-            Err(e) => {
-                // The fresh (empty) journal already replaced the old one
-                // on disk, but no usable handle survived: any further
-                // acknowledged append would be silently non-durable.
-                // Refuse writes instead.
-                self.degrade_locked(
-                    name,
-                    entry,
-                    format!("WAL rotation failed after replacing the journal: {}", e.io),
-                );
-                return Err(e.io);
-            }
-        }
         entry.seq = seq;
         entry.snapshot_seq = seq;
         entry.refreshes_at_snapshot = refreshes;
         self.counters
             .wal_records_truncated
             .fetch_add(retired, Ordering::Relaxed);
-        // Balanced with the per-record increments in `log_ingest`:
-        // `retired` counts exactly the records logged since the previous
-        // snapshot of this model.
+        // Balanced with the per-record increments in `log_ingest`.
         self.counters
             .records_since_snapshot
             .fetch_sub(retired, Ordering::Relaxed);
         self.counters
             .snapshots_written
             .fetch_add(1, Ordering::Relaxed);
-        self.prune_snapshots(name, seq);
-        Ok(())
+        let live = entry.journal;
+        let started = Wal::create(
+            &*self.fs,
+            &journal_file(&dir, seq),
+            seq,
+            self.cfg.wal_sync_every,
+        )
+        .map(|wal| {
+            entry.wal = Some(wal);
+            entry.journal = seq;
+        });
+        self.prune(&dir, live);
+        started
     }
 
-    /// Removes snapshot generations beyond the retention count (never the
-    /// one at `keep_seq`). Best-effort: pruning failures only log.
-    fn prune_snapshots(&self, name: &str, keep_seq: u64) {
-        let dir = self.model_dir(name);
-        let Ok(entries) = self.fs.read_dir(&dir) else {
+    /// Removes the snapshot generations beyond the newest
+    /// [`KEEP_SNAPSHOTS`] and the journals below `live`, the one that took
+    /// the appends before this snapshot: the records after the older
+    /// retained generation are in `live` or a newer journal. Best-effort:
+    /// failures only log.
+    fn prune(&self, dir: &Path, live: u64) {
+        let Ok(entries) = self.fs.read_dir(dir) else {
             return;
         };
-        let seqs = snapshot_pairs(&entries);
-        if seqs.len() <= KEEP_SNAPSHOTS {
-            return;
-        }
-        let cut = seqs.len() - KEEP_SNAPSHOTS;
-        for &seq in &seqs[..cut] {
-            if seq == keep_seq {
-                continue;
-            }
-            for ext in ["kgm", "kgs"] {
-                let path = snapshot_file(&dir, seq, ext);
-                if let Err(e) = self.fs.remove_file(&path) {
-                    eprintln!("[durability] pruning {}: {e}", path.display());
-                }
+        let pairs = snapshot_pairs(&entries);
+        let old_pairs = &pairs[..pairs.len().saturating_sub(KEEP_SNAPSHOTS)];
+        let old_journals = journals(&entries).into_iter().filter(|&seq| seq < live);
+        let doomed = old_pairs
+            .iter()
+            .flat_map(|&seq| ["kgm", "kgs"].map(|ext| snapshot_file(dir, seq, ext)))
+            .chain(old_journals.map(|seq| journal_file(dir, seq)));
+        for path in doomed {
+            if let Err(e) = self.fs.remove_file(&path) {
+                eprintln!("[durability] pruning {}: {e}", path.display());
             }
         }
     }
 
-    /// Registers a freshly fitted (or adopted) model: initial snapshot at
-    /// sequence 0 plus an empty WAL. On failure, or when `name` is not a
-    /// [`durable_name`], the model serves degraded — reads work, ingest is
-    /// refused.
+    /// Registers a freshly fitted (or adopted) model: an initial snapshot
+    /// plus an empty journal, at sequence 0 for a first fit and one past
+    /// the name's last sequence number for a re-fit. On failure, or when
+    /// `name` is not a [`durable_name`], the model serves degraded — reads
+    /// work, ingest is refused.
     pub fn persist_initial(&self, name: &str, model: &Arc<KGraphModel>, cfg: &StreamConfig) {
         if !self.enabled {
             return;
@@ -437,6 +415,7 @@ impl Durability {
         // A transient session just for serialization: a fresh session's
         // state is exactly "no series, no deltas, counters at zero".
         let session = StreamSession::new(Arc::clone(model), cfg.clone());
+        let refit = self.lookup(name).is_some();
         let slot = self.slot(name);
         let mut entry = lock(&slot);
         if entry.degraded.take().is_some() {
@@ -445,7 +424,16 @@ impl Durability {
                 .models_degraded
                 .fetch_sub(1, Ordering::Relaxed);
         }
-        if let Err(e) = self.write_snapshot_locked(&mut entry, name, &session, 0, 0) {
+        // The old fit's journal takes no more records, and the new fit's
+        // generations outrank the old one's, so recovery never restores
+        // the old model or replays its records into the new one.
+        entry.wal = None;
+        let seq = if refit {
+            entry.seq.saturating_add(1)
+        } else {
+            0
+        };
+        if let Err(e) = self.write_snapshot_locked(&mut entry, name, &session, seq, 0) {
             self.counters
                 .snapshot_failures
                 .fetch_add(1, Ordering::Relaxed);
@@ -453,10 +441,9 @@ impl Durability {
         }
     }
 
-    /// Installs a recovered model: its WAL restarts at `seq` behind a
-    /// fresh healing snapshot of `session`. On failure the model degrades
-    /// read-only (the old state files are left untouched for the
-    /// operator).
+    /// Installs a recovered model: a healing snapshot of `session` at
+    /// `seq` and a fresh journal behind it. On failure the model degrades
+    /// read-only.
     pub fn install_recovered(
         &self,
         name: &str,
@@ -468,23 +455,26 @@ impl Durability {
         }
         let slot = self.slot(name);
         let mut entry = lock(&slot);
-        // A fresh slot starts zeroed; anchor it at the recovered sequence
-        // so the retirement arithmetic sees "nothing pending".
-        if entry.wal.is_none() && entry.degraded.is_none() {
-            entry.seq = seq;
-            entry.snapshot_seq = seq;
-            entry.refreshes_at_snapshot = session.refreshes();
-        }
-        match self.write_snapshot_locked(&mut entry, name, session, seq, session.refreshes()) {
-            Ok(()) => Ok(()),
-            Err(e) => {
+        self.write_snapshot_locked(&mut entry, name, session, seq, session.refreshes())
+            .map_err(|e| {
                 self.counters
                     .snapshot_failures
                     .fetch_add(1, Ordering::Relaxed);
                 let reason = format!("healing snapshot failed: {e}");
                 self.degrade_locked(name, &mut entry, reason.clone());
-                Err(reason)
-            }
+                reason
+            })
+    }
+
+    /// Opens `name`'s slot at `seq`, the highest sequence number recovery
+    /// found in its state directory, so a later fit numbers its first
+    /// generation past every file there.
+    pub(crate) fn anchor(&self, name: &str, seq: u64) {
+        if self.enabled {
+            let slot = self.slot(name);
+            let mut entry = lock(&slot);
+            entry.seq = seq;
+            entry.snapshot_seq = seq;
         }
     }
 
@@ -558,7 +548,7 @@ impl Durability {
     }
 
     /// Called after a successful append with the session still locked:
-    /// snapshots on the refresh cadence (or on compaction).
+    /// snapshots on the refresh cadence.
     pub fn after_append(&self, name: &str, session: &StreamSession, outcome_refreshed: bool) {
         if !self.enabled || !outcome_refreshed {
             return;
@@ -627,21 +617,39 @@ pub(crate) fn snapshot_file(dir: &Path, seq: u64, ext: &str) -> PathBuf {
     dir.join(format!("snap-{seq:016}.{ext}"))
 }
 
+/// `dir/wal-<seq:016>.log`: the journal of the records after `seq`.
+pub(crate) fn journal_file(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("wal-{seq:016}.log"))
+}
+
 /// The sequence numbers, ascending, of the complete snapshot pairs among
 /// `entries`: both files present under their [`snapshot_file`] names.
 pub(crate) fn snapshot_pairs(entries: &[PathBuf]) -> Vec<u64> {
+    let models = named_seqs(entries, "snap-", ".kgm");
+    named_seqs(entries, "snap-", ".kgs")
+        .into_iter()
+        .filter(|seq| models.binary_search(seq).is_ok())
+        .collect()
+}
+
+/// The sequence numbers, ascending, of the journals among `entries`.
+pub(crate) fn journals(entries: &[PathBuf]) -> Vec<u64> {
+    named_seqs(entries, "wal-", ".log")
+}
+
+/// The sequence numbers, ascending, of the entries named
+/// `<prefix><seq:016><suffix>`.
+fn named_seqs(entries: &[PathBuf], prefix: &str, suffix: &str) -> Vec<u64> {
     let mut seqs: Vec<u64> = entries
         .iter()
         .filter_map(|path| {
             let name = path.file_name()?.to_str()?;
             let seq = name
-                .strip_prefix("snap-")?
-                .strip_suffix(".kgs")?
+                .strip_prefix(prefix)?
+                .strip_suffix(suffix)?
                 .parse()
                 .ok()?;
-            let dir = path.parent()?;
-            let canonical = snapshot_file(dir, seq, "kgs") == *path;
-            (canonical && entries.contains(&snapshot_file(dir, seq, "kgm"))).then_some(seq)
+            (name == format!("{prefix}{seq:016}{suffix}")).then_some(seq)
         })
         .collect();
     seqs.sort_unstable();

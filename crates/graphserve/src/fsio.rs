@@ -35,8 +35,9 @@ pub trait Fs: Send + Sync {
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Creates (truncating) `path` with `bytes` and fsyncs the file. Not
-    /// atomic on its own — callers write to a temp name and [`rename`]
-    /// over the target.
+    /// atomic on its own — snapshot files are written to a temp name and
+    /// [`rename`]d over the target; a new journal's header is written in
+    /// place.
     ///
     /// [`rename`]: Fs::rename
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;

@@ -3,30 +3,36 @@
 //!
 //! For every model directory under the state root, recovery
 //!
-//! 1. scans for the **newest valid snapshot pair** — a `snap-<seq>.kgm`
-//!    model whose checksum verifies plus the matching `snap-<seq>.kgs`
-//!    session state that restores over it; corrupt or half-renamed pairs
-//!    fall back to the previous generation;
-//! 2. **replays the WAL tail**: records with sequence numbers above the
-//!    snapshot's are re-applied through the restored [`StreamSession`] in
-//!    log order. A torn or corrupt tail stops the replay cleanly at the
-//!    last valid record — normal crash semantics, not an error;
-//! 3. **heals**: takes a fresh snapshot of the recovered state and starts
-//!    an empty WAL, so torn tails and stale generations are retired;
-//! 4. **degrades instead of dying** when the state is contradictory (the
-//!    WAL demonstrably starts *after* the newest readable snapshot, or is
-//!    not a WAL at all), when a record that passed its checksum is refused
-//!    by the model, or when the heal cannot be made durable: the state
-//!    replayed so far is served read-only and the condition is surfaced
-//!    through `/healthz`, `/metrics` and the log. A degraded model is not
-//!    healed, so its snapshot and WAL files stay exactly as they were for
-//!    a later binary to replay.
+//! 1. reads **every journal** (`wal-<seq>.log`, and the `wal.log` of the
+//!    previous layout); a torn or corrupt tail stops a journal cleanly at
+//!    its last valid record — normal crash semantics, not an error;
+//! 2. restores the **newest valid snapshot pair** — a `snap-<seq>.kgm`
+//!    whose checksum verifies plus the `snap-<seq>.kgs` that restores over
+//!    it — falling back past corrupt or half-renamed pairs;
+//! 3. **replays** the records past the snapshot in sequence order, up to
+//!    the first gap. They must reach the highest sequence number in the
+//!    directory — every skipped generation, journal and record — so a
+//!    fallback across a re-fit, whose first generation is numbered past
+//!    the old fit's last record, never passes;
+//! 4. **heals**: a fresh snapshot of the recovered state and its journal
+//!    retire torn tails, stale generations and a `wal.log`;
+//! 5. **degrades instead of dying** when the records fall short (the
+//!    reason names the gap), a journal is not a journal at all, a record
+//!    that passed its checksum is refused by the model, or the heal cannot
+//!    be made durable: the state replayed so far is served read-only and
+//!    the condition is surfaced through `/healthz`, `/metrics` and the
+//!    log. A degraded model is not healed, so its files stay exactly as
+//!    they were for a later binary to replay.
+//!
+//! Whatever the outcome, the model's durability slot is anchored at the
+//! highest sequence number found, so a later `PUT` numbers its first
+//! generation past every file in the directory.
 //!
 //! Models present in the store (e.g. loaded from `--models-dir`) but
 //! absent from the state directory are *adopted* through
 //! [`Durability::persist_initial`], so every served model has a
 //! durability slot. A model with a safe name gets an initial snapshot and
-//! an empty WAL, so its future ingests are durable too. A model whose
+//! an empty journal, so its future ingests are durable too. A model whose
 //! name is not a safe directory name gets a degraded slot and never
 //! touches disk: it serves reads, its ingest answers `503`, and
 //! `/healthz` names it.
@@ -34,7 +40,9 @@
 //! Recovery runs to completion before the server binds its socket, so no
 //! request ever sees a half-recovered state.
 
-use crate::durability::{durable_name, snapshot_file, snapshot_pairs, Durability};
+use crate::durability::{
+    durable_name, journal_file, journals, snapshot_file, snapshot_pairs, Durability,
+};
 use crate::routes::publish;
 use crate::store::ModelStore;
 use crate::wal;
@@ -42,6 +50,10 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use streamfit::{SessionRegistry, StreamSession};
+
+/// The single journal of the previous on-disk layout, read as one more
+/// journal and deleted once a healing snapshot holds its records.
+const LEGACY_JOURNAL: &str = "wal.log";
 
 /// What startup recovery did, for logs and tests.
 #[derive(Debug, Default)]
@@ -158,92 +170,92 @@ fn recover_model(
         }
     };
 
-    // Newest-first candidate sequence numbers with both files present.
-    let mut seqs = snapshot_pairs(&entries);
-    seqs.reverse();
-    if seqs.is_empty() {
-        report.failed.push((
-            name.to_string(),
-            "no complete snapshot pair in state directory".to_string(),
-        ));
-        return;
-    }
-
-    // Try candidates newest-first until one decodes *and* restores.
-    let mut chosen = None;
-    let mut skipped = Vec::new();
-    for seq in seqs {
-        match load_snapshot(durability, dir, seq, sessions) {
-            Ok(session) => {
-                chosen = Some((seq, session));
-                break;
-            }
-            Err(e) => {
-                eprintln!("[recovery] {name}: snapshot {seq} unusable: {e}");
-                skipped.push(seq);
-            }
-        }
-    }
-    let Some((snap_seq, mut session)) = chosen else {
-        report.failed.push((
-            name.to_string(),
-            "every snapshot generation is corrupt".to_string(),
-        ));
-        return;
-    };
-    let fell_back = !skipped.is_empty();
-
-    // Replay the WAL tail.
-    let wal_path = dir.join("wal.log");
-    let mut applied = 0u64;
-    let mut degraded_reason: Option<String> = None;
-    if fs.exists(&wal_path) {
+    // Every journal's valid records, and the highest sequence number the
+    // directory holds.
+    let legacy = dir.join(LEGACY_JOURNAL);
+    let paths = journals(&entries)
+        .into_iter()
+        .map(|seq| (journal_file(dir, seq), seq))
+        .chain(entries.contains(&legacy).then(|| (legacy.clone(), 0)));
+    let mut records = Vec::new();
+    let mut unreadable = None;
+    let mut last = 0;
+    for (path, named) in paths {
         let replay = fs
-            .read(&wal_path)
+            .read(&path)
             .map_err(|e| e.to_string())
             .and_then(|bytes| wal::replay(&bytes).map_err(|e| e.to_string()));
         match replay {
-            Err(e) => degraded_reason = Some(format!("WAL unreadable: {e}")),
-            Ok(rep) if rep.base_seq > snap_seq => {
-                // The WAL belongs to a newer snapshot we could not read:
-                // records between snap_seq and base_seq are lost to
-                // corruption. Serve what we have, read-only.
-                degraded_reason = Some(format!(
-                    "WAL starts at sequence {} but newest readable snapshot is {}; \
-                     refusing writes to avoid silent divergence",
-                    rep.base_seq, snap_seq
-                ));
-            }
             Ok(rep) => {
                 if rep.torn {
                     counters
                         .wal_records_truncated
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                // Records at or below snap_seq are already in the snapshot.
-                for record in rep.records.iter().filter(|r| r.seq > snap_seq) {
-                    if let Err(e) = session.append(record.series, &record.points) {
-                        // The record passed its CRC and was acknowledged:
-                        // healing over it would drop it and every record
-                        // after it.
-                        degraded_reason = Some(format!(
-                            "WAL record {} could not be replayed: {e}; \
-                             refusing writes and keeping the journal",
-                            record.seq
-                        ));
-                        break;
-                    }
-                    applied += 1;
-                }
+                let newest = rep.records.last().map_or(0, |r| r.seq);
+                last = last.max(named).max(rep.base_seq).max(newest);
+                records.extend(rep.records);
+            }
+            Err(e) => {
+                unreadable.get_or_insert(format!("WAL {} unreadable: {e}", path.display()));
             }
         }
-    } else if fell_back {
-        // Older snapshot, no WAL to bridge the gap: newer acknowledged
-        // state existed but cannot be reconstructed.
-        degraded_reason = Some(
-            "newest snapshot is corrupt and no WAL bridges the gap to the previous one".to_string(),
-        );
     }
+    let seqs = snapshot_pairs(&entries);
+    last = last.max(seqs.last().copied().unwrap_or(0));
+    durability.anchor(name, last);
+
+    // Try candidates newest-first until one decodes *and* restores.
+    let chosen = seqs.iter().rev().find_map(|&seq| {
+        load_snapshot(durability, dir, seq, sessions)
+            .map_err(|e| eprintln!("[recovery] {name}: snapshot {seq} unusable: {e}"))
+            .ok()
+            .map(|session| (seq, session))
+    });
+    let Some((snap_seq, mut session)) = chosen else {
+        let reason = if seqs.is_empty() {
+            "no complete snapshot pair in state directory"
+        } else {
+            "every snapshot generation is corrupt"
+        };
+        report.failed.push((name.to_string(), reason.to_string()));
+        return;
+    };
+
+    // Replay the records past the snapshot in sequence order, up to the
+    // first gap; they must reach the highest sequence number on disk.
+    records.sort_by_key(|r| r.seq);
+    let mut end = snap_seq;
+    let mut degraded_reason = unreadable;
+    if degraded_reason.is_none() {
+        for record in &records {
+            if record.seq <= end {
+                continue; // in the snapshot, or a duplicate
+            }
+            if record.seq > end + 1 {
+                break;
+            }
+            if let Err(e) = session.append(record.series, &record.points) {
+                // The record passed its CRC and was acknowledged: healing over
+                // it would drop it and every record after it.
+                degraded_reason = Some(format!(
+                    "WAL record {} could not be replayed: {e}; \
+                     refusing writes and keeping the journal",
+                    record.seq
+                ));
+                break;
+            }
+            end = record.seq;
+        }
+    }
+    if degraded_reason.is_none() && end < last {
+        degraded_reason = Some(format!(
+            "the journals run from snapshot {snap_seq} only to sequence {end}, \
+             but the state directory reaches sequence {last}; \
+             refusing writes to avoid silent divergence"
+        ));
+    }
+    let applied = end - snap_seq;
     counters
         .wal_records_replayed
         .fetch_add(applied, Ordering::Relaxed);
@@ -257,12 +269,17 @@ fn recover_model(
             durability.degrade(name, reason.clone());
             Some(reason)
         }
-        // Heal: fresh snapshot + empty WAL at the recovered sequence. If
-        // that cannot be made durable the model serves read-only.
-        None => durability
-            .install_recovered(name, &session, snap_seq + applied)
-            .err(),
+        // Heal: fresh snapshot + empty journal at the recovered sequence.
+        // If that cannot be made durable the model serves read-only.
+        None => durability.install_recovered(name, &session, end).err(),
     };
+    if degraded.is_none() && entries.contains(&legacy) {
+        // The healing snapshot holds every record of the old layout's
+        // journal.
+        if let Err(e) = fs.remove_file(&legacy) {
+            eprintln!("[recovery] removing {}: {e}", legacy.display());
+        }
+    }
     publish(store, sessions, name, model);
     sessions.install(name, session);
     match degraded {

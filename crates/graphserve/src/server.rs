@@ -7,15 +7,18 @@
 //! onto a queue of [`ServerConfig::queue_capacity`] slots, a `VecDeque`
 //! behind a mutex. When the queue is full, the accept thread itself
 //! writes a tiny `503 Service Unavailable` with a `Retry-After` hint and
-//! drops the connection — load is shed at the door in O(µs) instead of
-//! queueing unboundedly. A fixed pool of worker threads takes admitted
+//! closes the connection — load is shed at the door instead of queueing
+//! unboundedly. A fixed pool of worker threads takes admitted
 //! connections from the queue (idle workers wait on a condition variable,
 //! so each admission wakes one of them), parses one request each
 //! (`Connection: close`), dispatches through
 //! [`crate::routes::dispatch`] (with [`ServerConfig::debug_routes`]) and a
 //! per-worker [`StoreReader`](crate::StoreReader) (lock-free model lookup
 //! in steady state) and writes the response. Socket read/write timeouts
-//! bound each request's wall-clock cost. A panicking handler is caught:
+//! bound each request's wall-clock cost. An answer sent before the request
+//! was read to its end (the shed `503`, and a `400`, `408` or `413`) is
+//! followed by a bounded polite close, so the client reads it instead of
+//! a reset. A panicking handler is caught:
 //! its request gets a `500`, `handler_panics_total` counts it, and the
 //! worker goes on serving.
 //!
@@ -33,13 +36,13 @@ use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
 use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
 use std::collections::VecDeque;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use streamfit::{SessionRegistry, StreamConfig};
 
 /// Tunables for [`Server::start`].
@@ -276,20 +279,44 @@ fn accept_loop(
         }
         drop(queue);
         stats.shed.fetch_add(1, Ordering::Relaxed);
-        // Shed at the door: cheap fixed response, then drop. Short timeouts
-        // keep a slow peer from stalling the accept loop.
+        // Shed at the door: cheap fixed response, then close. Short
+        // timeouts keep a slow peer from stalling the accept loop.
         let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
         let resp = Response::error(503, "server is at capacity, try again")
             .with_header("retry-after", RETRY_AFTER_SECS.to_string());
         let _ = resp.write_to(&mut stream);
-        // Closing with the request still unread would RST the connection
-        // and can discard the 503 before the client reads it. Signal
-        // end-of-response, then drain until the peer closes (or the short
-        // timeout fires).
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-        let mut sink = [0u8; 1024];
-        while matches!(std::io::Read::read(&mut stream, &mut sink), Ok(n) if n > 0) {}
+        close_politely(stream);
+    }
+}
+
+/// The longest [`close_politely`] waits for a client to stop sending, in
+/// all.
+const CLOSE_WAIT: Duration = Duration::from_millis(250);
+
+/// The most bytes [`close_politely`] reads and drops.
+const CLOSE_DRAIN_BYTES: usize = 64 * 1024;
+
+/// Closes a connection whose request was not read to its end. Dropping a
+/// socket with bytes unread makes the kernel reset the connection, which
+/// can discard the answer before the client reads it. So this shuts down
+/// the write side, which ends the answer, then reads and drops what the
+/// client still sends until it closes, within [`CLOSE_WAIT`] and
+/// [`CLOSE_DRAIN_BYTES`] in all, so a client that trickles bytes cannot
+/// hold the thread.
+fn close_politely(mut stream: TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + CLOSE_WAIT;
+    let mut sink = [0u8; 4096];
+    let mut drained = 0;
+    while drained < CLOSE_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => drained += n,
+            _ => return,
+        }
     }
 }
 
@@ -311,10 +338,11 @@ fn worker_loop(
     while let Some(mut stream) = admission.next() {
         let _ = stream.set_read_timeout(Some(cfg.read_timeout));
         let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-        let response = match Request::read_from(&mut stream, cfg.max_body_bytes) {
+        let read = Request::read_from(&mut stream, cfg.max_body_bytes);
+        let response = match &read {
             // A handler panic costs its own request a 500, never the worker.
             Ok(request) => catch_unwind(AssertUnwindSafe(|| {
-                routes::dispatch(&request, &mut reader, &ctx, cfg.debug_routes)
+                routes::dispatch(request, &mut reader, &ctx, cfg.debug_routes)
             }))
             .unwrap_or_else(|_| {
                 stats.handler_panics.fetch_add(1, Ordering::Relaxed);
@@ -331,17 +359,20 @@ fn worker_loop(
             }
             // Peer vanished mid-request; nothing to answer.
             Err(HttpError::Io(_)) => continue,
-            Err(HttpError::Malformed(m)) => Response::error(400, &m),
+            Err(HttpError::Malformed(m)) => Response::error(400, m),
         };
         let _ = response.write_to(&mut stream);
         stats.served.fetch_add(1, Ordering::Relaxed);
+        if read.is_err() {
+            close_politely(stream);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     fn get(addr: SocketAddr, target: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -388,6 +419,90 @@ mod tests {
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_trickling_shed_client_does_not_hold_the_accept_thread() {
+        let server = Server::start(
+            ServerConfig {
+                workers: 1,
+                queue_capacity: 1,
+                ..ServerConfig::default()
+            },
+            Arc::new(ModelStore::new(0)),
+        )
+        .unwrap();
+        let addr = server.addr();
+        let stats = server.stats();
+        let seen = || stats.admitted.load(Ordering::SeqCst) + stats.shed.load(Ordering::SeqCst);
+        // Idle connections take the worker and the queue slot until one is
+        // shed. Each is counted by the accept thread before the next.
+        let mut idle = Vec::new();
+        let mut shed = loop {
+            let before = seen();
+            let stream = TcpStream::connect(addr).unwrap();
+            while seen() == before {
+                std::thread::yield_now();
+            }
+            if stats.shed.load(Ordering::SeqCst) > 0 {
+                break stream;
+            }
+            idle.push(stream);
+        };
+        let mut answer = String::new();
+        shed.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 503"), "{answer}");
+
+        // The shed client goes on sending a byte every 20 ms, for up to
+        // 30 s, until it is told to stop.
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickler = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                for _ in 0..1_500 {
+                    if stop.load(Ordering::SeqCst) {
+                        return true;
+                    }
+                    let _ = shed.write_all(b"x");
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                false
+            })
+        };
+        drop(idle);
+        let resp = get(addr, "/health");
+        stop.store(true, Ordering::SeqCst);
+        assert!(
+            trickler.join().unwrap(),
+            "the next connection was answered only once the shed client stopped sending"
+        );
+        assert!(resp.starts_with("HTTP/1.1 "), "{resp}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_head_is_answered_without_a_reset() {
+        let server = Server::start(
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+            Arc::new(ModelStore::new(0)),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let pad = "a".repeat(17 * 1024);
+        write!(stream, "GET /health HTTP/1.1\r\nx-pad: {pad}\r\n\r\n").unwrap();
+        stream
+            .shutdown(Shutdown::Write)
+            .expect("the connection is open");
+        let mut out = String::new();
+        stream
+            .read_to_string(&mut out)
+            .expect("the answer ends in a close, not a reset");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert!(out.contains("request head too large"), "{out}");
         server.shutdown();
     }
 }

@@ -8,23 +8,27 @@
 //! payload: u64 seq | u32 series | u32 n_points | n_points × f64
 //! ```
 //!
-//! `base_seq` is the sequence number already covered by the snapshot the
-//! log was opened against; records carry `base_seq + 1, base_seq + 2, …`
-//! contiguously. Replay stops cleanly at the first record that is torn,
-//! fails its CRC, or breaks the sequence — everything before it is applied,
-//! everything after it is discarded, and nothing ever panics on arbitrary
-//! bytes. That is exactly the crash contract: a record is durable once its
-//! bytes and checksum hit the disk, and a crash mid-record loses only that
-//! record (which was never acknowledged if `sync_every == 1`).
+//! A journal follows one snapshot generation: `base_seq` is that
+//! generation's sequence number, and its records carry `base_seq + 1,
+//! base_seq + 2, …` contiguously. Replay stops cleanly at the first record
+//! that is torn, fails its CRC, or breaks the sequence — everything before
+//! it is applied, everything after it is discarded, and nothing ever
+//! panics on arbitrary bytes. That is exactly the crash contract: a record
+//! is durable once its bytes and checksum hit the disk, and a crash
+//! mid-record loses only that record (which was never acknowledged if
+//! `sync_every == 1`).
 //!
-//! The writer acknowledges an append only after the record bytes are
-//! written and — on the group-commit cadence — fsync'd. On a failed append
-//! it rolls the file back to the previous record boundary so a retry
-//! cannot produce a duplicate; when even the rollback fails the WAL is
-//! poisoned and the caller must stop accepting writes for this model. An
-//! acknowledged record is never taken back: the ingest route checks a
-//! record before journaling it, and one the session refuses anyway
-//! degrades the model with the journal left as it is.
+//! A journal is created header first and never renamed over; the
+//! durability layer names it after its generation and deletes it only
+//! with that generation. The writer acknowledges an
+//! append only after the record bytes are written and — on the
+//! group-commit cadence — fsync'd. On a failed append it rolls the file
+//! back to the previous record boundary so a retry cannot produce a
+//! duplicate; when even the rollback fails the WAL is poisoned and the
+//! caller must stop accepting writes for this model. An acknowledged
+//! record is never taken back: the ingest route checks a record before
+//! journaling it, and one the session refuses anyway degrades the model
+//! with the journal left as it is.
 
 use crate::fsio::{Fs, WalFile};
 use kgraph::checksum::crc32;
@@ -103,8 +107,7 @@ pub struct WalReplay {
 /// `u64::MAX`, after which no record number exists. A header shorter than 12
 /// bytes whose bytes are a prefix of a valid header is treated as a torn
 /// creation — no records, nothing lost — because the header is the first
-/// thing written to a brand-new log and rewrites go through atomic
-/// renames.
+/// thing written to a brand-new log, before any record is appended.
 pub fn replay(bytes: &[u8]) -> Result<WalReplay, TsError> {
     if bytes.len() >= 4 && &bytes[..4] != WAL_MAGIC {
         return Err(TsError::Parse(format!(
@@ -183,19 +186,6 @@ fn next_record(c: &mut Cursor) -> Option<WalRecord> {
     })
 }
 
-/// Why creating a replacement log failed, and how far it got.
-#[derive(Debug)]
-pub struct WalCreateError {
-    /// The underlying I/O error.
-    pub io: io::Error,
-    /// When true, the new (empty) header was already renamed over the
-    /// live log path: the previous journal is gone from the directory,
-    /// so a caller that keeps (or reopens) its old handle would append
-    /// to bytes no recovery will ever read. When false, the live log is
-    /// untouched and falling back to it is safe.
-    pub renamed: bool,
-}
-
 /// An append error, flagging whether the log was left in an unknown state.
 #[derive(Debug)]
 pub struct WalError {
@@ -227,56 +217,22 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Creates a fresh log at `path` (truncating any predecessor via an
-    /// atomic rename) with `base_seq` covered by the current snapshot.
-    /// The header is synced before the constructor returns.
-    ///
-    /// The append handle is opened on the *temp* file before the rename,
-    /// so a usable `Wal` exists the instant the new log becomes live (the
-    /// handle follows the inode across the rename). Every failure before
-    /// the rename leaves the previous log untouched; the only step after
-    /// it is the directory fsync, whose failure is reported with
-    /// [`WalCreateError::renamed`]` == true` so the caller knows falling
-    /// back to the old journal is no longer possible.
-    pub fn create(
-        fs: &dyn Fs,
-        path: &Path,
-        base_seq: u64,
-        sync_every: u64,
-    ) -> Result<Wal, WalCreateError> {
-        let before = |io| WalCreateError { io, renamed: false };
-        let tmp = path.with_extension("tmp");
-        fs.write(&tmp, &encode_header(base_seq)).map_err(before)?;
-        let mut file = fs.open_wal(&tmp).map_err(before)?;
-        let len = file.len().map_err(before)?;
-        fs.rename(&tmp, path).map_err(before)?;
+    /// Creates the log at `path` for the generation at `base_seq`: the
+    /// header is written and fsync'd, the file opened for appending, and
+    /// the directory fsync'd, so the log is durable before the first
+    /// append can land in it. A file already at `path` is truncated: the
+    /// durability layer creates a journal only where none holds a record.
+    pub fn create(fs: &dyn Fs, path: &Path, base_seq: u64, sync_every: u64) -> io::Result<Wal> {
+        fs.write(path, &encode_header(base_seq))?;
+        let mut file = fs.open_wal(path)?;
+        let len = file.len()?;
         if let Some(dir) = path.parent() {
-            // The empty log is already live: if its directory entry cannot
-            // be made durable, a crash could resurrect the old log while
-            // acknowledged appends sit in an unreachable inode.
-            fs.sync_dir(dir)
-                .map_err(|io| WalCreateError { io, renamed: true })?;
+            fs.sync_dir(dir)?;
         }
         Ok(Wal {
             file,
             len,
             next_seq: base_seq + 1,
-            sync_every: sync_every.max(1),
-            appends_since_sync: 0,
-        })
-    }
-
-    /// Reopens the existing log at `path` for appending, continuing at
-    /// `next_seq`. The caller guarantees the file ends at a record
-    /// boundary — true whenever the previous handle was dropped cleanly,
-    /// because failed appends are rolled back before the error surfaces.
-    pub fn reopen(fs: &dyn Fs, path: &Path, next_seq: u64, sync_every: u64) -> io::Result<Wal> {
-        let mut file = fs.open_wal(path)?;
-        let len = file.len()?;
-        Ok(Wal {
-            file,
-            len,
-            next_seq,
             sync_every: sync_every.max(1),
             appends_since_sync: 0,
         })

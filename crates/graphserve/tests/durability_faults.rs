@@ -381,40 +381,41 @@ impl Fs for FailFs {
     }
 }
 
-/// Rotation-targeted faults [`FaultPlan`] cannot express: fail the nth
-/// `write` to a specific file name, every `open_wal` from the nth call
-/// on, or the first `sync_dir` after the nth rename onto `wal.log`.
-#[derive(Default)]
-struct FlakyPlan {
-    /// Fail every `write` to a path with this file name, from the nth
-    /// (0-based) such write on.
-    fail_writes_named_from: Option<(&'static str, u64)>,
-    /// Fail every `open_wal` from the nth (0-based) call on.
-    fail_open_wal_from: Option<u64>,
-    /// After the nth (0-based) rename onto `wal.log`, fail the next
-    /// `sync_dir` call (one-shot).
-    fail_sync_dir_after_wal_rename: Option<u64>,
+/// The step of a journal's creation that [`FlakyFs`] fails: the header
+/// write, the append handle's `open_wal`, or the directory fsync that
+/// follows the header.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum JournalStep {
+    Write,
+    Open,
+    SyncDir,
 }
 
+/// A filesystem whose journal creations fail at one step, from the nth
+/// (0-based) creation on. Creations are counted by their header writes to
+/// `wal-*.log` files.
 struct FlakyFs {
     inner: Arc<dyn Fs>,
-    plan: FlakyPlan,
-    named_writes: AtomicU64,
-    wal_opens: AtomicU64,
-    wal_renames: AtomicU64,
+    step: JournalStep,
+    from: u64,
+    journals: AtomicU64,
     sync_dir_armed: AtomicBool,
 }
 
 impl FlakyFs {
-    fn new(plan: FlakyPlan) -> Arc<FlakyFs> {
+    fn new(step: JournalStep, from: u64) -> Arc<FlakyFs> {
         Arc::new(FlakyFs {
             inner: Arc::new(StdFs),
-            plan,
-            named_writes: AtomicU64::new(0),
-            wal_opens: AtomicU64::new(0),
-            wal_renames: AtomicU64::new(0),
+            step,
+            from,
+            journals: AtomicU64::new(0),
             sync_dir_armed: AtomicBool::new(false),
         })
+    }
+
+    /// Whether the current creation is one to fail at `step`.
+    fn failing(&self, step: JournalStep) -> bool {
+        self.step == step && self.journals.load(Ordering::Relaxed) > self.from
     }
 }
 
@@ -428,26 +429,20 @@ impl Fs for FlakyFs {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if let Some((name, from)) = self.plan.fail_writes_named_from {
-            if path.file_name().and_then(|n| n.to_str()) == Some(name)
-                && self.named_writes.fetch_add(1, Ordering::Relaxed) >= from
-            {
-                return Err(io::Error::other("injected write failure"));
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("wal-") {
+            self.journals.fetch_add(1, Ordering::Relaxed);
+            if self.failing(JournalStep::Write) {
+                return Err(io::Error::other("injected journal write failure"));
             }
+            self.sync_dir_armed
+                .store(self.failing(JournalStep::SyncDir), Ordering::Relaxed);
         }
         self.inner.write(path, bytes)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let result = self.inner.rename(from, to);
-        if result.is_ok() && to.file_name().and_then(|n| n.to_str()) == Some("wal.log") {
-            if let Some(nth) = self.plan.fail_sync_dir_after_wal_rename {
-                if self.wal_renames.fetch_add(1, Ordering::Relaxed) == nth {
-                    self.sync_dir_armed.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        result
+        self.inner.rename(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
@@ -474,10 +469,8 @@ impl Fs for FlakyFs {
     }
 
     fn open_wal(&self, path: &Path) -> io::Result<Box<dyn WalFile>> {
-        if let Some(from) = self.plan.fail_open_wal_from {
-            if self.wal_opens.fetch_add(1, Ordering::Relaxed) >= from {
-                return Err(io::Error::other("injected open failure"));
-            }
+        if self.failing(JournalStep::Open) {
+            return Err(io::Error::other("injected open failure"));
         }
         self.inner.open_wal(path)
     }
@@ -733,7 +726,7 @@ fn wal_bit_flip_on_disk_replays_the_clean_prefix() {
     drop(h);
 
     // Flip one bit in the last record's payload.
-    let wal_path = dir.path().join("demo").join("wal.log");
+    let wal_path = journal(&dir.path().join("demo"), 0);
     let mut bytes = std::fs::read(&wal_path).expect("wal exists");
     let n = bytes.len();
     bytes[n - 10] ^= 0x04;
@@ -786,7 +779,7 @@ fn refused_wal_record_degrades_and_keeps_the_files() {
     let mut log = wal::encode_header(0);
     log.extend(wal::encode_record(1, 5, &points));
     log.extend(wal::encode_record(2, 0, &points));
-    std::fs::write(model_dir.join("wal.log"), &log).expect("write wal");
+    std::fs::write(journal(&model_dir, 0), &log).expect("write wal");
     let before = dir_bytes(&model_dir);
 
     for restart in 0..2 {
@@ -862,47 +855,119 @@ fn non_finite_and_huge_ingests_are_refused_before_the_wal() {
     );
 }
 
-#[test]
-fn corrupt_newest_snapshot_with_newer_wal_degrades_read_only() {
-    let dir = TempDir::new("snapgap");
-    // Snapshot on every refresh: each acknowledged ingest advances the
-    // snapshot generation and restarts the WAL past it.
-    let durability = Durability::new(durability_config(dir.path(), 0));
-    let h = Harness::new(durability);
-    for i in 0..2 {
+/// `dir/wal-<seq:016>.log`.
+fn journal(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("wal-{seq:016}.log"))
+}
+
+/// `dir/snap-<seq:016>.<ext>`.
+fn snapshot(dir: &Path, seq: u64, ext: &str) -> PathBuf {
+    dir.join(format!("snap-{seq:016}.{ext}"))
+}
+
+/// The names of the files under `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list model dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+fn flip_middle_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).expect("read state file");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(path, &bytes).expect("rewrite state file");
+}
+
+/// Three acknowledged ingests with a snapshot after each: generations 2
+/// and 3 are retained, each with its journal, and record 3 sits in
+/// generation 2's journal as well as in generation 3.
+fn three_generations(tag: &str) -> TempDir {
+    let dir = TempDir::new(tag);
+    let h = Harness::new(Durability::new(durability_config(dir.path(), 0)));
+    for i in 0..3 {
         let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
     }
     drop(h);
-
-    // Rot both files of the newest snapshot generation. The WAL's
-    // base_seq now points past every readable snapshot: acknowledged
-    // records are unreachable, so the model must refuse writes instead of
-    // silently diverging.
+    let expected = [
+        "snap-0000000000000002.kgm",
+        "snap-0000000000000002.kgs",
+        "snap-0000000000000003.kgm",
+        "snap-0000000000000003.kgs",
+        "wal-0000000000000002.log",
+        "wal-0000000000000003.log",
+    ];
     let model_dir = dir.path().join("demo");
-    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&model_dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snap-"))
-        })
-        .collect();
-    snaps.sort();
-    let newest: Vec<PathBuf> = snaps.split_off(snaps.len() - 2);
-    for path in &newest {
-        let mut bytes = std::fs::read(path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(path, &bytes).unwrap();
-    }
+    assert_eq!(file_names(&model_dir), expected, "retained generations");
+    dir
+}
 
-    let durability = Durability::new(durability_config(dir.path(), 0));
-    let h = Harness::empty(durability);
+/// Restarts on `dir` and asserts a writable model with all 24 points.
+fn assert_recovers_every_point(dir: &Path, row: &str) {
+    let h = Harness::empty(Durability::new(durability_config(dir, 0)));
     let report = recover(&h.durability, &h.store, &h.sessions);
-    assert_eq!(report.degraded.len(), 1, "{report:?}");
+    assert_eq!(
+        report.recovered,
+        vec!["demo".to_string()],
+        "{row}: {report:?}"
+    );
+    assert_eq!(
+        points_total(&h),
+        24,
+        "{row}: every acknowledged ingest survives"
+    );
+    let resp = h.handle("GET", "/healthz", "");
+    assert!(
+        body_text(&resp).contains("\"status\":\"ok\""),
+        "{row}: {}",
+        body_text(&resp)
+    );
+    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(9));
+    assert_eq!(resp.status, 200, "{row}: {}", body_text(&resp));
+}
+
+#[test]
+fn a_corrupt_retained_generation_loses_no_acknowledged_point() {
+    // Each row rots one file of one retained generation. The other
+    // generation plus the journals still hold every record: a fallback
+    // from generation 3 to 2 replays record 3 from generation 2's journal.
+    for (seq, ext) in [(3, "kgm"), (3, "kgs"), (2, "kgm"), (2, "kgs")] {
+        let dir = three_generations(&format!("rot{seq}{ext}"));
+        flip_middle_byte(&snapshot(&dir.path().join("demo"), seq, ext));
+        assert_recovers_every_point(dir.path(), &format!("snap-{seq}.{ext}"));
+    }
+}
+
+#[test]
+fn a_fallback_whose_journal_is_gone_degrades_naming_the_gap() {
+    let dir = three_generations("gap");
+    let model_dir = dir.path().join("demo");
+    for ext in ["kgm", "kgs"] {
+        flip_middle_byte(&snapshot(&model_dir, 3, ext));
+    }
+    std::fs::remove_file(journal(&model_dir, 2)).expect("delete journal");
+
+    // Generation 2 restores, but nothing carries it to sequence 3: record
+    // 3 is acknowledged and unreachable, so the model refuses writes
+    // instead of silently diverging.
+    let h = Harness::empty(Durability::new(durability_config(dir.path(), 0)));
+    let report = recover(&h.durability, &h.store, &h.sessions);
     assert!(report.recovered.is_empty(), "{report:?}");
+    assert_eq!(report.degraded.len(), 1, "{report:?}");
+    let reason = &report.degraded[0].1;
+    assert!(
+        reason.contains("snapshot 2 only to sequence 2") && reason.contains("sequence 3"),
+        "{reason}"
+    );
 
     // Served read-only: reads 200, writes 503, health says degraded.
     let resp = h.handle("POST", "/models/demo/score?context=3", &probe_series());
@@ -921,6 +986,43 @@ fn corrupt_newest_snapshot_with_newer_wal_degrades_read_only() {
         "{}",
         body_text(&resp)
     );
+}
+
+#[test]
+fn a_journal_of_the_previous_layout_replays_and_is_removed() {
+    let dir = TempDir::new("legacy");
+    let h = Harness::new(Durability::new(durability_config(dir.path(), 1_000)));
+    for i in 0..3 {
+        let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+    }
+    drop(h);
+    // The previous layout kept one `wal.log` with the same KGW1 bytes.
+    let model_dir = dir.path().join("demo");
+    let legacy = model_dir.join("wal.log");
+    std::fs::rename(journal(&model_dir, 0), &legacy).expect("rename journal");
+
+    let h = Harness::empty(Durability::new(durability_config(dir.path(), 1_000)));
+    let report = recover(&h.durability, &h.store, &h.sessions);
+    assert_eq!(report.recovered, vec!["demo".to_string()], "{report:?}");
+    assert_eq!(report.replayed_records, 3);
+    assert_eq!(points_total(&h), 24);
+    drop(h);
+    assert!(!legacy.exists(), "the healing snapshot retires wal.log");
+    assert!(
+        journal(&model_dir, 3).exists(),
+        "{:?}",
+        file_names(&model_dir)
+    );
+
+    let h = Harness::empty(Durability::new(durability_config(dir.path(), 1_000)));
+    let report = recover(&h.durability, &h.store, &h.sessions);
+    assert_eq!(report.recovered, vec!["demo".to_string()], "{report:?}");
+    assert_eq!(
+        report.replayed_records, 0,
+        "the records are in the snapshot"
+    );
+    assert_eq!(points_total(&h), 24);
 }
 
 #[test]
@@ -961,114 +1063,92 @@ fn bit_rot_on_every_read_never_panics_recovery() {
 }
 
 // ---------------------------------------------------------------------------
-// WAL rotation faults: an acknowledged ingest is never silently lost
+// Journal creation and re-fits: an acknowledged ingest is never lost
 // ---------------------------------------------------------------------------
 
 #[test]
-fn rotation_failure_before_rename_falls_back_to_the_old_journal() {
-    let dir = TempDir::new("rotfallback");
-    // Every journal rotation after the initial registration fails while
-    // writing the replacement header — before anything replaces the live
-    // wal.log. The model must keep accepting writes, covered by the old
-    // journal, and a crash must lose nothing that was acknowledged.
-    let fs = FlakyFs::new(FlakyPlan {
-        fail_writes_named_from: Some(("wal.tmp", 1)),
-        ..FlakyPlan::default()
-    });
-    let durability = Durability::with_fs(durability_config(dir.path(), 0), fs);
-    let h = Harness::new(durability);
-    for i in 0..3 {
+fn a_failed_journal_creation_keeps_appends_on_the_live_journal() {
+    // Every journal creation after the initial registration's fails at
+    // one step per row. Each pair still lands, appends stay on the first
+    // journal, and a crash loses nothing that was acknowledged.
+    for step in [JournalStep::Write, JournalStep::Open, JournalStep::SyncDir] {
+        let row = format!("{step:?}");
+        let dir = TempDir::new(&format!("journal{row}"));
+        let durability =
+            Durability::with_fs(durability_config(dir.path(), 0), FlakyFs::new(step, 1));
+        let h = Harness::new(durability);
+        for i in 0..3 {
+            let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
+            assert_eq!(resp.status, 200, "{row}: {}", body_text(&resp));
+        }
+        let resp = h.handle("GET", "/healthz", "");
+        assert!(
+            body_text(&resp).contains("\"status\":\"ok\""),
+            "{row}: a journal that could not be started is not a degradation: {}",
+            body_text(&resp)
+        );
+        let counters = h.durability.counters();
+        assert_eq!(
+            counters.snapshots_written.load(Ordering::Relaxed),
+            4,
+            "{row}"
+        );
+        assert_eq!(
+            counters.snapshot_failures.load(Ordering::Relaxed),
+            3,
+            "{row}"
+        );
+        drop(h);
+        assert_recovers_every_point(dir.path(), &row);
+    }
+}
+
+/// A `PUT` body of eight 80-point series.
+fn fit_rows() -> String {
+    (0..8)
+        .map(|p| {
+            let row: Vec<String> = (0..80)
+                .map(|i| (((i + p) as f64) * 0.3).sin().to_string())
+                .collect();
+            row.join(",")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn a_refit_survives_a_restart() {
+    // The old fit's generations reach sequence 6. The re-fit's must
+    // outrank them, or pruning deletes the new fit's and recovery restores
+    // the old model.
+    let dir = TempDir::new("refit");
+    let h = Harness::empty(Durability::new(durability_config(dir.path(), 1)));
+    let resp = h.handle("PUT", "/models/demo?k=2", &fit_rows());
+    assert_eq!(resp.status, 201, "{}", body_text(&resp));
+    for i in 0..6 {
         let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
     }
-    let resp = h.handle("GET", "/healthz", "");
-    assert!(
-        body_text(&resp).contains("\"status\":\"ok\""),
-        "rotation failure with an intact journal is not a degradation: {}",
-        body_text(&resp)
-    );
-    assert!(
-        h.durability
-            .counters()
-            .snapshot_failures
-            .load(Ordering::Relaxed)
-            >= 3,
-        "each failed rotation is counted"
-    );
+    let resp = h.handle("PUT", "/models/demo?k=3", &fit_rows());
+    assert_eq!(resp.status, 201, "{}", body_text(&resp));
+    for i in 0..2 {
+        let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+    }
+    let info = |h: &Harness| body_text(&h.handle("GET", "/models/demo", "")).to_string();
+    assert!(info(&h).contains("\"k\":3,"), "{}", info(&h));
+    assert_eq!(points_total(&h), 16);
     drop(h);
 
-    // Crash + honest restart: snapshots landed before every failed
-    // rotation and the old journal covers the rest — all 3 acknowledged
-    // ingests survive.
-    let durability = Durability::new(durability_config(dir.path(), 0));
-    let h = Harness::empty(durability);
+    let h = Harness::empty(Durability::new(durability_config(dir.path(), 1)));
     let report = recover(&h.durability, &h.store, &h.sessions);
     assert_eq!(report.recovered, vec!["demo".to_string()], "{report:?}");
-    assert_eq!(points_total(&h), 24, "every acknowledged ingest survives");
-}
-
-/// Drives ingests against a harness whose first journal rotation breaks
-/// *after* a usable fallback is gone, then asserts the fail-safe: the
-/// first ingest (acknowledged before the rotation) survives a crash, and
-/// every later write is refused as degraded rather than acknowledged
-/// into a journal no recovery will read.
-fn assert_unusable_rotation_degrades(tag: &str, plan: FlakyPlan) {
-    let dir = TempDir::new(tag);
-    let durability = Durability::with_fs(durability_config(dir.path(), 0), FlakyFs::new(plan));
-    let h = Harness::new(durability);
-    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(0));
-    assert_eq!(resp.status, 200, "{}", body_text(&resp));
-    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(1));
-    assert_eq!(resp.status, 503, "{}", body_text(&resp));
     assert!(
-        body_text(&resp).contains("degraded"),
-        "{}",
-        body_text(&resp)
+        info(&h).contains("\"k\":3,"),
+        "the re-fit survives: {}",
+        info(&h)
     );
-    let resp = h.handle("GET", "/healthz", "");
-    assert!(
-        body_text(&resp).contains("\"status\":\"degraded\""),
-        "{}",
-        body_text(&resp)
-    );
-    drop(h);
-
-    let durability = Durability::new(durability_config(dir.path(), 0));
-    let h = Harness::empty(durability);
-    let report = recover(&h.durability, &h.store, &h.sessions);
-    assert_eq!(report.recovered, vec!["demo".to_string()], "{report:?}");
-    assert_eq!(
-        points_total(&h),
-        8,
-        "the acknowledged ingest survives, the refused ones never existed"
-    );
-}
-
-#[test]
-fn unopenable_replacement_journal_degrades_instead_of_losing_acks() {
-    // open #0 is the initial registration's; #1 (the rotation's handle on
-    // the temp header) and #2 (reopening the old journal) both fail.
-    assert_unusable_rotation_degrades(
-        "rotopen",
-        FlakyPlan {
-            fail_open_wal_from: Some(1),
-            ..FlakyPlan::default()
-        },
-    );
-}
-
-#[test]
-fn dir_fsync_failure_after_rename_degrades_instead_of_losing_acks() {
-    // rename #0 onto wal.log is the initial registration's; after #1 (the
-    // first rotation) the directory fsync fails — the empty replacement
-    // journal is already live, so there is nothing to fall back to.
-    assert_unusable_rotation_degrades(
-        "rotsyncdir",
-        FlakyPlan {
-            fail_sync_dir_after_wal_rename: Some(1),
-            ..FlakyPlan::default()
-        },
-    );
+    assert_eq!(points_total(&h), 16, "with its own points only");
 }
 
 // ---------------------------------------------------------------------------
