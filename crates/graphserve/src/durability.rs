@@ -53,12 +53,11 @@
 //! `Arc<Mutex<ModelDur>>` slots and is locked only for the lookup. All
 //! I/O — WAL appends, fsyncs, retry backoff sleeps, snapshot writes —
 //! runs under the *model's* lock alone, so one model's stalled disk never
-//! blocks another model's ingest. (Per-model mutual exclusion is in fact
-//! already guaranteed by the session lock the routes hold across
-//! `log_ingest`/`after_append`; the slot mutex makes the layer safe on
-//! its own.) A slot lock is never held while taking the registry lock.
+//! blocks another model's ingest. A slot lock is never held while taking
+//! the registry lock.
 
 use crate::fsio::{Fs, StdFs};
+use crate::lock;
 use crate::wal::Wal;
 use kgraph::pipeline::KGraphModel;
 use kgraph::serial;
@@ -66,7 +65,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use streamfit::{StreamConfig, StreamSession};
 
@@ -316,38 +315,52 @@ impl Durability {
     /// per-model session lock held (the only writer), so the pair is a
     /// consistent point-in-time image.
     ///
-    /// A failure before the pair is durable changes nothing. After it, the
-    /// generation counts as written; if its journal cannot be created,
-    /// appends stay on the live journal, if there is one, and the error is
-    /// returned.
+    /// A failure before the pair is durable changes nothing but removing
+    /// the attempt's temporaries and a model file left without its state
+    /// file (never a file of a complete pair: a heal may rewrite a
+    /// generation). After it, the generation counts as written; if its
+    /// journal cannot be created, appends stay on the live journal, if
+    /// there is one, and the error is returned.
     fn write_snapshot_locked(
         &self,
         entry: &mut ModelDur,
         name: &str,
         session: &StreamSession,
         seq: u64,
-        refreshes: u64,
     ) -> io::Result<()> {
         let dir = self.model_dir(name);
-        self.with_retries(|| self.fs.create_dir_all(&dir), is_transient)?;
         // Model first, session state second: recovery requires the pair,
         // so a crash between the two renames falls back to the previous
         // generation.
-        let model_bytes = serial::write_model(session.model());
-        let state_bytes = streamfit::write_session_state(session, seq);
-        for (ext, bytes) in [("kgm", &model_bytes), ("kgs", &state_bytes)] {
+        let files = [
+            ("kgm", serial::write_model(session.model())),
+            ("kgs", streamfit::write_session_state(session, seq)),
+        ]
+        .map(|(ext, bytes)| {
             let target = snapshot_file(&dir, seq, ext);
-            let tmp = target.with_extension(format!("{ext}.tmp"));
-            self.with_retries(|| self.fs.write(&tmp, bytes), is_transient)?;
-            self.with_retries(|| self.fs.rename(&tmp, &target), is_transient)?;
-        }
-        self.with_retries(|| self.fs.sync_dir(&dir), is_transient)?;
+            (target.with_extension(format!("{ext}.tmp")), target, bytes)
+        });
+        let written = (|| {
+            self.with_retries(|| self.fs.create_dir_all(&dir), is_transient)?;
+            for (tmp, target, bytes) in &files {
+                self.with_retries(|| self.fs.write(tmp, bytes), is_transient)?;
+                self.with_retries(|| self.fs.rename(tmp, target), is_transient)?;
+            }
+            self.with_retries(|| self.fs.sync_dir(&dir), is_transient)
+        })();
+        written.inspect_err(|_| {
+            let [(model_tmp, model, _), (state_tmp, state, _)] = &files;
+            let lone_model = (!self.fs.exists(state)).then_some(model);
+            for path in [model_tmp, state_tmp].into_iter().chain(lone_model) {
+                let _ = self.fs.remove_file(path);
+            }
+        })?;
         // The pair is durable and holds every record logged since the
         // previous snapshot.
         let retired = entry.seq.saturating_sub(entry.snapshot_seq);
         entry.seq = seq;
         entry.snapshot_seq = seq;
-        entry.refreshes_at_snapshot = refreshes;
+        entry.refreshes_at_snapshot = session.refreshes();
         self.counters
             .wal_records_truncated
             .fetch_add(retired, Ordering::Relaxed);
@@ -433,7 +446,7 @@ impl Durability {
         } else {
             0
         };
-        if let Err(e) = self.write_snapshot_locked(&mut entry, name, &session, seq, 0) {
+        if let Err(e) = self.write_snapshot_locked(&mut entry, name, &session, seq) {
             self.counters
                 .snapshot_failures
                 .fetch_add(1, Ordering::Relaxed);
@@ -455,7 +468,7 @@ impl Durability {
         }
         let slot = self.slot(name);
         let mut entry = lock(&slot);
-        self.write_snapshot_locked(&mut entry, name, session, seq, session.refreshes())
+        self.write_snapshot_locked(&mut entry, name, session, seq)
             .map_err(|e| {
                 self.counters
                     .snapshot_failures
@@ -502,9 +515,6 @@ impl Durability {
                 reason: format!("model {name} has no durable state directory"),
             };
         };
-        // Only this model's slot is held across the append, its fsync and
-        // any retry backoff — a stalled disk on one model never blocks
-        // another model's ingest.
         let mut guard = lock(&slot);
         let entry = &mut *guard;
         if let Some(reason) = &entry.degraded {
@@ -561,17 +571,12 @@ impl Durability {
         if entry.degraded.is_some() {
             return;
         }
-        let due = session
-            .refreshes()
-            .saturating_sub(entry.refreshes_at_snapshot)
-            >= self.cfg.snapshot_every.max(1)
-            || self.cfg.snapshot_every == 0;
-        if !due {
+        let at_snapshot = entry.refreshes_at_snapshot;
+        if session.refreshes().saturating_sub(at_snapshot) < self.cfg.snapshot_every {
             return;
         }
         let seq = entry.seq;
-        let refreshes = session.refreshes();
-        if let Err(e) = self.write_snapshot_locked(entry, name, session, seq, refreshes) {
+        if let Err(e) = self.write_snapshot_locked(entry, name, session, seq) {
             // Not fatal: every acknowledged record is still WAL-covered.
             self.counters
                 .snapshot_failures
@@ -656,14 +661,137 @@ fn named_seqs(entries: &[PathBuf], prefix: &str, suffix: &str) -> Vec<u64> {
     seqs
 }
 
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Whether an I/O error is worth a bounded retry.
 fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fsio::WalFile;
+    use kgraph::{KGraph, KGraphConfig};
+    use tscore::{Dataset, DatasetKind, TimeSeries};
+
+    /// The real filesystem, except that every `.kgs.tmp` write after the
+    /// first writes half its bytes and fails with `ENOSPC`.
+    struct FullAfterFirstState(AtomicU64);
+
+    impl Fs for FullAfterFirstState {
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            StdFs.create_dir_all(path)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            StdFs.read(path)
+        }
+
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            let state = path.to_string_lossy().ends_with(".kgs.tmp");
+            if state && self.0.fetch_add(1, Ordering::Relaxed) > 0 {
+                StdFs.write(path, &bytes[..bytes.len() / 2])?;
+                return Err(io::Error::from_raw_os_error(28));
+            }
+            StdFs.write(path, bytes)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            StdFs.rename(from, to)
+        }
+
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            StdFs.remove_file(path)
+        }
+
+        fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
+            StdFs.remove_dir_all(path)
+        }
+
+        fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+            StdFs.read_dir(path)
+        }
+
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            StdFs.sync_dir(path)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            StdFs.exists(path)
+        }
+
+        fn open_wal(&self, path: &Path) -> io::Result<Box<dyn WalFile>> {
+            StdFs.open_wal(path)
+        }
+    }
+
+    fn tiny_model() -> Arc<KGraphModel> {
+        let series: Vec<TimeSeries> = (0..6)
+            .map(|p| TimeSeries::new((0..60).map(|i| ((i + p) as f64 * 0.3).sin()).collect()))
+            .collect();
+        let ds = Dataset::new("tiny", DatasetKind::Simulated, series);
+        let cfg = KGraphConfig {
+            n_lengths: 1,
+            psi: 8,
+            pca_sample: 200,
+            n_init: 1,
+            ..KGraphConfig::new(2)
+        }
+        .with_lengths(vec![12]);
+        Arc::new(KGraph::new(cfg).fit(&ds))
+    }
+
+    #[test]
+    fn failed_snapshot_attempts_leave_only_complete_pairs_and_journals() {
+        let dir = std::env::temp_dir().join(format!(
+            "graphserve-durability-{}-snapshot-leak",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DurabilityConfig {
+            state_dir: dir.clone(),
+            snapshot_every: 0,
+            ..DurabilityConfig::default()
+        };
+        let stream = StreamConfig {
+            refresh_every: 0,
+            compact_every: 0,
+        };
+        let fs = Arc::new(FullAfterFirstState(AtomicU64::new(0)));
+        let durability = Durability::with_fs(cfg.clone(), fs);
+        let model = tiny_model();
+        durability.persist_initial("m", &model, &stream);
+        let mut session = StreamSession::new(model, stream.clone());
+        for i in 0..6 {
+            let points: Vec<f64> = (0..20).map(|j| ((i * 20 + j) as f64 * 0.3).sin()).collect();
+            assert!(matches!(
+                durability.log_ingest("m", 0, &points),
+                IngestLog::Logged { .. }
+            ));
+            let out = session.append(0, &points).unwrap();
+            assert!(out.refreshed);
+            durability.after_append("m", &session, out.refreshed);
+        }
+        let failures = &durability.counters().snapshot_failures;
+        assert_eq!(failures.load(Ordering::Relaxed), 6);
+
+        let mut left: Vec<String> = std::fs::read_dir(dir.join("m"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        let zero = "0".repeat(16);
+        let want = ["kgm", "kgs"].map(|ext| format!("snap-{zero}.{ext}"));
+        assert_eq!(left, [&want[..], &[format!("wal-{zero}.log")]].concat());
+
+        let store = crate::ModelStore::new(0);
+        let sessions = streamfit::SessionRegistry::new(stream);
+        let report = crate::recover(&Durability::new(cfg), &store, &sessions);
+        assert_eq!(report.recovered, ["m"]);
+        let recovered = sessions.get("m").unwrap().lock().unwrap().points_total();
+        assert_eq!(recovered, 120, "every acknowledged point");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

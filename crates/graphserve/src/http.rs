@@ -204,44 +204,33 @@ pub struct Response {
 }
 
 impl Response {
-    /// JSON response with the given status.
-    pub fn json(status: u16, body: String) -> Response {
+    fn new(status: u16, content_type: &'static str, body: String) -> Response {
         Response {
             status,
             headers: Vec::new(),
-            content_type: "application/json",
+            content_type,
             body: body.into_bytes(),
         }
+    }
+
+    /// JSON response with the given status.
+    pub fn json(status: u16, body: String) -> Response {
+        Response::new(status, "application/json", body)
     }
 
     /// Plain-text response.
     pub fn text(status: u16, body: String) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            content_type: "text/plain; charset=utf-8",
-            body: body.into_bytes(),
-        }
+        Response::new(status, "text/plain; charset=utf-8", body)
     }
 
     /// CSV response.
     pub fn csv(status: u16, body: String) -> Response {
-        Response {
-            status,
-            headers: Vec::new(),
-            content_type: "text/csv; charset=utf-8",
-            body: body.into_bytes(),
-        }
+        Response::new(status, "text/csv; charset=utf-8", body)
     }
 
     /// SVG response.
     pub fn svg(body: String) -> Response {
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            content_type: "image/svg+xml",
-            body: body.into_bytes(),
-        }
+        Response::new(200, "image/svg+xml", body)
     }
 
     /// Standard JSON error envelope `{"error": …}`.

@@ -51,3 +51,8 @@ pub use recovery::{recover, RecoveryReport};
 pub use routes::RouteContext;
 pub use server::{Server, ServerConfig, ServerStats};
 pub use store::{ModelStore, StoreReader};
+
+/// Locks `mutex`, also when a holder panicked (handlers are caught).
+pub(crate) fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}

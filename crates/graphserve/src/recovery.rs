@@ -261,8 +261,8 @@ fn recover_model(
         .fetch_add(applied, Ordering::Relaxed);
     report.replayed_records += applied;
 
-    // Publish: the store entry and the session must share one Arc so the
-    // registry keeps the recovered session alive.
+    // Publish: the store entry and the session share one Arc, the model
+    // an ingest checks the name still serves.
     let model = Arc::clone(session.model());
     let degraded = match degraded_reason {
         Some(reason) => {
@@ -280,7 +280,7 @@ fn recover_model(
             eprintln!("[recovery] removing {}: {e}", legacy.display());
         }
     }
-    publish(store, sessions, name, model);
+    publish(store, sessions, name, model, None);
     sessions.install(name, session);
     match degraded {
         Some(reason) => report.degraded.push((name.to_string(), reason)),

@@ -21,6 +21,7 @@
 use crate::durability::{Durability, IngestLog};
 use crate::http::{Request, Response, RETRY_AFTER_SECS};
 use crate::json::{f64s_to_json, write_json_string, Json};
+use crate::lock;
 use crate::server::ServerStats;
 use crate::store::{ModelStore, StoreReader};
 use graphint::frames::graph::GraphFrame;
@@ -521,43 +522,50 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     }
     .with_seed(seed as u64);
     let model = Arc::new(KGraph::new(cfg).fit(&dataset));
-    let bytes = publish(ctx.store, ctx.sessions, name, Arc::clone(&model));
+    // Under the name's session lock, its session resets: old deltas hold old node ids.
+    let session = ctx.sessions.session_for(name, &model);
+    let mut guard = lock(&session);
+    *guard = StreamSession::new(Arc::clone(&model), ctx.sessions.config().clone());
+    let bytes = publish(ctx.store, ctx.sessions, name, Arc::clone(&model), None);
     // Make the fresh model durable (initial snapshot + empty WAL) so a
     // restart recovers it even before the first ingest.
     ctx.durability
         .persist_initial(name, &model, ctx.sessions.config());
+    drop(guard);
+    drop(session);
+    ctx.sessions.remove_if_empty(name);
     let mut body = String::from("{\"fitted\":");
     write_json_string(&mut body, name);
-    body.push_str(&format!(",\"bytes\":{bytes}}}"));
+    body.push_str(&format!(",\"bytes\":{}}}", bytes.unwrap_or_default()));
     Ok(Response::json(201, body))
 }
 
-/// Inserts `model` under `name` and drops the stream sessions of `name`
-/// (it streamed into the model being replaced) and of the models the
-/// store evicted for it, so their `Arc`s are freed. Recovery installs its
-/// restored session after this. Never call it holding a session lock:
-/// [`SessionRegistry::session_for`] locks a session under the registry
-/// lock.
+/// Inserts `model` under `name` (only over `expected`, if given; `None`
+/// otherwise) and drops the stream sessions of the models the store
+/// evicted for it, so their `Arc`s are freed. Returns the model's bytes.
 pub(crate) fn publish(
     store: &ModelStore,
     sessions: &SessionRegistry,
     name: &str,
     model: Arc<KGraphModel>,
-) -> usize {
-    let (bytes, evicted) = store.insert_evicting(name, model);
-    sessions.remove(name);
+    expected: Option<&Arc<KGraphModel>>,
+) -> Option<usize> {
+    let (bytes, evicted) = store.insert_evicting(name, model, expected)?;
     for victim in &evicted {
         sessions.remove(victim);
     }
-    bytes
+    Some(bytes)
 }
 
 /// `DELETE /models/{name}` — unregisters the model, its streaming session
 /// (which buffers node ids of the deleted graph) and its durable state.
 /// Each goes even when another is already gone (the store evicts under
-/// `--budget-mb`); `404` only when none of the three knew the name.
+/// `--budget-mb`); `404` only when none of the three knew the name. All
+/// three go under the name's session lock, if it has a session.
 fn delete_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let (ctx, name) = (c.ctx, c.name);
+    let session = ctx.sessions.get(name);
+    let _guard = session.as_deref().map(lock);
     let in_store = ctx.store.remove(name);
     let had_session = ctx.sessions.remove(name);
     let had_state = ctx.durability.remove_model(name);
@@ -842,39 +850,38 @@ fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         None => query_usize(req, "series", 0)?,
     };
     let session = ctx.sessions.session_for(name, &model);
-    let answer = {
-        let mut guard = session.lock().unwrap_or_else(|e| e.into_inner());
-        append_journaled(ctx, name, &mut guard, index, &points)
-    };
-    // Both the lock and the `Arc` are gone before the registry is touched
-    // again: `session_for` takes the registry lock first, and
-    // `remove_if_empty` keeps a session anyone else still holds.
-    drop(session);
-    match answer {
-        Ok((response, evicted)) => {
-            for victim in &evicted {
-                ctx.sessions.remove(victim);
-            }
-            Ok(response)
-        }
-        Err(refusal) => {
-            // A refused first ingest leaves no empty session behind.
-            ctx.sessions.remove_if_empty(name);
-            Err(refusal)
-        }
+    let mut guard = lock(&session);
+    // Journal only into a session over the model the name serves.
+    let served = c.reader.get(name);
+    let serves = matches!(&served, Some(m) if Arc::ptr_eq(m, guard.model()));
+    let answer = serves.then(|| append_journaled(ctx, name, &mut guard, index, &points));
+    if let Some(served) = served.filter(|_| !serves && guard.open_series() == 0) {
+        // An empty session opened over an `Arc` read before a re-fit takes
+        // the re-fit, so no two writers both holding it retry forever.
+        *guard = StreamSession::new(served, ctx.sessions.config().clone());
     }
+    // The `Arc` is gone first: `remove_if_empty` keeps a session anyone
+    // else still holds.
+    drop(guard);
+    drop(session);
+    if let Some(Ok(response)) = answer {
+        return Ok(response);
+    }
+    // Neither a refused first ingest nor a session opened over an `Arc`
+    // read before a re-fit or `DELETE` stays behind; the latter retries.
+    ctx.sessions.remove_if_empty(name);
+    answer.unwrap_or_else(|| ingest_endpoint(c))
 }
 
 /// Checks, journals and applies one ingest under the session lock, so the
-/// WAL order is the apply order. Returns the answer and the models that
-/// publishing a compaction evicted.
+/// WAL order is the apply order.
 fn append_journaled(
     ctx: &RouteContext<'_>,
     name: &str,
     session: &mut StreamSession,
     index: usize,
     points: &[f64],
-) -> Result<(Response, Vec<String>), Response> {
+) -> Result<Response, Response> {
     // Refused before the WAL sees it: a journaled record is one the
     // session applies, live and on replay.
     session
@@ -895,6 +902,7 @@ fn append_journaled(
             ));
         }
     };
+    let before = Arc::clone(session.model());
     let outcome = session.append(index, points).map_err(|e| {
         // Recovery's policy for a journaled record the session refuses:
         // degrade, keep the journal.
@@ -907,11 +915,11 @@ fn append_journaled(
         );
         error_response(&e)
     })?;
-    let mut evicted = Vec::new();
-    if let Some(next) = &outcome.compacted {
+    if let Some(next) = outcome.compacted.clone() {
         // Publish the compacted base: a new snapshot version for future
-        // readers; in-flight readers keep the old Arc.
-        evicted = ctx.store.insert_evicting(name, Arc::clone(next)).1;
+        // readers; in-flight readers keep the old Arc. A name evicted
+        // since the check stays unserved.
+        publish(ctx.store, ctx.sessions, name, next, Some(&before));
     }
     // Snapshot on the refresh cadence (still under the session lock, so
     // the pair is a consistent point-in-time image).
@@ -925,7 +933,7 @@ fn append_journaled(
         outcome.refreshed,
         outcome.compacted.is_some()
     );
-    Ok((Response::json(200, body), evicted))
+    Ok(Response::json(200, body))
 }
 
 fn stream_status_json(status: &StreamStatus) -> String {
@@ -971,7 +979,7 @@ fn stream_status_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     Ok(match c.ctx.sessions.get(c.name) {
         None => Response::json(200, "{\"active\":false,\"series\":[]}".to_string()),
         Some(session) => {
-            let status = session.lock().unwrap_or_else(|e| e.into_inner()).status();
+            let status = lock(&session).status();
             Response::json(200, stream_status_json(&status))
         }
     })
@@ -1075,22 +1083,21 @@ mod tests {
         fn reader(&self) -> StoreReader<'_> {
             self.store.reader()
         }
+
+        fn route(&self) -> RouteContext<'_> {
+            RouteContext {
+                store: &self.store,
+                sessions: &self.sessions,
+                stats: &self.stats,
+                durability: &self.durability,
+            }
+        }
     }
 
     /// Shadows `super::handle`: adapts a [`TestCtx`] into a
     /// [`RouteContext`].
     fn handle(req: &Request, reader: &mut StoreReader<'_>, ctx: &TestCtx) -> Response {
-        super::dispatch(
-            req,
-            reader,
-            &RouteContext {
-                store: &ctx.store,
-                sessions: &ctx.sessions,
-                stats: &ctx.stats,
-                durability: &ctx.durability,
-            },
-            ctx.debug_routes,
-        )
+        super::dispatch(req, reader, &ctx.route(), ctx.debug_routes)
     }
 
     fn demo_store() -> TestCtx {
@@ -1856,6 +1863,123 @@ mod tests {
             (200, "{\"active\":false,\"series\":[]}".to_string())
         );
         assert_eq!(metric(&ctx, "stream_sessions"), 0);
+    }
+
+    /// A store with sessions that refresh, compact and (when durable)
+    /// snapshot on every ingest.
+    fn compacting_ctx(durability: Durability) -> TestCtx {
+        TestCtx {
+            store: ModelStore::new(0),
+            sessions: SessionRegistry::new(streamfit::StreamConfig {
+                refresh_every: 0,
+                compact_every: 1,
+            }),
+            stats: ServerStats::default(),
+            durability,
+            debug_routes: false,
+        }
+    }
+
+    /// `PUT x?k=2`, an ingest, then a re-fit `PUT x?k=3` while a second
+    /// writer holds the session, as it does between `session_for` and its
+    /// lock. That writer's append compacts; then one more ingest. Returns
+    /// `x`'s stream status.
+    fn refit_under_an_open_session(ctx: &TestCtx) -> String {
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            let resp = handle(&request(method, target, body.as_bytes()), &mut reader, ctx);
+            (resp.status, body_text(&resp).to_string())
+        };
+        assert_eq!(call("PUT", "/models/x?k=2", &fit_body()).0, 201);
+        assert_eq!(call("POST", "/models/x/ingest", &ingest_body()).0, 200);
+        let held = ctx.sessions.get("x").unwrap();
+        assert_eq!(call("PUT", "/models/x?k=3", &fit_body()).0, 201);
+        let refit = ctx.store.reader().get("x").unwrap();
+        assert_eq!(refit.k(), 3);
+        assert!(
+            Arc::ptr_eq(held.lock().unwrap().model(), &refit),
+            "the re-fit reset the open session over itself"
+        );
+
+        let points: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
+        let appended = append_journaled(&ctx.route(), "x", &mut held.lock().unwrap(), 0, &points);
+        assert!(appended.is_ok());
+        drop(held);
+        let served = ctx.store.reader().get("x").unwrap();
+        assert_eq!(
+            served.k(),
+            3,
+            "the compaction publishes the re-fit's lineage"
+        );
+        assert!(!Arc::ptr_eq(&served, &refit));
+
+        assert_eq!(call("POST", "/models/x/ingest", &ingest_body()).0, 200);
+        let session = ctx.sessions.get("x").unwrap();
+        let (model, points) = {
+            let session = session.lock().unwrap();
+            (Arc::clone(session.model()), session.points_total())
+        };
+        assert!(Arc::ptr_eq(&model, &ctx.store.reader().get("x").unwrap()));
+        assert_eq!(points, 80);
+        let (status, body) = call("GET", "/models/x/stream-status", "");
+        assert_eq!(status, 200);
+        body
+    }
+
+    #[test]
+    fn a_refit_under_an_open_session_keeps_the_store_on_the_refit() {
+        refit_under_an_open_session(&compacting_ctx(Durability::disabled()));
+    }
+
+    #[test]
+    fn a_restart_after_a_refit_under_an_open_session_recovers_every_point() {
+        let dir = StateDir::new("refit-open-session");
+        let durability = || {
+            Durability::new(crate::DurabilityConfig {
+                state_dir: dir.0.clone(),
+                snapshot_every: 0,
+                ..crate::DurabilityConfig::default()
+            })
+        };
+        let before = refit_under_an_open_session(&compacting_ctx(durability()));
+
+        let restarted = compacting_ctx(durability());
+        let report = crate::recover(&restarted.durability, &restarted.store, &restarted.sessions);
+        assert_eq!(report.recovered, ["x"]);
+        assert_eq!(restarted.store.reader().get("x").unwrap().k(), 3);
+        let after = handle(
+            &request("GET", "/models/x/stream-status", b""),
+            &mut restarted.reader(),
+            &restarted,
+        );
+        assert_eq!(body_text(&after), before, "exactly the acknowledged points");
+        assert_eq!(metric(&restarted, "models_degraded"), 0);
+    }
+
+    /// A writer that read the model before a re-fit opens the name's
+    /// session over the old `Arc` once the re-fit has dropped its own. The
+    /// next writer finds that session held (by the first, before its lock)
+    /// and resets it over the re-fit instead of retrying until it is free.
+    #[test]
+    fn a_session_opened_over_a_stale_arc_takes_the_refit() {
+        let dir = StateDir::new("stale-open");
+        let ctx = durable_ctx(0, &dir);
+        let mut reader = ctx.reader();
+        let mut call = |method: &str, target: &str, body: &str| {
+            handle(&request(method, target, body.as_bytes()), &mut reader, &ctx).status
+        };
+        assert_eq!(call("PUT", "/models/x?k=2", &fit_body()), 201);
+        let stale = ctx.store.reader().get("x").unwrap();
+        assert_eq!(call("PUT", "/models/x?k=3", &fit_body()), 201);
+        assert!(ctx.sessions.is_empty());
+        let held = ctx.sessions.session_for("x", &stale);
+
+        assert_eq!(call("POST", "/models/x/ingest", &ingest_body()), 200);
+        let refit = ctx.store.reader().get("x").unwrap();
+        assert_eq!(refit.k(), 3);
+        let guard = held.lock().unwrap();
+        assert!(Arc::ptr_eq(guard.model(), &refit));
+        assert_eq!(guard.points_total(), 40);
     }
 
     #[test]

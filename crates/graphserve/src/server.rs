@@ -33,6 +33,7 @@
 
 use crate::durability::Durability;
 use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
+use crate::lock;
 use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
 use std::collections::VecDeque;
@@ -40,7 +41,7 @@ use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use streamfit::{SessionRegistry, StreamConfig};
@@ -148,7 +149,7 @@ impl Server {
                 .spawn(move || {
                     accept_loop(listener, capacity, &admission, &stats, &shutting_down);
                     // Wake every idle worker to drain and exit.
-                    admission.lock().closed = true;
+                    lock(&admission.queue).closed = true;
                     admission.ready.notify_all();
                 })?
         };
@@ -234,14 +235,10 @@ struct Queue {
 }
 
 impl Admission {
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// The next admitted connection, or `None` once the queue is closed
     /// and drained. The lock is released before the request is served.
     fn next(&self) -> Option<TcpStream> {
-        let mut queue = self.lock();
+        let mut queue = lock(&self.queue);
         loop {
             if let Some(stream) = queue.streams.pop_front() {
                 return Some(stream);
@@ -266,7 +263,7 @@ fn accept_loop(
             return;
         }
         let Ok(mut stream) = stream else { continue };
-        let mut queue = admission.lock();
+        let mut queue = lock(&admission.queue);
         if queue.streams.len() < capacity {
             queue.streams.push_back(stream);
             stats

@@ -22,6 +22,7 @@
 //! used entries are dropped — except the entry being inserted, so a single
 //! oversized model still serves.
 
+use crate::lock;
 use kgraph::pipeline::KGraphModel;
 use kgraph::serial;
 use std::collections::HashMap;
@@ -74,19 +75,27 @@ impl ModelStore {
     }
 
     fn current(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.snapshot.lock().unwrap_or_else(|e| e.into_inner()))
+        Arc::clone(&lock(&self.snapshot))
     }
 
     /// Registers (or replaces) `name`, evicting LRU entries while the
     /// registry exceeds its budget. Returns the approximate byte size of
     /// the inserted model.
     pub fn insert(&self, name: &str, model: Arc<KGraphModel>) -> usize {
-        self.insert_evicting(name, model).0
+        self.insert_evicting(name, model, None)
+            .map_or(0, |(bytes, _)| bytes)
     }
 
     /// [`insert`](Self::insert), also returning the names it evicted, so
-    /// the caller can drop what it keeps per model (stream sessions).
-    pub fn insert_evicting(&self, name: &str, model: Arc<KGraphModel>) -> (usize, Vec<String>) {
+    /// the caller can drop what it keeps per model (stream sessions). Given
+    /// `expected`, a compare-and-swap: `None`, changing nothing, unless
+    /// `name` still serves that `Arc`.
+    pub fn insert_evicting(
+        &self,
+        name: &str,
+        model: Arc<KGraphModel>,
+        expected: Option<&Arc<KGraphModel>>,
+    ) -> Option<(usize, Vec<String>)> {
         let bytes = serial::model_approx_bytes(&model);
         let entry = Arc::new(ModelEntry {
             name: name.to_string(),
@@ -94,7 +103,11 @@ impl ModelStore {
             bytes,
             last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed) + 1),
         });
-        let mut guard = self.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock(&self.snapshot);
+        let serves = |want| guard.get(name).is_some_and(|e| Arc::ptr_eq(&e.model, want));
+        if expected.is_some_and(|want| !serves(want)) {
+            return None;
+        }
         let mut next: Snapshot = (**guard).clone();
         next.insert(name.to_string(), entry);
         let mut evicted = Vec::new();
@@ -119,12 +132,12 @@ impl ModelStore {
         }
         *guard = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
-        (bytes, evicted)
+        Some((bytes, evicted))
     }
 
     /// Unregisters `name`; reports whether it existed.
     pub fn remove(&self, name: &str) -> bool {
-        let mut guard = self.snapshot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = lock(&self.snapshot);
         if !guard.contains_key(name) {
             return false;
         }
@@ -283,6 +296,32 @@ mod tests {
         store.insert("c", tiny_model(3));
         let names: Vec<String> = store.list().into_iter().map(|(n, ..)| n).collect();
         assert_eq!(names, vec!["a", "c"], "LRU entry b evicted");
+    }
+
+    /// A compaction publishes with the `Arc` it compacted: over a name
+    /// that was evicted or re-fit since, nothing changes.
+    #[test]
+    fn a_compare_and_swap_insert_needs_the_expected_model() {
+        let bytes = ModelStore::new(0).insert("probe", tiny_model(0));
+        let store = ModelStore::new(bytes * 3 / 2);
+        let (a, c_before_refit) = (tiny_model(1), tiny_model(2));
+        store.insert("a", Arc::clone(&a));
+        store.insert("b", tiny_model(3));
+        store.insert("c", Arc::clone(&c_before_refit));
+        store.insert("c", tiny_model(4));
+        assert!(store.reader().get("a").is_none(), "a was evicted");
+        let listed = store.list();
+        let version = store.version.load(Ordering::Acquire);
+        for (name, expected) in [("a", &a), ("c", &c_before_refit)] {
+            let swapped = store.insert_evicting(name, tiny_model(5), Some(expected));
+            assert!(swapped.is_none(), "{name}");
+            assert_eq!(store.list(), listed, "{name}");
+            assert_eq!(store.version.load(Ordering::Acquire), version, "{name}");
+        }
+        let served = store.reader().get("c").unwrap();
+        let swapped = store.insert_evicting("c", tiny_model(6), Some(&served));
+        assert_eq!(swapped.map(|(_, evicted)| evicted), Some(Vec::new()));
+        assert!(!Arc::ptr_eq(&store.reader().get("c").unwrap(), &served));
     }
 
     #[test]

@@ -250,10 +250,12 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same model → same session");
         assert_eq!(registry.len(), 1);
 
-        // A different model (re-fit) invalidates the session.
+        // A different `Arc` gets the same live session: only the caller,
+        // under the session lock, decides whether to reset it.
         let other = fitted();
         let c = registry.session_for("m", &other);
-        assert!(!Arc::ptr_eq(&a, &c), "model changed → fresh session");
+        assert!(Arc::ptr_eq(&a, &c), "different Arc → same live session");
+        assert!(Arc::ptr_eq(c.lock().unwrap().model(), &model));
 
         // Compaction keeps the session: it switched itself to the new Arc.
         let compacted = {
@@ -276,6 +278,33 @@ mod tests {
 
         assert!(registry.remove("m"));
         assert!(registry.get("m").is_none());
+    }
+
+    /// A writer that read the model before another writer's compaction
+    /// published a new one asks with the pre-compaction `Arc`, and gets
+    /// the live session with every point, not a fresh one over the stale
+    /// model.
+    #[test]
+    fn the_pre_compaction_arc_gets_the_live_session() {
+        let before = fitted();
+        let registry = SessionRegistry::new(StreamConfig {
+            refresh_every: 0,
+            compact_every: 1,
+        });
+        let live = registry.session_for("m", &before);
+        let out = live.lock().unwrap().append(0, &wave(0, 80)).unwrap();
+        let after = out.compacted.expect("cadence 1 compacts");
+        assert!(!Arc::ptr_eq(&after, &before));
+
+        let again = registry.session_for("m", &before);
+        assert!(
+            Arc::ptr_eq(&again, &live),
+            "the live session, not a fresh one"
+        );
+        let guard = again.lock().unwrap();
+        assert_eq!(guard.points_total(), 80);
+        assert!(Arc::ptr_eq(guard.model(), &after));
+        assert_eq!(registry.len(), 1);
     }
 
     #[test]

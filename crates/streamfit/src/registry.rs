@@ -9,12 +9,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// per-session mutex; model *readers* never touch this registry at all —
 /// they keep reading whatever `Arc` snapshot they hold.
 ///
-/// A session is bound to the model `Arc` it was opened over. When the
-/// served model changes underneath it (a re-fit or reload replaced the
-/// registry entry), the stale session is discarded and a fresh one opened
-/// — buffered deltas refer to node ids of the old graph and must not leak
-/// into the new one. Compaction does *not* trip this check: the session
-/// itself switched to the compacted `Arc` before the caller published it.
+/// A name's served model, session and journal change only under its
+/// session lock, which comes before the registry's, the model store's or
+/// a durability slot's. [`SessionRegistry::remove_if_empty`] locks a
+/// session under the registry lock only when nothing else holds it, so
+/// it never waits.
 pub struct SessionRegistry {
     cfg: StreamConfig,
     sessions: Mutex<HashMap<String, Arc<Mutex<StreamSession>>>>,
@@ -33,30 +32,17 @@ impl SessionRegistry {
         }
     }
 
-    /// The session for `name` over `model`, opened (or re-opened, if the
-    /// served model changed) on demand.
+    /// The session for `name`, opened over `model` if the name has none.
+    /// An open session is returned whatever model it streams into.
     pub fn session_for(&self, name: &str, model: &Arc<KGraphModel>) -> Arc<Mutex<StreamSession>> {
+        let model = Arc::clone(model);
+        let open = || Arc::new(Mutex::new(StreamSession::new(model, self.cfg.clone())));
         let mut sessions = lock(&self.sessions);
-        if let Some(existing) = sessions.get(name) {
-            if Arc::ptr_eq(lock(existing).model(), model) {
-                return Arc::clone(existing);
-            }
-        }
-        let fresh = Arc::new(Mutex::new(StreamSession::new(
-            Arc::clone(model),
-            self.cfg.clone(),
-        )));
-        sessions.insert(name.to_string(), Arc::clone(&fresh));
-        fresh
+        Arc::clone(sessions.entry(name.to_string()).or_insert_with(open))
     }
 
     /// Installs a pre-built (e.g. crash-recovered) session under `name`,
-    /// replacing any existing one. As with [`session_for`], the session
-    /// stays live only while its model `Arc` matches the served one — so
-    /// recovery must publish the session's model to the store with the
-    /// same `Arc` it restored the session over.
-    ///
-    /// [`session_for`]: SessionRegistry::session_for
+    /// replacing any existing one.
     pub fn install(&self, name: &str, session: StreamSession) -> Arc<Mutex<StreamSession>> {
         let session = Arc::new(Mutex::new(session));
         lock(&self.sessions).insert(name.to_string(), Arc::clone(&session));
@@ -80,9 +66,8 @@ impl SessionRegistry {
     }
 
     /// Drops the session of `name` when nothing but the registry holds it
-    /// and it has no open series: what a refused first ingest leaves.
-    /// Takes the registry lock before the session lock, as
-    /// [`session_for`](Self::session_for) does.
+    /// and it has no open series: what a refused first ingest or a re-fit
+    /// leaves.
     pub fn remove_if_empty(&self, name: &str) {
         let mut sessions = lock(&self.sessions);
         let unused =
