@@ -4,6 +4,8 @@
 //! cut at `k` clusters. O(n³) naive merging — fine for the benchmark's
 //! dataset sizes (≤ a few hundred series).
 
+use tscore::kernel::sq_dist;
+
 /// Linkage criterion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Linkage {
@@ -44,11 +46,7 @@ impl Agglomerative {
         let mut dist = vec![vec![0.0f64; n]; n];
         for i in 0..n {
             for j in (i + 1)..n {
-                let d2: f64 = rows[i]
-                    .iter()
-                    .zip(&rows[j])
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum();
+                let d2 = sq_dist(&rows[i], &rows[j]);
                 let d = if squared { d2 } else { d2.sqrt() };
                 dist[i][j] = d;
                 dist[j][i] = d;

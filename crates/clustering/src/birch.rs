@@ -6,6 +6,7 @@
 //! point inherits the label of its leaf.
 
 use crate::agglo::{Agglomerative, Linkage};
+use tscore::kernel::sq_dist;
 
 /// A clustering feature: count, linear sum, squared-norm sum.
 #[derive(Debug, Clone)]
@@ -107,13 +108,7 @@ fn build_leaves(rows: &[Vec<f64>], threshold: f64, cap: usize) -> (Vec<Cf>, Vec<
         let point = Cf::from_point(row);
         let mut best: Option<(usize, f64)> = None;
         for (i, leaf) in leaves.iter().enumerate() {
-            let c = leaf.centroid();
-            let d: f64 = c
-                .iter()
-                .zip(row)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt();
+            let d = sq_dist(&leaf.centroid(), row).sqrt();
             if best.is_none_or(|(_, bd)| d < bd) {
                 best = Some((i, d));
             }

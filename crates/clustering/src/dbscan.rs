@@ -5,6 +5,8 @@
 //! them to the nearest cluster so external metrics (which expect a full
 //! partition) remain applicable — that is what the benchmark harness does.
 
+use tscore::kernel::sq_dist;
+
 /// Label used for noise points.
 pub const NOISE: usize = usize::MAX;
 
@@ -33,14 +35,7 @@ impl Dbscan {
         let eps2 = self.eps * self.eps;
         let neighbours = |i: usize| -> Vec<usize> {
             (0..n)
-                .filter(|&j| {
-                    rows[i]
-                        .iter()
-                        .zip(&rows[j])
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f64>()
-                        <= eps2
-                })
+                .filter(|&j| sq_dist(&rows[i], &rows[j]) <= eps2)
                 .collect()
         };
 
@@ -95,11 +90,7 @@ pub fn assign_noise_to_nearest(rows: &[Vec<f64>], labels: &[usize]) -> Vec<usize
             if l == NOISE {
                 continue;
             }
-            let d: f64 = rows[i]
-                .iter()
-                .zip(&rows[j])
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
+            let d = sq_dist(&rows[i], &rows[j]);
             if d < best_d {
                 best_d = d;
                 best = l;

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tscore::kernel::{dtw, dtw_path, DtwOptions, DtwScratch};
+use tscore::kernel::{dtw, dtw_path, sq_dist, DtwOptions, DtwScratch};
 use tscore::{Result, TsError};
 
 /// k-DBA configuration.
@@ -172,12 +172,7 @@ fn dba_with(
     let mut center = init.to_vec();
     for _ in 0..max_iter {
         let next = dba_step_with(&center, members, opts, scratch)?;
-        let delta: f64 = next
-            .iter()
-            .zip(&center)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
+        let delta = sq_dist(&next, &center).sqrt();
         center = next;
         if delta < 1e-8 {
             break;

@@ -6,6 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tscore::kernel::sq_dist;
 
 /// Configuration for [`KMeans`].
 #[derive(Debug, Clone, Copy)]
@@ -45,7 +46,7 @@ impl KMeans {
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.n_init.max(1) {
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
-            let result = self.fit_once(rows, &mut rng);
+            let result = self.lloyd(rows, kmeanspp_init(rows, self.k, &mut rng));
             if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
@@ -53,20 +54,21 @@ impl KMeans {
         best.expect("at least one restart ran")
     }
 
-    fn fit_once(&self, rows: &[Vec<f64>], rng: &mut StdRng) -> KMeansResult {
+    /// Lloyd iterations from the initial `centroids`.
+    fn lloyd(&self, rows: &[Vec<f64>], mut centroids: Vec<Vec<f64>>) -> KMeansResult {
         let n = rows.len();
-        let k = self.k.min(n);
-        let mut centroids = kmeanspp_init(rows, k, rng);
+        let k = centroids.len();
         let mut labels = vec![0usize; n];
+        // Each row's squared distance to its assigned centroid.
+        let mut dists = vec![0.0; n];
         let mut inertia = f64::INFINITY;
 
         for _ in 0..self.max_iter {
             // Assignment step.
             let mut new_inertia = 0.0;
             for (i, row) in rows.iter().enumerate() {
-                let (best_c, best_d) = nearest(row, &centroids);
-                labels[i] = best_c;
-                new_inertia += best_d;
+                (labels[i], dists[i]) = nearest(row, &centroids);
+                new_inertia += dists[i];
             }
             // Update step.
             let mut sums = vec![vec![0.0; rows[0].len()]; k];
@@ -80,15 +82,9 @@ impl KMeans {
             for c in 0..k {
                 if counts[c] == 0 {
                     // Re-seed an empty cluster at the point farthest from
-                    // its centroid to avoid dead centroids.
-                    let far = rows
-                        .iter()
-                        .enumerate()
-                        .max_by(|(_, a), (_, b)| {
-                            sq_dist(a, &centroids[labels[0]])
-                                .total_cmp(&sq_dist(b, &centroids[labels[0]]))
-                        })
-                        .map(|(i, _)| i)
+                    // its own centroid to avoid dead centroids.
+                    let far = (0..n)
+                        .max_by(|&a, &b| dists[a].total_cmp(&dists[b]))
                         .unwrap_or(0);
                     centroids[c] = rows[far].clone();
                 } else {
@@ -131,11 +127,6 @@ impl KMeansResult {
     pub fn predict(&self, row: &[f64]) -> usize {
         nearest(row, &self.centroids).0
     }
-}
-
-#[inline]
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 fn nearest(row: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
@@ -309,6 +300,22 @@ mod tests {
         };
         let blobs: std::collections::HashSet<usize> = c.iter().map(blob_of).collect();
         assert_eq!(blobs.len(), 3, "seeds landed in {blobs:?}");
+    }
+
+    #[test]
+    fn empty_cluster_reseeds_at_the_row_farthest_from_its_own_centroid() {
+        // The centroid at 1000 wins no row. Row 12 is the farthest from its
+        // own centroid (49 from 5); row 52 is the farthest from the first
+        // row's centroid (47² from 5). Re-seeding at row 12 converges to
+        // {0}, {12}, {50, 51, 52}.
+        let rows: Vec<Vec<f64>> = [0.0, 12.0, 50.0, 51.0, 52.0]
+            .iter()
+            .map(|&x| vec![x])
+            .collect();
+        let r = KMeans::new(3, 0).lloyd(&rows, vec![vec![5.0], vec![51.0], vec![1000.0]]);
+        assert_eq!(r.labels, vec![0, 2, 1, 1, 1]);
+        assert_eq!(r.centroids, vec![vec![0.0], vec![51.0], vec![12.0]]);
+        assert_eq!(r.inertia, 2.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use linalg::matrix::Matrix;
 use linalg::power_iteration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tscore::kernel::apply_shift;
+use tscore::kernel::{apply_shift, dot};
 
 /// Scale/shift-invariant k-SC distance between `x` and `y`.
 ///
@@ -36,8 +36,7 @@ pub fn ksc_distance_with_shift(x: &[f64], y: &[f64], max_shift: usize) -> (f64, 
         if ny2 <= f64::EPSILON {
             continue;
         }
-        let dot: f64 = x.iter().zip(&yq).map(|(a, b)| a * b).sum();
-        let alpha = dot / ny2;
+        let alpha = dot(x, &yq) / ny2;
         let dist2: f64 = x
             .iter()
             .zip(&yq)
@@ -199,16 +198,7 @@ fn spectral_centroid(
     // the *largest* of Σ xxᵀ/‖x‖² — run power iteration directly on `mat`.
     let (_, mut centroid) = power_iteration(&mat, 300, 1e-10);
     // Sign convention: positively correlated with the member mean.
-    let mean_dot: f64 = members
-        .iter()
-        .map(|&i| {
-            rows[i]
-                .iter()
-                .zip(&centroid)
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-        })
-        .sum();
+    let mean_dot: f64 = members.iter().map(|&i| dot(&rows[i], &centroid)).sum();
     if mean_dot < 0.0 {
         for x in &mut centroid {
             *x = -*x;

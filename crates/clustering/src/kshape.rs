@@ -10,6 +10,7 @@ use linalg::matrix::Matrix;
 use linalg::power_iteration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tscore::kernel::dot;
 use tscore::transform::znorm;
 
 /// FFT-backed normalised cross-correlation: length `2m−1`, index `s` =
@@ -232,8 +233,7 @@ pub fn shape_extraction(members: &[&[f64]], previous: &[f64]) -> Vec<f64> {
     let mean: Vec<f64> = (0..m)
         .map(|i| aligned.iter().map(|z| z[i]).sum::<f64>() / aligned.len().max(1) as f64)
         .collect();
-    let dot: f64 = shape.iter().zip(&mean).map(|(a, b)| a * b).sum();
-    if dot < 0.0 {
+    if dot(&shape, &mean) < 0.0 {
         for x in &mut shape {
             *x = -*x;
         }

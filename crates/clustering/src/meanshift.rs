@@ -5,6 +5,8 @@
 //! the benchmark harness feeds PCA-reduced rows (mean-shift in hundreds of
 //! dimensions is meaningless); the implementation is dimension-agnostic.
 
+use tscore::kernel::sq_dist;
+
 /// Mean-shift configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MeanShift {
@@ -56,8 +58,7 @@ impl MeanShift {
                 let mut num = vec![0.0; x.len()];
                 let mut den = 0.0;
                 for row in rows {
-                    let d2: f64 = x.iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
-                    let w = (-d2 * inv2bw2).exp();
+                    let w = (-sq_dist(&x, row) * inv2bw2).exp();
                     den += w;
                     for (s, &v) in num.iter_mut().zip(row) {
                         *s += w * v;
@@ -67,12 +68,7 @@ impl MeanShift {
                     break;
                 }
                 let next: Vec<f64> = num.iter().map(|s| s / den).collect();
-                let step: f64 = next
-                    .iter()
-                    .zip(&x)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
+                let step = sq_dist(&next, &x).sqrt();
                 x = next;
                 if step < self.tol {
                     break;
@@ -85,20 +81,7 @@ impl MeanShift {
         let mut centers: Vec<Vec<f64>> = Vec::new();
         let mut labels = vec![0usize; n];
         for (i, mode) in modes.iter().enumerate() {
-            let mut found = None;
-            for (c, center) in centers.iter().enumerate() {
-                let d: f64 = mode
-                    .iter()
-                    .zip(center)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum::<f64>()
-                    .sqrt();
-                if d < bw {
-                    found = Some(c);
-                    break;
-                }
-            }
-            match found {
+            match centers.iter().position(|c| sq_dist(mode, c).sqrt() < bw) {
                 Some(c) => labels[i] = c,
                 None => {
                     centers.push(mode.clone());
@@ -120,12 +103,7 @@ pub fn estimate_bandwidth(rows: &[Vec<f64>]) -> f64 {
     let mut count = 0usize;
     for i in 0..n {
         for j in (i + 1)..n {
-            total += rows[i]
-                .iter()
-                .zip(&rows[j])
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt();
+            total += sq_dist(&rows[i], &rows[j]).sqrt();
             count += 1;
         }
     }

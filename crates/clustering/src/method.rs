@@ -20,6 +20,7 @@ use crate::neural::{DenseAe, DtcLike};
 use crate::spectral::{rbf_affinity, spectral_clustering, SpectralOptions};
 use linalg::matrix::Matrix;
 use linalg::pca::Pca;
+use tscore::kernel::sq_dist;
 use tscore::Dataset;
 
 /// The baseline methods of the Benchmark frame (paper: "14 baselines").
@@ -204,12 +205,7 @@ fn dbscan_eps(rows: &[Vec<f64>]) -> f64 {
     let mut dists = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
-            let d: f64 = rows[i]
-                .iter()
-                .zip(&rows[j])
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt();
+            let d = sq_dist(&rows[i], &rows[j]).sqrt();
             if d > 1e-12 {
                 dists.push(d);
             }
@@ -238,17 +234,7 @@ fn birch_threshold(rows: &[Vec<f64>]) -> f64 {
     for m in &mut mean {
         *m /= n as f64;
     }
-    let rms = (rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .zip(&mean)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-        })
-        .sum::<f64>()
-        / n as f64)
-        .sqrt();
+    let rms = (rows.iter().map(|r| sq_dist(r, &mean)).sum::<f64>() / n as f64).sqrt();
     (rms * 0.1).max(1e-6)
 }
 

@@ -6,6 +6,8 @@
 //! purity, homogeneity and completeness. Internal
 //! metrics (silhouette, inertia) require only the data.
 
+use tscore::kernel::sq_dist;
+
 /// Dense contingency table between two labelings.
 ///
 /// `table[i][j]` counts points with true label `i` and predicted label `j`.
@@ -257,13 +259,7 @@ pub fn completeness(truth: &[usize], pred: &[usize]) -> f64 {
 pub fn inertia(rows: &[Vec<f64>], labels: &[usize], centroids: &[Vec<f64>]) -> f64 {
     rows.iter()
         .zip(labels)
-        .map(|(row, &l)| {
-            centroids[l]
-                .iter()
-                .zip(row)
-                .map(|(c, x)| (c - x) * (c - x))
-                .sum::<f64>()
-        })
+        .map(|(row, &l)| sq_dist(&centroids[l], row))
         .sum()
 }
 
@@ -283,13 +279,6 @@ pub fn silhouette(rows: &[Vec<f64>], labels: &[usize]) -> f64 {
     if sizes.iter().filter(|&&s| s > 0).count() < 2 {
         return 0.0;
     }
-    let dist = |a: &[f64], b: &[f64]| -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
-    };
     let mut total = 0.0;
     let mut counted = 0usize;
     for i in 0..n {
@@ -306,7 +295,7 @@ pub fn silhouette(rows: &[Vec<f64>], labels: &[usize]) -> f64 {
             if i == j {
                 continue;
             }
-            let d = dist(&rows[i], &rows[j]);
+            let d = sq_dist(&rows[i], &rows[j]).sqrt();
             if labels[j] == li {
                 intra += d;
             } else {

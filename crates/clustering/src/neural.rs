@@ -17,6 +17,7 @@
 use crate::kmeans::KMeans;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tscore::kernel::{dot, sq_dist};
 use tscore::transform::znorm;
 
 /// A 1-hidden-layer auto-encoder: `x → tanh(W₁x+b₁) = h → W₂h+b₂ = x̂`.
@@ -96,12 +97,12 @@ impl DenseAe {
                     // Forward.
                     let mut pre = b1.clone();
                     for (j, p) in pre.iter_mut().enumerate() {
-                        *p += w1[j].iter().zip(x).map(|(w, v)| w * v).sum::<f64>();
+                        *p += dot(&w1[j], x);
                     }
                     let hid: Vec<f64> = pre.iter().map(|p| p.tanh()).collect();
                     let mut xhat = b2.clone();
                     for (o, xh) in xhat.iter_mut().enumerate() {
-                        *xh += w2[o].iter().zip(&hid).map(|(w, v)| w * v).sum::<f64>();
+                        *xh += dot(&w2[o], &hid);
                     }
                     // Backward (MSE loss, factor 2/d folded into lr).
                     let err: Vec<f64> = xhat
@@ -170,7 +171,7 @@ impl TrainedAe {
         self.w1
             .iter()
             .zip(&self.b1)
-            .map(|(row, b)| (row.iter().zip(x).map(|(w, v)| w * v).sum::<f64>() + b).tanh())
+            .map(|(row, b)| (dot(row, x) + b).tanh())
             .collect()
     }
 
@@ -179,7 +180,7 @@ impl TrainedAe {
         self.w2
             .iter()
             .zip(&self.b2)
-            .map(|(row, b)| row.iter().zip(h).map(|(w, v)| w * v).sum::<f64>() + b)
+            .map(|(row, b)| dot(row, h) + b)
             .collect()
     }
 }
@@ -226,12 +227,7 @@ impl DtcLike {
             for i in 0..n {
                 let mut norm = 0.0;
                 for (j, c) in centroids.iter().enumerate() {
-                    let d2: f64 = latent[i]
-                        .iter()
-                        .zip(c)
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum();
-                    q[i][j] = 1.0 / (1.0 + d2);
+                    q[i][j] = 1.0 / (1.0 + sq_dist(&latent[i], c));
                     norm += q[i][j];
                 }
                 for v in q[i].iter_mut() {
@@ -256,12 +252,8 @@ impl DtcLike {
             for j in 0..k {
                 let mut grad = vec![0.0f64; h];
                 for i in 0..n {
-                    let d2: f64 = latent[i]
-                        .iter()
-                        .zip(&centroids[j])
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum();
-                    let coef = 2.0 * (q[i][j] - p[i][j]) / (1.0 + d2);
+                    let coef =
+                        2.0 * (q[i][j] - p[i][j]) / (1.0 + sq_dist(&latent[i], &centroids[j]));
                     for (g, (zi, cj)) in grad.iter_mut().zip(latent[i].iter().zip(&centroids[j])) {
                         *g += coef * (zi - cj);
                     }
@@ -280,11 +272,7 @@ impl DtcLike {
                 centroids
                     .iter()
                     .enumerate()
-                    .min_by(|(_, a), (_, b)| {
-                        let da: f64 = z.iter().zip(*a).map(|(x, y)| (x - y) * (x - y)).sum();
-                        let db: f64 = z.iter().zip(*b).map(|(x, y)| (x - y) * (x - y)).sum();
-                        da.total_cmp(&db)
-                    })
+                    .min_by(|(_, a), (_, b)| sq_dist(z, a).total_cmp(&sq_dist(z, b)))
                     .map(|(j, _)| j)
                     .unwrap_or(0)
             })

@@ -8,6 +8,7 @@ use crate::kmeans::KMeans;
 use linalg::eigen::symmetric_eigen;
 use linalg::matrix::Matrix;
 use std::collections::HashMap;
+use tscore::kernel::sq_dist;
 
 /// Options for [`spectral_clustering`].
 #[derive(Debug, Clone, Copy)]
@@ -182,11 +183,7 @@ pub fn rbf_affinity(rows: &[Vec<f64>], sigma: Option<f64>) -> Matrix {
     let mut all: Vec<f64> = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
-            let d: f64 = rows[i]
-                .iter()
-                .zip(&rows[j])
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
+            let d = sq_dist(&rows[i], &rows[j]);
             d2[(i, j)] = d;
             d2[(j, i)] = d;
             all.push(d.sqrt());

@@ -7,6 +7,7 @@
 //! Davies–Bouldin (lower = better), and an elbow-aware sweep driver.
 
 use crate::kmeans::KMeans;
+use tscore::kernel::sq_dist;
 
 /// Per-cluster centroids and sizes for a labelled point set.
 fn centroids_of(rows: &[Vec<f64>], labels: &[usize], k: usize) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -27,10 +28,6 @@ fn centroids_of(rows: &[Vec<f64>], labels: &[usize], k: usize) -> (Vec<Vec<f64>>
         }
     }
     (centroids, sizes)
-}
-
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 /// Calinski–Harabasz index: ratio of between- to within-cluster dispersion,

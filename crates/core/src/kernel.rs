@@ -9,8 +9,13 @@
 //! of one.
 //!
 //! * [`sum`] / [`sum_sq_dev`] / [`mean_std`] — lane-parallel reductions,
-//! * [`dot`] / [`sq_euclidean`] / [`euclidean`] — lane-parallel pairwise
-//!   reductions,
+//! * [`dot`] / [`sq_dist`] — lane-parallel pairwise reductions over
+//!   `min(a.len(), b.len())` elements, infallible: every dot product and
+//!   squared distance between two rows in the workspace (k-Means, the
+//!   baselines, `Matrix::matvec` and power iteration, serving). Use them
+//!   where the caller already knows the lengths agree,
+//! * [`sq_euclidean`] / [`euclidean`] — the same distance behind a length
+//!   check, for series whose lengths the caller does not control,
 //! * [`znorm_euclidean`] — mean/std/distance fused into two passes per
 //!   input, no intermediate z-normalised copies,
 //! * [`znorm_into`] + [`ZnormScratch`] — z-normalisation into caller-owned
@@ -107,15 +112,12 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     acc.iter().sum::<f64>() + tail
 }
 
-/// Lane-parallel squared Euclidean distance. Errors on length mismatch.
+/// Lane-parallel squared Euclidean distance over `min(a.len(), b.len())`
+/// elements.
 #[inline]
-pub fn sq_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() != b.len() {
-        return Err(TsError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
+pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f64; LANES];
     let mut ca = a.chunks_exact(LANES);
     let mut cb = b.chunks_exact(LANES);
@@ -130,7 +132,19 @@ pub fn sq_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
         let d = x - y;
         tail += d * d;
     }
-    Ok(acc.iter().sum::<f64>() + tail)
+    acc.iter().sum::<f64>() + tail
+}
+
+/// Lane-parallel squared Euclidean distance. Errors on length mismatch.
+#[inline]
+pub fn sq_euclidean(a: &[f64], b: &[f64]) -> Result<f64> {
+    if a.len() != b.len() {
+        return Err(TsError::LengthMismatch {
+            left: a.len(),
+            right: b.len(),
+        });
+    }
+    Ok(sq_dist(a, b))
 }
 
 /// Lane-parallel Euclidean distance. Errors on length mismatch.

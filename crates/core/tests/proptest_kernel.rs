@@ -5,7 +5,8 @@
 //! exercised, and dedicated cases cover the degenerate inputs (empty,
 //! constant, zero-energy). DTW is required to be **bit-identical** to the
 //! reference (same min/add operations per cell); the reassociated
-//! reductions (znorm/ED/SBD) are allowed ≤ 1e-12 relative drift.
+//! reductions (znorm/ED/SBD, and `sq_dist`/`dot` against plain scalar sums
+//! over the shorter input) are allowed ≤ 1e-12 relative drift.
 
 mod oracle;
 
@@ -102,6 +103,15 @@ proptest! {
     }
 
     #[test]
+    fn sq_dist_and_dot_match_scalar_sums_over_the_shorter_input(
+        a in proptest::collection::vec(-50.0..50.0f64, 0..18),
+        b in proptest::collection::vec(-50.0..50.0f64, 0..18),
+    ) {
+        // Lengths are drawn independently, so most cases are unequal.
+        check_sq_dist_and_dot(&a, &b);
+    }
+
+    #[test]
     fn mean_std_matches_stats(
         xs in proptest::collection::vec(-100.0..100.0f64, 0..70),
     ) {
@@ -109,6 +119,46 @@ proptest! {
         prop_assert!(rel_close(m, tscore::stats::mean(&xs), 1e-12));
         prop_assert!(rel_close(s, tscore::stats::std(&xs), 1e-12));
     }
+}
+
+/// Checks `sq_dist` and `dot` against scalar sums over the first
+/// `min(a.len(), b.len())` elements, within 1e-12 relative to the sum of
+/// the terms' magnitudes (the bound a reassociated sum can promise).
+fn check_sq_dist_and_dot(a: &[f64], b: &[f64]) {
+    let pairs = || a.iter().zip(b);
+    let sq: f64 = pairs().map(|(x, y)| (x - y) * (x - y)).sum();
+    let fast = kernel::sq_dist(a, b);
+    assert!(rel_close(fast, sq, 1e-12), "sq_dist {fast} vs {sq}");
+    let d: f64 = pairs().map(|(x, y)| x * y).sum();
+    let scale: f64 = pairs().map(|(x, y)| (x * y).abs()).sum();
+    let fast = kernel::dot(a, b);
+    assert!(
+        (fast - d).abs() <= 1e-12 * scale.max(1.0),
+        "dot {fast} vs {d}"
+    );
+}
+
+/// `sq_dist` and `dot` over every pair of lengths 0..=17: every lane
+/// remainder on each side, equal and unequal lengths.
+#[test]
+fn sq_dist_and_dot_cover_every_length_pair() {
+    for na in 0..=17usize {
+        for nb in 0..=17usize {
+            let a: Vec<f64> = (0..na).map(|i| (i as f64 * 0.37).sin() * 40.0).collect();
+            let b: Vec<f64> = (0..nb)
+                .map(|i| (i as f64 * 0.53 + 1.3).cos() * 25.0)
+                .collect();
+            check_sq_dist_and_dot(&a, &b);
+        }
+    }
+    // Equal lengths: `sq_euclidean` is `sq_dist` behind a length check.
+    let a = [1.0, 2.0, 3.0];
+    assert_eq!(
+        kernel::sq_euclidean(&a, &[0.0; 3]).unwrap(),
+        kernel::sq_dist(&a, &[0.0; 3])
+    );
+    assert!(kernel::sq_euclidean(&a, &[0.0; 2]).is_err());
+    assert_eq!(kernel::sq_dist(&a, &[0.0; 2]), 5.0);
 }
 
 /// Every lane remainder n mod 8 ∈ 0..8, plus empty and constant inputs —

@@ -20,6 +20,7 @@
 use kgraph::KGraphModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tscore::kernel::sq_dist;
 use tscore::transform::znorm;
 use tscore::Dataset;
 
@@ -85,13 +86,7 @@ impl CentroidUser {
             if centroid.len() != z.len() {
                 continue;
             }
-            let zc = znorm(centroid);
-            let d: f64 = z
-                .iter()
-                .zip(&zc)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>()
-                .sqrt();
+            let d = sq_dist(&z, &znorm(centroid)).sqrt();
             // Perception noise: the reader mis-estimates each distance by a
             // log-normal-ish multiplicative factor.
             let u: f64 = rng.gen_range(-1.0..1.0);

@@ -152,7 +152,6 @@ fn main() {
             state_dir: dir.clone(),
             wal_sync_every: args.wal_sync_every,
             snapshot_every: args.snapshot_every,
-            ..DurabilityConfig::default()
         })),
         None => Arc::new(Durability::disabled()),
     };

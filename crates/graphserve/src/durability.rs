@@ -82,13 +82,14 @@ pub struct DurabilityConfig {
     /// Take a snapshot every N session refreshes, counting a refresh that
     /// compacts like any other. 0 snapshots on every refresh.
     pub snapshot_every: u64,
-    /// Backoff before the first retry of a transient I/O error (doubled
-    /// per attempt).
-    pub retry_backoff: Duration,
 }
 
 /// Retries of a transient I/O error before it is surfaced.
 const IO_RETRIES: u32 = 2;
+
+/// Backoff before the first retry of a transient I/O error (doubled per
+/// attempt).
+const RETRY_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Snapshot generations retained per model.
 const KEEP_SNAPSHOTS: usize = 2;
@@ -99,7 +100,6 @@ impl Default for DurabilityConfig {
             state_dir: PathBuf::from("state"),
             wal_sync_every: 1,
             snapshot_every: 4,
-            retry_backoff: Duration::from_millis(20),
         }
     }
 }
@@ -281,7 +281,7 @@ impl Durability {
         mut op: impl FnMut() -> Result<T, E>,
         transient: impl Fn(&E) -> bool,
     ) -> Result<T, E> {
-        let mut backoff = self.cfg.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let mut attempt = 0u32;
         loop {
             match op() {

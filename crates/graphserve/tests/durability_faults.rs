@@ -90,7 +90,6 @@ fn durability_config(dir: &Path, snapshot_every: u64) -> DurabilityConfig {
         state_dir: dir.to_path_buf(),
         wal_sync_every: 1,
         snapshot_every,
-        retry_backoff: std::time::Duration::from_millis(1),
     }
 }
 
@@ -205,12 +204,16 @@ struct FaultPlan {
     /// XOR this mask into the byte at this offset of every `read` —
     /// bit rot.
     flip_on_read: Option<(usize, u8)>,
+    /// Fail this many WAL appends, the first ones, with
+    /// `ErrorKind::Interrupted` before writing a byte — a transient error.
+    interrupted_appends: u64,
 }
 
 #[derive(Default)]
 struct FaultState {
     written: AtomicU64,
     syncs: AtomicU64,
+    appends: AtomicU64,
 }
 
 /// An [`Fs`] decorator injecting the faults of a [`FaultPlan`] on top of
@@ -297,6 +300,13 @@ struct FailWalFile {
 
 impl WalFile for FailWalFile {
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.fs.state.appends.fetch_add(1, Ordering::Relaxed) < self.fs.plan.interrupted_appends
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "injected interrupted append",
+            ));
+        }
         let (keep, err, _silent) = self.fs.plan_write(bytes.len() as u64);
         self.inner.append(&bytes[..keep.min(bytes.len())])?;
         match err {
@@ -589,6 +599,71 @@ fn fsync_failure_refuses_ingest_retryably() {
             ..FaultPlan::default()
         },
     );
+}
+
+/// The `graphserve_io_retries_total` value `/metrics` reports.
+fn io_retries_total(h: &Harness) -> u64 {
+    let resp = h.handle("GET", "/metrics", "");
+    body_text(&resp)
+        .lines()
+        .find_map(|l| l.strip_prefix("graphserve_io_retries_total "))
+        .expect("io retries metric")
+        .parse()
+        .unwrap()
+}
+
+/// A harness whose first `interrupted` WAL appends fail transiently.
+fn interrupted_harness(tag: &str, interrupted: u64) -> (TempDir, Harness) {
+    let dir = TempDir::new(tag);
+    let durability = Durability::with_fs(
+        durability_config(dir.path(), 1_000),
+        Arc::new(FailFs::new(
+            Arc::new(StdFs),
+            FaultPlan {
+                interrupted_appends: interrupted,
+                ..FaultPlan::default()
+            },
+        )),
+    );
+    (dir, Harness::new(durability))
+}
+
+#[test]
+fn a_transient_wal_error_is_retried_and_acknowledged() {
+    let (_dir, h) = interrupted_harness("interrupted-once", 1);
+    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(0));
+    assert_eq!(resp.status, 200, "{}", body_text(&resp));
+    assert_eq!(io_retries_total(&h), 1);
+    assert_eq!(points_total(&h), 8);
+    assert_eq!(
+        h.durability
+            .counters()
+            .wal_records_written
+            .load(Ordering::Relaxed),
+        1
+    );
+}
+
+#[test]
+fn a_transient_wal_error_that_outlasts_the_retries_refuses_retryably() {
+    // One attempt and two retries, all interrupted.
+    let (_dir, h) = interrupted_harness("interrupted-thrice", 3);
+    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(0));
+    assert_eq!(resp.status, 503, "{}", body_text(&resp));
+    assert!(
+        has_retry_after(&resp),
+        "retryable refusal carries Retry-After"
+    );
+    assert_eq!(io_retries_total(&h), 2);
+    let resp = h.handle("GET", "/healthz", "");
+    assert!(
+        body_text(&resp).contains("\"status\":\"ok\""),
+        "not degraded: {}",
+        body_text(&resp)
+    );
+    // The journal works again: the next ingest is acknowledged.
+    let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(1));
+    assert_eq!(resp.status, 200, "{}", body_text(&resp));
 }
 
 #[test]

@@ -18,6 +18,7 @@ use crate::build::GraphLayer;
 use crate::graphoid::{auto_thresholds, ClusterStats};
 use crate::pipeline::KGraphModel;
 use std::sync::OnceLock;
+use tscore::kernel::sq_dist;
 use tsgraph::layout::{layout_graph, BarnesHutOptions, Layout, LayoutEngine};
 
 /// Grid resolution of the cached [`auto_thresholds`] search.
@@ -132,16 +133,9 @@ impl KGraphModel {
             .serving
             .centroids
             .get_or_init(|| Centroids::compute(layer, &self.labels, self.config.k));
-        let distance = |c: usize| -> f64 {
-            centroids.means[c]
-                .iter()
-                .zip(&query)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum()
-        };
         (0..self.config.k)
             .filter(|&c| centroids.sizes[c] > 0)
-            .map(|c| (c, distance(c)))
+            .map(|c| (c, sq_dist(&centroids.means[c], &query)))
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(c, _)| c)
             .or(Some(0))

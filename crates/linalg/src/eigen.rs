@@ -8,6 +8,7 @@
 //! over a thousand series already takes seconds; do not feed it one.
 
 use crate::matrix::Matrix;
+use tscore::kernel::dot;
 
 /// Result of a symmetric eigendecomposition.
 ///
@@ -149,10 +150,7 @@ pub fn power_iteration(m: &Matrix, max_iter: usize, tol: f64) -> (f64, Vec<f64>)
         for x in &mut w {
             *x /= norm;
         }
-        let new_lambda: f64 = {
-            let mv = m.matvec(&w);
-            w.iter().zip(&mv).map(|(a, b)| a * b).sum()
-        };
+        let new_lambda = dot(&w, &m.matvec(&w));
         let delta: f64 = w
             .iter()
             .zip(&v)

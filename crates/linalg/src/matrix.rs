@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use tscore::kernel::dot;
 
 /// Dense `rows × cols` matrix of `f64`, row-major storage.
 ///
@@ -141,9 +142,7 @@ impl Matrix {
     /// Matrix-vector product; panics if `v.len() != cols`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        (0..self.rows)
-            .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
-            .collect()
+        (0..self.rows).map(|r| dot(self.row(r), v)).collect()
     }
 
     /// In-place scalar multiplication.

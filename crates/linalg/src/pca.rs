@@ -135,16 +135,8 @@ impl Pca {
             self.mean.len(),
             "PCA projection dimension mismatch"
         );
-        let centred: Vec<f64> = x.iter().zip(&self.mean).map(|(a, m)| a - m).collect();
         (0..self.components.rows())
-            .map(|c| {
-                self.components
-                    .row(c)
-                    .iter()
-                    .zip(&centred)
-                    .map(|(w, v)| w * v)
-                    .sum()
-            })
+            .map(|c| self.axis(c, x))
             .collect()
     }
 
@@ -152,25 +144,34 @@ impl Pca {
     /// without allocating. Missing axes (fewer than two components) yield
     /// zero coordinates.
     ///
-    /// The accumulation order per axis is identical to [`Self::project`]
-    /// (sequential `w[i] · (x[i] − mean[i])`), so the coordinates are
-    /// bit-identical to `project(x)[0..2]` — callers can mix the two forms
-    /// freely without ulp drift between fit-time and serve-time paths.
+    /// Both forms sum each axis with the same sequential loop
+    /// (`w[i] · (x[i] − mean[i])`), so the coordinates are bit-identical to
+    /// `project(x)[0..2]` — callers can mix the two forms freely without
+    /// ulp drift between fit-time and serve-time paths.
     pub fn project2(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(
             x.len(),
             self.mean.len(),
             "PCA projection dimension mismatch"
         );
-        let mut out = [0.0f64; 2];
-        for (c, slot) in out.iter_mut().enumerate().take(self.components.rows()) {
-            let mut acc = 0.0;
-            for ((w, xv), m) in self.components.row(c).iter().zip(x).zip(&self.mean) {
-                acc += w * (xv - m);
+        let axis = |c| {
+            if c < self.components.rows() {
+                self.axis(c, x)
+            } else {
+                0.0
             }
-            *slot = acc;
+        };
+        (axis(0), axis(1))
+    }
+
+    /// Coordinate of `x` on retained axis `c`: `Σ w[i] · (x[i] − mean[i])`,
+    /// summed in index order without a centred copy of `x`.
+    fn axis(&self, c: usize, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for ((w, xv), m) in self.components.row(c).iter().zip(x).zip(&self.mean) {
+            acc += w * (xv - m);
         }
-        (out[0], out[1])
+        acc
     }
 
     /// Projects every row of `data`; returns a `rows × n_components` matrix.

@@ -232,8 +232,7 @@ impl StreamSession {
         self.points_total += points.len() as u64;
         self.points_since_refresh += points.len();
 
-        if self.points_since_refresh >= self.cfg.refresh_every.max(1) || self.cfg.refresh_every == 0
-        {
+        if self.points_since_refresh >= self.cfg.refresh_every {
             outcome.refreshed = true;
             outcome.compacted = self.refresh();
         }

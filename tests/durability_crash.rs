@@ -41,7 +41,6 @@ fn durability_config(dir: &Path) -> DurabilityConfig {
         state_dir: dir.to_path_buf(),
         wal_sync_every: 1,
         snapshot_every: 4,
-        ..DurabilityConfig::default()
     }
 }
 
