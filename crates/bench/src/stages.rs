@@ -87,7 +87,8 @@ impl StageFixture {
         feature_matrix(layer, self.config.node_features, self.config.edge_features)
     }
 
-    /// Stage `cluster`: k-Means over a layer's features.
+    /// Stage `cluster`: exact integer k-Means over a layer's crossing
+    /// counts.
     pub fn run_cluster(&self, layer: &GraphLayer) -> Vec<usize> {
         let cfg = &self.config;
         cluster_layer(

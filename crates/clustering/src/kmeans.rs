@@ -1,8 +1,10 @@
 //! k-Means (Lloyd's algorithm) with k-means++ initialisation.
 //!
-//! This is the workhorse of the whole system: k-Graph runs it on every
-//! per-length feature matrix, spectral clustering runs it on the embedded
-//! eigenvectors, and it doubles as the k-AVG raw baseline.
+//! Spectral clustering runs it on the embedded eigenvectors, and it doubles
+//! as the k-AVG raw baseline. k-Graph's per-length crossing counts are
+//! clustered by the exact integer variant, [`KMeans::fit_counts`] in
+//! [`crate::count_kmeans`], which shares this module's seeding loop
+//! ([`kmeanspp_seeds`]) and rules.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +48,10 @@ impl KMeans {
         let mut best: Option<KMeansResult> = None;
         for restart in 0..self.n_init.max(1) {
             let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(restart as u64));
-            let result = self.lloyd(rows, kmeanspp_init(rows, self.k, &mut rng));
+            let seeds = kmeanspp_seeds(rows.len(), self.k, &mut rng, |i, c| {
+                sq_dist(&rows[i], &rows[c])
+            });
+            let result = self.lloyd(rows, seeds.iter().map(|&c| rows[c].clone()).collect());
             if best.as_ref().is_none_or(|b| result.inertia < b.inertia) {
                 best = Some(result);
             }
@@ -142,15 +147,25 @@ fn nearest(row: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
     (best, best_d)
 }
 
-/// k-means++ seeding: first centre uniform, then proportional to squared
-/// distance from the nearest chosen centre.
-pub fn kmeanspp_init(rows: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
-    let n = rows.len();
+/// k-means++ seeding over row indices: the first centre is a uniform
+/// draw, each later one a draw proportional to `dist(row, centre)` from the
+/// row's nearest chosen centre. Returns the `min(k, n)` chosen row indices.
+/// `dist(i, c)` is called for every row `i` against one centre `c` at a
+/// time.
+///
+/// Both [`KMeans::fit`] and [`KMeans::fit_counts`] seed through this loop,
+/// so equal distances give equal draws.
+pub fn kmeanspp_seeds(
+    n: usize,
+    k: usize,
+    rng: &mut StdRng,
+    mut dist: impl FnMut(usize, usize) -> f64,
+) -> Vec<usize> {
     let k = k.min(n);
-    let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centroids.push(rows[rng.gen_range(0..n)].clone());
-    let mut d2: Vec<f64> = rows.iter().map(|r| sq_dist(r, &centroids[0])).collect();
-    while centroids.len() < k {
+    let mut seeds = Vec::with_capacity(k);
+    seeds.push(rng.gen_range(0..n));
+    let mut d2: Vec<f64> = (0..n).map(|i| dist(i, seeds[0])).collect();
+    while seeds.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= f64::MIN_POSITIVE {
             // All points coincide with existing centroids; pick uniformly.
@@ -167,16 +182,15 @@ pub fn kmeanspp_init(rows: &[Vec<f64>], k: usize, rng: &mut StdRng) -> Vec<Vec<f
             }
             chosen
         };
-        centroids.push(rows[next].clone());
-        let latest = centroids.last().expect("just pushed");
-        for (i, row) in rows.iter().enumerate() {
-            let d = sq_dist(row, latest);
-            if d < d2[i] {
-                d2[i] = d;
+        seeds.push(next);
+        for (i, best) in d2.iter_mut().enumerate() {
+            let d = dist(i, next);
+            if d < *best {
+                *best = d;
             }
         }
     }
-    centroids
+    seeds
 }
 
 #[cfg(test)]
@@ -285,11 +299,12 @@ mod tests {
     fn kmeanspp_spreads_centroids() {
         let (rows, _) = three_blobs();
         let mut rng = StdRng::seed_from_u64(0);
-        let c = kmeanspp_init(&rows, 3, &mut rng);
+        let seeds = kmeanspp_seeds(rows.len(), 3, &mut rng, |i, c| sq_dist(&rows[i], &rows[c]));
+        let c: Vec<&Vec<f64>> = seeds.iter().map(|&i| &rows[i]).collect();
         assert_eq!(c.len(), 3);
         // The three seeds should land in three different blobs with
         // overwhelming probability given the separation.
-        let blob_of = |p: &Vec<f64>| -> usize {
+        let blob_of = |p: &&Vec<f64>| -> usize {
             if p[0] > 5.0 {
                 1
             } else if p[1] > 5.0 {

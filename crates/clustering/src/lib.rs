@@ -7,6 +7,7 @@
 //! | module | method / content |
 //! |---|---|
 //! | [`kmeans`]    | k-Means with k-means++ init and restarts (k-AVG) |
+//! | [`count_kmeans`] | exact integer k-Means over sparse count rows (k-Graph's per-length step) |
 //! | [`kshape`]    | k-Shape (FFT-backed NCC, SBD, shape extraction) |
 //! | [`ksc`]       | k-Spectral-Centroid (scale/shift invariant) |
 //! | [`kdba`]      | k-Means under DTW with DBA barycenter averaging |
@@ -27,6 +28,7 @@
 
 pub mod agglo;
 pub mod birch;
+pub mod count_kmeans;
 pub mod dbscan;
 pub mod features;
 pub mod gmm;

@@ -3,6 +3,7 @@
 //! fixtures of the unit tests.
 
 use clustering::agglo::{Agglomerative, Linkage};
+use clustering::count_kmeans::CountRow;
 use clustering::kmeans::KMeans;
 use clustering::metrics;
 use clustering::spectral::{rbf_affinity, spectral_clustering, SpectralOptions};
@@ -12,6 +13,7 @@ use linalg::Matrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Random small point cloud: n points in d dimensions.
 fn cloud(n_range: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Vec<f64>>> {
@@ -111,6 +113,24 @@ fn noisy_partitions(n: usize, m: usize, k: usize, noise: f64, seed: u64) -> Vec<
         .collect()
 }
 
+/// Random count matrix: 1–29 rows drawn, with repeats, from a pool of 1–7
+/// rows of 1–9 columns, with 5 in 8 counts zero and the rest 1–3.
+fn count_matrix() -> impl Strategy<Value = Vec<Vec<u32>>> {
+    (1usize..10, 1usize..8)
+        .prop_flat_map(|(dim, pool)| {
+            let count = (0u32..8).prop_map(|v| v.saturating_sub(4));
+            (
+                proptest::collection::vec(proptest::collection::vec(count, dim), pool),
+                proptest::collection::vec(0..pool, 1..30),
+            )
+        })
+        .prop_map(|(pool, picks)| picks.into_iter().map(|i| pool[i].clone()).collect())
+}
+
+/// Cases of `fit_counts_matches_float_kmeans` whose labels differ from the
+/// float fit's through a tied restart choice.
+static RESTART_TIES: AtomicUsize = AtomicUsize::new(0);
+
 #[test]
 fn kgraph_fit_matches_dense_spectral_oracle() {
     let ds = datasets::cbf::cbf(100, 256, 7);
@@ -118,6 +138,54 @@ fn kgraph_fit_matches_dense_spectral_oracle() {
     assert_eq!(model.config.n_lengths, 5);
     let (oracle, _) = dense_spectral_oracle(&model.consensus(), SpectralOptions::new(3, 7));
     assert_eq!(model.labels, oracle);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16384))]
+
+    #[test]
+    fn fit_counts_matches_float_kmeans(
+        counts in count_matrix(),
+        k in 1usize..8,
+        n_init in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let floats: Vec<Vec<f64>> = counts
+            .iter()
+            .map(|r| r.iter().map(|&v| f64::from(v)).collect())
+            .collect();
+        let rows: Vec<CountRow> = counts
+            .iter()
+            .map(|r| {
+                let columns = r.iter().enumerate();
+                CountRow::tally(columns.flat_map(|(j, &v)| vec![j as u32; v as usize]).collect())
+            })
+            .collect();
+        let km = KMeans { k, max_iter: 100, n_init, seed };
+        let exact = km.fit_counts(&rows);
+        let float = km.fit(&floats).labels;
+        if exact != float {
+            // Every restart alone must agree. The two paths may then pick
+            // different restarts only where the float inertias are within
+            // 1e-9 relative: an exact tie that float sums broke.
+            let (mut float_inertia, mut exact_inertia) = (None, None);
+            for r in 0..n_init {
+                let one = KMeans { n_init: 1, seed: seed + r as u64, ..km };
+                let fit = one.fit(&floats);
+                prop_assert_eq!(&fit.labels, &one.fit_counts(&rows), "restart {}", r);
+                if fit.labels == float {
+                    float_inertia.get_or_insert(fit.inertia);
+                }
+                if fit.labels == exact {
+                    exact_inertia.get_or_insert(fit.inertia);
+                }
+            }
+            let (a, b) = (float_inertia.unwrap_or(f64::NAN), exact_inertia.unwrap_or(f64::NAN));
+            prop_assert!((a - b).abs() <= 1e-9 * a.max(b), "inertia {} vs {}", a, b);
+            let ties = RESTART_TIES.fetch_add(1, Ordering::Relaxed) + 1;
+            eprintln!("fit_counts_matches_float_kmeans: tied restart choice #{ties}, {a} vs {b}");
+        }
+    }
 }
 
 proptest! {

@@ -17,15 +17,24 @@ fn rel_close(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
 }
 
+/// Two vectors of one length drawn from `lengths`, values from `values`.
+fn equal_length_pair(
+    values: std::ops::Range<f64>,
+    lengths: std::ops::Range<usize>,
+) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    lengths.prop_flat_map(move |n| {
+        (
+            proptest::collection::vec(values.clone(), n),
+            proptest::collection::vec(values.clone(), n),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn znorm_euclidean_matches_reference(
-        a in proptest::collection::vec(-50.0..50.0f64, 1..70),
-        b in proptest::collection::vec(-50.0..50.0f64, 1..70),
-    ) {
-        prop_assume!(a.len() == b.len());
+    fn znorm_euclidean_matches_reference((a, b) in equal_length_pair(-50.0..50.0, 1..70)) {
         let fast = kernel::znorm_euclidean(&a, &b).unwrap();
         let slow = oracle::znorm_euclidean(&a, &b).unwrap();
         prop_assert!(rel_close(fast, slow, 1e-12), "{fast} vs {slow}");
@@ -44,22 +53,14 @@ proptest! {
     }
 
     #[test]
-    fn euclidean_matches_reference(
-        a in proptest::collection::vec(-50.0..50.0f64, 0..70),
-        b in proptest::collection::vec(-50.0..50.0f64, 0..70),
-    ) {
-        prop_assume!(a.len() == b.len());
+    fn euclidean_matches_reference((a, b) in equal_length_pair(-50.0..50.0, 0..70)) {
         let fast = kernel::euclidean(&a, &b).unwrap();
         let slow = oracle::euclidean(&a, &b).unwrap();
         prop_assert!(rel_close(fast, slow, 1e-12), "{fast} vs {slow}");
     }
 
     #[test]
-    fn sbd_matches_reference(
-        a in proptest::collection::vec(-20.0..20.0f64, 1..40),
-        b in proptest::collection::vec(-20.0..20.0f64, 1..40),
-    ) {
-        prop_assume!(a.len() == b.len());
+    fn sbd_matches_reference((a, b) in equal_length_pair(-20.0..20.0, 1..40)) {
         let fast = kernel::sbd(&a, &b).unwrap();
         let slow = oracle::sbd(&a, &b).unwrap();
         prop_assert!(rel_close(fast, slow, 1e-9), "{fast} vs {slow}");

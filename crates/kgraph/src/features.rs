@@ -4,8 +4,17 @@
 //! and edge-based, by counting intersections with nodes and edges in the
 //! graph" (paper §II-A). k-Means over the concatenated features yields the
 //! per-length partition `L_ℓ`.
+//!
+//! The features are raw crossing counts, so [`cluster_layer`] clusters them
+//! exactly: each path becomes a sparse integer [`CountRow`] and
+//! [`KMeans::fit_counts`] runs k-Means in integer arithmetic, with no
+//! `n × dim` float matrix. It is exact while `n · T < 2^31`, where `T` is
+//! the largest count total of a path, less than twice the path's length.
+//! [`feature_row`] and [`feature_matrix`] give the same counts as dense
+//! `f64` rows for serving and the frames.
 
 use crate::build::GraphLayer;
+use clustering::count_kmeans::CountRow;
 use clustering::kmeans::KMeans;
 use tscore::par::par_map;
 use tsgraph::NodeId;
@@ -15,6 +24,38 @@ use tsgraph::NodeId;
 /// already runs one job per length, so small layers arrive here from
 /// within a worker).
 const PARALLEL_ROW_THRESHOLD: usize = 64;
+
+/// Calls `count` with the feature column of every crossing of `path`:
+/// node `i` is column `i`, edge `e` is column `e` after the node block
+/// (either block can be disabled for ablations).
+fn for_each_crossing(
+    layer: &GraphLayer,
+    path: &[NodeId],
+    node_features: bool,
+    edge_features: bool,
+    mut count: impl FnMut(usize),
+) {
+    assert!(
+        node_features || edge_features,
+        "at least one feature family must be enabled"
+    );
+    if node_features {
+        path.iter().for_each(|node| count(node.index()));
+    }
+    if edge_features {
+        let n_nodes = layer.graph.node_count();
+        let offset = if node_features { n_nodes } else { 0 };
+        for w in path.windows(2) {
+            if w[0] == w[1] {
+                continue;
+            }
+            // O(log deg) binary search over the sorted CSR out-slice.
+            if let Some(e) = layer.graph.edge_id(w[0], w[1]) {
+                count(offset + e.index());
+            }
+        }
+    }
+}
 
 /// Feature vector of one node path through `layer`'s graph:
 /// `[count(node 0), …, count(node N−1), count(edge 0), …, count(edge E−1)]`
@@ -29,32 +70,21 @@ pub fn feature_row(
     node_features: bool,
     edge_features: bool,
 ) -> Vec<f64> {
-    assert!(
-        node_features || edge_features,
-        "at least one feature family must be enabled"
-    );
     let n_nodes = layer.graph.node_count();
     let n_edges = layer.graph.edge_count();
     let dim = if node_features { n_nodes } else { 0 } + if edge_features { n_edges } else { 0 };
     let mut row = vec![0.0f64; dim];
-    if node_features {
-        for node in path {
-            row[node.index()] += 1.0;
-        }
-    }
-    if edge_features {
-        let offset = if node_features { n_nodes } else { 0 };
-        for w in path.windows(2) {
-            if w[0] == w[1] {
-                continue;
-            }
-            // O(log deg) binary search over the sorted CSR out-slice.
-            if let Some(e) = layer.graph.edge_id(w[0], w[1]) {
-                row[offset + e.index()] += 1.0;
-            }
-        }
-    }
+    for_each_crossing(layer, path, node_features, edge_features, |c| row[c] += 1.0);
     row
+}
+
+/// Maps `f` over `paths`, fanning out through [`par_map`] from
+/// [`PARALLEL_ROW_THRESHOLD`] paths on. Output order is the input order.
+fn map_paths<R: Send>(paths: &[Vec<NodeId>], f: impl Fn(&Vec<NodeId>) -> R + Sync) -> Vec<R> {
+    if paths.len() < PARALLEL_ROW_THRESHOLD {
+        return paths.iter().map(f).collect();
+    }
+    par_map(paths, f)
 }
 
 /// Featurises an arbitrary set of node paths against `layer`'s graph.
@@ -67,15 +97,9 @@ pub fn feature_rows_for_paths(
     node_features: bool,
     edge_features: bool,
 ) -> Vec<Vec<f64>> {
-    assert!(
-        node_features || edge_features,
-        "at least one feature family must be enabled"
-    );
-    let row = |path: &Vec<NodeId>| feature_row(layer, path, node_features, edge_features);
-    if paths.len() < PARALLEL_ROW_THRESHOLD {
-        return paths.iter().map(row).collect();
-    }
-    par_map(paths, row)
+    map_paths(paths, |path| {
+        feature_row(layer, path, node_features, edge_features)
+    })
 }
 
 /// Builds the feature matrix of a layer: row `i` is
@@ -88,7 +112,15 @@ pub fn feature_matrix(
     feature_rows_for_paths(layer, &layer.paths, node_features, edge_features)
 }
 
-/// Clusters a layer's feature matrix with k-Means, returning `L_ℓ`.
+/// Clusters a layer's crossing counts with k-Means, returning `L_ℓ`.
+///
+/// Each fit-time path becomes a sparse [`CountRow`] over the columns of
+/// [`feature_row`], and [`KMeans::fit_counts`] clusters them in exact
+/// integer arithmetic (`max_iter` 100). Its seeding, tie rules and restart
+/// choice are those of [`KMeans::fit`] on [`feature_matrix`], so the labels
+/// are that fit's, save where a float rounding broke an exact tie there.
+/// Exact while the path count times the largest count total of a path is
+/// below `2^31`; `fit_counts` panics otherwise.
 pub fn cluster_layer(
     layer: &GraphLayer,
     k: usize,
@@ -97,15 +129,20 @@ pub fn cluster_layer(
     node_features: bool,
     edge_features: bool,
 ) -> Vec<usize> {
-    let features = feature_matrix(layer, node_features, edge_features);
+    let rows = map_paths(&layer.paths, |path| {
+        let mut columns = Vec::with_capacity(2 * path.len());
+        for_each_crossing(layer, path, node_features, edge_features, |c| {
+            columns.push(u32::try_from(c).expect("a layer has under 2^32 nodes and edges"))
+        });
+        CountRow::tally(columns)
+    });
     KMeans {
         k,
         max_iter: 100,
         n_init,
         seed,
     }
-    .fit(&features)
-    .labels
+    .fit_counts(&rows)
 }
 
 #[cfg(test)]

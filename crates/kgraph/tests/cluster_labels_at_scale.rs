@@ -1,0 +1,27 @@
+//! `cluster_layer`'s exact integer k-Means against float `KMeans` on the
+//! dense feature matrix. On this fit, restarts of every layer reach one
+//! partition under different numbering, so the labels also pin the restart
+//! choice. Run with `cargo test --release -p kgraph -- --ignored`.
+
+use clustering::kmeans::KMeans;
+use kgraph::features::feature_matrix;
+use kgraph::{KGraph, KGraphConfig};
+
+#[test]
+#[ignore = "fits 3,000 series; run in release with --ignored"]
+fn every_layer_matches_float_kmeans_at_n_3000() {
+    let cfg = KGraphConfig::new(3).with_seed(7);
+    let model = KGraph::new(cfg.clone()).fit(&datasets::cbf::cbf(1000, 256, 7));
+    assert_eq!(model.layers.len(), 5);
+    for layer in &model.layers {
+        let features = feature_matrix(layer, cfg.node_features, cfg.edge_features);
+        let float = KMeans {
+            k: cfg.k,
+            max_iter: 100,
+            n_init: cfg.n_init,
+            seed: cfg.seed_for_length(layer.length),
+        }
+        .fit(&features);
+        assert_eq!(layer.labels, float.labels, "length {}", layer.length);
+    }
+}

@@ -234,7 +234,9 @@ pub mod __runner {
     pub use rand::SeedableRng;
 
     /// Runs `cases` random cases of `body` over values drawn from
-    /// `make_strategy`, panicking on the first failed case.
+    /// `make_strategy`, panicking on the first failed case, or when
+    /// `prop_assume!` rejections use up the attempt cap before `cases`
+    /// cases have run.
     pub fn run<S, F>(name: &str, cases: u32, make_strategy: impl Fn() -> S, mut body: F)
     where
         S: super::Strategy,
@@ -266,6 +268,12 @@ pub mod __runner {
                 }
             }
         }
+        // A property that passed only the few inputs its assumptions let
+        // through has not been tested (proptest: "Too many global rejects").
+        assert!(
+            case == cases,
+            "proptest '{name}' ran {case} of {cases} cases: prop_assume! rejected {rejected} inputs"
+        );
     }
 }
 
@@ -414,6 +422,22 @@ mod tests {
             prop_assume!(x % 2 == 0);
             prop_assert!(x % 2 == 0);
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "proptest 'picky' ran 3 of 8 cases: prop_assume! rejected 157 inputs"
+    )]
+    fn too_many_rejects_panic_with_the_counts() {
+        crate::__runner::run(
+            "picky",
+            8,
+            || 0usize..40,
+            |x| {
+                prop_assume!(x == 0);
+                Ok(())
+            },
+        );
     }
 
     #[test]
