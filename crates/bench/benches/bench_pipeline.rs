@@ -2,7 +2,7 @@
 //!
 //! Every label is `pipeline/<stage>/<variant>` with `<stage>` one of
 //! `build` / `fit` / `features` / `cluster` / `render` / `serve` /
-//! `persist` / `http` (see `bench::stages`). The committed
+//! `persist` / `http` / `stream` (see `bench::stages`). The committed
 //! `crates/bench/BENCH_pipeline.json` is the recorded baseline; CI
 //! reruns this bench and gates merges with `bench_compare` on per-stage
 //! geomean ratios. Scaling variants (series count, length, parallel
@@ -12,15 +12,20 @@
 //! of a model fitted on 1,002 series live under `serve`; encoding and
 //! decoding the sealed snapshot of the `ingest_durable` model live
 //! under `persist`; reading the loopback benchmark's score request off
-//! a socket and writing its answer back live under `http`.
+//! a socket and writing its answer back live under `http`; refreshing a
+//! streaming session over the `ingest_durable` model lives under
+//! `stream`.
 
-use bench::stages::{HttpFixture, ScaleFixture, ServeFixture, StageFixture};
+use bench::stages::{
+    ingest_durable_model, HttpFixture, ScaleFixture, ServeFixture, StageFixture, StreamFixture,
+};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgraph::consensus::{consensus_labels, consensus_matrix};
 use kgraph::embed::project_subsequences;
 use kgraph::nodes::radial_scan;
 use kgraph::serial::{read_model, write_model};
 use kgraph::{KGraph, KGraphConfig};
+use std::sync::Arc;
 
 fn quick_config(k: usize) -> KGraphConfig {
     KGraphConfig {
@@ -196,12 +201,7 @@ fn bench_persist(c: &mut Criterion) {
     // The `ingest_durable` model (300 CBF series × 256, k = 3, five
     // lengths, seed 7), fitted once: each write is one snapshot's KGM2
     // blob with its CRC-32 trailer, each read one checked load of it.
-    let config = KGraphConfig {
-        n_lengths: 5,
-        ..KGraphConfig::new(3)
-    }
-    .with_seed(7);
-    let model = KGraph::new(config).fit(&datasets::cbf::cbf(100, 256, 7));
+    let model = ingest_durable_model();
     let bytes = write_model(&model);
     group.bench_function(BenchmarkId::new("persist", "write_model_n300"), |b| {
         b.iter(|| write_model(black_box(&model)))
@@ -227,6 +227,22 @@ fn bench_http(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_stream(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pipeline");
+    group.sample_size(20);
+    // One forced refresh of a session over the `ingest_durable` model
+    // holding 4 series of 1,024 or 4,096 points: the best layer compacted
+    // with the session's delta, then every series rescored.
+    let model = Arc::new(ingest_durable_model());
+    for (label, points) in [("refresh_n4k", 1_024), ("refresh_n16k", 4_096)] {
+        let mut fx = StreamFixture::new(Arc::clone(&model), points);
+        group.bench_function(BenchmarkId::new("stream", label), |b| {
+            b.iter(|| fx.run_refresh())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
@@ -234,6 +250,7 @@ criterion_group!(
     bench_render_at_scale,
     bench_serve,
     bench_persist,
-    bench_http
+    bench_http,
+    bench_stream
 );
 criterion_main!(benches);

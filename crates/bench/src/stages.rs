@@ -7,8 +7,9 @@
 //! Graph frame's node-link view) — plus **serve**, the per-request reads
 //! of a fitted model (predict, graphoid, render) that the model's
 //! per-version cache answers, **persist**, writing and loading a model's
-//! sealed snapshot, and **http**, reading a request off and writing an
-//! answer onto a loopback socket. `bench_pipeline` times each stage under
+//! sealed snapshot, **http**, reading a request off and writing an
+//! answer onto a loopback socket, and **stream**, refreshing a streaming
+//! session's scores. `bench_pipeline` times each stage under
 //! a label of the form `pipeline/<stage>/<variant>`, and
 //! [`crate::baseline`] aggregates ratios per `<stage>` — so a regression
 //! report says *which stage* got slower, not just that the pipeline did.
@@ -28,6 +29,8 @@ use kgraph::nodes::radial_scan;
 use kgraph::{KGraph, KGraphConfig, KGraphModel, NodePattern, PatternGraph};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::Arc;
+use streamfit::{StreamConfig, StreamSession};
 use tscore::Dataset;
 use tsgraph::layout::LayoutEngine;
 use tsgraph::{GraphBuilder, NodeId};
@@ -35,8 +38,8 @@ use tsgraph::{GraphBuilder, NodeId};
 /// The stage names, in pipeline order. These are the `<stage>` path
 /// segments of every `pipeline/<stage>/<variant>` bench label and the keys
 /// the comparison gate aggregates by.
-pub const STAGE_NAMES: [&str; 8] = [
-    "build", "fit", "features", "cluster", "render", "serve", "persist", "http",
+pub const STAGE_NAMES: [&str; 9] = [
+    "build", "fit", "features", "cluster", "render", "serve", "persist", "http", "stream",
 ];
 
 /// Deterministic workload shared by every stage bench.
@@ -251,6 +254,62 @@ impl ServeFixture {
     }
 }
 
+/// The loopback benchmark's `ingest_durable` model: 300 CBF series × 256
+/// (k = 3, five lengths, seed 7). Fitting takes about a second.
+pub fn ingest_durable_model() -> KGraphModel {
+    let config = KGraphConfig {
+        n_lengths: 5,
+        ..KGraphConfig::new(3)
+    }
+    .with_seed(7);
+    KGraph::new(config).fit(&datasets::cbf::cbf(100, 256, 7))
+}
+
+/// Streaming fixture for the `pipeline/stream/refresh_*` variants: a
+/// session over a model that holds 4 open series of `points` points each.
+/// The points are unseen CBF series of 256 points, appended one at a time
+/// with the refresh cadence off; one refresh then folds their transitions
+/// into the delta, so each timed refresh compacts the best layer with a
+/// non-empty delta and rescores every series.
+pub struct StreamFixture {
+    session: StreamSession,
+}
+
+impl StreamFixture {
+    /// Opens the session over `model` and appends the series.
+    pub fn new(model: Arc<KGraphModel>, points: usize) -> Self {
+        let pool = datasets::cbf::cbf(22, 256, 11);
+        let pool = pool.series();
+        let mut session = StreamSession::new(
+            model,
+            StreamConfig {
+                refresh_every: usize::MAX,
+                compact_every: 0,
+            },
+        );
+        for chunk in 0..points.div_ceil(256) {
+            for s in 0..4 {
+                let values = pool[(4 * chunk + s) % pool.len()].values();
+                session
+                    .append(s, values)
+                    .expect("the model routes every series");
+            }
+        }
+        session.refresh();
+        StreamFixture { session }
+    }
+
+    /// `stream/refresh_n*`: one forced refresh.
+    pub fn run_refresh(&mut self) -> Option<Arc<KGraphModel>> {
+        self.session.refresh()
+    }
+
+    /// The session being refreshed.
+    pub fn session(&self) -> &StreamSession {
+        &self.session
+    }
+}
+
 /// Wire fixture for the `pipeline/http/*_score` variants: a connected
 /// loopback `TcpStream` pair, the loopback benchmark's score request
 /// (256 shortest-form f64s, about 5 KB of body) and an answer of the
@@ -361,6 +420,20 @@ mod tests {
         }
         assert!(fx.sink.starts_with(b"HTTP/1.1 200 OK\r\n"));
         assert!(fx.sink.ends_with(b"]}"));
+    }
+
+    #[test]
+    fn stream_fixture_scores_every_series() {
+        let fx = StageFixture::standard();
+        let mut stream = StreamFixture::new(Arc::new(fx.run_fit()), 300);
+        assert!(stream.run_refresh().is_none(), "compaction is off");
+        let session = stream.session();
+        assert_eq!(session.open_series(), 4);
+        assert_eq!(session.points_total(), 4 * 512);
+        let status = session.status();
+        assert!(status.delta_edges > 0);
+        assert_eq!(status.pending_triples, 0);
+        assert!((0..4).all(|s| session.scores(s).is_some_and(|v| !v.is_empty())));
     }
 
     #[test]

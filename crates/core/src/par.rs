@@ -1,7 +1,7 @@
 //! Scoped fan-out: one order-preserving parallel map over a slice.
 //!
 //! Every data-parallel loop in the workspace — k-Graph's per-length jobs,
-//! feature rows, batch requests, streaming rescores — goes through
+//! feature rows, batch requests — goes through
 //! [`par_map`], so the pool policy is decided in one place.
 
 use std::thread;

@@ -10,12 +10,17 @@
 //! Scores are in `[0, 1]`: 0 = the most common transitions in the graph,
 //! 1 = transitions never seen at fit time.
 //!
-//! There is one scorer. [`anomaly_scores`] reads the layer's own graph;
-//! [`anomaly_scores_against`] reads any graph over the layer's node set,
-//! which is how a streaming session scores against the layer's graph
-//! compacted with the transitions it has buffered since the fit.
+//! There is one scorer, in two steps: [`routed_gaps`] routes each window
+//! of a series through the layer's embedding to its node and its
+//! embedding gap ([`window_gap`]), and [`scores_from_route`] scores that
+//! route against a graph. [`anomaly_scores`] runs both over the layer's
+//! own graph; [`anomaly_scores_against`] reads any graph over the layer's
+//! node set, which is how a streaming session scores against the layer's
+//! graph compacted with the transitions it has buffered since the fit. A
+//! session keeps each series' route as it grows, so it calls
+//! [`scores_from_route`] alone.
 
-use crate::build::{GraphLayer, PatternGraph};
+use crate::build::{GraphLayer, LayerEmbedding, PatternGraph};
 use tscore::error::TsError;
 use tsgraph::NodeId;
 
@@ -26,11 +31,13 @@ use tsgraph::NodeId;
 /// the most common continuation scores 0 and rare branches approach 1.
 /// Transitions without an edge (never observed at fit time) score 1;
 /// self-transitions score 0 (dwelling inside a pattern is handled by the
-/// embedding-gap term of [`anomaly_scores`]). Output length is
+/// embedding-gap term, [`window_gap`]). Output length is
 /// `path.len() − 1` (empty for trivial paths).
 pub fn transition_scores(graph: &PatternGraph, path: &[NodeId]) -> Vec<f64> {
-    // The transition is an O(log deg) lookup; the modal outgoing weight is
-    // a max over the node's contiguous CSR weight slice (at least 1).
+    // The transition is an O(log deg) lookup. The modal outgoing weight is
+    // a max over the node's contiguous CSR weight slice (at least 1),
+    // folded once per source node and call.
+    let mut modal: Vec<Option<f64>> = vec![None; graph.node_count()];
     path.windows(2)
         .map(|w| {
             if w[0] == w[1] {
@@ -38,7 +45,9 @@ pub fn transition_scores(graph: &PatternGraph, path: &[NodeId]) -> Vec<f64> {
             }
             match graph.weight_between(w[0], w[1]) {
                 Some(count) => {
-                    let modal = graph.out_weights(w[0]).iter().copied().fold(1.0, f64::max);
+                    let modal = *modal[w[0].index()].get_or_insert_with(|| {
+                        graph.out_weights(w[0]).iter().copied().fold(1.0, f64::max)
+                    });
                     1.0 - count / modal
                 }
                 None => 1.0,
@@ -47,35 +56,32 @@ pub fn transition_scores(graph: &PatternGraph, path: &[NodeId]) -> Vec<f64> {
         .collect()
 }
 
-/// Distance of each projected window to its assigned node's radius,
-/// normalised by the embedding's radial scale (the median node radius):
-/// `min(1, gap / scale)`. Windows whose shapes were never seen at fit time
-/// project into empty regions of the embedding and score high, regardless
-/// of which node they fall back to.
-pub fn embedding_gap_scores(layer: &GraphLayer, values: &[f64]) -> Option<Vec<f64>> {
-    routed_gaps(layer, values).map(|(_, gaps)| gaps)
+/// Embedding gap of one routed window: the distance of its projected
+/// `point` to the radius of its assigned `node`, normalised by the
+/// embedding's radial scale (the median node radius): `min(1, gap /
+/// scale)`. Windows whose shapes were never seen at fit time project into
+/// empty regions of the embedding and score high, regardless of which node
+/// they fall back to.
+pub fn window_gap(emb: &LayerEmbedding, point: (f64, f64), node: usize) -> f64 {
+    let dx = point.0 - emb.center.0;
+    let dy = point.1 - emb.center.1;
+    let r = (dx * dx + dy * dy).sqrt();
+    let gap = (emb.nodes[node].radius - r).abs();
+    (gap / emb.radial_scale()).min(1.0)
 }
 
-/// Routes every window of `values` once, returning its node path and its
-/// embedding-gap scores (see [`embedding_gap_scores`]). `None` when the
-/// series is shorter than one window or the graph has no nodes.
-pub(crate) fn routed_gaps(layer: &GraphLayer, values: &[f64]) -> Option<(Vec<NodeId>, Vec<f64>)> {
-    if values.len() < layer.length || layer.graph.node_count() == 0 {
-        return None;
-    }
-    let emb = &layer.embedding;
-    let scale = emb.radial_scale();
-    Some(
-        emb.route(values, 0)
-            .map(|(point, node)| {
-                let dx = point.0 - emb.center.0;
-                let dy = point.1 - emb.center.1;
-                let r = (dx * dx + dy * dy).sqrt();
-                let gap = (emb.nodes[node].radius - r).abs();
-                (NodeId(node as u32), (gap / scale).min(1.0))
-            })
-            .unzip(),
-    )
+/// Routes the windows of `values` from window index `first_window` on
+/// through `emb` ([`LayerEmbedding::route`]), returning each window's node
+/// and its [`window_gap`]. Both are empty when no window starts there;
+/// panics when a window is routed through an embedding without nodes.
+pub fn routed_gaps(
+    emb: &LayerEmbedding,
+    values: &[f64],
+    first_window: usize,
+) -> (Vec<NodeId>, Vec<f64>) {
+    emb.route(values, first_window)
+        .map(|(point, node)| (NodeId(node as u32), window_gap(emb, point, node)))
+        .unzip()
 }
 
 /// Anomaly score per window position of an arbitrary series.
@@ -85,8 +91,8 @@ pub(crate) fn routed_gaps(layer: &GraphLayer, values: &[f64]) -> Option<(Vec<Nod
 /// * **transition rarity** — the trajectory crosses edges that were rare
 ///   (or absent) in the layer's graph ([`transition_scores`]),
 /// * **embedding gap** — the window's shape projects far from every known
-///   pattern node ([`embedding_gap_scores`]); this is what catches
-///   "frozen"/dwelling anomalies that produce no transitions at all.
+///   pattern node ([`window_gap`]); this is what catches "frozen"/dwelling
+///   anomalies that produce no transitions at all.
 ///
 /// The blend (equal weights) is smoothed with a centred moving average of
 /// width `context` (≥ 1).
@@ -127,27 +133,31 @@ pub fn anomaly_scores_against(
             layer.graph.node_count()
         )));
     }
-    if layer.graph.node_count() == 0 {
-        return Err(TsError::Degenerate(
-            "graph layer has no nodes; cannot route series".into(),
-        ));
-    }
+    layer.check_routable()?;
     if values.len() < layer.length {
         return Err(TsError::TooShort {
             required: layer.length,
             actual: values.len(),
         });
     }
-    let (path, gaps) = routed_gaps(layer, values).expect("preconditions checked above");
-    let trans = transition_scores(graph, &path);
-    Ok(blend_and_smooth(&trans, &gaps, context))
+    let (path, gaps) = routed_gaps(&layer.embedding, values, 0);
+    Ok(scores_from_route(graph, &path, &gaps, context))
 }
 
-/// The scoring tail: blend transition and gap evidence (equal weights) and
-/// smooth with a centred moving average of width `context`. Transition `i`
+/// Scores a routed series against `graph`: the [`transition_scores`] of
+/// `path` blended with its per-window `gaps` (equal weights) and smoothed
+/// with a centred moving average of width `context` (≥ 1). Transition `i`
 /// sits between windows `i` and `i+1` and is attributed to window `i` (the
-/// last window keeps only its gap evidence).
-fn blend_and_smooth(trans: &[f64], gaps: &[f64], context: usize) -> Vec<f64> {
+/// last window keeps only its gap evidence). Given the path and gaps of
+/// [`routed_gaps`], this is exactly [`anomaly_scores_against`]'s
+/// arithmetic.
+pub fn scores_from_route(
+    graph: &PatternGraph,
+    path: &[NodeId],
+    gaps: &[f64],
+    context: usize,
+) -> Vec<f64> {
+    let trans = transition_scores(graph, path);
     if gaps.is_empty() {
         return Vec::new();
     }
@@ -259,6 +269,29 @@ mod tests {
         // Trivial paths.
         assert!(transition_scores(&layer.graph, &[]).is_empty());
         assert!(transition_scores(&layer.graph, &path[..1]).is_empty());
+    }
+
+    /// Each transition's rarity is `1 − w(a→b) / max(1, w_out(a))` with the
+    /// maximum taken over `a`'s own out-weights, however often `a` recurs
+    /// as a source along the path.
+    #[test]
+    fn transition_scores_match_the_definition() {
+        let model = fitted();
+        let layer = model.best();
+        let graph = &layer.graph;
+        let path: Vec<NodeId> = layer.paths.iter().flatten().copied().collect();
+        let scores = transition_scores(graph, &path);
+        for (w, &got) in path.windows(2).zip(&scores) {
+            let want = if w[0] == w[1] {
+                0.0
+            } else {
+                graph.weight_between(w[0], w[1]).map_or(1.0, |count| {
+                    1.0 - count / graph.out_weights(w[0]).iter().copied().fold(1.0, f64::max)
+                })
+            };
+            assert_eq!(got.to_bits(), want.to_bits(), "{w:?}");
+        }
+        assert!(scores.iter().any(|&s| s > 0.0 && s < 1.0));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::embed::{project_windows, Projection};
 use crate::nodes::{sector_of, to_polar, NodeAssignment, RadialNode, SectorIndex};
 use linalg::pca::Pca;
+use tscore::error::TsError;
 use tscore::kernel::ZnormScratch;
 use tscore::Dataset;
 use tsgraph::{CsrGraph, GraphBuilder, NodeId};
@@ -131,6 +132,17 @@ pub struct GraphLayer {
 }
 
 impl GraphLayer {
+    /// Refuses a layer whose graph has no nodes, since no window can be
+    /// routed through it, with [`TsError::Degenerate`].
+    pub fn check_routable(&self) -> Result<(), TsError> {
+        if self.graph.node_count() == 0 {
+            return Err(TsError::Degenerate(
+                "graph layer has no nodes; cannot route series".into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Routes an arbitrary series through this layer's graph: z-normalises
     /// each (strided) window, projects it with the stored PCA and assigns
     /// it to the nearest node of its sector.
@@ -143,9 +155,7 @@ impl GraphLayer {
 
     /// Like [`assign_path`](Self::assign_path) but starting at window index
     /// `first_window` (window `i` covers `values[i·stride .. i·stride+ℓ]`).
-    /// The streaming layer uses this to route only the windows a point
-    /// append created, instead of re-projecting the whole series. Window
-    /// indices past the end yield an empty path (`Some(vec![])`).
+    /// Window indices past the end yield an empty path (`Some(vec![])`).
     pub fn assign_path_from(&self, values: &[f64], first_window: usize) -> Option<Vec<NodeId>> {
         if values.len() < self.length || self.graph.node_count() == 0 {
             return None;

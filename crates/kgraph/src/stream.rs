@@ -4,18 +4,23 @@
 //! never change. When a monitored series receives new points, refitting
 //! from scratch would cost seconds; instead the streaming layer routes
 //! **only the windows the append created** through the stored embedding
-//! ([`extend_path`], built on [`GraphLayer::assign_path_from`]) and turns
-//! the fresh sub-path into transition triples (including the *bridge*
-//! transition from the last previously-known node into the first new one)
-//! destined for a [`DeltaGraph`](tsgraph::DeltaGraph) kept next to the
-//! frozen base.
+//! ([`extend_path`], built on [`routed_gaps`]) and turns the fresh
+//! sub-path into transition triples (including the *bridge* transition
+//! from the last previously-known node into the first new one) destined
+//! for a [`DeltaGraph`](tsgraph::DeltaGraph) kept next to the frozen base.
 //!
-//! Scoring has no streaming variant: a session compacts the base and its
-//! delta into a temporary graph and scores against it with the batch
-//! scorer, [`anomaly_scores_against`](crate::anomaly::anomaly_scores_against).
-//! The owning session type lives in the `streamfit` crate; this module is
-//! the model-side arithmetic it builds on.
+//! Scoring streams too. A window's node and embedding gap depend only on
+//! its own values and the fixed embedding, so the route [`extend_path`]
+//! returns, appended window by window, equals the route of the whole
+//! series. A session keeps it and rescores with
+//! [`scores_from_route`](crate::anomaly::scores_from_route) against the
+//! base compacted with its delta, which gives the batch scorer's
+//! ([`anomaly_scores_against`](crate::anomaly::anomaly_scores_against))
+//! scores without re-routing any window. The owning session type lives in
+//! the `streamfit` crate; this module is the model-side arithmetic it
+//! builds on.
 
+use crate::anomaly::routed_gaps;
 use crate::build::GraphLayer;
 use tscore::error::TsError;
 use tsgraph::NodeId;
@@ -31,12 +36,16 @@ pub fn n_windows(series_len: usize, window: usize, stride: usize) -> usize {
     }
 }
 
-/// What one append contributed to a layer: the nodes of the newly created
+/// What one append contributed to a layer: the route of the newly created
 /// windows and the transition triples they induced.
 #[derive(Debug, Clone, Default)]
 pub struct WindowDelta {
     /// Node per new window, in temporal order (appends to the stored path).
     pub new_nodes: Vec<NodeId>,
+    /// Embedding gap per new window
+    /// ([`window_gap`](crate::anomaly::window_gap)), aligned with
+    /// `new_nodes`.
+    pub new_gaps: Vec<f64>,
     /// Transition triples for the delta graph: the bridge from the last
     /// old node plus consecutive new-window transitions, self-loops
     /// omitted (matching fit-time extraction).
@@ -56,17 +65,8 @@ pub fn extend_path(
     old_windows: usize,
     last_old: Option<NodeId>,
 ) -> Result<WindowDelta, TsError> {
-    if layer.graph.node_count() == 0 {
-        return Err(TsError::Degenerate(
-            "graph layer has no nodes; cannot route series".into(),
-        ));
-    }
-    if values.len() < layer.length {
-        return Ok(WindowDelta::default());
-    }
-    let new_nodes = layer
-        .assign_path_from(values, old_windows)
-        .expect("preconditions checked above");
+    layer.check_routable()?;
+    let (new_nodes, new_gaps) = routed_gaps(&layer.embedding, values, old_windows);
     let mut triples = Vec::new();
     let mut prev = last_old;
     for &node in &new_nodes {
@@ -77,7 +77,11 @@ pub fn extend_path(
         }
         prev = Some(node);
     }
-    Ok(WindowDelta { new_nodes, triples })
+    Ok(WindowDelta {
+        new_nodes,
+        new_gaps,
+        triples,
+    })
 }
 
 #[cfg(test)]
@@ -142,6 +146,38 @@ mod tests {
         assert_eq!(delta.triples.len(), expected);
     }
 
+    /// A route grown chunk by chunk, chunks shorter than a window
+    /// included, is the full series' route, and scoring it gives the batch
+    /// scorer's scores bit for bit.
+    #[test]
+    fn a_chunked_route_scores_like_the_batch_scorer() {
+        use crate::anomaly::{anomaly_scores, routed_gaps, scores_from_route};
+        let model = fitted();
+        let layer = model.best();
+        let full: Vec<f64> = (0..200).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (mut path, mut gaps) = (Vec::new(), Vec::new());
+        let mut end = 0;
+        for chunk in [3usize, 19, 1, 7, 40, 11, 2].iter().cycle() {
+            if end == full.len() {
+                break;
+            }
+            end = (end + chunk).min(full.len());
+            let d = extend_path(layer, &full[..end], path.len(), path.last().copied()).unwrap();
+            assert_eq!(d.new_nodes.len(), d.new_gaps.len());
+            path.extend_from_slice(&d.new_nodes);
+            gaps.extend_from_slice(&d.new_gaps);
+        }
+        let (want_path, want_gaps) = routed_gaps(&layer.embedding, &full, 0);
+        assert_eq!(path, want_path);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gaps), bits(&want_gaps));
+        for context in [1, 3, 5] {
+            let got = scores_from_route(&layer.graph, &path, &gaps, context);
+            let want = anomaly_scores(layer, &full, context).unwrap();
+            assert_eq!(bits(&got), bits(&want), "context {context}");
+        }
+    }
+
     #[test]
     fn extend_path_without_new_windows_is_empty() {
         let model = fitted();
@@ -149,6 +185,7 @@ mod tests {
         let short: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let d = extend_path(layer, &short, 0, None).unwrap();
         assert!(d.new_nodes.is_empty());
+        assert!(d.new_gaps.is_empty());
         assert!(d.triples.is_empty());
     }
 }

@@ -7,21 +7,25 @@
 //!
 //! 1. **Append** — [`StreamSession::append`] adds points to an open
 //!    series, routes only the newly completed windows through each layer's
-//!    stored embedding ([`kgraph::stream::extend_path`]) and buffers the
-//!    induced transition triples.
+//!    stored embedding ([`kgraph::stream::extend_path`]), keeps their
+//!    nodes (and, on the best layer, their embedding gaps) as the series'
+//!    route, and buffers the induced transition triples.
 //! 2. **Refresh** — on a configurable point cadence
 //!    ([`StreamConfig::refresh_every`]) the buffered triples are folded
 //!    into per-layer [`DeltaGraph`](tsgraph::DeltaGraph)s, the best
 //!    layer's base and delta are compacted into a temporary graph, and
-//!    every open series is rescored against it by the batch scorer
-//!    ([`kgraph::anomaly::anomaly_scores_against`]) over a bounded worker
-//!    pool. No refit, no locks on the read path.
+//!    every open series' stored route is rescored against it
+//!    ([`kgraph::anomaly::scores_from_route`]). No window is routed again: the scores are bit-identical to the batch
+//!    scorer's ([`kgraph::anomaly::anomaly_scores_against`]) over the
+//!    whole series, since a window's node and gap depend only on its
+//!    values and the fixed embedding. No refit, no locks on the read path.
 //! 3. **Compact** — every [`StreamConfig::compact_every`] refreshes the
 //!    deltas merge into a fresh base CSR
 //!    ([`tsgraph::DeltaGraph::compact`], bit-identical to a from-scratch
 //!    build) and the session hands back a new `Arc<KGraphModel>` for the
 //!    caller to publish (e.g. `graphserve`'s `ModelStore::insert`).
-//!    Readers holding the old snapshot are untouched.
+//!    Readers holding the old snapshot are untouched. The embedding is
+//!    kept, so the stored routes stay valid.
 //!
 //! This crate owns the live-session state: open series, cadences,
 //! per-layer deltas and the [`SessionRegistry`] that `graphserve`'s
@@ -43,6 +47,10 @@ mod tests {
     use tscore::{Dataset, DatasetKind, TimeSeries};
 
     fn fitted() -> Arc<kgraph::KGraphModel> {
+        fitted_with_stride(1)
+    }
+
+    fn fitted_with_stride(stride: usize) -> Arc<kgraph::KGraphModel> {
         let series: Vec<TimeSeries> = (0..8)
             .map(|p| TimeSeries::new((0..120).map(|i| ((i + p) as f64 * 0.4).sin()).collect()))
             .collect();
@@ -52,6 +60,7 @@ mod tests {
             psi: 12,
             pca_sample: 400,
             n_init: 2,
+            stride,
             ..KGraphConfig::new(2)
         }
         .with_lengths(vec![16]);
@@ -239,6 +248,149 @@ mod tests {
             session.compactions()
         );
         assert!(refreshes_checked >= 5);
+    }
+
+    /// A session written to `KGS1` mid-cadence, after a compaction, and
+    /// restored evolves as the original does: through the same further
+    /// appends, each shorter than a window, both serve the same scores
+    /// after every refresh, bit for bit, and those are the batch scorer's
+    /// over a graph rebuilt from the whole stream. Runs at strides 1 and 2.
+    #[test]
+    fn a_restored_session_rescores_like_the_original_and_the_batch_scorer() {
+        for stride in [1, 2] {
+            restore_mid_cadence_then_rescore(fitted_with_stride(stride));
+        }
+    }
+
+    fn restore_mid_cadence_then_rescore(model: Arc<kgraph::KGraphModel>) {
+        use kgraph::anomaly::anomaly_scores;
+        use kgraph::GraphLayer;
+        use tsgraph::{GraphBuilder, NodeId};
+
+        let stride = model.best().embedding.stride;
+        let window = model.best().length;
+        let cfg = StreamConfig {
+            refresh_every: 24,
+            compact_every: 2,
+        };
+        let mut live = StreamSession::new(model, cfg.clone());
+        let mut restored: Option<StreamSession> = None;
+        let mut compactions_at_restore = 0;
+        let mut refreshes_after_restore = 0;
+        // Windows per series on the best layer as of the last compaction.
+        let mut windows_at_compaction = vec![0usize; 3];
+        let mut values: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        let bits = |x: Option<&[f64]>| x.map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+        let edges = |s: &StreamSession| -> Vec<(NodeId, NodeId, u64)> {
+            s.model()
+                .best()
+                .graph
+                .edges_iter()
+                .map(|(_, a, b, &w)| (a, b, w.to_bits()))
+                .collect()
+        };
+        for step in 0..120 {
+            let s = step % 3;
+            let n = 5 + step % 7;
+            assert!(n < window);
+            // Frequencies off the fitted 0.4 put unseen edges in the delta.
+            let chunk: Vec<f64> = (0..n)
+                .map(|i| ((values[s].len() + i) as f64 * (0.25 + 0.15 * s as f64)).sin())
+                .collect();
+            values[s].extend_from_slice(&chunk);
+            let base_edges: Vec<(NodeId, NodeId, f64)> = live
+                .model()
+                .best()
+                .graph
+                .edges_iter()
+                .map(|(_, a, b, &w)| (a, b, w))
+                .collect();
+            let out = live.append(s, &chunk).unwrap();
+            if let Some(r) = restored.as_mut() {
+                let other = r.append(s, &chunk).unwrap();
+                assert_eq!(out.new_windows, other.new_windows);
+                assert_eq!(out.refreshed, other.refreshed);
+                assert_eq!(out.compacted.is_some(), other.compacted.is_some());
+            }
+            if out.refreshed {
+                let model = Arc::clone(live.model());
+                let layer = model.best();
+                let paths: Vec<Vec<NodeId>> = values
+                    .iter()
+                    .map(|v| layer.assign_path(v).unwrap_or_default())
+                    .collect();
+                let mut builder = GraphBuilder::new();
+                for &(a, b, w) in &base_edges {
+                    builder.add_edge(a, b, w);
+                }
+                for (path, &from) in paths.iter().zip(&windows_at_compaction) {
+                    for w in path[from.saturating_sub(1).min(path.len())..].windows(2) {
+                        if w[0] != w[1] {
+                            builder.add_edge(w[0], w[1], 1.0);
+                        }
+                    }
+                }
+                let nodes = layer.graph.nodes_iter().map(|(_, p)| p.clone()).collect();
+                let rebuilt = GraphLayer {
+                    length: layer.length,
+                    graph: builder.build(nodes, |acc, w| *acc += w),
+                    paths: Vec::new(),
+                    labels: Vec::new(),
+                    embedding: layer.embedding.clone(),
+                };
+                if out.compacted.is_some() {
+                    let want: Vec<_> = rebuilt
+                        .graph
+                        .edges_iter()
+                        .map(|(_, a, b, &w)| (a, b, w.to_bits()))
+                        .collect();
+                    assert_eq!(edges(&live), want, "stride {stride}: compacted base");
+                    windows_at_compaction = paths.iter().map(Vec::len).collect();
+                }
+                for (i, v) in values.iter().enumerate().take(live.open_series()) {
+                    let want = anomaly_scores(&rebuilt, v, session::CONTEXT).ok();
+                    assert_eq!(
+                        bits(live.scores(i)),
+                        bits(want.as_deref()),
+                        "stride {stride}, refresh {}, series {i}",
+                        live.refreshes()
+                    );
+                }
+                if let Some(r) = &restored {
+                    for i in 0..live.open_series() {
+                        assert_eq!(bits(r.scores(i)), bits(live.scores(i)), "series {i}");
+                    }
+                    assert_eq!(edges(r), edges(&live));
+                    refreshes_after_restore += 1;
+                }
+            }
+            let status = live.status();
+            if restored.is_none()
+                && live.compactions() >= 1
+                && status.points_pending > 0
+                && status.pending_triples > 0
+                && status.delta_edges > 0
+            {
+                let bytes = write_session_state(&live, step as u64);
+                let state = read_session_state(&bytes).expect("round trip");
+                let r = StreamSession::restore(Arc::clone(live.model()), cfg.clone(), state)
+                    .expect("restore");
+                for i in 0..live.open_series() {
+                    assert_eq!(bits(r.scores(i)), bits(live.scores(i)));
+                }
+                compactions_at_restore = live.compactions();
+                restored = Some(r);
+            }
+        }
+        assert!(restored.is_some(), "stride {stride}: never restored");
+        assert!(
+            refreshes_after_restore >= 4,
+            "stride {stride}: {refreshes_after_restore} refreshes after the restore"
+        );
+        assert!(
+            live.compactions() > compactions_at_restore,
+            "stride {stride}: no compaction after the restore"
+        );
     }
 
     #[test]

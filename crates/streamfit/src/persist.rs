@@ -11,8 +11,9 @@
 //! Scores are persisted rather than recomputed at restore: when a snapshot
 //! lands between refreshes, the live session still serves the scores of its
 //! *last* refresh, and rescoring over the newer points would diverge from
-//! that. Node paths, by contrast, are a pure function of the values and the
-//! (immutable) layer embeddings, so they are rebuilt instead of stored.
+//! that. Node paths and the best layer's embedding gaps, by contrast, are a
+//! pure function of the values and the (immutable) layer embeddings, so
+//! they are rebuilt instead of stored.
 //!
 //! Layout (little-endian, shared primitives and checksum framing from
 //! [`kgraph::serial`]):
@@ -30,9 +31,9 @@
 //! ```
 
 use crate::session::{StreamConfig, StreamSession};
+use kgraph::anomaly::routed_gaps;
 use kgraph::pipeline::KGraphModel;
 use kgraph::serial::{open, put_f64s, put_triples, put_u64, seal};
-use kgraph::stream::extend_path;
 use std::sync::Arc;
 use tscore::error::TsError;
 use tsgraph::delta::DeltaGraph;
@@ -166,16 +167,17 @@ impl StreamSession {
     /// The deltas and pending triples are adopted as-is after validating
     /// the deltas' shape against `model` ([`read_session_state`] already
     /// bounds each pending triple by its delta's node count); per-layer
-    /// node paths are rebuilt deterministically from the persisted values
-    /// (a pure function of the immutable layer embeddings), and the
+    /// node paths and the best layer's gaps are rebuilt deterministically
+    /// from the persisted values (a pure function of the immutable layer
+    /// embeddings) in one routing pass per layer, and the
     /// persisted scores are installed *without* rescoring so the restored
     /// session serves exactly what the original served.
     ///
     /// # Errors
     ///
     /// [`TsError::Parse`] when the state does not fit `model` (layer count
-    /// or per-layer node count mismatch); any [`TsError`] from path
-    /// reconstruction.
+    /// or per-layer node count mismatch); [`TsError::Degenerate`] when a
+    /// series must be routed through a layer without nodes.
     pub fn restore(
         model: Arc<KGraphModel>,
         cfg: StreamConfig,
@@ -200,16 +202,22 @@ impl StreamSession {
         }
         let mut series = Vec::with_capacity(state.series.len());
         for s in state.series {
+            // Rebuild the full routes; the triples they induce are already
+            // accounted for in the deltas / pending buffers.
             let mut paths = Vec::with_capacity(n_layers);
-            for layer in &model.layers {
-                // Rebuild the full path; the induced triples are already
-                // accounted for in the deltas / pending buffers.
-                let delta = extend_path(layer, &s.values, 0, None)?;
-                paths.push(delta.new_nodes);
+            let mut gaps = Vec::new();
+            for (l, layer) in model.layers.iter().enumerate() {
+                layer.check_routable()?;
+                let (path, layer_gaps) = routed_gaps(&layer.embedding, &s.values, 0);
+                paths.push(path);
+                if l == model.best_layer {
+                    gaps = layer_gaps;
+                }
             }
             series.push(crate::session::OpenSeries {
                 values: s.values,
                 paths,
+                gaps,
                 scores: s.scores,
             });
         }

@@ -1,13 +1,12 @@
 //! The streaming session: open series, per-layer deltas, cadenced refresh
 //! and compaction.
 
-use kgraph::anomaly::anomaly_scores_against;
+use kgraph::anomaly::scores_from_route;
 use kgraph::pipeline::KGraphModel;
 use kgraph::stream::{extend_path, n_windows};
 use kgraph::GraphLayer;
 use std::sync::Arc;
 use tscore::error::TsError;
-use tscore::par::par_map;
 use tsgraph::delta::DeltaGraph;
 use tsgraph::NodeId;
 
@@ -42,6 +41,9 @@ pub(crate) struct OpenSeries {
     pub(crate) values: Vec<f64>,
     /// Node path per model layer, grown window-by-window on append.
     pub(crate) paths: Vec<Vec<NodeId>>,
+    /// Embedding gap per window of the best layer, aligned with
+    /// `paths[best_layer]`: with it, the route a refresh rescores.
+    pub(crate) gaps: Vec<f64>,
     /// Latest base+delta anomaly scores (best layer), set at refresh.
     pub(crate) scores: Option<Vec<f64>>,
 }
@@ -95,10 +97,11 @@ pub struct SeriesStatus {
     pub max_score: Option<f64>,
 }
 
-/// A continuously-updatable view over one fitted model: appends buffer
-/// transition triples per layer, the refresh cadence folds them into
-/// [`DeltaGraph`]s and rescores every open series against the best layer's
-/// base compacted with its delta, and the compaction cadence merges the
+/// A continuously-updatable view over one fitted model: appends route the
+/// new windows and buffer transition triples per layer, the refresh
+/// cadence folds them into [`DeltaGraph`]s and rescores every open
+/// series' stored route against the best layer's base compacted with its
+/// delta, and the compaction cadence merges the
 /// deltas into a fresh base CSR published as a new `Arc` snapshot.
 ///
 /// The session itself is single-writer (wrap it in a `Mutex`; see
@@ -188,12 +191,10 @@ impl StreamSession {
                 self.series.len()
             )));
         }
-        if self.model.layers.iter().any(|l| l.graph.node_count() == 0) {
-            return Err(TsError::Degenerate(
-                "graph layer has no nodes; cannot route series".into(),
-            ));
-        }
-        Ok(())
+        self.model
+            .layers
+            .iter()
+            .try_for_each(GraphLayer::check_routable)
     }
 
     /// Appends `points` to series `index`. `index == open_series()` opens
@@ -208,6 +209,7 @@ impl StreamSession {
             self.series.push(OpenSeries {
                 values: Vec::new(),
                 paths: vec![Vec::new(); n_layers],
+                gaps: Vec::new(),
                 scores: None,
             });
         }
@@ -225,6 +227,7 @@ impl StreamSession {
             )?;
             if l == self.model.best_layer {
                 outcome.new_windows = delta.new_nodes.len();
+                series.gaps.extend_from_slice(&delta.new_gaps);
             }
             series.paths[l].extend_from_slice(&delta.new_nodes);
             self.pending[l].extend_from_slice(&delta.triples);
@@ -260,14 +263,21 @@ impl StreamSession {
         compacted
     }
 
-    /// Rescores every open series with the batch scorer, fanned out
-    /// through [`par_map`], against the best layer's base compacted with
-    /// its delta into a temporary graph (the base itself when the delta is
-    /// empty). Compaction folds `b + d` per edge, so the scores are those
-    /// of a graph built from the whole stream.
+    /// Rescores every open series from its stored best-layer route against
+    /// the best layer's base compacted with its delta into a temporary
+    /// graph (the base itself when the delta is empty). Compaction folds
+    /// `b + d` per edge, so the scores are those of a graph built from the
+    /// whole stream. The stored route is the one the batch scorer would
+    /// compute, since a window's node and gap depend only on its values
+    /// and the embedding, which a compaction keeps; so the scores are the
+    /// batch scorer's, and no window is routed again. A series shorter
+    /// than one window has no scores. The loop is serial: a stored route
+    /// costs one edge lookup per window, which for a session's few series
+    /// is less than starting fan-out threads.
     fn rescore_all(&mut self) {
-        let layer = &self.model.layers[self.model.best_layer];
-        let delta = &self.deltas[self.model.best_layer];
+        let best = self.model.best_layer;
+        let layer = &self.model.layers[best];
+        let delta = &self.deltas[best];
         let merged;
         let graph = if delta.is_empty() {
             &layer.graph
@@ -275,11 +285,9 @@ impl StreamSession {
             merged = delta.compact(&layer.graph, sum);
             &merged
         };
-        let scores = par_map(&self.series, |s| {
-            anomaly_scores_against(layer, graph, &s.values, CONTEXT).ok()
-        });
-        for (s, scores) in self.series.iter_mut().zip(scores) {
-            s.scores = scores;
+        for s in &mut self.series {
+            let path = &s.paths[best];
+            s.scores = (!path.is_empty()).then(|| scores_from_route(graph, path, &s.gaps, CONTEXT));
         }
     }
 
