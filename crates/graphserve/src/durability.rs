@@ -426,7 +426,7 @@ impl Durability {
             return;
         }
         // A transient session just for serialization: a fresh session's
-        // state is exactly "no series, no deltas, counters at zero".
+        // state is exactly "no series, an empty delta, counters at zero".
         let session = StreamSession::new(Arc::clone(model), cfg.clone());
         let refit = self.lookup(name).is_some();
         let slot = self.slot(name);

@@ -522,7 +522,7 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     }
     .with_seed(seed as u64);
     let model = Arc::new(KGraph::new(cfg).fit(&dataset));
-    // Under the name's session lock, its session resets: old deltas hold old node ids.
+    // Under the name's session lock, its session resets: its delta holds old node ids.
     let session = ctx.sessions.session_for(name, &model);
     let mut guard = lock(&session);
     *guard = StreamSession::new(Arc::clone(&model), ctx.sessions.config().clone());
@@ -1994,7 +1994,7 @@ mod tests {
             vec![fitted.layers[0].clone(), hollow],
             fitted.labels.clone(),
             fitted.scores.clone(),
-            0,
+            1, // the hollow layer is the one a session streams
         ));
         ctx.store.insert("hollow", Arc::clone(&model));
         ctx.durability

@@ -179,16 +179,6 @@ impl KGraphModel {
             .map(|c| gamma_graphoid(stats, self.best(), c, gamma))
             .collect()
     }
-
-    /// Predicts every series of a dataset. Series shorter than ℓ̄ fall back
-    /// to cluster 0.
-    pub fn predict_dataset(&self, dataset: &Dataset) -> Vec<usize> {
-        dataset
-            .series()
-            .iter()
-            .map(|s| self.predict(s.values()).unwrap_or(0))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +353,11 @@ mod tests {
     fn predict_matches_fit_labels_in_sample() {
         let ds = toy_dataset();
         let model = KGraph::new(quick_config(2)).fit(&ds);
-        let predicted = model.predict_dataset(&ds);
+        let predicted: Vec<usize> = ds
+            .series()
+            .iter()
+            .map(|s| model.predict(s.values()).expect("long enough"))
+            .collect();
         let agreement = adjusted_rand_index(&model.labels, &predicted);
         assert!(agreement > 0.8, "in-sample predict ARI {agreement}");
     }
@@ -392,8 +386,5 @@ mod tests {
         let model = KGraph::new(quick_config(2)).fit(&ds);
         let tiny = vec![0.0; model.best_length() - 1];
         assert_eq!(model.predict(&tiny), None);
-        // predict_dataset falls back to 0 for the same case.
-        let mini = Dataset::new("mini", DatasetKind::Other, vec![TimeSeries::new(tiny)]);
-        assert_eq!(model.predict_dataset(&mini), vec![0]);
     }
 }

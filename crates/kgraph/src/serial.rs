@@ -535,15 +535,6 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
     Ok(KGraphModel::new(config, layers, labels, scores, best_layer))
 }
 
-/// Saves a model to `path` (atomically: write to `path.tmp`, then rename).
-pub fn save_model(model: &KGraphModel, path: &Path) -> Result<(), TsError> {
-    let bytes = write_model(model);
-    let tmp = path.with_extension("kgm.tmp");
-    std::fs::write(&tmp, &bytes)
-        .and_then(|_| std::fs::rename(&tmp, path))
-        .map_err(|e| TsError::Parse(format!("writing {}: {e}", path.display())))
-}
-
 /// Loads a model from `path`.
 pub fn load_model(path: &Path) -> Result<KGraphModel, TsError> {
     let bytes = std::fs::read(path)
@@ -551,8 +542,9 @@ pub fn load_model(path: &Path) -> Result<KGraphModel, TsError> {
     read_model(&bytes)
 }
 
-/// Encodes per-layer streaming delta state (`KGD1`): one
-/// [`DeltaGraph`] per graph layer, CRC-32 trailer included. A session can
+/// Encodes streaming delta state (`KGD1`): a list of [`DeltaGraph`]s,
+/// CRC-32 trailer included. A streaming session writes one, its best
+/// layer's (the previous generation wrote one per graph layer), so it can
 /// persist its un-compacted transitions across restarts without touching
 /// the (much larger) base model file.
 pub fn write_delta_state(deltas: &[DeltaGraph<f64>]) -> Vec<u8> {
@@ -680,7 +672,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("kgm-serial-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("toy.kgm");
-        save_model(&model, &path).expect("save");
+        std::fs::write(&path, write_model(&model)).expect("write");
         let loaded = load_model(&path).expect("load");
         assert_eq!(loaded.labels, model.labels);
         std::fs::remove_dir_all(&dir).ok();

@@ -3,33 +3,37 @@
 //! Turns the batch k-Graph pipeline into a continuously-updatable one.
 //! A fitted [`KGraphModel`](kgraph::KGraphModel) is immutable — that is
 //! what makes serving it lock-free — so "updating" a model means growing
-//! state *next to* it and periodically replacing the whole `Arc`:
+//! state *next to* it and periodically replacing the whole `Arc`. The
+//! state is that of the best layer alone, the one every answer reads:
 //!
 //! 1. **Append** — [`StreamSession::append`] adds points to an open
-//!    series, routes only the newly completed windows through each layer's
-//!    stored embedding ([`kgraph::stream::extend_path`]), keeps their
-//!    nodes (and, on the best layer, their embedding gaps) as the series'
-//!    route, and buffers the induced transition triples.
+//!    series, routes only the newly completed windows through the best
+//!    layer's stored embedding ([`kgraph::stream::extend_path`]), keeps
+//!    their nodes and embedding gaps as the series' route, and buffers
+//!    the induced transition triples.
 //! 2. **Refresh** — on a configurable point cadence
 //!    ([`StreamConfig::refresh_every`]) the buffered triples are folded
-//!    into per-layer [`DeltaGraph`](tsgraph::DeltaGraph)s, the best
-//!    layer's base and delta are compacted into a temporary graph, and
-//!    every open series' stored route is rescored against it
-//!    ([`kgraph::anomaly::scores_from_route`]). No window is routed again: the scores are bit-identical to the batch
-//!    scorer's ([`kgraph::anomaly::anomaly_scores_against`]) over the
-//!    whole series, since a window's node and gap depend only on its
-//!    values and the fixed embedding. No refit, no locks on the read path.
+//!    into a [`DeltaGraph`](tsgraph::DeltaGraph), the base and delta are
+//!    compacted into a temporary graph, and every open series' stored
+//!    route is rescored against it
+//!    ([`kgraph::anomaly::scores_from_route`]). No window is routed
+//!    again: the scores are bit-identical to the batch scorer's
+//!    ([`kgraph::anomaly::anomaly_scores_against`]) over the whole
+//!    series, since a window's node and gap depend only on its values and
+//!    the fixed embedding. No refit, no locks on the read path.
 //! 3. **Compact** — every [`StreamConfig::compact_every`] refreshes the
-//!    deltas merge into a fresh base CSR
+//!    delta merges into a fresh base CSR
 //!    ([`tsgraph::DeltaGraph::compact`], bit-identical to a from-scratch
-//!    build) and the session hands back a new `Arc<KGraphModel>` for the
-//!    caller to publish (e.g. `graphserve`'s `ModelStore::insert`).
-//!    Readers holding the old snapshot are untouched. The embedding is
-//!    kept, so the stored routes stay valid.
+//!    build) and the session hands back a new `Arc<KGraphModel>`, its
+//!    other layers as fitted, for the caller to publish (e.g.
+//!    `graphserve`'s `ModelStore::insert`). Readers holding the old
+//!    snapshot are untouched. The embedding is kept, so the stored routes
+//!    stay valid.
 //!
-//! This crate owns the live-session state: open series, cadences,
-//! per-layer deltas and the [`SessionRegistry`] that `graphserve`'s
-//! ingest endpoints lock per model.
+//! This crate owns the live-session state: open series, cadences, the
+//! delta, its `KGS1` persistence ([`persist`]) and the
+//! [`SessionRegistry`] that `graphserve`'s ingest endpoints lock per
+//! model.
 
 pub mod persist;
 pub mod registry;
@@ -553,25 +557,55 @@ mod tests {
 
     #[test]
     fn session_state_rejects_a_wrong_model() {
+        use tscore::error::TsError;
+
         let model = fitted();
         let mut session = StreamSession::new(Arc::clone(&model), StreamConfig::default());
         session.append(0, &wave(0, 40)).unwrap();
         let bytes = persist::write_session_state(&session, 7);
+        let state = || persist::read_session_state(&bytes).unwrap();
+        let restore = |model: &Arc<kgraph::KGraphModel>, state: SessionState| {
+            StreamSession::restore(Arc::clone(model), StreamConfig::default(), state)
+        };
+        assert!(restore(&model, state()).is_ok());
 
         // Every cut and bit flip is swept in `tests/corruption_sweep.rs`. A
-        // state decoded fine but restored over the wrong model is rejected
-        // by the shape checks.
-        let other = fitted();
-        let state = persist::read_session_state(&bytes).unwrap();
-        let compatible = other.layers.len() == model.layers.len()
-            && other
-                .layers
-                .iter()
-                .zip(&model.layers)
-                .all(|(a, b)| a.graph.node_count() == b.graph.node_count());
-        if !compatible {
-            assert!(StreamSession::restore(other, StreamConfig::default(), state).is_err());
+        // state decoded fine but restored over a model whose best layer
+        // has another node count is rejected by the shape check.
+        let series: Vec<TimeSeries> = (0..8)
+            .map(|p| TimeSeries::new((0..120).map(|i| ((i + p) as f64 * 0.4).sin()).collect()))
+            .collect();
+        let cfg = KGraphConfig {
+            n_lengths: 1,
+            psi: 6,
+            pca_sample: 400,
+            n_init: 2,
+            ..KGraphConfig::new(2)
         }
+        .with_lengths(vec![16]);
+        let other =
+            Arc::new(KGraph::new(cfg).fit(&Dataset::new("live", DatasetKind::Simulated, series)));
+        assert_ne!(
+            other.best().graph.node_count(),
+            model.best().graph.node_count()
+        );
+        assert!(matches!(restore(&other, state()), Err(TsError::Parse(_))));
+
+        // Neither one list nor one per model layer (the model has one).
+        for n in [0, 2] {
+            let mut wrong = state();
+            let (delta, pending) = (wrong.deltas[0].clone(), wrong.pending[0].clone());
+            wrong.deltas = vec![delta; n];
+            wrong.pending = vec![pending; n];
+            assert!(
+                matches!(restore(&model, wrong), Err(TsError::Parse(_))),
+                "{n} lists"
+            );
+        }
+        // As many pending lists as deltas.
+        let mut wrong = state();
+        wrong.pending.push(Vec::new());
+        assert!(matches!(restore(&model, wrong), Err(TsError::Parse(_))));
     }
 
     #[test]
@@ -587,7 +621,7 @@ mod tests {
         session.append(0, &wave(0, 80)).unwrap();
         let bytes = session.delta_state();
         let deltas = kgraph::serial::read_delta_state(&bytes).expect("round trip");
-        assert_eq!(deltas.len(), session.model().layers.len());
+        assert_eq!(deltas.len(), 1, "the best layer's delta alone");
         let total: u64 = deltas.iter().map(|d| d.edge_count() as u64).sum();
         assert_eq!(total, session.status().delta_edges);
     }

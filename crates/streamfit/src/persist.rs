@@ -1,6 +1,6 @@
 //! `KGS1` session-state persistence.
 //!
-//! A [`StreamSession`] is more than its un-compacted deltas: bit-identical
+//! A [`StreamSession`] is more than its un-compacted delta: bit-identical
 //! recovery also needs the buffered (pre-refresh) transition triples,
 //! every open series' raw values *and* its last-refreshed scores, and the
 //! cadence counters. The `KGS1` blob captures all of that — embedding the
@@ -11,9 +11,9 @@
 //! Scores are persisted rather than recomputed at restore: when a snapshot
 //! lands between refreshes, the live session still serves the scores of its
 //! *last* refresh, and rescoring over the newer points would diverge from
-//! that. Node paths and the best layer's embedding gaps, by contrast, are a
-//! pure function of the values and the (immutable) layer embeddings, so
-//! they are rebuilt instead of stored.
+//! that. Node paths and embedding gaps, by contrast, are a pure function of
+//! the values and the (immutable) layer embedding, so they are rebuilt
+//! instead of stored.
 //!
 //! Layout (little-endian, shared primitives and checksum framing from
 //! [`kgraph::serial`]):
@@ -24,11 +24,17 @@
 //! u64 points_total | u64 points_since_refresh | u64 refreshes | u64 compactions
 //! u64 len | KGD1 bytes     embedded delta-state blob (own magic + checksum)
 //! u64 n_layers             buffered pending triples, one list per delta
-//!   layer, written by `put_triples`: u64 n | n × (u64 src, u64 dst, f64 w)
+//!   entry, written by `put_triples`: u64 n | n × (u64 src, u64 dst, f64 w)
 //! u64 n_series             per open series:
 //!   f64s values | u8 has_scores | [f64s scores]
 //! u32 crc32                trailer over everything above
 //! ```
+//!
+//! A session writes one delta and one pending list, the best layer's. The
+//! previous format generation wrote one of each per model layer. For one
+//! generation [`StreamSession::restore`] still accepts that: it keeps entry
+//! `best_layer` and drops the rest, which no answer read, so a snapshot
+//! written before the upgrade still recovers.
 
 use crate::session::{StreamConfig, StreamSession};
 use kgraph::anomaly::routed_gaps;
@@ -66,9 +72,11 @@ pub struct SessionState {
     pub refreshes: u64,
     /// Compactions performed.
     pub compactions: u64,
-    /// Per-layer un-compacted deltas (from the embedded `KGD1` blob).
+    /// Un-compacted deltas (from the embedded `KGD1` blob): the best
+    /// layer's alone, or one per model layer in the previous generation.
     pub deltas: Vec<DeltaGraph<f64>>,
-    /// Per-layer transition triples buffered since the last refresh.
+    /// Transition triples buffered since the last refresh, one list per
+    /// delta.
     pub pending: Vec<Vec<(NodeId, NodeId, f64)>>,
     /// Open series in index order.
     pub series: Vec<SeriesState>,
@@ -87,10 +95,8 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
     let delta = session.delta_state();
     put_u64(&mut out, delta.len() as u64);
     out.extend_from_slice(&delta);
-    put_u64(&mut out, session.pending.len() as u64);
-    for layer in &session.pending {
-        put_triples(&mut out, layer.iter().copied());
-    }
+    put_u64(&mut out, 1);
+    put_triples(&mut out, session.pending.iter().copied());
     put_u64(&mut out, session.series.len() as u64);
     for s in &session.series {
         put_f64s(&mut out, &s.values);
@@ -110,8 +116,8 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// [`TsError::Parse`] on wrong magic, checksum mismatch, truncation, a
-/// corrupt embedded `KGD1` blob, a pending list per layer that does not
-/// match the deltas (layer count, or a node past the delta's node count),
+/// corrupt embedded `KGD1` blob, pending lists that do not match the deltas
+/// (list count, or a node past the delta's node count),
 /// or trailing bytes.
 pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
     let mut c = open(bytes, SESSION_MAGIC, "session")?;
@@ -164,59 +170,59 @@ pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
 impl StreamSession {
     /// Reconstructs a session over `model` from a decoded [`SessionState`].
     ///
-    /// The deltas and pending triples are adopted as-is after validating
-    /// the deltas' shape against `model` ([`read_session_state`] already
-    /// bounds each pending triple by its delta's node count); per-layer
-    /// node paths and the best layer's gaps are rebuilt deterministically
-    /// from the persisted values (a pure function of the immutable layer
-    /// embeddings) in one routing pass per layer, and the
-    /// persisted scores are installed *without* rescoring so the restored
-    /// session serves exactly what the original served.
+    /// The state holds the best layer's delta and pending triples, or one
+    /// of each per model layer as the previous format generation wrote
+    /// them, of which entry `best_layer` is kept. They are adopted as-is
+    /// after validating the delta's node count against the best layer
+    /// ([`read_session_state`] already bounds each pending triple by its
+    /// delta's node count); each series' path and gaps are rebuilt
+    /// deterministically from the persisted values (a pure function of the
+    /// immutable embedding) in one routing pass, and the persisted scores
+    /// are installed *without* rescoring so the restored session serves
+    /// exactly what the original served.
     ///
     /// # Errors
     ///
-    /// [`TsError::Parse`] when the state does not fit `model` (layer count
-    /// or per-layer node count mismatch); [`TsError::Degenerate`] when a
-    /// series must be routed through a layer without nodes.
+    /// [`TsError::Parse`] when the state does not fit `model` (neither one
+    /// nor `model.layers.len()` deltas, as many pending lists as deltas,
+    /// or a node count mismatch); [`TsError::Degenerate`] when a series
+    /// must be routed through a best layer without nodes.
     pub fn restore(
         model: Arc<KGraphModel>,
         cfg: StreamConfig,
-        state: SessionState,
+        mut state: SessionState,
     ) -> Result<Self, TsError> {
-        let n_layers = model.layers.len();
-        if state.deltas.len() != n_layers || state.pending.len() != n_layers {
+        let (n_deltas, n_layers) = (state.deltas.len(), model.layers.len());
+        if (n_deltas != 1 && n_deltas != n_layers) || state.pending.len() != n_deltas {
             return Err(TsError::Parse(format!(
-                "session state has {} delta / {} pending layers, model has {n_layers}",
-                state.deltas.len(),
+                "session state has {n_deltas} delta / {} pending lists, model has {n_layers} layers",
                 state.pending.len()
             )));
         }
-        for (l, (delta, layer)) in state.deltas.iter().zip(&model.layers).enumerate() {
-            let nodes = layer.graph.node_count();
-            if delta.node_count() != nodes {
-                return Err(TsError::Parse(format!(
-                    "layer {l} delta covers {} nodes, model layer has {nodes}",
-                    delta.node_count()
-                )));
-            }
+        let at = if n_deltas == n_layers {
+            model.best_layer
+        } else {
+            0
+        };
+        let delta = state.deltas.swap_remove(at);
+        let pending = state.pending.swap_remove(at);
+        let layer = model.best();
+        let nodes = layer.graph.node_count();
+        if delta.node_count() != nodes {
+            return Err(TsError::Parse(format!(
+                "session delta covers {} nodes, best model layer has {nodes}",
+                delta.node_count()
+            )));
         }
         let mut series = Vec::with_capacity(state.series.len());
         for s in state.series {
-            // Rebuild the full routes; the triples they induce are already
-            // accounted for in the deltas / pending buffers.
-            let mut paths = Vec::with_capacity(n_layers);
-            let mut gaps = Vec::new();
-            for (l, layer) in model.layers.iter().enumerate() {
-                layer.check_routable()?;
-                let (path, layer_gaps) = routed_gaps(&layer.embedding, &s.values, 0);
-                paths.push(path);
-                if l == model.best_layer {
-                    gaps = layer_gaps;
-                }
-            }
+            // Rebuild the full route; the triples it induces are already
+            // accounted for in the delta / pending buffer.
+            layer.check_routable()?;
+            let (path, gaps) = routed_gaps(&layer.embedding, &s.values, 0);
             series.push(crate::session::OpenSeries {
                 values: s.values,
-                paths,
+                path,
                 gaps,
                 scores: s.scores,
             });
@@ -226,8 +232,8 @@ impl StreamSession {
         Ok(StreamSession {
             model,
             cfg,
-            deltas: state.deltas,
-            pending: state.pending,
+            delta,
+            pending,
             series,
             points_since_refresh,
             points_total: state.points_total,

@@ -1,10 +1,9 @@
-//! The streaming session: open series, per-layer deltas, cadenced refresh
-//! and compaction.
+//! The streaming session: open series, the best layer's delta, cadenced
+//! refresh and compaction.
 
 use kgraph::anomaly::scores_from_route;
 use kgraph::pipeline::KGraphModel;
 use kgraph::stream::{extend_path, n_windows};
-use kgraph::GraphLayer;
 use std::sync::Arc;
 use tscore::error::TsError;
 use tsgraph::delta::DeltaGraph;
@@ -18,7 +17,7 @@ pub struct StreamConfig {
     /// Refresh (delta ingest + rescoring) after this many appended points.
     /// 0 refreshes on every append.
     pub refresh_every: usize,
-    /// Compact the deltas into a fresh base CSR every this many refreshes.
+    /// Compact the delta into a fresh base CSR every this many refreshes.
     /// 0 disables compaction.
     pub compact_every: usize,
 }
@@ -39,10 +38,10 @@ pub(crate) const CONTEXT: usize = 3;
 pub(crate) struct OpenSeries {
     /// All points observed so far.
     pub(crate) values: Vec<f64>,
-    /// Node path per model layer, grown window-by-window on append.
-    pub(crate) paths: Vec<Vec<NodeId>>,
-    /// Embedding gap per window of the best layer, aligned with
-    /// `paths[best_layer]`: with it, the route a refresh rescores.
+    /// Best-layer node path, grown window-by-window on append.
+    pub(crate) path: Vec<NodeId>,
+    /// Embedding gap per window, aligned with `path`: with it, the route a
+    /// refresh rescores.
     pub(crate) gaps: Vec<f64>,
     /// Latest base+delta anomaly scores (best layer), set at refresh.
     pub(crate) scores: Option<Vec<f64>>,
@@ -53,7 +52,7 @@ pub(crate) struct OpenSeries {
 pub struct AppendOutcome {
     /// New complete windows this append created on the best layer.
     pub new_windows: usize,
-    /// Whether the refresh cadence fired (deltas ingested, scores
+    /// Whether the refresh cadence fired (delta ingested, scores
     /// recomputed).
     pub refreshed: bool,
     /// A freshly compacted model, when the compaction cadence fired. The
@@ -73,9 +72,10 @@ pub struct StreamStatus {
     pub refreshes: u64,
     /// Compactions performed.
     pub compactions: u64,
-    /// Transition triples buffered but not yet ingested into the deltas.
+    /// Best-layer transition triples buffered but not yet ingested into
+    /// the delta.
     pub pending_triples: u64,
-    /// Distinct delta edges across all layers (un-compacted state).
+    /// Distinct edges of the best layer's un-compacted delta.
     pub delta_edges: u64,
     /// Per-series state, in series-index order.
     pub series: Vec<SeriesStatus>,
@@ -97,12 +97,13 @@ pub struct SeriesStatus {
     pub max_score: Option<f64>,
 }
 
-/// A continuously-updatable view over one fitted model: appends route the
-/// new windows and buffer transition triples per layer, the refresh
-/// cadence folds them into [`DeltaGraph`]s and rescores every open
-/// series' stored route against the best layer's base compacted with its
-/// delta, and the compaction cadence merges the
-/// deltas into a fresh base CSR published as a new `Arc` snapshot.
+/// A continuously-updatable view over one fitted model's best layer, the
+/// one every answer reads: appends route the new windows and buffer their
+/// transition triples, the refresh cadence folds them into a
+/// [`DeltaGraph`] and rescores every open series' stored route against the
+/// base compacted with that delta, and the compaction cadence merges the
+/// delta into a fresh base CSR published as a new `Arc` snapshot. The
+/// other layers are carried over as fitted.
 ///
 /// The session itself is single-writer (wrap it in a `Mutex`; see
 /// [`SessionRegistry`](crate::SessionRegistry)) — concurrent *readers* of
@@ -111,10 +112,10 @@ pub struct SeriesStatus {
 pub struct StreamSession {
     pub(crate) model: Arc<KGraphModel>,
     pub(crate) cfg: StreamConfig,
-    /// One delta per model layer, node-aligned with that layer's graph.
-    pub(crate) deltas: Vec<DeltaGraph<f64>>,
-    /// Triples buffered per layer since the last refresh.
-    pub(crate) pending: Vec<Vec<(NodeId, NodeId, f64)>>,
+    /// The best layer's delta, node-aligned with its graph.
+    pub(crate) delta: DeltaGraph<f64>,
+    /// Best-layer triples buffered since the last refresh.
+    pub(crate) pending: Vec<(NodeId, NodeId, f64)>,
     pub(crate) series: Vec<OpenSeries>,
     pub(crate) points_since_refresh: usize,
     pub(crate) points_total: u64,
@@ -129,17 +130,11 @@ fn sum(acc: &mut f64, w: f64) {
 impl StreamSession {
     /// Opens a session over `model`.
     pub fn new(model: Arc<KGraphModel>, cfg: StreamConfig) -> Self {
-        let deltas = model
-            .layers
-            .iter()
-            .map(|l| DeltaGraph::new(l.graph.node_count()))
-            .collect();
-        let pending = model.layers.iter().map(|_| Vec::new()).collect();
         StreamSession {
+            delta: DeltaGraph::new(model.best().graph.node_count()),
             model,
             cfg,
-            deltas,
-            pending,
+            pending: Vec::new(),
             series: Vec::new(),
             points_since_refresh: 0,
             points_total: 0,
@@ -179,8 +174,8 @@ impl StreamSession {
     }
 
     /// Whether [`append`](Self::append) to series `index` would be
-    /// applied: `index` is at most `open_series()`, and every model layer
-    /// has nodes to route windows through. `append` refuses exactly when
+    /// applied: `index` is at most `open_series()`, and the best layer has
+    /// nodes to route windows through. `append` refuses exactly when
     /// this does, before it changes anything, so a caller can check before
     /// it journals.
     pub fn check_append(&self, index: usize) -> Result<(), TsError> {
@@ -191,47 +186,39 @@ impl StreamSession {
                 self.series.len()
             )));
         }
-        self.model
-            .layers
-            .iter()
-            .try_for_each(GraphLayer::check_routable)
+        self.model.best().check_routable()
     }
 
     /// Appends `points` to series `index`. `index == open_series()` opens
     /// a new series; the refusals are [`check_append`](Self::check_append)'s.
-    /// New complete windows are routed through every layer's stored
+    /// New complete windows are routed through the best layer's stored
     /// embedding and their transitions buffered; the refresh/compaction
     /// cadences fire inside this call when due.
     pub fn append(&mut self, index: usize, points: &[f64]) -> Result<AppendOutcome, TsError> {
         self.check_append(index)?;
         if index == self.series.len() {
-            let n_layers = self.model.layers.len();
             self.series.push(OpenSeries {
                 values: Vec::new(),
-                paths: vec![Vec::new(); n_layers],
+                path: Vec::new(),
                 gaps: Vec::new(),
                 scores: None,
             });
         }
         let series = &mut self.series[index];
         series.values.extend_from_slice(points);
-
-        let mut outcome = AppendOutcome::default();
-        for (l, layer) in self.model.layers.iter().enumerate() {
-            let old_windows = series.paths[l].len();
-            let delta = extend_path(
-                layer,
-                &series.values,
-                old_windows,
-                series.paths[l].last().copied(),
-            )?;
-            if l == self.model.best_layer {
-                outcome.new_windows = delta.new_nodes.len();
-                series.gaps.extend_from_slice(&delta.new_gaps);
-            }
-            series.paths[l].extend_from_slice(&delta.new_nodes);
-            self.pending[l].extend_from_slice(&delta.triples);
-        }
+        let routed = extend_path(
+            self.model.best(),
+            &series.values,
+            series.path.len(),
+            series.path.last().copied(),
+        )?;
+        series.path.extend_from_slice(&routed.new_nodes);
+        series.gaps.extend_from_slice(&routed.new_gaps);
+        self.pending.extend_from_slice(&routed.triples);
+        let mut outcome = AppendOutcome {
+            new_windows: routed.new_nodes.len(),
+            ..AppendOutcome::default()
+        };
         self.points_total += points.len() as u64;
         self.points_since_refresh += points.len();
 
@@ -242,22 +229,20 @@ impl StreamSession {
         Ok(outcome)
     }
 
-    /// Forces a refresh now: drains the pending triples into the deltas,
+    /// Forces a refresh now: drains the pending triples into the delta,
     /// compacts when the cadence is due, and rescores every open series
     /// against base + delta (after a compaction, the new base and its
-    /// empty delta, so each layer is compacted once). Returns the new
-    /// model on compaction.
+    /// empty delta, so the delta is compacted once). Returns the new model
+    /// on compaction. A due compaction fires even over an empty delta, so
+    /// callers can count on one every `compact_every` refreshes.
     pub fn refresh(&mut self) -> Option<Arc<KGraphModel>> {
-        for (l, pending) in self.pending.iter_mut().enumerate() {
-            if !pending.is_empty() {
-                self.deltas[l].ingest(pending.drain(..), sum);
-            }
+        if !self.pending.is_empty() {
+            self.delta.ingest(self.pending.drain(..), sum);
         }
         self.points_since_refresh = 0;
         self.refreshes += 1;
         let compacted = (self.cfg.compact_every > 0
-            && self.refreshes.is_multiple_of(self.cfg.compact_every as u64)
-            && self.deltas.iter().any(|d| !d.is_empty()))
+            && self.refreshes.is_multiple_of(self.cfg.compact_every as u64))
         .then(|| self.compact());
         self.rescore_all();
         compacted
@@ -275,45 +260,29 @@ impl StreamSession {
     /// costs one edge lookup per window, which for a session's few series
     /// is less than starting fan-out threads.
     fn rescore_all(&mut self) {
-        let best = self.model.best_layer;
-        let layer = &self.model.layers[best];
-        let delta = &self.deltas[best];
+        let base = &self.model.best().graph;
         let merged;
-        let graph = if delta.is_empty() {
-            &layer.graph
+        let graph = if self.delta.is_empty() {
+            base
         } else {
-            merged = delta.compact(&layer.graph, sum);
+            merged = self.delta.compact(base, sum);
             &merged
         };
         for s in &mut self.series {
-            let path = &s.paths[best];
-            s.scores = (!path.is_empty()).then(|| scores_from_route(graph, path, &s.gaps, CONTEXT));
+            s.scores =
+                (!s.path.is_empty()).then(|| scores_from_route(graph, &s.path, &s.gaps, CONTEXT));
         }
     }
 
-    /// Merges every layer's delta into a fresh base CSR, switches the
-    /// session to the new model and returns it for publication. Readers of
-    /// the old `Arc` are untouched.
+    /// Merges the delta into a fresh base CSR for the best layer, carries
+    /// the other layers over as they are, switches the session to the new
+    /// model and returns it for publication. Readers of the old `Arc` are
+    /// untouched.
     fn compact(&mut self) -> Arc<KGraphModel> {
         let old = &self.model;
-        let layers: Vec<GraphLayer> = old
-            .layers
-            .iter()
-            .zip(&self.deltas)
-            .map(|(layer, delta)| {
-                if delta.is_empty() {
-                    return layer.clone();
-                }
-                let graph = delta.compact(&layer.graph, sum);
-                GraphLayer {
-                    length: layer.length,
-                    graph,
-                    paths: layer.paths.clone(),
-                    labels: layer.labels.clone(),
-                    embedding: layer.embedding.clone(),
-                }
-            })
-            .collect();
+        let mut layers = old.layers.clone();
+        let best = &mut layers[old.best_layer];
+        best.graph = self.delta.compact(&best.graph, sum);
         let next = Arc::new(KGraphModel::new(
             old.config.clone(),
             layers,
@@ -321,31 +290,27 @@ impl StreamSession {
             old.scores.clone(),
             old.best_layer,
         ));
-        self.deltas = next
-            .layers
-            .iter()
-            .map(|l| DeltaGraph::new(l.graph.node_count()))
-            .collect();
+        self.delta = DeltaGraph::new(next.best().graph.node_count());
         self.model = Arc::clone(&next);
         self.compactions += 1;
         next
     }
 
-    /// Serialises the un-compacted per-layer delta state (`KGD1`).
+    /// Serialises the un-compacted best-layer delta (`KGD1`, one entry).
     pub fn delta_state(&self) -> Vec<u8> {
-        kgraph::serial::write_delta_state(&self.deltas)
+        kgraph::serial::write_delta_state(std::slice::from_ref(&self.delta))
     }
 
     /// Current session summary.
     pub fn status(&self) -> StreamStatus {
-        let best = &self.model.layers[self.model.best_layer];
+        let best = self.model.best();
         StreamStatus {
             points_total: self.points_total,
             points_pending: self.points_since_refresh as u64,
             refreshes: self.refreshes,
             compactions: self.compactions,
-            pending_triples: self.pending.iter().map(|p| p.len() as u64).sum(),
-            delta_edges: self.deltas.iter().map(|d| d.edge_count() as u64).sum(),
+            pending_triples: self.pending.len() as u64,
+            delta_edges: self.delta.edge_count() as u64,
             series: self
                 .series
                 .iter()

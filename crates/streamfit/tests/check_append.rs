@@ -1,6 +1,7 @@
 //! `StreamSession::check_append` decides every append: over random
 //! sequences of appends, `append` succeeds exactly when the check passes,
-//! and a refused append leaves the session as it was.
+//! and a refused append leaves the session as it was. A session streams
+//! the best layer alone, so only an empty best layer is refused.
 
 use kgraph::{KGraph, KGraphConfig, KGraphModel};
 use proptest::prelude::*;
@@ -28,8 +29,9 @@ fn fitted() -> Arc<KGraphModel> {
     }))
 }
 
-/// The fitted model with a second layer whose graph has no nodes.
-fn with_empty_layer() -> Arc<KGraphModel> {
+/// The fitted model with a second layer whose graph has no nodes, which is
+/// the best layer when `best_layer` is 1.
+fn with_empty_layer(best_layer: usize) -> Arc<KGraphModel> {
     let model = fitted();
     let mut empty = model.layers[0].clone();
     empty.graph = GraphBuilder::new().build(Vec::new(), |w: &mut f64, x| *w += x);
@@ -38,8 +40,28 @@ fn with_empty_layer() -> Arc<KGraphModel> {
         vec![model.layers[0].clone(), empty],
         model.labels.clone(),
         model.scores.clone(),
-        0,
+        best_layer,
     ))
+}
+
+#[test]
+fn an_empty_layer_that_is_not_the_best_is_streamed_past() {
+    let cfg = StreamConfig {
+        refresh_every: 24,
+        compact_every: 1,
+    };
+    let mut session = StreamSession::new(with_empty_layer(0), cfg);
+    let points: Vec<f64> = (0..60).map(|i| (i as f64 * 0.3).sin()).collect();
+    session.check_append(0).unwrap();
+    let out = session.append(0, &points).unwrap();
+    assert!(out.refreshed && out.new_windows > 0);
+    assert!(session.scores(0).is_some());
+    let next = out.compacted.expect("the best layer's delta compacts");
+    assert_eq!(
+        next.layers[1].graph.node_count(),
+        0,
+        "carried over as it was"
+    );
 }
 
 proptest! {
@@ -52,8 +74,8 @@ proptest! {
             proptest::collection::vec((0usize..4, 1usize..30), 1..16),
         )
     ) {
-        // One case in four runs over a model with an empty layer.
-        let model = if hollow == 0 { with_empty_layer() } else { fitted() };
+        // One case in four runs over a model whose best layer is empty.
+        let model = if hollow == 0 { with_empty_layer(1) } else { fitted() };
         let cfg = StreamConfig { refresh_every: 24, compact_every: 2 };
         let mut session = StreamSession::new(model, cfg);
         for (step, &(index, n)) in ops.iter().enumerate() {

@@ -5,7 +5,9 @@
 //! `write_model` (`KGM2`), `write_delta_state` (`KGD1`) and
 //! `write_session_state` (`KGS1`, which embeds the last refreshed scores).
 //! The first point is mid-cadence, with a non-empty delta, pending triples
-//! and scores. The second comes after a compaction.
+//! and scores. The second comes after a compaction. A fourth pin at both
+//! points hashes the best layer's graph with the session's delta and
+//! pending triples compacted into it: the graph every stream score reads.
 //!
 //! The expected values were recorded from the code as it stood before the
 //! CSR in-index and the merged base+delta scorer were removed. Any change
@@ -15,7 +17,7 @@
 use kgraph::serial::write_model;
 use kgraph::{KGraph, KGraphConfig};
 use std::sync::Arc;
-use streamfit::{write_session_state, StreamConfig, StreamSession};
+use streamfit::{read_session_state, write_session_state, StreamConfig, StreamSession};
 use tscore::{Dataset, DatasetKind, TimeSeries};
 
 /// 64-bit FNV-1a.
@@ -36,6 +38,28 @@ fn pins(session: &StreamSession, seq: u64) -> [(usize, u64); 3] {
         pin(&session.delta_state()),
         pin(&write_session_state(session, seq)),
     ]
+}
+
+/// (edge count, FNV-1a of every `(src, dst, weight bits)`) of the best
+/// layer's graph after a copy of `session`, restored from its `KGS1`
+/// state, refreshes with a compaction due.
+fn compacted_best(session: &StreamSession) -> (usize, u64) {
+    let state = read_session_state(&write_session_state(session, 0)).unwrap();
+    let cfg = StreamConfig {
+        refresh_every: 0,
+        compact_every: 1,
+    };
+    let mut copy = StreamSession::restore(Arc::clone(session.model()), cfg, state).unwrap();
+    assert!(copy.refresh().is_some(), "the copy compacts");
+    let mut bytes = Vec::new();
+    let mut edges = 0;
+    for (_, a, b, w) in copy.model().best().graph.edges_iter() {
+        bytes.extend_from_slice(&a.0.to_le_bytes());
+        bytes.extend_from_slice(&b.0.to_le_bytes());
+        bytes.extend_from_slice(&w.to_bits().to_le_bytes());
+        edges += 1;
+    }
+    (edges, fnv1a(&bytes))
 }
 
 fn fitted() -> kgraph::KGraphModel {
@@ -91,6 +115,7 @@ fn persisted_bytes_are_pinned_mid_cadence_and_after_compaction() {
     assert!(status.delta_edges > 0 && status.pending_triples > 0);
     assert!(session.scores(0).is_some());
     let mid = pins(&session, seq_mid);
+    let mid_best = compacted_best(&session);
 
     // Past the third refresh, which compacts; then into the next cadence.
     let seq_after = drive(&mut session, 3..6);
@@ -98,20 +123,31 @@ fn persisted_bytes_are_pinned_mid_cadence_and_after_compaction() {
     assert_eq!((status.refreshes, status.compactions), (4, 1));
     assert!(status.delta_edges > 0);
     let after = pins(&session, seq_after);
+    let after_best = compacted_best(&session);
 
+    assert_eq!(mid_best, MID_BEST, "mid-cadence best-layer graph moved");
+    assert_eq!(
+        after_best, AFTER_BEST,
+        "post-compaction best-layer graph moved"
+    );
     assert_eq!(mid, MID, "mid-cadence pins moved");
     assert_eq!(after, AFTER, "post-compaction pins moved");
 }
 
+/// Recorded (edge count, FNV-1a) of the compacted best-layer graph
+/// mid-cadence and after the first compaction.
+const MID_BEST: (usize, u64) = (44, 3_236_670_470_569_238_270);
+const AFTER_BEST: (usize, u64) = (46, 15_810_543_237_379_848_909);
+
 /// Recorded (length, FNV-1a) of `KGM2`, `KGD1`, `KGS1` mid-cadence.
 const MID: [(usize, u64); 3] = [
     (25_699, 18_111_502_321_473_194_920),
-    (1_128, 17_989_562_805_733_716_826),
-    (3_043, 5_623_123_725_434_286_388),
+    (656, 14_285_297_253_669_568_865),
+    (2_395, 11_322_604_218_802_555_806),
 ];
 /// The same after the first compaction.
 const AFTER: [(usize, u64); 3] = [
-    (26_227, 7_823_145_571_633_081_305),
-    (1_104, 13_862_959_509_702_524_430),
-    (5_083, 13_018_712_241_410_816_974),
+    (25_915, 6_410_001_301_398_738_133),
+    (560, 17_508_870_581_196_468_150),
+    (4_147, 15_226_757_844_606_054_450),
 ];

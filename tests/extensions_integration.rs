@@ -25,7 +25,11 @@ fn train_test_split_prediction_generalises() {
     let train_ari = adjusted_rand_index(train.labels().unwrap(), &model.labels);
     // Only meaningful when training succeeded at all.
     assert!(train_ari > 0.4, "training ARI {train_ari}");
-    let predicted = model.predict_dataset(&test);
+    let predicted: Vec<usize> = test
+        .series()
+        .iter()
+        .map(|s| model.predict(s.values()).expect("long enough"))
+        .collect();
     let test_ari = adjusted_rand_index(test.labels().unwrap(), &predicted);
     assert!(
         test_ari > train_ari - 0.35,
