@@ -14,14 +14,18 @@
 //!
 //! ```text
 //! <state_dir>/<model>/
-//!     snap-<seq:016>.kgm   KGM2 model at sequence <seq>
+//!     snap-<seq:016>.kgm   KGM3 model at sequence <seq>
 //!     snap-<seq:016>.kgs   KGS1 session state at sequence <seq>
 //!     wal-<seq:016>.log    KGW1 journal of the records after <seq>
 //! ```
 //!
 //! A generation is the snapshot *pair* for one zero-padded sequence
 //! number (`snapshot_file`, `snapshot_pairs`); each file lands via `tmp →
-//! fsync → rename → dir fsync`, model first. Recovery treats a lone file
+//! fsync → rename → dir fsync`, model first. A model version gets one
+//! model file: when a generation's model is the `Arc` of the slot's newest
+//! pair, its `.kgm` is a hard link of that pair's (`tmp` link → rename →
+//! dir fsync), and only the `.kgs` is written. Files are never modified in
+//! place, so names may share one. Recovery treats a lone file
 //! as no snapshot, so a crash between the two renames falls back to the
 //! previous generation, whose records are still in the live journal. Once
 //! the pair is durable the generation's journal is created (header, then
@@ -65,7 +69,7 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 use streamfit::{StreamConfig, StreamSession};
 
@@ -147,6 +151,10 @@ struct ModelDur {
     journal: u64,
     /// Session refresh count at the last snapshot (cadence anchor).
     refreshes_at_snapshot: u64,
+    /// The model of the newest pair and the sequence number of the
+    /// generation whose `.kgm` holds it. A `Weak` keeps the allocation, so
+    /// no later model can take its address.
+    model_file: Option<(Weak<KGraphModel>, u64)>,
     /// Why the model's ingest path is closed, if it is.
     degraded: Option<String>,
 }
@@ -315,6 +323,12 @@ impl Durability {
     /// per-model session lock held (the only writer), so the pair is a
     /// consistent point-in-time image.
     ///
+    /// A model the slot's newest pair already holds is not encoded again:
+    /// its `.kgm` is hard-linked to the new generation's name (left alone
+    /// when that is its own name, as in a heal at the same sequence
+    /// number), and only the `.kgs` is written. A failed link falls back
+    /// to writing the model.
+    ///
     /// A failure before the pair is durable changes nothing but removing
     /// the attempt's temporaries and a model file left without its state
     /// file (never a file of a complete pair: a heal may rewrite a
@@ -329,32 +343,36 @@ impl Durability {
         seq: u64,
     ) -> io::Result<()> {
         let dir = self.model_dir(name);
-        // Model first, session state second: recovery requires the pair,
-        // so a crash between the two renames falls back to the previous
-        // generation.
-        let files = [
-            ("kgm", serial::write_model(session.model())),
-            ("kgs", streamfit::write_session_state(session, seq)),
-        ]
-        .map(|(ext, bytes)| {
+        let model = session.model();
+        let held_at = entry
+            .model_file
+            .as_ref()
+            .filter(|(held, _)| held.as_ptr() == Arc::as_ptr(model))
+            .map(|&(_, at)| at);
+        let [(model_tmp, model_file), (state_tmp, state_file)] = ["kgm", "kgs"].map(|ext| {
             let target = snapshot_file(&dir, seq, ext);
-            (target.with_extension(format!("{ext}.tmp")), target, bytes)
+            (target.with_extension(format!("{ext}.tmp")), target)
         });
         let written = (|| {
             self.with_retries(|| self.fs.create_dir_all(&dir), is_transient)?;
-            for (tmp, target, bytes) in &files {
-                self.with_retries(|| self.fs.write(tmp, bytes), is_transient)?;
-                self.with_retries(|| self.fs.rename(tmp, target), is_transient)?;
+            // Model first, session state second: recovery requires the
+            // pair, so a crash between the two renames falls back to the
+            // previous generation.
+            if held_at != Some(seq) {
+                let from = held_at.map(|at| snapshot_file(&dir, at, "kgm"));
+                self.put_model(model, from.as_deref(), &model_tmp, &model_file)?;
             }
+            let bytes = streamfit::write_session_state(session, seq);
+            self.put(&state_tmp, &state_file, &bytes)?;
             self.with_retries(|| self.fs.sync_dir(&dir), is_transient)
         })();
         written.inspect_err(|_| {
-            let [(model_tmp, model, _), (state_tmp, state, _)] = &files;
-            let lone_model = (!self.fs.exists(state)).then_some(model);
-            for path in [model_tmp, state_tmp].into_iter().chain(lone_model) {
+            let lone_model = (!self.fs.exists(&state_file)).then_some(&model_file);
+            for path in [&model_tmp, &state_tmp].into_iter().chain(lone_model) {
                 let _ = self.fs.remove_file(path);
             }
         })?;
+        entry.model_file = Some((Arc::downgrade(model), seq));
         // The pair is durable and holds every record logged since the
         // previous snapshot.
         let retired = entry.seq.saturating_sub(entry.snapshot_seq);
@@ -384,6 +402,45 @@ impl Durability {
         });
         self.prune(&dir, live);
         started
+    }
+
+    /// Lands `bytes` at `target`: written (and fsynced) to `tmp`, then
+    /// renamed over it.
+    fn put(&self, tmp: &Path, target: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.with_retries(|| self.fs.write(tmp, bytes), is_transient)?;
+        self.with_retries(|| self.fs.rename(tmp, target), is_transient)
+    }
+
+    /// Lands `model`'s file at `target` through `tmp`: a hard link of
+    /// `from`, a file that holds it, when there is one and the link
+    /// succeeds, else the model encoded and written.
+    fn put_model(
+        &self,
+        model: &KGraphModel,
+        from: Option<&Path>,
+        tmp: &Path,
+        target: &Path,
+    ) -> io::Result<()> {
+        // A crash or a failed link can leave `tmp` as a second name of a
+        // live model file, and writing through it would truncate that
+        // file; so it goes first, and the snapshot fails if it cannot.
+        let clear = || match self.fs.remove_file(tmp) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        };
+        clear()?;
+        if let Some(from) = from {
+            let linked = self
+                .with_retries(|| self.fs.hard_link(from, tmp), is_transient)
+                .and_then(|()| self.with_retries(|| self.fs.rename(tmp, target), is_transient));
+            // A rename onto another name of the same file does nothing
+            // and leaves `tmp` behind.
+            clear()?;
+            if linked.is_ok() {
+                return Ok(());
+            }
+        }
+        self.put(tmp, target, &serial::write_model(model))
     }
 
     /// Removes the snapshot generations beyond the newest
@@ -488,6 +545,14 @@ impl Durability {
             let mut entry = lock(&slot);
             entry.seq = seq;
             entry.snapshot_seq = seq;
+        }
+    }
+
+    /// Records that `model` was loaded from generation `seq`'s model file,
+    /// so a healing snapshot of a model replay did not compact reuses it.
+    pub(crate) fn loaded(&self, name: &str, model: &Arc<KGraphModel>, seq: u64) {
+        if self.enabled {
+            lock(&self.slot(name)).model_file = Some((Arc::downgrade(model), seq));
         }
     }
 
@@ -700,6 +765,10 @@ mod tests {
 
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
             StdFs.rename(from, to)
+        }
+
+        fn hard_link(&self, from: &Path, to: &Path) -> io::Result<()> {
+            StdFs.hard_link(from, to)
         }
 
         fn remove_file(&self, path: &Path) -> io::Result<()> {

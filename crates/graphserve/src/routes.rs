@@ -915,11 +915,19 @@ fn append_journaled(
         );
         error_response(&e)
     })?;
-    if let Some(next) = outcome.compacted.clone() {
+    let compacted = outcome.compacted.as_ref();
+    if let Some(next) = compacted.filter(|next| !Arc::ptr_eq(next, &before)) {
         // Publish the compacted base: a new snapshot version for future
         // readers; in-flight readers keep the old Arc. A name evicted
-        // since the check stays unserved.
-        publish(ctx.store, ctx.sessions, name, next, Some(&before));
+        // since the check stays unserved. A compaction over an empty
+        // delta kept the served model and publishes nothing.
+        publish(
+            ctx.store,
+            ctx.sessions,
+            name,
+            Arc::clone(next),
+            Some(&before),
+        );
     }
     // Snapshot on the refresh cadence (still under the session lock, so
     // the pair is a consistent point-in-time image).
@@ -931,7 +939,7 @@ fn append_journaled(
         points.len(),
         outcome.new_windows,
         outcome.refreshed,
-        outcome.compacted.is_some()
+        compacted.is_some()
     );
     Ok(Response::json(200, body))
 }
@@ -1508,6 +1516,42 @@ mod tests {
             .chain([("other", 0)])
             .collect();
         assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn a_compaction_over_an_empty_delta_keeps_the_served_entry() {
+        let mut ctx = demo_store();
+        ctx.sessions = SessionRegistry::new(streamfit::StreamConfig {
+            refresh_every: 0,
+            compact_every: 1,
+        });
+        let mut reader = ctx.reader();
+        let served = |reader: &mut StoreReader<'_>| reader.get("demo").unwrap();
+        let before = served(&mut reader);
+        let ingest = |n: usize, reader: &mut StoreReader<'_>| {
+            let points: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+            let body = format!("{{\"series\":0,\"points\":{}}}", f64s_to_json(&points));
+            let resp = handle(
+                &request("POST", "/models/demo/ingest", body.as_bytes()),
+                reader,
+                &ctx,
+            );
+            assert_eq!(resp.status, 200, "{}", body_text(&resp));
+            assert!(body_text(&resp).ends_with("\"compacted\":true}"));
+        };
+        // Eight points make no 16-point window: the due compaction finds
+        // the delta empty and keeps the model and its store entry.
+        ingest(8, &mut reader);
+        assert!(Arc::ptr_eq(&served(&mut reader), &before));
+        let session = ctx.sessions.get("demo").unwrap();
+        assert_eq!(session.lock().unwrap().compactions(), 1);
+        assert!(Arc::ptr_eq(session.lock().unwrap().model(), &before));
+        // Transitions reach the delta: the next compaction publishes.
+        ingest(80, &mut reader);
+        let after = served(&mut reader);
+        assert!(!Arc::ptr_eq(&after, &before));
+        assert!(Arc::ptr_eq(session.lock().unwrap().model(), &after));
+        assert_eq!(session.lock().unwrap().compactions(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! milliseconds. This module writes everything a fitted model holds — the
 //! per-length graph layers (node patterns + CSR edge triples), the stored
 //! embeddings (PCA, radial nodes), paths, partitions and scores — into a
-//! little-endian, length-prefixed binary format (`KGM2`).
+//! little-endian, length-prefixed binary format (`KGM3`).
 //!
 //! Graphs are stored as node payloads plus `(src, dst, weight)` edge
 //! triples and rebuilt through [`tsgraph::GraphBuilder`] at load time; the
@@ -16,14 +16,26 @@
 //! pending triples — goes through one codec, [`put_triples`] and
 //! [`Cursor::triples`].
 //!
-//! ## The retired consensus slot
+//! ## Path runs
 //!
-//! Between the labels and the scores, `KGM2` keeps a matrix slot (`u64
-//! rows, u64 cols, rows·cols × f64`) that once held the n × n consensus
-//! matrix, which the model now derives ([`KGraphModel::consensus`]).
-//! [`write_model`] writes a 0 × 0 matrix there and [`read_model`] skips
-//! whatever matrix it finds, bounds-checked and without allocating, so
-//! files that still carry the matrix load unchanged.
+//! Consecutive windows of a series mostly stay on one node, so `KGM3`
+//! stores each training path as its window count followed by one
+//! `(node id, run length)` pair per run of one node, all unsigned LEB128
+//! varints ([`put_varint`], [`Cursor::varint`]). Before anything is
+//! allocated the reader refuses an overlong varint, a zero run, a run past
+//! the path's window count, a node id outside the layer, and a file that
+//! declares more than [`MAX_PATH_WINDOWS`] path windows, so a crafted file
+//! whose CRC verifies cannot drive an allocation past that bound.
+//!
+//! ## The previous generation, `KGM2`
+//!
+//! [`read_model`] still reads `KGM2`, for one format generation. It
+//! differs in two sections only: each path is a `u64` count and one `u64`
+//! per window, and a matrix slot (`u64 rows, u64 cols, rows·cols × f64`)
+//! between the labels and the scores once held the n × n consensus matrix,
+//! which the model now derives ([`KGraphModel::consensus`]). The reader
+//! skips whatever matrix it finds there, bounds-checked and without
+//! allocating. `KGM3` has no slot.
 //!
 //! The format is deliberately dependency-free (no serde in the image) and
 //! versioned by magic: readers reject unknown magics with
@@ -31,7 +43,7 @@
 //!
 //! ## Integrity
 //!
-//! `KGM2` files end in a CRC-32 trailer ([`crate::checksum`]) over every
+//! Model files end in a CRC-32 trailer ([`crate::checksum`]) over every
 //! preceding byte, verified *before* parsing so truncation and bit rot are
 //! reported as corruption rather than as a confusing structural error deep
 //! inside the file. Delta state ([`write_delta_state`]) uses the same
@@ -54,7 +66,15 @@ use tsgraph::delta::DeltaGraph;
 use tsgraph::{GraphBuilder, NodeId};
 
 /// File magic of the current (checksummed) format version.
-const MAGIC: &[u8; 4] = b"KGM2";
+const MAGIC: &[u8; 4] = b"KGM3";
+
+/// Magic of the previous model format generation, still read.
+const MAGIC_V2: &[u8; 4] = b"KGM2";
+
+/// The most path windows one model file may declare over all its layers:
+/// 2^26 windows, 256 MiB of node ids. The largest fit this repository runs
+/// (9,000 series) holds a few million.
+pub const MAX_PATH_WINDOWS: u64 = 1 << 26;
 
 /// Magic of the streaming delta-state blob.
 const DELTA_MAGIC: &[u8; 4] = b"KGD1";
@@ -80,6 +100,17 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 /// Appends a little-endian `f64`.
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+/// bits first, the high bit set on every byte but the last.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
 /// Appends a length-prefixed `f64` slice.
@@ -186,14 +217,61 @@ impl<'a> Cursor<'a> {
     /// A length prefix about to drive an allocation; bounded by the bytes
     /// actually remaining so corrupt prefixes cannot OOM the reader.
     pub fn len(&mut self, elem_bytes: usize) -> Result<usize, TsError> {
-        let n = self.usize()?;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(elem_bytes.max(1)) > remaining {
-            return Err(TsError::Parse(format!(
+        let n = self.u64()?;
+        self.fits(n, elem_bytes)
+    }
+
+    /// `n` as a count of elements of at least `elem_bytes` bytes each, when
+    /// the bytes remaining can hold them.
+    fn fits(&self, n: u64, elem_bytes: usize) -> Result<usize, TsError> {
+        let remaining = self.remaining();
+        match usize::try_from(n) {
+            Ok(n) if n.saturating_mul(elem_bytes.max(1)) <= remaining => Ok(n),
+            _ => Err(TsError::Parse(format!(
                 "declared length {n} exceeds remaining {remaining} bytes"
-            )));
+            ))),
         }
-        Ok(n)
+    }
+
+    /// The next two varints. Path runs are almost always two one-byte
+    /// varints, read here at once.
+    fn varint_pair(&mut self) -> Result<(u64, u64), TsError> {
+        match self.bytes.get(self.pos..self.pos + 2) {
+            Some(&[a, b]) if a < 0x80 && b < 0x80 => {
+                self.pos += 2;
+                Ok((u64::from(a), u64::from(b)))
+            }
+            _ => Ok((self.varint()?, self.varint()?)),
+        }
+    }
+
+    /// Next unsigned LEB128 varint, as [`put_varint`] writes it. An
+    /// encoding of more than ten bytes, one whose bits overflow a `u64` and
+    /// one that ends in a needless zero byte are overlong.
+    pub fn varint(&mut self) -> Result<u64, TsError> {
+        if let Some(&b) = self.bytes.get(self.pos).filter(|&&b| b < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(b));
+        }
+        let mut v = 0u64;
+        for (i, &b) in self.bytes[self.pos..].iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b & 0x80 == 0 {
+                if (i == 9 && b > 1) || (i > 0 && b == 0) {
+                    break;
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        let rest = &self.bytes[self.pos..];
+        Err(TsError::Parse(
+            if rest.len() < 10 && rest.iter().all(|b| b & 0x80 != 0) {
+                format!("model file truncated at byte {}", self.bytes.len())
+            } else {
+                format!("overlong varint at byte {}", self.pos)
+            },
+        ))
     }
 
     /// Next little-endian `f64`.
@@ -219,13 +297,7 @@ impl<'a> Cursor<'a> {
 
     /// Next `u64` as a node id below `bound`.
     fn node(&mut self, bound: usize) -> Result<NodeId, TsError> {
-        let v = self.u64()?;
-        match u32::try_from(v) {
-            Ok(id) if (id as usize) < bound => Ok(NodeId(id)),
-            _ => Err(TsError::Parse(format!(
-                "node {v} out of range (graph has {bound} nodes)"
-            ))),
-        }
+        node_id(self.u64()?, bound)
     }
 
     /// Succeeds when every byte was consumed; `what` names the blob in
@@ -241,6 +313,16 @@ impl<'a> Cursor<'a> {
     pub fn usizes(&mut self) -> Result<Vec<usize>, TsError> {
         let n = self.len(8)?;
         (0..n).map(|_| self.usize()).collect()
+    }
+}
+
+/// `v` as a node id below `bound`.
+fn node_id(v: u64, bound: usize) -> Result<NodeId, TsError> {
+    match u32::try_from(v) {
+        Ok(id) if (id as usize) < bound => Ok(NodeId(id)),
+        _ => Err(TsError::Parse(format!(
+            "node {v} out of range (graph has {bound} nodes)"
+        ))),
     }
 }
 
@@ -262,7 +344,7 @@ fn put_config(out: &mut Vec<u8>, cfg: &KGraphConfig) {
     put_u64(out, cfg.n_init as u64);
     out.push(cfg.edge_features as u8);
     out.push(cfg.node_features as u8);
-    // Retired `parallel` flag, kept at its old default so KGM2 bytes do not change.
+    // Retired `parallel` flag, kept at its old default.
     out.push(1);
     put_u64(out, cfg.seed);
 }
@@ -376,15 +458,87 @@ fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
     }
     // Edge triples in edge-id order (already (src, dst)-sorted).
     put_triples(out, layer.graph.edges_iter().map(|(_, s, t, &w)| (s, t, w)));
-    put_u64(out, layer.paths.len() as u64);
+    put_varint(out, layer.paths.len() as u64);
+    let mut ends = Vec::new();
     for path in &layer.paths {
-        put_u64s(out, path.iter().map(|n| n.0 as u64));
+        put_path(out, path, &mut ends);
     }
     put_u64s(out, layer.labels.iter().map(|&l| l as u64));
     put_embedding(out, &layer.embedding);
 }
 
-fn read_layer(c: &mut Cursor) -> Result<GraphLayer, TsError> {
+/// Appends `path` as its window count, then one `(node, run length)`
+/// varint pair per run of one node. `ends` is scratch space.
+///
+/// Runs average two or three windows, so a branch on every run boundary
+/// would mispredict about once a run. The run ends are found first
+/// without one: each window's index is stored, and the count of stored
+/// ends moves past it only where the next window changes node.
+fn put_path(out: &mut Vec<u8>, path: &[NodeId], ends: &mut Vec<usize>) {
+    put_varint(out, path.len() as u64);
+    ends.clear();
+    ends.resize(path.len(), 0);
+    let mut runs = 0;
+    for (i, pair) in path.windows(2).enumerate() {
+        ends[runs] = i + 1;
+        runs += usize::from(pair[0] != pair[1]);
+    }
+    if let Some(last) = ends.get_mut(runs) {
+        *last = path.len();
+        runs += 1;
+    }
+    let mut start = 0;
+    for &end in &ends[..runs] {
+        put_varint(out, u64::from(path[start].0));
+        put_varint(out, (end - start) as u64);
+        start = end;
+    }
+}
+
+/// Next path written by [`put_path`], its nodes below `n_nodes`.
+/// `windows_left` is what the file may still declare of
+/// [`MAX_PATH_WINDOWS`]; the path's own count is taken from it before
+/// anything is allocated, and no run may pass that count.
+fn read_path(
+    c: &mut Cursor,
+    n_nodes: usize,
+    windows_left: &mut u64,
+) -> Result<Vec<NodeId>, TsError> {
+    let windows = c.varint()?;
+    *windows_left = windows_left.checked_sub(windows).ok_or_else(|| {
+        TsError::Parse(format!(
+            "a path of {windows} windows passes the {MAX_PATH_WINDOWS}-window bound of a model file"
+        ))
+    })?;
+    let windows = windows as usize;
+    // Runs compress, so the bytes left bound the first allocation only;
+    // later growth follows runs that passed their checks. The eight spare
+    // slots take the copies a short run writes past its end.
+    let mut path = Vec::with_capacity(windows.min(c.remaining()) + 8);
+    while path.len() < windows {
+        let (node, run) = c.varint_pair()?;
+        let node = node_id(node, n_nodes)?;
+        let left = windows - path.len();
+        if run == 0 || run > left as u64 {
+            return Err(TsError::Parse(format!(
+                "path run of {run} windows where {left} remain"
+            )));
+        }
+        // A short run is stored as a fixed eight copies cut back to its
+        // length, which spares a mispredicted loop exit per run.
+        let (len, run) = (path.len(), run as usize);
+        if run <= 8 {
+            path.extend_from_slice(&[node; 8]);
+            path.truncate(len + run);
+        } else {
+            path.resize(len + run, node);
+        }
+    }
+    Ok(path)
+}
+
+/// Decodes one layer; `v2` selects the `KGM2` path layout.
+fn read_layer(c: &mut Cursor, v2: bool, windows_left: &mut u64) -> Result<GraphLayer, TsError> {
     let length = c.usize()?;
     let n_nodes = c.len(8)?;
     let payloads = (0..n_nodes)
@@ -405,13 +559,21 @@ fn read_layer(c: &mut Cursor) -> Result<GraphLayer, TsError> {
     // Stored edges are unique per (src, dst): the merge closure never
     // fires, and the builder's sort reproduces the fitted CSR exactly.
     let graph = builder.build(payloads, |acc, w| *acc += w);
-    let n_paths = c.len(8)?;
-    let paths = (0..n_paths)
-        .map(|_| {
-            let len = c.len(8)?;
-            (0..len).map(|_| c.node(n_nodes)).collect()
-        })
-        .collect::<Result<Vec<_>, TsError>>()?;
+    let paths = if v2 {
+        let n_paths = c.len(8)?;
+        (0..n_paths)
+            .map(|_| {
+                let len = c.len(8)?;
+                (0..len).map(|_| c.node(n_nodes)).collect()
+            })
+            .collect::<Result<Vec<_>, TsError>>()?
+    } else {
+        let n_paths = c.varint()?;
+        let n_paths = c.fits(n_paths, 1)?;
+        (0..n_paths)
+            .map(|_| read_path(c, n_nodes, windows_left))
+            .collect::<Result<Vec<_>, TsError>>()?
+    };
     let labels = c.usizes()?;
     let embedding = read_embedding(c)?;
     if embedding.nodes.len() != n_nodes || embedding.pca.mean().len() != length {
@@ -430,16 +592,13 @@ fn read_layer(c: &mut Cursor) -> Result<GraphLayer, TsError> {
     })
 }
 
-/// Encodes a fitted model into the `KGM2` byte format (CRC-32 trailer
+/// Encodes a fitted model into the `KGM3` byte format (CRC-32 trailer
 /// over everything before it).
 pub fn write_model(model: &KGraphModel) -> Vec<u8> {
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(MAGIC);
     put_config(&mut out, &model.config);
     put_u64s(&mut out, model.labels.iter().map(|&l| l as u64));
-    // The retired consensus slot: an empty 0 × 0 matrix.
-    put_u64(&mut out, 0);
-    put_u64(&mut out, 0);
     put_u64(&mut out, model.scores.len() as u64);
     for s in &model.scores {
         put_u64(&mut out, s.length as u64);
@@ -464,7 +623,7 @@ pub fn seal(mut out: Vec<u8>) -> Vec<u8> {
 /// Opens a blob written by [`seal`]: checks the 4-byte `magic`, verifies
 /// the CRC-32 trailer *before* anything is parsed and returns a cursor
 /// over the payload just past the magic. `kind` names the blob in errors
-/// (`"model"` reports e.g. "not a KGM2 model file" and "KGM2 model
+/// (`"model"` reports e.g. "not a KGM3 model file" and "KGM3 model
 /// checksum mismatch").
 pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'a>, TsError> {
     let found: &[u8] = bytes
@@ -497,19 +656,24 @@ pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'
     })
 }
 
-/// Decodes a model from `KGM2` bytes.
+/// Decodes a model from `KGM3` bytes, or from `KGM2` bytes of the
+/// previous format generation.
 ///
 /// # Errors
 ///
 /// [`TsError::Parse`] on a wrong magic, a CRC-32 mismatch, truncation,
 /// or any internal inconsistency (edge/path references outside the node
-/// range, PCA shape mismatches, out-of-range layer index).
+/// range, malformed path runs, PCA shape mismatches, out-of-range layer
+/// index).
 pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
-    let mut c = open(bytes, MAGIC, "model")?;
+    let v2 = bytes.starts_with(MAGIC_V2);
+    let mut c = open(bytes, if v2 { MAGIC_V2 } else { MAGIC }, "model")?;
     let config = read_config(&mut c)?;
     let labels = c.usizes()?;
-    // The retired consensus slot, skipped without decoding.
-    matrix_bytes(&mut c)?;
+    if v2 {
+        // The retired consensus slot, skipped without decoding.
+        matrix_bytes(&mut c)?;
+    }
     let n_scores = c.len(24)?;
     let scores = (0..n_scores)
         .map(|_| {
@@ -522,8 +686,9 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
         .collect::<Result<Vec<_>, TsError>>()?;
     let best_layer = c.usize()?;
     let n_layers = c.len(8)?;
+    let mut windows_left = MAX_PATH_WINDOWS;
     let layers = (0..n_layers)
-        .map(|_| read_layer(&mut c))
+        .map(|_| read_layer(&mut c, v2, &mut windows_left))
         .collect::<Result<Vec<_>, TsError>>()?;
     if best_layer >= layers.len() {
         return Err(TsError::Parse(format!(
@@ -693,6 +858,148 @@ mod tests {
         assert!(matches!(read_model(&v1), Err(TsError::Parse(_))));
         // Every cut and bit flip of all three checksummed formats is swept
         // in `streamfit/tests/corruption_sweep.rs`.
+    }
+
+    #[test]
+    fn varints_round_trip_and_refuse_overlong_encodings() {
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            let mut c = Cursor::new(&out);
+            assert_eq!(c.varint().unwrap(), v);
+            c.finish("varint").unwrap();
+        }
+        let parse_error =
+            |bytes: &[u8]| matches!(Cursor::new(bytes).varint(), Err(TsError::Parse(_)));
+        assert!(parse_error(&[]), "empty");
+        assert!(parse_error(&[0x80]), "truncated");
+        assert!(parse_error(&[0x80, 0x00]), "a needless zero byte");
+        assert!(parse_error(&[0xff; 11]), "eleven bytes");
+        let mut past_u64 = vec![0xff; 9];
+        past_u64.push(0x02);
+        assert!(parse_error(&past_u64), "bits past u64");
+    }
+
+    /// A one-layer model over `n_nodes` nodes in a chain, with the given
+    /// training paths: a layer wider than any fit of the toy data, so node
+    /// ids take multi-byte varints.
+    fn with_paths(n_nodes: usize, paths: Vec<Vec<NodeId>>) -> KGraphModel {
+        let length = 4;
+        let payloads = (0..n_nodes)
+            .map(|i| NodePattern {
+                sector: i % 8,
+                radius: 1.0 + i as f64,
+                count: 1,
+                pattern: vec![0.25; length],
+            })
+            .collect();
+        let mut builder = GraphBuilder::with_capacity(n_nodes);
+        for i in 1..n_nodes as u32 {
+            builder.add_edge(NodeId(i - 1), NodeId(i), 1.0);
+        }
+        let graph = builder.build(payloads, |acc, w| *acc += w);
+        let pca = Pca::from_parts(
+            vec![0.0; length],
+            Matrix::zeros(2, length),
+            vec![1.0, 0.5],
+            2.0,
+        );
+        let nodes = (0..n_nodes)
+            .map(|i| RadialNode {
+                sector: i % 8,
+                radius: 1.0 + i as f64,
+            })
+            .collect();
+        let labels = vec![0; paths.len()];
+        let layer = GraphLayer {
+            length,
+            graph,
+            paths,
+            labels: labels.clone(),
+            embedding: LayerEmbedding::new(pca, nodes, (0.0, 0.0), 8, 1),
+        };
+        let score = LengthScore {
+            length,
+            wc: 0.5,
+            we: 0.25,
+        };
+        KGraphModel::new(KGraphConfig::new(2), vec![layer], labels, vec![score], 0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn path_runs_round_trip(
+            runs in proptest::collection::vec(
+                proptest::collection::vec((0u32..300, 0u32..3, 1usize..2_000), 0..10),
+                0..8,
+            )
+        ) {
+            // Kind 0 is a run of one window, kind 1 a short run, kind 2 a
+            // long one; a path with no runs is empty.
+            let paths: Vec<Vec<NodeId>> = runs
+                .iter()
+                .map(|path| {
+                    path.iter()
+                        .flat_map(|&(node, kind, len)| {
+                            let run = [1, len % 4 + 1, len][kind as usize];
+                            std::iter::repeat_n(NodeId(node), run)
+                        })
+                        .collect()
+                })
+                .collect();
+            let model = with_paths(300, paths);
+            let bytes = write_model(&model);
+            let loaded = read_model(&bytes).expect("round trip");
+            proptest::prop_assert_eq!(&loaded.layers[0].paths, &model.layers[0].paths);
+            proptest::prop_assert_eq!(write_model(&loaded), bytes);
+        }
+    }
+
+    #[test]
+    fn path_runs_past_their_bounds_are_parse_errors() {
+        // One path of three windows on node 200 (two varint bytes), as the
+        // last section before the layer's labels.
+        let model = with_paths(300, vec![vec![NodeId(200); 3]]);
+        let bytes = write_model(&model);
+        let mut run = Vec::new();
+        put_varint(&mut run, 3);
+        put_varint(&mut run, 200);
+        put_varint(&mut run, 3);
+        let at = bytes
+            .windows(run.len())
+            .position(|w| w == run)
+            .expect("the encoded path");
+        let body = &bytes[..bytes.len() - 4];
+        let with_path = |path: &[u64]| {
+            let mut out = body[..at].to_vec();
+            for &v in path {
+                put_varint(&mut out, v);
+            }
+            out.extend_from_slice(&body[at + run.len()..]);
+            seal(out)
+        };
+        assert!(
+            read_model(&with_path(&[3, 200, 3])).is_ok(),
+            "the splice is exact"
+        );
+        for (path, why) in [
+            (&[3, 200, 0, 200, 3][..], "a zero run"),
+            (&[3, 300, 3][..], "a node id past the layer"),
+            (&[3, 200, 4][..], "a run past the path's windows"),
+            (&[3, 200, 1 << 40][..], "a 2^40 run"),
+            (&[1 << 40, 200, 1 << 40][..], "a 2^40-window path"),
+            (
+                &[MAX_PATH_WINDOWS + 1, 200, 3][..],
+                "a path past the file's bound",
+            ),
+        ] {
+            match read_model(&with_path(path)) {
+                Err(TsError::Parse(_)) => {}
+                other => panic!("{why} must be a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

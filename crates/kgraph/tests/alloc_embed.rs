@@ -1,10 +1,13 @@
-//! Memory bounds of the window loop that fit and serve share.
+//! Memory bounds of the window loop that fit and serve share, and of
+//! the model decoder.
 //!
 //! A counting wrapper around the system allocator keeps, per thread, the
 //! number of allocations and the live heap bytes with their high-water
 //! mark. The tests check that the fit's projection never holds the
-//! `total × ℓ` window matrix, and that routing a series costs a fixed
-//! number of allocations however many windows it has.
+//! `total × ℓ` window matrix, that routing a series costs a fixed number
+//! of allocations however many windows it has, and that a model file
+//! declaring a path run of 2^40 windows is refused before any of it is
+//! allocated.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide. The tallies are per thread, so allocations made by the
@@ -130,4 +133,51 @@ fn routing_makes_a_fixed_number_of_allocations() {
     );
     // The z-normalisation scratch and the path itself.
     assert!(counts[0] <= 2, "{counts:?}");
+}
+
+#[test]
+fn a_crafted_path_run_is_refused_before_it_is_allocated() {
+    use kgraph::serial::{put_varint, read_model, seal, write_model};
+    use tscore::error::TsError;
+    use tsgraph::NodeId;
+
+    let series: Vec<TimeSeries> = (0..6)
+        .map(|s| TimeSeries::new(wave(60, if s < 3 { 0.2 } else { 0.9 }, s)))
+        .collect();
+    let ds = Dataset::new("toy", DatasetKind::Simulated, series);
+    let cfg = KGraphConfig {
+        psi: 8,
+        pca_sample: 200,
+        n_init: 1,
+        ..KGraphConfig::new(2)
+    }
+    .with_lengths(vec![12]);
+    let mut model = KGraph::new(cfg).fit(&ds);
+    // One path of 77 windows on node 1: the varints 1 (paths), 77, 1, 77.
+    model.layers[0].paths = vec![vec![NodeId(1); 77]];
+    let bytes = write_model(&model);
+    let body = &bytes[..bytes.len() - 4];
+    let at = body
+        .windows(4)
+        .position(|w| w == [1, 77, 1, 77])
+        .expect("the encoded path");
+    let with_path = |windows: u64, run: u64| {
+        let mut out = body[..at + 1].to_vec();
+        for v in [windows, 1, run] {
+            put_varint(&mut out, v);
+        }
+        out.extend_from_slice(&body[at + 4..]);
+        seal(out)
+    };
+    assert!(
+        read_model(&with_path(77, 77)).is_ok(),
+        "the splice is exact"
+    );
+    for (windows, run) in [(77, 1 << 40), (1 << 40, 1 << 40)] {
+        let blob = with_path(windows, run);
+        let (decoded, peak) = peak_bytes_of(|| read_model(&blob));
+        assert!(matches!(decoded, Err(TsError::Parse(_))), "{decoded:?}");
+        // The layer's payloads and graph, not the 4 TiB the run claims.
+        assert!(peak < 1 << 20, "decoding peaked at {peak} B");
+    }
 }

@@ -153,6 +153,26 @@ mod tests {
         assert!(new_edges > old_edges, "{new_edges} vs {old_edges}");
     }
 
+    #[test]
+    fn a_compaction_over_an_empty_delta_keeps_the_model() {
+        let model = fitted();
+        let cfg = StreamConfig {
+            refresh_every: 0,
+            compact_every: 1,
+        };
+        let mut session = StreamSession::new(Arc::clone(&model), cfg);
+        // Ten points make no 16-point window, so no transition.
+        let out = session.append(0, &wave(0, 10)).unwrap();
+        let kept = out.compacted.expect("the cadence still compacts");
+        assert!(Arc::ptr_eq(&kept, &model), "no copy of the model");
+        assert!(Arc::ptr_eq(session.model(), &model));
+        assert_eq!(session.compactions(), 1);
+        let out = session.append(0, &wave(10, 40)).unwrap();
+        let next = out.compacted.expect("compacts");
+        assert!(!Arc::ptr_eq(&next, &model), "a non-empty delta is folded");
+        assert_eq!(session.compactions(), 2);
+    }
+
     /// After every refresh, each series' scores equal the batch scorer's
     /// over a layer whose graph is built from scratch: the base edges as of
     /// the last compaction plus every transition streamed since, routed

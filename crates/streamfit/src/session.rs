@@ -55,9 +55,10 @@ pub struct AppendOutcome {
     /// Whether the refresh cadence fired (delta ingested, scores
     /// recomputed).
     pub refreshed: bool,
-    /// A freshly compacted model, when the compaction cadence fired. The
-    /// caller owns publication (e.g. `ModelStore::insert`) — the session
-    /// has already switched its own base to it.
+    /// The compacted model, when the compaction cadence fired. The caller
+    /// owns publication (e.g. `ModelStore::insert`) — the session has
+    /// already switched its own base to it. Over an empty delta it is the
+    /// session's model as it was, the same `Arc`, and needs none.
     pub compacted: Option<Arc<KGraphModel>>,
 }
 
@@ -277,8 +278,13 @@ impl StreamSession {
     /// Merges the delta into a fresh base CSR for the best layer, carries
     /// the other layers over as they are, switches the session to the new
     /// model and returns it for publication. Readers of the old `Arc` are
-    /// untouched.
+    /// untouched. An empty delta leaves the model as it is, and its `Arc`
+    /// is returned: a copy would be a new version with the same answers.
     fn compact(&mut self) -> Arc<KGraphModel> {
+        self.compactions += 1;
+        if self.delta.is_empty() {
+            return Arc::clone(&self.model);
+        }
         let old = &self.model;
         let mut layers = old.layers.clone();
         let best = &mut layers[old.best_layer];
@@ -292,7 +298,6 @@ impl StreamSession {
         ));
         self.delta = DeltaGraph::new(next.best().graph.node_count());
         self.model = Arc::clone(&next);
-        self.compactions += 1;
         next
     }
 

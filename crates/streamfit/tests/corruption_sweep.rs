@@ -1,5 +1,6 @@
-//! One truncation and bit-flip sweep for every checksummed format: `KGM2`
-//! models, `KGD1` delta state and `KGS1` session state.
+//! One truncation and bit-flip sweep for every checksummed format: `KGM3`
+//! models (and `KGM2`, the previous generation, which still loads),
+//! `KGD1` delta state and `KGS1` session state.
 //!
 //! A torn write can cut a file at any byte and bit rot can flip any bit,
 //! so [`sweep`] tries every proper prefix and two bit flips at every byte
@@ -8,14 +9,16 @@
 //! decoded. Nothing may panic. The fixtures are kept to a few kilobytes,
 //! because a sweep costs one checksum pass per byte.
 //!
-//! The `KGM2` tests also pin the retired consensus slot: a blob in the
-//! layout that still carried the n × n matrix loads and re-encodes to
-//! today's bytes, and a slot whose shape overflows or runs past the end is
-//! a parse error. The last test pins that `KGS1` bounds each layer's
-//! pending triples by the node count of that layer's delta.
+//! The `KGM2` tests build their blobs with [`kgm2`], a writer of that
+//! layout kept here: a blob with or without the n × n consensus matrix in
+//! the retired slot loads to the model it was written from, and a slot
+//! whose shape overflows or runs past the end is a parse error. The last
+//! test pins that `KGS1` bounds each layer's pending triples by the node
+//! count of that layer's delta.
 
 use kgraph::serial::{
-    put_f64, put_u64, read_delta_state, read_model, seal, write_delta_state, write_model,
+    put_f64, put_f64s, put_triples, put_u64, put_u64s, read_delta_state, read_model, seal,
+    write_delta_state, write_model,
 };
 use kgraph::{KGraph, KGraphConfig, KGraphModel};
 use std::fmt::Debug;
@@ -89,34 +92,89 @@ fn busy_session(model: KGraphModel) -> StreamSession {
     session
 }
 
-/// Byte offset of the retired consensus slot in a `KGM2` blob: the magic,
-/// the configuration (99 fixed bytes plus one `u64` per explicit length)
-/// and the length-prefixed labels come first.
-fn consensus_slot(model: &KGraphModel) -> usize {
-    4 + 99 + 8 * model.config.lengths.len() + 8 + 8 * model.labels.len()
-}
-
-/// `bytes` re-sealed with the `n × n` consensus matrix in the slot, as
-/// files were written before the model stopped storing it.
-fn with_matrix_in_slot(model: &KGraphModel, bytes: &[u8], rows: u64, cols: u64) -> Vec<u8> {
-    let slot = consensus_slot(model);
-    let body = &bytes[..bytes.len() - 4];
-    let mut out = body[..slot].to_vec();
+/// `model` in the `KGM2` layout: every path as a `u64` count and one
+/// `u64` per window, and between the labels and the scores a matrix slot
+/// holding `slot` (rows, cols and row-major values), where the last
+/// `KGM2` writer put a 0 × 0 matrix.
+fn kgm2(model: &KGraphModel, slot: (u64, u64, &[f64])) -> Vec<u8> {
+    let mut out = b"KGM2".to_vec();
+    let cfg = &model.config;
+    put_u64(&mut out, cfg.k as u64);
+    put_u64s(&mut out, cfg.lengths.iter().map(|&l| l as u64));
+    put_u64(&mut out, cfg.n_lengths as u64);
+    put_f64(&mut out, cfg.length_fraction_range.0);
+    put_f64(&mut out, cfg.length_fraction_range.1);
+    for v in [cfg.psi, cfg.kde_grid] {
+        put_u64(&mut out, v as u64);
+    }
+    put_f64(&mut out, cfg.min_density_ratio);
+    for v in [cfg.stride, cfg.pca_sample, cfg.n_init] {
+        put_u64(&mut out, v as u64);
+    }
+    out.extend([cfg.edge_features as u8, cfg.node_features as u8, 1]);
+    put_u64(&mut out, cfg.seed);
+    put_u64s(&mut out, model.labels.iter().map(|&l| l as u64));
+    let (rows, cols, values) = slot;
     put_u64(&mut out, rows);
     put_u64(&mut out, cols);
-    for &v in model.consensus().as_slice() {
+    for &v in values {
         put_f64(&mut out, v);
     }
-    out.extend_from_slice(&body[slot + 16..]);
+    put_u64(&mut out, model.scores.len() as u64);
+    for s in &model.scores {
+        put_u64(&mut out, s.length as u64);
+        put_f64(&mut out, s.wc);
+        put_f64(&mut out, s.we);
+    }
+    put_u64(&mut out, model.best_layer as u64);
+    put_u64(&mut out, model.layers.len() as u64);
+    for layer in &model.layers {
+        put_u64(&mut out, layer.length as u64);
+        put_u64(&mut out, layer.graph.node_count() as u64);
+        for (_, p) in layer.graph.nodes_iter() {
+            put_u64(&mut out, p.sector as u64);
+            put_f64(&mut out, p.radius);
+            put_u64(&mut out, p.count as u64);
+            put_f64s(&mut out, &p.pattern);
+        }
+        put_triples(
+            &mut out,
+            layer.graph.edges_iter().map(|(_, s, t, &w)| (s, t, w)),
+        );
+        put_u64(&mut out, layer.paths.len() as u64);
+        for path in &layer.paths {
+            put_u64s(&mut out, path.iter().map(|n| u64::from(n.0)));
+        }
+        put_u64s(&mut out, layer.labels.iter().map(|&l| l as u64));
+        let emb = &layer.embedding;
+        put_f64s(&mut out, emb.pca.mean());
+        let components = emb.pca.components();
+        put_u64(&mut out, components.rows() as u64);
+        put_u64(&mut out, components.cols() as u64);
+        for &v in components.as_slice() {
+            put_f64(&mut out, v);
+        }
+        put_f64s(&mut out, emb.pca.explained_variance());
+        put_f64(&mut out, emb.pca.total_variance());
+        put_u64(&mut out, emb.nodes.len() as u64);
+        for n in &emb.nodes {
+            put_u64(&mut out, n.sector as u64);
+            put_f64(&mut out, n.radius);
+        }
+        put_f64(&mut out, emb.center.0);
+        put_f64(&mut out, emb.center.1);
+        put_u64(&mut out, emb.psi as u64);
+        put_u64(&mut out, emb.stride as u64);
+    }
     seal(out)
 }
 
 #[test]
-fn kgm2_every_cut_and_flip_is_a_parse_error() {
+fn kgm3_every_cut_and_flip_is_a_parse_error() {
     let model = tiny_model();
     let bytes = write_model(&model);
-    assert_eq!(&bytes[..4], b"KGM2");
-    sweep("KGM2", &bytes, read_model);
+    assert_eq!(&bytes[..4], b"KGM3");
+    sweep("KGM3", &bytes, read_model);
 }
 
 #[test]
@@ -138,36 +196,37 @@ fn kgs1_every_cut_and_flip_is_a_parse_error() {
 }
 
 #[test]
-fn kgm2_with_the_consensus_matrix_in_its_slot_still_loads() {
+fn kgm2_with_and_without_the_consensus_matrix_still_loads() {
     let model = tiny_model();
-    let bytes = write_model(&model);
-    let slot = consensus_slot(&model);
-    assert_eq!(
-        &bytes[slot..slot + 16],
-        &[0u8; 16],
-        "the slot holds a 0 x 0 matrix"
-    );
-
+    let kgm3 = write_model(&model);
     let n = model.labels.len() as u64;
-    let old = with_matrix_in_slot(&model, &bytes, n, n);
-    assert_eq!(old.len(), bytes.len() + (n * n * 8) as usize);
-    let loaded = read_model(&old).expect("a blob carrying the matrix loads");
-    assert_eq!(loaded.labels, model.labels);
-    assert_eq!(write_model(&loaded), bytes, "re-encodes to today's bytes");
-    sweep("KGM2 with matrix", &old, read_model);
+    let consensus = model.consensus();
+    for (slot, what) in [
+        ((0, 0, &[][..]), "KGM2"),
+        ((n, n, consensus.as_slice()), "KGM2 with matrix"),
+    ] {
+        let old = kgm2(&model, slot);
+        let loaded = read_model(&old).unwrap_or_else(|e| panic!("{what} loads: {e}"));
+        assert_eq!(
+            write_model(&loaded),
+            kgm3,
+            "{what} re-encodes to the KGM3 bytes"
+        );
+        sweep(what, &old, read_model);
+    }
 }
 
 #[test]
 fn kgm2_corrupt_consensus_slot_shapes_are_parse_errors() {
     let model = tiny_model();
-    let bytes = write_model(&model);
     let n = model.labels.len() as u64;
+    let consensus = model.consensus();
     for (rows, cols) in [
         (u64::MAX, 2),      // rows · cols overflows
         (1 << 61, 1),       // the byte count overflows
         (n, n + 1_000_000), // past the end of the file
     ] {
-        let bad = with_matrix_in_slot(&model, &bytes, rows, cols);
+        let bad = kgm2(&model, (rows, cols, consensus.as_slice()));
         match read_model(&bad) {
             Err(TsError::Parse(_)) => {}
             other => panic!("slot {rows} x {cols} must be a parse error, got {other:?}"),

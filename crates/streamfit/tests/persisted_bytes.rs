@@ -2,7 +2,7 @@
 //!
 //! A fixed fit is driven through a fixed stream. At two points the test
 //! records the length and FNV-1a hash of the three persisted blobs:
-//! `write_model` (`KGM2`), `write_delta_state` (`KGD1`) and
+//! `write_model` (`KGM3`), `write_delta_state` (`KGD1`) and
 //! `write_session_state` (`KGS1`, which embeds the last refreshed scores).
 //! The first point is mid-cadence, with a non-empty delta, pending triples
 //! and scores. The second comes after a compaction. A fourth pin at both
@@ -31,7 +31,7 @@ fn pin(bytes: &[u8]) -> (usize, u64) {
     (bytes.len(), fnv1a(bytes))
 }
 
-/// (`KGM2`, `KGD1`, `KGS1`) pins of `session` at WAL sequence `seq`.
+/// (`KGM3`, `KGD1`, `KGS1`) pins of `session` at WAL sequence `seq`.
 fn pins(session: &StreamSession, seq: u64) -> [(usize, u64); 3] {
     [
         pin(&write_model(session.model())),
@@ -139,15 +139,15 @@ fn persisted_bytes_are_pinned_mid_cadence_and_after_compaction() {
 const MID_BEST: (usize, u64) = (44, 3_236_670_470_569_238_270);
 const AFTER_BEST: (usize, u64) = (46, 15_810_543_237_379_848_909);
 
-/// Recorded (length, FNV-1a) of `KGM2`, `KGD1`, `KGS1` mid-cadence.
+/// Recorded (length, FNV-1a) of `KGM3`, `KGD1`, `KGS1` mid-cadence.
 const MID: [(usize, u64); 3] = [
-    (25_699, 18_111_502_321_473_194_920),
+    (14_995, 8_631_727_000_285_824_202),
     (656, 14_285_297_253_669_568_865),
     (2_395, 11_322_604_218_802_555_806),
 ];
 /// The same after the first compaction.
 const AFTER: [(usize, u64); 3] = [
-    (25_915, 6_410_001_301_398_738_133),
+    (15_211, 13_308_739_863_853_477_238),
     (560, 17_508_870_581_196_468_150),
     (4_147, 15_226_757_844_606_054_450),
 ];
