@@ -21,11 +21,11 @@
 //!
 //! A generation is the snapshot *pair* for one zero-padded sequence
 //! number (`snapshot_file`, `snapshot_pairs`); each file lands via `tmp →
-//! fsync → rename → dir fsync`, model first. A model version gets one
-//! model file: when a generation's model is the `Arc` of the slot's newest
-//! pair, its `.kgm` is a hard link of that pair's (`tmp` link → rename →
-//! dir fsync), and only the `.kgs` is written. Files are never modified in
-//! place, so names may share one. Recovery treats a lone file
+//! fsync → rename → dir fsync`, model first. Every generation's files are
+//! its own: an unchanged model's `.kgm` is a byte-identical copy of the
+//! previous generation's, written from the encoding the slot keeps of the
+//! newest model rather than encoded again, so rot in one generation's
+//! model file leaves the other to fall back to. Recovery treats a lone file
 //! as no snapshot, so a crash between the two renames falls back to the
 //! previous generation, whose records are still in the live journal. Once
 //! the pair is durable the generation's journal is created (header, then
@@ -151,10 +151,11 @@ struct ModelDur {
     journal: u64,
     /// Session refresh count at the last snapshot (cadence anchor).
     refreshes_at_snapshot: u64,
-    /// The model of the newest pair and the sequence number of the
-    /// generation whose `.kgm` holds it. A `Weak` keeps the allocation, so
-    /// no later model can take its address.
-    model_file: Option<(Weak<KGraphModel>, u64)>,
+    /// The model of the newest snapshot and its `KGM3` encoding, which
+    /// later snapshots of the same model write again instead of encoding
+    /// it anew. A `Weak` keeps the allocation, so no later model can take
+    /// its address.
+    model_bytes: Option<(Weak<KGraphModel>, Vec<u8>)>,
     /// Why the model's ingest path is closed, if it is.
     degraded: Option<String>,
 }
@@ -323,11 +324,10 @@ impl Durability {
     /// per-model session lock held (the only writer), so the pair is a
     /// consistent point-in-time image.
     ///
-    /// A model the slot's newest pair already holds is not encoded again:
-    /// its `.kgm` is hard-linked to the new generation's name (left alone
-    /// when that is its own name, as in a heal at the same sequence
-    /// number), and only the `.kgs` is written. A failed link falls back
-    /// to writing the model.
+    /// A model the slot has encoded before (the same `Arc`) is written
+    /// from that encoding, not encoded again. A model past what a model
+    /// file may hold ([`serial::try_write_model`]) fails the snapshot
+    /// before anything is written.
     ///
     /// A failure before the pair is durable changes nothing but removing
     /// the attempt's temporaries and a model file left without its state
@@ -344,35 +344,37 @@ impl Durability {
     ) -> io::Result<()> {
         let dir = self.model_dir(name);
         let model = session.model();
-        let held_at = entry
-            .model_file
-            .as_ref()
-            .filter(|(held, _)| held.as_ptr() == Arc::as_ptr(model))
-            .map(|&(_, at)| at);
-        let [(model_tmp, model_file), (state_tmp, state_file)] = ["kgm", "kgs"].map(|ext| {
+        let model_bytes = match &mut entry.model_bytes {
+            Some((held, bytes)) if held.as_ptr() == Arc::as_ptr(model) => &bytes[..],
+            cached => {
+                let bytes = serial::try_write_model(model)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                &cached.insert((Arc::downgrade(model), bytes)).1[..]
+            }
+        };
+        let state_bytes = streamfit::write_session_state(session, seq);
+        // Model first, session state second: recovery requires the pair,
+        // so a crash between the two renames falls back to the previous
+        // generation.
+        let files = [("kgm", model_bytes), ("kgs", &state_bytes[..])].map(|(ext, bytes)| {
             let target = snapshot_file(&dir, seq, ext);
-            (target.with_extension(format!("{ext}.tmp")), target)
+            (target.with_extension(format!("{ext}.tmp")), target, bytes)
         });
         let written = (|| {
             self.with_retries(|| self.fs.create_dir_all(&dir), is_transient)?;
-            // Model first, session state second: recovery requires the
-            // pair, so a crash between the two renames falls back to the
-            // previous generation.
-            if held_at != Some(seq) {
-                let from = held_at.map(|at| snapshot_file(&dir, at, "kgm"));
-                self.put_model(model, from.as_deref(), &model_tmp, &model_file)?;
+            for (tmp, target, bytes) in &files {
+                self.with_retries(|| self.fs.write(tmp, bytes), is_transient)?;
+                self.with_retries(|| self.fs.rename(tmp, target), is_transient)?;
             }
-            let bytes = streamfit::write_session_state(session, seq);
-            self.put(&state_tmp, &state_file, &bytes)?;
             self.with_retries(|| self.fs.sync_dir(&dir), is_transient)
         })();
         written.inspect_err(|_| {
-            let lone_model = (!self.fs.exists(&state_file)).then_some(&model_file);
-            for path in [&model_tmp, &state_tmp].into_iter().chain(lone_model) {
+            let [(model_tmp, model, _), (state_tmp, state, _)] = &files;
+            let lone_model = (!self.fs.exists(state)).then_some(model);
+            for path in [model_tmp, state_tmp].into_iter().chain(lone_model) {
                 let _ = self.fs.remove_file(path);
             }
         })?;
-        entry.model_file = Some((Arc::downgrade(model), seq));
         // The pair is durable and holds every record logged since the
         // previous snapshot.
         let retired = entry.seq.saturating_sub(entry.snapshot_seq);
@@ -402,45 +404,6 @@ impl Durability {
         });
         self.prune(&dir, live);
         started
-    }
-
-    /// Lands `bytes` at `target`: written (and fsynced) to `tmp`, then
-    /// renamed over it.
-    fn put(&self, tmp: &Path, target: &Path, bytes: &[u8]) -> io::Result<()> {
-        self.with_retries(|| self.fs.write(tmp, bytes), is_transient)?;
-        self.with_retries(|| self.fs.rename(tmp, target), is_transient)
-    }
-
-    /// Lands `model`'s file at `target` through `tmp`: a hard link of
-    /// `from`, a file that holds it, when there is one and the link
-    /// succeeds, else the model encoded and written.
-    fn put_model(
-        &self,
-        model: &KGraphModel,
-        from: Option<&Path>,
-        tmp: &Path,
-        target: &Path,
-    ) -> io::Result<()> {
-        // A crash or a failed link can leave `tmp` as a second name of a
-        // live model file, and writing through it would truncate that
-        // file; so it goes first, and the snapshot fails if it cannot.
-        let clear = || match self.fs.remove_file(tmp) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        };
-        clear()?;
-        if let Some(from) = from {
-            let linked = self
-                .with_retries(|| self.fs.hard_link(from, tmp), is_transient)
-                .and_then(|()| self.with_retries(|| self.fs.rename(tmp, target), is_transient));
-            // A rename onto another name of the same file does nothing
-            // and leaves `tmp` behind.
-            clear()?;
-            if linked.is_ok() {
-                return Ok(());
-            }
-        }
-        self.put(tmp, target, &serial::write_model(model))
     }
 
     /// Removes the snapshot generations beyond the newest
@@ -545,14 +508,6 @@ impl Durability {
             let mut entry = lock(&slot);
             entry.seq = seq;
             entry.snapshot_seq = seq;
-        }
-    }
-
-    /// Records that `model` was loaded from generation `seq`'s model file,
-    /// so a healing snapshot of a model replay did not compact reuses it.
-    pub(crate) fn loaded(&self, name: &str, model: &Arc<KGraphModel>, seq: u64) {
-        if self.enabled {
-            lock(&self.slot(name)).model_file = Some((Arc::downgrade(model), seq));
         }
     }
 
@@ -765,10 +720,6 @@ mod tests {
 
         fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
             StdFs.rename(from, to)
-        }
-
-        fn hard_link(&self, from: &Path, to: &Path) -> io::Result<()> {
-            StdFs.hard_link(from, to)
         }
 
         fn remove_file(&self, path: &Path) -> io::Result<()> {

@@ -43,9 +43,6 @@ pub trait Fs: Send + Sync {
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` over `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Makes `to` a new name of the file `from` names (a hard link);
-    /// fails when `to` exists.
-    fn hard_link(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes a file; `NotFound` is surfaced, not swallowed.
     fn remove_file(&self, path: &Path) -> io::Result<()>;
     /// Removes a directory and everything under it.
@@ -108,10 +105,6 @@ impl Fs for StdFs {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
-    }
-
-    fn hard_link(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::hard_link(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {

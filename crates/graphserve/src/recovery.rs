@@ -15,10 +15,7 @@
 //!    fallback across a re-fit, whose first generation is numbered past
 //!    the old fit's last record, never passes;
 //! 4. **heals**: a fresh snapshot of the recovered state and its journal
-//!    retire torn tails, stale generations and a `wal.log`. A model that
-//!    replay did not compact keeps the loaded generation's model file,
-//!    linked under the heal's name (or left as it is at the same
-//!    sequence number);
+//!    retire torn tails, stale generations and a `wal.log`;
 //! 5. **degrades instead of dying** when the records fall short (the
 //!    reason names the gap), a journal is not a journal at all, a record
 //!    that passed its checksum is refused by the model, or the heal cannot
@@ -224,7 +221,6 @@ fn recover_model(
         report.failed.push((name.to_string(), reason.to_string()));
         return;
     };
-    durability.loaded(name, session.model(), snap_seq);
 
     // Replay the records past the snapshot in sequence order, up to the
     // first gap; they must reach the highest sequence number on disk.

@@ -11,6 +11,9 @@
 //! code path is byte-for-byte the production one; only the filesystem
 //! lies.
 
+#[path = "../../kgraph/tests/support/kgm2.rs"]
+mod kgm2;
+
 use graphserve::durability::{Durability, DurabilityConfig};
 use graphserve::fsio::{Fs, StdFs, WalFile};
 use graphserve::http::{Request, Response};
@@ -201,8 +204,6 @@ struct FaultPlan {
     /// Fail every `set_len` — defeats the WAL's rollback and forces the
     /// degraded path.
     fail_set_len: bool,
-    /// Fail every `hard_link`, as a filesystem without hard links does.
-    fail_hard_link: bool,
     /// XOR this mask into the byte at this offset of every `read` —
     /// bit rot.
     flip_on_read: Option<(usize, u8)>,
@@ -361,13 +362,6 @@ impl Fs for FailFs {
         self.inner.rename(from, to)
     }
 
-    fn hard_link(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if self.plan.fail_hard_link {
-            return Err(io::Error::other("injected hard link failure"));
-        }
-        self.inner.hard_link(from, to)
-    }
-
     fn remove_file(&self, path: &Path) -> io::Result<()> {
         self.inner.remove_file(path)
     }
@@ -462,10 +456,6 @@ impl Fs for FlakyFs {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         self.inner.rename(from, to)
-    }
-
-    fn hard_link(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.inner.hard_link(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
@@ -975,53 +965,32 @@ fn flip_middle_byte(path: &Path) {
     std::fs::write(path, &bytes).expect("rewrite state file");
 }
 
-/// Whether `a` and `b` name one file (a hard link).
-fn same_file(a: &Path, b: &Path) -> bool {
-    use std::os::unix::fs::MetadataExt;
-    let (a, b) = (std::fs::metadata(a).unwrap(), std::fs::metadata(b).unwrap());
-    (a.dev(), a.ino()) == (b.dev(), b.ino())
-}
-
-/// `ingests` acknowledged ingests with a snapshot after each: the last two
-/// generations, n - 1 and n, are retained, each with its journal, and
-/// record n sits in generation n - 1's journal as well as in generation
-/// n. The second refresh compacts an empty delta and the fourth a
-/// non-empty one, so with three ingests both retained generations name the
-/// fitted model's one file, and with four they hold distinct files.
-fn generations(tag: &str, ingests: u64) -> TempDir {
+/// Three acknowledged ingests with a snapshot after each: generations 2
+/// and 3 are retained, each with its journal, and record 3 sits in
+/// generation 2's journal as well as in generation 3.
+fn three_generations(tag: &str) -> TempDir {
     let dir = TempDir::new(tag);
     let h = Harness::new(Durability::new(durability_config(dir.path(), 0)));
-    for i in 0..ingests as usize {
+    for i in 0..3 {
         let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
         assert_eq!(resp.status, 200, "{}", body_text(&resp));
     }
     drop(h);
-    let n = ingests;
     let expected = [
-        format!("snap-{:016}.kgm", n - 1),
-        format!("snap-{:016}.kgs", n - 1),
-        format!("snap-{n:016}.kgm"),
-        format!("snap-{n:016}.kgs"),
-        format!("wal-{:016}.log", n - 1),
-        format!("wal-{n:016}.log"),
+        "snap-0000000000000002.kgm",
+        "snap-0000000000000002.kgs",
+        "snap-0000000000000003.kgm",
+        "snap-0000000000000003.kgs",
+        "wal-0000000000000002.log",
+        "wal-0000000000000003.log",
     ];
     let model_dir = dir.path().join("demo");
     assert_eq!(file_names(&model_dir), expected, "retained generations");
-    let shared = same_file(
-        &snapshot(&model_dir, n - 1, "kgm"),
-        &snapshot(&model_dir, n, "kgm"),
-    );
-    assert_eq!(
-        shared,
-        ingests < 4,
-        "model files of generations {n} and {}",
-        n - 1
-    );
     dir
 }
 
-/// Restarts on `dir` and asserts a writable model with all `points`.
-fn assert_recovers_every_point(dir: &Path, points: u64, row: &str) {
+/// Restarts on `dir` and asserts a writable model with all 24 points.
+fn assert_recovers_every_point(dir: &Path, row: &str) {
     let h = Harness::empty(Durability::new(durability_config(dir, 0)));
     let report = recover(&h.durability, &h.store, &h.sessions);
     assert_eq!(
@@ -1031,7 +1000,7 @@ fn assert_recovers_every_point(dir: &Path, points: u64, row: &str) {
     );
     assert_eq!(
         points_total(&h),
-        points,
+        24,
         "{row}: every acknowledged ingest survives"
     );
     let resp = h.handle("GET", "/healthz", "");
@@ -1046,52 +1015,26 @@ fn assert_recovers_every_point(dir: &Path, points: u64, row: &str) {
 
 #[test]
 fn a_corrupt_retained_generation_loses_no_acknowledged_point() {
-    // Each row rots one file of one retained generation, whose two model
-    // files are distinct. The other generation plus the journals still
-    // hold every record: a fallback from generation 4 to 3 replays record
-    // 4 from generation 3's journal.
-    for (seq, ext) in [(4, "kgm"), (4, "kgs"), (3, "kgm"), (3, "kgs")] {
-        let dir = generations(&format!("rot{seq}{ext}"), 4);
+    // Each row rots one file of one retained generation. The other
+    // generation plus the journals still hold every record: a fallback
+    // from generation 3 to 2 replays record 3 from generation 2's journal.
+    for (seq, ext) in [(3, "kgm"), (3, "kgs"), (2, "kgm"), (2, "kgs")] {
+        let dir = three_generations(&format!("rot{seq}{ext}"));
         flip_middle_byte(&snapshot(&dir.path().join("demo"), seq, ext));
-        assert_recovers_every_point(dir.path(), 32, &format!("snap-{seq}.{ext}"));
+        assert_recovers_every_point(dir.path(), &format!("snap-{seq}.{ext}"));
     }
 }
 
-#[test]
-fn rot_in_a_model_file_both_generations_name_is_rot_in_both() {
-    // An unchanged model's generations share one model file, so a state
-    // file that rots still falls back to the other generation ...
-    for seq in [3, 2] {
-        let dir = generations(&format!("sharedkgs{seq}"), 3);
-        flip_middle_byte(&snapshot(&dir.path().join("demo"), seq, "kgs"));
-        assert_recovers_every_point(dir.path(), 24, &format!("snap-{seq}.kgs"));
-    }
-    // ... but the shared model file rots under both names: no generation
-    // restores, the model is reported failed and not served, and every
-    // file stays as it was for the operator.
-    let dir = generations("sharedkgm", 3);
-    let model_dir = dir.path().join("demo");
-    flip_middle_byte(&snapshot(&model_dir, 3, "kgm"));
-    let before = dir_bytes(&model_dir);
-    let h = Harness::empty(Durability::new(durability_config(dir.path(), 0)));
-    let report = recover(&h.durability, &h.store, &h.sessions);
-    let failed = (
-        "demo".to_string(),
-        "every snapshot generation is corrupt".to_string(),
-    );
-    assert_eq!(report.failed, [failed], "{report:?}");
-    let resp = h.handle("POST", "/models/demo/score?context=3", &probe_series());
-    assert_eq!(resp.status, 404, "{}", body_text(&resp));
-    assert_eq!(
-        dir_bytes(&model_dir),
-        before,
-        "recovery left the files alone"
-    );
-}
+// ---------------------------------------------------------------------------
+// Model-file reuse: an unchanged model is written again, never encoded again
+// ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Model-file reuse: an unchanged model keeps one file
-// ---------------------------------------------------------------------------
+/// Whether `a` and `b` name one file.
+fn same_file(a: &Path, b: &Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    let (a, b) = (std::fs::metadata(a).unwrap(), std::fs::metadata(b).unwrap());
+    (a.dev(), a.ino()) == (b.dev(), b.ino())
+}
 
 fn ingest_ok(h: &Harness, i: usize) {
     let resp = h.handle("POST", "/models/demo/ingest", &ingest_body(i));
@@ -1099,166 +1042,100 @@ fn ingest_ok(h: &Harness, i: usize) {
 }
 
 #[test]
-fn an_unchanged_model_is_linked_and_a_compacted_one_written() {
+fn an_unchanged_model_is_copied_and_a_compacted_one_written() {
     let dir = TempDir::new("reuse");
     let h = Harness::new(Durability::new(durability_config(dir.path(), 0)));
     let model_dir = dir.path().join("demo");
     let kgm = |seq| snapshot(&model_dir, seq, "kgm");
-    // Refresh 1 does not compact: generation 1 names the fit's file.
+    let assert_copy = |seq: u64| {
+        let (prev, next) = (kgm(seq - 1), kgm(seq));
+        assert!(
+            !same_file(&prev, &next),
+            "generation {seq} has its own file"
+        );
+        assert_eq!(
+            std::fs::read(&next).unwrap(),
+            std::fs::read(&prev).unwrap(),
+            "generation {seq} holds the same model"
+        );
+    };
+    // Refresh 1 does not compact.
     ingest_ok(&h, 0);
-    assert!(same_file(&kgm(0), &kgm(1)), "generation 1 is a link");
-    assert_eq!(
-        std::fs::read(kgm(1)).unwrap(),
-        std::fs::read(kgm(0)).unwrap()
-    );
+    assert_copy(1);
     // Refresh 2 compacts an empty delta: the served model stays the same.
     ingest_ok(&h, 1);
-    assert!(same_file(&kgm(1), &kgm(2)), "generation 2 is a link");
+    assert_copy(2);
     ingest_ok(&h, 2);
     // Refresh 4 compacts a non-empty delta: a new model, a new file.
     ingest_ok(&h, 3);
-    assert!(!same_file(&kgm(3), &kgm(4)), "generation 4 is written");
     let served = h.store.reader().get("demo").unwrap();
-    assert_eq!(
-        std::fs::read(kgm(4)).unwrap(),
-        kgraph::serial::write_model(&served)
-    );
+    let kgm4 = std::fs::read(kgm(4)).unwrap();
+    assert_ne!(kgm4, std::fs::read(kgm(3)).unwrap());
+    assert_eq!(kgm4, kgraph::serial::write_model(&served));
     assert_eq!(
         h.durability
             .counters()
             .snapshots_written
             .load(Ordering::Relaxed),
         5,
-        "a reused model file still makes a snapshot"
+        "every generation is a snapshot"
     );
 }
 
 #[test]
-fn a_failed_link_writes_the_model_file() {
-    let dir = TempDir::new("nolink");
-    let plan = FaultPlan {
-        fail_hard_link: true,
-        ..FaultPlan::default()
-    };
-    let fs = FailFs::new(Arc::new(StdFs), plan);
-    let h = Harness::new(Durability::with_fs(
-        durability_config(dir.path(), 0),
-        Arc::new(fs),
-    ));
-    ingest_ok(&h, 0);
+fn a_heal_at_the_same_sequence_number_leaves_the_files_as_they_were() {
+    let dir = three_generations("sameseq");
     let model_dir = dir.path().join("demo");
-    let (kgm0, kgm1) = (
-        snapshot(&model_dir, 0, "kgm"),
-        snapshot(&model_dir, 1, "kgm"),
-    );
-    assert!(!same_file(&kgm0, &kgm1), "written, not linked");
-    assert_eq!(std::fs::read(&kgm1).unwrap(), std::fs::read(&kgm0).unwrap());
-    let zero = "0".repeat(16);
-    let one = format!("{:016}", 1);
-    let expected = [
-        format!("snap-{zero}.kgm"),
-        format!("snap-{zero}.kgs"),
-        format!("snap-{one}.kgm"),
-        format!("snap-{one}.kgs"),
-        format!("wal-{zero}.log"),
-        format!("wal-{one}.log"),
-    ];
-    assert_eq!(file_names(&model_dir), expected, "no temporary is left");
-    let counters = h.durability.counters();
-    assert_eq!(counters.snapshot_failures.load(Ordering::Relaxed), 0);
-}
-
-#[test]
-fn a_reused_generation_recovers_after_its_first_name_is_pruned() {
-    let dir = TempDir::new("pruned");
-    let h = Harness::new(Durability::new(durability_config(dir.path(), 0)));
-    for i in 0..3 {
-        ingest_ok(&h, i);
-    }
-    let status = h.handle("GET", "/models/demo/stream-status", "");
-    drop(h);
-    // Generations 2 and 3 name the file generation 0 wrote; 0 and 1 are
-    // pruned.
-    let model_dir = dir.path().join("demo");
-    assert!(!snapshot(&model_dir, 0, "kgm").exists());
-    assert!(same_file(
-        &snapshot(&model_dir, 2, "kgm"),
-        &snapshot(&model_dir, 3, "kgm")
-    ));
+    let before = dir_bytes(&model_dir);
     let h = Harness::empty(Durability::new(durability_config(dir.path(), 0)));
-    let report = recover(&h.durability, &h.store, &h.sessions);
-    assert_eq!(report.recovered, ["demo"], "{report:?}");
-    let after = h.handle("GET", "/models/demo/stream-status", "");
-    assert_eq!(body_text(&after), body_text(&status));
-}
-
-#[test]
-fn a_heal_at_the_same_sequence_number_leaves_the_listing_alone() {
-    let dir = generations("sameseq", 3);
-    let model_dir = dir.path().join("demo");
-    let names = file_names(&model_dir);
-    // A filesystem that refuses links: a heal that tried one would fall
-    // back to writing a new file.
-    let plan = FaultPlan {
-        fail_hard_link: true,
-        ..FaultPlan::default()
-    };
-    let fs = FailFs::new(Arc::new(StdFs), plan);
-    let h = Harness::empty(Durability::with_fs(
-        durability_config(dir.path(), 0),
-        Arc::new(fs),
-    ));
     let report = recover(&h.durability, &h.store, &h.sessions);
     assert_eq!(report.recovered, ["demo"], "{report:?}");
     assert_eq!(report.replayed_records, 0, "the heal is at sequence 3");
-    assert_eq!(file_names(&model_dir), names);
-    assert!(
-        same_file(
-            &snapshot(&model_dir, 2, "kgm"),
-            &snapshot(&model_dir, 3, "kgm")
-        ),
-        "the model file was neither rewritten nor relinked"
-    );
+    assert_eq!(dir_bytes(&model_dir), before);
 }
 
 #[test]
-fn a_stale_linked_temporary_is_never_written_through() {
-    // A crash between the link and its rename leaves the temporary as a
-    // second name of the live model file. The next snapshot at that
-    // sequence number writes a new model, and must not write it into the
-    // file generation 3 still names.
-    let dir = generations("staletmp", 3);
+fn a_kgm2_state_directory_recovers_and_heals_to_kgm3() {
+    // The previous model format, as the previous release wrote it, in
+    // both retained generations.
+    let dir = three_generations("kgm2");
     let model_dir = dir.path().join("demo");
-    let kgm3 = snapshot(&model_dir, 3, "kgm");
-    let tmp = model_dir.join(format!("snap-{:016}.kgm.tmp", 4));
-    std::fs::hard_link(&kgm3, &tmp).unwrap();
-    let before = std::fs::read(&kgm3).unwrap();
+    for seq in [2, 3] {
+        let path = snapshot(&model_dir, seq, "kgm");
+        let model = kgraph::serial::read_model(&std::fs::read(&path).unwrap()).unwrap();
+        std::fs::write(&path, kgm2::kgm2(&model, (0, 0, &[]))).unwrap();
+    }
     let h = Harness::empty(Durability::new(durability_config(dir.path(), 0)));
     let report = recover(&h.durability, &h.store, &h.sessions);
     assert_eq!(report.recovered, ["demo"], "{report:?}");
-    // Refresh 4 compacts a non-empty delta; generation 4 holds its model.
-    ingest_ok(&h, 3);
-    let kgm4 = snapshot(&model_dir, 4, "kgm");
-    assert_ne!(std::fs::read(&kgm4).unwrap(), before, "a new model");
+    assert_eq!(points_total(&h), 24);
+    let served = kgraph::serial::write_model(&h.store.reader().get("demo").unwrap());
     assert_eq!(
-        std::fs::read(&kgm3).unwrap(),
-        before,
-        "generation 3 untouched"
+        std::fs::read(snapshot(&model_dir, 3, "kgm")).unwrap(),
+        served,
+        "the heal rewrites generation 3 as KGM3"
     );
-    assert!(!tmp.exists(), "the temporary is gone");
+    // Every later generation is KGM3 too.
+    ingest_ok(&h, 9);
+    for name in file_names(&model_dir) {
+        if name.ends_with(".kgm") {
+            let bytes = std::fs::read(model_dir.join(&name)).unwrap();
+            assert!(bytes.starts_with(b"KGM3"), "{name}");
+        }
+    }
 }
 
 #[test]
 fn a_fallback_whose_journal_is_gone_degrades_naming_the_gap() {
-    let dir = generations("gap", 4);
+    let dir = three_generations("gap");
     let model_dir = dir.path().join("demo");
     for ext in ["kgm", "kgs"] {
-        flip_middle_byte(&snapshot(&model_dir, 4, ext));
+        flip_middle_byte(&snapshot(&model_dir, 3, ext));
     }
-    std::fs::remove_file(journal(&model_dir, 3)).expect("delete journal");
+    std::fs::remove_file(journal(&model_dir, 2)).expect("delete journal");
 
-    // Generation 3 restores, but nothing carries it to sequence 4: record
-    // 4 is acknowledged and unreachable, so the model refuses writes
+    // Generation 2 restores, but nothing carries it to sequence 3: record
+    // 3 is acknowledged and unreachable, so the model refuses writes
     // instead of silently diverging.
     let h = Harness::empty(Durability::new(durability_config(dir.path(), 0)));
     let report = recover(&h.durability, &h.store, &h.sessions);
@@ -1266,7 +1143,7 @@ fn a_fallback_whose_journal_is_gone_degrades_naming_the_gap() {
     assert_eq!(report.degraded.len(), 1, "{report:?}");
     let reason = &report.degraded[0].1;
     assert!(
-        reason.contains("snapshot 3 only to sequence 3") && reason.contains("sequence 4"),
+        reason.contains("snapshot 2 only to sequence 2") && reason.contains("sequence 3"),
         "{reason}"
     );
 
@@ -1400,7 +1277,7 @@ fn a_failed_journal_creation_keeps_appends_on_the_live_journal() {
             "{row}"
         );
         drop(h);
-        assert_recovers_every_point(dir.path(), 24, &row);
+        assert_recovers_every_point(dir.path(), &row);
     }
 }
 

@@ -25,7 +25,9 @@
 //! allocated the reader refuses an overlong varint, a zero run, a run past
 //! the path's window count, a node id outside the layer, and a file that
 //! declares more than [`MAX_PATH_WINDOWS`] path windows, so a crafted file
-//! whose CRC verifies cannot drive an allocation past that bound.
+//! whose CRC verifies cannot drive an allocation past that bound. The
+//! writer refuses a model past the same bound ([`try_write_model`]), so no
+//! file it writes is one the reader would refuse.
 //!
 //! ## The previous generation, `KGM2`
 //!
@@ -233,26 +235,11 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// The next two varints. Path runs are almost always two one-byte
-    /// varints, read here at once.
-    fn varint_pair(&mut self) -> Result<(u64, u64), TsError> {
-        match self.bytes.get(self.pos..self.pos + 2) {
-            Some(&[a, b]) if a < 0x80 && b < 0x80 => {
-                self.pos += 2;
-                Ok((u64::from(a), u64::from(b)))
-            }
-            _ => Ok((self.varint()?, self.varint()?)),
-        }
-    }
-
     /// Next unsigned LEB128 varint, as [`put_varint`] writes it. An
     /// encoding of more than ten bytes, one whose bits overflow a `u64` and
     /// one that ends in a needless zero byte are overlong.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, TsError> {
-        if let Some(&b) = self.bytes.get(self.pos).filter(|&&b| b < 0x80) {
-            self.pos += 1;
-            return Ok(u64::from(b));
-        }
         let mut v = 0u64;
         for (i, &b) in self.bytes[self.pos..].iter().take(10).enumerate() {
             v |= u64::from(b & 0x7f) << (7 * i);
@@ -264,14 +251,17 @@ impl<'a> Cursor<'a> {
                 return Ok(v);
             }
         }
+        Err(self.varint_error())
+    }
+
+    #[cold]
+    fn varint_error(&self) -> TsError {
         let rest = &self.bytes[self.pos..];
-        Err(TsError::Parse(
-            if rest.len() < 10 && rest.iter().all(|b| b & 0x80 != 0) {
-                format!("model file truncated at byte {}", self.bytes.len())
-            } else {
-                format!("overlong varint at byte {}", self.pos)
-            },
-        ))
+        TsError::Parse(if rest.len() < 10 && rest.iter().all(|b| b & 0x80 != 0) {
+            format!("model file truncated at byte {}", self.bytes.len())
+        } else {
+            format!("overlong varint at byte {}", self.pos)
+        })
     }
 
     /// Next little-endian `f64`.
@@ -459,46 +449,27 @@ fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
     // Edge triples in edge-id order (already (src, dst)-sorted).
     put_triples(out, layer.graph.edges_iter().map(|(_, s, t, &w)| (s, t, w)));
     put_varint(out, layer.paths.len() as u64);
-    let mut ends = Vec::new();
     for path in &layer.paths {
-        put_path(out, path, &mut ends);
+        put_path(out, path);
     }
     put_u64s(out, layer.labels.iter().map(|&l| l as u64));
     put_embedding(out, &layer.embedding);
 }
 
 /// Appends `path` as its window count, then one `(node, run length)`
-/// varint pair per run of one node. `ends` is scratch space.
-///
-/// Runs average two or three windows, so a branch on every run boundary
-/// would mispredict about once a run. The run ends are found first
-/// without one: each window's index is stored, and the count of stored
-/// ends moves past it only where the next window changes node.
-fn put_path(out: &mut Vec<u8>, path: &[NodeId], ends: &mut Vec<usize>) {
+/// varint pair per run of one node.
+fn put_path(out: &mut Vec<u8>, path: &[NodeId]) {
     put_varint(out, path.len() as u64);
-    ends.clear();
-    ends.resize(path.len(), 0);
-    let mut runs = 0;
-    for (i, pair) in path.windows(2).enumerate() {
-        ends[runs] = i + 1;
-        runs += usize::from(pair[0] != pair[1]);
-    }
-    if let Some(last) = ends.get_mut(runs) {
-        *last = path.len();
-        runs += 1;
-    }
-    let mut start = 0;
-    for &end in &ends[..runs] {
-        put_varint(out, u64::from(path[start].0));
-        put_varint(out, (end - start) as u64);
-        start = end;
+    for run in path.chunk_by(|a, b| a == b) {
+        put_varint(out, u64::from(run[0].0));
+        put_varint(out, run.len() as u64);
     }
 }
 
 /// Next path written by [`put_path`], its nodes below `n_nodes`.
-/// `windows_left` is what the file may still declare of
-/// [`MAX_PATH_WINDOWS`]; the path's own count is taken from it before
-/// anything is allocated, and no run may pass that count.
+/// `windows_left` is what the file may still declare of its path-window
+/// bound; the path's own count is taken from it before anything is
+/// allocated, and no run may pass that count.
 fn read_path(
     c: &mut Cursor,
     n_nodes: usize,
@@ -507,32 +478,23 @@ fn read_path(
     let windows = c.varint()?;
     *windows_left = windows_left.checked_sub(windows).ok_or_else(|| {
         TsError::Parse(format!(
-            "a path of {windows} windows passes the {MAX_PATH_WINDOWS}-window bound of a model file"
+            "a path of {windows} windows passes the path-window bound of a model file"
         ))
     })?;
     let windows = windows as usize;
     // Runs compress, so the bytes left bound the first allocation only;
-    // later growth follows runs that passed their checks. The eight spare
-    // slots take the copies a short run writes past its end.
-    let mut path = Vec::with_capacity(windows.min(c.remaining()) + 8);
+    // later growth follows runs that passed their checks.
+    let mut path = Vec::with_capacity(windows.min(c.remaining()));
     while path.len() < windows {
-        let (node, run) = c.varint_pair()?;
-        let node = node_id(node, n_nodes)?;
+        let node = node_id(c.varint()?, n_nodes)?;
+        let run = c.varint()?;
         let left = windows - path.len();
         if run == 0 || run > left as u64 {
             return Err(TsError::Parse(format!(
                 "path run of {run} windows where {left} remain"
             )));
         }
-        // A short run is stored as a fixed eight copies cut back to its
-        // length, which spares a mispredicted loop exit per run.
-        let (len, run) = (path.len(), run as usize);
-        if run <= 8 {
-            path.extend_from_slice(&[node; 8]);
-            path.truncate(len + run);
-        } else {
-            path.resize(len + run, node);
-        }
+        path.resize(path.len() + run as usize, node);
     }
     Ok(path)
 }
@@ -594,7 +556,36 @@ fn read_layer(c: &mut Cursor, v2: bool, windows_left: &mut u64) -> Result<GraphL
 
 /// Encodes a fitted model into the `KGM3` byte format (CRC-32 trailer
 /// over everything before it).
+///
+/// # Panics
+///
+/// When the model holds more than [`MAX_PATH_WINDOWS`] path windows: a
+/// file [`read_model`] would refuse. [`try_write_model`] returns that as
+/// an error instead.
 pub fn write_model(model: &KGraphModel) -> Vec<u8> {
+    try_write_model(model).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`write_model`], refusing with [`TsError::InvalidParameter`] a model
+/// of more than [`MAX_PATH_WINDOWS`] path windows, which [`read_model`]
+/// would not load.
+pub fn try_write_model(model: &KGraphModel) -> Result<Vec<u8>, TsError> {
+    encode_model(model, MAX_PATH_WINDOWS)
+}
+
+/// [`write_model`] under a path-window bound of `max_windows`.
+fn encode_model(model: &KGraphModel, max_windows: u64) -> Result<Vec<u8>, TsError> {
+    let windows: u64 = model
+        .layers
+        .iter()
+        .flat_map(|layer| &layer.paths)
+        .map(|path| path.len() as u64)
+        .sum();
+    if windows > max_windows {
+        return Err(TsError::InvalidParameter(format!(
+            "a model of {windows} path windows passes the {max_windows}-window bound of a model file"
+        )));
+    }
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(MAGIC);
     put_config(&mut out, &model.config);
@@ -610,7 +601,7 @@ pub fn write_model(model: &KGraphModel) -> Vec<u8> {
     for layer in &model.layers {
         put_layer(&mut out, layer);
     }
-    seal(out)
+    Ok(seal(out))
 }
 
 /// Appends the CRC-32 trailer over every byte of `out` (magic included).
@@ -666,6 +657,11 @@ pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'
 /// range, malformed path runs, PCA shape mismatches, out-of-range layer
 /// index).
 pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
+    decode_model(bytes, MAX_PATH_WINDOWS)
+}
+
+/// [`read_model`] under a path-window bound of `max_windows`.
+fn decode_model(bytes: &[u8], max_windows: u64) -> Result<KGraphModel, TsError> {
     let v2 = bytes.starts_with(MAGIC_V2);
     let mut c = open(bytes, if v2 { MAGIC_V2 } else { MAGIC }, "model")?;
     let config = read_config(&mut c)?;
@@ -686,7 +682,7 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
         .collect::<Result<Vec<_>, TsError>>()?;
     let best_layer = c.usize()?;
     let n_layers = c.len(8)?;
-    let mut windows_left = MAX_PATH_WINDOWS;
+    let mut windows_left = max_windows;
     let layers = (0..n_layers)
         .map(|_| read_layer(&mut c, v2, &mut windows_left))
         .collect::<Result<Vec<_>, TsError>>()?;
@@ -1000,6 +996,22 @@ mod tests {
                 other => panic!("{why} must be a parse error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_path_window_bound_holds_on_both_sides() {
+        // Seven windows over two paths; the real bound is 2^26, too many
+        // windows to build here, so the bound is passed in.
+        let model = with_paths(300, vec![vec![NodeId(3); 4], vec![NodeId(299); 3]]);
+        let bytes = encode_model(&model, 7).expect("a model at the bound is written");
+        let loaded = decode_model(&bytes, 7).expect("and loads");
+        assert_eq!(loaded.layers[0].paths, model.layers[0].paths);
+        assert_eq!(bytes, write_model(&model));
+        assert!(matches!(
+            encode_model(&model, 6),
+            Err(TsError::InvalidParameter(_))
+        ));
+        assert!(matches!(decode_model(&bytes, 6), Err(TsError::Parse(_))));
     }
 
     #[test]
