@@ -19,7 +19,7 @@
 //! | [`meanshift`] | mean-shift with a Gaussian kernel |
 //! | [`features`]  | statistical feature extraction + FeatTS/Time2Feat-like pipelines |
 //! | [`neural`]    | MLP auto-encoder (DenseAE) and DEC-style refinement (DTC-like) |
-//! | [`metrics`]   | RI, ARI, NMI, AMI, purity, homogeneity/completeness/V, silhouette |
+//! | [`metrics`]   | RI, ARI, NMI, AMI, purity, silhouette, inertia |
 //! | [`validation`]| Calinski–Harabasz, Davies–Bouldin, automatic k selection |
 //! | [`method`]    | unified [`method::ClusteringMethod`] registry for the benchmark harness |
 //!

@@ -2,9 +2,8 @@
 //!
 //! External metrics compare a predicted partition against ground truth via
 //! the contingency table: Rand Index, Adjusted Rand Index (the measure
-//! Graphint reports per frame), Normalised/Adjusted Mutual Information,
-//! purity, homogeneity and completeness. Internal
-//! metrics (silhouette, inertia) require only the data.
+//! Graphint reports per frame), Normalised/Adjusted Mutual Information and
+//! purity. Internal metrics (silhouette, inertia) require only the data.
 
 use tscore::kernel::sq_dist;
 
@@ -238,23 +237,6 @@ pub fn purity(truth: &[usize], pred: &[usize]) -> f64 {
     correct as f64 / c.n as f64
 }
 
-/// Homogeneity: 1 − H(truth | pred) / H(truth). 1 when every cluster holds
-/// a single class.
-pub fn homogeneity(truth: &[usize], pred: &[usize]) -> f64 {
-    let ht = label_entropy(truth);
-    if ht <= 1e-12 {
-        return 1.0;
-    }
-    let mi = mutual_information(truth, pred);
-    (mi / ht).clamp(0.0, 1.0)
-}
-
-/// Completeness: 1 − H(pred | truth) / H(pred). 1 when every class lands in
-/// a single cluster.
-pub fn completeness(truth: &[usize], pred: &[usize]) -> f64 {
-    homogeneity(pred, truth)
-}
-
 /// Sum of squared distances from each point to its cluster centroid.
 pub fn inertia(rows: &[Vec<f64>], labels: &[usize], centroids: &[Vec<f64>]) -> f64 {
     rows.iter()
@@ -430,17 +412,6 @@ mod tests {
         let t = [0, 0, 0, 1];
         let p = [0, 0, 0, 0];
         assert!((purity(&t, &p) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn homogeneity_vs_completeness_asymmetry() {
-        // Splitting a class into two clusters is homogeneous but incomplete.
-        let t = [0, 0, 0, 0, 1, 1, 1, 1];
-        let p = [0, 0, 1, 1, 2, 2, 3, 3];
-        let h = homogeneity(&t, &p);
-        let c = completeness(&t, &p);
-        assert!((h - 1.0).abs() < 1e-9, "h = {h}");
-        assert!(c < 1.0, "c = {c}");
     }
 
     #[test]

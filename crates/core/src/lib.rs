@@ -4,9 +4,10 @@
 //!
 //! * [`TimeSeries`] and [`Dataset`] containers with class labels,
 //! * descriptive statistics ([`stats`]),
-//! * transformations: z-normalisation, differencing, resampling
-//!   ([`transform`]),
-//! * sliding-window subsequence extraction ([`windows`]),
+//! * transformations: z-normalisation and resampling ([`transform`]),
+//! * the sliding-window count ([`windows::window_count`]): window `w` of a
+//!   series starts at `w · stride`, so a series and a window index name
+//!   every subsequence,
 //! * distance measures as SIMD-friendly, allocation-free kernels
 //!   ([`kernel`]): Euclidean, z-normalised Euclidean, shape-based distance
 //!   (SBD, the k-Shape distance) and dynamic time warping with a
@@ -29,4 +30,3 @@ pub mod windows;
 pub use dataset::{Dataset, DatasetKind};
 pub use error::{Result, TsError};
 pub use series::TimeSeries;
-pub use windows::{SubseqRef, Windows};

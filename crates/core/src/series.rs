@@ -1,6 +1,5 @@
 //! The [`TimeSeries`] container.
 
-use crate::error::{Result, TsError};
 use crate::stats;
 use std::fmt;
 use std::ops::Index;
@@ -8,8 +7,9 @@ use std::ops::Index;
 /// A univariate time series: an ordered sequence of real-valued points.
 ///
 /// This mirrors the paper's definition of a series `T ∈ R^n` where `T_i`
-/// denotes the i-th point. The container owns its values; subsequences are
-/// borrowed slices (see [`crate::windows`]).
+/// denotes the i-th point. The container owns its values; a subsequence is
+/// addressed by its series and window index, and
+/// [`window_count`](crate::windows::window_count) says how many a series has.
 #[derive(Clone, PartialEq)]
 pub struct TimeSeries {
     values: Vec<f64>,
@@ -66,22 +66,6 @@ impl TimeSeries {
     /// Sets the display name in place.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = Some(name.into());
-    }
-
-    /// Borrowed subsequence `T[start .. start + len]`, the paper's `T_{i,ℓ}`.
-    ///
-    /// Returns an error when the requested range runs past the end.
-    pub fn subsequence(&self, start: usize, len: usize) -> Result<&[f64]> {
-        let end = start.checked_add(len).ok_or_else(|| {
-            TsError::InvalidParameter(format!("subsequence range overflows: {start}+{len}"))
-        })?;
-        if end > self.values.len() {
-            return Err(TsError::TooShort {
-                required: end,
-                actual: self.values.len(),
-            });
-        }
-        Ok(&self.values[start..end])
     }
 
     /// Arithmetic mean of the points (0.0 for the empty series).
@@ -181,23 +165,6 @@ mod tests {
     fn from_fn_samples_function() {
         let ts = TimeSeries::from_fn(5, |i| i as f64 * 2.0);
         assert_eq!(ts.values(), &[0.0, 2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn subsequence_in_bounds() {
-        let ts = TimeSeries::new(vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(ts.subsequence(1, 3).unwrap(), &[1.0, 2.0, 3.0]);
-        assert_eq!(ts.subsequence(0, 5).unwrap().len(), 5);
-    }
-
-    #[test]
-    fn subsequence_out_of_bounds_errors() {
-        let ts = TimeSeries::new(vec![0.0, 1.0, 2.0]);
-        assert!(matches!(
-            ts.subsequence(2, 2),
-            Err(TsError::TooShort { .. })
-        ));
-        assert!(ts.subsequence(usize::MAX, 2).is_err());
     }
 
     #[test]

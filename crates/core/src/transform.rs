@@ -1,4 +1,4 @@
-//! Series transformations: normalisation, differencing, resampling.
+//! Series transformations: normalisation and resampling.
 
 use crate::error::{Result, TsError};
 use crate::kernel;
@@ -30,14 +30,6 @@ pub fn znorm(xs: &[f64]) -> Vec<f64> {
     let mut out = xs.to_vec();
     znorm_inplace(&mut out);
     out
-}
-
-/// First differences: `y[i] = x[i+1] − x[i]` (length shrinks by one).
-pub fn diff(xs: &[f64]) -> Vec<f64> {
-    if xs.len() < 2 {
-        return Vec::new();
-    }
-    xs.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
 /// Linear-interpolation resampling to exactly `target_len` points.
@@ -94,12 +86,6 @@ mod tests {
     fn znorm_constant_centres_only() {
         let z = znorm(&[4.0, 4.0, 4.0]);
         assert_eq!(z, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn diff_shrinks() {
-        assert_eq!(diff(&[1.0, 4.0, 9.0]), vec![3.0, 5.0]);
-        assert!(diff(&[1.0]).is_empty());
     }
 
     #[test]

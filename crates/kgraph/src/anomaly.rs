@@ -345,7 +345,8 @@ mod tests {
         );
         // A graph over another node set is refused, not indexed out of
         // bounds.
-        let (small, _) = layer.graph.filter_nodes(|id, _| id.index() == 0);
+        let small: PatternGraph = tsgraph::GraphBuilder::new()
+            .build(vec![layer.graph.node(NodeId(0)).clone()], |a, w| *a += w);
         assert!(matches!(
             anomaly_scores_against(layer, &small, &values, 1),
             Err(TsError::InvalidParameter(_))

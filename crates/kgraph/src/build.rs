@@ -5,16 +5,20 @@
 //! connect temporally consecutive nodes within each series, weighted by
 //! transition frequency. The result is the paper's `G_ℓ = (N_ℓ, E_ℓ)`.
 //!
-//! Construction is builder-based: node payloads are accumulated in a flat
-//! vector, every observed transition is emitted as one `(src, dst, 1.0)`
-//! triple into a [`GraphBuilder`], and a single sort + aggregate pass
-//! produces the CSR graph — no per-edge adjacency probing anywhere.
+//! Construction walks each series' windows once, in temporal order
+//! (window `w` starts at `w · stride`, its node is the projection's point
+//! `starts[s] + w`). Each window's z-normalised values join its node's
+//! pattern sum, and each change of node between consecutive windows is
+//! emitted as one `(src, dst, 1.0)` triple into a [`GraphBuilder`]; a
+//! single sort + aggregate pass then produces the CSR graph — no per-edge
+//! adjacency probing anywhere.
 
 use crate::embed::{project_windows, Projection};
 use crate::nodes::{sector_of, to_polar, NodeAssignment, RadialNode, SectorIndex};
 use linalg::pca::Pca;
 use tscore::error::TsError;
 use tscore::kernel::ZnormScratch;
+use tscore::windows::window_count;
 use tscore::Dataset;
 use tsgraph::{CsrGraph, GraphBuilder, NodeId};
 
@@ -150,19 +154,12 @@ impl GraphLayer {
     /// Returns the node path; errors (with `None`) when the series is
     /// shorter than one window or the graph is empty.
     pub fn assign_path(&self, values: &[f64]) -> Option<Vec<NodeId>> {
-        self.assign_path_from(values, 0)
-    }
-
-    /// Like [`assign_path`](Self::assign_path) but starting at window index
-    /// `first_window` (window `i` covers `values[i·stride .. i·stride+ℓ]`).
-    /// Window indices past the end yield an empty path (`Some(vec![])`).
-    pub fn assign_path_from(&self, values: &[f64], first_window: usize) -> Option<Vec<NodeId>> {
         if values.len() < self.length || self.graph.node_count() == 0 {
             return None;
         }
         Some(
             self.embedding
-                .route(values, first_window)
+                .route(values, 0)
                 .map(|(_, node)| NodeId(node as u32))
                 .collect(),
         )
@@ -170,8 +167,10 @@ impl GraphLayer {
 }
 
 /// Builds `G_ℓ` and the per-series node paths from a projection and its
-/// node assignment. `stride` is recorded in the layer's embedding so
-/// out-of-sample routing matches fit-time extraction.
+/// node assignment. `stride` must be the projection's; it is recorded in
+/// the layer's embedding so out-of-sample routing matches fit-time
+/// extraction. Panics when a series' window count under `stride` differs
+/// from the projection's.
 pub fn build_graph_with_stride(
     dataset: &Dataset,
     proj: &Projection,
@@ -190,18 +189,40 @@ pub fn build_graph_with_stride(
         })
         .collect();
 
-    // Accumulate per-node pattern sums and counts; one reused z-norm
-    // scratch instead of a fresh Vec per window.
+    // One pass over every window, series by series in temporal order, with
+    // one reused z-norm scratch: the window joins its node's pattern sum
+    // and path, and a change of node becomes one builder triple
+    // (duplicates aggregate into edge weights at build time).
     let mut scratch = ZnormScratch::new();
-    for (pi, &ni) in assign.point_node.iter().enumerate() {
-        let r = proj.refs[pi];
-        let series = dataset.series()[r.series].values();
-        let sub = scratch.znormed(&series[r.start..r.start + r.len]);
-        let node = &mut payloads[ni];
-        node.count += 1;
-        for (acc, v) in node.pattern.iter_mut().zip(sub) {
-            *acc += v;
+    let mut builder = GraphBuilder::with_capacity(assign.point_node.len());
+    let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(dataset.len());
+    for (s, series) in dataset.series().iter().enumerate() {
+        let nodes = &assign.point_node[proj.starts[s]..proj.starts[s + 1]];
+        let values = series.values();
+        assert_eq!(
+            nodes.len(),
+            window_count(values.len(), proj.length, stride),
+            "series {s}: stride {stride} is not the projection's"
+        );
+        let mut path: Vec<NodeId> = Vec::with_capacity(nodes.len());
+        for (w, &ni) in nodes.iter().enumerate() {
+            let start = w * stride;
+            let z = scratch.znormed(&values[start..start + proj.length]);
+            let node = &mut payloads[ni];
+            node.count += 1;
+            for (acc, v) in node.pattern.iter_mut().zip(z) {
+                *acc += v;
+            }
+            let id = NodeId(ni as u32);
+            // Self-transitions (staying in the same pattern) are not
+            // informative edges; k-Graph graphs omit self loops.
+            match path.last() {
+                Some(&prev) if prev != id => builder.add_edge(prev, id, 1.0),
+                _ => {}
+            }
+            path.push(id);
         }
+        paths.push(path);
     }
     for node in payloads.iter_mut() {
         if node.count > 0 {
@@ -210,28 +231,6 @@ pub fn build_graph_with_stride(
                 *v /= c;
             }
         }
-    }
-
-    // Node paths per series; every transition becomes one builder triple
-    // (duplicates aggregate into edge weights at build time).
-    let mut builder = GraphBuilder::with_capacity(assign.point_node.len());
-    let mut paths: Vec<Vec<NodeId>> = Vec::with_capacity(dataset.len());
-    for s in 0..dataset.len() {
-        let range = proj.starts[s]..proj.starts[s + 1];
-        let path: Vec<NodeId> = assign.point_node[range]
-            .iter()
-            .map(|&ni| NodeId(ni as u32))
-            .collect();
-        for w in path.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            if a == b {
-                // Self-transitions (staying in the same pattern) are not
-                // informative edges; k-Graph graphs omit self loops.
-                continue;
-            }
-            builder.add_edge(a, b, 1.0);
-        }
-        paths.push(path);
     }
     let graph: PatternGraph = builder.build(payloads, |acc, w| *acc += w);
 
@@ -263,6 +262,11 @@ mod tests {
     use crate::embed::project_subsequences;
     use crate::nodes::radial_scan;
     use tscore::{DatasetKind, TimeSeries};
+
+    /// Summed weight per `(src, dst)` transition.
+    type Transitions = std::collections::BTreeMap<(u32, u32), f64>;
+    /// `(count, pattern)` per node.
+    type NodeSums = Vec<(usize, Vec<f64>)>;
 
     fn toy_layer() -> (Dataset, GraphLayer) {
         let mut series = Vec::new();
@@ -337,6 +341,98 @@ mod tests {
             .map(|p| p.windows(2).filter(|w| w[0] != w[1]).count())
             .sum();
         assert_eq!(total_weight as usize, changes);
+    }
+
+    /// The graph the build must produce, derived without the projection's
+    /// `starts`: every window at `w · stride` of every series, walked with
+    /// its own counter into `point_node` and z-normalised on its own.
+    /// Returns each node's `(count, pattern)`, the paths and the summed
+    /// transition weights.
+    fn window_oracle(
+        ds: &Dataset,
+        length: usize,
+        stride: usize,
+        assign: &NodeAssignment,
+    ) -> (NodeSums, Vec<Vec<NodeId>>, Transitions) {
+        let mut nodes = vec![(0usize, vec![0.0; length]); assign.nodes.len()];
+        let mut paths = Vec::new();
+        let mut edges = Transitions::new();
+        let mut point = 0;
+        for series in ds.series() {
+            let values = series.values();
+            let mut path: Vec<NodeId> = Vec::new();
+            let mut start = 0;
+            while start + length <= values.len() {
+                let ni = assign.point_node[point];
+                point += 1;
+                let z = tscore::transform::znorm(&values[start..start + length]);
+                nodes[ni].0 += 1;
+                for (acc, v) in nodes[ni].1.iter_mut().zip(&z) {
+                    *acc += v;
+                }
+                if let Some(&prev) = path.last() {
+                    if prev != NodeId(ni as u32) {
+                        *edges.entry((prev.0, ni as u32)).or_insert(0.0) += 1.0;
+                    }
+                }
+                path.push(NodeId(ni as u32));
+                start += stride;
+            }
+            paths.push(path);
+        }
+        assert_eq!(point, assign.point_node.len());
+        for (count, pattern) in &mut nodes {
+            if *count > 0 {
+                for v in pattern.iter_mut() {
+                    *v /= *count as f64;
+                }
+            }
+        }
+        (nodes, paths, edges)
+    }
+
+    #[test]
+    fn strided_build_of_mixed_lengths_matches_the_window_oracle() {
+        // Mixed lengths, one of them (10 points) shorter than ℓ = 12, so
+        // that series has no window at all.
+        let series: Vec<TimeSeries> = [90usize, 61, 10, 47, 76, 33]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                let f = if k % 2 == 0 { 0.3 } else { 0.85 };
+                TimeSeries::new(
+                    (0..n)
+                        .map(|i| ((i + 5 * k) as f64 * f).sin() + 0.1 * (i % 4) as f64)
+                        .collect(),
+                )
+            })
+            .collect();
+        let ds = Dataset::new("mixed", DatasetKind::Simulated, series);
+        let length = 12;
+        for stride in [2, 3] {
+            let proj = project_subsequences(&ds, length, stride, 500);
+            let assign = radial_scan(&proj, 8, 64, 0.05);
+            let layer = build_graph_with_stride(&ds, &proj, &assign, stride);
+            let (nodes, paths, edges) = window_oracle(&ds, length, stride, &assign);
+
+            assert_eq!(layer.embedding.stride, stride);
+            assert_eq!(layer.graph.node_count(), nodes.len(), "stride {stride}");
+            for ((_, got), (count, pattern)) in layer.graph.nodes_iter().zip(&nodes) {
+                assert_eq!(got.count, *count, "stride {stride}");
+                let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.pattern), bits(pattern), "stride {stride}");
+            }
+            assert!(paths[2].is_empty());
+            assert_eq!(paths[0].len(), (90 - length) / stride + 1);
+            assert_eq!(layer.paths, paths, "stride {stride}");
+            let got: Transitions = layer
+                .graph
+                .edges_iter()
+                .map(|(_, s, t, &w)| ((s.0, t.0), w))
+                .collect();
+            assert!(!got.is_empty());
+            assert_eq!(got, edges, "stride {stride}");
+        }
     }
 
     #[test]

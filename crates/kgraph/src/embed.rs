@@ -5,6 +5,10 @@
 //! shapes" (paper §II-A). The PCA is fitted on a bounded deterministic
 //! sample so the cost stays linear in the number of subsequences.
 //!
+//! A window is named by its series `s` and window index `w`: it covers
+//! `values[w·stride .. w·stride + ℓ]` of series `s`, and its point is
+//! `points[starts[s] + w]`. Nothing else is stored per window.
+//!
 //! Windows are never materialised as a `total × ℓ` matrix. Only the PCA
 //! fit set (at most `pca_sample` windows) is copied out; every window is
 //! then z-normalised into one reused buffer and projected at once by
@@ -16,7 +20,7 @@
 use linalg::matrix::Matrix;
 use linalg::pca::Pca;
 use tscore::kernel::{znorm_into, ZnormScratch};
-use tscore::windows::{window_count, SubseqRef};
+use tscore::windows::window_count;
 use tscore::Dataset;
 
 /// The 2-D projection of all subsequences of one length.
@@ -24,23 +28,15 @@ use tscore::Dataset;
 pub struct Projection {
     /// Subsequence length ℓ.
     pub length: usize,
-    /// One `(x, y)` point per subsequence, in [`Self::refs`] order.
+    /// One `(x, y)` point per window: window `w` of series `s` is
+    /// `points[starts[s] + w]`.
     pub points: Vec<(f64, f64)>,
-    /// Which subsequence each point came from.
-    pub refs: Vec<SubseqRef>,
     /// Index of the first point of each series (plus a trailing sentinel),
     /// so `points[starts[s]..starts[s+1]]` are series `s`'s points in
-    /// temporal order.
+    /// temporal order. A series shorter than ℓ has none.
     pub starts: Vec<usize>,
     /// The fitted PCA (kept for inspection in the Under-the-hood frame).
     pub pca: Pca,
-}
-
-impl Projection {
-    /// Points of series `s` in temporal order.
-    pub fn series_points(&self, s: usize) -> &[(f64, f64)] {
-        &self.points[self.starts[s]..self.starts[s + 1]]
-    }
 }
 
 /// Projects all subsequences of length `length` (stride `stride`).
@@ -68,20 +64,13 @@ pub fn project_subsequences(
     let pca = fit_pca(dataset, &starts, length, stride, pca_sample);
 
     let mut points: Vec<(f64, f64)> = Vec::with_capacity(total);
-    let mut refs: Vec<SubseqRef> = Vec::with_capacity(total);
-    for (si, series) in dataset.series().iter().enumerate() {
+    for series in dataset.series() {
         points.extend(project_windows(&pca, series.values(), stride, 0));
-        refs.extend((0..starts[si + 1] - starts[si]).map(|w| SubseqRef {
-            series: si,
-            start: w * stride,
-            len: length,
-        }));
     }
     debug_assert_eq!(points.len(), total);
     Projection {
         length,
         points,
-        refs,
         starts,
         pca,
     }
@@ -120,70 +109,35 @@ fn fit_pca(
 }
 
 /// Projects the windows of one series, from window index `first_window`
-/// on (window `i` covers `values[i·stride .. i·stride + ℓ]`, where ℓ is
-/// the PCA's input dimension). Each window is z-normalised into one
-/// reused buffer and projected with [`Pca::project2`] as it is yielded;
-/// nothing is allocated per window.
+/// on (window `w` covers `values[w·stride .. w·stride + ℓ]`, where ℓ is
+/// the PCA's input dimension), one `(x, y)` point per window in temporal
+/// order. Each window is z-normalised into one reused buffer and projected
+/// with [`Pca::project2`] as it is yielded; nothing is allocated per
+/// window.
 pub fn project_windows<'a>(
     pca: &'a Pca,
     values: &'a [f64],
     stride: usize,
     first_window: usize,
-) -> WindowProjector<'a> {
+) -> impl ExactSizeIterator<Item = (f64, f64)> + 'a {
     let length = pca.mean().len();
-    let next_start = first_window.saturating_mul(stride);
-    let remaining = window_count(values.len().saturating_sub(next_start), length, stride);
-    WindowProjector {
-        pca,
-        values,
-        length,
-        stride,
-        next_start,
-        remaining,
-        scratch: ZnormScratch::new(),
-    }
+    let n = window_count(values.len(), length, stride);
+    let mut scratch = ZnormScratch::new();
+    (first_window.min(n)..n).map(move |w| {
+        let start = w * stride;
+        pca.project2(scratch.znormed(&values[start..start + length]))
+    })
 }
-
-/// Iterator returned by [`project_windows`]: one `(x, y)` point per
-/// window, in temporal order.
-#[derive(Debug)]
-pub struct WindowProjector<'a> {
-    pca: &'a Pca,
-    values: &'a [f64],
-    length: usize,
-    stride: usize,
-    next_start: usize,
-    remaining: usize,
-    scratch: ZnormScratch,
-}
-
-impl Iterator for WindowProjector<'_> {
-    type Item = (f64, f64);
-
-    fn next(&mut self) -> Option<(f64, f64)> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let start = self.next_start;
-        self.next_start = self.next_start.saturating_add(self.stride);
-        let z = self
-            .scratch
-            .znormed(&self.values[start..start + self.length]);
-        Some(self.pca.project2(z))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for WindowProjector<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tscore::{DatasetKind, TimeSeries};
+
+    /// Points of series `s` in temporal order.
+    fn series_points(proj: &Projection, s: usize) -> &[(f64, f64)] {
+        &proj.points[proj.starts[s]..proj.starts[s + 1]]
+    }
 
     fn toy_dataset() -> Dataset {
         let mut series = Vec::new();
@@ -203,9 +157,8 @@ mod tests {
         let proj = project_subsequences(&ds, 16, 1, 1000);
         // 6 series × (60 − 16 + 1) windows.
         assert_eq!(proj.points.len(), 6 * 45);
-        assert_eq!(proj.refs.len(), proj.points.len());
         assert_eq!(proj.starts.len(), 7);
-        assert_eq!(proj.series_points(0).len(), 45);
+        assert_eq!(series_points(&proj, 0).len(), 45);
         assert_eq!(proj.length, 16);
     }
 
@@ -213,21 +166,10 @@ mod tests {
     fn strided_projection() {
         let ds = toy_dataset();
         let proj = project_subsequences(&ds, 16, 4, 1000);
-        assert_eq!(proj.series_points(0).len(), (60 - 16) / 4 + 1);
-        // Refs respect the stride.
-        assert_eq!(proj.refs[1].start, 4);
-    }
-
-    #[test]
-    fn refs_are_temporal_within_series() {
-        let ds = toy_dataset();
-        let proj = project_subsequences(&ds, 8, 1, 1000);
-        for s in 0..ds.len() {
-            let range = proj.starts[s]..proj.starts[s + 1];
-            let refs = &proj.refs[range];
-            assert!(refs.iter().all(|r| r.series == s));
-            assert!(refs.windows(2).all(|w| w[1].start == w[0].start + 1));
-        }
+        assert_eq!(series_points(&proj, 0).len(), (60 - 16) / 4 + 1);
+        // Window 1 starts at one stride.
+        let z = tscore::transform::znorm(&ds.series()[0].values()[4..20]);
+        assert_eq!(series_points(&proj, 0)[1], proj.pca.project2(&z));
     }
 
     #[test]
@@ -237,10 +179,10 @@ mod tests {
         let ds = toy_dataset();
         let proj = project_subsequences(&ds, 16, 1, 1000);
         let cloud_a: Vec<(f64, f64)> = (0..3)
-            .flat_map(|s| proj.series_points(s).to_vec())
+            .flat_map(|s| series_points(&proj, s).to_vec())
             .collect();
         let cloud_b: Vec<(f64, f64)> = (3..6)
-            .flat_map(|s| proj.series_points(s).to_vec())
+            .flat_map(|s| series_points(&proj, s).to_vec())
             .collect();
         let centroid = |c: &[(f64, f64)]| {
             let n = c.len() as f64;
@@ -283,10 +225,9 @@ mod tests {
             .map(|s| window_count(s.len(), length, stride))
             .sum();
         let mut flat: Vec<f64> = vec![0.0; total * length];
-        let mut refs: Vec<SubseqRef> = Vec::with_capacity(total);
         let mut starts: Vec<usize> = Vec::with_capacity(dataset.len() + 1);
         let mut n_rows = 0usize;
-        for (si, series) in dataset.series().iter().enumerate() {
+        for series in dataset.series() {
             starts.push(n_rows);
             let vals = series.values();
             let mut start = 0usize;
@@ -295,11 +236,6 @@ mod tests {
                     &vals[start..start + length],
                     &mut flat[n_rows * length..(n_rows + 1) * length],
                 );
-                refs.push(SubseqRef {
-                    series: si,
-                    start,
-                    len: length,
-                });
                 n_rows += 1;
                 start += stride;
             }
@@ -320,7 +256,6 @@ mod tests {
         Projection {
             length,
             points,
-            refs,
             starts,
             pca,
         }
@@ -332,7 +267,6 @@ mod tests {
 
     fn assert_bit_identical(got: &Projection, want: &Projection, case: &str) {
         assert_eq!(got.length, want.length, "{case}: length");
-        assert_eq!(got.refs, want.refs, "{case}: refs");
         assert_eq!(got.starts, want.starts, "{case}: starts");
         let point_bits = |p: &Projection| -> Vec<(u64, u64)> {
             p.points
@@ -412,7 +346,7 @@ mod tests {
         let proj = project_subsequences(&ds, 16, 3, 40);
         for s in 0..ds.len() {
             let values = ds.series()[s].values();
-            let full = proj.series_points(s);
+            let full = series_points(&proj, s);
             for first in [0usize, 1, full.len(), full.len() + 5] {
                 let tail = project_windows(&proj.pca, values, 3, first);
                 assert_eq!(tail.len(), full.len().saturating_sub(first));

@@ -11,7 +11,7 @@
 //! the **γ-graphoid** keeps those with exclusivity ≥ γ. The same
 //! definitions apply to edges.
 
-use crate::build::{GraphLayer, PatternGraph};
+use crate::build::GraphLayer;
 use tsgraph::{EdgeId, NodeId};
 
 /// Per-cluster crossing statistics of one layer's graph.
@@ -140,15 +140,6 @@ impl Graphoid {
     /// Whether the graphoid is empty (no nodes and no edges).
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty() && self.edges.is_empty()
-    }
-
-    /// Materialises the graphoid as a standalone graph (nodes cloned from
-    /// the parent; only edges whose endpoints are both selected survive —
-    /// by construction of the thresholds this is usually all of them).
-    pub fn extract(&self, graph: &PatternGraph) -> PatternGraph {
-        let keep: std::collections::HashSet<usize> = self.nodes.iter().map(|n| n.index()).collect();
-        let (sub, _) = graph.filter_nodes(|id, _| keep.contains(&id.index()));
-        sub
     }
 }
 
@@ -353,16 +344,6 @@ mod tests {
             assert!(!lambda_graphoid(&stats, &layer, c, lambda).nodes.is_empty());
             assert!(!gamma_graphoid(&stats, &layer, c, gamma).nodes.is_empty());
         }
-    }
-
-    #[test]
-    fn graphoid_extraction_produces_subgraph() {
-        let (layer, labels) = toy();
-        let stats = ClusterStats::compute(&layer, &labels, 2);
-        let g = gamma_graphoid(&stats, &layer, 0, 0.7);
-        let sub = g.extract(&layer.graph);
-        assert_eq!(sub.node_count(), g.nodes.len());
-        assert!(sub.edge_count() <= layer.graph.edge_count());
     }
 
     #[test]

@@ -25,17 +25,6 @@ use crate::build::GraphLayer;
 use tscore::error::TsError;
 use tsgraph::NodeId;
 
-/// Number of windows of length `window` at stride `stride` that fit in a
-/// series of `series_len` points (0 when the series is shorter than one
-/// window).
-pub fn n_windows(series_len: usize, window: usize, stride: usize) -> usize {
-    if series_len < window || window == 0 {
-        0
-    } else {
-        (series_len - window) / stride.max(1) + 1
-    }
-}
-
 /// What one append contributed to a layer: the route of the newly created
 /// windows and the transition triples they induced.
 #[derive(Debug, Clone, Default)]
@@ -89,6 +78,7 @@ mod tests {
     use super::*;
     use crate::config::KGraphConfig;
     use crate::pipeline::KGraph;
+    use tscore::windows::window_count;
     use tscore::{Dataset, DatasetKind, TimeSeries};
 
     fn fitted() -> crate::pipeline::KGraphModel {
@@ -108,14 +98,14 @@ mod tests {
     }
 
     #[test]
-    fn n_windows_matches_assign_path() {
+    fn window_count_matches_assign_path() {
         let model = fitted();
         let layer = model.best();
         for len in [0, 5, 19, 20, 21, 80, 160] {
             let values: Vec<f64> = (0..len).map(|i| (i as f64 * 0.4).sin()).collect();
             let expect = layer.assign_path(&values).map_or(0, |p| p.len());
             assert_eq!(
-                n_windows(len, layer.length, layer.embedding.stride),
+                window_count(len, layer.length, layer.embedding.stride),
                 expect,
                 "len {len}"
             );

@@ -4,10 +4,10 @@
 //! A counting wrapper around the system allocator keeps, per thread, the
 //! number of allocations and the live heap bytes with their high-water
 //! mark. The tests check that the fit's projection never holds the
-//! `total × ℓ` window matrix, that routing a series costs a fixed number
-//! of allocations however many windows it has, and that a model file
-//! declaring a path run of 2^40 windows is refused before any of it is
-//! allocated.
+//! `total × ℓ` window matrix and keeps one 2-D point per window, that
+//! routing a series costs a fixed number of allocations however many
+//! windows it has, and that a model file declaring a path run of 2^40
+//! windows is refused before any of it is allocated.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide. The tallies are per thread, so allocations made by the
@@ -101,6 +101,42 @@ fn projection_never_holds_the_window_matrix() {
     );
 }
 
+/// Bytes the caller holds live after `f` returns, above what was live
+/// when it started: what its result keeps.
+fn kept_bytes_of<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let base = LIVE.with(Cell::get);
+    let out = f();
+    (out, (LIVE.with(Cell::get) - base).max(0) as usize)
+}
+
+#[test]
+fn a_projection_keeps_one_point_per_window() {
+    // One series shorter than ℓ, so `starts` also names a windowless one.
+    let series: Vec<TimeSeries> = (0..60)
+        .map(|s| TimeSeries::new(wave(if s == 7 { 20 } else { 150 }, 0.07, s)))
+        .collect();
+    let ds = Dataset::new("fixture", DatasetKind::Simulated, series);
+    let length = 32;
+    for stride in [1, 3] {
+        let (proj, kept) = kept_bytes_of(|| project_subsequences(&ds, length, stride, 400));
+        let windows = proj.points.len();
+        assert_eq!(windows, 59 * ((150 - length) / stride + 1));
+        let f64s = |n: usize| n * std::mem::size_of::<f64>();
+        let starts = proj.starts.capacity() * std::mem::size_of::<usize>();
+        let pca = f64s(
+            proj.pca.mean().len()
+                + proj.pca.components().as_slice().len()
+                + proj.pca.explained_variance().len(),
+        );
+        let per_window = kept.saturating_sub(starts + pca) as f64 / windows as f64;
+        assert!(
+            per_window <= 16.0,
+            "stride {stride}: the projection keeps {per_window:.2} B per window \
+             ({kept} B in all, {starts} B of starts, {pca} B of PCA, {windows} windows)"
+        );
+    }
+}
+
 #[test]
 fn routing_makes_a_fixed_number_of_allocations() {
     let series: Vec<TimeSeries> = (0..6)
@@ -121,9 +157,9 @@ fn routing_makes_a_fixed_number_of_allocations() {
     for n in [40usize, 400, 4_000] {
         let values = wave(n, 0.37, n);
         // Warm-up: let any lazy state settle outside the measured call.
-        let _ = layer.assign_path_from(&values, 0);
+        let _ = layer.assign_path(&values);
         let before = allocations();
-        let path = layer.assign_path_from(&values, 0).expect("long enough");
+        let path = layer.assign_path(&values).expect("long enough");
         counts.push(allocations() - before);
         assert_eq!(path.len(), n - 16 + 1);
     }

@@ -3,9 +3,10 @@
 
 use kgraph::anomaly::scores_from_route;
 use kgraph::pipeline::KGraphModel;
-use kgraph::stream::{extend_path, n_windows};
+use kgraph::stream::extend_path;
 use std::sync::Arc;
 use tscore::error::TsError;
+use tscore::windows::window_count;
 use tsgraph::delta::DeltaGraph;
 use tsgraph::NodeId;
 
@@ -323,7 +324,7 @@ impl StreamSession {
                 .map(|(i, s)| SeriesStatus {
                     index: i,
                     points: s.values.len(),
-                    windows: n_windows(s.values.len(), best.length, best.embedding.stride),
+                    windows: window_count(s.values.len(), best.length, best.embedding.stride),
                     mean_score: s
                         .scores
                         .as_ref()

@@ -17,10 +17,8 @@
 //!   one node are a contiguous `&[E]` slice too ([`CsrGraph::out_weights`]).
 //!
 //! Parallel edges do not exist at this layer: construction (via
-//! [`GraphBuilder`]) aggregates duplicate `(src, dst)` pairs with a
+//! [`GraphBuilder`](crate::GraphBuilder)) aggregates duplicate `(src, dst)` pairs with a
 //! caller-supplied merge.
-
-use crate::builder::GraphBuilder;
 
 /// Opaque node identifier (index into the node arrays).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,7 +45,7 @@ impl EdgeId {
 }
 
 /// Immutable CSR-backed directed graph with node payloads `N` and edge
-/// payloads `E`. Build one with [`GraphBuilder`].
+/// payloads `E`. Build one with [`GraphBuilder`](crate::GraphBuilder).
 #[derive(Debug, Clone)]
 pub struct CsrGraph<N, E> {
     pub(crate) nodes: Vec<N>,
@@ -163,37 +161,10 @@ impl<N, E> CsrGraph<N, E> {
     }
 }
 
-impl<N: Clone, E: Clone> CsrGraph<N, E> {
-    /// Sub-graph induced by the nodes satisfying `keep`; returns the new
-    /// graph plus the old-id → new-id mapping (`None` for dropped nodes).
-    /// Edges survive iff both endpoints do.
-    pub fn filter_nodes(
-        &self,
-        mut keep: impl FnMut(NodeId, &N) -> bool,
-    ) -> (Self, Vec<Option<NodeId>>) {
-        let mut mapping: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        let mut kept_nodes = Vec::new();
-        for (id, payload) in self.nodes_iter() {
-            if keep(id, payload) {
-                mapping[id.index()] = Some(NodeId(kept_nodes.len() as u32));
-                kept_nodes.push(payload.clone());
-            }
-        }
-        let mut builder = GraphBuilder::new();
-        for (_, s, t, w) in self.edges_iter() {
-            if let (Some(ns), Some(nt)) = (mapping[s.index()], mapping[t.index()]) {
-                builder.add_edge(ns, nt, w.clone());
-            }
-        }
-        // Input edges are already unique per (src, dst); the merge closure
-        // never fires.
-        (builder.build(kept_nodes, |_, _| {}), mapping)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     /// a → b → d, a → c → d with distinct weights, plus a duplicate a → b
     /// to exercise aggregation.
@@ -254,21 +225,6 @@ mod tests {
         // Per-node edge-id ranges are contiguous.
         assert_eq!(g.out_range(NodeId(0)), 0..2);
         assert_eq!(g.out_range(NodeId(1)), 2..3);
-    }
-
-    #[test]
-    fn filter_nodes_keeps_induced_edges() {
-        let g = diamond_csr();
-        let (sub, mapping) = g.filter_nodes(|id, _| id != NodeId(1));
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.edge_count(), 2); // a→c and c→d survive
-        assert!(mapping[1].is_none());
-        let new_a = mapping[0].unwrap();
-        assert_eq!(*sub.node(new_a), "a");
-        let new_c = mapping[2].unwrap();
-        let new_d = mapping[3].unwrap();
-        assert!(sub.edge_id(new_a, new_c).is_some());
-        assert!(sub.edge_id(new_c, new_d).is_some());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Graph substrate of the Graphint / k-Graph reproduction. It covers
 //! exactly what the pipeline and the Graph frame run: build one
-//! transition graph per subsequence length, query it, extract graphoid
-//! sub-graphs, rank nodes, lay the graph out and maintain it as new
+//! transition graph per subsequence length, query it for graphoid
+//! statistics, rank nodes, lay the graph out and maintain it as new
 //! transitions stream in.
 //!
 //! ## Architecture: `GraphBuilder` builds, `CsrGraph` queries, `DeltaGraph` buffers
@@ -15,8 +15,8 @@
 //!   contiguous sorted slices, O(log deg) edge lookup
 //!   ([`CsrGraph::edge_id`]) and deterministic iteration order. The
 //!   k-Graph pipeline stores every `G_ℓ` in this form; features, graphoid
-//!   statistics ([`CsrGraph::filter_nodes`]), anomaly scoring, PageRank
-//!   and the Graphint Graph frame all run against it.
+//!   statistics (node and edge id sets over the one graph), anomaly
+//!   scoring, PageRank and the Graphint Graph frame all run against it.
 //! * [`builder::GraphBuilder`] — the **construction** path. Consumers emit
 //!   raw `(src, dst, weight)` triples (one per observed transition, no
 //!   lookups), and `build` produces the CSR graph via one sort of packed

@@ -1,7 +1,7 @@
 //! Property tests for the CSR layer: builder invariants against a
-//! `BTreeMap` aggregation of the raw `(src, dst, w)` list, PageRank and
-//! `filter_nodes` parity with short oracles over that list, and delta
-//! compaction against a from-scratch build.
+//! `BTreeMap` aggregation of the raw `(src, dst, w)` list, PageRank
+//! parity with a short oracle over that list, and delta compaction
+//! against a from-scratch build.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -179,31 +179,5 @@ proptest! {
         );
         let compacted = delta.compact(&base, |acc, w| *acc += w);
         assert_bit_identical(&full, &compacted)?;
-    }
-
-    #[test]
-    fn filter_nodes_parity((n, edges) in multigraph()) {
-        let csr = build_in_ram(n, &edges);
-        // Keep even-indexed nodes: old id i maps to i / 2.
-        let (sub, map) = csr.filter_nodes(|id, _| id.index() % 2 == 0);
-        let expected_map: Vec<Option<NodeId>> = (0..n)
-            .map(|i| (i % 2 == 0).then_some(NodeId(i as u32 / 2)))
-            .collect();
-        prop_assert_eq!(&map, &expected_map);
-        prop_assert_eq!(sub.node_count(), n.div_ceil(2));
-        // The induced edges are exactly the oracle aggregation of the raw
-        // edges whose endpoints both survive, renumbered.
-        let kept: Vec<(usize, usize, u32)> = edges
-            .iter()
-            .filter(|&&(s, t, _)| s % 2 == 0 && t % 2 == 0)
-            .map(|&(s, t, w)| (s / 2, t / 2, w))
-            .collect();
-        let expected = aggregate(&kept);
-        let got: Vec<((u32, u32), f64)> =
-            sub.edges_iter().map(|(_, s, t, &w)| ((s.0, t.0), w)).collect();
-        prop_assert_eq!(got, expected.into_iter().collect::<Vec<_>>());
-        for (id, &payload) in sub.nodes_iter() {
-            prop_assert_eq!(payload, 2 * id.index());
-        }
     }
 }
