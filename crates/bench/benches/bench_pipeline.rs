@@ -6,7 +6,8 @@
 //! `crates/bench/BENCH_pipeline.json` is the recorded baseline; CI
 //! reruns this bench and gates merges with `bench_compare` on per-stage
 //! geomean ratios. Scaling variants (series count, length, parallel
-//! per-length jobs), spectral consensus over 1,002 series and the
+//! per-length jobs), spectral consensus over 1,002 series, the fit's
+//! consensus from the label signatures of 9,000 series and the
 //! embedding of 1,002 series all live under the `fit` stage, as does
 //! the radial scan of 1,002 series' shortest length; per-request reads
 //! of a model fitted on 1,002 series live under `serve`; encoding and
@@ -20,7 +21,7 @@ use bench::stages::{
     ingest_durable_model, HttpFixture, ScaleFixture, ServeFixture, StageFixture, StreamFixture,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use kgraph::consensus::{consensus_labels, consensus_matrix};
+use kgraph::consensus::{consensus_labels, consensus_labels_from_partitions, consensus_matrix};
 use kgraph::embed::project_subsequences;
 use kgraph::nodes::radial_scan;
 use kgraph::serial::{read_model, write_model};
@@ -119,24 +120,32 @@ fn bench_fit_scaling(c: &mut Criterion) {
     // Spectral consensus at the scale of a 1,002-series fit: five noisy
     // relabelings of a 3-class partition, so the consensus matrix has tens
     // of distinct rows, as a real k-Graph consensus does.
-    let n = 1002;
-    let partitions: Vec<Vec<usize>> = (0..5usize)
-        .map(|p| {
-            (0..n)
-                .map(|i| {
-                    let class = i / 334;
-                    if (i * 2_654_435_761 + p * 40_503) % 16 == 0 {
-                        (class + 1 + p % 2) % 3
-                    } else {
-                        (class + p) % 3
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let mc = consensus_matrix(&partitions);
+    let noisy_partitions = |n: usize| -> Vec<Vec<usize>> {
+        (0..5usize)
+            .map(|p| {
+                (0..n)
+                    .map(|i| {
+                        let class = i * 3 / n;
+                        if (i * 2_654_435_761 + p * 40_503) % 16 == 0 {
+                            (class + 1 + p % 2) % 3
+                        } else {
+                            (class + p) % 3
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let mc = consensus_matrix(&noisy_partitions(1002));
     group.bench_function(BenchmarkId::new("fit", "consensus_n1002"), |b| {
         b.iter(|| consensus_labels(black_box(&mc), 3, 0))
+    });
+    // The fit's own consensus, from the label signatures of 9,000 series,
+    // where the consensus matrix would be 648 MB. The partitions are built
+    // once, outside the timed loop.
+    let partitions = noisy_partitions(9000);
+    group.bench_function(BenchmarkId::new("fit", "consensus_partitions_n9000"), |b| {
+        b.iter(|| consensus_labels_from_partitions(black_box(&partitions), 3, 0))
     });
     // The embedding of `explore_1k`'s longest length: 1,002 CBF series ×
     // 256 at ℓ = 128 with the default stride and PCA sample.

@@ -3,6 +3,13 @@
 //! k-Graph's Consensus Clustering step runs spectral clustering on the
 //! consensus matrix (treated as a precomputed affinity); the Benchmark frame
 //! also uses it as a raw baseline with an RBF affinity.
+//!
+//! Both entry points solve the eigenproblem over groups of identical
+//! affinity rows. [`spectral_clustering`] finds the groups by comparing the
+//! rows of a dense matrix bit by bit; [`spectral_clustering_grouped`] takes
+//! groups its caller already knows, with the affinity as a function, and
+//! never needs the `n × n` matrix. The k-Graph fit uses the latter with its
+//! series grouped by label signature (`kgraph::consensus`).
 
 use crate::kmeans::KMeans;
 use linalg::eigen::symmetric_eigen;
@@ -37,29 +44,57 @@ impl SpectralOptions {
 /// Pipeline: symmetric normalised Laplacian `L = I − D^{-1/2} A D^{-1/2}`,
 /// bottom-k eigenvectors, row-normalised spectral embedding, k-Means.
 ///
-/// The eigenproblem is solved over the `s` *distinct* rows of `A` rather
-/// than all `n`. A consensus row depends only on its series' label
-/// signature across the partitions, so `s` is typically tens while `n` is
-/// thousands. The reduction is exact: when rows `i` and `j` of the
-/// symmetric `A` are identical, `e_i − e_j` lies in the null space of
-/// `N = D^{-1/2} A D^{-1/2}`, so every eigenvector of `L` with an
-/// eigenvalue other than 1 is constant on each group of identical rows.
-/// With group multiplicities `w` and `Ñ` the `N` entries between group
-/// representatives, those eigenvectors are `v_i = z_{g(i)} / √w_{g(i)}`
-/// for the eigenvectors `z` of the `s × s` matrix
-/// `L̃ = I − W^{1/2} Ñ W^{1/2}`, with the same eigenvalues. The `n − s`
-/// dropped eigenvectors (eigenvalue exactly 1) only tell identical rows
-/// apart, so identical rows always share a label. A matrix without
-/// duplicate rows has `w = 1` everywhere and its reduced problem is the
-/// full problem bit for bit. When `s < k`, all `s` eigenvectors form the
-/// embedding.
+/// The rows of `A` are grouped by bit-identical contents and the
+/// eigenproblem is solved over the `s` groups rather than all `n` rows
+/// (see [`spectral_clustering_grouped`]). A matrix without duplicate rows
+/// has `s = n`, and its reduced problem is the full problem bit for bit.
 ///
 /// Panics if the affinity is not square or `k == 0`. Negative affinities are
 /// clamped to zero; isolated rows (zero degree) are tolerated.
 pub fn spectral_clustering(affinity: &Matrix, opts: SpectralOptions) -> Vec<usize> {
-    assert!(opts.k > 0, "k must be > 0");
     assert_eq!(affinity.rows(), affinity.cols(), "affinity must be square");
-    let n = affinity.rows();
+    let groups = RowGroups::by(
+        affinity.rows(),
+        |i| RowGroups::hash(affinity.row(i).iter().map(|x| x.to_bits())),
+        |i, j| {
+            affinity
+                .row(i)
+                .iter()
+                .zip(affinity.row(j))
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+        },
+    );
+    spectral_clustering_grouped(&groups, |i, j| affinity[(i, j)], opts)
+}
+
+/// Spectral clustering of `n` rows whose affinity rows are identical
+/// within each of `groups`, without an `n × n` matrix.
+///
+/// `affinity(i, j)` is `A[i][j]`; it is read only for rows `i` that are
+/// group representatives, `s · (n + s)` reads in all. The reduction is
+/// exact: when rows `i` and `j` of the symmetric `A` are identical,
+/// `e_i − e_j` lies in the null space of `N = D^{-1/2} A D^{-1/2}`, so
+/// every eigenvector of `L` with an eigenvalue other than 1 is constant on
+/// each group. With group multiplicities `w` and `Ñ` the `N` entries
+/// between group representatives, those eigenvectors are
+/// `v_i = z_{g(i)} / √w_{g(i)}` for the eigenvectors `z` of the `s × s`
+/// matrix `L̃ = I − W^{1/2} Ñ W^{1/2}`, with the same eigenvalues. The
+/// `n − s` dropped eigenvectors (eigenvalue exactly 1) only tell rows of
+/// one group apart, so a group always shares a label. Rows in one group
+/// share a degree, so each is summed once, at the representative, over
+/// all `n` columns in index order; `L̃` is then the reduced Laplacian of
+/// the full matrix to the last bit. When `s < k`, all `s` eigenvectors
+/// form the embedding.
+///
+/// Panics if `k == 0`. Negative affinities are clamped to zero; isolated
+/// rows (zero degree) are tolerated.
+pub fn spectral_clustering_grouped(
+    groups: &RowGroups,
+    affinity: impl Fn(usize, usize) -> f64,
+    opts: SpectralOptions,
+) -> Vec<usize> {
+    assert!(opts.k > 0, "k must be > 0");
+    let n = groups.of_row.len();
     if n == 0 {
         return Vec::new();
     }
@@ -67,27 +102,32 @@ pub fn spectral_clustering(affinity: &Matrix, opts: SpectralOptions) -> Vec<usiz
         return vec![0; n];
     }
 
-    // Degree vector (clamping negatives keeps the Laplacian PSD-ish).
-    let mut degrees = vec![0.0f64; n];
-    for i in 0..n {
-        for j in 0..n {
-            degrees[i] += affinity[(i, j)].max(0.0);
-        }
-    }
-    let inv_sqrt: Vec<f64> = degrees
+    // Degrees of the representatives (clamping negatives keeps the
+    // Laplacian PSD-ish).
+    let inv_sqrt: Vec<f64> = groups
+        .reps
         .iter()
-        .map(|&d| if d > 1e-12 { 1.0 / d.sqrt() } else { 0.0 })
+        .map(|&i| {
+            let mut d = 0.0f64;
+            for j in 0..n {
+                d += affinity(i, j).max(0.0);
+            }
+            if d > 1e-12 {
+                1.0 / d.sqrt()
+            } else {
+                0.0
+            }
+        })
         .collect();
 
     // L̃ = I − W^{1/2} Ñ W^{1/2} over the group representatives.
-    let groups = RowGroups::of(affinity);
     let s = groups.reps.len();
     let sqrt_w: Vec<f64> = groups.sizes.iter().map(|&w| (w as f64).sqrt()).collect();
     let mut lap = Matrix::zeros(s, s);
     for (g, &i) in groups.reps.iter().enumerate() {
         for (h, &j) in groups.reps.iter().enumerate() {
-            let a = affinity[(i, j)].max(0.0);
-            let v = sqrt_w[g] * (-inv_sqrt[i] * a * inv_sqrt[j]) * sqrt_w[h];
+            let a = affinity(i, j).max(0.0);
+            let v = sqrt_w[g] * (-inv_sqrt[g] * a * inv_sqrt[h]) * sqrt_w[h];
             lap[(g, h)] = if g == h { 1.0 + v } else { v };
         }
     }
@@ -124,40 +164,39 @@ pub fn spectral_clustering(affinity: &Matrix, opts: SpectralOptions) -> Vec<usiz
     .labels
 }
 
-/// The rows of a matrix grouped by bit-identical contents; groups are
-/// numbered in order of first occurrence.
-struct RowGroups {
-    /// Group of each row.
+/// Rows `0..n` grouped by identical contents; groups are numbered in order
+/// of first occurrence.
+#[derive(Debug)]
+pub struct RowGroups {
     of_row: Vec<usize>,
-    /// First row of each group.
     reps: Vec<usize>,
-    /// Rows per group.
     sizes: Vec<usize>,
 }
 
 impl RowGroups {
-    fn of(m: &Matrix) -> RowGroups {
-        let n = m.rows();
+    /// Groups rows `0..n`, where `hash(i)` hashes row `i`'s contents and
+    /// `same(i, j)` tells whether rows `i` and `j` are identical. Each row
+    /// is compared only with the groups that share its hash, so the cost
+    /// is `n` hashes plus about one comparison per row.
+    pub fn by(
+        n: usize,
+        hash: impl Fn(usize) -> u64,
+        same: impl Fn(usize, usize) -> bool,
+    ) -> RowGroups {
         let mut groups = RowGroups {
             of_row: Vec::with_capacity(n),
             reps: Vec::new(),
             sizes: Vec::new(),
         };
-        // Row hash → groups with that hash; a hit is confirmed bit by bit.
+        // Row hash → groups with that hash; a hit is confirmed by `same`.
         let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
         for i in 0..n {
-            let row = m.row(i);
-            let hash = row.iter().fold(0u64, |h, x| {
-                (h.rotate_left(5) ^ x.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
-            });
-            let candidates = by_hash.entry(hash).or_default();
-            let same_bits = |g: &usize| {
-                m.row(groups.reps[*g])
-                    .iter()
-                    .zip(row)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-            };
-            let g = match candidates.iter().copied().find(same_bits) {
+            let candidates = by_hash.entry(hash(i)).or_default();
+            let g = match candidates
+                .iter()
+                .copied()
+                .find(|&g| same(groups.reps[g], i))
+            {
                 Some(g) => g,
                 None => {
                     let g = groups.reps.len();
@@ -171,6 +210,23 @@ impl RowGroups {
             groups.of_row.push(g);
         }
         groups
+    }
+
+    /// A row hash for [`RowGroups::by`] over the row's contents as words.
+    pub fn hash(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0u64, |h, w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        })
+    }
+
+    /// Group of each row.
+    pub fn of_row(&self) -> &[usize] {
+        &self.of_row
+    }
+
+    /// First row of each group.
+    pub fn reps(&self) -> &[usize] {
+        &self.reps
     }
 }
 
@@ -262,11 +318,15 @@ mod tests {
 
     #[test]
     fn row_groups_number_by_first_occurrence() {
-        let aff = Matrix::from_fn(5, 5, |i, j| if i % 2 == j % 2 { 1.0 } else { 0.0 });
-        let groups = RowGroups::of(&aff);
-        assert_eq!(groups.of_row, vec![0, 1, 0, 1, 0]);
-        assert_eq!(groups.reps, vec![0, 1]);
-        assert_eq!(groups.sizes, vec![3, 2]);
+        // A hash that tells the rows apart, and one under which they all
+        // collide and `same` alone decides.
+        let hashes: [fn(usize) -> u64; 2] = [|i| (i % 2) as u64, |_| 0];
+        for hash in hashes {
+            let groups = RowGroups::by(5, hash, |i, j| i % 2 == j % 2);
+            assert_eq!(groups.of_row, vec![0, 1, 0, 1, 0]);
+            assert_eq!(groups.reps, vec![0, 1]);
+            assert_eq!(groups.sizes, vec![3, 2]);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use clustering::count_kmeans::CountRow;
 use clustering::kmeans::KMeans;
 use clustering::metrics;
 use clustering::spectral::{rbf_affinity, spectral_clustering, SpectralOptions};
-use kgraph::consensus::consensus_matrix;
+use kgraph::consensus::{consensus_labels_from_partitions, consensus_matrix};
 use linalg::eigen::symmetric_eigen;
 use linalg::Matrix;
 use proptest::prelude::*;
@@ -138,6 +138,31 @@ fn kgraph_fit_matches_dense_spectral_oracle() {
     assert_eq!(model.config.n_lengths, 5);
     let (oracle, _) = dense_spectral_oracle(&model.consensus(), SpectralOptions::new(3, 7));
     assert_eq!(model.labels, oracle);
+}
+
+/// The fit's consensus from label signatures against spectral clustering on
+/// the dense consensus matrix, at the corners a random draw seldom hits:
+/// no series, one series, `k = 1`, and fewer signatures than clusters.
+#[test]
+fn signature_consensus_matches_the_matrix_path_at_the_corners() {
+    let mut fewer_signatures_than_k = 0;
+    for n in [0usize, 1, 2, 9, 40] {
+        for (m, classes) in [(1usize, 1usize), (1, 3), (3, 2), (5, 3)] {
+            for k in [1usize, 2, 3, 7] {
+                let partitions =
+                    noisy_partitions(n, m, classes, 0.2, (n * 100 + m * 10 + k) as u64);
+                let mc = consensus_matrix(&partitions);
+                let s = identical_row_groups(&mc).iter().max().map_or(0, |g| g + 1);
+                fewer_signatures_than_k += usize::from(n > 0 && s < k);
+                assert_eq!(
+                    consensus_labels_from_partitions(&partitions, k, 11),
+                    spectral_clustering(&mc, SpectralOptions::new(k, 11)),
+                    "n={n} m={m} classes={classes} k={k} s={s}"
+                );
+            }
+        }
+    }
+    assert!(fewer_signatures_than_k > 0);
 }
 
 proptest! {
@@ -296,6 +321,22 @@ proptest! {
 // The reduced spectral solve against the dense oracle.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn signature_consensus_matches_the_matrix_path(
+        (n, m, classes) in (0usize..161, 1usize..7, 1usize..6),
+        k in 1usize..8,
+        noise in 0.0..0.5f64,
+        seed in 0u64..1_000_000,
+    ) {
+        let partitions = noisy_partitions(n, m, classes, noise, seed);
+        let matrix = spectral_clustering(&consensus_matrix(&partitions), SpectralOptions::new(k, seed));
+        prop_assert_eq!(
+            consensus_labels_from_partitions(&partitions, k, seed),
+            matrix,
+            "n={} m={} classes={} k={}", n, m, classes, k
+        );
+    }
 
     #[test]
     fn spectral_on_consensus_matches_dense_oracle(

@@ -14,9 +14,10 @@
 //! 2. **Graph clustering** ([`features`]): per series, count crossings of
 //!    every node and edge of `G_ℓ`; k-Means over those features gives a
 //!    partition `L_ℓ` per length.
-//! 3. **Consensus clustering** ([`consensus`]): build the consensus matrix
-//!    `MC[i][j]` = fraction of lengths grouping `i` and `j` together, and
-//!    run spectral clustering on it → final labels `L`.
+//! 3. **Consensus clustering** ([`consensus`]): spectral clustering on the
+//!    consensus matrix `MC[i][j]` = fraction of lengths grouping `i` and
+//!    `j` together → final labels `L`, solved over the series' distinct
+//!    label signatures without building `MC`.
 //! 4. **Interpretability computation** ([`interpret`], [`graphoid`]):
 //!    consistency `Wc(ℓ) = ARI(L, L_ℓ)` and interpretability factor
 //!    `We(ℓ)` (mean over clusters of the maximum node exclusivity) select

@@ -11,7 +11,7 @@
 
 use crate::build::GraphLayer;
 use crate::config::KGraphConfig;
-use crate::consensus::{consensus_labels, consensus_matrix};
+use crate::consensus::{consensus_labels_from_partitions, consensus_matrix};
 use crate::embed::project_subsequences;
 use crate::features::cluster_layer;
 use crate::graphoid::{gamma_graphoid, lambda_graphoid, Graphoid};
@@ -91,7 +91,7 @@ impl KGraph {
 
         // Stage 3: consensus across the per-length partitions.
         let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();
-        let labels = consensus_labels(&consensus_matrix(&partitions), cfg.k, cfg.seed);
+        let labels = consensus_labels_from_partitions(&partitions, cfg.k, cfg.seed);
 
         // Stage 4: score lengths and select ℓ̄.
         let (scores, best_layer) = score_lengths(&layers, &labels, cfg.k);
@@ -141,7 +141,8 @@ impl KGraphModel {
 
     /// The consensus matrix `MC` (paper §II-A), rebuilt from the layers'
     /// partitions: `MC[i][j]` is the share of layers that put series `i`
-    /// and `j` together. Each call costs `O(M · n²)` time and `8 n²` bytes.
+    /// and `j` together. Each call costs `O(M · n²)` time and `8 n²` bytes;
+    /// the fit itself never builds it (see [`crate::consensus`]).
     pub fn consensus(&self) -> Matrix {
         let partitions: Vec<Vec<usize>> = self.layers.iter().map(|l| l.labels.clone()).collect();
         consensus_matrix(&partitions)
@@ -184,6 +185,7 @@ impl KGraphModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consensus::consensus_labels;
     use clustering::metrics::adjusted_rand_index;
     use tscore::{DatasetKind, TimeSeries};
 

@@ -1,13 +1,14 @@
-//! Memory bounds of the window loop that fit and serve share, and of
-//! the model decoder.
+//! Memory bounds of the window loop that fit and serve share, of the
+//! fit's consensus, and of the model decoder.
 //!
 //! A counting wrapper around the system allocator keeps, per thread, the
 //! number of allocations and the live heap bytes with their high-water
 //! mark. The tests check that the fit's projection never holds the
-//! `total × ℓ` window matrix and keeps one 2-D point per window, that
-//! routing a series costs a fixed number of allocations however many
-//! windows it has, and that a model file declaring a path run of 2^40
-//! windows is refused before any of it is allocated.
+//! `total × ℓ` window matrix and keeps one 2-D point per window, that the
+//! fit never holds the `n × n` consensus matrix, that routing a series
+//! costs a fixed number of allocations however many windows it has, and
+//! that a model file declaring a path run of 2^40 windows is refused
+//! before any of it is allocated.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide. The tallies are per thread, so allocations made by the
@@ -98,6 +99,33 @@ fn projection_never_holds_the_window_matrix() {
     assert!(
         peak < matrix_bytes / 4,
         "projection peaked at {peak} B; the window matrix alone is {matrix_bytes} B"
+    );
+}
+
+#[test]
+fn the_fit_never_holds_the_consensus_matrix() {
+    // 2,100 short series in three shapes.
+    let n = 2_100;
+    let series: Vec<TimeSeries> = (0..n)
+        .map(|s| TimeSeries::new(wave(40, [0.2, 0.5, 0.9][s % 3] + 0.01 * (s % 7) as f64, s)))
+        .collect();
+    let ds = Dataset::new("fixture", DatasetKind::Simulated, series);
+    let cfg = KGraphConfig {
+        psi: 12,
+        pca_sample: 400,
+        n_init: 2,
+        ..KGraphConfig::new(3)
+    }
+    .with_lengths(vec![8, 12, 16]);
+    let matrix_bytes = n * n * std::mem::size_of::<f64>();
+
+    // The per-length jobs run on this thread when it is the only one.
+    let (model, peak) = peak_bytes_of(|| KGraph::new(cfg).fit(&ds));
+    assert_eq!(model.labels.len(), n);
+    assert!(
+        peak < matrix_bytes / 4,
+        "the fit peaked at {peak} B on the calling thread; the consensus matrix alone is \
+         {matrix_bytes} B"
     );
 }
 

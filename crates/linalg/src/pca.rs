@@ -5,9 +5,11 @@
 //! This implementation fits on the covariance matrix with Jacobi
 //! eigendecomposition, which is exact and deterministic.
 //!
-//! When ℓ is large, computing an ℓ × ℓ covariance is wasteful for a 2-D
-//! projection, but ℓ ≤ a few hundred here and the covariance accumulation —
-//! not the eigendecomposition — dominates; both are fine at this scale.
+//! The full `ℓ × ℓ` eigendecomposition is wasteful for a 2-D projection,
+//! and it, not the covariance accumulation, dominates the fit once ℓ
+//! passes a few dozen: on 2,000 rows of CBF windows (release build, 2-vCPU
+//! Xeon VM) the covariance took 1.1, 5.0 and 11 ms and `symmetric_eigen`
+//! 0.5, 14 and 91 ms at ℓ = 26, 77 and 128.
 
 use crate::eigen::symmetric_eigen;
 use crate::matrix::Matrix;
