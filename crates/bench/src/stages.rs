@@ -338,7 +338,9 @@ impl HttpFixture {
         )
         .into_bytes();
         request.extend_from_slice(body.as_bytes());
-        let response = Response::json(200, format!("{{\"scores\":{body}}}"));
+        let response = Response::json_object(200, |w| {
+            w.field("scores", values);
+        });
         let mut sink = Vec::new();
         response.write_to(&mut sink)?;
         Ok(HttpFixture {

@@ -99,12 +99,16 @@ impl BoxPlot {
             doc.dashed_line(left, py, right, py, "#eeeeee", 0.6);
         }
         if !self.y_label.is_empty() {
-            let cx = left - 34.0;
             let cy = (top + bottom) / 2.0;
-            doc.raw(&format!(
-                r##"<text x="{cx:.1}" y="{cy:.1}" font-size="10" text-anchor="middle" fill="#333333" font-family="sans-serif" transform="rotate(-90 {cx:.1} {cy:.1})">{}</text>"##,
-                crate::svg::escape(&self.y_label)
-            ));
+            doc.rotated_text(
+                left - 34.0,
+                cy,
+                -90.0,
+                &self.y_label,
+                10.0,
+                "middle",
+                "#333333",
+            );
         }
 
         let slot = (right - left) / self.boxes.len() as f64;
@@ -140,13 +144,7 @@ impl BoxPlot {
                 &color,
             );
             doc.line(cx - box_w / 2.0, y_md, cx + box_w / 2.0, y_md, &color, 2.0);
-            // Rotated label.
-            doc.raw(&format!(
-                r##"<text x="{cx:.1}" y="{:.1}" font-size="9" text-anchor="end" fill="#333333" font-family="sans-serif" transform="rotate(-35 {cx:.1} {:.1})">{}</text>"##,
-                bottom + 12.0,
-                bottom + 12.0,
-                crate::svg::escape(&b.label)
-            ));
+            doc.rotated_text(cx, bottom + 12.0, -35.0, &b.label, 9.0, "end", "#333333");
         }
         doc.finish()
     }

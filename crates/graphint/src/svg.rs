@@ -322,6 +322,42 @@ impl SvgDoc {
         self.body.push_str("</text>");
     }
 
+    /// Text anchored at `(x, y)` and turned `degrees` about that point
+    /// (negative turns counter-clockwise): axis titles and slanted
+    /// category labels. Coordinates carry one decimal and the size none.
+    #[allow(clippy::too_many_arguments)]
+    pub fn rotated_text(
+        &mut self,
+        x: f64,
+        y: f64,
+        degrees: f64,
+        content: &str,
+        size: f64,
+        anchor: &str,
+        fill: &str,
+    ) {
+        self.elements += 1;
+        self.put(r#"<text x=""#)
+            .num(x, 1)
+            .put(r#"" y=""#)
+            .num(y, 1)
+            .put(r#"" font-size=""#)
+            .num(size, 0)
+            .put(r#"" text-anchor=""#)
+            .put(anchor)
+            .put(r#"" fill=""#)
+            .put(fill)
+            .put(r#"" font-family="sans-serif" transform="rotate("#)
+            .num(degrees, 0)
+            .put(" ")
+            .num(x, 1)
+            .put(" ")
+            .num(y, 1)
+            .put(r#")">"#);
+        escape_into(&mut self.body, content);
+        self.body.push_str("</text>");
+    }
+
     /// Arrow head + shaft from `(x1, y1)` to `(x2, y2)` (directed edges).
     pub fn arrow(&mut self, x1: f64, y1: f64, x2: f64, y2: f64, stroke: &str, width: f64) {
         self.line(x1, y1, x2, y2, stroke, width);
@@ -353,13 +389,6 @@ impl SvgDoc {
             stroke,
             width,
         );
-    }
-
-    /// Appends raw SVG markup (escape hatch for niche shapes). Counts as
-    /// one visual element.
-    pub fn raw(&mut self, markup: &str) {
-        self.elements += 1;
-        self.body.push_str(markup);
     }
 
     /// Finalises the document, returning the markup. Any `<g>` groups
@@ -504,12 +533,16 @@ pub fn draw_axes(
         );
     }
     if !y_label.is_empty() {
-        let cx = plot_left - 30.0;
         let cy = (plot_top + plot_bottom) / 2.0;
-        doc.raw(&format!(
-            r#"<text x="{cx:.1}" y="{cy:.1}" font-size="10" text-anchor="middle" fill="{axis_color}" font-family="sans-serif" transform="rotate(-90 {cx:.1} {cy:.1})">{}</text>"#,
-            escape(y_label)
-        ));
+        doc.rotated_text(
+            plot_left - 30.0,
+            cy,
+            -90.0,
+            y_label,
+            10.0,
+            "middle",
+            axis_color,
+        );
     }
 }
 

@@ -13,11 +13,21 @@
 //! takes one `read`, and a larger one a second `read_exact` for the rest
 //! of its body. [`Response::write_to`] sends head and body in one write.
 
+use crate::json::JsonWriter;
 use std::io::{Read, Write};
+use std::time::Duration;
 
 /// Hard cap on the request head (request line + headers + blank line),
 /// and the size of the buffer the head is read into.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Largest request body a server accepts; a request declaring more is
+/// answered `413` before any of its body is read.
+pub(crate) const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
+
+/// A server's socket read timeout per request, and write timeout per
+/// response.
+pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// `Retry-After` value, in seconds, of every retryable `503`: a request
 /// shed at admission and an ingest whose journal write failed.
@@ -218,6 +228,13 @@ impl Response {
         Response::new(status, "application/json", body)
     }
 
+    /// JSON response holding the object whose members `members` writes.
+    pub fn json_object(status: u16, members: impl FnOnce(&mut JsonWriter<'_>)) -> Response {
+        let mut body = String::new();
+        JsonWriter::new(&mut body).object(members);
+        Response::json(status, body)
+    }
+
     /// Plain-text response.
     pub fn text(status: u16, body: String) -> Response {
         Response::new(status, "text/plain; charset=utf-8", body)
@@ -235,10 +252,9 @@ impl Response {
 
     /// Standard JSON error envelope `{"error": …}`.
     pub fn error(status: u16, message: &str) -> Response {
-        let mut body = String::from("{\"error\":");
-        crate::json::write_json_string(&mut body, message);
-        body.push('}');
-        Response::json(status, body)
+        Response::json_object(status, |w| {
+            w.field("error", message);
+        })
     }
 
     /// Adds a header (builder style).

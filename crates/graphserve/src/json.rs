@@ -1,10 +1,13 @@
 //! Dependency-free JSON: a strict recursive-descent parser for request
-//! bodies and a writer for responses.
+//! bodies and one writer, [`JsonWriter`], for every response.
 //!
 //! The wire format only ever carries numbers, strings, arrays and flat
-//! objects, so this stays deliberately small. Non-finite floats serialise
-//! as `null` (JSON has no NaN/∞); the parser enforces a depth limit so a
-//! hostile body cannot overflow the stack.
+//! objects, so this stays deliberately small. The parser enforces a depth
+//! limit so a hostile body cannot overflow the stack. The writer appends
+//! straight into the body buffer: it places every separator, escapes every
+//! key and string, writes numbers with Rust's shortest round-trip
+//! `Display` (`{}`), valid JSON, and writes non-finite floats and absent
+//! values as `null` (JSON has no NaN/∞).
 
 use std::fmt::Write as _;
 
@@ -76,46 +79,154 @@ impl Json {
     }
 }
 
-/// Appends a JSON number (`null` for non-finite values).
-pub fn write_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Rust's shortest-roundtrip Display for f64 is valid JSON.
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// A value [`JsonWriter`] writes: a number, a bool, a string, `null` for
+/// `None`, or an array of these.
+pub trait ToJson {
+    /// Appends the value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
     }
 }
 
-/// Appends a JSON string with escaping.
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+// An integer's or a bool's `Display` is its JSON text.
+macro_rules! display_to_json {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            c => out.push(c),
         }
-    }
-    out.push('"');
+    )*};
 }
 
-/// Serialises a numeric slice as a JSON array.
-pub fn f64s_to_json(values: &[f64]) -> String {
-    let mut out = String::with_capacity(values.len() * 8 + 2);
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+display_to_json!(bool, u16, u64, usize);
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
         }
-        write_json_f64(&mut out, v);
+        out.push('"');
     }
-    out.push(']');
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        JsonWriter::new(out).array(self, |w, v| {
+            w.value(v);
+        });
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// Writes one JSON value into a `String` and places its separators: each
+/// value, key, object or array after the first in its container is
+/// preceded by a `,`.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// No `,` goes before the next item: it opens the document or a
+    /// container, or follows a key.
+    first: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter { out, first: true }
+    }
+
+    fn separate(&mut self) {
+        if !std::mem::replace(&mut self.first, false) {
+            self.out.push(',');
+        }
+    }
+
+    /// Writes a value: an array element, or the value after a key.
+    pub fn value(&mut self, value: impl ToJson) -> &mut Self {
+        self.separate();
+        value.write_json(self.out);
+        self
+    }
+
+    /// Writes an object member's key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.value(key);
+        self.out.push(':');
+        self.first = true;
+        self
+    }
+
+    /// Writes an object member.
+    pub fn field(&mut self, key: &str, value: impl ToJson) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// Writes an object whose members `members` writes.
+    pub fn object(&mut self, members: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', members)
+    }
+
+    /// Writes an array with one element per item, each written by
+    /// `element`.
+    pub fn array<I: IntoIterator>(
+        &mut self,
+        items: I,
+        mut element: impl FnMut(&mut Self, I::Item),
+    ) -> &mut Self {
+        self.container('[', ']', |w| {
+            items.into_iter().for_each(|item| element(w, item));
+        })
+    }
+
+    fn container(&mut self, open: char, close: char, fill: impl FnOnce(&mut Self)) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.first = true;
+        fill(self);
+        self.out.push(close);
+        self.first = false;
+        self
+    }
+}
+
+/// Serialises a numeric slice as a JSON array (`null` for non-finite
+/// values).
+pub fn f64s_to_json(values: &[f64]) -> String {
+    let mut out = String::new();
+    values.write_json(&mut out);
     out
 }
 
@@ -357,8 +468,44 @@ mod tests {
     fn writes_numbers_and_non_finite() {
         assert_eq!(f64s_to_json(&[1.0, 2.5]), "[1,2.5]");
         assert_eq!(f64s_to_json(&[f64::NAN]), "[null]");
-        let mut s = String::new();
-        write_json_f64(&mut s, f64::INFINITY);
-        assert_eq!(s, "null");
+        assert_eq!(
+            f64s_to_json(&[f64::INFINITY, f64::NEG_INFINITY]),
+            "[null,null]"
+        );
+        assert_eq!(
+            f64s_to_json(&[16.0, -0.0, 1e21, 0.1]),
+            "[16,-0,1000000000000000000000,0.1]"
+        );
+    }
+
+    #[test]
+    fn the_writer_separates_nests_and_escapes() {
+        let mut body = String::new();
+        JsonWriter::new(&mut body).object(|w| {
+            w.field("a", 1usize)
+                .field("b", "x\"y\\z\n\r\t\u{1}\u{7f}é")
+                .field("c", None::<f64>)
+                .field("d", Some(0.5))
+                .key("e")
+                .array([(1u64, true), (2, false)], |w, (n, flag)| {
+                    w.object(|w| {
+                        w.field("n", n).field("flag", flag);
+                    });
+                })
+                .field("f", [f64::NAN, 3.0].as_slice())
+                .key("g")
+                .array(Vec::<u16>::new(), |w, v| {
+                    w.value(v);
+                })
+                .key("h")
+                .object(|_| {});
+        });
+        assert_eq!(
+            body,
+            "{\"a\":1,\"b\":\"x\\\"y\\\\z\\n\\r\\t\\u0001\u{7f}é\",\"c\":null,\"d\":0.5,\
+             \"e\":[{\"n\":1,\"flag\":true},{\"n\":2,\"flag\":false}],\
+             \"f\":[null,3],\"g\":[],\"h\":{}}"
+        );
+        assert!(Json::parse(&body).is_ok());
     }
 }

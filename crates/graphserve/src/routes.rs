@@ -12,7 +12,9 @@
 //! the worker's [`StoreReader`] (lock-free in steady state) and then reads
 //! only immutable state. Single-series and batch endpoints share one
 //! per-series op dispatch (`Op::run`), so a batch response is
-//! bit-identical to the equivalent sequence of single requests.
+//! bit-identical to the equivalent sequence of single requests. One
+//! decoder, `decode_body`, reads every request body, and every JSON answer
+//! is written through [`JsonWriter`].
 //!
 //! Error mapping follows the [`TsError`] contract: caller-side problems
 //! (short series, bad parameters) are 4xx, model-side degeneracy is 5xx,
@@ -20,7 +22,7 @@
 
 use crate::durability::{Durability, IngestLog};
 use crate::http::{Request, Response, RETRY_AFTER_SECS};
-use crate::json::{f64s_to_json, write_json_string, Json};
+use crate::json::{Json, JsonWriter};
 use crate::lock;
 use crate::server::ServerStats;
 use crate::store::{ModelStore, StoreReader};
@@ -31,9 +33,11 @@ use kgraph::features::feature_row;
 use kgraph::graphoid::{gamma_graphoid, lambda_graphoid};
 use kgraph::pipeline::{KGraph, KGraphModel};
 use kgraph::KGraphConfig;
+use std::fmt::Write as _;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use streamfit::{SessionRegistry, StreamSession, StreamStatus};
+use streamfit::{SessionRegistry, StreamSession};
 use tscore::error::TsError;
 use tscore::par::par_map;
 use tscore::{Dataset, DatasetKind, TimeSeries};
@@ -242,12 +246,13 @@ impl Op {
 }
 
 impl Answer {
-    /// The JSON object a single request answers, and a batch row holds.
-    fn json(&self) -> String {
+    /// Writes the members of the JSON object a single request answers, and
+    /// a batch row holds.
+    fn write_members(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Answer::Values(key, _, values) => format!("{{\"{key}\":{}}}", f64s_to_json(values)),
-            Answer::Cluster(c) => format!("{{\"cluster\":{c}}}"),
-        }
+            Answer::Values(key, _, values) => w.field(key, values.as_slice()),
+            Answer::Cluster(c) => w.field("cluster", c),
+        };
     }
 }
 
@@ -277,75 +282,15 @@ fn features_series(model: &KGraphModel, values: &[f64]) -> Result<Vec<f64>, TsEr
 // Body decoding
 // ---------------------------------------------------------------------------
 
-fn body_str(req: &Request) -> Result<&str, Response> {
-    std::str::from_utf8(&req.body).map_err(|_| Response::error(400, "body is not UTF-8"))
-}
-
-fn is_json_body(req: &Request) -> bool {
-    req.header("content-type")
-        .is_some_and(|ct| ct.contains("json"))
-        || req.body.trim_ascii_start().starts_with(b"[")
-        || req.body.trim_ascii_start().starts_with(b"{")
-}
-
-/// One series: a JSON array, a JSON object with a `series` member, or CSV
-/// (all numbers, commas and/or newlines). Every value must pass
-/// [`check_magnitudes`] (422 otherwise).
-fn parse_series(req: &Request) -> Result<Vec<f64>, Response> {
-    let text = body_str(req)?;
-    let values = if is_json_body(req) {
-        let v = Json::parse(text).map_err(|e| Response::error(400, &e))?;
-        let arr = v.get("series").unwrap_or(&v);
-        arr.to_f64s().map_err(|e| Response::error(400, &e))?
-    } else {
-        parse_csv_row(text).map_err(|e| Response::error(400, &e))?
-    };
-    if values.is_empty() {
-        return Err(Response::error(400, "empty series"));
-    }
-    check_magnitudes(&values, "series points")?;
-    Ok(values)
-}
-
-/// Many series: a JSON array of arrays (optionally under `series`), or CSV
-/// with one series per line. Every value of every row must pass
-/// [`check_magnitudes`] (422 otherwise).
-fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
-    let text = body_str(req)?;
-    let rows: Vec<Vec<f64>> = if is_json_body(req) {
-        let v = Json::parse(text).map_err(|e| Response::error(400, &e))?;
-        let arr = v.get("series").unwrap_or(&v);
-        let items = arr
-            .as_arr()
-            .ok_or_else(|| Response::error(400, "expected an array of series"))?;
-        items
-            .iter()
-            .map(|row| row.to_f64s())
-            .collect::<Result<_, _>>()
-            .map_err(|e| Response::error(400, &e))?
-    } else {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(parse_csv_row)
-            .collect::<Result<_, _>>()
-            .map_err(|e| Response::error(400, &e))?
-    };
-    if rows.is_empty() {
-        return Err(Response::error(400, "empty batch"));
-    }
-    if rows.len() > MAX_BATCH_ROWS {
-        return Err(Response::error(
-            413,
-            &format!(
-                "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
-                rows.len()
-            ),
-        ));
-    }
-    for (i, row) in rows.iter().enumerate() {
-        check_magnitudes(row, format_args!("points of series {i}"))?;
-    }
-    Ok(rows)
+/// What a request body carries.
+#[derive(Clone, Copy, PartialEq)]
+enum Body {
+    /// One series: score, features and predict.
+    Series,
+    /// Many series: batch and `PUT` fit.
+    Batch,
+    /// The points of one ingest.
+    Ingest,
 }
 
 /// Largest value magnitude any request body may carry.
@@ -354,27 +299,99 @@ fn parse_series_batch(req: &Request) -> Result<Vec<Vec<f64>>, Response> {
 /// (~1.8e308).
 const MAX_INGEST_MAGNITUDE: f64 = 1e100;
 
-/// 422 unless every value is finite with magnitude at most
-/// [`MAX_INGEST_MAGNITUDE`]; `what` names the values in the message.
-/// Every series, batch, fit and ingest body passes through here before any
-/// model or journal sees it.
-fn check_magnitudes(values: &[f64], what: impl std::fmt::Display) -> Result<(), Response> {
-    match values
-        .iter()
-        .position(|v| !v.is_finite() || v.abs() > MAX_INGEST_MAGNITUDE)
-    {
-        None => Ok(()),
-        Some(i) => Err(Response::error(
-            422,
-            &format!(
-                "point {i} is {}: {what} must be finite with magnitude at most {MAX_INGEST_MAGNITUDE:e}",
-                values[i]
-            ),
-        )),
+/// Decodes the body of `req` into rows of values: one row for a
+/// [`Body::Series`] or [`Body::Ingest`], one per series for a
+/// [`Body::Batch`]. The second value is the series index an ingest body
+/// names in-band.
+///
+/// The body must be UTF-8. It is JSON when its content type says so or it
+/// starts with `[` or `{`: a series is an array of numbers and a batch an
+/// array of series, either one optionally under `"series"`; an ingest
+/// object `{"series": i, "points": [...]}` names its series in-band.
+/// Otherwise it is CSV: numbers separated by commas, whitespace or
+/// newlines, and a batch has one series per non-blank line.
+///
+/// An unparseable or empty body is 400 and a batch of more than
+/// [`MAX_BATCH_ROWS`] rows 413. Every value must be finite with magnitude
+/// at most [`MAX_INGEST_MAGNITUDE`] (422), so no model or journal ever sees
+/// one that is not.
+fn decode_body(req: &Request, kind: Body) -> Result<(Vec<Vec<f64>>, Option<usize>), Response> {
+    let (rows, index) = parse_rows(req, kind).map_err(|e| Response::error(400, &e))?;
+    let empty = match kind {
+        Body::Series => rows[0].is_empty().then_some("empty series"),
+        Body::Batch => rows.is_empty().then_some("empty batch"),
+        Body::Ingest => rows[0].is_empty().then_some("empty points"),
+    };
+    if let Some(message) = empty {
+        return Err(Response::error(400, message));
     }
+    if rows.len() > MAX_BATCH_ROWS {
+        let message = format!(
+            "batch of {} rows exceeds limit {MAX_BATCH_ROWS}",
+            rows.len()
+        );
+        return Err(Response::error(413, &message));
+    }
+    let unfit = |v: &f64| !v.is_finite() || v.abs() > MAX_INGEST_MAGNITUDE;
+    for (i, row) in rows.iter().enumerate() {
+        if let Some(p) = row.iter().position(unfit) {
+            let what = match kind {
+                Body::Series => "series points".to_string(),
+                Body::Batch => format!("points of series {i}"),
+                Body::Ingest => "ingested points".to_string(),
+            };
+            let message = format!(
+                "point {p} is {}: {what} must be finite with magnitude at most {MAX_INGEST_MAGNITUDE:e}",
+                row[p]
+            );
+            return Err(Response::error(422, &message));
+        }
+    }
+    Ok((rows, index))
 }
 
-fn parse_csv_row(line: &str) -> Result<Vec<f64>, String> {
+/// The rows and in-band series index of [`decode_body`], or the text of
+/// its 400 when the body does not parse.
+fn parse_rows(req: &Request, kind: Body) -> Result<(Vec<Vec<f64>>, Option<usize>), String> {
+    let text = std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8")?;
+    let is_json = req
+        .header("content-type")
+        .is_some_and(|ct| ct.contains("json"))
+        || matches!(req.body.trim_ascii_start().first(), Some(b'[' | b'{'));
+    if !is_json {
+        let rows = match kind {
+            Body::Batch => {
+                let lines = text.lines().filter(|l| !l.trim().is_empty());
+                lines.map(csv_row).collect::<Result<_, _>>()?
+            }
+            Body::Series | Body::Ingest => vec![csv_row(text)?],
+        };
+        return Ok((rows, None));
+    }
+    let v = Json::parse(text)?;
+    let (values, index) = match v.get("points") {
+        Some(points) if kind == Body::Ingest => {
+            let index = v.get("series").map(|s| {
+                let index = s.as_f64().filter(|f| f.fract() == 0.0 && *f >= 0.0);
+                index
+                    .map(|f| f as usize)
+                    .ok_or("series must be a non-negative integer")
+            });
+            (points, index.transpose()?)
+        }
+        _ => (v.get("series").unwrap_or(&v), None),
+    };
+    let rows = match kind {
+        Body::Batch => {
+            let series = values.as_arr().ok_or("expected an array of series")?;
+            series.iter().map(Json::to_f64s).collect::<Result<_, _>>()?
+        }
+        Body::Series | Body::Ingest => vec![values.to_f64s()?],
+    };
+    Ok((rows, index))
+}
+
+fn csv_row(line: &str) -> Result<Vec<f64>, String> {
     line.split([',', ' ', '\t', '\n', '\r'])
         .filter(|t| !t.trim().is_empty())
         .map(|t| {
@@ -385,20 +402,13 @@ fn parse_csv_row(line: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-fn query_usize(req: &Request, name: &str, default: usize) -> Result<usize, Response> {
+/// The query parameter `name` (`default` when absent); 400 when it does
+/// not parse as a `T`.
+fn query<T: FromStr>(req: &Request, name: &str, default: T) -> Result<T, Response> {
     match req.query_param(name) {
         None => Ok(default),
         Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| Response::error(400, &format!("bad {name} parameter {v:?}"))),
-    }
-}
-
-fn query_f64(req: &Request, name: &str, default: f64) -> Result<f64, Response> {
-    match req.query_param(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse::<f64>()
+            .parse()
             .map_err(|_| Response::error(400, &format!("bad {name} parameter {v:?}"))),
     }
 }
@@ -408,14 +418,11 @@ fn query_f64(req: &Request, name: &str, default: f64) -> Result<f64, Response> {
 // ---------------------------------------------------------------------------
 
 fn health(c: &mut Call<'_, '_>) -> Result<Response, Response> {
-    Ok(Response::json(
-        200,
-        format!(
-            "{{\"status\":\"ok\",\"models\":{},\"bytes\":{}}}",
-            c.ctx.store.len(),
-            c.ctx.store.total_bytes()
-        ),
-    ))
+    Ok(Response::json_object(200, |w| {
+        w.field("status", "ok")
+            .field("models", c.ctx.store.len())
+            .field("bytes", c.ctx.store.total_bytes());
+    }))
 }
 
 /// `GET /healthz` — durability health: `"degraded"` when any model is
@@ -429,38 +436,30 @@ fn healthz(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     } else {
         "degraded"
     };
-    let mut body = format!(
-        "{{\"status\":\"{status}\",\"durability\":{},\"models\":{},\"degraded\":[",
-        ctx.durability.enabled(),
-        ctx.store.len()
-    );
-    for (i, (name, reason)) in degraded.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str("{\"model\":");
-        write_json_string(&mut body, name);
-        body.push_str(",\"reason\":");
-        write_json_string(&mut body, reason);
-        body.push('}');
-    }
-    body.push_str("]}");
-    Ok(Response::json(200, body))
+    Ok(Response::json_object(200, |w| {
+        w.field("status", status)
+            .field("durability", ctx.durability.enabled())
+            .field("models", ctx.store.len())
+            .key("degraded")
+            .array(&degraded, |w, (name, reason)| {
+                w.object(|w| {
+                    w.field("model", name.as_str())
+                        .field("reason", reason.as_str());
+                });
+            });
+    }))
 }
 
 fn list_models(c: &mut Call<'_, '_>) -> Result<Response, Response> {
-    let mut body = String::from("[");
-    for (i, (name, bytes, k, best_len)) in c.ctx.store.list().into_iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str("{\"name\":");
-        write_json_string(&mut body, &name);
-        body.push_str(&format!(
-            ",\"bytes\":{bytes},\"k\":{k},\"best_length\":{best_len}}}"
-        ));
-    }
-    body.push(']');
+    let mut body = String::new();
+    JsonWriter::new(&mut body).array(c.ctx.store.list(), |w, (name, bytes, k, best_len)| {
+        w.object(|w| {
+            w.field("name", name.as_str())
+                .field("bytes", bytes)
+                .field("k", k)
+                .field("best_length", best_len);
+        });
+    });
     Ok(Response::json(200, body))
 }
 
@@ -468,25 +467,20 @@ fn model_info(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let model = c.model()?;
     let layer = model.best();
     let score = &model.scores[model.best_layer];
-    let mut body = String::from("{");
-    body.push_str(&format!("\"k\":{},", model.k()));
-    body.push_str(&format!("\"n_series\":{},", model.labels.len()));
-    body.push_str(&format!("\"best_length\":{},", model.best_length()));
-    body.push_str(&format!("\"n_layers\":{},", model.layers.len()));
-    body.push_str(&format!(
-        "\"nodes\":{},\"edges\":{},",
-        layer.graph.node_count(),
-        layer.graph.edge_count()
-    ));
-    body.push_str("\"wc\":");
-    crate::json::write_json_f64(&mut body, score.wc);
-    body.push_str(",\"we\":");
-    crate::json::write_json_f64(&mut body, score.we);
-    body.push_str(",\"lengths\":");
-    let lengths: Vec<f64> = model.layers.iter().map(|l| l.length as f64).collect();
-    body.push_str(&f64s_to_json(&lengths));
-    body.push('}');
-    Ok(Response::json(200, body))
+    Ok(Response::json_object(200, |w| {
+        w.field("k", model.k())
+            .field("n_series", model.labels.len())
+            .field("best_length", model.best_length())
+            .field("n_layers", model.layers.len())
+            .field("nodes", layer.graph.node_count())
+            .field("edges", layer.graph.edge_count())
+            .field("wc", score.wc)
+            .field("we", score.we)
+            .key("lengths")
+            .array(&model.layers, |w, l| {
+                w.value(l.length);
+            });
+    }))
 }
 
 /// `PUT /models/{name}` — fit on demand from a posted dataset (CSV rows or
@@ -494,10 +488,10 @@ fn model_info(c: &mut Call<'_, '_>) -> Result<Response, Response> {
 /// `?n_lengths=`.
 fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let (req, ctx, name) = (c.req, c.ctx, c.name);
-    let rows = parse_series_batch(req)?;
-    let k = query_usize(req, "k", 2)?;
-    let seed = query_usize(req, "seed", 0)?;
-    let n_lengths = query_usize(req, "n_lengths", 3)?;
+    let (rows, _) = decode_body(req, Body::Batch)?;
+    let k: usize = query(req, "k", 2)?;
+    let seed: u64 = query(req, "seed", 0)?;
+    let n_lengths: usize = query(req, "n_lengths", 3)?;
     if k < 1 {
         return Err(Response::error(422, "k must be >= 1"));
     }
@@ -520,7 +514,7 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         n_lengths: n_lengths.clamp(1, 16),
         ..KGraphConfig::new(k)
     }
-    .with_seed(seed as u64);
+    .with_seed(seed);
     let model = Arc::new(KGraph::new(cfg).fit(&dataset));
     // Under the name's session lock, its session resets: its delta holds old node ids.
     let session = ctx.sessions.session_for(name, &model);
@@ -534,10 +528,10 @@ fn fit_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     drop(guard);
     drop(session);
     ctx.sessions.remove_if_empty(name);
-    let mut body = String::from("{\"fitted\":");
-    write_json_string(&mut body, name);
-    body.push_str(&format!(",\"bytes\":{}}}", bytes.unwrap_or_default()));
-    Ok(Response::json(201, body))
+    Ok(Response::json_object(201, |w| {
+        w.field("fitted", name)
+            .field("bytes", bytes.unwrap_or_default());
+    }))
 }
 
 /// Inserts `model` under `name` (only over `expected`, if given; `None`
@@ -572,33 +566,32 @@ fn delete_model(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     if !(in_store || had_session || had_state) {
         return Err(Response::error(404, &format!("no model named {name:?}")));
     }
-    let mut body = String::from("{\"deleted\":");
-    write_json_string(&mut body, name);
-    body.push('}');
-    Ok(Response::json(200, body))
+    Ok(Response::json_object(200, |w| {
+        w.field("deleted", name);
+    }))
 }
 
 /// `POST /models/{name}/score?context=`, `…/features` and `…/predict` —
 /// one [`Op`] on one series. Score and features also answer CSV.
 fn series_endpoint(c: &mut Call<'_, '_>, op: Op) -> Result<Response, Response> {
     let model = c.model()?;
-    let values = parse_series(c.req)?;
+    let (rows, _) = decode_body(c.req, Body::Series)?;
     let context = match op {
-        Op::Score => query_usize(c.req, "context", 5)?,
+        Op::Score => query(c.req, "context", 5)?,
         Op::Features | Op::Predict => 0,
     };
     let answer = op
-        .run(&model, &values, context)
+        .run(&model, &rows[0], context)
         .map_err(|e| error_response(&e))?;
     Ok(match answer {
         Answer::Values(_, header, values) if c.req.wants_csv() => {
             let mut csv = format!("{header}\n");
             for v in &values {
-                csv.push_str(&format!("{v}\n"));
+                let _ = writeln!(csv, "{v}");
             }
             Response::csv(200, csv)
         }
-        answer => Response::json(200, answer.json()),
+        answer => Response::json_object(200, |w| answer.write_members(w)),
     })
 }
 
@@ -608,9 +601,9 @@ fn series_endpoint(c: &mut Call<'_, '_>, op: Op) -> Result<Response, Response> {
 /// payload or an `{"error": …}` object.
 fn batch_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let model = c.model()?;
-    let rows = parse_series_batch(c.req)?;
+    let (rows, _) = decode_body(c.req, Body::Batch)?;
     let op = c.req.query_param("op").unwrap_or("score");
-    let context = query_usize(c.req, "context", 5)?;
+    let context = query(c.req, "context", 5)?;
     let op =
         Op::parse(op).ok_or_else(|| Response::error(400, &format!("unknown batch op {op:?}")))?;
 
@@ -618,36 +611,31 @@ fn batch_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     // issuing the rows as individual requests in order.
     let results = par_map(&rows, |values| op.run(&model, values, context));
 
-    let mut body = String::from("{\"results\":[");
-    for (i, result) in results.into_iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        match result {
-            Ok(answer) => body.push_str(&answer.json()),
-            Err(e) => {
-                body.push_str("{\"error\":");
-                write_json_string(&mut body, &e.to_string());
-                body.push_str(&format!(",\"status\":{}}}", status_for(&e)));
-            }
-        }
-    }
-    body.push_str("]}");
-    Ok(Response::json(200, body))
+    Ok(Response::json_object(200, |w| {
+        w.key("results").array(results, |w, result| {
+            w.object(|w| match result {
+                Ok(answer) => answer.write_members(w),
+                Err(e) => {
+                    w.field("error", e.to_string().as_str())
+                        .field("status", status_for(&e));
+                }
+            });
+        });
+    }))
 }
 
 /// `GET /models/{name}/graphoid?cluster=&kind=gamma|lambda&threshold=` —
 /// the interpretable subgraph of one cluster.
 fn graphoid_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let (req, model) = (c.req, c.model()?);
-    let cluster = query_usize(req, "cluster", 0)?;
+    let cluster: usize = query(req, "cluster", 0)?;
     if cluster >= model.k() {
         return Err(Response::error(
             422,
             &format!("cluster {cluster} out of range 0..{}", model.k()),
         ));
     }
-    let threshold = query_f64(req, "threshold", 0.7)?;
+    let threshold: f64 = query(req, "threshold", 0.7)?;
     let kind = req.query_param("kind").unwrap_or("gamma");
     let stats = model.best_stats();
     let graphoid = match kind {
@@ -661,34 +649,24 @@ fn graphoid_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         }
     };
     let graph = &model.best().graph;
-    let mut body = String::from("{");
-    body.push_str(&format!(
-        "\"cluster\":{cluster},\"kind\":\"{kind}\",\"threshold\":"
-    ));
-    crate::json::write_json_f64(&mut body, threshold);
-    body.push_str(",\"nodes\":[");
-    for (i, n) in graphoid.nodes.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!("{}", n.index()));
-    }
-    body.push_str("],\"edges\":[");
-    for (i, e) in graphoid.edges.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let (s, t) = graph.endpoints(*e);
-        body.push_str(&format!(
-            "{{\"src\":{},\"dst\":{},\"weight\":",
-            s.index(),
-            t.index()
-        ));
-        crate::json::write_json_f64(&mut body, *graph.edge(*e));
-        body.push('}');
-    }
-    body.push_str("]}");
-    Ok(Response::json(200, body))
+    Ok(Response::json_object(200, |w| {
+        w.field("cluster", cluster)
+            .field("kind", kind)
+            .field("threshold", threshold)
+            .key("nodes")
+            .array(&graphoid.nodes, |w, n| {
+                w.value(n.index());
+            })
+            .key("edges")
+            .array(&graphoid.edges, |w, &e| {
+                let (s, t) = graph.endpoints(e);
+                w.object(|w| {
+                    w.field("src", s.index())
+                        .field("dst", t.index())
+                        .field("weight", *graph.edge(e));
+                });
+            });
+    }))
 }
 
 /// Hard ceiling on the SVG element count any single render may cost the
@@ -730,8 +708,7 @@ fn render_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
                 Some(s) => LayoutEngine::parse(s)
                     .ok_or_else(|| Response::error(400, &format!("unknown layout engine {s:?}")))?,
             };
-            let budget =
-                query_usize(req, "budget", DEFAULT_RENDER_BUDGET)?.clamp(1, MAX_RENDER_ELEMENTS);
+            let budget = query(req, "budget", DEFAULT_RENDER_BUDGET)?.clamp(1, MAX_RENDER_ELEMENTS);
             // Admission control: an explicit detail level states its cost
             // up front; refuse before spending any layout time on it.
             let g = &model.best().graph;
@@ -775,10 +752,7 @@ fn render_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
             let frame = GraphFrame::with_auto_thresholds(model);
             for &n in frame.exploration_order().iter().take(5) {
                 let pattern = &layer.graph.node(tsgraph::NodeId(n as u32)).pattern;
-                text.push_str(&format!(
-                    "node {n:>3} {}\n",
-                    graphint::ascii::sparkline(pattern)
-                ));
+                let _ = writeln!(text, "node {n:>3} {}", graphint::ascii::sparkline(pattern));
             }
             Ok(Response::text(200, text))
         }
@@ -793,68 +767,29 @@ fn render_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
 // Streaming ingest
 // ---------------------------------------------------------------------------
 
-/// Ingest body: `{"series": 0, "points": [...]}` selects the series
-/// in-band; a bare JSON array or a CSV row carries points only and the
-/// series index comes from `?series=` (default 0).
-///
-/// Every point must pass [`check_magnitudes`] (422 otherwise). The check
-/// runs before the WAL sees the record, so a journaled record is always
-/// one the session can apply on replay.
-fn parse_ingest(req: &Request) -> Result<(Option<usize>, Vec<f64>), Response> {
-    let text = body_str(req)?;
-    let (index, points) = if is_json_body(req) {
-        let v = Json::parse(text).map_err(|e| Response::error(400, &e))?;
-        if let Some(points) = v.get("points") {
-            let index = match v.get("series") {
-                None => None,
-                Some(s) => Some(
-                    s.as_f64()
-                        .filter(|f| f.fract() == 0.0 && *f >= 0.0)
-                        .ok_or_else(|| {
-                            Response::error(400, "series must be a non-negative integer")
-                        })? as usize,
-                ),
-            };
-            let points = points.to_f64s().map_err(|e| Response::error(400, &e))?;
-            (index, points)
-        } else {
-            let arr = v.get("series").unwrap_or(&v);
-            (None, arr.to_f64s().map_err(|e| Response::error(400, &e))?)
-        }
-    } else {
-        (
-            None,
-            parse_csv_row(text).map_err(|e| Response::error(400, &e))?,
-        )
-    };
-    if points.is_empty() {
-        return Err(Response::error(400, "empty points"));
-    }
-    check_magnitudes(&points, "ingested points")?;
-    Ok((index, points))
-}
-
 /// `POST /models/{name}/ingest?series=` — appends points to an open
-/// series of the model's streaming session. New complete windows are
-/// routed through the stored embeddings and buffered as transition
-/// triples; the session's refresh cadence rescores against the merged
-/// base+delta view, and its compaction cadence publishes a fresh base CSR
-/// back into the store. Readers are never blocked: they keep scoring
-/// whatever `Arc` snapshot they hold.
+/// series of the model's streaming session: the series a body names
+/// in-band ([`decode_body`]), else `?series=` (default 0). New complete
+/// windows are routed through the stored embeddings and buffered as
+/// transition triples; the session's refresh cadence rescores against
+/// the merged base+delta view, and its compaction cadence publishes a
+/// fresh base CSR back into the store. Readers are never blocked: they
+/// keep scoring whatever `Arc` snapshot they hold.
 fn ingest_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let model = c.model()?;
     let (req, ctx, name) = (c.req, c.ctx, c.name);
-    let (body_index, points) = parse_ingest(req)?;
+    let (rows, body_index) = decode_body(req, Body::Ingest)?;
+    let points = &rows[0];
     let index = match body_index {
         Some(i) => i,
-        None => query_usize(req, "series", 0)?,
+        None => query(req, "series", 0)?,
     };
     let session = ctx.sessions.session_for(name, &model);
     let mut guard = lock(&session);
     // Journal only into a session over the model the name serves.
     let served = c.reader.get(name);
     let serves = matches!(&served, Some(m) if Arc::ptr_eq(m, guard.model()));
-    let answer = serves.then(|| append_journaled(ctx, name, &mut guard, index, &points));
+    let answer = serves.then(|| append_journaled(ctx, name, &mut guard, index, points));
     if let Some(served) = served.filter(|_| !serves && guard.open_series() == 0) {
         // An empty session opened over an `Arc` read before a re-fit takes
         // the re-fit, so no two writers both holding it retry forever.
@@ -933,64 +868,44 @@ fn append_journaled(
     // the pair is a consistent point-in-time image).
     ctx.durability
         .after_append(name, session, outcome.refreshed);
-    let body = format!(
-        "{{\"series\":{index},\"appended\":{},\"new_windows\":{},\
-         \"refreshed\":{},\"compacted\":{}}}",
-        points.len(),
-        outcome.new_windows,
-        outcome.refreshed,
-        compacted.is_some()
-    );
-    Ok(Response::json(200, body))
-}
-
-fn stream_status_json(status: &StreamStatus) -> String {
-    let mut body = String::from("{\"active\":true,");
-    body.push_str(&format!(
-        "\"points_total\":{},\"points_pending\":{},\"refreshes\":{},\
-         \"compactions\":{},\"pending_triples\":{},\"delta_edges\":{},",
-        status.points_total,
-        status.points_pending,
-        status.refreshes,
-        status.compactions,
-        status.pending_triples,
-        status.delta_edges
-    ));
-    body.push_str("\"series\":[");
-    for (i, s) in status.series.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"index\":{},\"points\":{},\"windows\":{},\"mean_score\":",
-            s.index, s.points, s.windows
-        ));
-        match s.mean_score {
-            Some(v) => crate::json::write_json_f64(&mut body, v),
-            None => body.push_str("null"),
-        }
-        body.push_str(",\"max_score\":");
-        match s.max_score {
-            Some(v) => crate::json::write_json_f64(&mut body, v),
-            None => body.push_str("null"),
-        }
-        body.push('}');
-    }
-    body.push_str("]}");
-    body
+    Ok(Response::json_object(200, |w| {
+        w.field("series", index)
+            .field("appended", points.len())
+            .field("new_windows", outcome.new_windows)
+            .field("refreshed", outcome.refreshed)
+            .field("compacted", compacted.is_some());
+    }))
 }
 
 /// `GET /models/{name}/stream-status` — the model's streaming-session
-/// summary, or `{"active":false}` when nothing has been ingested yet.
+/// summary, or `{"active":false,"series":[]}` when nothing has been
+/// ingested yet.
 fn stream_status_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     c.model()?;
-    Ok(match c.ctx.sessions.get(c.name) {
-        None => Response::json(200, "{\"active\":false,\"series\":[]}".to_string()),
-        Some(session) => {
-            let status = lock(&session).status();
-            Response::json(200, stream_status_json(&status))
-        }
-    })
+    let status = c.ctx.sessions.get(c.name).map(|s| lock(&s).status());
+    Ok(Response::json_object(200, |w| {
+        let Some(status) = &status else {
+            w.field("active", false).field("series", &[] as &[u64]);
+            return;
+        };
+        w.field("active", true)
+            .field("points_total", status.points_total)
+            .field("points_pending", status.points_pending)
+            .field("refreshes", status.refreshes)
+            .field("compactions", status.compactions)
+            .field("pending_triples", status.pending_triples)
+            .field("delta_edges", status.delta_edges)
+            .key("series")
+            .array(&status.series, |w, s| {
+                w.object(|w| {
+                    w.field("index", s.index)
+                        .field("points", s.points)
+                        .field("windows", s.windows)
+                        .field("mean_score", s.mean_score)
+                        .field("max_score", s.max_score);
+                });
+            });
+    }))
 }
 
 /// `GET /metrics` — one `graphserve_<name> <value>` line per counter:
@@ -1048,10 +963,11 @@ fn metrics_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
 /// integration tests can exercise admission control on demand. Served
 /// only with [`ServerConfig::debug_routes`](crate::ServerConfig::debug_routes).
 fn debug_sleep(c: &mut Call<'_, '_>) -> Result<Response, Response> {
-    let ms = query_usize(c.req, "ms", 50)?;
-    let ms = (ms as u64).min(MAX_SLEEP_MS);
+    let ms = query(c.req, "ms", 50u64)?.min(MAX_SLEEP_MS);
     std::thread::sleep(std::time::Duration::from_millis(ms));
-    Ok(Response::json(200, format!("{{\"slept_ms\":{ms}}}")))
+    Ok(Response::json_object(200, |w| {
+        w.field("slept_ms", ms);
+    }))
 }
 
 /// `GET /debug/panic` — panics inside the handler; exists so the
@@ -1061,6 +977,10 @@ fn debug_sleep(c: &mut Call<'_, '_>) -> Result<Response, Response> {
 fn debug_panic(_: &mut Call<'_, '_>) -> Result<Response, Response> {
     panic!("deliberate panic from the debug panic route")
 }
+
+// The tests build request bodies with it.
+#[cfg(test)]
+use crate::json::f64s_to_json;
 
 #[cfg(test)]
 mod tests {

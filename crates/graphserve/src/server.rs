@@ -32,7 +32,7 @@
 //! ones are refused.
 
 use crate::durability::Durability;
-use crate::http::{HttpError, Request, Response, RETRY_AFTER_SECS};
+use crate::http::{HttpError, Request, Response, MAX_BODY_BYTES, RETRY_AFTER_SECS, SOCKET_TIMEOUT};
 use crate::lock;
 use crate::routes::{self, RouteContext};
 use crate::store::ModelStore;
@@ -56,12 +56,6 @@ pub struct ServerConfig {
     /// Admission-queue capacity (min 1); connections beyond it get a
     /// fast 503.
     pub queue_capacity: usize,
-    /// Socket read timeout per request.
-    pub read_timeout: Duration,
-    /// Socket write timeout per response.
-    pub write_timeout: Duration,
-    /// Largest accepted request body.
-    pub max_body_bytes: usize,
     /// Cadences of the streaming ingest sessions opened by
     /// `POST /models/{name}/ingest`.
     pub stream: StreamConfig,
@@ -77,9 +71,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
             queue_capacity: 64,
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_body_bytes: 8 * 1024 * 1024,
             stream: StreamConfig::default(),
             debug_routes: false,
         }
@@ -333,9 +324,9 @@ fn worker_loop(
         durability,
     };
     while let Some(mut stream) = admission.next() {
-        let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-        let _ = stream.set_write_timeout(Some(cfg.write_timeout));
-        let read = Request::read_from(&mut stream, cfg.max_body_bytes);
+        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+        let read = Request::read_from(&mut stream, MAX_BODY_BYTES);
         let response = match &read {
             // A handler panic costs its own request a 500, never the worker.
             Ok(request) => catch_unwind(AssertUnwindSafe(|| {

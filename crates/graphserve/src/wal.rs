@@ -44,8 +44,8 @@ pub const WAL_MAGIC: &[u8; 4] = b"KGW1";
 pub const WAL_HEADER_LEN: u64 = 12;
 
 /// Hard cap on one record's payload — an ingest body is already bounded
-/// by the server's `max_body_bytes`, so anything larger is corruption,
-/// not data.
+/// by the server's `http::MAX_BODY_BYTES`, so anything larger is
+/// corruption, not data.
 const MAX_RECORD_LEN: u32 = 64 << 20;
 
 /// One logged ingest.

@@ -13,12 +13,11 @@
 //! There is one scorer, in two steps: [`routed_gaps`] routes each window
 //! of a series through the layer's embedding to its node and its
 //! embedding gap ([`window_gap`]), and [`scores_from_route`] scores that
-//! route against a graph. [`anomaly_scores`] runs both over the layer's
-//! own graph; [`anomaly_scores_against`] reads any graph over the layer's
-//! node set, which is how a streaming session scores against the layer's
-//! graph compacted with the transitions it has buffered since the fit. A
-//! session keeps each series' route as it grows, so it calls
-//! [`scores_from_route`] alone.
+//! route against a graph over the layer's node set. [`anomaly_scores`]
+//! runs both against the layer's own graph. A streaming session keeps
+//! each series' route as it grows and scores it with [`scores_from_route`]
+//! alone, against the layer's graph compacted with the transitions it has
+//! buffered since the fit.
 
 use crate::build::{GraphLayer, LayerEmbedding, PatternGraph};
 use tscore::error::TsError;
@@ -108,31 +107,6 @@ pub fn anomaly_scores(
     values: &[f64],
     context: usize,
 ) -> Result<Vec<f64>, TsError> {
-    anomaly_scores_against(layer, &layer.graph, values, context)
-}
-
-/// [`anomaly_scores`] with transition rarity read from `graph` instead of
-/// `layer.graph`; windows are still routed through `layer`'s embedding.
-/// `graph` must have the layer's node set, for example the layer's graph
-/// compacted with a stream delta ([`tsgraph::DeltaGraph::compact`]).
-///
-/// # Errors
-///
-/// Those of [`anomaly_scores`], plus [`TsError::InvalidParameter`] when
-/// `graph` and the layer's graph differ in node count.
-pub fn anomaly_scores_against(
-    layer: &GraphLayer,
-    graph: &PatternGraph,
-    values: &[f64],
-    context: usize,
-) -> Result<Vec<f64>, TsError> {
-    if graph.node_count() != layer.graph.node_count() {
-        return Err(TsError::InvalidParameter(format!(
-            "graph has {} nodes, the layer {}",
-            graph.node_count(),
-            layer.graph.node_count()
-        )));
-    }
     layer.check_routable()?;
     if values.len() < layer.length {
         return Err(TsError::TooShort {
@@ -141,16 +115,18 @@ pub fn anomaly_scores_against(
         });
     }
     let (path, gaps) = routed_gaps(&layer.embedding, values, 0);
-    Ok(scores_from_route(graph, &path, &gaps, context))
+    Ok(scores_from_route(&layer.graph, &path, &gaps, context))
 }
 
 /// Scores a routed series against `graph`: the [`transition_scores`] of
 /// `path` blended with its per-window `gaps` (equal weights) and smoothed
 /// with a centred moving average of width `context` (≥ 1). Transition `i`
 /// sits between windows `i` and `i+1` and is attributed to window `i` (the
-/// last window keeps only its gap evidence). Given the path and gaps of
-/// [`routed_gaps`], this is exactly [`anomaly_scores_against`]'s
-/// arithmetic.
+/// last window keeps only its gap evidence). `graph` must have the
+/// layer's node set, for example the layer's graph compacted with a stream
+/// delta ([`tsgraph::DeltaGraph::compact`]). Given the path and gaps of
+/// [`routed_gaps`] and the layer's own graph, this is exactly
+/// [`anomaly_scores`]'s arithmetic.
 pub fn scores_from_route(
     graph: &PatternGraph,
     path: &[NodeId],
@@ -327,7 +303,8 @@ mod tests {
             *v = 2.5;
         }
         let before = anomaly_scores(layer, &values, 1).unwrap();
-        let path = layer.assign_path(&values).unwrap();
+        let (path, gaps) = routed_gaps(&layer.embedding, &values, 0);
+        assert_eq!(scores_from_route(&layer.graph, &path, &gaps, 1), before);
         let mut delta = tsgraph::DeltaGraph::new(layer.graph.node_count());
         let triples: Vec<_> = path
             .windows(2)
@@ -336,21 +313,13 @@ mod tests {
             .collect();
         delta.ingest(triples, |a, w| *a += w);
         let seen = delta.compact(&layer.graph, |a, w| *a += w);
-        let after = anomaly_scores_against(layer, &seen, &values, 1).unwrap();
+        let after = scores_from_route(&seen, &path, &gaps, 1);
         let mean_before = tscore::stats::mean(&before);
         let mean_after = tscore::stats::mean(&after);
         assert!(
             mean_after < mean_before,
             "observed transitions must lower rarity: {mean_after} vs {mean_before}"
         );
-        // A graph over another node set is refused, not indexed out of
-        // bounds.
-        let small: PatternGraph = tsgraph::GraphBuilder::new()
-            .build(vec![layer.graph.node(NodeId(0)).clone()], |a, w| *a += w);
-        assert!(matches!(
-            anomaly_scores_against(layer, &small, &values, 1),
-            Err(TsError::InvalidParameter(_))
-        ));
     }
 
     #[test]

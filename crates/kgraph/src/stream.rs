@@ -14,9 +14,9 @@
 //! returns, appended window by window, equals the route of the whole
 //! series. A session keeps it and rescores with
 //! [`scores_from_route`](crate::anomaly::scores_from_route) against the
-//! base compacted with its delta, which gives the batch scorer's
-//! ([`anomaly_scores_against`](crate::anomaly::anomaly_scores_against))
-//! scores without re-routing any window. The owning session type lives in
+//! base compacted with its delta, which gives the scores of routing the
+//! whole series afresh ([`routed_gaps`]) and scoring that route against
+//! the same graph, without re-routing any window. The owning session type lives in
 //! the `streamfit` crate; this module is the model-side arithmetic it
 //! builds on.
 

@@ -17,10 +17,10 @@
 //!    compacted into a temporary graph, and every open series' stored
 //!    route is rescored against it
 //!    ([`kgraph::anomaly::scores_from_route`]). No window is routed
-//!    again: the scores are bit-identical to the batch scorer's
-//!    ([`kgraph::anomaly::anomaly_scores_against`]) over the whole
-//!    series, since a window's node and gap depend only on its values and
-//!    the fixed embedding. No refit, no locks on the read path.
+//!    again: the scores are bit-identical to routing the whole series
+//!    afresh ([`kgraph::anomaly::routed_gaps`]) and scoring that route
+//!    against the same graph, since a window's node and gap depend only on
+//!    its values and the fixed embedding. No refit, no locks on the read path.
 //! 3. **Compact** — every [`StreamConfig::compact_every`] refreshes the
 //!    delta merges into a fresh base CSR
 //!    ([`tsgraph::DeltaGraph::compact`], bit-identical to a from-scratch
