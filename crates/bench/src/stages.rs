@@ -154,8 +154,6 @@ impl ScaleFixture {
         }
         let nodes: Vec<NodePattern> = (0..n)
             .map(|i| NodePattern {
-                sector: i,
-                radius: 0.5,
                 count: 1 + (i * 7) % 23,
                 pattern: Vec::new(),
             })

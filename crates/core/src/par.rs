@@ -1,8 +1,10 @@
 //! Scoped fan-out: one order-preserving parallel map over a slice.
 //!
-//! Every data-parallel loop in the workspace — k-Graph's per-length jobs,
-//! feature rows, batch requests — goes through
-//! [`par_map`], so the pool policy is decided in one place.
+//! Shipped code fans out in one place: k-Graph's per-length jobs
+//! (`KGraph::fit`, one job per subsequence length). Everything inside a job
+//! runs on the job's own thread, so fan-outs never nest. The query server's
+//! parallelism is its worker pool: each request, a batch included, runs on
+//! one worker.
 
 use std::thread;
 

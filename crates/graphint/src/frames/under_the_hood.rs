@@ -27,7 +27,6 @@ impl<'a> UnderTheHoodFrame<'a> {
     /// 4.1 — length-selection chart: `Wc(ℓ)`, `We(ℓ)` and `Wc·We`, with a
     /// marker at the selected ℓ̄.
     pub fn render_length_selection(&self) -> String {
-        let lengths: Vec<f64> = self.model.scores.iter().map(|s| s.length as f64).collect();
         let wc: Vec<(f64, f64)> = self
             .model
             .scores
@@ -68,7 +67,6 @@ impl<'a> UnderTheHoodFrame<'a> {
             width: 2.0,
         });
         let best = self.model.best_length() as f64;
-        let _ = lengths; // lengths used implicitly through the series
         chart
             .vlines
             .push((best, format!("selected ℓ = {}", self.model.best_length())));

@@ -62,8 +62,6 @@ fn synthetic(n: usize, k: usize, extra: usize, seed: u64) -> (PatternGraph, Clus
     }
     let nodes: Vec<NodePattern> = (0..n)
         .map(|i| NodePattern {
-            sector: i,
-            radius: 0.5,
             count: 1 + (i * 7) % 23,
             pattern: Vec::new(),
         })

@@ -17,9 +17,9 @@
 //!   timeouts and a drain-then-exit graceful shutdown.
 //! - [`routes`] — `score` / `features` / `predict` / `graphoid` /
 //!   `render` / `batch` endpoints speaking JSON (and CSV on request);
-//!   the batch endpoint fans rows over a bounded in-process pool using
-//!   the same per-series code as the single endpoints, so results are
-//!   bit-identical. Streaming ingest (`POST /models/{name}/ingest`,
+//!   the batch endpoint runs its rows in order on the request's worker,
+//!   through the same per-series code as the single endpoints, so results
+//!   are bit-identical. Streaming ingest (`POST /models/{name}/ingest`,
 //!   `GET /models/{name}/stream-status`) appends points to a
 //!   [`streamfit::StreamSession`] and publishes compacted models back
 //!   into the store; `GET /metrics` exposes the shared counters as

@@ -39,7 +39,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use streamfit::{SessionRegistry, StreamSession};
 use tscore::error::TsError;
-use tscore::par::par_map;
 use tscore::{Dataset, DatasetKind, TimeSeries};
 use tsgraph::layout::LayoutEngine;
 
@@ -596,9 +595,9 @@ fn series_endpoint(c: &mut Call<'_, '_>, op: Op) -> Result<Response, Response> {
 }
 
 /// `POST /models/{name}/batch?op=score|features|predict&context=` — many
-/// series in one request, fanned out through [`par_map`]. Per-row
-/// failures do not fail the batch: each result slot is either the row's
-/// payload or an `{"error": …}` object.
+/// series in one request, run in order on the request's worker.
+/// Per-row failures do not fail the batch: each result slot is either the
+/// row's payload or an `{"error": …}` object.
 fn batch_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let model = c.model()?;
     let (rows, _) = decode_body(c.req, Body::Batch)?;
@@ -607,9 +606,9 @@ fn batch_endpoint(c: &mut Call<'_, '_>) -> Result<Response, Response> {
     let op =
         Op::parse(op).ok_or_else(|| Response::error(400, &format!("unknown batch op {op:?}")))?;
 
-    // `par_map` keeps row order, so the response is bit-identical to
-    // issuing the rows as individual requests in order.
-    let results = par_map(&rows, |values| op.run(&model, values, context));
+    // Each row runs through `Op::run`, so the response is bit-identical
+    // to issuing the rows as individual requests in order.
+    let results = rows.iter().map(|values| op.run(&model, values, context));
 
     Ok(Response::json_object(200, |w| {
         w.key("results").array(results, |w, result| {

@@ -25,10 +25,6 @@ use tsgraph::{CsrGraph, GraphBuilder, NodeId};
 /// Payload of a graph node.
 #[derive(Debug, Clone)]
 pub struct NodePattern {
-    /// Radial-scan sector the node came from.
-    pub sector: usize,
-    /// Radial position of the density mode.
-    pub radius: f64,
     /// Number of subsequences mapped to this node.
     pub count: usize,
     /// Mean z-normalised subsequence of the node (length ℓ) — the pattern
@@ -178,16 +174,11 @@ pub fn build_graph_with_stride(
     stride: usize,
 ) -> GraphLayer {
     // Node payloads first (graph node id i == radial-scan node i).
-    let mut payloads: Vec<NodePattern> = assign
-        .nodes
-        .iter()
-        .map(|n| NodePattern {
-            sector: n.sector,
-            radius: n.radius,
-            count: 0,
-            pattern: vec![0.0; proj.length],
-        })
-        .collect();
+    let empty = NodePattern {
+        count: 0,
+        pattern: vec![0.0; proj.length],
+    };
+    let mut payloads = vec![empty; assign.nodes.len()];
 
     // One pass over every window, series by series in temporal order, with
     // one reused z-norm scratch: the window joins its node's pattern sum

@@ -16,19 +16,12 @@
 use crate::build::GraphLayer;
 use clustering::count_kmeans::CountRow;
 use clustering::kmeans::KMeans;
-use tscore::par::par_map;
 use tsgraph::NodeId;
-
-/// Rows below this count are featurised serially — spawning threads costs
-/// more than the crossing counts for small datasets (and `KGraph::fit`
-/// already runs one job per length, so small layers arrive here from
-/// within a worker).
-const PARALLEL_ROW_THRESHOLD: usize = 64;
 
 /// Calls `count` with the feature column of every crossing of `path`:
 /// node `i` is column `i`, edge `e` is column `e` after the node block
 /// (either block can be disabled for ablations).
-fn for_each_crossing(
+pub(crate) fn for_each_crossing(
     layer: &GraphLayer,
     path: &[NodeId],
     node_features: bool,
@@ -78,30 +71,6 @@ pub fn feature_row(
     row
 }
 
-/// Maps `f` over `paths`, fanning out through [`par_map`] from
-/// [`PARALLEL_ROW_THRESHOLD`] paths on. Output order is the input order.
-fn map_paths<R: Send>(paths: &[Vec<NodeId>], f: impl Fn(&Vec<NodeId>) -> R + Sync) -> Vec<R> {
-    if paths.len() < PARALLEL_ROW_THRESHOLD {
-        return paths.iter().map(f).collect();
-    }
-    par_map(paths, f)
-}
-
-/// Featurises an arbitrary set of node paths against `layer`'s graph.
-///
-/// Rows are per-path independent, so large inputs fan out through
-/// [`par_map`]. Output order and values are identical to the serial loop.
-pub fn feature_rows_for_paths(
-    layer: &GraphLayer,
-    paths: &[Vec<NodeId>],
-    node_features: bool,
-    edge_features: bool,
-) -> Vec<Vec<f64>> {
-    map_paths(paths, |path| {
-        feature_row(layer, path, node_features, edge_features)
-    })
-}
-
 /// Builds the feature matrix of a layer: row `i` is
 /// [`feature_row`] of series `i`'s fit-time path.
 pub fn feature_matrix(
@@ -109,7 +78,11 @@ pub fn feature_matrix(
     node_features: bool,
     edge_features: bool,
 ) -> Vec<Vec<f64>> {
-    feature_rows_for_paths(layer, &layer.paths, node_features, edge_features)
+    layer
+        .paths
+        .iter()
+        .map(|path| feature_row(layer, path, node_features, edge_features))
+        .collect()
 }
 
 /// Clusters a layer's crossing counts with k-Means, returning `L_ℓ`.
@@ -129,13 +102,17 @@ pub fn cluster_layer(
     node_features: bool,
     edge_features: bool,
 ) -> Vec<usize> {
-    let rows = map_paths(&layer.paths, |path| {
-        let mut columns = Vec::with_capacity(2 * path.len());
-        for_each_crossing(layer, path, node_features, edge_features, |c| {
-            columns.push(u32::try_from(c).expect("a layer has under 2^32 nodes and edges"))
-        });
-        CountRow::tally(columns)
-    });
+    let rows: Vec<CountRow> = layer
+        .paths
+        .iter()
+        .map(|path| {
+            let mut columns = Vec::with_capacity(2 * path.len());
+            for_each_crossing(layer, path, node_features, edge_features, |c| {
+                columns.push(u32::try_from(c).expect("a layer has under 2^32 nodes and edges"))
+            });
+            CountRow::tally(columns)
+        })
+        .collect();
     KMeans {
         k,
         max_iter: 100,
@@ -225,22 +202,5 @@ mod tests {
     fn no_features_panics() {
         let (_, layer, _) = toy();
         feature_matrix(&layer, false, false);
-    }
-
-    #[test]
-    fn parallel_rows_match_serial() {
-        let (_, layer, _) = toy();
-        // Replicate the fit-time paths past the parallel threshold and
-        // check the fan-out produces exactly the serial rows, in order.
-        let mut many = Vec::new();
-        while many.len() < super::PARALLEL_ROW_THRESHOLD + 7 {
-            many.extend(layer.paths.iter().cloned());
-        }
-        let fanned = feature_rows_for_paths(&layer, &many, true, true);
-        let serial: Vec<Vec<f64>> = many
-            .iter()
-            .map(|p| feature_row(&layer, p, true, true))
-            .collect();
-        assert_eq!(fanned, serial);
     }
 }

@@ -12,6 +12,7 @@
 //! definitions apply to edges.
 
 use crate::build::GraphLayer;
+use crate::features::for_each_crossing;
 use tsgraph::{EdgeId, NodeId};
 
 /// Per-cluster crossing statistics of one layer's graph.
@@ -46,31 +47,24 @@ impl ClusterStats {
         // Dedup via generation-stamped scratch allocated once: a slot is
         // "seen in this series" iff its stamp equals the current
         // generation, so no per-series allocation or O(n+e) clearing.
-        let mut node_gen = vec![0u32; n_nodes];
-        let mut edge_gen = vec![0u32; n_edges];
+        // Slots are feature columns: node `c < n_nodes`, else edge
+        // `c - n_nodes`.
+        let mut seen = vec![0u32; n_nodes + n_edges];
         for (gen, (path, &label)) in layer.paths.iter().zip(labels).enumerate() {
             assert!(label < k, "label {label} out of range 0..{k}");
             cluster_sizes[label] += 1;
             let gen = gen as u32 + 1;
-            for node in path {
-                let slot = &mut node_gen[node.index()];
-                if *slot != gen {
-                    *slot = gen;
-                    node_crossings[label][node.index()] += 1;
+            let (nodes, edges) = (&mut node_crossings[label], &mut edge_crossings[label]);
+            for_each_crossing(layer, path, true, true, |c| {
+                if seen[c] == gen {
+                    return;
                 }
-            }
-            for w in path.windows(2) {
-                if w[0] == w[1] {
-                    continue;
+                seen[c] = gen;
+                match c.checked_sub(n_nodes) {
+                    None => nodes[c] += 1,
+                    Some(e) => edges[e] += 1,
                 }
-                if let Some(e) = layer.graph.edge_id(w[0], w[1]) {
-                    let slot = &mut edge_gen[e.index()];
-                    if *slot != gen {
-                        *slot = gen;
-                        edge_crossings[label][e.index()] += 1;
-                    }
-                }
-            }
+            });
         }
         ClusterStats {
             k,

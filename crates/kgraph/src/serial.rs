@@ -438,11 +438,13 @@ fn read_embedding(c: &mut Cursor) -> Result<LayerEmbedding, TsError> {
 
 fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
     put_u64(out, layer.length as u64);
-    // Node payloads in id order.
+    // Node payloads in id order; each leads with its node's sector and
+    // radius from the embedding.
     put_u64(out, layer.graph.node_count() as u64);
-    for (_, p) in layer.graph.nodes_iter() {
-        put_u64(out, p.sector as u64);
-        put_f64(out, p.radius);
+    for (id, p) in layer.graph.nodes_iter() {
+        let n = &layer.embedding.nodes[id.index()];
+        put_u64(out, n.sector as u64);
+        put_f64(out, n.radius);
         put_u64(out, p.count as u64);
         put_f64s(out, &p.pattern);
     }
@@ -505,9 +507,10 @@ fn read_layer(c: &mut Cursor, v2: bool, windows_left: &mut u64) -> Result<GraphL
     let n_nodes = c.len(8)?;
     let payloads = (0..n_nodes)
         .map(|_| {
+            // The node's sector and radius lead the payload; they are read
+            // and ignored, since the embedding holds them.
+            c.usize().and_then(|_| c.f64())?;
             Ok(NodePattern {
-                sector: c.usize()?,
-                radius: c.f64()?,
                 count: c.usize()?,
                 pattern: c.f64s()?,
             })
@@ -882,9 +885,7 @@ mod tests {
     fn with_paths(n_nodes: usize, paths: Vec<Vec<NodeId>>) -> KGraphModel {
         let length = 4;
         let payloads = (0..n_nodes)
-            .map(|i| NodePattern {
-                sector: i % 8,
-                radius: 1.0 + i as f64,
+            .map(|_| NodePattern {
                 count: 1,
                 pattern: vec![0.25; length],
             })

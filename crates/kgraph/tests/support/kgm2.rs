@@ -44,9 +44,10 @@ pub fn kgm2(model: &KGraphModel, slot: (u64, u64, &[f64])) -> Vec<u8> {
     for layer in &model.layers {
         put_u64(&mut out, layer.length as u64);
         put_u64(&mut out, layer.graph.node_count() as u64);
-        for (_, p) in layer.graph.nodes_iter() {
-            put_u64(&mut out, p.sector as u64);
-            put_f64(&mut out, p.radius);
+        for (id, p) in layer.graph.nodes_iter() {
+            let n = &layer.embedding.nodes[id.index()];
+            put_u64(&mut out, n.sector as u64);
+            put_f64(&mut out, n.radius);
             put_u64(&mut out, p.count as u64);
             put_f64s(&mut out, &p.pattern);
         }

@@ -96,7 +96,7 @@ fn main() {
         body.len()
     );
 
-    // 4. Batch: several series in one request, fanned over the pool.
+    // 4. Batch: several series in one request, answered in order.
     let batch_body = format!("[{series_body},{series_body},{series_body}]");
     let (status, body) = request(addr, "POST", "/models/cbf/batch?op=predict", &batch_body);
     println!("POST /models/cbf/batch   -> {status} {body}");
