@@ -145,7 +145,7 @@ impl DenseAe {
                 }
             }
         }
-        TrainedAe { w1, b1, w2, b2 }
+        TrainedAe { w1, b1 }
     }
 
     /// Trains, encodes and clusters the latent codes with k-Means.
@@ -156,13 +156,12 @@ impl DenseAe {
     }
 }
 
-/// Trained auto-encoder weights.
+/// The encoder weights of a trained auto-encoder; the decoder half is used
+/// in training only.
 #[derive(Debug, Clone)]
 pub struct TrainedAe {
     w1: Vec<Vec<f64>>,
     b1: Vec<f64>,
-    w2: Vec<Vec<f64>>,
-    b2: Vec<f64>,
 }
 
 impl TrainedAe {
@@ -172,15 +171,6 @@ impl TrainedAe {
             .iter()
             .zip(&self.b1)
             .map(|(row, b)| (dot(row, x) + b).tanh())
-            .collect()
-    }
-
-    /// Decodes a latent vector back to input space.
-    pub fn decode(&self, h: &[f64]) -> Vec<f64> {
-        self.w2
-            .iter()
-            .zip(&self.b2)
-            .map(|(row, b)| dot(row, h) + b)
             .collect()
     }
 }
@@ -310,14 +300,12 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_shapes() {
+    fn encode_shapes() {
         let (rows, _) = two_waveforms();
         let model = DenseAe::new(4, 1).train(&rows);
         let z = model.encode(&rows[0]);
         assert_eq!(z.len(), 4);
         assert!(z.iter().all(|v| v.is_finite() && v.abs() <= 1.0));
-        let xhat = model.decode(&z);
-        assert_eq!(xhat.len(), rows[0].len());
     }
 
     #[test]

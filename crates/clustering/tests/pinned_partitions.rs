@@ -2,9 +2,10 @@
 //!
 //! Each partition is reduced to the 64-bit FNV-1a hash of its labels (one
 //! little-endian `u64` per label); the k-Graph model also pins the length
-//! and hash of its `write_model` bytes (`KGM3`; the `KGM2` pin it
-//! replaced held for the same fit). The expected values were recorded
-//! from the hand-rolled distance and dot-product loops that
+//! and hash of its `write_model` bytes (`KGM4`, 16 bytes a node and one
+//! shorter than the `KGM3` pin it replaced, which replaced a `KGM2` pin;
+//! each held for the same fit). The expected values were recorded from
+//! the hand-rolled distance and dot-product loops that
 //! `tscore::kernel::{sq_dist, dot}` replaced, so any change to how a
 //! distance is summed that moves a single label or model byte fails here.
 
@@ -93,6 +94,6 @@ fn kgraph_fit_on_cbf_100_is_pinned() {
     let bytes = write_model(&model);
     assert_eq!(
         (labels_hash(&model.labels), bytes.len(), fnv1a(&bytes)),
-        (0x5428b05135b6d645, 336_873, 0x639d854436d8f184)
+        (0x5428b05135b6d645, 333_096, 0xfe5db57b7d6b75aa)
     );
 }

@@ -128,7 +128,7 @@ impl<'a> GraphFrame<'a> {
         let layer = self.model.best();
         let path = &layer.paths[series_idx];
         let len = layer.length;
-        let stride = self.model.config.stride;
+        let stride = layer.embedding.stride;
         path.iter()
             .enumerate()
             .filter(|(_, n)| n.index() == node)

@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! <state_dir>/<model>/
-//!     snap-<seq:016>.kgm   KGM3 model at sequence <seq>
+//!     snap-<seq:016>.kgm   KGM4 model at sequence <seq>
 //!     snap-<seq:016>.kgs   KGS1 session state at sequence <seq>
 //!     wal-<seq:016>.log    KGW1 journal of the records after <seq>
 //! ```
@@ -151,7 +151,7 @@ struct ModelDur {
     journal: u64,
     /// Session refresh count at the last snapshot (cadence anchor).
     refreshes_at_snapshot: u64,
-    /// The model of the newest snapshot and its `KGM3` encoding, which
+    /// The model of the newest snapshot and its `KGM4` encoding, which
     /// later snapshots of the same model write again instead of encoding
     /// it anew. A `Weak` keeps the allocation, so no later model can take
     /// its address.

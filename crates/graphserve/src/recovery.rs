@@ -3,19 +3,22 @@
 //!
 //! For every model directory under the state root, recovery
 //!
-//! 1. reads **every journal** (`wal-<seq>.log`, and the `wal.log` of the
-//!    previous layout); a torn or corrupt tail stops a journal cleanly at
-//!    its last valid record — normal crash semantics, not an error;
+//! 1. reads **every journal** (`wal-<seq>.log`); a torn or corrupt tail
+//!    stops a journal cleanly at its last valid record — normal crash
+//!    semantics, not an error;
 //! 2. restores the **newest valid snapshot pair** — a `snap-<seq>.kgm`
 //!    whose checksum verifies plus the `snap-<seq>.kgs` that restores over
-//!    it — falling back past corrupt or half-renamed pairs;
+//!    it — falling back past corrupt or half-renamed pairs. A model file
+//!    two format generations old (`KGM2` and before) is refused by name;
+//!    when no pair restores, the newest pair's error is the reason the
+//!    model failed;
 //! 3. **replays** the records past the snapshot in sequence order, up to
 //!    the first gap. They must reach the highest sequence number in the
 //!    directory — every skipped generation, journal and record — so a
 //!    fallback across a re-fit, whose first generation is numbered past
 //!    the old fit's last record, never passes;
 //! 4. **heals**: a fresh snapshot of the recovered state and its journal
-//!    retire torn tails, stale generations and a `wal.log`;
+//!    retire torn tails and stale generations;
 //! 5. **degrades instead of dying** when the records fall short (the
 //!    reason names the gap), a journal is not a journal at all, a record
 //!    that passed its checksum is refused by the model, or the heal cannot
@@ -50,10 +53,6 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use streamfit::{SessionRegistry, StreamSession};
-
-/// The single journal of the previous on-disk layout, read as one more
-/// journal and deleted once a healing snapshot holds its records.
-const LEGACY_JOURNAL: &str = "wal.log";
 
 /// What startup recovery did, for logs and tests.
 #[derive(Debug, Default)]
@@ -172,15 +171,11 @@ fn recover_model(
 
     // Every journal's valid records, and the highest sequence number the
     // directory holds.
-    let legacy = dir.join(LEGACY_JOURNAL);
-    let paths = journals(&entries)
-        .into_iter()
-        .map(|seq| (journal_file(dir, seq), seq))
-        .chain(entries.contains(&legacy).then(|| (legacy.clone(), 0)));
     let mut records = Vec::new();
     let mut unreadable = None;
     let mut last = 0;
-    for (path, named) in paths {
+    for named in journals(&entries) {
+        let path = journal_file(dir, named);
         let replay = fs
             .read(&path)
             .map_err(|e| e.to_string())
@@ -205,20 +200,22 @@ fn recover_model(
     last = last.max(seqs.last().copied().unwrap_or(0));
     durability.anchor(name, last);
 
-    // Try candidates newest-first until one decodes *and* restores.
+    // Try candidates newest-first until one decodes *and* restores; when
+    // none does, the newest one's error is the reason.
+    let mut newest_error = None;
     let chosen = seqs.iter().rev().find_map(|&seq| {
         load_snapshot(durability, dir, seq, sessions)
-            .map_err(|e| eprintln!("[recovery] {name}: snapshot {seq} unusable: {e}"))
+            .map_err(|e| {
+                eprintln!("[recovery] {name}: snapshot {seq} unusable: {e}");
+                newest_error.get_or_insert(format!("newest snapshot {seq} unusable: {e}"));
+            })
             .ok()
             .map(|session| (seq, session))
     });
     let Some((snap_seq, mut session)) = chosen else {
-        let reason = if seqs.is_empty() {
-            "no complete snapshot pair in state directory"
-        } else {
-            "every snapshot generation is corrupt"
-        };
-        report.failed.push((name.to_string(), reason.to_string()));
+        let reason = newest_error
+            .unwrap_or_else(|| "no complete snapshot pair in state directory".to_string());
+        report.failed.push((name.to_string(), reason));
         return;
     };
 
@@ -273,13 +270,6 @@ fn recover_model(
         // If that cannot be made durable the model serves read-only.
         None => durability.install_recovered(name, &session, end).err(),
     };
-    if degraded.is_none() && entries.contains(&legacy) {
-        // The healing snapshot holds every record of the old layout's
-        // journal.
-        if let Err(e) = fs.remove_file(&legacy) {
-            eprintln!("[recovery] removing {}: {e}", legacy.display());
-        }
-    }
     publish(store, sessions, name, model, None);
     sessions.install(name, session);
     match degraded {

@@ -5,7 +5,7 @@
 //! milliseconds. This module writes everything a fitted model holds — the
 //! per-length graph layers (node patterns + CSR edge triples), the stored
 //! embeddings (PCA, radial nodes), paths, partitions and scores — into a
-//! little-endian, length-prefixed binary format (`KGM3`).
+//! little-endian, length-prefixed binary format (`KGM4`).
 //!
 //! Graphs are stored as node payloads plus `(src, dst, weight)` edge
 //! triples and rebuilt through [`tsgraph::GraphBuilder`] at load time; the
@@ -18,8 +18,8 @@
 //!
 //! ## Path runs
 //!
-//! Consecutive windows of a series mostly stay on one node, so `KGM3`
-//! stores each training path as its window count followed by one
+//! Consecutive windows of a series mostly stay on one node, so a model
+//! file stores each training path as its window count followed by one
 //! `(node id, run length)` pair per run of one node, all unsigned LEB128
 //! varints ([`put_varint`], [`Cursor::varint`]). Before anything is
 //! allocated the reader refuses an overlong varint, a zero run, a run past
@@ -29,15 +29,15 @@
 //! writer refuses a model past the same bound ([`try_write_model`]), so no
 //! file it writes is one the reader would refuse.
 //!
-//! ## The previous generation, `KGM2`
+//! ## The previous generation, `KGM3`
 //!
-//! [`read_model`] still reads `KGM2`, for one format generation. It
-//! differs in two sections only: each path is a `u64` count and one `u64`
-//! per window, and a matrix slot (`u64 rows, u64 cols, rows·cols × f64`)
-//! between the labels and the scores once held the n × n consensus matrix,
-//! which the model now derives ([`KGraphModel::consensus`]). The reader
-//! skips whatever matrix it finds there, bounds-checked and without
-//! allocating. `KGM3` has no slot.
+//! [`read_model`] still reads `KGM3`, for one format generation. It holds
+//! two slots more: each node payload leads with the node's sector and
+//! radius (`u64`, `f64`), which the layer embedding also stores, and the
+//! config holds the byte of the retired `parallel` flag before the seed.
+//! The reader reads and drops both. A file of an older generation
+//! (`KGM1`, `KGM2`) is refused with a [`TsError::Parse`] that names its
+//! format.
 //!
 //! The format is deliberately dependency-free (no serde in the image) and
 //! versioned by magic: readers reject unknown magics with
@@ -68,10 +68,10 @@ use tsgraph::delta::DeltaGraph;
 use tsgraph::{GraphBuilder, NodeId};
 
 /// File magic of the current (checksummed) format version.
-const MAGIC: &[u8; 4] = b"KGM3";
+const MAGIC: &[u8; 4] = b"KGM4";
 
 /// Magic of the previous model format generation, still read.
-const MAGIC_V2: &[u8; 4] = b"KGM2";
+const MAGIC_V3: &[u8; 4] = b"KGM3";
 
 /// The most path windows one model file may declare over all its layers:
 /// 2^26 windows, 256 MiB of node ids. The largest fit this repository runs
@@ -334,12 +334,12 @@ fn put_config(out: &mut Vec<u8>, cfg: &KGraphConfig) {
     put_u64(out, cfg.n_init as u64);
     out.push(cfg.edge_features as u8);
     out.push(cfg.node_features as u8);
-    // Retired `parallel` flag, kept at its old default.
-    out.push(1);
     put_u64(out, cfg.seed);
 }
 
-fn read_config(c: &mut Cursor) -> Result<KGraphConfig, TsError> {
+/// Decodes the config; `v3` reads and drops the `KGM3` byte of the
+/// retired `parallel` flag.
+fn read_config(c: &mut Cursor, v3: bool) -> Result<KGraphConfig, TsError> {
     Ok(KGraphConfig {
         k: c.usize()?,
         lengths: c.usizes()?,
@@ -353,8 +353,11 @@ fn read_config(c: &mut Cursor) -> Result<KGraphConfig, TsError> {
         n_init: c.usize()?,
         edge_features: c.u8()? != 0,
         node_features: c.u8()? != 0,
-        // The retired `parallel` flag byte is read and ignored.
-        seed: c.u8().and_then(|_| c.u64())?,
+        seed: if v3 {
+            c.u8().and_then(|_| c.u64())?
+        } else {
+            c.u64()?
+        },
     })
 }
 
@@ -366,22 +369,13 @@ fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {
     }
 }
 
-/// Next matrix shape and its bounds-checked payload bytes, not yet decoded.
-fn matrix_bytes<'a>(c: &mut Cursor<'a>) -> Result<(usize, usize, &'a [u8]), TsError> {
-    let (rows, cols) = (c.usize()?, c.usize()?);
-    let bytes = rows
-        .checked_mul(cols)
-        .and_then(|n| n.checked_mul(8))
-        .ok_or_else(|| TsError::Parse(format!("matrix shape {rows}x{cols} overflows")))?;
-    Ok((rows, cols, c.take(bytes)?))
-}
-
 fn read_matrix(c: &mut Cursor) -> Result<Matrix, TsError> {
-    let (rows, cols, bytes) = matrix_bytes(c)?;
-    let mut m = Cursor::new(bytes);
-    let data = (0..rows * cols)
-        .map(|_| m.f64())
-        .collect::<Result<_, _>>()?;
+    let (rows, cols) = (c.usize()?, c.usize()?);
+    let n = rows
+        .checked_mul(cols)
+        .ok_or_else(|| TsError::Parse(format!("matrix shape {rows}x{cols} overflows")))?;
+    let n = c.fits(n as u64, 8)?;
+    let data = (0..n).map(|_| c.f64()).collect::<Result<_, _>>()?;
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
@@ -438,13 +432,9 @@ fn read_embedding(c: &mut Cursor) -> Result<LayerEmbedding, TsError> {
 
 fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
     put_u64(out, layer.length as u64);
-    // Node payloads in id order; each leads with its node's sector and
-    // radius from the embedding.
+    // Node payloads in id order.
     put_u64(out, layer.graph.node_count() as u64);
-    for (id, p) in layer.graph.nodes_iter() {
-        let n = &layer.embedding.nodes[id.index()];
-        put_u64(out, n.sector as u64);
-        put_f64(out, n.radius);
+    for (_, p) in layer.graph.nodes_iter() {
         put_u64(out, p.count as u64);
         put_f64s(out, &p.pattern);
     }
@@ -501,15 +491,16 @@ fn read_path(
     Ok(path)
 }
 
-/// Decodes one layer; `v2` selects the `KGM2` path layout.
-fn read_layer(c: &mut Cursor, v2: bool, windows_left: &mut u64) -> Result<GraphLayer, TsError> {
+/// Decodes one layer; `v3` reads and drops the sector and radius that
+/// lead each `KGM3` node payload.
+fn read_layer(c: &mut Cursor, v3: bool, windows_left: &mut u64) -> Result<GraphLayer, TsError> {
     let length = c.usize()?;
     let n_nodes = c.len(8)?;
     let payloads = (0..n_nodes)
         .map(|_| {
-            // The node's sector and radius lead the payload; they are read
-            // and ignored, since the embedding holds them.
-            c.usize().and_then(|_| c.f64())?;
+            if v3 {
+                c.usize().and_then(|_| c.f64())?;
+            }
             Ok(NodePattern {
                 count: c.usize()?,
                 pattern: c.f64s()?,
@@ -524,21 +515,11 @@ fn read_layer(c: &mut Cursor, v2: bool, windows_left: &mut u64) -> Result<GraphL
     // Stored edges are unique per (src, dst): the merge closure never
     // fires, and the builder's sort reproduces the fitted CSR exactly.
     let graph = builder.build(payloads, |acc, w| *acc += w);
-    let paths = if v2 {
-        let n_paths = c.len(8)?;
-        (0..n_paths)
-            .map(|_| {
-                let len = c.len(8)?;
-                (0..len).map(|_| c.node(n_nodes)).collect()
-            })
-            .collect::<Result<Vec<_>, TsError>>()?
-    } else {
-        let n_paths = c.varint()?;
-        let n_paths = c.fits(n_paths, 1)?;
-        (0..n_paths)
-            .map(|_| read_path(c, n_nodes, windows_left))
-            .collect::<Result<Vec<_>, TsError>>()?
-    };
+    let n_paths = c.varint()?;
+    let n_paths = c.fits(n_paths, 1)?;
+    let paths = (0..n_paths)
+        .map(|_| read_path(c, n_nodes, windows_left))
+        .collect::<Result<Vec<_>, TsError>>()?;
     let labels = c.usizes()?;
     let embedding = read_embedding(c)?;
     if embedding.nodes.len() != n_nodes || embedding.pca.mean().len() != length {
@@ -557,7 +538,7 @@ fn read_layer(c: &mut Cursor, v2: bool, windows_left: &mut u64) -> Result<GraphL
     })
 }
 
-/// Encodes a fitted model into the `KGM3` byte format (CRC-32 trailer
+/// Encodes a fitted model into the `KGM4` byte format (CRC-32 trailer
 /// over everything before it).
 ///
 /// # Panics
@@ -617,7 +598,7 @@ pub fn seal(mut out: Vec<u8>) -> Vec<u8> {
 /// Opens a blob written by [`seal`]: checks the 4-byte `magic`, verifies
 /// the CRC-32 trailer *before* anything is parsed and returns a cursor
 /// over the payload just past the magic. `kind` names the blob in errors
-/// (`"model"` reports e.g. "not a KGM3 model file" and "KGM3 model
+/// (`"model"` reports e.g. "not a KGM4 model file" and "KGM4 model
 /// checksum mismatch").
 pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'a>, TsError> {
     let found: &[u8] = bytes
@@ -650,12 +631,13 @@ pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'
     })
 }
 
-/// Decodes a model from `KGM3` bytes, or from `KGM2` bytes of the
+/// Decodes a model from `KGM4` bytes, or from `KGM3` bytes of the
 /// previous format generation.
 ///
 /// # Errors
 ///
-/// [`TsError::Parse`] on a wrong magic, a CRC-32 mismatch, truncation,
+/// [`TsError::Parse`] on a wrong magic (a file of an older generation is
+/// refused naming its format), a CRC-32 mismatch, truncation,
 /// or any internal inconsistency (edge/path references outside the node
 /// range, malformed path runs, PCA shape mismatches, out-of-range layer
 /// index).
@@ -665,14 +647,21 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
 
 /// [`read_model`] under a path-window bound of `max_windows`.
 fn decode_model(bytes: &[u8], max_windows: u64) -> Result<KGraphModel, TsError> {
-    let v2 = bytes.starts_with(MAGIC_V2);
-    let mut c = open(bytes, if v2 { MAGIC_V2 } else { MAGIC }, "model")?;
-    let config = read_config(&mut c)?;
-    let labels = c.usizes()?;
-    if v2 {
-        // The retired consensus slot, skipped without decoding.
-        matrix_bytes(&mut c)?;
+    // A generation older than the previous one is named, not misread.
+    if let [b'K', b'G', b'M', n @ b'0'..=b'9', ..] = *bytes {
+        if n < MAGIC_V3[3] {
+            return Err(TsError::Parse(format!(
+                "{} model files are no longer read: this build reads the magics {} and {}",
+                String::from_utf8_lossy(&bytes[..4]),
+                String::from_utf8_lossy(MAGIC),
+                String::from_utf8_lossy(MAGIC_V3),
+            )));
+        }
     }
+    let v3 = bytes.starts_with(MAGIC_V3);
+    let mut c = open(bytes, if v3 { MAGIC_V3 } else { MAGIC }, "model")?;
+    let config = read_config(&mut c, v3)?;
+    let labels = c.usizes()?;
     let n_scores = c.len(24)?;
     let scores = (0..n_scores)
         .map(|_| {
@@ -687,7 +676,7 @@ fn decode_model(bytes: &[u8], max_windows: u64) -> Result<KGraphModel, TsError> 
     let n_layers = c.len(8)?;
     let mut windows_left = max_windows;
     let layers = (0..n_layers)
-        .map(|_| read_layer(&mut c, v2, &mut windows_left))
+        .map(|_| read_layer(&mut c, v3, &mut windows_left))
         .collect::<Result<Vec<_>, TsError>>()?;
     if best_layer >= layers.len() {
         return Err(TsError::Parse(format!(
@@ -706,36 +695,39 @@ pub fn load_model(path: &Path) -> Result<KGraphModel, TsError> {
     read_model(&bytes)
 }
 
-/// Encodes streaming delta state (`KGD1`): a list of [`DeltaGraph`]s,
-/// CRC-32 trailer included. A streaming session writes one, its best
-/// layer's (the previous generation wrote one per graph layer), so it can
+/// Encodes streaming delta state (`KGD1`): a streaming session's one
+/// [`DeltaGraph`], its best layer's, CRC-32 trailer included, so it can
 /// persist its un-compacted transitions across restarts without touching
-/// the (much larger) base model file.
-pub fn write_delta_state(deltas: &[DeltaGraph<f64>]) -> Vec<u8> {
+/// the (much larger) base model file. The blob leads with a delta count,
+/// always 1.
+pub fn write_delta_state(delta: &DeltaGraph<f64>) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(DELTA_MAGIC);
-    put_u64(&mut out, deltas.len() as u64);
-    for d in deltas {
-        put_u64(&mut out, d.node_count() as u64);
-        put_triples(&mut out, d.iter().map(|(s, t, &w)| (s, t, w)));
-    }
+    put_u64(&mut out, 1);
+    put_u64(&mut out, delta.node_count() as u64);
+    put_triples(&mut out, delta.iter().map(|(s, t, &w)| (s, t, w)));
     seal(out)
 }
 
 /// Decodes `KGD1` delta state. The aggregated edges round-trip exactly.
-pub fn read_delta_state(bytes: &[u8]) -> Result<Vec<DeltaGraph<f64>>, TsError> {
+/// A count other than 1 is refused: a list of one delta per graph layer
+/// is the layout of the generation before `KGM3`.
+pub fn read_delta_state(bytes: &[u8]) -> Result<DeltaGraph<f64>, TsError> {
     let mut c = open(bytes, DELTA_MAGIC, "delta")?;
-    let n_layers = c.len(16)?;
-    let mut deltas = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
-        let nodes = c.usize()?;
-        let triples = c.triples(nodes)?;
-        let mut delta = DeltaGraph::new(nodes);
-        delta.ingest(triples, |acc, w| *acc += w);
-        deltas.push(delta);
+    let count = c.u64()?;
+    if count != 1 {
+        return Err(TsError::Parse(format!(
+            "delta state holds {count} deltas, not 1: a per-layer state, \
+             as written before {}, is no longer read",
+            String::from_utf8_lossy(MAGIC_V3)
+        )));
     }
+    let nodes = c.usize()?;
+    let triples = c.triples(nodes)?;
+    let mut delta = DeltaGraph::new(nodes);
+    delta.ingest(triples, |acc, w| *acc += w);
     c.finish("delta state")?;
-    Ok(deltas)
+    Ok(delta)
 }
 
 /// Approximate heap footprint of a fitted model in bytes — the currency of
@@ -855,6 +847,22 @@ mod tests {
         let mut v1 = bytes[..bytes.len() - 4].to_vec();
         v1[..4].copy_from_slice(b"KGM1");
         assert!(matches!(read_model(&v1), Err(TsError::Parse(_))));
+        // A file of an older generation is refused on its magic, before
+        // its checksum, with a message that names it and the two formats
+        // that are read.
+        for old in [&b"KGM1"[..], b"KGM2"] {
+            let mut body = bytes[..bytes.len() - 4].to_vec();
+            body[..4].copy_from_slice(old);
+            match read_model(&seal(body)) {
+                Err(TsError::Parse(msg)) => {
+                    let name = std::str::from_utf8(old).unwrap();
+                    assert!(msg.contains(&format!("{name} model files")), "{msg}");
+                    assert!(msg.contains("KGM4 and KGM3"), "{msg}");
+                    assert!(msg.contains("magic"), "{msg}");
+                }
+                other => panic!("{old:?} must be refused, got {other:?}"),
+            }
+        }
         // Every cut and bit flip of all three checksummed formats is swept
         // in `streamfit/tests/corruption_sweep.rs`.
     }
@@ -1028,18 +1036,35 @@ mod tests {
             ],
             |acc, w| *acc += w,
         );
-        let b: DeltaGraph<f64> = DeltaGraph::new(3);
-        let bytes = write_delta_state(&[a.clone(), b]);
+        let bytes = write_delta_state(&a);
         let loaded = read_delta_state(&bytes).expect("round trip");
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].node_count(), 5);
-        let edges: Vec<_> = loaded[0].iter().map(|(s, t, &w)| (s, t, w)).collect();
+        assert_eq!(loaded.node_count(), 5);
+        let edges: Vec<_> = loaded.iter().map(|(s, t, &w)| (s, t, w)).collect();
         assert_eq!(
             edges,
             vec![(NodeId(0), NodeId(1), 2.0), (NodeId(4), NodeId(2), 1.0)]
         );
-        assert_eq!(loaded[1].node_count(), 3);
-        assert!(loaded[1].is_empty());
+        let empty = read_delta_state(&write_delta_state(&DeltaGraph::new(3))).unwrap();
+        assert_eq!(empty.node_count(), 3);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn a_per_layer_delta_state_is_refused_naming_its_layout() {
+        // The generation before KGM3 wrote one delta per graph layer: a
+        // count, then each delta's node count and triples.
+        let one = write_delta_state(&DeltaGraph::new(4));
+        for count in [0u64, 2] {
+            let mut body = one[..one.len() - 4].to_vec();
+            body[4..12].copy_from_slice(&count.to_le_bytes());
+            if count == 2 {
+                body.extend_from_slice(&one[12..one.len() - 4]);
+            }
+            match read_delta_state(&seal(body)) {
+                Err(TsError::Parse(msg)) => assert!(msg.contains("per-layer"), "{msg}"),
+                other => panic!("{count} deltas must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! A writer of the previous model file layout, `KGM2`, for tests that
+//! A writer of the previous model file layout, `KGM3`, for tests that
 //! check it still loads. Include it with
-//! `#[path = "<relative path>/kgraph/tests/support/kgm2.rs"] mod kgm2;`.
+//! `#[path = "<relative path>/kgraph/tests/support/kgm3.rs"] mod kgm3;`.
 
-use kgraph::serial::{put_f64, put_f64s, put_triples, put_u64, put_u64s, seal};
+use kgraph::serial::{put_f64, put_f64s, put_triples, put_u64, put_u64s, put_varint, seal};
 use kgraph::KGraphModel;
 
-/// `model` in the `KGM2` layout: every path as a `u64` count and one
-/// `u64` per window, and between the labels and the scores a matrix slot
-/// holding `slot` (rows, cols and row-major values), where the last
-/// `KGM2` writer put a 0 × 0 matrix.
-pub fn kgm2(model: &KGraphModel, slot: (u64, u64, &[f64])) -> Vec<u8> {
-    let mut out = b"KGM2".to_vec();
+/// `model` in the `KGM3` layout: the `KGM4` layout plus each node's
+/// sector and radius leading its payload, and the byte of the retired
+/// `parallel` flag (always 1) before the config's seed.
+pub fn kgm3(model: &KGraphModel) -> Vec<u8> {
+    let mut out = b"KGM3".to_vec();
     let cfg = &model.config;
     put_u64(&mut out, cfg.k as u64);
     put_u64s(&mut out, cfg.lengths.iter().map(|&l| l as u64));
@@ -27,12 +26,6 @@ pub fn kgm2(model: &KGraphModel, slot: (u64, u64, &[f64])) -> Vec<u8> {
     out.extend([cfg.edge_features as u8, cfg.node_features as u8, 1]);
     put_u64(&mut out, cfg.seed);
     put_u64s(&mut out, model.labels.iter().map(|&l| l as u64));
-    let (rows, cols, values) = slot;
-    put_u64(&mut out, rows);
-    put_u64(&mut out, cols);
-    for &v in values {
-        put_f64(&mut out, v);
-    }
     put_u64(&mut out, model.scores.len() as u64);
     for s in &model.scores {
         put_u64(&mut out, s.length as u64);
@@ -55,9 +48,15 @@ pub fn kgm2(model: &KGraphModel, slot: (u64, u64, &[f64])) -> Vec<u8> {
             &mut out,
             layer.graph.edges_iter().map(|(_, s, t, &w)| (s, t, w)),
         );
-        put_u64(&mut out, layer.paths.len() as u64);
+        // Each path as its window count, then one (node, run length)
+        // varint pair per run of one node.
+        put_varint(&mut out, layer.paths.len() as u64);
         for path in &layer.paths {
-            put_u64s(&mut out, path.iter().map(|n| u64::from(n.0)));
+            put_varint(&mut out, path.len() as u64);
+            for run in path.chunk_by(|a, b| a == b) {
+                put_varint(&mut out, u64::from(run[0].0));
+                put_varint(&mut out, run.len() as u64);
+            }
         }
         put_u64s(&mut out, layer.labels.iter().map(|&l| l as u64));
         let emb = &layer.embedding;

@@ -610,22 +610,29 @@ mod tests {
             model.best().graph.node_count()
         );
         assert!(matches!(restore(&other, state()), Err(TsError::Parse(_))));
+    }
 
-        // Neither one list nor one per model layer (the model has one).
-        for n in [0, 2] {
-            let mut wrong = state();
-            let (delta, pending) = (wrong.deltas[0].clone(), wrong.pending[0].clone());
-            wrong.deltas = vec![delta; n];
-            wrong.pending = vec![pending; n];
-            assert!(
-                matches!(restore(&model, wrong), Err(TsError::Parse(_))),
-                "{n} lists"
-            );
+    #[test]
+    fn a_per_layer_session_state_is_refused_naming_its_layout() {
+        use kgraph::serial::seal;
+        use tscore::error::TsError;
+
+        let mut session = StreamSession::new(fitted(), StreamConfig::default());
+        session.append(0, &wave(0, 40)).unwrap();
+        let bytes = persist::write_session_state(&session, 7);
+        // Magic and five u64 counters, then the length-prefixed KGD1 blob,
+        // then the pending-list count: the generation before KGM3 wrote
+        // one list per model layer.
+        let kgd1_len = u64::from_le_bytes(bytes[44..52].try_into().unwrap()) as usize;
+        let lists = 52 + kgd1_len;
+        for count in [0u64, 3] {
+            let mut body = bytes[..bytes.len() - 4].to_vec();
+            body[lists..lists + 8].copy_from_slice(&count.to_le_bytes());
+            match persist::read_session_state(&seal(body)) {
+                Err(TsError::Parse(msg)) => assert!(msg.contains("per-layer"), "{msg}"),
+                other => panic!("{count} pending lists must be refused, got {other:?}"),
+            }
         }
-        // As many pending lists as deltas.
-        let mut wrong = state();
-        wrong.pending.push(Vec::new());
-        assert!(matches!(restore(&model, wrong), Err(TsError::Parse(_))));
     }
 
     #[test]
@@ -640,9 +647,11 @@ mod tests {
         );
         session.append(0, &wave(0, 80)).unwrap();
         let bytes = session.delta_state();
-        let deltas = kgraph::serial::read_delta_state(&bytes).expect("round trip");
-        assert_eq!(deltas.len(), 1, "the best layer's delta alone");
-        let total: u64 = deltas.iter().map(|d| d.edge_count() as u64).sum();
-        assert_eq!(total, session.status().delta_edges);
+        let delta = kgraph::serial::read_delta_state(&bytes).expect("round trip");
+        assert_eq!(
+            delta.node_count(),
+            session.model().best().graph.node_count()
+        );
+        assert_eq!(delta.edge_count() as u64, session.status().delta_edges);
     }
 }

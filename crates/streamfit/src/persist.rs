@@ -23,18 +23,14 @@
 //! u64 seq                  highest WAL sequence covered by this state
 //! u64 points_total | u64 points_since_refresh | u64 refreshes | u64 compactions
 //! u64 len | KGD1 bytes     embedded delta-state blob (own magic + checksum)
-//! u64 n_layers             buffered pending triples, one list per delta
-//!   entry, written by `put_triples`: u64 n | n × (u64 src, u64 dst, f64 w)
+//! u64 1                    one pending list, the buffered triples, written
+//!   by `put_triples`: u64 n | n × (u64 src, u64 dst, f64 w)
 //! u64 n_series             per open series:
 //!   f64s values | u8 has_scores | [f64s scores]
 //! u32 crc32                trailer over everything above
 //! ```
 //!
-//! A session writes one delta and one pending list, the best layer's. The
-//! previous format generation wrote one of each per model layer. For one
-//! generation [`StreamSession::restore`] still accepts that: it keeps entry
-//! `best_layer` and drops the rest, which no answer read, so a snapshot
-//! written before the upgrade still recovers.
+//! A session writes one delta and one pending list, the best layer's.
 
 use crate::session::{StreamConfig, StreamSession};
 use kgraph::anomaly::routed_gaps;
@@ -72,12 +68,10 @@ pub struct SessionState {
     pub refreshes: u64,
     /// Compactions performed.
     pub compactions: u64,
-    /// Un-compacted deltas (from the embedded `KGD1` blob): the best
-    /// layer's alone, or one per model layer in the previous generation.
-    pub deltas: Vec<DeltaGraph<f64>>,
-    /// Transition triples buffered since the last refresh, one list per
-    /// delta.
-    pub pending: Vec<Vec<(NodeId, NodeId, f64)>>,
+    /// The best layer's un-compacted delta (the embedded `KGD1` blob).
+    pub delta: DeltaGraph<f64>,
+    /// Transition triples buffered since the last refresh.
+    pub pending: Vec<(NodeId, NodeId, f64)>,
     /// Open series in index order.
     pub series: Vec<SeriesState>,
 }
@@ -116,9 +110,9 @@ pub fn write_session_state(session: &StreamSession, seq: u64) -> Vec<u8> {
 /// # Errors
 ///
 /// [`TsError::Parse`] on wrong magic, checksum mismatch, truncation, a
-/// corrupt embedded `KGD1` blob, pending lists that do not match the deltas
-/// (list count, or a node past the delta's node count),
-/// or trailing bytes.
+/// corrupt embedded `KGD1` blob, a per-layer state (more than one delta or
+/// pending list, the layout written before `KGM3`), a pending node past
+/// the delta's node count, or trailing bytes.
 pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
     let mut c = open(bytes, SESSION_MAGIC, "session")?;
     let seq = c.u64()?;
@@ -127,18 +121,15 @@ pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
     let refreshes = c.u64()?;
     let compactions = c.u64()?;
     let delta_len = c.len(1)?;
-    let deltas = kgraph::serial::read_delta_state(c.take(delta_len)?)?;
-    let n_layers = c.usize()?;
-    if n_layers != deltas.len() {
+    let delta = kgraph::serial::read_delta_state(c.take(delta_len)?)?;
+    let lists = c.u64()?;
+    if lists != 1 {
         return Err(TsError::Parse(format!(
-            "session state has {n_layers} pending layers but {} deltas",
-            deltas.len()
+            "session state holds {lists} pending lists, not 1: a per-layer state, \
+             as written before KGM3, is no longer read"
         )));
     }
-    let pending = deltas
-        .iter()
-        .map(|d| c.triples(d.node_count()))
-        .collect::<Result<Vec<_>, TsError>>()?;
+    let pending = c.triples(delta.node_count())?;
     let n_series = c.len(9)?;
     let mut series = Vec::with_capacity(n_series);
     for _ in 0..n_series {
@@ -161,7 +152,7 @@ pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
         points_since_refresh,
         refreshes,
         compactions,
-        deltas,
+        delta,
         pending,
         series,
     })
@@ -170,12 +161,10 @@ pub fn read_session_state(bytes: &[u8]) -> Result<SessionState, TsError> {
 impl StreamSession {
     /// Reconstructs a session over `model` from a decoded [`SessionState`].
     ///
-    /// The state holds the best layer's delta and pending triples, or one
-    /// of each per model layer as the previous format generation wrote
-    /// them, of which entry `best_layer` is kept. They are adopted as-is
-    /// after validating the delta's node count against the best layer
-    /// ([`read_session_state`] already bounds each pending triple by its
-    /// delta's node count); each series' path and gaps are rebuilt
+    /// The state's delta and pending triples, the best layer's, are adopted
+    /// as-is after validating the delta's node count against the best
+    /// layer ([`read_session_state`] already bounds each pending triple by
+    /// the delta's node count); each series' path and gaps are rebuilt
     /// deterministically from the persisted values (a pure function of the
     /// immutable embedding) in one routing pass, and the persisted scores
     /// are installed *without* rescoring so the restored session serves
@@ -183,35 +172,20 @@ impl StreamSession {
     ///
     /// # Errors
     ///
-    /// [`TsError::Parse`] when the state does not fit `model` (neither one
-    /// nor `model.layers.len()` deltas, as many pending lists as deltas,
-    /// or a node count mismatch); [`TsError::Degenerate`] when a series
-    /// must be routed through a best layer without nodes.
+    /// [`TsError::Parse`] when the delta's node count does not match the
+    /// best layer's; [`TsError::Degenerate`] when a series must be routed
+    /// through a best layer without nodes.
     pub fn restore(
         model: Arc<KGraphModel>,
         cfg: StreamConfig,
-        mut state: SessionState,
+        state: SessionState,
     ) -> Result<Self, TsError> {
-        let (n_deltas, n_layers) = (state.deltas.len(), model.layers.len());
-        if (n_deltas != 1 && n_deltas != n_layers) || state.pending.len() != n_deltas {
-            return Err(TsError::Parse(format!(
-                "session state has {n_deltas} delta / {} pending lists, model has {n_layers} layers",
-                state.pending.len()
-            )));
-        }
-        let at = if n_deltas == n_layers {
-            model.best_layer
-        } else {
-            0
-        };
-        let delta = state.deltas.swap_remove(at);
-        let pending = state.pending.swap_remove(at);
         let layer = model.best();
         let nodes = layer.graph.node_count();
-        if delta.node_count() != nodes {
+        if state.delta.node_count() != nodes {
             return Err(TsError::Parse(format!(
                 "session delta covers {} nodes, best model layer has {nodes}",
-                delta.node_count()
+                state.delta.node_count()
             )));
         }
         let mut series = Vec::with_capacity(state.series.len());
@@ -232,8 +206,8 @@ impl StreamSession {
         Ok(StreamSession {
             model,
             cfg,
-            delta,
-            pending,
+            delta: state.delta,
+            pending: state.pending,
             series,
             points_since_refresh,
             points_total: state.points_total,

@@ -304,7 +304,7 @@ impl StreamSession {
 
     /// Serialises the un-compacted best-layer delta (`KGD1`, one entry).
     pub fn delta_state(&self) -> Vec<u8> {
-        kgraph::serial::write_delta_state(std::slice::from_ref(&self.delta))
+        kgraph::serial::write_delta_state(&self.delta)
     }
 
     /// Current session summary.

@@ -1,5 +1,5 @@
-//! One truncation and bit-flip sweep for every checksummed format: `KGM3`
-//! models (and `KGM2`, the previous generation, which still loads),
+//! One truncation and bit-flip sweep for every checksummed format: `KGM4`
+//! models (and `KGM3`, the previous generation, which still loads),
 //! `KGD1` delta state and `KGS1` session state.
 //!
 //! A torn write can cut a file at any byte and bit rot can flip any bit,
@@ -9,17 +9,16 @@
 //! decoded. Nothing may panic. The fixtures are kept to a few kilobytes,
 //! because a sweep costs one checksum pass per byte.
 //!
-//! The `KGM2` tests build their blobs with [`kgm2`], a writer of that
-//! layout shared with graphserve's recovery tests: a blob with or without the n × n consensus matrix in
-//! the retired slot loads to the model it was written from, and a slot
-//! whose shape overflows or runs past the end is a parse error. The last
-//! test pins that `KGS1` bounds each layer's pending triples by the node
-//! count of that layer's delta.
+//! The `KGM3` test builds its blob with [`kgm3`], a writer of that layout
+//! shared with graphserve's recovery tests: the blob loads to the model it
+//! was written from. A model file two generations old (`KGM2`) is refused
+//! on its magic with a message that names it. The last test pins that
+//! `KGS1` bounds the pending triples by the node count of its delta.
 
-#[path = "../../kgraph/tests/support/kgm2.rs"]
-mod kgm2;
+#[path = "../../kgraph/tests/support/kgm3.rs"]
+mod kgm3;
 
-use kgm2::kgm2;
+use kgm3::kgm3;
 use kgraph::serial::{read_delta_state, read_model, seal, write_delta_state, write_model};
 use kgraph::{KGraph, KGraphConfig, KGraphModel};
 use std::fmt::Debug;
@@ -27,6 +26,7 @@ use std::sync::Arc;
 use streamfit::{read_session_state, write_session_state, StreamConfig, StreamSession};
 use tscore::error::TsError;
 use tscore::{Dataset, DatasetKind, TimeSeries};
+use tsgraph::delta::DeltaGraph;
 
 /// Decodes every cut and every flipped copy of `bytes`.
 fn sweep<T: Debug>(what: &str, bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, TsError>) {
@@ -94,11 +94,11 @@ fn busy_session(model: KGraphModel) -> StreamSession {
 }
 
 #[test]
-fn kgm3_every_cut_and_flip_is_a_parse_error() {
+fn kgm4_every_cut_and_flip_is_a_parse_error() {
     let model = tiny_model();
     let bytes = write_model(&model);
-    assert_eq!(&bytes[..4], b"KGM3");
-    sweep("KGM3", &bytes, read_model);
+    assert_eq!(&bytes[..4], b"KGM4");
+    sweep("KGM4", &bytes, read_model);
 }
 
 #[test]
@@ -107,8 +107,12 @@ fn kgd1_every_cut_and_flip_is_a_parse_error() {
     let bytes = session.delta_state();
     assert_eq!(&bytes[..4], b"KGD1");
     sweep("KGD1", &bytes, read_delta_state);
-    // An empty delta list is a valid blob too.
-    sweep("empty KGD1", &write_delta_state(&[]), read_delta_state);
+    // An empty delta is a valid blob too.
+    sweep(
+        "empty KGD1",
+        &write_delta_state(&DeltaGraph::new(3)),
+        read_delta_state,
+    );
 }
 
 #[test]
@@ -120,40 +124,34 @@ fn kgs1_every_cut_and_flip_is_a_parse_error() {
 }
 
 #[test]
-fn kgm2_with_and_without_the_consensus_matrix_still_loads() {
+fn kgm3_still_loads_and_every_cut_and_flip_is_a_parse_error() {
     let model = tiny_model();
-    let kgm3 = write_model(&model);
-    let n = model.labels.len() as u64;
-    let consensus = model.consensus();
-    for (slot, what) in [
-        ((0, 0, &[][..]), "KGM2"),
-        ((n, n, consensus.as_slice()), "KGM2 with matrix"),
-    ] {
-        let old = kgm2(&model, slot);
-        let loaded = read_model(&old).unwrap_or_else(|e| panic!("{what} loads: {e}"));
-        assert_eq!(
-            write_model(&loaded),
-            kgm3,
-            "{what} re-encodes to the KGM3 bytes"
-        );
-        sweep(what, &old, read_model);
-    }
+    let old = kgm3(&model);
+    let loaded = read_model(&old).expect("KGM3 loads");
+    assert_eq!(
+        write_model(&loaded),
+        write_model(&model),
+        "KGM3 re-encodes to the KGM4 bytes"
+    );
+    sweep("KGM3", &old, read_model);
 }
 
 #[test]
-fn kgm2_corrupt_consensus_slot_shapes_are_parse_errors() {
-    let model = tiny_model();
-    let n = model.labels.len() as u64;
-    let consensus = model.consensus();
-    for (rows, cols) in [
-        (u64::MAX, 2),      // rows · cols overflows
-        (1 << 61, 1),       // the byte count overflows
-        (n, n + 1_000_000), // past the end of the file
-    ] {
-        let bad = kgm2(&model, (rows, cols, consensus.as_slice()));
-        match read_model(&bad) {
-            Err(TsError::Parse(_)) => {}
-            other => panic!("slot {rows} x {cols} must be a parse error, got {other:?}"),
+fn a_kgm2_model_is_refused_naming_its_format() {
+    // The reader refuses on the magic, before the checksum and the body,
+    // so any body under the `KGM2` magic stands for a file of that format.
+    let old = kgm3(&tiny_model());
+    let mut body = old[..old.len() - 4].to_vec();
+    body[..4].copy_from_slice(b"KGM2");
+    for bytes in [seal(body.clone()), body] {
+        match read_model(&bytes) {
+            Err(TsError::Parse(msg)) => assert!(
+                msg.contains("KGM2 model files")
+                    && msg.contains("no longer read")
+                    && msg.contains("KGM4 and KGM3"),
+                "{msg}"
+            ),
+            other => panic!("a KGM2 file must be refused, got {other:?}"),
         }
     }
 }
