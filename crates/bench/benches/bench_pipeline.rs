@@ -208,7 +208,7 @@ fn bench_persist(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(20);
     // The `ingest_durable` model (300 CBF series × 256, k = 3, five
-    // lengths, seed 7), fitted once: each write is one snapshot's KGM4
+    // lengths, seed 7), fitted once: each write is one snapshot's KGM5
     // blob with its CRC-32 trailer, each read one checked load of it.
     let model = ingest_durable_model();
     let bytes = write_model(&model);

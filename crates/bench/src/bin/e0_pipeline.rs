@@ -28,13 +28,14 @@ fn main() {
 
     let k = dataset.n_classes();
     let t0 = std::time::Instant::now();
-    let model = KGraph::new(experiment_kgraph_config(k, 7)).fit(&dataset);
+    let kgraph = KGraph::new(experiment_kgraph_config(k, 7));
+    let layers = kgraph.fit_layers(&dataset);
+    let model = kgraph.model_from_layers(layers.clone());
     let elapsed = t0.elapsed().as_secs_f64();
 
     // (b) Graph embedding per length.
     println!("(b) graph embedding — one graph per subsequence length:");
-    let rows: Vec<Vec<String>> = model
-        .layers
+    let rows: Vec<Vec<String>> = layers
         .iter()
         .map(|l| {
             vec![
@@ -52,8 +53,7 @@ fn main() {
 
     // (c) Per-length partitions.
     println!("(c) graph clustering — partition L_ℓ per length:");
-    let rows: Vec<Vec<String>> = model
-        .layers
+    let rows: Vec<Vec<String>> = layers
         .iter()
         .map(|l| {
             vec![
@@ -106,7 +106,7 @@ fn main() {
         "we".to_string(),
         "selected".to_string(),
     ]];
-    for (i, (layer, score)) in model.layers.iter().zip(&model.scores).enumerate() {
+    for (i, (layer, score)) in layers.iter().zip(&model.scores).enumerate() {
         rows.push(vec![
             layer.length.to_string(),
             layer.graph.node_count().to_string(),

@@ -9,7 +9,7 @@
 //! 2. restores the **newest valid snapshot pair** — a `snap-<seq>.kgm`
 //!    whose checksum verifies plus the `snap-<seq>.kgs` that restores over
 //!    it — falling back past corrupt or half-renamed pairs. A model file
-//!    two format generations old (`KGM2` and before) is refused by name;
+//!    two format generations old (`KGM3` and before) is refused by name;
 //!    when no pair restores, the newest pair's error is the reason the
 //!    model failed;
 //! 3. **replays** the records past the snapshot in sequence order, up to

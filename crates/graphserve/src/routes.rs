@@ -470,14 +470,14 @@ fn model_info(c: &mut Call<'_, '_>) -> Result<Response, Response> {
         w.field("k", model.k())
             .field("n_series", model.labels.len())
             .field("best_length", model.best_length())
-            .field("n_layers", model.layers.len())
+            .field("n_layers", model.scores.len())
             .field("nodes", layer.graph.node_count())
             .field("edges", layer.graph.edge_count())
             .field("wc", score.wc)
             .field("we", score.we)
             .key("lengths")
-            .array(&model.layers, |w, l| {
-                w.value(l.length);
+            .array(&model.scores, |w, s| {
+                w.value(s.length);
             });
     }))
 }
@@ -1950,14 +1950,15 @@ mod tests {
         let dir = StateDir::new("empty-layer");
         let ctx = durable_ctx(0, &dir);
         let fitted = demo_store().store.reader().get("demo").unwrap();
-        let mut hollow = fitted.layers[0].clone();
+        let mut hollow = fitted.best().clone();
         hollow.graph = tsgraph::GraphBuilder::new().build(Vec::new(), |w: &mut f64, x| *w += x);
         let model = Arc::new(KGraphModel::new(
             fitted.config.clone(),
-            vec![fitted.layers[0].clone(), hollow],
+            hollow, // the layer a session streams
+            fitted.partitions.clone(),
             fitted.labels.clone(),
             fitted.scores.clone(),
-            1, // the hollow layer is the one a session streams
+            fitted.best_layer,
         ));
         ctx.store.insert("hollow", Arc::clone(&model));
         ctx.durability

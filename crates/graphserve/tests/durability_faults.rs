@@ -11,8 +11,8 @@
 //! code path is byte-for-byte the production one; only the filesystem
 //! lies.
 
-#[path = "../../kgraph/tests/support/kgm3.rs"]
-mod kgm3;
+#[path = "../../kgraph/tests/support/kgm4.rs"]
+mod kgm4;
 
 use graphserve::durability::{Durability, DurabilityConfig};
 use graphserve::fsio::{Fs, StdFs, WalFile};
@@ -22,14 +22,14 @@ use graphserve::routes::{self, RouteContext};
 use graphserve::wal;
 use graphserve::{ModelStore, ServerStats};
 use kgraph::pipeline::KGraphModel;
-use kgraph::serial::{put_f64s, put_triples, put_u64, read_model, seal};
-use kgraph::{KGraph, KGraphConfig};
+use kgraph::serial::{read_model, seal};
+use kgraph::{GraphLayer, KGraph, KGraphConfig};
 use proptest::prelude::*;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use streamfit::{read_session_state, SessionRegistry, SessionState, StreamConfig};
+use streamfit::{SessionRegistry, StreamConfig};
 use tscore::{Dataset, DatasetKind, TimeSeries};
 
 // ---------------------------------------------------------------------------
@@ -1095,130 +1095,109 @@ fn a_heal_at_the_same_sequence_number_leaves_the_files_as_they_were() {
     assert_eq!(dir_bytes(&model_dir), before);
 }
 
+/// A harness over a three-length model, so that a `KGM4` file of it holds
+/// three layers, with the fitted layers.
+fn three_length_harness(dir: &Path, snapshot_every: u64) -> (Harness, Vec<GraphLayer>) {
+    let series: Vec<TimeSeries> = (0..8)
+        .map(|p| TimeSeries::new((0..80).map(|i| ((i + p) as f64 * 0.3).sin()).collect()))
+        .collect();
+    let kgraph = KGraph::new(
+        KGraphConfig {
+            psi: 10,
+            pca_sample: 300,
+            n_init: 2,
+            ..KGraphConfig::new(2)
+        }
+        .with_lengths(vec![12, 16, 20]),
+    );
+    let layers = kgraph.fit_layers(&Dataset::new("three", DatasetKind::Simulated, series));
+    let model = Arc::new(kgraph.model_from_layers(layers.clone()));
+    let h = Harness::empty(Durability::new(durability_config(dir, snapshot_every)));
+    h.store.insert("demo", Arc::clone(&model));
+    h.durability
+        .persist_initial("demo", &model, h.sessions.config());
+    (h, layers)
+}
+
+/// Rewrites the model file at `path` in the `KGM4` layout: the layers as
+/// fitted, the served one (compacted or not) in its place.
+fn rewrite_as_kgm4(path: &Path, fitted: &[GraphLayer]) {
+    let model = read_model(&std::fs::read(path).unwrap()).unwrap();
+    let mut layers = fitted.to_vec();
+    layers[model.best_layer] = model.best().clone();
+    std::fs::write(path, kgm4::kgm4(&model, &layers)).unwrap();
+}
+
 #[test]
-fn a_kgm3_state_directory_recovers_and_heals_to_kgm4() {
+fn a_kgm4_state_directory_recovers_and_heals_to_kgm5() {
     // The previous model format, as the previous release wrote it, in
     // both retained generations.
-    let dir = three_generations("kgm3");
-    let model_dir = dir.path().join("demo");
-    for seq in [2, 3] {
-        let path = snapshot(&model_dir, seq, "kgm");
-        let model = read_model(&std::fs::read(&path).unwrap()).unwrap();
-        std::fs::write(&path, kgm3::kgm3(&model)).unwrap();
+    let dir = TempDir::new("kgm4");
+    let (h, fitted) = three_length_harness(dir.path(), 0);
+    for i in 0..3 {
+        ingest_ok(&h, i);
     }
+    let resp = h.handle("POST", "/models/demo/score?context=3", &probe_series());
+    assert_eq!(resp.status, 200, "{}", body_text(&resp));
+    let answer = body_text(&resp).to_string();
+    drop(h);
+    let model_dir = dir.path().join("demo");
+    let newest = std::fs::read(snapshot(&model_dir, 3, "kgm")).unwrap();
+    for seq in [2, 3] {
+        rewrite_as_kgm4(&snapshot(&model_dir, seq, "kgm"), &fitted);
+    }
+    assert!(std::fs::read(snapshot(&model_dir, 3, "kgm"))
+        .unwrap()
+        .starts_with(b"KGM4"));
     let h = Harness::empty(Durability::new(durability_config(dir.path(), 0)));
     let report = recover(&h.durability, &h.store, &h.sessions);
     assert_eq!(report.recovered, ["demo"], "{report:?}");
     assert_eq!(points_total(&h), 24);
+    let resp = h.handle("POST", "/models/demo/score?context=3", &probe_series());
+    assert_eq!(body_text(&resp), answer, "served bit-identically");
     let served = kgraph::serial::write_model(&h.store.reader().get("demo").unwrap());
+    assert_eq!(served, newest, "the KGM4 file loads to the model written");
     assert_eq!(
         std::fs::read(snapshot(&model_dir, 3, "kgm")).unwrap(),
         served,
-        "the heal rewrites generation 3 as KGM4"
+        "the heal rewrites generation 3 as KGM5"
     );
-    // Every later generation is KGM4 too.
+    // Every later generation is KGM5 too.
     ingest_ok(&h, 9);
     for name in file_names(&model_dir) {
         if name.ends_with(".kgm") {
             let bytes = std::fs::read(model_dir.join(&name)).unwrap();
-            assert!(bytes.starts_with(b"KGM4"), "{name}");
+            assert!(bytes.starts_with(b"KGM5"), "{name}");
         }
     }
-}
-
-/// `state` in the per-layer `KGS1` layout of the generation before KGM3:
-/// one delta and one pending list per layer of `model`, the best layer's
-/// in its place and empty ones for the other layers.
-fn per_layer_kgs1(model: &KGraphModel, state: &SessionState) -> Vec<u8> {
-    let best = |l: usize| l == model.best_layer;
-    let mut kgd1 = b"KGD1".to_vec();
-    put_u64(&mut kgd1, model.layers.len() as u64);
-    for (l, layer) in model.layers.iter().enumerate() {
-        put_u64(&mut kgd1, layer.graph.node_count() as u64);
-        let edges = state.delta.iter().map(|(s, t, &w)| (s, t, w));
-        put_triples(&mut kgd1, edges.filter(|_| best(l)));
-    }
-    let kgd1 = seal(kgd1);
-    let mut out = b"KGS1".to_vec();
-    for v in [
-        state.seq,
-        state.points_total,
-        state.points_since_refresh,
-        state.refreshes,
-        state.compactions,
-        kgd1.len() as u64,
-    ] {
-        put_u64(&mut out, v);
-    }
-    out.extend_from_slice(&kgd1);
-    put_u64(&mut out, model.layers.len() as u64);
-    for l in 0..model.layers.len() {
-        put_triples(&mut out, state.pending.iter().copied().filter(|_| best(l)));
-    }
-    put_u64(&mut out, state.series.len() as u64);
-    for s in &state.series {
-        put_f64s(&mut out, &s.values);
-        match &s.scores {
-            Some(scores) => {
-                out.push(1);
-                put_f64s(&mut out, scores);
-            }
-            None => out.push(0),
-        }
-    }
-    seal(out)
 }
 
 #[test]
 fn a_state_directory_two_generations_old_fails_and_is_left_as_it_was() {
-    // A three-length model, so that a per-layer state holds three lists.
-    let series: Vec<TimeSeries> = (0..8)
-        .map(|p| TimeSeries::new((0..80).map(|i| ((i + p) as f64 * 0.3).sin()).collect()))
-        .collect();
-    let cfg = KGraphConfig {
-        psi: 10,
-        pca_sample: 300,
-        n_init: 2,
-        ..KGraphConfig::new(2)
-    }
-    .with_lengths(vec![12, 16, 20]);
-    let model =
-        Arc::new(KGraph::new(cfg).fit(&Dataset::new("old", DatasetKind::Simulated, series)));
     let dir = TempDir::new("twoback");
-    let h = Harness::empty(Durability::new(durability_config(dir.path(), 1_000)));
-    h.store.insert("demo", Arc::clone(&model));
-    h.durability
-        .persist_initial("demo", &model, h.sessions.config());
+    let (h, fitted) = three_length_harness(dir.path(), 1_000);
     for i in 0..3 {
         ingest_ok(&h, i);
     }
     drop(h);
 
-    // What the generation before KGM3 left: a KGM2 model, a per-layer
-    // KGS1 and the single journal `wal.log`. The reader refuses a model
-    // file on its magic, before its checksum and body, so a KGM3 body
-    // under the KGM2 magic stands for a KGM2 file.
+    // What the generation before KGM4 left: a KGM3 model beside the
+    // KGS1 state and journal this build writes. The reader refuses a
+    // model file on its magic, before its checksum and body, so a KGM4
+    // body under the KGM3 magic stands for a KGM3 file.
     let model_dir = dir.path().join("demo");
     let kgm = snapshot(&model_dir, 0, "kgm");
-    let mut old = kgm3::kgm3(&read_model(&std::fs::read(&kgm).unwrap()).unwrap());
+    rewrite_as_kgm4(&kgm, &fitted);
+    let mut old = std::fs::read(&kgm).unwrap();
     old.truncate(old.len() - 4);
-    old[..4].copy_from_slice(b"KGM2");
+    old[..4].copy_from_slice(b"KGM3");
     std::fs::write(&kgm, seal(old)).unwrap();
-    let kgs = snapshot(&model_dir, 0, "kgs");
-    let state = read_session_state(&std::fs::read(&kgs).unwrap()).unwrap();
-    let per_layer = per_layer_kgs1(&model, &state);
-    match read_session_state(&per_layer) {
-        Err(e) => assert!(e.to_string().contains("per-layer"), "{e}"),
-        Ok(_) => panic!("a per-layer KGS1 must be refused"),
-    }
-    std::fs::write(&kgs, per_layer).unwrap();
-    std::fs::rename(journal(&model_dir, 0), model_dir.join("wal.log")).unwrap();
     assert_eq!(
         file_names(&model_dir),
         [
             "snap-0000000000000000.kgm",
             "snap-0000000000000000.kgs",
-            "wal.log"
+            "wal-0000000000000000.log"
         ]
     );
     let before = dir_bytes(&model_dir);
@@ -1231,7 +1210,7 @@ fn a_state_directory_two_generations_old_fails_and_is_left_as_it_was() {
     let (name, reason) = &report.failed[0];
     assert_eq!(name, "demo");
     assert!(
-        reason.contains("KGM2") && reason.contains("no longer read"),
+        reason.contains("KGM3") && reason.contains("no longer read"),
         "{reason}"
     );
     assert!(h.store.list().is_empty(), "nothing is served");

@@ -76,36 +76,22 @@ impl ClusterStats {
 
     /// Representativity of node `n` in cluster `c` ∈ [0, 1].
     pub fn node_representativity(&self, c: usize, n: usize) -> f64 {
-        if self.cluster_sizes[c] == 0 {
-            return 0.0;
-        }
-        self.node_crossings[c][n] as f64 / self.cluster_sizes[c] as f64
+        representativity(self, &self.node_crossings, c, n)
     }
 
     /// Exclusivity of node `n` in cluster `c` ∈ [0, 1].
     pub fn node_exclusivity(&self, c: usize, n: usize) -> f64 {
-        let total: usize = (0..self.k).map(|ci| self.node_crossings[ci][n]).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.node_crossings[c][n] as f64 / total as f64
+        exclusivity(self, &self.node_crossings, c, n)
     }
 
     /// Representativity of edge `e` in cluster `c` ∈ [0, 1].
     pub fn edge_representativity(&self, c: usize, e: usize) -> f64 {
-        if self.cluster_sizes[c] == 0 {
-            return 0.0;
-        }
-        self.edge_crossings[c][e] as f64 / self.cluster_sizes[c] as f64
+        representativity(self, &self.edge_crossings, c, e)
     }
 
     /// Exclusivity of edge `e` in cluster `c` ∈ [0, 1].
     pub fn edge_exclusivity(&self, c: usize, e: usize) -> f64 {
-        let total: usize = (0..self.k).map(|ci| self.edge_crossings[ci][e]).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.edge_crossings[c][e] as f64 / total as f64
+        exclusivity(self, &self.edge_crossings, c, e)
     }
 
     /// Maximum node exclusivity of cluster `c` (0 for empty graphs) — the
@@ -137,6 +123,22 @@ impl Graphoid {
     }
 }
 
+/// Share of cluster `c`'s series crossing slot `i` (0 if `c` is empty).
+fn representativity(stats: &ClusterStats, crossings: &[Vec<usize>], c: usize, i: usize) -> f64 {
+    match stats.cluster_sizes[c] {
+        0 => 0.0,
+        size => crossings[c][i] as f64 / size as f64,
+    }
+}
+
+/// Share of the series crossing slot `i` that are in cluster `c`.
+fn exclusivity(_stats: &ClusterStats, crossings: &[Vec<usize>], c: usize, i: usize) -> f64 {
+    match crossings.iter().map(|row| row[i]).sum::<usize>() {
+        0 => 0.0,
+        total => crossings[c][i] as f64 / total as f64,
+    }
+}
+
 /// λ-graphoid of a cluster: nodes/edges with representativity ≥ λ.
 pub fn lambda_graphoid(
     stats: &ClusterStats,
@@ -144,20 +146,7 @@ pub fn lambda_graphoid(
     cluster: usize,
     lambda: f64,
 ) -> Graphoid {
-    let nodes = (0..layer.graph.node_count())
-        .filter(|&n| stats.node_representativity(cluster, n) >= lambda)
-        .map(|n| NodeId(n as u32))
-        .collect();
-    let edges = (0..layer.graph.edge_count())
-        .filter(|&e| stats.edge_representativity(cluster, e) >= lambda)
-        .map(|e| EdgeId(e as u32))
-        .collect();
-    Graphoid {
-        cluster,
-        threshold: lambda,
-        nodes,
-        edges,
-    }
+    select(stats, layer, cluster, lambda, representativity)
 }
 
 /// γ-graphoid of a cluster: nodes/edges with exclusivity ≥ γ.
@@ -167,17 +156,28 @@ pub fn gamma_graphoid(
     cluster: usize,
     gamma: f64,
 ) -> Graphoid {
+    select(stats, layer, cluster, gamma, exclusivity)
+}
+
+/// The nodes and edges of `layer` that score ≥ `threshold` under `measure`.
+fn select(
+    stats: &ClusterStats,
+    layer: &GraphLayer,
+    cluster: usize,
+    threshold: f64,
+    measure: fn(&ClusterStats, &[Vec<usize>], usize, usize) -> f64,
+) -> Graphoid {
     let nodes = (0..layer.graph.node_count())
-        .filter(|&n| stats.node_exclusivity(cluster, n) >= gamma)
+        .filter(|&n| measure(stats, &stats.node_crossings, cluster, n) >= threshold)
         .map(|n| NodeId(n as u32))
         .collect();
     let edges = (0..layer.graph.edge_count())
-        .filter(|&e| stats.edge_exclusivity(cluster, e) >= gamma)
+        .filter(|&e| measure(stats, &stats.edge_crossings, cluster, e) >= threshold)
         .map(|e| EdgeId(e as u32))
         .collect();
     Graphoid {
         cluster,
-        threshold: gamma,
+        threshold,
         nodes,
         edges,
     }

@@ -30,8 +30,8 @@ pub struct KGraph {
     pub config: KGraphConfig,
 }
 
-/// A fitted k-Graph model: the final partition plus every intermediate
-/// artefact the Graphint frames visualise.
+/// A fitted k-Graph model: the final partition, every length's partition
+/// and score, and of the fit's graph layers only the one it serves, ℓ̄'s.
 ///
 /// The fields are public for reading. Serving state derived from them is
 /// cached on first use, so build a new model with [`KGraphModel::new`]
@@ -40,16 +40,16 @@ pub struct KGraph {
 pub struct KGraphModel {
     /// The configuration used.
     pub config: KGraphConfig,
-    /// One graph layer per subsequence length, ascending by length; each
-    /// holds `G_ℓ`, the node paths and the per-length partition `L_ℓ`.
-    /// The consensus matrix `MC` is not stored: it is a function of these
-    /// partitions, rebuilt on demand by [`KGraphModel::consensus`].
-    pub layers: Vec<GraphLayer>,
+    /// The selected layer `G_ℓ̄`, read through [`KGraphModel::best`].
+    pub layer: GraphLayer,
+    /// Every length's partition `L_ℓ`, ascending by length. The consensus
+    /// matrix `MC` is not stored but rebuilt by [`KGraphModel::consensus`].
+    pub partitions: Vec<Vec<usize>>,
     /// Final labels `L`.
     pub labels: Vec<usize>,
-    /// Per-length `(Wc, We)` scores.
+    /// Per-length `(Wc, We)` scores, ascending by length.
     pub scores: Vec<LengthScore>,
-    /// Index (into [`Self::layers`]) of the selected length ℓ̄.
+    /// Index of the selected length ℓ̄ in [`Self::scores`] and [`Self::partitions`].
     pub best_layer: usize,
     /// Serving state derived from the fields above, filled on first use.
     pub(crate) serving: ServingCache,
@@ -68,11 +68,16 @@ impl KGraph {
         }
     }
 
-    /// Runs the full pipeline on a dataset.
-    ///
-    /// Panics when the dataset is empty or no valid subsequence length
-    /// exists (series shorter than 5 points).
+    /// Runs the full pipeline on a dataset; panics as [`Self::fit_layers`] does.
     pub fn fit(&self, dataset: &Dataset) -> KGraphModel {
+        self.model_from_layers(self.fit_layers(dataset))
+    }
+
+    /// Stages 1–2, one job per length (Figure 1's Job 0 … Job M): every
+    /// length's layer and partition `L_ℓ`, ascending by length. Panics when
+    /// the dataset is empty or no valid subsequence length exists (series
+    /// shorter than 5 points).
+    pub fn fit_layers(&self, dataset: &Dataset) -> Vec<GraphLayer> {
         assert!(!dataset.is_empty(), "cannot fit on an empty dataset");
         let cfg = &self.config;
         let lengths = cfg.resolve_lengths(dataset.min_len());
@@ -81,25 +86,22 @@ impl KGraph {
             "no valid subsequence lengths for min series length {}",
             dataset.min_len()
         );
+        // The jobs cost about the same: embedding grows with the length
+        // while the radial scan and k-Means shrink (198–252 ms each on
+        // 1,002 series × 256). So `par_map`'s contiguous chunks finish no
+        // later than jobs claimed one at a time would.
+        par_map(&lengths, |&length| fit_layer(dataset, cfg, length))
+    }
 
-        // Stages 1–2, one job per length (Figure 1's Job 0 … Job M). The
-        // jobs cost about the same: embedding grows with the length while
-        // the radial scan and k-Means shrink (198–252 ms each on 1,002
-        // series × 256). So `par_map`'s contiguous chunks finish no later
-        // than jobs claimed one at a time would.
-        let mut layers = par_map(&lengths, |&length| fit_layer(dataset, cfg, length));
-
-        // Stage 3: consensus across the per-length partitions.
+    /// Stages 3–4 over [`Self::fit_layers`]' layers: consensus, then the
+    /// selection of ℓ̄, whose layer alone the model keeps.
+    pub fn model_from_layers(&self, mut layers: Vec<GraphLayer>) -> KGraphModel {
+        let cfg = &self.config;
         let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();
         let labels = consensus_labels_from_partitions(&partitions, cfg.k, cfg.seed);
-
-        // Stage 4: score lengths and select ℓ̄.
         let (scores, best_layer) = score_lengths(&layers, &labels, cfg.k);
-
-        // Keep layers sorted by length for stable reporting.
-        debug_assert!(layers.windows(2).all(|w| w[0].length <= w[1].length));
-        layers.shrink_to_fit();
-        KGraphModel::new(cfg.clone(), layers, labels, scores, best_layer)
+        let layer = layers.swap_remove(best_layer);
+        KGraphModel::new(cfg.clone(), layer, partitions, labels, scores, best_layer)
     }
 }
 
@@ -124,14 +126,16 @@ impl KGraphModel {
     /// cache. Every model — fitted, loaded or compacted — is built here.
     pub fn new(
         config: KGraphConfig,
-        layers: Vec<GraphLayer>,
+        layer: GraphLayer,
+        partitions: Vec<Vec<usize>>,
         labels: Vec<usize>,
         scores: Vec<LengthScore>,
         best_layer: usize,
     ) -> KGraphModel {
         KGraphModel {
             config,
-            layers,
+            layer,
+            partitions,
             labels,
             scores,
             best_layer,
@@ -139,18 +143,17 @@ impl KGraphModel {
         }
     }
 
-    /// The consensus matrix `MC` (paper §II-A), rebuilt from the layers'
-    /// partitions: `MC[i][j]` is the share of layers that put series `i`
+    /// The consensus matrix `MC` (paper §II-A), rebuilt from the stored
+    /// partitions: `MC[i][j]` is the share of lengths that put series `i`
     /// and `j` together. Each call costs `O(M · n²)` time and `8 n²` bytes;
     /// the fit itself never builds it (see [`crate::consensus`]).
     pub fn consensus(&self) -> Matrix {
-        let partitions: Vec<Vec<usize>> = self.layers.iter().map(|l| l.labels.clone()).collect();
-        consensus_matrix(&partitions)
+        consensus_matrix(&self.partitions)
     }
 
     /// The selected ("most interpretable") layer `G_ℓ̄`.
     pub fn best(&self) -> &GraphLayer {
-        &self.layers[self.best_layer]
+        &self.layer
     }
 
     /// The selected subsequence length ℓ̄.
@@ -230,15 +233,17 @@ mod tests {
         let mc = model.consensus();
         assert_eq!(mc.shape(), (ds.len(), ds.len()));
         assert!(mc.is_symmetric(1e-12));
-        assert_eq!(model.scores.len(), model.layers.len());
-        assert!(model.best_layer < model.layers.len());
-        assert_eq!(model.best_length(), model.layers[model.best_layer].length);
+        assert_eq!(model.scores.len(), model.partitions.len());
+        assert!(model.best_layer < model.scores.len());
+        assert_eq!(model.best_length(), model.scores[model.best_layer].length);
         assert_eq!(model.k(), 2);
-        for layer in &model.layers {
-            assert_eq!(layer.labels.len(), ds.len());
-            assert_eq!(layer.paths.len(), ds.len());
-            assert!(layer.graph.node_count() > 0);
+        for partition in &model.partitions {
+            assert_eq!(partition.len(), ds.len());
         }
+        let layer = model.best();
+        assert_eq!(layer.labels, model.partitions[model.best_layer]);
+        assert_eq!(layer.paths.len(), ds.len());
+        assert!(layer.graph.node_count() > 0);
     }
 
     #[test]
@@ -273,14 +278,17 @@ mod tests {
         let labels = consensus_labels(&consensus_matrix(&partitions), cfg.k, cfg.seed);
         let (_, best_layer) = score_lengths(&layers, &labels, cfg.k);
 
-        assert_eq!(model.layers.len(), layers.len());
-        for (fitted, oracle) in model.layers.iter().zip(&layers) {
+        assert_eq!(model.partitions, partitions);
+        let fitted_layers = KGraph::new(cfg).fit_layers(&ds);
+        assert_eq!(fitted_layers.len(), layers.len());
+        for (fitted, oracle) in fitted_layers.iter().zip(&layers) {
             assert_eq!(fitted.length, oracle.length);
             assert_eq!(fitted.labels, oracle.labels);
             assert_eq!(fitted.paths, oracle.paths);
         }
         assert_eq!(model.labels, labels);
         assert_eq!(model.best_layer, best_layer);
+        assert_eq!(model.best().paths, layers[best_layer].paths);
     }
 
     #[test]
@@ -334,7 +342,7 @@ mod tests {
         let ds = toy_dataset();
         let cfg = quick_config(2).with_lengths(vec![16]);
         let model = KGraph::new(cfg).fit(&ds);
-        assert_eq!(model.layers.len(), 1);
+        assert_eq!(model.partitions.len(), 1);
         assert_eq!(model.best_layer, 0);
     }
 

@@ -3,9 +3,10 @@
 //! Serving a model must not require refitting it: `fit` costs seconds to
 //! minutes, while a server restart should reload its registry in
 //! milliseconds. This module writes everything a fitted model holds — the
-//! per-length graph layers (node patterns + CSR edge triples), the stored
-//! embeddings (PCA, radial nodes), paths, partitions and scores — into a
-//! little-endian, length-prefixed binary format (`KGM4`).
+//! config, labels, scores, every length's partition and the one layer it
+//! serves, ℓ̄'s (node patterns, CSR edge triples, paths and the stored
+//! embedding), whose partition is the list at ℓ̄ — into a little-endian,
+//! length-prefixed binary format (`KGM5`).
 //!
 //! Graphs are stored as node payloads plus `(src, dst, weight)` edge
 //! triples and rebuilt through [`tsgraph::GraphBuilder`] at load time; the
@@ -29,15 +30,17 @@
 //! writer refuses a model past the same bound ([`try_write_model`]), so no
 //! file it writes is one the reader would refuse.
 //!
-//! ## The previous generation, `KGM3`
+//! The reader also refuses, naming the field, a model its first request
+//! would panic on: `k` = 0, both feature families off, a final label ≥
+//! `k`, and label, path and partition counts that disagree.
 //!
-//! [`read_model`] still reads `KGM3`, for one format generation. It holds
-//! two slots more: each node payload leads with the node's sector and
-//! radius (`u64`, `f64`), which the layer embedding also stores, and the
-//! config holds the byte of the retired `parallel` flag before the seed.
-//! The reader reads and drops both. A file of an older generation
-//! (`KGM1`, `KGM2`) is refused with a [`TsError::Parse`] that names its
-//! format.
+//! ## The previous generation, `KGM4`
+//!
+//! [`read_model`] still reads `KGM4`, for one format generation. It stores
+//! every length's layer in full, its partition between its paths and its
+//! embedding; the reader keeps each partition and ℓ̄'s layer. A file of an
+//! older generation (`KGM1` to `KGM3`) is refused with a
+//! [`TsError::Parse`] that names its format.
 //!
 //! The format is deliberately dependency-free (no serde in the image) and
 //! versioned by magic: readers reject unknown magics with
@@ -67,11 +70,20 @@ use tscore::error::TsError;
 use tsgraph::delta::DeltaGraph;
 use tsgraph::{GraphBuilder, NodeId};
 
+/// Returns a [`TsError::Parse`] of the `format!`ted message unless the condition holds.
+macro_rules! ensure {
+    ($ok:expr, $($msg:tt)+) => {
+        if !$ok {
+            return Err(TsError::Parse(format!($($msg)+)));
+        }
+    };
+}
+
 /// File magic of the current (checksummed) format version.
-const MAGIC: &[u8; 4] = b"KGM4";
+const MAGIC: &[u8; 4] = b"KGM5";
 
 /// Magic of the previous model format generation, still read.
-const MAGIC_V3: &[u8; 4] = b"KGM3";
+const MAGIC_V4: &[u8; 4] = b"KGM4";
 
 /// The most path windows one model file may declare over all its layers:
 /// 2^26 windows, 256 MiB of node ids. The largest fit this repository runs
@@ -337,9 +349,7 @@ fn put_config(out: &mut Vec<u8>, cfg: &KGraphConfig) {
     put_u64(out, cfg.seed);
 }
 
-/// Decodes the config; `v3` reads and drops the `KGM3` byte of the
-/// retired `parallel` flag.
-fn read_config(c: &mut Cursor, v3: bool) -> Result<KGraphConfig, TsError> {
+fn read_config(c: &mut Cursor) -> Result<KGraphConfig, TsError> {
     Ok(KGraphConfig {
         k: c.usize()?,
         lengths: c.usizes()?,
@@ -353,11 +363,7 @@ fn read_config(c: &mut Cursor, v3: bool) -> Result<KGraphConfig, TsError> {
         n_init: c.usize()?,
         edge_features: c.u8()? != 0,
         node_features: c.u8()? != 0,
-        seed: if v3 {
-            c.u8().and_then(|_| c.u64())?
-        } else {
-            c.u64()?
-        },
+        seed: c.u64()?,
     })
 }
 
@@ -400,9 +406,8 @@ fn read_embedding(c: &mut Cursor) -> Result<LayerEmbedding, TsError> {
     let components = read_matrix(c)?;
     let explained = c.f64s()?;
     let total = c.f64()?;
-    if components.cols() != mean.len() || components.rows() != explained.len() {
-        return Err(TsError::Parse("inconsistent PCA shapes".into()));
-    }
+    let shapes_agree = (components.rows(), components.cols()) == (explained.len(), mean.len());
+    ensure!(shapes_agree, "inconsistent PCA shapes");
     let pca = Pca::from_parts(mean, components, explained, total);
     let n_nodes = c.len(16)?;
     let nodes = (0..n_nodes)
@@ -416,17 +421,12 @@ fn read_embedding(c: &mut Cursor) -> Result<LayerEmbedding, TsError> {
     let center = (c.f64()?, c.f64()?);
     let psi = c.usize()?;
     let stride = c.usize()?;
-    if psi == 0 || stride == 0 {
-        return Err(TsError::Parse(format!(
-            "embedding needs psi and stride >= 1, got psi {psi}, stride {stride}"
-        )));
-    }
-    if let Some(n) = nodes.iter().find(|n| n.sector >= psi) {
-        return Err(TsError::Parse(format!(
-            "node sector {} out of range for psi {psi}",
-            n.sector
-        )));
-    }
+    ensure!(
+        psi > 0 && stride > 0,
+        "embedding needs psi and stride >= 1, got psi {psi}, stride {stride}"
+    );
+    let top = nodes.iter().map(|n| n.sector).max().unwrap_or(0);
+    ensure!(top < psi, "node sector {top} out of range for psi {psi}");
     Ok(LayerEmbedding::new(pca, nodes, center, psi, stride))
 }
 
@@ -444,7 +444,6 @@ fn put_layer(out: &mut Vec<u8>, layer: &GraphLayer) {
     for path in &layer.paths {
         put_path(out, path);
     }
-    put_u64s(out, layer.labels.iter().map(|&l| l as u64));
     put_embedding(out, &layer.embedding);
 }
 
@@ -481,26 +480,22 @@ fn read_path(
         let node = node_id(c.varint()?, n_nodes)?;
         let run = c.varint()?;
         let left = windows - path.len();
-        if run == 0 || run > left as u64 {
-            return Err(TsError::Parse(format!(
-                "path run of {run} windows where {left} remain"
-            )));
-        }
+        ensure!(
+            run > 0 && run <= left as u64,
+            "path run of {run} windows where {left} remain"
+        );
         path.resize(path.len() + run as usize, node);
     }
     Ok(path)
 }
 
-/// Decodes one layer; `v3` reads and drops the sector and radius that
-/// lead each `KGM3` node payload.
-fn read_layer(c: &mut Cursor, v3: bool, windows_left: &mut u64) -> Result<GraphLayer, TsError> {
+/// Decodes one layer. A `KGM4` layer holds its partition between its
+/// paths and its embedding; a `KGM5` layer's is left for the caller.
+fn read_layer(c: &mut Cursor, kgm4: bool, windows_left: &mut u64) -> Result<GraphLayer, TsError> {
     let length = c.usize()?;
     let n_nodes = c.len(8)?;
     let payloads = (0..n_nodes)
         .map(|_| {
-            if v3 {
-                c.usize().and_then(|_| c.f64())?;
-            }
             Ok(NodePattern {
                 count: c.usize()?,
                 pattern: c.f64s()?,
@@ -520,15 +515,13 @@ fn read_layer(c: &mut Cursor, v3: bool, windows_left: &mut u64) -> Result<GraphL
     let paths = (0..n_paths)
         .map(|_| read_path(c, n_nodes, windows_left))
         .collect::<Result<Vec<_>, TsError>>()?;
-    let labels = c.usizes()?;
+    let labels = if kgm4 { c.usizes()? } else { Vec::new() };
     let embedding = read_embedding(c)?;
-    if embedding.nodes.len() != n_nodes || embedding.pca.mean().len() != length {
-        return Err(TsError::Parse(format!(
-            "embedding of {} nodes and dimension {} does not match a layer of {n_nodes} nodes and length {length}",
-            embedding.nodes.len(),
-            embedding.pca.mean().len()
-        )));
-    }
+    let (nodes, dim) = (embedding.nodes.len(), embedding.pca.mean().len());
+    ensure!(
+        (nodes, dim) == (n_nodes, length),
+        "embedding of {nodes} nodes and dimension {dim} does not match a layer of {n_nodes} nodes and length {length}"
+    );
     Ok(GraphLayer {
         length,
         graph,
@@ -538,7 +531,7 @@ fn read_layer(c: &mut Cursor, v3: bool, windows_left: &mut u64) -> Result<GraphL
     })
 }
 
-/// Encodes a fitted model into the `KGM4` byte format (CRC-32 trailer
+/// Encodes a fitted model into the `KGM5` byte format (CRC-32 trailer
 /// over everything before it).
 ///
 /// # Panics
@@ -559,12 +552,7 @@ pub fn try_write_model(model: &KGraphModel) -> Result<Vec<u8>, TsError> {
 
 /// [`write_model`] under a path-window bound of `max_windows`.
 fn encode_model(model: &KGraphModel, max_windows: u64) -> Result<Vec<u8>, TsError> {
-    let windows: u64 = model
-        .layers
-        .iter()
-        .flat_map(|layer| &layer.paths)
-        .map(|path| path.len() as u64)
-        .sum();
+    let windows: u64 = model.best().paths.iter().map(|p| p.len() as u64).sum();
     if windows > max_windows {
         return Err(TsError::InvalidParameter(format!(
             "a model of {windows} path windows passes the {max_windows}-window bound of a model file"
@@ -581,10 +569,11 @@ fn encode_model(model: &KGraphModel, max_windows: u64) -> Result<Vec<u8>, TsErro
         put_f64(&mut out, s.we);
     }
     put_u64(&mut out, model.best_layer as u64);
-    put_u64(&mut out, model.layers.len() as u64);
-    for layer in &model.layers {
-        put_layer(&mut out, layer);
+    put_u64(&mut out, model.partitions.len() as u64);
+    for p in &model.partitions {
+        put_u64s(&mut out, p.iter().map(|&l| l as u64));
     }
+    put_layer(&mut out, model.best());
     Ok(seal(out))
 }
 
@@ -598,49 +587,44 @@ pub fn seal(mut out: Vec<u8>) -> Vec<u8> {
 /// Opens a blob written by [`seal`]: checks the 4-byte `magic`, verifies
 /// the CRC-32 trailer *before* anything is parsed and returns a cursor
 /// over the payload just past the magic. `kind` names the blob in errors
-/// (`"model"` reports e.g. "not a KGM4 model file" and "KGM4 model
+/// (`"model"` reports e.g. "not a KGM5 model file" and "KGM5 model
 /// checksum mismatch").
 pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 4], kind: &str) -> Result<Cursor<'a>, TsError> {
     let found: &[u8] = bytes
         .get(..4)
         .ok_or_else(|| TsError::Parse(format!("{kind} file truncated ({} bytes)", bytes.len())))?;
     let format = String::from_utf8_lossy(magic);
-    if found != magic {
-        return Err(TsError::Parse(format!(
-            "not a {format} {kind} file (magic {found:?})"
-        )));
-    }
-    if bytes.len() < 8 {
-        return Err(TsError::Parse(format!(
-            "{format} {kind} file truncated ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
+    ensure!(
+        found == magic,
+        "not a {format} {kind} file (magic {found:?})"
+    );
+    let len = bytes.len();
+    ensure!(len >= 8, "{format} {kind} file truncated ({len} bytes)");
+    let (payload, trailer) = bytes.split_at(len - 4);
     let expected = u32::from_le_bytes(array(trailer, payload.len())?);
     let actual = crc32(payload);
-    if actual != expected {
-        return Err(TsError::Parse(format!(
-            "{format} {kind} checksum mismatch (stored {expected:#010x}, computed {actual:#010x}): \
-             file is corrupt or truncated"
-        )));
-    }
+    ensure!(
+        actual == expected,
+        "{format} {kind} checksum mismatch (stored {expected:#010x}, computed {actual:#010x}): \
+         file is corrupt or truncated"
+    );
     Ok(Cursor {
         bytes: payload,
         pos: 4,
     })
 }
 
-/// Decodes a model from `KGM4` bytes, or from `KGM3` bytes of the
+/// Decodes a model from `KGM5` bytes, or from `KGM4` bytes of the
 /// previous format generation.
 ///
 /// # Errors
 ///
 /// [`TsError::Parse`] on a wrong magic (a file of an older generation is
 /// refused naming its format), a CRC-32 mismatch, truncation,
-/// or any internal inconsistency (edge/path references outside the node
+/// any internal inconsistency (edge/path references outside the node
 /// range, malformed path runs, PCA shape mismatches, out-of-range layer
-/// index).
+/// index), and a model its first request would panic on (see the module
+/// docs).
 pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
     decode_model(bytes, MAX_PATH_WINDOWS)
 }
@@ -649,18 +633,15 @@ pub fn read_model(bytes: &[u8]) -> Result<KGraphModel, TsError> {
 fn decode_model(bytes: &[u8], max_windows: u64) -> Result<KGraphModel, TsError> {
     // A generation older than the previous one is named, not misread.
     if let [b'K', b'G', b'M', n @ b'0'..=b'9', ..] = *bytes {
-        if n < MAGIC_V3[3] {
-            return Err(TsError::Parse(format!(
-                "{} model files are no longer read: this build reads the magics {} and {}",
-                String::from_utf8_lossy(&bytes[..4]),
-                String::from_utf8_lossy(MAGIC),
-                String::from_utf8_lossy(MAGIC_V3),
-            )));
-        }
+        let [old, new, previous] = [&bytes[..4], MAGIC, MAGIC_V4].map(String::from_utf8_lossy);
+        ensure!(
+            n >= MAGIC_V4[3],
+            "{old} model files are no longer read: this build reads the magics {new} and {previous}"
+        );
     }
-    let v3 = bytes.starts_with(MAGIC_V3);
-    let mut c = open(bytes, if v3 { MAGIC_V3 } else { MAGIC }, "model")?;
-    let config = read_config(&mut c, v3)?;
+    let kgm4 = bytes.starts_with(MAGIC_V4);
+    let mut c = open(bytes, if kgm4 { MAGIC_V4 } else { MAGIC }, "model")?;
+    let config = read_config(&mut c)?;
     let labels = c.usizes()?;
     let n_scores = c.len(24)?;
     let scores = (0..n_scores)
@@ -673,19 +654,37 @@ fn decode_model(bytes: &[u8], max_windows: u64) -> Result<KGraphModel, TsError> 
         })
         .collect::<Result<Vec<_>, TsError>>()?;
     let best_layer = c.usize()?;
-    let n_layers = c.len(8)?;
+    let m = c.len(8)?;
     let mut windows_left = max_windows;
-    let layers = (0..n_layers)
-        .map(|_| read_layer(&mut c, v3, &mut windows_left))
-        .collect::<Result<Vec<_>, TsError>>()?;
-    if best_layer >= layers.len() {
-        return Err(TsError::Parse(format!(
-            "best layer {best_layer} out of range ({} layers)",
-            layers.len()
-        )));
-    }
+    let (partitions, mut layer) = if kgm4 {
+        // Every length's layer in full: keep the partitions and ℓ̄'s layer.
+        let mut layers = (0..m)
+            .map(|_| read_layer(&mut c, true, &mut windows_left))
+            .collect::<Result<Vec<_>, TsError>>()?;
+        ensure!(best_layer < m, "best layer {best_layer} out of range");
+        let partitions = layers.iter().map(|l| l.labels.clone()).collect();
+        (partitions, layers.swap_remove(best_layer))
+    } else {
+        let partitions = (0..m).map(|_| c.usizes()).collect::<Result<Vec<_>, _>>()?;
+        (partitions, read_layer(&mut c, false, &mut windows_left)?)
+    };
     c.finish("model")?;
-    Ok(KGraphModel::new(config, layers, labels, scores, best_layer))
+    // A model its first request would panic on is refused naming the field.
+    let (k, n, paths, parts) = (config.k, labels.len(), layer.paths.len(), partitions.len());
+    let top = labels.iter().copied().max().unwrap_or(0);
+    let features = config.node_features || config.edge_features;
+    let uneven = partitions.iter().any(|p| p.len() != n);
+    ensure!(k > 0, "config field k is 0");
+    ensure!(features, "node_features and edge_features are both off");
+    ensure!(top < k, "final label {top} out of range for k {k}");
+    ensure!(n == paths, "{n} final labels for {paths} served paths");
+    ensure!(parts == n_scores, "{parts} partitions, {n_scores} scores");
+    ensure!(!uneven, "a partition's length is not {n}");
+    ensure!(best_layer < parts, "best layer {best_layer} out of range");
+    layer.labels = partitions[best_layer].clone();
+    Ok(KGraphModel::new(
+        config, layer, partitions, labels, scores, best_layer,
+    ))
 }
 
 /// Loads a model from `path`.
@@ -715,13 +714,11 @@ pub fn write_delta_state(delta: &DeltaGraph<f64>) -> Vec<u8> {
 pub fn read_delta_state(bytes: &[u8]) -> Result<DeltaGraph<f64>, TsError> {
     let mut c = open(bytes, DELTA_MAGIC, "delta")?;
     let count = c.u64()?;
-    if count != 1 {
-        return Err(TsError::Parse(format!(
-            "delta state holds {count} deltas, not 1: a per-layer state, \
-             as written before {}, is no longer read",
-            String::from_utf8_lossy(MAGIC_V3)
-        )));
-    }
+    ensure!(
+        count == 1,
+        "delta state holds {count} deltas, not 1: a per-layer state, \
+         as written before KGM3, is no longer read"
+    );
     let nodes = c.usize()?;
     let triples = c.triples(nodes)?;
     let mut delta = DeltaGraph::new(nodes);
@@ -732,31 +729,31 @@ pub fn read_delta_state(bytes: &[u8]) -> Result<DeltaGraph<f64>, TsError> {
 
 /// Approximate heap footprint of a fitted model in bytes — the currency of
 /// the serving layer's eviction budget (and the `bytes` that `graphserve`
-/// reports per model). Counts the dominant flat arrays (CSR adjacency,
-/// patterns, paths); small fixed overheads are ignored.
+/// reports per model). Counts the dominant flat arrays (the served layer's
+/// CSR adjacency, patterns, paths and embedding, and every partition);
+/// small fixed overheads are ignored.
 pub fn model_approx_bytes(model: &KGraphModel) -> usize {
+    let layer = model.best();
     let mut bytes = std::mem::size_of::<KGraphModel>();
     bytes += model.labels.len() * 8;
     bytes += model.scores.len() * std::mem::size_of::<LengthScore>();
-    for layer in &model.layers {
-        // CSR: out offsets (u32), then per edge its target (u32), weight
-        // (f64) and source (u32).
-        let e = layer.graph.edge_count();
-        let n = layer.graph.node_count();
-        bytes += (n + 1) * 4 + e * (4 + 8 + 4);
-        for (_, p) in layer.graph.nodes_iter() {
-            bytes += std::mem::size_of::<NodePattern>() + p.pattern.len() * 8;
-        }
-        for path in &layer.paths {
-            bytes += path.len() * 4 + std::mem::size_of::<Vec<NodeId>>();
-        }
-        bytes += layer.labels.len() * 8;
-        let emb = &layer.embedding;
-        bytes += emb.pca.mean().len() * 8
-            + emb.pca.components().as_slice().len() * 8
-            + emb.pca.explained_variance().len() * 8
-            + emb.nodes.len() * std::mem::size_of::<RadialNode>();
+    bytes += model.partitions.iter().map(|p| p.len() * 8).sum::<usize>();
+    // CSR: out offsets (u32), then per edge its target (u32), weight
+    // (f64) and source (u32).
+    let (n, e) = (layer.graph.node_count(), layer.graph.edge_count());
+    bytes += (n + 1) * 4 + e * (4 + 8 + 4);
+    for (_, p) in layer.graph.nodes_iter() {
+        bytes += std::mem::size_of::<NodePattern>() + p.pattern.len() * 8;
     }
+    for path in &layer.paths {
+        bytes += path.len() * 4 + std::mem::size_of::<Vec<NodeId>>();
+    }
+    bytes += layer.labels.len() * 8;
+    let emb = &layer.embedding;
+    bytes += emb.pca.mean().len() * 8
+        + emb.pca.components().as_slice().len() * 8
+        + emb.pca.explained_variance().len() * 8
+        + emb.nodes.len() * std::mem::size_of::<RadialNode>();
     bytes
 }
 
@@ -799,16 +796,15 @@ mod tests {
         assert_eq!(loaded.labels, model.labels);
         assert_eq!(loaded.best_layer, model.best_layer);
         assert_eq!(loaded.consensus().as_slice(), model.consensus().as_slice());
-        assert_eq!(loaded.layers.len(), model.layers.len());
-        for (a, b) in loaded.layers.iter().zip(&model.layers) {
-            assert_eq!(a.length, b.length);
-            assert_eq!(a.labels, b.labels);
-            assert_eq!(a.paths, b.paths);
-            assert_eq!(a.graph.node_count(), b.graph.node_count());
-            assert_eq!(a.graph.edge_count(), b.graph.edge_count());
-            for (ea, eb) in a.graph.edges_iter().zip(b.graph.edges_iter()) {
-                assert_eq!((ea.1, ea.2, ea.3), (eb.1, eb.2, eb.3));
-            }
+        assert_eq!(loaded.partitions, model.partitions);
+        let (a, b) = (loaded.best(), model.best());
+        assert_eq!(a.length, b.length);
+        assert_eq!(a.labels, b.labels);
+        assert_eq!(a.paths, b.paths);
+        assert_eq!(a.graph.node_count(), b.graph.node_count());
+        assert_eq!(a.graph.edge_count(), b.graph.edge_count());
+        for (ea, eb) in a.graph.edges_iter().zip(b.graph.edges_iter()) {
+            assert_eq!((ea.1, ea.2, ea.3), (eb.1, eb.2, eb.3));
         }
 
         // Fit → save → load → *identical* scores: the acceptance check.
@@ -850,14 +846,14 @@ mod tests {
         // A file of an older generation is refused on its magic, before
         // its checksum, with a message that names it and the two formats
         // that are read.
-        for old in [&b"KGM1"[..], b"KGM2"] {
+        for old in [&b"KGM1"[..], b"KGM2", b"KGM3"] {
             let mut body = bytes[..bytes.len() - 4].to_vec();
             body[..4].copy_from_slice(old);
             match read_model(&seal(body)) {
                 Err(TsError::Parse(msg)) => {
                     let name = std::str::from_utf8(old).unwrap();
                     assert!(msg.contains(&format!("{name} model files")), "{msg}");
-                    assert!(msg.contains("KGM4 and KGM3"), "{msg}");
+                    assert!(msg.contains("KGM5 and KGM4"), "{msg}");
                     assert!(msg.contains("magic"), "{msg}");
                 }
                 other => panic!("{old:?} must be refused, got {other:?}"),
@@ -916,6 +912,7 @@ mod tests {
             })
             .collect();
         let labels = vec![0; paths.len()];
+        let partitions = vec![labels.clone()];
         let layer = GraphLayer {
             length,
             graph,
@@ -928,7 +925,14 @@ mod tests {
             wc: 0.5,
             we: 0.25,
         };
-        KGraphModel::new(KGraphConfig::new(2), vec![layer], labels, vec![score], 0)
+        KGraphModel::new(
+            KGraphConfig::new(2),
+            layer,
+            partitions,
+            labels,
+            vec![score],
+            0,
+        )
     }
 
     proptest::proptest! {
@@ -957,7 +961,7 @@ mod tests {
             let model = with_paths(300, paths);
             let bytes = write_model(&model);
             let loaded = read_model(&bytes).expect("round trip");
-            proptest::prop_assert_eq!(&loaded.layers[0].paths, &model.layers[0].paths);
+            proptest::prop_assert_eq!(&loaded.best().paths, &model.best().paths);
             proptest::prop_assert_eq!(write_model(&loaded), bytes);
         }
     }
@@ -965,7 +969,7 @@ mod tests {
     #[test]
     fn path_runs_past_their_bounds_are_parse_errors() {
         // One path of three windows on node 200 (two varint bytes), as the
-        // last section before the layer's labels.
+        // last section before the layer's embedding.
         let model = with_paths(300, vec![vec![NodeId(200); 3]]);
         let bytes = write_model(&model);
         let mut run = Vec::new();
@@ -1014,7 +1018,7 @@ mod tests {
         let model = with_paths(300, vec![vec![NodeId(3); 4], vec![NodeId(299); 3]]);
         let bytes = encode_model(&model, 7).expect("a model at the bound is written");
         let loaded = decode_model(&bytes, 7).expect("and loads");
-        assert_eq!(loaded.layers[0].paths, model.layers[0].paths);
+        assert_eq!(loaded.best().paths, model.best().paths);
         assert_eq!(bytes, write_model(&model));
         assert!(matches!(
             encode_model(&model, 6),

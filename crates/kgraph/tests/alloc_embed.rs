@@ -217,8 +217,11 @@ fn a_crafted_path_run_is_refused_before_it_is_allocated() {
     }
     .with_lengths(vec![12]);
     let mut model = KGraph::new(cfg).fit(&ds);
-    // One path of 77 windows on node 1: the varints 1 (paths), 77, 1, 77.
-    model.layers[0].paths = vec![vec![NodeId(1); 77]];
+    // One series, its path of 77 windows on node 1: the varints 1
+    // (paths), 77, 1, 77.
+    model.layer.paths = vec![vec![NodeId(1); 77]];
+    model.labels.truncate(1);
+    model.partitions[0].truncate(1);
     let bytes = write_model(&model);
     let body = &bytes[..bytes.len() - 4];
     let at = body

@@ -14,9 +14,10 @@ use kgraph::{KGraph, KGraphConfig};
 #[ignore = "fits 3,000 series; run in release with --ignored"]
 fn every_layer_and_the_consensus_match_their_dense_oracles_at_n_3000() {
     let cfg = KGraphConfig::new(3).with_seed(7);
-    let model = KGraph::new(cfg.clone()).fit(&datasets::cbf::cbf(1000, 256, 7));
-    assert_eq!(model.layers.len(), 5);
-    for layer in &model.layers {
+    let kgraph = KGraph::new(cfg.clone());
+    let layers = kgraph.fit_layers(&datasets::cbf::cbf(1000, 256, 7));
+    assert_eq!(layers.len(), 5);
+    for layer in &layers {
         let features = feature_matrix(layer, cfg.node_features, cfg.edge_features);
         let float = KMeans {
             k: cfg.k,
@@ -27,7 +28,7 @@ fn every_layer_and_the_consensus_match_their_dense_oracles_at_n_3000() {
         .fit(&features);
         assert_eq!(layer.labels, float.labels, "length {}", layer.length);
     }
-    let partitions: Vec<Vec<usize>> = model.layers.iter().map(|l| l.labels.clone()).collect();
+    let partitions: Vec<Vec<usize>> = layers.iter().map(|l| l.labels.clone()).collect();
     let dense = consensus_labels(&consensus_matrix(&partitions), cfg.k, cfg.seed);
-    assert_eq!(model.labels, dense);
+    assert_eq!(kgraph.model_from_layers(layers).labels, dense);
 }

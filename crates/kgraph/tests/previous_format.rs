@@ -1,24 +1,23 @@
-//! `KGM4` against the previous model format, `KGM3`, on real fits.
+//! `KGM5` against the previous model format, `KGM4`, on real fits.
 //!
-//! `KGM4` is `KGM3` without each node payload's sector and radius (16
-//! bytes a node, which the layer embedding also stores) and without the
-//! byte of the retired `parallel` flag. So on every fixture a `KGM4` file
-//! is exactly `16 · nodes + 1` bytes shorter than the same model in
-//! `KGM3`, and a `KGM3` file loads to a model that re-encodes to exactly
-//! the `KGM4` bytes.
+//! `KGM4` stored every length's layer in full; `KGM5` stores every
+//! length's partition once and the one layer the model serves, ℓ̄. So a
+//! `KGM4` file loads to a model that re-encodes to exactly the `KGM5`
+//! bytes `write_model` writes for the same fit.
 //!
 //! The fixtures are the two perfbench training sets (`explore_1k` and
-//! `ingest_durable`) and every fit of `tests/pipeline_integration.rs`.
-//! The `KGM3` bytes of the two perfbench sets are pinned to what
-//! `write_model` wrote while `KGM3` was the current format, so the test
-//! writer [`kgm3`] is that encoder, byte for byte.
+//! `ingest_durable`), the k-Graph fit that
+//! `clustering/tests/pinned_partitions.rs` pins, and every fit of
+//! `tests/pipeline_integration.rs`. The `KGM4` bytes of the first three
+//! are pinned to what `write_model` wrote while `KGM4` was the current
+//! format, so the test writer [`kgm4`] is that encoder, byte for byte.
 
-#[path = "support/kgm3.rs"]
-mod kgm3;
+#[path = "support/kgm4.rs"]
+mod kgm4;
 
 use datasets::{cbf::cbf, shapes, two_patterns::two_patterns};
-use kgm3::kgm3;
-use kgraph::serial::{read_model, write_model};
+use kgm4::kgm4;
+use kgraph::serial::{model_approx_bytes, read_model, write_model};
 use kgraph::{KGraph, KGraphConfig, KGraphModel};
 use tscore::{Dataset, DatasetKind, TimeSeries};
 
@@ -29,19 +28,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Checks the byte accounting on `model` and returns (`KGM3` length and
-/// FNV-1a, `KGM4` length).
-fn accounting(what: &str, model: &KGraphModel) -> ((usize, u64), usize) {
-    let old = kgm3(model);
-    let new = write_model(model);
-    let nodes: usize = model.layers.iter().map(|l| l.graph.node_count()).sum();
-    assert_eq!(new.len(), old.len() - 16 * nodes - 1, "{what}: KGM4 length");
-    let loaded = read_model(&old).unwrap_or_else(|e| panic!("{what}: KGM3 loads: {e}"));
+/// Fits `ds` under `cfg`, checks that its `KGM4` file re-encodes to its
+/// `KGM5` bytes and returns the model with (`KGM4` length and FNV-1a,
+/// `KGM5` length).
+fn accounting(what: &str, cfg: KGraphConfig, ds: &Dataset) -> (KGraphModel, (usize, u64), usize) {
+    let kgraph = KGraph::new(cfg);
+    let layers = kgraph.fit_layers(ds);
+    let model = kgraph.model_from_layers(layers.clone());
+    let old = kgm4(&model, &layers);
+    let new = write_model(&model);
+    let loaded = read_model(&old).unwrap_or_else(|e| panic!("{what}: KGM4 loads: {e}"));
     assert!(
         write_model(&loaded) == new,
-        "{what}: KGM3 re-encodes to the KGM4 bytes"
+        "{what}: KGM4 re-encodes to the KGM5 bytes"
     );
-    ((old.len(), fnv1a(&old)), new.len())
+    assert_eq!(loaded.partitions, model.partitions, "{what}: partitions");
+    assert_eq!(loaded.best().labels, layers[model.best_layer].labels);
+    (model, (old.len(), fnv1a(&old)), new.len())
 }
 
 /// The configuration a `PUT /models/{name}?k=&n_lengths=&seed=` fits.
@@ -54,32 +57,44 @@ fn put_config(k: usize, n_lengths: usize, seed: u64) -> KGraphConfig {
 }
 
 #[test]
-fn the_perfbench_sets_drop_sixteen_bytes_a_node_and_one() {
+fn the_perfbench_sets_and_the_pinned_fit_load_from_their_kgm4_bytes() {
     // `explore_1k` fits 334 CBF series per class, `ingest_durable` 100;
     // both with k 3, 5 lengths, seed 7.
-    for (what, per_class, kgm3_pin, kgm4_len) in [
+    for (what, ds, cfg, kgm4_pin, kgm5_len, approx) in [
         (
             "explore_1k",
-            334,
-            (1_044_199, 0xa63a_ebc3_ede7_6726),
-            1_040_326,
+            cbf(334, 256, 7),
+            put_config(3, 5, 7),
+            (1_040_326, 0x9959_1ab6_4a1b_026d),
+            213_268,
+            855_260,
         ),
         (
             "ingest_durable",
-            100,
-            (477_445, 0x8952_2df0_183d_a631),
-            473_476,
+            cbf(100, 256, 7),
+            put_config(3, 5, 7),
+            (473_476, 0xac3b_b095_e7ad_2e41),
+            98_756,
+            289_844,
+        ),
+        (
+            "pinned_partitions",
+            cbf(100, 128, 3),
+            KGraphConfig::new(3).with_seed(3),
+            (333_096, 0xfe5d_b57b_7d6b_75aa),
+            68_198,
+            152_496,
         ),
     ] {
-        let model = KGraph::new(put_config(3, 5, 7)).fit(&cbf(per_class, 256, 7));
-        let (old, new) = accounting(what, &model);
-        assert_eq!(old, kgm3_pin, "{what}: the KGM3 bytes");
-        assert_eq!(new, kgm4_len, "{what}: the KGM4 length");
+        let (model, old, new) = accounting(what, cfg, &ds);
+        assert_eq!(old, kgm4_pin, "{what}: the KGM4 bytes");
+        assert_eq!(new, kgm5_len, "{what}: the KGM5 length");
+        assert_eq!(model_approx_bytes(&model), approx, "{what}: approx bytes");
     }
 }
 
 #[test]
-fn every_pipeline_integration_fit_drops_sixteen_bytes_a_node_and_one() {
+fn every_pipeline_integration_fit_loads_from_its_kgm4_bytes() {
     let quick = |k: usize, seed: u64| KGraphConfig {
         n_lengths: 3,
         psi: 16,
@@ -116,6 +131,6 @@ fn every_pipeline_integration_fit_drops_sixteen_bytes_a_node_and_one() {
         ("graphoid exclusivity", cbf(8, 96, 6), 3, 6),
         ("variable length", varlen, 2, 7),
     ] {
-        accounting(what, &KGraph::new(quick(k, seed)).fit(&ds));
+        accounting(what, quick(k, seed), &ds);
     }
 }

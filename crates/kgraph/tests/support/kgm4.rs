@@ -1,15 +1,16 @@
-//! A writer of the previous model file layout, `KGM3`, for tests that
+//! A writer of the previous model file layout, `KGM4`, for tests that
 //! check it still loads. Include it with
-//! `#[path = "<relative path>/kgraph/tests/support/kgm3.rs"] mod kgm3;`.
+//! `#[path = "<relative path>/kgraph/tests/support/kgm4.rs"] mod kgm4;`.
 
 use kgraph::serial::{put_f64, put_f64s, put_triples, put_u64, put_u64s, put_varint, seal};
-use kgraph::KGraphModel;
+use kgraph::{GraphLayer, KGraphModel};
 
-/// `model` in the `KGM3` layout: the `KGM4` layout plus each node's
-/// sector and radius leading its payload, and the byte of the retired
-/// `parallel` flag (always 1) before the config's seed.
-pub fn kgm3(model: &KGraphModel) -> Vec<u8> {
-    let mut out = b"KGM3".to_vec();
+/// `model` in the `KGM4` layout, with `layers` (every length's layer, as
+/// `KGraph::fit_layers` returns them) in place of `KGM5`'s partition list
+/// and one layer. Each layer is stored in full, its partition between its
+/// paths and its embedding.
+pub fn kgm4(model: &KGraphModel, layers: &[GraphLayer]) -> Vec<u8> {
+    let mut out = b"KGM4".to_vec();
     let cfg = &model.config;
     put_u64(&mut out, cfg.k as u64);
     put_u64s(&mut out, cfg.lengths.iter().map(|&l| l as u64));
@@ -23,7 +24,7 @@ pub fn kgm3(model: &KGraphModel) -> Vec<u8> {
     for v in [cfg.stride, cfg.pca_sample, cfg.n_init] {
         put_u64(&mut out, v as u64);
     }
-    out.extend([cfg.edge_features as u8, cfg.node_features as u8, 1]);
+    out.extend([cfg.edge_features as u8, cfg.node_features as u8]);
     put_u64(&mut out, cfg.seed);
     put_u64s(&mut out, model.labels.iter().map(|&l| l as u64));
     put_u64(&mut out, model.scores.len() as u64);
@@ -33,14 +34,11 @@ pub fn kgm3(model: &KGraphModel) -> Vec<u8> {
         put_f64(&mut out, s.we);
     }
     put_u64(&mut out, model.best_layer as u64);
-    put_u64(&mut out, model.layers.len() as u64);
-    for layer in &model.layers {
+    put_u64(&mut out, layers.len() as u64);
+    for layer in layers {
         put_u64(&mut out, layer.length as u64);
         put_u64(&mut out, layer.graph.node_count() as u64);
-        for (id, p) in layer.graph.nodes_iter() {
-            let n = &layer.embedding.nodes[id.index()];
-            put_u64(&mut out, n.sector as u64);
-            put_f64(&mut out, n.radius);
+        for (_, p) in layer.graph.nodes_iter() {
             put_u64(&mut out, p.count as u64);
             put_f64s(&mut out, &p.pattern);
         }

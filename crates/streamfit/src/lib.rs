@@ -24,11 +24,11 @@
 //! 3. **Compact** — every [`StreamConfig::compact_every`] refreshes the
 //!    delta merges into a fresh base CSR
 //!    ([`tsgraph::DeltaGraph::compact`], bit-identical to a from-scratch
-//!    build) and the session hands back a new `Arc<KGraphModel>`, its
-//!    other layers as fitted, for the caller to publish (e.g.
-//!    `graphserve`'s `ModelStore::insert`). Readers holding the old
-//!    snapshot are untouched. The embedding is kept, so the stored routes
-//!    stay valid.
+//!    build) and the session hands back a new `Arc<KGraphModel>`, the
+//!    layer's paths and embedding copied beside the new graph, for the
+//!    caller to publish (e.g. `graphserve`'s `ModelStore::insert`).
+//!    Readers holding the old snapshot are untouched. The embedding is
+//!    kept, so the stored routes stay valid.
 //!
 //! This crate owns the live-session state: open series, cadences, the
 //! delta, its `KGS1` persistence ([`persist`]) and the
@@ -140,16 +140,8 @@ mod tests {
         assert_eq!(before, after, "compaction must not change scores");
         // And the base graph grew (or at least gained weight): the old
         // model had none of the streamed bridge transitions.
-        let old_edges: f64 = model.layers[model.best_layer]
-            .graph
-            .edges_iter()
-            .map(|(_, _, _, &w)| w)
-            .sum();
-        let new_edges: f64 = next.layers[next.best_layer]
-            .graph
-            .edges_iter()
-            .map(|(_, _, _, &w)| w)
-            .sum();
+        let old_edges: f64 = model.best().graph.edges_iter().map(|(_, _, _, &w)| w).sum();
+        let new_edges: f64 = next.best().graph.edges_iter().map(|(_, _, _, &w)| w).sum();
         assert!(new_edges > old_edges, "{new_edges} vs {old_edges}");
     }
 

@@ -104,8 +104,8 @@ pub struct SeriesStatus {
 /// transition triples, the refresh cadence folds them into a
 /// [`DeltaGraph`] and rescores every open series' stored route against the
 /// base compacted with that delta, and the compaction cadence merges the
-/// delta into a fresh base CSR published as a new `Arc` snapshot. The
-/// other layers are carried over as fitted.
+/// delta into a fresh base CSR published as a new `Arc` snapshot, beside
+/// the layer's paths and embedding as fitted.
 ///
 /// The session itself is single-writer (wrap it in a `Mutex`; see
 /// [`SessionRegistry`](crate::SessionRegistry)) — concurrent *readers* of
@@ -276,8 +276,8 @@ impl StreamSession {
         }
     }
 
-    /// Merges the delta into a fresh base CSR for the best layer, carries
-    /// the other layers over as they are, switches the session to the new
+    /// Merges the delta into a fresh base CSR for the best layer, copies
+    /// the rest of the model beside it, switches the session to the new
     /// model and returns it for publication. Readers of the old `Arc` are
     /// untouched. An empty delta leaves the model as it is, and its `Arc`
     /// is returned: a copy would be a new version with the same answers.
@@ -287,12 +287,12 @@ impl StreamSession {
             return Arc::clone(&self.model);
         }
         let old = &self.model;
-        let mut layers = old.layers.clone();
-        let best = &mut layers[old.best_layer];
-        best.graph = self.delta.compact(&best.graph, sum);
+        let mut layer = old.best().clone();
+        layer.graph = self.delta.compact(&layer.graph, sum);
         let next = Arc::new(KGraphModel::new(
             old.config.clone(),
-            layers,
+            layer,
+            old.partitions.clone(),
             old.labels.clone(),
             old.scores.clone(),
             old.best_layer,

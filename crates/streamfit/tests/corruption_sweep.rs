@@ -1,5 +1,5 @@
-//! One truncation and bit-flip sweep for every checksummed format: `KGM4`
-//! models (and `KGM3`, the previous generation, which still loads),
+//! One truncation and bit-flip sweep for every checksummed format: `KGM5`
+//! models (and `KGM4`, the previous generation, which still loads),
 //! `KGD1` delta state and `KGS1` session state.
 //!
 //! A torn write can cut a file at any byte and bit rot can flip any bit,
@@ -9,18 +9,18 @@
 //! decoded. Nothing may panic. The fixtures are kept to a few kilobytes,
 //! because a sweep costs one checksum pass per byte.
 //!
-//! The `KGM3` test builds its blob with [`kgm3`], a writer of that layout
+//! The `KGM4` test builds its blob with [`kgm4`], a writer of that layout
 //! shared with graphserve's recovery tests: the blob loads to the model it
-//! was written from. A model file two generations old (`KGM2`) is refused
+//! was written from. A model file two generations old (`KGM3`) is refused
 //! on its magic with a message that names it. The last test pins that
 //! `KGS1` bounds the pending triples by the node count of its delta.
 
-#[path = "../../kgraph/tests/support/kgm3.rs"]
-mod kgm3;
+#[path = "../../kgraph/tests/support/kgm4.rs"]
+mod kgm4;
 
-use kgm3::kgm3;
+use kgm4::kgm4;
 use kgraph::serial::{read_delta_state, read_model, seal, write_delta_state, write_model};
-use kgraph::{KGraph, KGraphConfig, KGraphModel};
+use kgraph::{GraphLayer, KGraph, KGraphConfig, KGraphModel};
 use std::fmt::Debug;
 use std::sync::Arc;
 use streamfit::{read_session_state, write_session_state, StreamConfig, StreamSession};
@@ -56,8 +56,13 @@ fn sweep<T: Debug>(what: &str, bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T,
     }
 }
 
-/// A one-length model over six short series: a blob of a few kilobytes.
+/// A two-length model over six short series: a blob of a few kilobytes.
 fn tiny_model() -> KGraphModel {
+    tiny_fit().1
+}
+
+/// [`tiny_model`] with its fitted layers.
+fn tiny_fit() -> (Vec<GraphLayer>, KGraphModel) {
     let series: Vec<TimeSeries> = (0..6)
         .map(|p| {
             let f = if p < 3 { 0.3 } else { 0.9 };
@@ -71,8 +76,10 @@ fn tiny_model() -> KGraphModel {
         n_init: 1,
         ..KGraphConfig::new(2)
     }
-    .with_lengths(vec![8]);
-    KGraph::new(cfg).fit(&ds)
+    .with_lengths(vec![8, 12]);
+    let kgraph = KGraph::new(cfg);
+    let layers = kgraph.fit_layers(&ds);
+    (layers.clone(), kgraph.model_from_layers(layers))
 }
 
 /// A session over `model` with deltas, pending triples and scores all
@@ -94,11 +101,11 @@ fn busy_session(model: KGraphModel) -> StreamSession {
 }
 
 #[test]
-fn kgm4_every_cut_and_flip_is_a_parse_error() {
+fn kgm5_every_cut_and_flip_is_a_parse_error() {
     let model = tiny_model();
     let bytes = write_model(&model);
-    assert_eq!(&bytes[..4], b"KGM4");
-    sweep("KGM4", &bytes, read_model);
+    assert_eq!(&bytes[..4], b"KGM5");
+    sweep("KGM5", &bytes, read_model);
 }
 
 #[test]
@@ -124,34 +131,35 @@ fn kgs1_every_cut_and_flip_is_a_parse_error() {
 }
 
 #[test]
-fn kgm3_still_loads_and_every_cut_and_flip_is_a_parse_error() {
-    let model = tiny_model();
-    let old = kgm3(&model);
-    let loaded = read_model(&old).expect("KGM3 loads");
+fn kgm4_still_loads_and_every_cut_and_flip_is_a_parse_error() {
+    let (layers, model) = tiny_fit();
+    let old = kgm4(&model, &layers);
+    let loaded = read_model(&old).expect("KGM4 loads");
     assert_eq!(
         write_model(&loaded),
         write_model(&model),
-        "KGM3 re-encodes to the KGM4 bytes"
+        "KGM4 re-encodes to the KGM5 bytes"
     );
-    sweep("KGM3", &old, read_model);
+    sweep("KGM4", &old, read_model);
 }
 
 #[test]
-fn a_kgm2_model_is_refused_naming_its_format() {
+fn a_kgm3_model_is_refused_naming_its_format() {
     // The reader refuses on the magic, before the checksum and the body,
-    // so any body under the `KGM2` magic stands for a file of that format.
-    let old = kgm3(&tiny_model());
+    // so any body under the `KGM3` magic stands for a file of that format.
+    let (layers, model) = tiny_fit();
+    let old = kgm4(&model, &layers);
     let mut body = old[..old.len() - 4].to_vec();
-    body[..4].copy_from_slice(b"KGM2");
+    body[..4].copy_from_slice(b"KGM3");
     for bytes in [seal(body.clone()), body] {
         match read_model(&bytes) {
             Err(TsError::Parse(msg)) => assert!(
-                msg.contains("KGM2 model files")
+                msg.contains("KGM3 model files")
                     && msg.contains("no longer read")
-                    && msg.contains("KGM4 and KGM3"),
+                    && msg.contains("KGM5 and KGM4"),
                 "{msg}"
             ),
-            other => panic!("a KGM2 file must be refused, got {other:?}"),
+            other => panic!("a KGM3 file must be refused, got {other:?}"),
         }
     }
 }
@@ -167,7 +175,7 @@ fn kgs1_pending_triple_past_its_delta_is_a_parse_error() {
     let kgd1_len = u64_at(&body, 44) as usize;
     let layer0 = 52 + kgd1_len + 8;
     assert!(u64_at(&body, layer0) > 0, "layer 0 has pending triples");
-    let nodes = session.model().layers[0].graph.node_count() as u64;
+    let nodes = session.model().best().graph.node_count() as u64;
     body[layer0 + 8..layer0 + 16].copy_from_slice(&nodes.to_le_bytes());
     match read_session_state(&seal(body)) {
         Err(TsError::Parse(msg)) => assert!(msg.contains("out of range"), "{msg}"),

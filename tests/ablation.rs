@@ -24,9 +24,9 @@ fn consensus_vs_best_single_length() {
     let model = KGraph::new(base_config(3)).fit(&ds);
     let consensus_ari = adjusted_rand_index(&truth, &model.labels);
     let mut single: Vec<f64> = model
-        .layers
+        .partitions
         .iter()
-        .map(|l| adjusted_rand_index(&truth, &l.labels))
+        .map(|p| adjusted_rand_index(&truth, p))
         .collect();
     single.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = single[single.len() / 2];
@@ -70,8 +70,7 @@ fn spectral_vs_kmeans_consensus() {
     let ds = graphint_repro::datasets::cbf::cbf(8, 96, 18);
     let truth = ds.labels().unwrap().to_vec();
     let model = KGraph::new(base_config(3)).fit(&ds);
-    let partitions: Vec<Vec<usize>> = model.layers.iter().map(|l| l.labels.clone()).collect();
-    let mc = consensus_matrix(&partitions);
+    let mc = consensus_matrix(&model.partitions);
     let spectral = consensus_labels(&mc, 3, 18);
     let kmeans = consensus_labels_kmeans(&mc, 3, 18);
     let a_spec = adjusted_rand_index(&truth, &spectral);
@@ -88,18 +87,17 @@ fn psi_resolution_tradeoff() {
     // the local rand shim's stream differs from upstream rand's, and seed
     // 19 draws a CBF instance that is borderline at every ψ.)
     let ds = graphint_repro::datasets::cbf::cbf(8, 96, 21);
-    let coarse = KGraph::new(KGraphConfig {
-        psi: 8,
-        ..base_config(3)
-    })
-    .fit(&ds);
-    let fine = KGraph::new(KGraphConfig {
-        psi: 32,
-        ..base_config(3)
-    })
-    .fit(&ds);
-    let nodes_coarse: usize = coarse.layers.iter().map(|l| l.graph.node_count()).sum();
-    let nodes_fine: usize = fine.layers.iter().map(|l| l.graph.node_count()).sum();
+    let fit = |psi| {
+        let kgraph = KGraph::new(KGraphConfig {
+            psi,
+            ..base_config(3)
+        });
+        let layers = kgraph.fit_layers(&ds);
+        let nodes: usize = layers.iter().map(|l| l.graph.node_count()).sum();
+        (nodes, kgraph.model_from_layers(layers))
+    };
+    let (nodes_coarse, coarse) = fit(8);
+    let (nodes_fine, fine) = fit(32);
     assert!(nodes_fine > nodes_coarse, "{nodes_fine} vs {nodes_coarse}");
     let truth = ds.labels().unwrap().to_vec();
     assert!(adjusted_rand_index(&truth, &coarse.labels) > 0.3);

@@ -63,7 +63,9 @@ fn model_invariants_hold_across_datasets() {
         ),
         (graphint_repro::datasets::shapes::spectro_like(6, 100, 5), 4),
     ] {
-        let model = KGraph::new(quick(k, 5)).fit(&ds);
+        let kgraph = KGraph::new(quick(k, 5));
+        let layers = kgraph.fit_layers(&ds);
+        let model = kgraph.model_from_layers(layers.clone());
         assert_eq!(model.labels.len(), ds.len());
         assert!(model.labels.iter().all(|&l| l < k));
         // Consensus matrix: symmetric, unit diagonal, entries in [0, 1].
@@ -83,7 +85,7 @@ fn model_invariants_hold_across_datasets() {
             assert!(best >= s.product() - 1e-12);
         }
         // Every layer's graph non-trivial and paths well-formed.
-        for layer in &model.layers {
+        for layer in &layers {
             assert!(layer.graph.node_count() > 0);
             assert_eq!(layer.paths.len(), ds.len());
             for path in &layer.paths {
