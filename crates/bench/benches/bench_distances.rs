@@ -1,5 +1,5 @@
 //! Criterion micro-benches for the distance substrate: Euclidean vs SBD
-//! (direct and FFT) vs DTW (banded and full). Supports the E6 narrative:
+//! vs DTW (banded and full). Supports the E6 narrative:
 //! why k-Graph avoids pairwise elastic distances entirely.
 //!
 //! The `distances` group allocates one DTW scratch per call, as a caller
@@ -25,9 +25,6 @@ fn bench_distances(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("sbd_direct", len), &len, |bencher, _| {
             bencher.iter(|| kernel::sbd(black_box(&a), black_box(&b)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("sbd_fft", len), &len, |bencher, _| {
-            bencher.iter(|| clustering::kshape::sbd_fft(black_box(&a), black_box(&b)))
         });
         group.bench_with_input(BenchmarkId::new("dtw_banded", len), &len, |bencher, _| {
             let opts = DtwOptions {

@@ -8,9 +8,10 @@
 //! under their full name). The aggregate is a geometric mean of median
 //! ratios: robust to one noisy variant, sensitive to a stage-wide slide.
 //!
-//! The parser is hand-rolled for exactly the shim's output shape — one
-//! `results` array of flat objects with string `name` and integer stats —
-//! because the workspace deliberately has no serde.
+//! The files are read with [`graphserve::json::Json`], the workspace's
+//! one JSON parser (the workspace has no serde).
+
+use graphserve::json::Json;
 
 /// One parsed benchmark entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,55 +23,31 @@ pub struct BenchEntry {
     pub median_ns: f64,
 }
 
-/// Parses the shim's baseline JSON. Returns an empty vector for files
-/// without a `results` array; entries missing a name or any usable
-/// duration are skipped.
+/// Parses the shim's baseline JSON: one `results` array of flat objects
+/// with a string `name` and numeric stats. Returns an empty vector for
+/// text that is not JSON or has no `results` array; entries missing a
+/// name or any usable duration are skipped.
 pub fn parse_baseline(text: &str) -> Vec<BenchEntry> {
-    let mut out = Vec::new();
-    // Object boundaries inside "results": flat objects, no nesting.
-    let Some(results_at) = text.find("\"results\"") else {
-        return out;
+    let Ok(doc) = Json::parse(text) else {
+        return Vec::new();
     };
-    let mut rest = &text[results_at..];
-    while let Some(open) = rest.find('{') {
-        let Some(close) = rest[open..].find('}') else {
-            break;
-        };
-        let obj = &rest[open + 1..open + close];
-        if let Some(entry) = parse_entry(obj) {
-            out.push(entry);
-        }
-        rest = &rest[open + close + 1..];
-    }
-    out
-}
-
-/// Parses one flat `"key": value` object body.
-fn parse_entry(obj: &str) -> Option<BenchEntry> {
-    let name = string_field(obj, "name")?;
-    let median = number_field(obj, "median_ns").or_else(|| number_field(obj, "mean_ns"))?;
-    Some(BenchEntry {
-        name,
-        median_ns: median,
-    })
-}
-
-fn string_field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    let results = doc
+        .get("results")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    results
+        .iter()
+        .filter_map(|entry| {
+            let Some(Json::Str(name)) = entry.get("name") else {
+                return None;
+            };
+            let stat = |key| entry.get(key).and_then(Json::as_f64);
+            Some(BenchEntry {
+                name: name.clone(),
+                median_ns: stat("median_ns").or_else(|| stat("mean_ns"))?,
+            })
+        })
+        .collect()
 }
 
 /// The stage key of a bench label: the second segment of

@@ -32,7 +32,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use streamfit::{StreamConfig, StreamSession};
 use tscore::Dataset;
-use tsgraph::layout::LayoutEngine;
+use tsgraph::layout::{layout_graph, BarnesHutOptions, LayoutEngine};
 use tsgraph::{GraphBuilder, NodeId};
 
 /// The stage names, in pipeline order. These are the `<stage>` path
@@ -182,22 +182,30 @@ impl ScaleFixture {
     /// under a wide budget keeps emission bounded without throttling the
     /// layout work being measured.
     pub fn run_render_bh(&self) -> (String, usize) {
+        let layout = layout_graph(
+            &self.graph,
+            LayoutEngine::BarnesHut,
+            BarnesHutOptions::default(),
+        );
         GraphPlot::from_graph(&self.graph, 24, &self.stats, 0.4, 0.5)
-            .with_engine(LayoutEngine::BarnesHut)
             .with_detail(DetailLevel::Aggregated)
             .with_budget(RenderBudget::capped(50_000))
-            .render_counted()
+            .render_counted(&layout)
     }
 
     /// `render/lod_10k`: level-of-detail emission dominates — the O(n)
     /// circular layout plus a tight budget that forces full degradation
     /// (owner attribution, bundling, glyph aggregation).
     pub fn run_render_lod(&self) -> (String, usize) {
+        let layout = layout_graph(
+            &self.graph,
+            LayoutEngine::Circular,
+            BarnesHutOptions::default(),
+        );
         GraphPlot::from_graph(&self.graph, 24, &self.stats, 0.4, 0.5)
-            .with_engine(LayoutEngine::Circular)
             .with_detail(DetailLevel::Auto)
             .with_budget(RenderBudget::capped(5_000))
-            .render_counted()
+            .render_counted(&layout)
     }
 }
 

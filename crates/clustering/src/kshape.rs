@@ -3,48 +3,23 @@
 //! k-Shape iterates like k-Means but uses the Shape-Based Distance (SBD,
 //! derived from normalised cross-correlation) for assignment and *shape
 //! extraction* — the dominant eigenvector of an alignment matrix — for
-//! centroid refinement. The NCC here is FFT-backed (O(m log m)).
+//! centroid refinement. SBD is `tscore::kernel`'s, a lane-dot scan over
+//! the `2m − 1` shifts, O(m²) per pair. Shape extraction builds an m × m
+//! scatter matrix per member and power-iterates on it, so k-Shape is
+//! Θ(m²) per member whatever SBD costs.
 
-use linalg::fft::cross_correlation_fft;
 use linalg::matrix::Matrix;
 use linalg::power_iteration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tscore::kernel::dot;
+use tscore::kernel::{apply_shift, dot, sbd, sbd_with_shift};
 use tscore::transform::znorm;
 
-/// FFT-backed normalised cross-correlation: length `2m−1`, index `s` =
-/// shift `s−(m−1)` of `b` relative to `a`, normalised by `‖a‖·‖b‖` (the
-/// shift scan of `tscore::kernel::ncc_max_with_shift`, materialised).
-pub fn ncc_fft(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let denom = if na * nb <= f64::EPSILON {
-        1.0
-    } else {
-        na * nb
-    };
-    cross_correlation_fft(a, b)
-        .into_iter()
-        .map(|v| v / denom)
-        .collect()
-}
-
-/// FFT-backed Shape-Based Distance: `1 − max_s NCC(a, b)(s)` ∈ [0, 2].
-pub fn sbd_fft(a: &[f64], b: &[f64]) -> f64 {
-    1.0 - ncc_fft(a, b).into_iter().fold(f64::NEG_INFINITY, f64::max)
-}
-
-/// SBD together with the maximising shift of `b` relative to `a`.
-pub fn sbd_fft_with_shift(a: &[f64], b: &[f64]) -> (f64, isize) {
-    let cc = ncc_fft(a, b);
-    let mut best = 0usize;
-    for (i, &v) in cc.iter().enumerate() {
-        if v > cc[best] {
-            best = i;
-        }
-    }
-    (1.0 - cc[best], best as isize - (a.len() as isize - 1))
+/// SBD from a centroid to a row. `KShape::fit` calls it only on a
+/// centroid of the rows' common length with a non-zero value, where the
+/// kernel's errors (empty or unequal inputs) cannot arise.
+fn centroid_sbd(centroid: &[f64], row: &[f64]) -> f64 {
+    sbd(centroid, row).expect("a non-zero centroid has the rows' length")
 }
 
 /// Configuration for [`KShape`].
@@ -125,7 +100,7 @@ impl KShape {
                     let d = if centroid.iter().all(|&x| x == 0.0) {
                         f64::INFINITY
                     } else {
-                        sbd_fft(centroid, row)
+                        centroid_sbd(centroid, row)
                     };
                     if d < best_d {
                         best_d = d;
@@ -149,7 +124,7 @@ impl KShape {
                 if centroids[l].iter().all(|&x| x == 0.0) {
                     0.0
                 } else {
-                    sbd_fft(&centroids[l], row)
+                    centroid_sbd(&centroids[l], row)
                 }
             })
             .sum();
@@ -166,7 +141,8 @@ impl KShape {
 /// and `Q = I − (1/m)·𝟙` centres it.
 ///
 /// Returns a z-normalised shape, sign-fixed to correlate positively with the
-/// aligned-member mean.
+/// aligned-member mean. Panics when `previous` has a non-zero value and a
+/// member's length differs from its.
 pub fn shape_extraction(members: &[&[f64]], previous: &[f64]) -> Vec<f64> {
     let m = previous.len();
     // Align members to the previous centroid (first iteration: no shift).
@@ -177,8 +153,9 @@ pub fn shape_extraction(members: &[&[f64]], previous: &[f64]) -> Vec<f64> {
         .iter()
         .map(|&s| {
             let mut row = if use_alignment {
-                let (_, shift) = sbd_fft_with_shift(previous, s);
-                tscore::kernel::apply_shift(s, shift)
+                let (_, shift) = sbd_with_shift(previous, s)
+                    .expect("members have the length of their non-zero previous centroid");
+                apply_shift(s, shift)
             } else {
                 s.to_vec()
             };
@@ -242,49 +219,9 @@ pub fn shape_extraction(members: &[&[f64]], previous: &[f64]) -> Vec<f64> {
 }
 
 #[cfg(test)]
-#[path = "../../core/tests/oracle/mod.rs"]
-mod oracle;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::adjusted_rand_index;
-    use tscore::kernel as tsd;
-
-    #[test]
-    fn ncc_fft_matches_direct() {
-        let a = [1.0, 2.0, -1.0, 0.5, 3.0, -2.0];
-        let b = [0.5, -1.0, 2.0, 1.0, -0.5, 1.5];
-        let fast = ncc_fft(&a, &b);
-        let slow = oracle::ncc(&a, &b).unwrap();
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(&slow) {
-            assert!((f - s).abs() < 1e-9, "{f} vs {s}");
-        }
-    }
-
-    #[test]
-    fn sbd_fft_matches_direct() {
-        let a: Vec<f64> = (0..40).map(|i| (i as f64 * 0.4).sin()).collect();
-        let b: Vec<f64> = (0..40).map(|i| (i as f64 * 0.4 + 1.0).sin()).collect();
-        let fast = sbd_fft(&a, &b);
-        let slow = tsd::sbd(&a, &b).unwrap();
-        assert!((fast - slow).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sbd_fft_shift_matches_direct() {
-        let mut a = vec![0.0; 32];
-        a[5] = 1.0;
-        a[6] = 2.0;
-        let mut b = vec![0.0; 32];
-        b[11] = 1.0;
-        b[12] = 2.0;
-        let (d_fast, s_fast) = sbd_fft_with_shift(&a, &b);
-        let (d_slow, s_slow) = tsd::sbd_with_shift(&a, &b).unwrap();
-        assert!((d_fast - d_slow).abs() < 1e-9);
-        assert_eq!(s_fast, s_slow);
-    }
 
     /// Two clearly different shapes, each instantiated with small phase
     /// shifts — exactly the regime SBD is built for.
@@ -354,7 +291,7 @@ mod tests {
         let members: Vec<&[f64]> = vec![&s, &s, &s];
         let shape = shape_extraction(&members, &vec![0.0; 32]);
         // Shape must correlate almost perfectly with the member.
-        let d = sbd_fft(&shape, &znorm(&s));
+        let d = sbd(&shape, &znorm(&s)).unwrap();
         assert!(d < 1e-6, "SBD to member {d}");
     }
 

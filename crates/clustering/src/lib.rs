@@ -8,7 +8,7 @@
 //! |---|---|
 //! | [`kmeans`]    | k-Means with k-means++ init and restarts (k-AVG) |
 //! | [`count_kmeans`] | exact integer k-Means over sparse count rows (k-Graph's per-length step) |
-//! | [`kshape`]    | k-Shape (FFT-backed NCC, SBD, shape extraction) |
+//! | [`kshape`]    | k-Shape (SBD from `tscore::kernel`, shape extraction) |
 //! | [`ksc`]       | k-Spectral-Centroid (scale/shift invariant) |
 //! | [`kdba`]      | k-Means under DTW with DBA barycenter averaging |
 //! | [`spectral`]  | spectral clustering on RBF / k-NN / precomputed affinities |
@@ -44,7 +44,7 @@ pub mod spectral;
 pub mod validation;
 
 pub use kmeans::{KMeans, KMeansResult};
-pub use kshape::{sbd_fft, KShape};
+pub use kshape::KShape;
 pub use method::{ClusteringMethod, MethodKind};
 pub use metrics::{adjusted_rand_index, normalized_mutual_information, rand_index};
 pub use spectral::{spectral_clustering, SpectralOptions};

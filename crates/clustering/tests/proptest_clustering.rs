@@ -287,12 +287,12 @@ proptest! {
     }
 
     #[test]
-    fn sbd_fft_triangle_like_bound(
+    fn sbd_self_distance_is_zero(
         a in proptest::collection::vec(-5.0..5.0f64, 8..=8),
     ) {
         // SBD(a, a) == 0 and SBD never negative (within fp noise).
         prop_assume!(a.iter().map(|v| v * v).sum::<f64>() > 1e-9);
-        let d = clustering::kshape::sbd_fft(&a, &a);
+        let d = tscore::kernel::sbd(&a, &a).unwrap();
         prop_assert!(d.abs() < 1e-9, "self distance {d}");
     }
 

@@ -23,7 +23,9 @@
 //! * [`sbd`] / [`sbd_with_shift`] / [`ncc_max_with_shift`] — the
 //!   Shape-Based Distance of k-Shape (Paparrizos & Gravano, SIGMOD 2015)
 //!   as sliding lane dots over contiguous slices, no `2m−1` output buffer,
-//!   and [`apply_shift`] to align a series by the shift found,
+//!   and [`apply_shift`] to align a series by the shift found. The
+//!   workspace's one SBD: `clustering::kshape` assigns series with
+//!   [`sbd`] and aligns cluster members with [`sbd_with_shift`],
 //! * [`dtw`] / [`dtw_path`] + [`DtwScratch`] — DTW with an optional
 //!   Sakoe–Chiba band ([`DtwOptions`]), reusable DP rows, a hoisted
 //!   `a[i−1]`, vectorisable cost/min passes and O(1) band-edge sentinels

@@ -84,10 +84,9 @@ impl<'a> GraphFrame<'a> {
         budget: RenderBudget,
     ) -> (String, usize) {
         GraphPlot::new(self.model.best(), self.stats, self.lambda, self.gamma)
-            .with_layout(self.model.layout(engine))
             .with_detail(detail)
             .with_budget(budget)
-            .render_counted()
+            .render_counted(self.model.layout(engine))
     }
 
     /// Inspection data for one node.

@@ -30,14 +30,17 @@
 //! level whose element count fits the budget, so callers can promise a
 //! bounded response cost (the `graphserve` render route does exactly
 //! that).
+//!
+//! The plot draws the node positions it is given and computes no layout
+//! of its own: the Graph frame passes the model's cached
+//! `KGraphModel::layout`, and a bare graph's caller passes
+//! `tsgraph::layout::layout_graph`'s.
 
 use crate::color::{category_color, MUTED};
 use crate::svg::{fixed, SvgDoc};
 use kgraph::graphoid::ClusterStats;
 use kgraph::{GraphLayer, PatternGraph};
-use tsgraph::layout::{
-    fit_to_viewport, layout_graph, BarnesHutOptions, ForceOptions, LayoutEngine,
-};
+use tsgraph::layout::fit_to_viewport;
 
 /// Maximum number of SVG elements a render may emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,24 +115,15 @@ pub struct GraphPlot<'a> {
     pub gamma: f64,
     /// Pixel size.
     pub size: (f64, f64),
-    /// Layout seed.
-    pub seed: u64,
-    /// Which layout algorithm positions the nodes.
-    pub engine: LayoutEngine,
-    /// Barnes–Hut opening angle (used when the engine resolves to it).
-    pub theta: f64,
     /// Detail level; `Auto` degrades until the budget fits.
     pub detail: DetailLevel,
     /// Element budget for `Auto` detail and edge-bundling quotas.
     pub budget: RenderBudget,
-    /// Precomputed node positions; when set, `engine`, `seed` and `theta`
-    /// are not consulted.
-    pub layout: Option<&'a [(f64, f64)]>,
 }
 
 impl<'a> GraphPlot<'a> {
     /// Creates a renderer with the thresholds of the advanced-settings
-    /// window (size 640 × 520, auto layout, full detail, no budget).
+    /// window (size 640 × 520, auto detail, no budget).
     pub fn new(layer: &'a GraphLayer, stats: &'a ClusterStats, lambda: f64, gamma: f64) -> Self {
         GraphPlot::from_graph(&layer.graph, layer.length, stats, lambda, gamma)
     }
@@ -150,26 +144,9 @@ impl<'a> GraphPlot<'a> {
             lambda,
             gamma,
             size: (640.0, 520.0),
-            seed: 42,
-            engine: LayoutEngine::Auto,
-            theta: 0.8,
             detail: DetailLevel::Auto,
             budget: RenderBudget::unlimited(),
-            layout: None,
         }
-    }
-
-    /// Sets the layout engine.
-    pub fn with_engine(mut self, engine: LayoutEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Draws at the given node positions (one per node, in layout
-    /// coordinates) instead of computing a layout.
-    pub fn with_layout(mut self, layout: &'a [(f64, f64)]) -> Self {
-        self.layout = Some(layout);
-        self
     }
 
     /// Sets the detail level.
@@ -243,14 +220,15 @@ impl<'a> GraphPlot<'a> {
         }
     }
 
-    /// Renders to SVG.
-    pub fn render(&self) -> String {
-        self.render_counted().0
+    /// Renders to SVG with the nodes at `layout` (one position per node,
+    /// in layout coordinates; fitted to the viewport here).
+    pub fn render(&self, layout: &[(f64, f64)]) -> String {
+        self.render_counted(layout).0
     }
 
-    /// Renders to SVG and also reports the emitted element count (what
+    /// [`Self::render`], also reporting the emitted element count (what
     /// the budget is accounted against).
-    pub fn render_counted(&self) -> (String, usize) {
+    pub fn render_counted(&self, layout: &[(f64, f64)]) -> (String, usize) {
         let (w, h) = self.size;
         let mut doc = SvgDoc::new(w, h);
         doc.rect(0.0, 0.0, w, h, "#ffffff", "none");
@@ -261,24 +239,6 @@ impl<'a> GraphPlot<'a> {
             let count = doc.element_count();
             return (doc.finish(), count);
         }
-        let computed;
-        let layout = match self.layout {
-            Some(layout) => layout,
-            None => {
-                computed = layout_graph(
-                    g,
-                    self.engine,
-                    BarnesHutOptions {
-                        force: ForceOptions {
-                            seed: self.seed,
-                            ..Default::default()
-                        },
-                        theta: self.theta,
-                    },
-                );
-                &computed
-            }
-        };
         let pos = fit_to_viewport(layout, w, h - 40.0, 30.0);
         let pos: Vec<(f64, f64)> = pos.into_iter().map(|(x, y)| (x, y + 30.0)).collect();
 
@@ -533,6 +493,7 @@ mod tests {
     use super::*;
     use kgraph::{KGraph, KGraphConfig};
     use tscore::{Dataset, DatasetKind, TimeSeries};
+    use tsgraph::layout::LayoutEngine;
 
     fn model() -> kgraph::KGraphModel {
         let mut series = Vec::new();
@@ -559,7 +520,7 @@ mod tests {
         let m = model();
         let stats = m.best_stats();
         let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
-        let svg = plot.render();
+        let svg = plot.render(m.layout(LayoutEngine::Auto));
         assert!(svg.contains("k-Graph graph"));
         assert!(svg.matches("<circle").count() >= m.best().graph.node_count());
         assert!(svg.contains("cluster 0"));
@@ -575,7 +536,7 @@ mod tests {
         for n in 0..m.best().graph.node_count() {
             assert!(plot.node_owner(n).is_none());
         }
-        let svg = plot.render();
+        let svg = plot.render(m.layout(LayoutEngine::Auto));
         assert!(svg.contains(MUTED));
     }
 
@@ -609,12 +570,15 @@ mod tests {
     fn detail_levels_render_and_shrink() {
         let m = model();
         let stats = m.best_stats();
+        let layout = m.layout(LayoutEngine::Auto);
         let base = GraphPlot::new(m.best(), stats, 0.5, 0.7);
-        let (full, full_n) = base.render_counted();
+        let (full, full_n) = base.render_counted(layout);
         let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
-        let (agg, agg_n) = plot.with_detail(DetailLevel::Aggregated).render_counted();
+        let (agg, agg_n) = plot
+            .with_detail(DetailLevel::Aggregated)
+            .render_counted(layout);
         let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7);
-        let (glyph, glyph_n) = plot.with_detail(DetailLevel::Glyph).render_counted();
+        let (glyph, glyph_n) = plot.with_detail(DetailLevel::Glyph).render_counted(layout);
         assert!(full.contains("<line"));
         assert!(agg.contains("<g "), "aggregated uses style groups");
         assert!(glyph.contains("nodes)"), "glyph labels clusters");
@@ -631,7 +595,7 @@ mod tests {
         let budget = RenderBudget::capped(2 + 2 * stats.k + 1 + n + stats.k + 1 + 4);
         let plot = GraphPlot::new(m.best(), stats, 0.5, 0.7).with_budget(budget);
         assert_eq!(plot.resolve_detail(), DetailLevel::Aggregated);
-        let (_, count) = plot.render_counted();
+        let (_, count) = plot.render_counted(m.layout(LayoutEngine::Auto));
         assert!(
             count <= budget.max_elements,
             "{count} > {}",

@@ -28,7 +28,7 @@ use kgraph::graphoid::ClusterStats;
 use kgraph::{KGraph, KGraphConfig, NodePattern, PatternGraph};
 use linalg::matrix::Matrix;
 use tscore::{Dataset, DatasetKind, TimeSeries};
-use tsgraph::layout::LayoutEngine;
+use tsgraph::layout::{layout_graph, BarnesHutOptions, LayoutEngine};
 use tsgraph::{GraphBuilder, NodeId};
 
 /// Deterministic synthetic layer: `n` nodes in `k` contiguous cluster
@@ -126,12 +126,18 @@ fn fixture_plot<'a>(graph: &'a PatternGraph, stats: &'a ClusterStats) -> GraphPl
     GraphPlot::from_graph(graph, 24, stats, 0.4, 0.5)
 }
 
+/// Node positions under `engine` with the default options (seed 42,
+/// θ 0.8), as `KGraphModel::layout` computes them.
+fn layout(graph: &PatternGraph, engine: LayoutEngine) -> Vec<(f64, f64)> {
+    layout_graph(graph, engine, BarnesHutOptions::default())
+}
+
 #[test]
 fn golden_full_detail() {
     let (graph, stats) = synthetic(24, 3, 2, 1);
     let svg = fixture_plot(&graph, &stats)
         .with_detail(DetailLevel::Full)
-        .render();
+        .render(&layout(&graph, LayoutEngine::Auto));
     assert_golden("full.svg", &svg);
 }
 
@@ -140,7 +146,7 @@ fn golden_aggregated_detail() {
     let (graph, stats) = synthetic(24, 3, 2, 1);
     let svg = fixture_plot(&graph, &stats)
         .with_detail(DetailLevel::Aggregated)
-        .render();
+        .render(&layout(&graph, LayoutEngine::Auto));
     assert!(svg.contains("<path"), "aggregated render bundles edges");
     assert_golden("aggregated.svg", &svg);
 }
@@ -150,7 +156,7 @@ fn golden_glyph_detail() {
     let (graph, stats) = synthetic(24, 3, 2, 1);
     let svg = fixture_plot(&graph, &stats)
         .with_detail(DetailLevel::Glyph)
-        .render();
+        .render(&layout(&graph, LayoutEngine::Auto));
     assert!(svg.contains("nodes)"), "glyph render labels clusters");
     assert_golden("glyph.svg", &svg);
 }
@@ -158,10 +164,11 @@ fn golden_glyph_detail() {
 #[test]
 fn auto_detail_with_no_budget_is_full_detail() {
     let (graph, stats) = synthetic(24, 3, 2, 1);
-    let auto = fixture_plot(&graph, &stats).render();
+    let positions = layout(&graph, LayoutEngine::Auto);
+    let auto = fixture_plot(&graph, &stats).render(&positions);
     let full = fixture_plot(&graph, &stats)
         .with_detail(DetailLevel::Full)
-        .render();
+        .render(&positions);
     assert_eq!(auto, full);
 }
 
@@ -177,9 +184,8 @@ fn rendering_is_deterministic_across_engine_boundaries() {
         let (graph, stats) = synthetic(n, 4, 1, 9);
         let plot = |engine| {
             GraphPlot::from_graph(&graph, 24, &stats, 0.4, 0.5)
-                .with_engine(engine)
                 .with_budget(RenderBudget::capped(20_000))
-                .render()
+                .render(&layout(&graph, engine))
         };
         let first = plot(LayoutEngine::Auto);
         let second = plot(LayoutEngine::Auto);
@@ -194,10 +200,9 @@ fn budget_cap_holds_on_10k_node_layer() {
     // Circular layout keeps this test about budgeting, not layout speed.
     for budget in [1_000usize, 2_000, 12_000, 25_000] {
         let plot = GraphPlot::from_graph(&graph, 24, &stats, 0.4, 0.5)
-            .with_engine(LayoutEngine::Circular)
             .with_budget(RenderBudget::capped(budget));
         let resolved = plot.resolve_detail();
-        let (svg, count) = plot.render_counted();
+        let (svg, count) = plot.render_counted(&layout(&graph, LayoutEngine::Circular));
         assert!(
             count <= budget,
             "budget {budget}: emitted {count} elements at {resolved:?}"

@@ -38,9 +38,11 @@
 //!
 //! [`read_model`] still reads `KGM4`, for one format generation. It stores
 //! every length's layer in full, its partition between its paths and its
-//! embedding; the reader keeps each partition and ℓ̄'s layer. A file of an
-//! older generation (`KGM1` to `KGM3`) is refused with a
-//! [`TsError::Parse`] that names its format.
+//! embedding. The reader decodes one layer at a time and keeps each
+//! partition and ℓ̄'s layer, dropping every other layer as it is read, so
+//! it holds at most two layers at once. A file of an older generation
+//! (`KGM1` to `KGM3`) is refused with a [`TsError::Parse`] that names its
+//! format.
 //!
 //! The format is deliberately dependency-free (no serde in the image) and
 //! versioned by magic: readers reject unknown magics with
@@ -657,13 +659,23 @@ fn decode_model(bytes: &[u8], max_windows: u64) -> Result<KGraphModel, TsError> 
     let m = c.len(8)?;
     let mut windows_left = max_windows;
     let (partitions, mut layer) = if kgm4 {
-        // Every length's layer in full: keep the partitions and ℓ̄'s layer.
-        let mut layers = (0..m)
-            .map(|_| read_layer(&mut c, true, &mut windows_left))
-            .collect::<Result<Vec<_>, TsError>>()?;
+        // Every length's layer in full, read one at a time: each layer's
+        // partition moves out, and only ℓ̄'s layer is kept.
         ensure!(best_layer < m, "best layer {best_layer} out of range");
-        let partitions = layers.iter().map(|l| l.labels.clone()).collect();
-        (partitions, layers.swap_remove(best_layer))
+        let mut partitions = Vec::with_capacity(m);
+        let mut next = |c: &mut Cursor| {
+            let mut layer = read_layer(c, true, &mut windows_left)?;
+            partitions.push(std::mem::take(&mut layer.labels));
+            Ok::<_, TsError>(layer)
+        };
+        for _ in 0..best_layer {
+            next(&mut c)?;
+        }
+        let best = next(&mut c)?;
+        for _ in best_layer + 1..m {
+            next(&mut c)?;
+        }
+        (partitions, best)
     } else {
         let partitions = (0..m).map(|_| c.usizes()).collect::<Result<Vec<_>, _>>()?;
         (partitions, read_layer(&mut c, false, &mut windows_left)?)

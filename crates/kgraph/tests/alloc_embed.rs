@@ -6,14 +6,18 @@
 //! mark. The tests check that the fit's projection never holds the
 //! `total × ℓ` window matrix and keeps one 2-D point per window, that the
 //! fit never holds the `n × n` consensus matrix, that routing a series
-//! costs a fixed number of allocations however many windows it has, and
-//! that a model file declaring a path run of 2^40 windows is refused
-//! before any of it is allocated.
+//! costs a fixed number of allocations however many windows it has, that
+//! a model file declaring a path run of 2^40 windows is refused before
+//! any of it is allocated, and that a `KGM4` file is decoded one layer at
+//! a time.
 //!
 //! Lives in its own integration-test binary because `#[global_allocator]`
 //! is process-wide. The tallies are per thread, so allocations made by the
 //! other tests the harness runs in parallel never land in a measured
 //! window.
+
+#[path = "support/kgm4.rs"]
+mod kgm4;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -247,4 +251,36 @@ fn a_crafted_path_run_is_refused_before_it_is_allocated() {
         // The layer's payloads and graph, not the 4 TiB the run claims.
         assert!(peak < 1 << 20, "decoding peaked at {peak} B");
     }
+}
+
+#[test]
+fn a_kgm4_file_is_decoded_one_layer_at_a_time() {
+    use kgraph::serial::{read_model, write_model};
+
+    // `ingest_durable`'s training set: 100 CBF series per class, k 3,
+    // five lengths, seed 7.
+    let cfg = KGraphConfig {
+        n_lengths: 5,
+        ..KGraphConfig::new(3)
+    }
+    .with_seed(7);
+    let kgraph = KGraph::new(cfg);
+    let layers = kgraph.fit_layers(&datasets::cbf::cbf(100, 256, 7));
+    let model = kgraph.model_from_layers(layers.clone());
+    let (kgm4, kgm5) = (kgm4::kgm4(&model, &layers), write_model(&model));
+    drop(layers);
+
+    let (from_kgm4, kgm4_peak) = peak_bytes_of(|| read_model(&kgm4));
+    let (from_kgm5, kgm5_peak) = peak_bytes_of(|| read_model(&kgm5));
+    let reencoded = from_kgm4
+        .map(|m| write_model(&m))
+        .expect("the KGM4 file loads");
+    assert!(reencoded == kgm5, "the KGM4 file loads to the KGM5 model");
+    assert!(from_kgm5.is_ok(), "the KGM5 file loads");
+    // The layers ℓ̄ does not serve are dropped as they are read, so the
+    // decode holds at most about two layers where a KGM5 decode holds one.
+    assert!(
+        2 * kgm4_peak < 5 * kgm5_peak,
+        "the KGM4 decode peaked at {kgm4_peak} B, the KGM5 decode at {kgm5_peak} B"
+    );
 }

@@ -8,7 +8,7 @@
 //! * `predict` against the per-call centroid loop, bit for bit, over every
 //!   training series and 50 unseen CBF series;
 //! * the cached layouts against `layout_graph` with the default options,
-//!   and a cached render against an uncached `GraphPlot` render;
+//!   and a cached render against a render of an uncached layout;
 //! * a streamfit compaction's model against the same oracles on the
 //!   compacted graph, after the old model's cache was filled;
 //! * eight threads reading one cold model at once.
@@ -112,15 +112,20 @@ fn oracle_predict(model: &KGraphModel, values: &[f64]) -> Option<usize> {
 }
 
 /// The render the Graph frame produced before the cache: stats, (λ, γ)
-/// and layout all recomputed, the layout by `GraphPlot` itself.
+/// and layout all recomputed, the layout by `layout_graph` with the
+/// default options.
 fn oracle_render(model: &KGraphModel, budget: usize) -> (String, usize) {
     let stats = oracle_stats(model);
     let (lambda, gamma) = auto_thresholds(&stats, model.best(), 20);
+    let layout = layout_graph(
+        &model.best().graph,
+        LayoutEngine::Auto,
+        BarnesHutOptions::default(),
+    );
     GraphPlot::new(model.best(), &stats, lambda, gamma)
-        .with_engine(LayoutEngine::Auto)
         .with_detail(DetailLevel::Auto)
         .with_budget(RenderBudget::capped(budget))
-        .render_counted()
+        .render_counted(&layout)
 }
 
 fn cached_render(model: &KGraphModel, budget: usize) -> (String, usize) {

@@ -8,8 +8,8 @@
 //!   power iteration (used by spectral clustering, PCA and k-Shape),
 //! * [`pca`] — principal component analysis (the 2-D projection behind
 //!   k-Graph's graph embedding),
-//! * [`fft`] — iterative radix-2 FFT and FFT-backed cross-correlation
-//!   (speeds up k-Shape's NCC from O(m²) to O(m log m)),
+//! * [`fft`] — a forward iterative radix-2 FFT for Time2Feat's spectral
+//!   features,
 //! * [`kde`] — 1-D Gaussian kernel density estimation with local-maxima
 //!   extraction (node creation along each radial scan sector).
 //!
@@ -23,7 +23,7 @@ pub mod matrix;
 pub mod pca;
 
 pub use eigen::{power_iteration, symmetric_eigen, EigenDecomposition};
-pub use fft::{cross_correlation_fft, Complex};
+pub use fft::Complex;
 pub use kde::Kde;
 pub use matrix::Matrix;
 pub use pca::Pca;

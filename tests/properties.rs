@@ -98,16 +98,18 @@ proptest! {
     }
 
     #[test]
-    fn fft_ncc_matches_direct(
+    fn ncc_max_matches_direct(
         a in proptest::collection::vec(-5.0..5.0f64, 4..32),
     ) {
+        // k-Shape's NCC: the kernel's maximum over every shift, against
+        // the direct correlation sequence.
         let b: Vec<f64> = a.iter().rev().copied().collect();
         let direct = oracle::ncc(&a, &b).unwrap();
-        let fast = clustering::kshape::ncc_fft(&a, &b);
-        prop_assert_eq!(direct.len(), fast.len());
-        for (x, y) in direct.iter().zip(&fast) {
-            prop_assert!((x - y).abs() < 1e-6, "direct {} vs fft {}", x, y);
-        }
+        let (max, shift) = kernel::ncc_max_with_shift(&a, &b).unwrap();
+        let best = direct.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert!((max - best).abs() < 1e-6, "direct {} vs kernel {}", best, max);
+        let at = (shift + a.len() as isize - 1) as usize;
+        prop_assert!((direct[at] - best).abs() < 1e-9, "shift {} is not a maximum", shift);
     }
 
     #[test]
